@@ -8,14 +8,6 @@
 // The (boards × switching × sequence) cluster grid runs on
 // metrics::SweepRunner::map (--jobs N / VS_JOBS) with index-keyed results,
 // so the table is identical for any worker count.
-//
-// `--kernel-jobs N` (or VS_KERNEL_JOBS) additionally runs every cluster
-// replica on the sharded event kernel with N window workers; the table is
-// bit-identical to the serial-kernel run (scripts/check.sh diffs the two).
-// `--kernel-scaling` instead prints an events/second table for the sharded
-// kernel at 1/2/4/8 workers on one fixed run — wall-clock numbers, so it is
-// excluded from the deterministic smoke diff.
-#include <chrono>
 #include <iostream>
 #include <iterator>
 
@@ -26,83 +18,16 @@
 #include "util/thread_pool.h"
 #include "workload/generator.h"
 
-namespace {
-
-/// One timed cluster run on the given kernel worker count; returns
-/// simulated events per wall-clock second (serial kernel when workers == 0).
-double measure_event_rate(const std::vector<vs::apps::AppSpec>& suite,
-                          const vs::workload::Sequence& sequence,
-                          int kernel_workers, std::uint64_t* events_out) {
-  vs::cluster::ClusterOptions options;
-  options.boards_per_config = 2;
-  options.kernel_workers = kernel_workers;
-  auto start = std::chrono::steady_clock::now();
-  auto result = vs::metrics::run_cluster(suite, sequence, options);
-  std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - start;
-  if (events_out != nullptr) *events_out = result.events;
-  return static_cast<double>(result.events) / wall.count();
-}
-
-int run_kernel_scaling(const std::vector<vs::apps::AppSpec>& suite,
-                       int apps_per_seq) {
-  using namespace vs;
-  workload::WorkloadConfig config;
-  config.congestion = workload::Congestion::kStress;
-  config.apps_per_sequence = apps_per_seq;
-  util::Rng rng(2025);
-  auto sequence = workload::generate_sequence(config, rng);
-
-  std::cout << "=== Sharded kernel scaling (" << apps_per_seq
-            << " stress apps, 4 boards) ===\n\n";
-  util::Table table({"kernel", "workers", "events", "ev/s"});
-  std::uint64_t serial_events = 0;
-  double serial_rate =
-      measure_event_rate(suite, sequence, 0, &serial_events);
-  table.add_row();
-  table.cell("serial");
-  table.cell(static_cast<std::int64_t>(0));
-  table.cell(static_cast<std::int64_t>(serial_events));
-  table.cell(serial_rate, 0);
-  for (int workers : {1, 2, 4, 8}) {
-    std::uint64_t events = 0;
-    double rate = measure_event_rate(suite, sequence, workers, &events);
-    table.add_row();
-    table.cell("sharded");
-    table.cell(static_cast<std::int64_t>(workers));
-    table.cell(static_cast<std::int64_t>(events));
-    table.cell(rate, 0);
-    if (events != serial_events) {
-      std::cerr << "kernel divergence: " << events << " events at "
-                << workers << " workers vs " << serial_events
-                << " serial\n";
-      return 1;
-    }
-  }
-  table.print(std::cout);
-  std::cout << "\n(event counts are identical by construction; speedup "
-               "needs multi-core hardware — a single-CPU container "
-               "serialises the window workers)\n";
-  return 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace vs;
 
   util::CliArgs args(argc, argv);
   metrics::SweepRunner runner(util::resolve_jobs(&args));
-  const int kernel_jobs = util::resolve_kernel_jobs(&args);
   const int apps_per_seq = static_cast<int>(args.get_int("apps", 60));
   const int n_seqs_arg = static_cast<int>(args.get_int("seqs", 3));
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
-
-  if (args.get_bool("kernel-scaling")) {
-    return run_kernel_scaling(suite, apps_per_seq);
-  }
 
   workload::WorkloadConfig config;
   config.congestion = workload::Congestion::kStress;
@@ -126,7 +51,6 @@ int main(int argc, char** argv) {
             board_counts[i / (std::size(switch_modes) * n_seqs)];
         options.enable_switching =
             switch_modes[(i / n_seqs) % std::size(switch_modes)];
-        options.kernel_workers = kernel_jobs;
         return metrics::run_cluster(suite, sequences[i % n_seqs], options);
       });
   std::size_t cursor = 0;

@@ -123,11 +123,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Correlated failure-domain sweep (--racks N, optional --rack-rate R,
-  // --kernel-jobs W / VS_KERNEL_JOBS): N racks of one OL + one BL board
-  // each — every rack spans both pools (a shared PSU feeding the failover
-  // pair), so a rack event is the worst case for spare-pool failover: the
-  // origin AND its preferred destination die inside one detection window.
+  // Correlated failure-domain sweep (--racks N, optional --rack-rate R):
+  // N racks of one OL + one BL board each — every rack spans both pools
+  // (a shared PSU feeding the failover pair), so a rack event is the worst
+  // case for spare-pool failover: the origin AND its preferred destination
+  // die inside one detection window.
   // Rack events fire from the "rack/<domain>" hazard streams at increasing
   // per-rack rates, plus a scripted rack event on rack 0 at t=2s so every
   // nonzero rate lands a guaranteed common-mode hit. The recovery mode
@@ -135,7 +135,6 @@ int main(int argc, char** argv) {
   // ext_fault_resilience_rack.csv; the default independent-hazard sweep
   // above (and its committed CSV) is untouched by this path.
   const int racks = static_cast<int>(args.get_int("racks", 0));
-  const int kernel_jobs = util::resolve_kernel_jobs(&args);
   if (racks > 0) {
     std::vector<double> rack_rates = {0.0, 0.02, 0.05, 0.1};  // per rack-s
     const double rate_arg = args.get_double("rack-rate", -1.0);
@@ -181,7 +180,6 @@ int main(int argc, char** argv) {
           const std::size_t seq = i % n_seqs;
           cluster::ClusterOptions options;
           options.boards_per_config = racks;
-          options.kernel_workers = kernel_jobs;
           options.faults = rack_scenario(rate, seq);
           options.recovery.enable_recovery = mode.enable_recovery;
           options.recovery.kill_restart = mode.kill_restart;
@@ -306,7 +304,6 @@ int main(int argc, char** argv) {
       obs::Telemetry telemetry;
       cluster::ClusterOptions options;
       options.boards_per_config = racks;
-      options.kernel_workers = kernel_jobs;
       options.faults = rack_scenario(rack_rates.back(), 0);
       options.recovery.throttle = throttle;
       (void)metrics::run_cluster(suite, sequences[0], options,

@@ -13,9 +13,8 @@
 // is flat) against arrival-rate multipliers, and reports per-class SLO
 // attainment, goodput (SLO-attained completions per second), and the
 // p50/p99/p99.9 response tail. Every admission and routing decision runs
-// in coordinator events over a seed-derived trace, so the table and
-// ext_multitenant.csv are bit-identical for any --jobs / --kernel-jobs
-// worker count (scripts/check.sh diffs serial vs sharded).
+// in simulation events over a seed-derived trace, so the table and
+// ext_multitenant.csv are bit-identical for any --jobs worker count.
 //
 // --metrics-out PREFIX re-runs the largest cell instrumented and writes
 // the vs_tenant_* series (admitted/rejected/deferred/completed/slo_miss
@@ -109,7 +108,6 @@ int main(int argc, char** argv) {
 
   util::CliArgs args(argc, argv);
   metrics::SweepRunner runner(util::resolve_jobs(&args));
-  const int kernel_jobs = util::resolve_kernel_jobs(&args);
   const double horizon_s = util::resolve_double(&args, "horizon", "VS_HORIZON", 20.0);
   const std::string metrics_out = obs::resolve_metrics_out(&args);
 
@@ -141,7 +139,6 @@ int main(int argc, char** argv) {
         // Flat capacity: both pools serve, no D_switch churn — the sweep
         // isolates admission + routing behaviour.
         options.enable_switching = false;
-        options.kernel_workers = kernel_jobs;
         serve::ServeConfig config =
             make_config(boards, rate, horizon_s);
         config.rebalance = true;
@@ -219,7 +216,6 @@ int main(int argc, char** argv) {
     cluster::ClusterOptions options;
     options.boards_per_config = board_counts.back();
     options.enable_switching = false;
-    options.kernel_workers = kernel_jobs;
     serve::ServeConfig config =
         make_config(board_counts.back(), rate_mults.back(), horizon_s);
     config.rebalance = true;

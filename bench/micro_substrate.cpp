@@ -23,7 +23,6 @@
 #include "runtime/board_runtime.h"
 #include "sim/core.h"
 #include "sim/event_queue.h"
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 #include "workload/generator.h"
 
@@ -123,56 +122,6 @@ void BM_SimulatorEventRate(benchmark::State& state) {
   state.counters["allocs_per_event"] = steady_allocs / (10.0 * kEvents);
 }
 BENCHMARK(BM_SimulatorEventRate);
-
-/// The tick chain sharded across per-board queues under the conservative
-/// window kernel, Arg(N) = window workers (0 = serial reference kernel on
-/// one Simulator, the baseline the others compare against). Event counts
-/// are identical at every arg by construction; the rate shows the window
-/// machinery's overhead — actual speedup needs multi-core hardware (the CI
-/// container has one CPU, so workers > 1 serialise).
-void BM_ShardedKernelEventRate(benchmark::State& state) {
-  constexpr int kEventsPerShard = 2500;
-  constexpr int kShards = 4;
-  const int workers = static_cast<int>(state.range(0));
-
-  if (workers == 0) {
-    sim::Simulator sim;
-    std::array<int, kShards> remaining{};
-    auto run_chains = [&] {
-      for (int s = 0; s < kShards; ++s) {
-        remaining[static_cast<std::size_t>(s)] = kEventsPerShard;
-        sim::TagScope scope(sim, static_cast<sim::ShardTag>(s + 1));
-        sim.schedule(0, Tick{&sim, &remaining[static_cast<std::size_t>(s)]});
-      }
-      sim.run();
-    };
-    for (auto _ : state) {
-      run_chains();
-      benchmark::DoNotOptimize(sim.events_executed());
-    }
-    state.SetItemsProcessed(state.iterations() * kEventsPerShard * kShards);
-    return;
-  }
-
-  for (auto _ : state) {
-    // The kernel pins its shard count at construction, so each iteration
-    // rebuilds it; the chains dwarf the setup cost.
-    sim::ShardedOptions options;
-    options.shards = kShards;
-    options.workers = workers;
-    options.lookahead = 1000;  // 10 chain ticks per window
-    sim::ShardedSimulator kernel(options);
-    std::array<int, kShards> remaining{};
-    for (int s = 0; s < kShards; ++s) {
-      remaining[static_cast<std::size_t>(s)] = kEventsPerShard;
-      kernel.shard(s).schedule(
-          0, Tick{&kernel.shard(s), &remaining[static_cast<std::size_t>(s)]});
-    }
-    benchmark::DoNotOptimize(kernel.run());
-  }
-  state.SetItemsProcessed(state.iterations() * kEventsPerShard * kShards);
-}
-BENCHMARK(BM_ShardedKernelEventRate)->Arg(0)->Arg(1)->Arg(2)->Arg(4);
 
 /// The tick chain with telemetry handles on the hot path: one counter add
 /// and one gauge store per event. Mirrors how real components are

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "obs/trace_hub.h"
-#include "sim/sharded.h"
 #include "util/log.h"
 
 namespace vs::cluster {
@@ -20,18 +19,6 @@ const char* config_name(core::SwitchLoop::Config config) {
 }
 
 }  // namespace
-
-sim::SimDuration conservative_lookahead(
-    const std::vector<apps::AppSpec>& suite, const fpga::LinkParams& link) {
-  sim::SimDuration lookahead = link.setup_latency;
-  for (const apps::AppSpec& spec : suite) {
-    for (const apps::TaskSpec& task : spec.tasks) {
-      lookahead = std::min(lookahead, task.item_latency);
-    }
-  }
-  assert(lookahead > 0 && "a zero-latency task defeats conservative sync");
-  return lookahead;
-}
 
 Cluster::Cluster(sim::Simulator& sim, const std::vector<apps::AppSpec>& suite,
                  ClusterOptions options)
@@ -69,32 +56,13 @@ Cluster::Cluster(sim::Simulator& sim, const std::vector<apps::AppSpec>& suite,
     }
   }
   if (options_.hub != nullptr) obs_ = &options_.hub->channel("cluster");
-  // Boards are built in a fixed order (OL0, BL0, OL1, BL1, ...) and board
-  // k always gets shard tag k + 1 — under the serial kernel too, so both
-  // kernels break equal-time event ties identically. Under a sharded
-  // kernel each board additionally lives on its own shard simulator.
-  if (options_.sharded != nullptr) {
-    assert(&sim == &options_.sharded->global() &&
-           "a sharded cluster must be driven by the kernel's coordinator");
-    assert(options_.sharded->shard_count() >= 2 * options_.boards_per_config &&
-           "the sharded kernel needs one shard per board");
-  }
-  auto board_sim = [&](int k) -> sim::Simulator& {
-    return options_.sharded != nullptr ? options_.sharded->shard(k) : sim_;
-  };
-  int next_board = 0;
-  auto make_board = [&](const std::string& name, fpga::FabricConfig config) {
-    int k = next_board++;
-    auto board = std::make_unique<fpga::Board>(board_sim(k), name, config,
-                                               options_.board_params);
-    board->set_shard_tag(static_cast<sim::ShardTag>(k) + 1);
-    return board;
-  };
   for (int i = 0; i < options_.boards_per_config; ++i) {
-    boards_ol_.push_back(make_board("fpga-OL" + std::to_string(i),
-                                    fpga::FabricConfig::only_little()));
-    boards_bl_.push_back(make_board("fpga-BL" + std::to_string(i),
-                                    fpga::FabricConfig::big_little()));
+    boards_ol_.push_back(std::make_unique<fpga::Board>(
+        sim_, "fpga-OL" + std::to_string(i), fpga::FabricConfig::only_little(),
+        options_.board_params));
+    boards_bl_.push_back(std::make_unique<fpga::Board>(
+        sim_, "fpga-BL" + std::to_string(i), fpga::FabricConfig::big_little(),
+        options_.board_params));
   }
   activate_pool(options_.initial);
 
@@ -182,15 +150,10 @@ int Cluster::new_epoch(core::SwitchLoop::Config config, fpga::Board& board) {
   epoch->runtime =
       std::make_unique<runtime::BoardRuntime>(*epoch->board, *epoch->policy);
   epoch->runtime->set_on_app_complete([this](const runtime::CompletedApp& c) {
-    // Cluster state is coordinator-owned: pin the chain back to tag 0 even
-    // though the completion fires inside a board-tagged item-finish event,
-    // so switch/link/recovery events the cluster schedules from here carry
-    // the coordinator tag under both kernels.
-    sim::TagScope tag_scope(sim_, 0);
     completed_.push_back(c);
     on_queue_update();
     // Serving-plane hook last: admission pumps and rebalance checks run
-    // after the D_switch sampling for this completion, still on tag 0.
+    // after the D_switch sampling for this completion.
     if (on_app_complete_) on_app_complete_(c);
   });
   epoch->runtime->enable_checkpoints(options_.checkpoint);
@@ -207,8 +170,7 @@ int Cluster::new_epoch(core::SwitchLoop::Config config, fpga::Board& board) {
   }
   if (options_.hub != nullptr) {
     // Every epoch's recorder merges into the board's process timeline; the
-    // board writes journal/flow records through its own channel (one writer
-    // per channel, created here — a coordinator serial phase).
+    // board writes journal/flow records through its own channel.
     options_.hub->attach_spans(board.name(), &epoch->runtime->trace());
     if (options_.hub->trace_enabled()) epoch->runtime->trace().enable();
     epoch->runtime->bind_observability(&options_.hub->channel(board.name()));
@@ -248,12 +210,6 @@ runtime::BoardRuntime* Cluster::least_loaded_or_null() {
     }
   }
   return best;
-}
-
-runtime::BoardRuntime& Cluster::least_loaded_active() {
-  runtime::BoardRuntime* best = least_loaded_or_null();
-  assert(best != nullptr);
-  return *best;
 }
 
 void Cluster::submit_sequence(const workload::Sequence& sequence) {
@@ -357,21 +313,40 @@ int Cluster::rebalance_active(int min_spread) {
   for (const MigratedApp& m : moved) bytes += m.state_bytes;
   m_migrated_apps_.add(moved_count);
   link_.transfer(bytes, [this, moved = std::move(moved)]() mutable {
-    for (MigratedApp& m : moved) {
-      // The destination is re-picked per app at landing time; a crash
-      // while the transfer was in flight queues the app for re-admission.
-      runtime::BoardRuntime* rt = least_loaded_or_null();
-      if (rt == nullptr) {
-        readmit_queue_.push_back(ReadmitEntry{std::move(m), nullptr});
-        continue;
-      }
-      const apps::AppSpec& spec =
-          suite_.at(static_cast<std::size_t>(m.spec_index));
-      rt->submit_migrated(spec, m, runtime::AppPhase::kMigration);
-    }
+    land_migrated(std::move(moved), /*flow=*/0);
     on_queue_update();
   });
   return moved_count;
+}
+
+void Cluster::land_migrated(std::vector<MigratedApp> migrated,
+                            std::uint64_t flow) {
+  bool flow_open = flow != 0;
+  for (MigratedApp& m : migrated) {
+    // The destination is re-picked per app at landing time; a target board
+    // that crashed while the state was on the link leaves the app queued
+    // for re-admission, exactly as displaced-app placement does.
+    runtime::BoardRuntime* rt = least_loaded_or_null();
+    if (rt == nullptr) {
+      readmit_queue_.push_back(ReadmitEntry{std::move(m), nullptr});
+      continue;
+    }
+    if (flow_open) {
+      // Close the causal arrow at the first resume on the destination.
+      obs_->flow(flow, obs::FlowPhase::kEnd, sim_.now(), rt->board().name(),
+                 "migration", "resume");
+      flow_open = false;
+    }
+    rt->submit_migrated(suite_.at(static_cast<std::size_t>(m.spec_index)), m,
+                        runtime::AppPhase::kMigration);
+  }
+}
+
+std::string Cluster::origin_name(const std::vector<int>& origins) const {
+  // Every active board can be down when a switch fires (the failover left
+  // nothing to drain); the coordinator then stands in as the origin.
+  if (origins.empty()) return "cluster";
+  return epochs_[static_cast<std::size_t>(origins.front())]->board->name();
 }
 
 void Cluster::on_queue_update() {
@@ -539,10 +514,8 @@ void Cluster::do_switch(core::SwitchLoop::Config target, double d) {
   }
 
   // Drain every active origin board; collect its migratable applications.
-  std::string origin_name =
-      epochs_[static_cast<std::size_t>(active_epochs_.front())]
-          ->board->name();
-  std::vector<runtime::BoardRuntime::MigratedApp> migrated;
+  const std::string origin = origin_name(active_epochs_);
+  std::vector<MigratedApp> migrated;
   for (int index : active_epochs_) {
     runtime::BoardRuntime& rt =
         *epochs_[static_cast<std::size_t>(index)]->runtime;
@@ -553,8 +526,8 @@ void Cluster::do_switch(core::SwitchLoop::Config target, double d) {
   std::uint64_t flow = 0;
   if (obs_ != nullptr && obs_->trace_on()) {
     flow = obs_->new_flow_id();
-    obs_->flow(flow, obs::FlowPhase::kStart, sim_.now(), origin_name,
-               "migration", std::string("switch -> ") + config_name(target));
+    obs_->flow(flow, obs::FlowPhase::kStart, sim_.now(), origin, "migration",
+               std::string("switch -> ") + config_name(target));
   }
 
   activate_pool(target);
@@ -574,8 +547,8 @@ void Cluster::do_switch(core::SwitchLoop::Config target, double d) {
   m_switches_.add();
   m_migrated_apps_.add(event.apps_migrated);
   if (obs_ != nullptr && obs_->journal_on()) {
-    obs_->journal(sim_.now(), obs::JournalEvent::kMigrate, origin_name, -1,
-                  {}, flow,
+    obs_->journal(sim_.now(), obs::JournalEvent::kMigrate, origin, -1, {},
+                  flow,
                   std::string("whole-state -> ") + config_name(target) + ", " +
                       std::to_string(migrated.size()) + " apps, " +
                       std::to_string(event.bytes) + " B");
@@ -587,22 +560,10 @@ void Cluster::do_switch(core::SwitchLoop::Config target, double d) {
 
   sim::SimTime t0 = sim_.now();
   link_.transfer(event.bytes, [this, migrated = std::move(migrated), t0,
-                               event_index, flow] {
+                               event_index, flow]() mutable {
     switch_events_[event_index].overhead = sim_.now() - t0;
     switch_events_[event_index].downtime = sim_.now() - t0;
-    bool flow_open = flow != 0;
-    for (const auto& m : migrated) {
-      const apps::AppSpec& spec =
-          suite_.at(static_cast<std::size_t>(m.spec_index));
-      runtime::BoardRuntime& rt = least_loaded_active();
-      if (flow_open) {
-        // Close the causal arrow at the first resume on the destination.
-        obs_->flow(flow, obs::FlowPhase::kEnd, sim_.now(), rt.board().name(),
-                   "migration", "resume");
-        flow_open = false;
-      }
-      rt.submit_migrated(spec, m, runtime::AppPhase::kMigration);
-    }
+    land_migrated(std::move(migrated), flow);
   });
 }
 
@@ -616,16 +577,12 @@ void Cluster::begin_precopy(core::SwitchLoop::Config target, double d) {
   if (obs_ != nullptr && obs_->trace_on()) {
     st->flow = obs_->new_flow_id();
     obs_->flow(st->flow, obs::FlowPhase::kStart, sim_.now(),
-               epochs_[static_cast<std::size_t>(st->origins.front())]
-                   ->board->name(),
-               "migration",
+               origin_name(st->origins), "migration",
                std::string("pre-copy -> ") + config_name(target));
   }
   if (obs_ != nullptr && obs_->journal_on()) {
     obs_->journal(sim_.now(), obs::JournalEvent::kMigrate,
-                  epochs_[static_cast<std::size_t>(st->origins.front())]
-                      ->board->name(),
-                  -1, {}, st->flow,
+                  origin_name(st->origins), -1, {}, st->flow,
                   std::string("pre-copy -> ") + config_name(target));
   }
   // The origins stop admitting but *keep executing* — that is the point of
@@ -736,25 +693,7 @@ void Cluster::finish_precopy(std::shared_ptr<PrecopyState> st,
         done.overhead = sim_.now() - st->t0;
         m_migration_downtime_ms_.observe(sim::to_ms(done.downtime));
         precopy_active_ = false;
-        bool flow_open = st->flow != 0;
-        for (MigratedApp& m : migrated) {
-          // Target boards can crash while the residue is in flight (fault
-          // plane): queue for re-admission rather than assert, exactly as
-          // displaced-app placement does.
-          runtime::BoardRuntime* rt = least_loaded_or_null();
-          if (rt == nullptr) {
-            readmit_queue_.push_back(ReadmitEntry{std::move(m), nullptr});
-            continue;
-          }
-          const apps::AppSpec& spec =
-              suite_.at(static_cast<std::size_t>(m.spec_index));
-          if (flow_open) {
-            obs_->flow(st->flow, obs::FlowPhase::kEnd, sim_.now(),
-                       rt->board().name(), "migration", "resume");
-            flow_open = false;
-          }
-          rt->submit_migrated(spec, m, runtime::AppPhase::kMigration);
-        }
+        land_migrated(std::move(migrated), st->flow);
       });
 }
 

@@ -19,6 +19,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/task.h"
@@ -144,19 +145,6 @@ struct ClusterOptions {
   /// shared with delta checkpointing) and switches stream state while the
   /// origins keep executing.
   MigrationPolicy migration;
-  /// Sharded event kernel (sim/sharded.h). Null (the default) runs every
-  /// board on the single Simulator passed to the constructor. When set, the
-  /// constructor's Simulator must be `sharded->global()` and the kernel
-  /// must provide at least 2 * boards_per_config shards: board k (in
-  /// construction order OL0, BL0, OL1, BL1, ...) is built on shard k.
-  /// Shard tags are assigned in the same order under BOTH kernels, so a
-  /// serial run is the sharded run's bit-exact oracle.
-  sim::ShardedSimulator* sharded = nullptr;
-  /// Convenience knob for metrics::run_cluster: > 0 builds a sharded
-  /// kernel with this many parallel-phase workers (1 = sharded queues,
-  /// inline windows); 0 (the default) runs the serial reference kernel.
-  /// Ignored by the Cluster itself — it follows `sharded`.
-  int kernel_workers = 0;
   /// Cluster-wide causal observability (obs/trace_hub.h). Null (the
   /// default) keeps tracing/journalling off and every output byte-identical.
   /// When set, each board epoch's span recorder is attached (and enabled
@@ -169,15 +157,6 @@ struct ClusterOptions {
   /// unregistered and exports byte-identical.
   bool phase_accounting = false;
 };
-
-/// The sharded kernel's conservative window depth for a cluster run: the
-/// minimum delay with which a board-local event can schedule a new sync
-/// event. Item-finish events (the only board-to-cluster sync site) fire at
-/// least one item latency after their launch, so the suite-wide minimum
-/// task item latency is a sound bound; the Aurora setup latency is folded
-/// in as an extra safety floor for cross-board traffic.
-[[nodiscard]] sim::SimDuration conservative_lookahead(
-    const std::vector<apps::AppSpec>& suite, const fpga::LinkParams& link);
 
 struct SwitchEvent {
   sim::SimTime time = 0;
@@ -224,8 +203,7 @@ class Cluster {
     return static_cast<int>(readmit_queue_.size());
   }
   /// Cluster-level completion hook, invoked after the cluster's own
-  /// bookkeeping inside the coordinator-pinned completion path (so
-  /// anything the hook schedules is deterministic under both kernels).
+  /// bookkeeping (D_switch sampling) for each completed app.
   void set_on_app_complete(
       std::function<void(const runtime::CompletedApp&)> fn) {
     on_app_complete_ = std::move(fn);
@@ -286,6 +264,7 @@ class Cluster {
   }
 
  private:
+  using MigratedApp = runtime::BoardRuntime::MigratedApp;
   struct Epoch {
     fpga::Board* board = nullptr;
     core::SwitchLoop::Config config = core::SwitchLoop::Config::kOnlyLittle;
@@ -317,7 +296,13 @@ class Cluster {
   void precopy_round(std::shared_ptr<PrecopyState> st, std::int64_t bytes);
   void finish_precopy(std::shared_ptr<PrecopyState> st,
                       std::int64_t final_dirty);
-  [[nodiscard]] runtime::BoardRuntime& least_loaded_active();
+  /// Places transferred apps on the least-loaded active boards, or queues
+  /// them for re-admission when none is up. Shared by both switch paths
+  /// and rebalancing; `flow` (0 = tracing off) ends at the first resume.
+  void land_migrated(std::vector<MigratedApp> migrated, std::uint64_t flow);
+  /// Flow/journal origin of a switch: the first origin board's name, or
+  /// "cluster" when the active pool is empty.
+  [[nodiscard]] std::string origin_name(const std::vector<int>& origins) const;
   [[nodiscard]] runtime::BoardRuntime* least_loaded_or_null();
   [[nodiscard]] std::vector<fpga::Board*> boards_for(
       core::SwitchLoop::Config config);
@@ -334,7 +319,6 @@ class Cluster {
     std::uint64_t flow = 0;   ///< crash→evac→readmit flow (0 = tracing off)
     bool flow_done = false;   ///< flow terminus already emitted
   };
-  using MigratedApp = runtime::BoardRuntime::MigratedApp;
   struct ReadmitEntry {
     MigratedApp app;
     std::shared_ptr<CrashTicket> ticket;  ///< null for deferred arrivals

@@ -53,8 +53,7 @@ void VersaSlotPolicy::on_pass(runtime::BoardRuntime& rt) {
 void VersaSlotPolicy::bind_metrics(obs::MetricsRegistry& registry,
                                    const std::string& board) {
   // The board label keeps same-policy epochs on different boards in
-  // distinct cells — a hard requirement under the sharded kernel, where
-  // each board's worker updates its own counters during a window.
+  // distinct cells, so each board's decisions export separately.
   obs::Labels labels{{"policy", name()}, {"board", board}};
   m_big_bindings_ = obs::CounterHandle{
       &registry.counter("vs_policy_big_bindings_total", labels)};

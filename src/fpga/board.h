@@ -58,13 +58,6 @@ class Board {
 
   [[nodiscard]] sim::Simulator& sim() noexcept { return sim_; }
 
-  /// Shard tag for the canonical event order (sim/event_queue.h). The
-  /// cluster assigns each board a unique tag in construction order — under
-  /// both kernels, so the serial oracle and the sharded run break equal-time
-  /// ties identically. Standalone boards keep the untagged default.
-  void set_shard_tag(sim::ShardTag tag) noexcept { shard_tag_ = tag; }
-  [[nodiscard]] sim::ShardTag shard_tag() const noexcept { return shard_tag_; }
-
   [[nodiscard]] int count_slots(SlotKind kind) const {
     int n = 0;
     for (const Slot& s : slots_) n += (s.kind() == kind) ? 1 : 0;
@@ -82,7 +75,6 @@ class Board {
 
  private:
   sim::Simulator& sim_;
-  sim::ShardTag shard_tag_ = 0;
   std::string name_;
   BoardParams params_;
   FabricConfig fabric_;

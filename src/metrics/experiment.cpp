@@ -11,7 +11,6 @@
 #include "baselines/round_robin.h"
 #include "fpga/board.h"
 #include "obs/trace_hub.h"
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 #include "sim/trace_export.h"
 
@@ -67,28 +66,9 @@ RunResult run_single_board(SystemKind kind,
                            const std::vector<apps::AppSpec>& suite,
                            const workload::Sequence& sequence,
                            const RunOptions& options) {
-  // Kernel selection: serial by default; kernel_workers > 0 puts the board
-  // on its own shard, with arrivals and the fault plane on the coordinator.
-  // The board carries shard tag 1 under BOTH kernels so the canonical
-  // (time, tag, seq) event order — and with it every output — matches.
-  std::optional<sim::ShardedSimulator> kernel;
-  std::optional<sim::Simulator> serial_sim;
-  if (options.kernel_workers > 0) {
-    sim::ShardedOptions kernel_options;
-    kernel_options.shards = 1;
-    kernel_options.workers = options.kernel_workers;
-    kernel_options.lookahead =
-        cluster::conservative_lookahead(suite, fpga::LinkParams{});
-    kernel.emplace(kernel_options);
-  } else {
-    serial_sim.emplace();
-  }
-  sim::Simulator& sim = kernel ? kernel->global() : *serial_sim;
-  sim::Simulator& board_sim = kernel ? kernel->shard(0) : sim;
-  fpga::Board board(board_sim, "fpga0",
-                    options.fabric.value_or(fabric_for(kind)),
+  sim::Simulator sim;
+  fpga::Board board(sim, "fpga0", options.fabric.value_or(fabric_for(kind)),
                     options.board_params);
-  board.set_shard_tag(1);
 
   // One scheduling epoch per board-up interval, like the cluster: a crash
   // freezes the live runtime, and the reboot starts a fresh one on the
@@ -285,11 +265,7 @@ RunResult run_single_board(SystemKind kind,
                 a.spec_index, a.batch, a.arrival, a.item_interval);
     });
   }
-  if (kernel) {
-    kernel->run(options.time_limit);
-  } else {
-    sim.run(options.time_limit);
-  }
+  sim.run(options.time_limit);
 
   if (!epochs.back().runtime->crashed()) retire(*epochs.back().runtime);
   if (options.record_trace && !options.trace_path.empty()) {
@@ -324,32 +300,6 @@ AggregateResult aggregate(SystemKind kind,
   return agg;
 }
 
-namespace {
-
-ClusterRunResult collect_cluster_result(const cluster::Cluster& cluster,
-                                        sim::SimTime now,
-                                        std::uint64_t events) {
-  ClusterRunResult result;
-  result.submitted = cluster.submitted();
-  result.completed = static_cast<int>(cluster.completed().size());
-  for (const runtime::CompletedApp& c : cluster.completed()) {
-    result.apps.push_back(c);
-    result.response_ms.push_back(c.response_ms());
-  }
-  result.response = util::summarize(result.response_ms);
-  result.dswitch_trace = cluster.dswitch().trace();
-  result.switches = cluster.switches();
-  result.recovery = cluster.recovery_stats();
-  result.checkpoint = cluster.checkpoint_stats();
-  if (cluster.fault_plane() != nullptr) {
-    result.availability = cluster.fault_plane()->mean_availability(now);
-  }
-  result.events = events;
-  return result;
-}
-
-}  // namespace
-
 int recovered_completions(const std::vector<runtime::CompletedApp>& apps) {
   int n = 0;
   for (const runtime::CompletedApp& c : apps) {
@@ -375,32 +325,30 @@ ClusterRunResult run_cluster(const std::vector<apps::AppSpec>& suite,
         {"boards_per_config", std::to_string(options.boards_per_config)},
     };
   }
-  if (options.kernel_workers > 0) {
-    // Sharded event kernel: one shard per board, conservative windows
-    // bounded by the suite's minimum item latency. Everything observable
-    // is bit-identical to the serial branch below.
-    sim::ShardedOptions kernel_options;
-    kernel_options.shards = 2 * options.boards_per_config;
-    kernel_options.workers = options.kernel_workers;
-    kernel_options.lookahead =
-        cluster::conservative_lookahead(suite, options.link_params);
-    sim::ShardedSimulator kernel(kernel_options);
-    cluster_options.sharded = &kernel;
-    cluster::Cluster cluster(kernel.global(), suite, cluster_options);
-    if (telemetry != nullptr) telemetry->start_sampling(kernel.global());
-    cluster.submit_sequence(sequence);
-    kernel.run(time_limit);
-    if (cluster_options.hub != nullptr) cluster_options.hub->seal();
-    return collect_cluster_result(cluster, kernel.global().now(),
-                                  kernel.events_executed());
-  }
   sim::Simulator sim;
   cluster::Cluster cluster(sim, suite, cluster_options);
   if (telemetry != nullptr) telemetry->start_sampling(sim);
   cluster.submit_sequence(sequence);
   sim.run(time_limit);
   if (cluster_options.hub != nullptr) cluster_options.hub->seal();
-  return collect_cluster_result(cluster, sim.now(), sim.events_executed());
+
+  ClusterRunResult result;
+  result.submitted = cluster.submitted();
+  result.completed = static_cast<int>(cluster.completed().size());
+  for (const runtime::CompletedApp& c : cluster.completed()) {
+    result.apps.push_back(c);
+    result.response_ms.push_back(c.response_ms());
+  }
+  result.response = util::summarize(result.response_ms);
+  result.dswitch_trace = cluster.dswitch().trace();
+  result.switches = cluster.switches();
+  result.recovery = cluster.recovery_stats();
+  result.checkpoint = cluster.checkpoint_stats();
+  if (cluster.fault_plane() != nullptr) {
+    result.availability = cluster.fault_plane()->mean_availability(sim.now());
+  }
+  result.events = sim.events_executed();
+  return result;
 }
 
 }  // namespace vs::metrics

@@ -113,12 +113,6 @@ struct RunOptions {
   faults::FaultScenario faults;
   /// Periodic DDR checkpointing (restores bundled apps across crashes).
   runtime::CheckpointPolicy checkpoint;
-  /// > 0 runs the sharded event kernel (sim/sharded.h): the board lives on
-  /// its own shard advanced in conservative windows by this many workers,
-  /// while arrivals and the fault plane stay on the coordinator. 0 (the
-  /// default) is the serial reference kernel; results are bit-identical
-  /// either way (tests/sharded_kernel_test.cpp).
-  int kernel_workers = 0;
 };
 
 /// Runs `sequence` to completion under `kind` on a fresh single board.
@@ -157,17 +151,13 @@ struct ClusterRunResult {
   /// Checkpoint pass accounting summed over every board epoch (all zero
   /// without an active CheckpointPolicy).
   runtime::CheckpointStats checkpoint;
-  /// Events executed by the kernel (coordinator + shards when sharded).
-  /// Identical across kernels and worker counts for a given seed.
+  /// Events executed by the simulator (a pure function of the inputs).
   std::uint64_t events = 0;
 };
 
 /// `telemetry`, when non-null, instruments the whole cluster (boards,
 /// policies, Aurora link, D_switch loop) and runs its sampler — results are
-/// bit-identical either way. `options.kernel_workers > 0` runs the sharded
-/// event kernel (one shard per board, that many window workers) instead of
-/// the serial reference kernel; results are bit-identical by construction
-/// (tests/sharded_kernel_test.cpp enforces it).
+/// bit-identical either way.
 [[nodiscard]] ClusterRunResult run_cluster(
     const std::vector<apps::AppSpec>& suite,
     const workload::Sequence& sequence,

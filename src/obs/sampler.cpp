@@ -33,12 +33,9 @@ void Sampler::sample_now(sim::SimTime now) {
 void Sampler::tick() {
   sample_now(sim_->now());
   // Re-arm only while the simulation still has work: the queue is examined
-  // after this event was popped, so no pending work here means the run is
-  // over. work_pending() (not idle()) so that under the sharded kernel a
-  // momentarily-drained coordinator queue keeps sampling while shard queues
-  // still hold events — serial and sharded runs then emit identical tick
-  // sequences.
-  if (sim_->work_pending()) {
+  // after this event was popped, so an idle queue here means the run is
+  // over.
+  if (!sim_->idle()) {
     sim_->schedule(interval_, [this] { tick(); });
   }
 }

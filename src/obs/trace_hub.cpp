@@ -126,8 +126,7 @@ std::vector<JournalRecord> ClusterTraceHub::merged_journal() const {
   for (const TraceChannel& ch : channels_) {
     out.insert(out.end(), ch.journal().begin(), ch.journal().end());
   }
-  // Stable: equal timestamps keep channel-creation then append order, so
-  // serial and sharded kernels merge identically.
+  // Stable: equal timestamps keep channel-creation then append order.
   std::stable_sort(out.begin(), out.end(),
                    [](const JournalRecord& a, const JournalRecord& b) {
                      return a.time < b.time;

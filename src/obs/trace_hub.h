@@ -15,12 +15,10 @@
 // renders the whole cluster as a single Chrome trace: one process per board
 // (pid = attach order), one thread per lane, plus the flow events above.
 //
-// Thread-safety contract (mirrors the sharded kernel's): each channel is
-// written only by its owning board's shard; channels are created only during
-// coordinator serial phases; storage is a deque so creation never moves
-// existing channels. Merging for export happens after the run, serially, and
-// uses a canonical (time, channel index, append order) sort so serial and
-// sharded kernels emit byte-identical files.
+// Each channel is written only by its owning source; storage is a deque so
+// creating a channel never moves existing ones. Merging for export happens
+// after the run and uses a canonical (time, channel index, append order)
+// sort, so a run's files are a pure function of its inputs.
 #pragma once
 
 #include <cstdint>
@@ -92,8 +90,8 @@ class TraceChannel {
   [[nodiscard]] bool trace_on() const noexcept;
   [[nodiscard]] bool journal_on() const noexcept;
 
-  /// Fresh cluster-unique flow id (namespaced by channel, so concurrent
-  /// shards never collide and ids are deterministic across kernels).
+  /// Fresh cluster-unique flow id (namespaced by channel, so sources never
+  /// collide).
   [[nodiscard]] std::uint64_t new_flow_id() noexcept {
     return (static_cast<std::uint64_t>(index_ + 1) << 32) | ++flow_seq_;
   }
@@ -145,9 +143,7 @@ class ClusterTraceHub {
   [[nodiscard]] bool trace_enabled() const noexcept { return trace_; }
   [[nodiscard]] bool journal_enabled() const noexcept { return journal_; }
 
-  /// Channel for a named source, created on first request. Call only from
-  /// coordinator serial phases (channel creation is not thread-safe; use of
-  /// an existing channel by its owner is).
+  /// Channel for a named source, created on first request.
   TraceChannel& channel(const std::string& name);
 
   /// Registers a board's span recorder for the merged Chrome trace. Boards

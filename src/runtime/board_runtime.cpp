@@ -154,10 +154,6 @@ int BoardRuntime::submit(const apps::AppSpec& spec, int spec_index, int batch,
                          int tenant) {
   assert(admission_open_ && "board is draining; submit to the active board");
   assert(batch >= 1);
-  // Cross-shard entry point: everything this admission schedules (and, via
-  // tag inheritance, the whole causal chain) carries this board's tag, so
-  // the serial and sharded kernels assign identical canonical event keys.
-  sim::TagScope tag_scope(sim(), board_.shard_tag());
   AppRun app;
   app.id = static_cast<int>(apps_.size());
   app.spec = &spec;
@@ -461,7 +457,6 @@ void BoardRuntime::checkpoint_pass() {
 }
 
 void BoardRuntime::set_units(int app_id, std::vector<apps::UnitSpec> units) {
-  sim::TagScope tag_scope(sim(), board_.shard_tag());
   AppRun& a = app(app_id);
   assert(!a.started && "cannot re-unitise an app that has begun execution");
   assert(!units.empty());
@@ -522,7 +517,6 @@ int BoardRuntime::active_apps() const noexcept {
 }
 
 void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
-  sim::TagScope tag_scope(sim(), board_.shard_tag());
   AppRun& a = app(app_id);
   UnitRun& u = a.units[static_cast<std::size_t>(unit_index)];
   fpga::Slot& slot = board_.slot(slot_id);
@@ -620,7 +614,6 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
 }
 
 void BoardRuntime::request_full_reconfig(int app_id) {
-  sim::TagScope tag_scope(sim(), board_.shard_tag());
   AppRun& a = app(app_id);
   assert(full_fabric_app_ == -1 && "fabric already owned");
   for (const fpga::Slot& s : board_.slots()) {
@@ -668,7 +661,6 @@ void BoardRuntime::request_full_reconfig(int app_id) {
 }
 
 void BoardRuntime::preempt_unit(int app_id, int unit_index) {
-  sim::TagScope tag_scope(sim(), board_.shard_tag());
   AppRun& a = app(app_id);
   UnitRun& u = a.units[static_cast<std::size_t>(unit_index)];
   assert(u.state == UnitState::kRunning && !u.item_in_flight &&
@@ -832,7 +824,6 @@ std::vector<BoardRuntime::MigratedApp> BoardRuntime::extract_migratable() {
 
 BoardRuntime::CrashReport BoardRuntime::crash() {
   assert(!crashed_ && "board already crashed");
-  sim::TagScope tag_scope(sim(), board_.shard_tag());
   CrashReport report;
   touch_utilization();
   stop_admission();
@@ -900,7 +891,6 @@ BoardRuntime::CrashReport BoardRuntime::crash() {
 }
 
 void BoardRuntime::inject_slot_seu(int slot_id) {
-  sim::TagScope tag_scope(sim(), board_.shard_tag());
   if (crashed_) return;
   if (full_fabric_app_ >= 0) return;  // exclusive baseline: out of scope
   fpga::Slot& slot = board_.slot(slot_id);
@@ -937,7 +927,6 @@ void BoardRuntime::inject_slot_seu(int slot_id) {
 }
 
 void BoardRuntime::kick() {
-  sim::TagScope tag_scope(sim(), board_.shard_tag());
   if (crashed_) return;
   if (pass_queued_) return;
   pass_queued_ = true;
@@ -1020,12 +1009,7 @@ void BoardRuntime::launch_item(AppRun& app_ref, UnitRun& unit_ref) {
           sim::SimDuration d = u2.spec.item_latency +
                                (item == 0 ? u2.spec.fill_latency : 0);
           sim::SimTime started = sim().now();
-          // Sync event: finish_item can complete the app and call into the
-          // cluster hook — the one place a board-local chain touches
-          // cross-shard state. d >= the suite's minimum item latency, which
-          // bounds the sharded kernel's lookahead, so this never fires
-          // inside a conservative window.
-          sim().schedule_sync(d, [this, app_id, unit_index, started, item] {
+          sim().schedule(d, [this, app_id, unit_index, started, item] {
             if (crashed_) return;
             if (trace_.enabled()) {
               AppRun& a3 = app(app_id);

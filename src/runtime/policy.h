@@ -36,9 +36,8 @@ class SchedulerPolicy {
 
   /// Registers the policy's own instruments (decision counters) when the
   /// run carries telemetry, labelled by the owning board so same-policy
-  /// epochs on different boards resolve distinct cells (required for the
-  /// sharded kernel, where boards update metrics from different workers).
-  /// Policies without instruments ignore it.
+  /// epochs on different boards resolve distinct cells. Policies without
+  /// instruments ignore it.
   virtual void bind_metrics(obs::MetricsRegistry&,
                             const std::string& /*board*/) {}
 

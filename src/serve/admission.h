@@ -9,8 +9,8 @@
 // deficit admits the head of its FIFO queue. Queues are SLO-aware: among
 // waiting tenants, the lowest SLO-class priority value always drains
 // first; the deficit only arbitrates within a priority level. All state
-// changes happen inside coordinator-owned simulation events, so admission
-// decisions are bit-identical across kernel worker counts.
+// changes happen inside simulation events, so admission decisions are a
+// pure function of the arrival trace.
 #pragma once
 
 #include <cstdint>

@@ -117,8 +117,7 @@ void ResourceManager::on_complete(const runtime::CompletedApp& c) {
     m_slo_miss_[i].add();
   }
   // Releasing the slot may admit deferred work, which dispatches inside
-  // this coordinator-pinned completion event — deterministic under both
-  // kernels.
+  // this completion event.
   admission_.on_complete(c.tenant);
   if (config_.rebalance &&
       ++completions_since_rebalance_ >= config_.rebalance_period) {

@@ -1,7 +1,7 @@
 // Butler-style cluster resource manager for the serving plane.
 //
 // The ResourceManager sits between the open-loop arrival trace and the
-// Cluster: it schedules every tenant arrival as a coordinator event,
+// Cluster: it schedules every tenant arrival as a simulation event,
 // passes it through the fair-share AdmissionController, and routes
 // admitted jobs across the active board pool by load and app affinity
 // (a board already running the same spec has its placement-specific
@@ -12,13 +12,12 @@
 // on — periodically trigger live-migration rebalancing over the Aurora
 // link.
 //
-// Determinism: the trace is a pure function of (config, seed); every
-// admission and routing decision runs inside a coordinator-pinned event
-// (arrivals via Simulator::schedule_at on the coordinator, completions
-// inside the cluster's tag-0 completion path), so results are
-// bit-identical across kernel worker counts. Telemetry (`vs_tenant_*`)
-// registers only when a registry is passed AND the plane is enabled, so
-// serve-free exports stay byte-identical.
+// Determinism: the trace is a pure function of (config, seed), and every
+// admission and routing decision runs inside a simulation event (arrivals
+// via Simulator::schedule_at, completions inside the cluster's completion
+// hook), so results are a pure function of the inputs. Telemetry
+// (`vs_tenant_*`) registers only when a registry is passed AND the plane
+// is enabled, so serve-free exports stay byte-identical.
 #pragma once
 
 #include <cstdint>

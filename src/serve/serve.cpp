@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "obs/trace_hub.h"
-#include "sim/sharded.h"
 
 namespace vs::serve {
 
@@ -85,34 +84,11 @@ ServeResult run_serve(const std::vector<apps::AppSpec>& suite,
          std::to_string(options.boards_per_config)},
     };
   }
-  const int suite_size = static_cast<int>(suite.size());
-  if (options.kernel_workers > 0) {
-    // Sharded event kernel: same construction as metrics::run_cluster —
-    // one shard per board, conservative windows from the suite's minimum
-    // item latency. The serving plane runs entirely in coordinator events,
-    // so everything observable is bit-identical to the serial branch.
-    sim::ShardedOptions kernel_options;
-    kernel_options.shards = 2 * options.boards_per_config;
-    kernel_options.workers = options.kernel_workers;
-    kernel_options.lookahead =
-        cluster::conservative_lookahead(suite, options.link_params);
-    sim::ShardedSimulator kernel(kernel_options);
-    cluster_options.sharded = &kernel;
-    cluster::Cluster cluster(kernel.global(), suite, cluster_options);
-    ResourceManager manager(kernel.global(), cluster, config,
-                            cluster_options.metrics);
-    if (telemetry != nullptr) telemetry->start_sampling(kernel.global());
-    manager.start(suite_size);
-    kernel.run(time_limit);
-    if (cluster_options.hub != nullptr) cluster_options.hub->seal();
-    return collect_serve_result(cluster, manager, config,
-                                kernel.events_executed());
-  }
   sim::Simulator sim;
   cluster::Cluster cluster(sim, suite, cluster_options);
   ResourceManager manager(sim, cluster, config, cluster_options.metrics);
   if (telemetry != nullptr) telemetry->start_sampling(sim);
-  manager.start(suite_size);
+  manager.start(static_cast<int>(suite.size()));
   sim.run(time_limit);
   if (cluster_options.hub != nullptr) cluster_options.hub->seal();
   return collect_serve_result(cluster, manager, config,

@@ -2,8 +2,7 @@
 // metrics::run_cluster. Builds a Cluster plus a ResourceManager, plays the
 // open-loop tenant trace, and collects per-tenant / per-SLO-class results
 // (SLO attainment, goodput, response tails) the ext_multitenant bench
-// reports. Results are bit-identical across kernel worker counts and with
-// telemetry on or off.
+// reports. Results are bit-identical with telemetry on or off.
 #pragma once
 
 #include <cstdint>
@@ -53,14 +52,12 @@ struct ServeResult {
   std::int64_t completed = 0;  ///< tenant-attributed completions
   util::Summary response_ms;   ///< pooled over every completion
   cluster::RecoveryStats recovery;
-  std::uint64_t events = 0;    ///< kernel events executed
+  std::uint64_t events = 0;    ///< simulator events executed
 };
 
 /// Runs the serving plane to completion (or `time_limit`). `config` must
-/// be enabled (have tenants); `options.kernel_workers` selects the serial
-/// (0) or sharded (> 0) event kernel exactly as metrics::run_cluster does;
-/// `telemetry`, when non-null, registers the vs_tenant_* instruments and
-/// samples the run.
+/// be enabled (have tenants); `telemetry`, when non-null, registers the
+/// vs_tenant_* instruments and samples the run.
 [[nodiscard]] ServeResult run_serve(
     const std::vector<apps::AppSpec>& suite, const ServeConfig& config,
     const cluster::ClusterOptions& options,

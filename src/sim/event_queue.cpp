@@ -1,47 +1,20 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace vs::sim {
 
-namespace {
-
-/// std::push_heap/pop_heap build a max-heap; invert the key order to get
-/// the min-heap the sync index needs.
-struct SyncLater {
-  bool operator()(const EventQueue::Key& a,
-                  const EventQueue::Key& b) const noexcept {
-    return b < a;
-  }
-};
-
-}  // namespace
-
-EventId EventQueue::schedule(SimTime when, EventFn fn, ShardTag tag,
-                             bool sync) {
+EventId EventQueue::schedule(SimTime when, EventFn fn) {
   assert(fn && "scheduling an empty event");
   std::uint32_t index = alloc_slot();
   Slot& s = slab_[index];
   s.fn = std::move(fn);
-  if (static_cast<std::size_t>(tag) >= next_seq_.size()) {
-    next_seq_.resize(static_cast<std::size_t>(tag) + 1, 0);
-  }
-  s.seq = next_seq_[tag]++;
-  s.tag = tag;
-  s.sync = sync;
+  s.seq = next_seq_++;
   EventId id = (static_cast<EventId>(s.gen) << 32) | index;
   heap_.push_back(Node{when, id});
   sift_up(heap_.size() - 1);
   ++live_;
-  if (sync) {
-    sync_heap_.push_back(SyncNode{Key{when, tag, s.seq}, id});
-    std::push_heap(sync_heap_.begin(), sync_heap_.end(),
-                   [](const SyncNode& a, const SyncNode& b) {
-                     return SyncLater{}(a.key, b.key);
-                   });
-  }
   return id;
 }
 
@@ -54,10 +27,6 @@ void EventQueue::cancel(EventId id) {
   // way the cancel is stale and must not touch live_.
   if (s.gen != gen_of(id) || !s.fn) return;
   s.fn.reset();  // release captures now; the heap node becomes a tombstone
-  // A cancelled sync event leaves its sync_heap_ entry behind; it is
-  // detected by generation/emptiness and dropped lazily. Until then
-  // next_sync_time() can only under-report — a smaller window is always
-  // safe for the conservative kernel.
   --live_;
 }
 
@@ -69,49 +38,12 @@ SimTime EventQueue::next_time() const {
   return heap_.front().time;
 }
 
-EventQueue::Key EventQueue::head_key() const {
-  const_cast<EventQueue*>(this)->drop_tombstones();
-  assert(!heap_.empty());
-  const Node& root = heap_.front();
-  const Slot& s = slab_[slot_of(root.id)];
-  return Key{root.time, s.tag, s.seq};
-}
-
-bool EventQueue::next_is_sync() const {
-  const_cast<EventQueue*>(this)->drop_tombstones();
-  assert(!heap_.empty());
-  return slab_[slot_of(heap_.front().id)].sync;
-}
-
-bool EventQueue::sync_node_live(const SyncNode& n) const noexcept {
-  std::uint32_t index = slot_of(n.id);
-  if (index >= slab_.size()) return false;
-  const Slot& s = slab_[index];
-  return s.gen == gen_of(n.id) && s.fn && s.sync;
-}
-
-void EventQueue::drop_stale_sync() const {
-  while (!sync_heap_.empty() && !sync_node_live(sync_heap_.front())) {
-    std::pop_heap(sync_heap_.begin(), sync_heap_.end(),
-                  [](const SyncNode& a, const SyncNode& b) {
-                    return SyncLater{}(a.key, b.key);
-                  });
-    sync_heap_.pop_back();
-  }
-}
-
-SimTime EventQueue::next_sync_time() const {
-  drop_stale_sync();
-  return sync_heap_.empty() ? kNoSyncTime : sync_heap_.front().key.time;
-}
-
 EventQueue::Popped EventQueue::pop() {
   drop_tombstones();
   assert(!heap_.empty());
   const Node root = heap_.front();
   std::uint32_t index = slot_of(root.id);
-  Popped out{root.time, std::move(slab_[index].fn), slab_[index].tag,
-             slab_[index].sync};
+  Popped out{root.time, std::move(slab_[index].fn)};
   free_slot(index);
   pop_node();
   --live_;
@@ -177,7 +109,6 @@ std::uint32_t EventQueue::alloc_slot() {
 void EventQueue::free_slot(std::uint32_t index) noexcept {
   Slot& s = slab_[index];
   s.fn.reset();
-  s.sync = false;
   ++s.gen;  // invalidates every outstanding id for this slot
   s.next_free = free_head_;
   free_head_ = index;

@@ -10,17 +10,10 @@
 //    EventId, with a generation tag in the high 32 bits that makes cancel()
 //    safe against id reuse (a stale cancel is a no-op, never a misfire).
 //
-// Equal-time ordering is the canonical (SimTime, shard tag, per-tag seq)
-// key (docs/architecture.md, "Sharded event kernel"): every slot carries
-// the shard tag it was scheduled under plus a per-tag monotone sequence
-// number, and ties break by tag first, then FIFO within the tag. A queue
-// whose events all carry tag 0 — every single-board simulation, and every
-// pre-existing caller — degenerates to the old global (time, seq) FIFO
-// order exactly. The per-tag counters are what lets the sharded kernel
-// (sim/sharded.h) split one simulation across per-board queues and still
-// assign identical keys: each shard only ever schedules under its own tag,
-// so its private counter advances exactly like the corresponding counter
-// of a single serial queue.
+// Equal-time events fire in schedule order: every slot carries a sequence
+// number from one queue-wide counter, and the heap orders by (time, seq).
+// That FIFO tie-break is the whole event-ordering contract — with it, a
+// simulation is a pure function of its inputs.
 //
 // Steady-state schedule/pop performs zero heap allocations: closures live
 // in recycled slab slots (inline up to InlineEvent::kInlineSize bytes) and
@@ -41,34 +34,11 @@ namespace vs::sim {
 using EventId = std::uint64_t;
 using EventFn = InlineEvent;
 
-/// Event source for the canonical tie-break. Tag 0 is the untagged default
-/// (and the sharded kernel's coordinator); shard k's events carry k + 1.
-using ShardTag = std::uint32_t;
-
 class EventQueue {
  public:
-  /// The canonical total order over events: (time, tag, seq), with seq
-  /// counted per tag. Exposed so the sharded kernel can merge the heads of
-  /// several queues into one global order.
-  struct Key {
-    SimTime time = 0;
-    ShardTag tag = 0;
-    std::uint64_t seq = 0;
-
-    [[nodiscard]] constexpr bool operator<(const Key& o) const noexcept {
-      if (time != o.time) return time < o.time;
-      if (tag != o.tag) return tag < o.tag;
-      return seq < o.seq;
-    }
-  };
-
-  /// Schedules `fn` at absolute time `when` under `tag`. Returns an id
-  /// usable with cancel(). Events at equal times fire in (tag, per-tag
-  /// scheduling order). `sync` marks a synchronisation event: it still
-  /// pops in canonical order, but is additionally tracked so
-  /// next_sync_time() can bound a conservative window (sharded kernel).
-  EventId schedule(SimTime when, EventFn fn, ShardTag tag = 0,
-                   bool sync = false);
+  /// Schedules `fn` at absolute time `when`. Returns an id usable with
+  /// cancel(). Events at equal times fire in scheduling order.
+  EventId schedule(SimTime when, EventFn fn);
 
   /// Lazily cancels a pending event: the closure is destroyed immediately
   /// (releasing its captures) but the 16-byte heap node stays behind as a
@@ -80,23 +50,9 @@ class EventQueue {
   [[nodiscard]] SimTime next_time() const;
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
-  /// Canonical key of the earliest live event. Precondition: !empty().
-  [[nodiscard]] Key head_key() const;
-  /// True when the earliest live event is a sync event. Precondition:
-  /// !empty().
-  [[nodiscard]] bool next_is_sync() const;
-
-  /// Earliest time of any pending sync event, or kNoSyncTime when none is
-  /// pending. Cancelled sync events are dropped lazily, so a cancel can
-  /// only make this conservative (too early), never too late.
-  static constexpr SimTime kNoSyncTime = INT64_MAX;
-  [[nodiscard]] SimTime next_sync_time() const;
-
   struct Popped {
     SimTime time;
     EventFn fn;
-    ShardTag tag = 0;
-    bool sync = false;
   };
 
   /// Removes and returns the earliest live event. Precondition: !empty().
@@ -112,18 +68,9 @@ class EventQueue {
   /// Closure storage, stable in the slab while its node is in the heap.
   struct Slot {
     EventFn fn;               ///< empty = cancelled tombstone or vacant
-    std::uint64_t seq = 0;    ///< per-tag scheduling order: FIFO tie-break
+    std::uint64_t seq = 0;    ///< scheduling order: FIFO tie-break
     std::uint32_t gen = 0;    ///< bumped on free; stale ids mismatch
     std::uint32_t next_free = kNoSlot;
-    ShardTag tag = 0;         ///< canonical-order source tag
-    bool sync = false;        ///< tracked in sync_heap_ for windowing
-  };
-
-  /// Sync-event index entry, ordered like the main heap. Carries the id so
-  /// stale entries (fired or cancelled sync events) are detected lazily.
-  struct SyncNode {
-    Key key;
-    EventId id;
   };
 
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
@@ -136,38 +83,25 @@ class EventQueue {
     return static_cast<std::uint32_t>(id >> 32);
   }
 
-  /// Strict weak order: the canonical (time, tag, per-tag seq) key. Slab
-  /// slots are pinned while their node is in the heap, so the tie-break
-  /// key never moves.
+  /// Strict weak order: (time, seq). Slab slots are pinned while their
+  /// node is in the heap, so the tie-break key never moves.
   [[nodiscard]] bool earlier(const Node& a, const Node& b) const noexcept {
     if (a.time != b.time) return a.time < b.time;
-    const Slot& sa = slab_[slot_of(a.id)];
-    const Slot& sb = slab_[slot_of(b.id)];
-    if (sa.tag != sb.tag) return sa.tag < sb.tag;
-    return sa.seq < sb.seq;
+    return slab_[slot_of(a.id)].seq < slab_[slot_of(b.id)].seq;
   }
-
-  /// True when `n` still refers to a live, pending sync event.
-  [[nodiscard]] bool sync_node_live(const SyncNode& n) const noexcept;
 
   void sift_up(std::size_t i) noexcept;
   void sift_down(std::size_t i) noexcept;
   void pop_node() noexcept;  ///< removes heap_[0], restores heap order
   void drop_tombstones();    ///< discards cancelled nodes at the root
-  void drop_stale_sync() const;  ///< discards dead sync_heap_ heads
 
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t index) noexcept;
 
   std::vector<Node> heap_;
   std::vector<Slot> slab_;
-  /// Min-heap (via std::push_heap with inverted comparator) over pending
-  /// sync events; entries go stale when their event fires or is cancelled
-  /// and are discarded lazily at the head.
-  mutable std::vector<SyncNode> sync_heap_;
   std::uint32_t free_head_ = kNoSlot;
-  /// Per-tag sequence counters; index = tag, grown on first use of a tag.
-  std::vector<std::uint64_t> next_seq_{0};
+  std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;  ///< scheduled, not yet fired or cancelled
 };
 

@@ -1,36 +1,18 @@
 #include "sim/simulator.h"
 
 #include <cassert>
-#include <stdexcept>
 #include <utility>
-
-#include "sim/sharded.h"
 
 namespace vs::sim {
 
 EventId Simulator::schedule(SimDuration delay, EventFn fn) {
   assert(delay >= 0 && "events cannot be scheduled in the past");
-  return queue_.schedule(now_ + delay, std::move(fn), tag_);
+  return queue_.schedule(now_ + delay, std::move(fn));
 }
 
 EventId Simulator::schedule_at(SimTime when, EventFn fn) {
   assert(when >= now_ && "events cannot be scheduled in the past");
-  return queue_.schedule(when, std::move(fn), tag_);
-}
-
-EventId Simulator::schedule_sync(SimDuration delay, EventFn fn) {
-  assert(delay >= 0 && "events cannot be scheduled in the past");
-  SimTime when = now_ + delay;
-  if (in_window_ && when < sync_floor_) {
-    // The conservative window assumed no sync event could materialise
-    // before the horizon; this schedule would break bit-identity with the
-    // serial kernel. The lookahead (minimum item latency for a cluster
-    // run) was chosen too large — a configuration bug, not a race.
-    throw std::logic_error(
-        "sharded kernel lookahead violation: sync event scheduled inside "
-        "the current window");
-  }
-  return queue_.schedule(when, std::move(fn), tag_, /*sync=*/true);
+  return queue_.schedule(when, std::move(fn));
 }
 
 std::uint64_t Simulator::run(SimTime until) {
@@ -38,12 +20,10 @@ std::uint64_t Simulator::run(SimTime until) {
   while (!queue_.empty() && queue_.next_time() <= until) {
     auto popped = queue_.pop();
     now_ = popped.time;
-    tag_ = popped.tag;  // tag inheritance: nested schedules keep the tag
     popped.fn();
     ++n;
     ++executed_;
   }
-  tag_ = default_tag_;
   // The clock advances to the bound (later events stay pending): a bounded
   // run means "simulate up to this instant".
   if (until != std::numeric_limits<SimTime>::max() && now_ < until) {
@@ -56,47 +36,9 @@ bool Simulator::step() {
   if (queue_.empty()) return false;
   auto popped = queue_.pop();
   now_ = popped.time;
-  tag_ = popped.tag;
   popped.fn();
-  tag_ = default_tag_;
   ++executed_;
   return true;
-}
-
-bool Simulator::work_pending() const {
-  if (!queue_.empty()) return true;
-  return kernel_ != nullptr && kernel_->any_work_pending();
-}
-
-std::uint64_t Simulator::run_local_until(SimTime horizon) {
-  std::uint64_t n = 0;
-  in_window_ = true;
-  sync_floor_ = horizon;
-  try {
-    while (!queue_.empty() && queue_.next_time() < horizon &&
-           !queue_.next_is_sync()) {
-      auto popped = queue_.pop();
-      now_ = popped.time;
-      tag_ = popped.tag;
-      popped.fn();
-      ++n;
-      ++executed_;
-    }
-  } catch (...) {
-    tag_ = default_tag_;
-    in_window_ = false;
-    sync_floor_ = 0;
-    throw;
-  }
-  tag_ = default_tag_;
-  in_window_ = false;
-  sync_floor_ = 0;
-  return n;
-}
-
-void Simulator::set_now(SimTime t) noexcept {
-  assert(t >= now_ && "the clock only moves forward");
-  now_ = t;
 }
 
 }  // namespace vs::sim

@@ -4,22 +4,9 @@
 // expressed as events against one Simulator instance. A Simulator is
 // single-threaded by design: determinism is a core requirement (identical
 // seed => identical result), and the workloads simulate in milliseconds of
-// wall time.
-//
-// Shard tags. Every event carries the ShardTag it was scheduled under and
-// equal-time events fire in canonical (time, tag, per-tag seq) order (see
-// event_queue.h). The tag is *inherited*: while an event executes, any
-// events it schedules carry the executing event's tag, so one TagScope at
-// a cross-shard entry point (e.g. the cluster manager calling into a
-// board) tags the whole causal chain after it. Untagged simulations run
-// entirely under tag 0 and behave exactly as before.
-//
-// Sync events. schedule_sync() marks an event that may touch state outside
-// its own shard (for a board: the item-finish event that can complete an
-// app and invoke the cluster's completion hook). The sharded kernel
-// (sim/sharded.h) bounds its conservative windows by next_sync_time() and
-// executes sync events only at barriers; a serial simulation treats them
-// exactly like ordinary events.
+// wall time. Parallelism lives one level up, in independent replicas
+// (metrics::SweepRunner). Equal-time events fire in schedule order (see
+// event_queue.h).
 #pragma once
 
 #include <cstdint>
@@ -30,8 +17,6 @@
 
 namespace vs::sim {
 
-class ShardedSimulator;
-
 class Simulator {
  public:
   Simulator() = default;
@@ -40,18 +25,11 @@ class Simulator {
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedules `fn` to run `delay` ns from now (delay >= 0) under the
-  /// current shard tag.
+  /// Schedules `fn` to run `delay` ns from now (delay >= 0).
   EventId schedule(SimDuration delay, EventFn fn);
 
   /// Schedules `fn` at absolute time `when` (>= now()).
   EventId schedule_at(SimTime when, EventFn fn);
-
-  /// Schedules a synchronisation event (see file comment). Inside a
-  /// sharded parallel window the delay must be at least the kernel's
-  /// lookahead; a shorter delay throws std::logic_error (a lookahead
-  /// violation would break the conservative window invariant).
-  EventId schedule_sync(SimDuration delay, EventFn fn);
 
   void cancel(EventId id) { queue_.cancel(id); }
 
@@ -63,90 +41,14 @@ class Simulator {
   bool step();
 
   [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
-  /// True while this simulation still has work anywhere: its own queue,
-  /// or — when this Simulator belongs to a sharded kernel — any sibling
-  /// shard's queue. Self-re-arming chains (the telemetry Sampler) must use
-  /// this rather than idle() so they behave identically under both
-  /// kernels.
-  [[nodiscard]] bool work_pending() const;
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
     return executed_;
   }
 
-  // ------------------------------------------------------------ shard tags
-  /// Tag under which schedule() calls currently register events: the
-  /// executing event's tag while one runs, the default tag otherwise.
-  [[nodiscard]] ShardTag current_tag() const noexcept { return tag_; }
-  /// Permanent default tag for this simulator (a sharded kernel pins each
-  /// shard's simulator to its own tag; serial simulations leave it 0).
-  void set_default_tag(ShardTag tag) noexcept {
-    default_tag_ = tag;
-    tag_ = tag;
-  }
-  [[nodiscard]] ShardTag default_tag() const noexcept { return default_tag_; }
-
-  // ----------------------------------------------- sharded-kernel surface
-  // The calls below are the contract between one shard's queue and the
-  // window loop in sim/sharded.cpp; ordinary simulation code never needs
-  // them.
-
-  [[nodiscard]] bool has_pending() const noexcept { return !queue_.empty(); }
-  /// Earliest pending event time. Precondition: has_pending().
-  [[nodiscard]] SimTime next_time() const { return queue_.next_time(); }
-  /// Canonical key of the earliest pending event. Precondition:
-  /// has_pending().
-  [[nodiscard]] EventQueue::Key head_key() const { return queue_.head_key(); }
-  /// Earliest pending sync-event time (EventQueue::kNoSyncTime when none).
-  [[nodiscard]] SimTime next_sync_time() const {
-    return queue_.next_sync_time();
-  }
-
-  /// Parallel-window body: executes local events strictly before `horizon`
-  /// in canonical order. Sync events never run here — the window horizon
-  /// is chosen at or below the earliest sync time, and a sync scheduled
-  /// *during* the window below the horizon throws (lookahead violation).
-  /// The clock is left at the last executed event; the kernel re-syncs all
-  /// clocks at the next barrier. Returns the number of events executed.
-  std::uint64_t run_local_until(SimTime horizon);
-
-  /// Barrier clock sync (kernel-internal): jumps the clock forward without
-  /// executing anything.
-  void set_now(SimTime t) noexcept;
-
  private:
-  friend class ShardedSimulator;
-  friend class TagScope;
-
   EventQueue queue_;
   SimTime now_ = 0;
   std::uint64_t executed_ = 0;
-  ShardTag tag_ = 0;          ///< tag applied to schedule() calls right now
-  ShardTag default_tag_ = 0;  ///< tag outside any event execution
-  ShardedSimulator* kernel_ = nullptr;  ///< set when owned by a sharded run
-  /// Lookahead guard, active only inside run_local_until: a sync event
-  /// scheduled before this floor is a conservative-window violation.
-  SimTime sync_floor_ = 0;
-  bool in_window_ = false;
-};
-
-/// RAII shard-tag override for cross-shard entry points: everything
-/// scheduled while the scope is alive (including the whole causal chain of
-/// those events, via tag inheritance) carries `tag`. Board entry points
-/// (submit, kick, fault injection) wrap themselves in one so cluster-level
-/// callers stamp board-bound work with the board's tag under both kernels.
-class TagScope {
- public:
-  TagScope(Simulator& sim, ShardTag tag) noexcept
-      : sim_(sim), saved_(sim.tag_) {
-    sim_.tag_ = tag;
-  }
-  ~TagScope() { sim_.tag_ = saved_; }
-  TagScope(const TagScope&) = delete;
-  TagScope& operator=(const TagScope&) = delete;
-
- private:
-  Simulator& sim_;
-  ShardTag saved_;
 };
 
 }  // namespace vs::sim

@@ -39,9 +39,9 @@ class CliArgs {
   std::vector<std::string> positional_;
 };
 
-/// Generic knob resolution, same precedence as resolve_jobs/resolve_kernel_
-/// jobs (util/thread_pool.h): the `--flag` wins, then the `env` variable,
-/// then `fallback`. Benches use these for sweepable knobs so scripted runs
+/// Generic knob resolution, same precedence as resolve_jobs
+/// (util/thread_pool.h): the `--flag` wins, then the `env` variable, then
+/// `fallback`. Benches use these for sweepable knobs so scripted runs
 /// can set VS_* once instead of threading flags everywhere.
 [[nodiscard]] std::int64_t resolve_int(const CliArgs* cli,
                                        const std::string& flag,

@@ -28,16 +28,6 @@ int resolve_jobs(const CliArgs* cli) {
   return hw > 0 ? hw : 1;
 }
 
-int resolve_kernel_jobs(const CliArgs* cli) {
-  if (cli != nullptr && cli->has("kernel-jobs")) {
-    return clamp_workers(cli->get_int("kernel-jobs", 0));
-  }
-  if (const char* env = std::getenv("VS_KERNEL_JOBS")) {
-    return clamp_workers(std::strtol(env, nullptr, 10));
-  }
-  return 0;
-}
-
 ThreadPool::ThreadPool(int workers) {
   int n = workers < 1 ? 1 : workers;
   threads_.reserve(static_cast<std::size_t>(n));

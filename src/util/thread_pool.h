@@ -28,12 +28,6 @@ class CliArgs;
 /// Values are clamped to >= 1; 0 or garbage falls through to the next rule.
 [[nodiscard]] int resolve_jobs(const CliArgs* cli = nullptr);
 
-/// Resolves the sharded event-kernel worker count (`--kernel-jobs N`, then
-/// the VS_KERNEL_JOBS environment variable). Unlike resolve_jobs there is
-/// no hardware fallback: the default of 0 selects the serial reference
-/// kernel, so sharding stays strictly opt-in.
-[[nodiscard]] int resolve_kernel_jobs(const CliArgs* cli = nullptr);
-
 class ThreadPool {
  public:
   /// Spawns `workers` threads (clamped to >= 1).

@@ -629,10 +629,9 @@ TEST(CheckpointDelta, DeltaInstrumentsExportOnlyInDeltaMode) {
                               runtime::kCkptDeltaHeaderBytes);
 }
 
-TEST(CheckpointDelta, SerialShardedAndInstrumentedBitIdentical) {
-  // Delta mode must hold the same determinism bar as whole-state: the
-  // serial kernel is the sharded kernel's bit-exact oracle at every worker
-  // count, with or without telemetry.
+TEST(CheckpointDelta, SerialAndInstrumentedBitIdentical) {
+  // Delta mode must hold the same determinism bar as whole-state:
+  // telemetry never perturbs the run.
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
   auto seq = stress_sequence(41);
@@ -654,24 +653,6 @@ TEST(CheckpointDelta, SerialShardedAndInstrumentedBitIdentical) {
   }
   EXPECT_EQ(instrumented.checkpoint.delta_bytes,
             serial.checkpoint.delta_bytes);
-
-  for (int workers : {1, 2, 4, 8}) {
-    cluster::ClusterOptions sharded = options;
-    sharded.kernel_workers = workers;
-    auto cell = metrics::run_cluster(suite, seq, sharded);
-    ASSERT_EQ(cell.response_ms.size(), serial.response_ms.size()) << workers;
-    for (std::size_t i = 0; i < serial.response_ms.size(); ++i) {
-      EXPECT_EQ(cell.response_ms[i], serial.response_ms[i])
-          << workers << " workers, app " << i;
-    }
-    EXPECT_EQ(cell.checkpoint.delta_bytes, serial.checkpoint.delta_bytes)
-        << workers;
-    EXPECT_EQ(cell.checkpoint.dirty_regions, serial.checkpoint.dirty_regions)
-        << workers;
-    EXPECT_EQ(cell.recovery.mttr_total, serial.recovery.mttr_total)
-        << workers;
-    EXPECT_EQ(cell.events, serial.events) << workers;
-  }
 }
 
 // ----------------------------------------------------- CheckpointGoldens

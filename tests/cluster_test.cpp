@@ -1,13 +1,20 @@
 // Tests for the cluster layer: Aurora link, live migration, cross-board
-// switching, pre-warming, and end-to-end cluster runs.
+// switching, pre-warming, end-to-end cluster runs, a frozen seed-2025
+// golden, and D_switch transfers that land while target boards are down.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "apps/benchmarks.h"
 #include "cluster/aurora.h"
 #include "cluster/cluster.h"
+#include "faults/scenario.h"
 #include "metrics/experiment.h"
+#include "obs/trace_hub.h"
 #include "sim/simulator.h"
+#include "test_helpers.h"
 #include "workload/generator.h"
+#include "workload/patterns.h"
 
 namespace vs::cluster {
 namespace {
@@ -180,6 +187,96 @@ TEST(Cluster, DeterministicAcrossRuns) {
     EXPECT_DOUBLE_EQ(a.response_ms[i], b.response_ms[i]);
   }
   EXPECT_EQ(a.switches.size(), b.switches.size());
+}
+
+// Frozen seed-2025 golden: pins the event order itself (equal-time events
+// fire in schedule order), so a kernel or scheduling change that reorders
+// events fails here. Update ONLY for an intentional, documented change.
+TEST(ClusterGolden, Seed2025FaultFreeRunIsFrozen) {
+  ClusterFixture f;
+  metrics::ClusterRunResult r = metrics::run_cluster(
+      f.suite, f.stress_sequence(25, 2025), ClusterOptions{});
+  EXPECT_EQ(r.submitted, 25);
+  EXPECT_EQ(r.completed, 25);
+  EXPECT_EQ(r.events, 6485u);
+  EXPECT_EQ(r.apps.front().completed, 4098471994);
+  EXPECT_EQ(r.apps.back().completed, 12807039199);
+  EXPECT_EQ(r.response.mean, 6184.2995846799995);
+}
+
+// --- D_switch landings with target boards down --------------------------
+
+// Twelve Fig 8 cycles (30 stress + 50 standard apps each) under crash,
+// flap and SEU hazards with delta checkpoints. At fault seeds 4 and 10 a
+// D_switch fires while every active board is down, so the switch has no
+// origin board to name in its flow and journal records.
+TEST(DSwitchDown, SwitchWithEveryActiveBoardDownKeepsEveryApp) {
+  ClusterFixture f;
+  for (std::uint64_t seed : {4u, 10u}) {
+    std::vector<workload::Phase> phases;
+    for (int c = 0; c < 12; ++c) {
+      phases.push_back({30, workload::Congestion::kStress});
+      phases.push_back({50, workload::Congestion::kStandard});
+    }
+    util::Rng rng(seed);
+    workload::Sequence seq = workload::phased_sequence(phases, rng);
+    for (bool precopy : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (precopy ? " pre-copy" : " whole-state"));
+      obs::ClusterTraceHub hub;
+      hub.enable_trace();
+      hub.enable_journal();
+      ClusterOptions options;
+      options.faults.seed = seed;
+      options.faults.hazards.board_crash_per_s = 0.004;
+      options.faults.hazards.link_flap_per_s = 0.01;
+      options.faults.hazards.slot_seu_per_s = 0.02;
+      options.faults.horizon = seq.back().arrival;
+      options.checkpoint.enabled = true;
+      options.checkpoint.delta = true;
+      options.migration.precopy = precopy;
+      options.hub = &hub;
+      metrics::ClusterRunResult r = metrics::run_cluster(f.suite, seq, options);
+      test::expect_app_conservation(r);
+      int poolless = 0;
+      for (const obs::JournalRecord& j : hub.merged_journal()) {
+        if (j.event == obs::JournalEvent::kMigrate && j.board == "cluster") {
+          ++poolless;
+        }
+      }
+      // The cluster stands in as the origin of the switch that found the
+      // active pool empty.
+      EXPECT_GE(poolless, 1);
+    }
+  }
+}
+
+// A whole-state switch whose only target board crashes while the state is
+// still on the Aurora link: the landing finds no active board, queues the
+// apps for re-admission, and the reboot drains them.
+TEST(DSwitchDown, TargetCrashDuringWholeStateTransferRequeuesApps) {
+  ClusterFixture f;
+  workload::Sequence seq = workload::fig8_long_workload(2025);
+  metrics::ClusterRunResult fault_free =
+      metrics::run_cluster(f.suite, seq, ClusterOptions{});
+  ASSERT_FALSE(fault_free.switches.empty());
+  const SwitchEvent& sw = fault_free.switches.front();
+  ASSERT_EQ(sw.to, core::SwitchLoop::Config::kBigLittle);
+  ASSERT_GT(sw.apps_migrated, 0);
+
+  ClusterOptions options;
+  // Plane board 1 is BL0 (the OL pool registers first); the 1 us delay is
+  // well inside the 20 us Aurora setup window.
+  options.faults.timeline.push_back(
+      {sw.time + sim::us(1.0), faults::FaultKind::kBoardCrash, 1, -1});
+  metrics::ClusterRunResult r = metrics::run_cluster(f.suite, seq, options);
+  ASSERT_FALSE(r.switches.empty());
+  EXPECT_EQ(r.switches.front().time, sw.time);
+  EXPECT_EQ(r.switches.front().apps_migrated, sw.apps_migrated);
+  EXPECT_EQ(r.recovery.boards_crashed, 1);
+  EXPECT_GE(r.recovery.readmissions, sw.apps_migrated);
+  EXPECT_EQ(r.completed, r.submitted);
+  test::expect_app_conservation(r);
 }
 
 }  // namespace

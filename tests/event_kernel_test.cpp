@@ -322,95 +322,5 @@ TEST(EventQueueProperty, RecordedScriptDeterminism) {
   EXPECT_EQ(run(), run());
 }
 
-// ---- Canonical (time, tag, seq) tie-break ---------------------------------
-//
-// The sharded kernel's total event order is the lexicographic order of
-// Key{time, tag, seq}: simulated time first, then the shard tag, then a
-// per-tag FIFO sequence number. Two consequences are pinned here:
-//
-//  1. equal-time events on DIFFERENT tags execute in tag order, regardless
-//     of schedule order — so board k+1's events never jump ahead of board
-//     k's at a shared timestamp, under either kernel;
-//  2. equal-time events on the SAME tag keep schedule-order FIFO, because
-//     seq counters are per tag — one tag's scheduling activity can never
-//     reorder another tag's events.
-
-TEST(EventQueueTieBreak, EqualTimeEventsRunInTagOrderNotScheduleOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  // Scheduled in descending tag order; execution must ascend by tag.
-  q.schedule(50, [&order] { order.push_back(3); }, /*tag=*/3);
-  q.schedule(50, [&order] { order.push_back(1); }, /*tag=*/1);
-  q.schedule(50, [&order] { order.push_back(2); }, /*tag=*/2);
-  q.schedule(50, [&order] { order.push_back(0); }, /*tag=*/0);
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(EventQueueTieBreak, TimeStillDominatesTag) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(60, [&order] { order.push_back(1); }, /*tag=*/0);
-  q.schedule(50, [&order] { order.push_back(0); }, /*tag=*/9);
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
-}
-
-TEST(EventQueueTieBreak, SeqCountersArePerTag) {
-  EventQueue q;
-  std::vector<std::pair<int, int>> order;  // (tag, step)
-  // Interleave scheduling across two tags at one timestamp. Per-tag seq
-  // means each tag keeps its own FIFO; the interleaving pattern at schedule
-  // time is irrelevant.
-  for (int step = 0; step < 3; ++step) {
-    q.schedule(10, [&order, step] { order.emplace_back(2, step); }, 2);
-    q.schedule(10, [&order, step] { order.emplace_back(1, step); }, 1);
-  }
-  while (!q.empty()) q.pop().fn();
-  std::vector<std::pair<int, int>> expected{{1, 0}, {1, 1}, {1, 2},
-                                            {2, 0}, {2, 1}, {2, 2}};
-  EXPECT_EQ(order, expected);
-}
-
-TEST(EventQueueTieBreak, DefaultTagZeroPreservesLegacyFifo) {
-  // With every event on tag 0 (the serial default), the canonical order
-  // degenerates to the original (time, seq) FIFO — the serial kernel is
-  // bit-identical to its pre-sharding behaviour.
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    q.schedule(7, [&order, i] { order.push_back(i); });
-  }
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(EventQueueTieBreak, HeadKeyExposesCanonicalOrder) {
-  EventQueue q;
-  q.schedule(50, [] {}, /*tag=*/4);
-  EventQueue::Key k = q.head_key();
-  EXPECT_EQ(k.time, 50);
-  EXPECT_EQ(k.tag, 4u);
-  q.schedule(50, [] {}, /*tag=*/2);
-  EXPECT_EQ(q.head_key().tag, 2u);  // lower tag wins the tie
-  q.schedule(40, [] {}, /*tag=*/9);
-  EXPECT_EQ(q.head_key().time, 40);  // earlier time beats any tag
-}
-
-TEST(EventQueueTieBreak, SyncEventsShareTheTagSeqSpace) {
-  // Sync events order among their tag's events exactly like normal ones —
-  // the sync flag routes them to barriers but never perturbs the canonical
-  // order, so serial and sharded execution agree at barrier timestamps.
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(5, [&order] { order.push_back(0); }, /*tag=*/1);
-  q.schedule(5, [&order] { order.push_back(1); }, /*tag=*/1, /*sync=*/true);
-  q.schedule(5, [&order] { order.push_back(2); }, /*tag=*/1);
-  EXPECT_EQ(q.next_sync_time(), 5);
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(q.next_sync_time(), EventQueue::kNoSyncTime);
-}
-
 }  // namespace
 }  // namespace vs::sim

@@ -5,15 +5,12 @@
 // drift) fails the run.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "apps/benchmarks.h"
 #include "apps/bundling.h"
-#include "cluster/cluster.h"
 #include "faults/scenario.h"
 #include "fpga/board.h"
-#include "metrics/experiment.h"
 #include "runtime/board_runtime.h"
 #include "runtime/invariants.h"
 #include "sim/simulator.h"
@@ -166,99 +163,6 @@ TEST_P(ChaosSweep, RandomActionsNeverBreakInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSweep,
                          ::testing::Range<std::uint64_t>(1, 13));
-
-// ------------------------------------------------ sharded kernel boundary fuzz
-
-/// Serializes every field of a cluster run that the differential harness
-/// guards, at full precision, so two runs compare with one string equality.
-std::string serialize_cluster_result(const metrics::ClusterRunResult& r) {
-  std::ostringstream out;
-  out.precision(17);
-  out << r.submitted << '|' << r.completed << '|' << r.events << '|'
-      << r.availability << '\n';
-  for (const auto& a : r.apps) {
-    out << a.app_id << ',' << a.spec_index << ',' << a.name << ','
-        << a.arrival << ',' << a.completed << '\n';
-  }
-  for (double ms : r.response_ms) out << ms << '\n';
-  for (const auto& s : r.switches) {
-    out << s.time << ',' << static_cast<int>(s.to) << ',' << s.dswitch << ','
-        << s.apps_migrated << ',' << s.bytes << ',' << s.overhead << '\n';
-  }
-  for (const auto& d : r.dswitch_trace) {
-    out << d.time << ',' << d.value << ',' << d.blocked << ',' << d.prs << ','
-        << d.apps << ',' << d.batch << '\n';
-  }
-  const cluster::RecoveryStats& v = r.recovery;
-  out << v.boards_crashed << ',' << v.boards_rebooted << ',' << v.link_flaps
-      << ',' << v.slot_seus << ',' << v.apps_evacuated << ','
-      << v.apps_checkpoint_restored << ',' << v.apps_restarted << ','
-      << v.apps_lost << ',' << v.apps_shed << ',' << v.readmissions << ','
-      << v.mttr_total << ',' << v.mttr_count << '\n';
-  return out.str();
-}
-
-class ShardedBoundaryFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-// Randomised fault timelines pinned to the sharded kernel's window
-// boundaries: every scripted event lands at k * lookahead or one simulated
-// nanosecond to either side, the exact timestamps where an event can flip
-// between "inside the window" and "at the barrier". Any off-by-one in the
-// horizon comparison (< vs <=) diverges from the serial oracle here.
-TEST_P(ShardedBoundaryFuzz, WindowEdgeFaultTimelinesMatchSerial) {
-  const std::uint64_t seed = GetParam();
-  fpga::BoardParams params;
-  auto suite = apps::make_suite(params);
-  workload::WorkloadConfig config;
-  config.congestion = workload::Congestion::kStress;
-  config.apps_per_sequence = 15;
-  util::Rng wl_rng(seed);
-  auto sequence = workload::generate_sequence(config, wl_rng);
-
-  cluster::ClusterOptions base;
-  const sim::SimDuration lookahead =
-      cluster::conservative_lookahead(suite, base.link_params);
-  util::Rng rng(seed ^ 0xb0a4d);
-  faults::FaultScenario scenario;
-  scenario.seed = 100 + seed;
-  scenario.horizon = sim::seconds(20.0);
-  const faults::FaultKind kinds[] = {
-      faults::FaultKind::kBoardCrash, faults::FaultKind::kLinkDown,
-      faults::FaultKind::kLinkUp, faults::FaultKind::kSlotSeu};
-  int n_events = static_cast<int>(rng.uniform_int(3, 8));
-  for (int i = 0; i < n_events; ++i) {
-    // k * lookahead, nudged onto the boundary's other side half the time.
-    sim::SimTime t = lookahead * rng.uniform_int(1, 200);
-    t += rng.uniform_int(-1, 1);  // exactly on, or one tick to either side
-    faults::FaultEvent e;
-    e.time = t;
-    e.kind = kinds[rng.uniform_int(0, 3)];
-    e.board = static_cast<int>(rng.uniform_int(0, 1));
-    scenario.timeline.push_back(e);
-  }
-  if (seed % 2 == 0) scenario.hazards.slot_seu_per_s = 0.02;
-
-  cluster::ClusterOptions options;
-  options.faults = scenario;
-  if (seed % 3 == 0) {
-    options.checkpoint.enabled = true;
-    options.checkpoint.interval = sim::ms(100.0);
-  }
-
-  options.kernel_workers = 0;
-  std::string reference = serialize_cluster_result(
-      metrics::run_cluster(suite, sequence, options));
-  for (int workers : {2, 4}) {
-    options.kernel_workers = workers;
-    EXPECT_EQ(serialize_cluster_result(
-                  metrics::run_cluster(suite, sequence, options)),
-              reference)
-        << "seed=" << seed << " workers=" << workers;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardedBoundaryFuzz,
-                         ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace vs

@@ -11,8 +11,6 @@
 #include "apps/offline_flow.h"
 #include "core/dswitch.h"
 #include "sim/event_queue.h"
-#include "sim/sharded.h"
-#include "sim/simulator.h"
 #include "sim/trace.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -292,107 +290,6 @@ TEST_P(Seeded, RngStreamsAreUncorrelated) {
     dot += (a.uniform01() - 0.5) * (b.uniform01() - 0.5);
   }
   EXPECT_LT(std::abs(dot / 1000.0), 0.02);
-}
-
-// ------------------------------------------- sharded kernel vs serial oracle
-
-/// One pre-planned event for the kernel differential below.
-struct PlannedEvent {
-  int shard = 0;
-  sim::SimTime time = 0;
-  bool sync = false;
-};
-
-/// What a kernel run of a plan exposes deterministically: each shard's own
-/// execution order (cross-shard window interleaving is unobservable) and
-/// the global order of sync events, which only run at barriers.
-struct KernelTrace {
-  std::vector<std::vector<int>> per_tag;  ///< event indices, by shard
-  std::vector<int> sync_order;            ///< global, sync events only
-  std::uint64_t events = 0;
-};
-
-TEST_P(Seeded, ShardedKernelMatchesSerialOracleOnRandomEventGraphs) {
-  util::Rng plan_rng(GetParam() ^ 0x5aaded);
-  const int shards = 2 + static_cast<int>(GetParam() % 2);
-  const sim::SimDuration lookahead = sim::ms(1.0);
-  std::vector<PlannedEvent> plan;
-  for (int i = 0; i < 200; ++i) {
-    PlannedEvent e;
-    e.shard = static_cast<int>(plan_rng.uniform_int(0, shards - 1));
-    if (plan_rng.bernoulli(0.3)) {
-      // Pin to a window boundary: k * lookahead, or one tick to either
-      // side — where an off-by-one in the horizon comparison would show.
-      e.time = lookahead * plan_rng.uniform_int(1, 20) +
-               plan_rng.uniform_int(-1, 1);
-    } else {
-      e.time = sim::us(100.0) * plan_rng.uniform_int(0, 200);
-    }
-    e.sync = plan_rng.bernoulli(0.15);
-    plan.push_back(e);
-  }
-
-  auto run_serial = [&] {
-    sim::Simulator sim;
-    KernelTrace trace;
-    trace.per_tag.resize(static_cast<std::size_t>(shards));
-    for (int i = 0; i < static_cast<int>(plan.size()); ++i) {
-      const PlannedEvent& e = plan[static_cast<std::size_t>(i)];
-      sim::TagScope scope(sim, static_cast<sim::ShardTag>(e.shard + 1));
-      auto fn = [&trace, e, i] {
-        trace.per_tag[static_cast<std::size_t>(e.shard)].push_back(i);
-        if (e.sync) trace.sync_order.push_back(i);
-      };
-      if (e.sync) {
-        sim.schedule_sync(e.time, fn);
-      } else {
-        sim.schedule(e.time, fn);
-      }
-    }
-    trace.events = sim.run();
-    return trace;
-  };
-
-  auto run_sharded = [&](int workers) {
-    sim::ShardedOptions options;
-    options.shards = shards;
-    options.workers = workers;
-    options.lookahead = lookahead;
-    sim::ShardedSimulator kernel(options);
-    KernelTrace trace;
-    trace.per_tag.resize(static_cast<std::size_t>(shards));
-    for (int i = 0; i < static_cast<int>(plan.size()); ++i) {
-      const PlannedEvent& e = plan[static_cast<std::size_t>(i)];
-      // per_tag rows are thread-confined to their shard's worker;
-      // sync_order is only touched in serial barrier phases.
-      auto fn = [&trace, e, i] {
-        trace.per_tag[static_cast<std::size_t>(e.shard)].push_back(i);
-        if (e.sync) trace.sync_order.push_back(i);
-      };
-      sim::Simulator& s = kernel.shard(e.shard);
-      if (e.sync) {
-        s.schedule_sync(e.time, fn);
-      } else {
-        s.schedule(e.time, fn);
-      }
-    }
-    trace.events = kernel.run();
-    return trace;
-  };
-
-  KernelTrace reference = run_serial();
-  EXPECT_EQ(reference.events, plan.size());
-  for (int workers : {1, 4}) {
-    KernelTrace sharded = run_sharded(workers);
-    EXPECT_EQ(sharded.events, reference.events) << "workers=" << workers;
-    EXPECT_EQ(sharded.sync_order, reference.sync_order)
-        << "workers=" << workers;
-    for (int s = 0; s < shards; ++s) {
-      EXPECT_EQ(sharded.per_tag[static_cast<std::size_t>(s)],
-                reference.per_tag[static_cast<std::size_t>(s)])
-          << "workers=" << workers << " shard=" << s;
-    }
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Seeded,

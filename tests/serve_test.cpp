@@ -1,8 +1,8 @@
 // Tests for the multi-tenant serving plane: weighted-deficit admission
 // fairness under saturation, quota/defer-limit edges, SLO-aware priority
 // ordering, SLO-miss accounting reconciled against phase-accounted
-// response times, bit-identical results across serial and sharded kernels
-// and with telemetry on/off, and the recovery admission throttle holding
+// response times, bit-identical results with telemetry on/off, and the
+// recovery admission throttle holding
 // arrivals behind a crash without losing any admitted work.
 #include <gtest/gtest.h>
 
@@ -197,17 +197,16 @@ serve::ServeConfig small_config(double horizon_s = 8.0) {
   return config;
 }
 
-cluster::ClusterOptions small_options(int kernel_workers) {
+cluster::ClusterOptions small_options() {
   cluster::ClusterOptions options;
   options.boards_per_config = 2;
   options.enable_switching = false;
-  options.kernel_workers = kernel_workers;
   return options;
 }
 
-// Full-result equality; `events` excluded (the sharded kernel executes
-// extra window-synchronisation events). Doubles compare bitwise — the
-// claim is bit-identity, not tolerance.
+// Full-result equality; `events` excluded (the telemetry sampler schedules
+// its own events). Doubles compare bitwise — the claim is bit-identity,
+// not tolerance.
 void expect_results_equal(const serve::ServeResult& a,
                           const serve::ServeResult& b) {
   EXPECT_EQ(a.arrivals, b.arrivals);
@@ -239,29 +238,15 @@ void expect_results_equal(const serve::ServeResult& a,
   }
 }
 
-TEST(ServePlane, SerialAndShardedKernelsBitIdentical) {
+TEST(ServePlane, TelemetryOnOffBitIdenticalAndCountersMatch) {
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
   serve::ServeConfig config = small_config();
   config.rebalance = true;  // cover the rebalance trigger path too
 
-  auto serial = serve::run_serve(suite, config, small_options(0));
-  EXPECT_GT(serial.arrivals, 0);
-  EXPECT_GT(serial.completed, 0);
-  for (int workers : {1, 2, 4}) {
-    auto sharded = serve::run_serve(suite, config, small_options(workers));
-    expect_results_equal(serial, sharded);
-  }
-}
-
-TEST(ServePlane, TelemetryOnOffBitIdenticalAndCountersMatch) {
-  fpga::BoardParams params;
-  auto suite = apps::make_suite(params);
-  serve::ServeConfig config = small_config();
-
-  auto bare = serve::run_serve(suite, config, small_options(0));
+  auto bare = serve::run_serve(suite, config, small_options());
   obs::Telemetry telemetry;
-  auto instrumented = serve::run_serve(suite, config, small_options(0),
+  auto instrumented = serve::run_serve(suite, config, small_options(),
                                        sim::seconds(36000.0), &telemetry);
   // `events` differs by design: the telemetry sampler schedules its own
   // snapshot events. Everything observable must still be bit-identical.
@@ -293,7 +278,7 @@ TEST(ServePlane, SloMissAccountingMatchesPhaseAccountedResponses) {
   config.classes[0].latency_target = sim::ms(600.0);
 
   sim::Simulator sim;
-  cluster::ClusterOptions options = small_options(0);
+  cluster::ClusterOptions options = small_options();
   options.phase_accounting = true;
   cluster::Cluster cluster(sim, suite, options);
   serve::ResourceManager manager(sim, cluster, config);
@@ -352,7 +337,7 @@ TEST(ServePlane, RecoveryThrottleDefersArrivalsWithoutLosingApps) {
   // active board's crash cannot fail over): the displaced apps sit in the
   // readmission queue until a reboot, and the kDefer throttle holds the
   // open-loop arrivals that land during that window behind them.
-  cluster::ClusterOptions options = small_options(0);
+  cluster::ClusterOptions options = small_options();
   options.boards_per_config = 1;
   options.faults.timeline = {
       {sim::seconds(2.0), faults::FaultKind::kBoardCrash, 1, -1},
