@@ -86,9 +86,8 @@ int main(int argc, char** argv) {
     std::vector<util::RunningStats> seq_means(
         static_cast<std::size_t>(metrics::kSystemCount));
     // Pooled completion split per system: apps finished clean vs apps whose
-    // phase account shows recovery time (zero here — the fig5 grid injects
-    // no faults — but the columns keep the schema aligned with the faulted
-    // reruns of the same bench).
+    // phase account shows recovery time (always zero: single-board runs
+    // are fault-free; the column keeps the committed CSV schema).
     std::vector<int> sys_completed(
         static_cast<std::size_t>(metrics::kSystemCount), 0);
     std::vector<int> sys_recovering(
@@ -147,11 +146,11 @@ int main(int argc, char** argv) {
             << util::fmt(bl_vs_ol_best, 2) << "x\n"
             << "\nSeries written to fig5_response_time.csv\n";
 
-  // Optional telemetry capture (--metrics-out PREFIX or VS_METRICS): replay
-  // the stress-congestion cell's first sequence through the full cluster
-  // control plane (VersaSlot boards, D_switch loop, Aurora link) with the
-  // metrics registry bound and the sampler running, then export. The grid
-  // above is untouched — sweep replicas never carry telemetry.
+  // Optional telemetry (--metrics-out PREFIX or VS_METRICS, --trace-out,
+  // --journal-out): replay the stress / VersaSlot-BL / first-sequence cell
+  // single-board, the same cell the grid above measured, with the
+  // instruments bound, and export them. The sweep grid never carries
+  // telemetry.
   const std::string metrics_out = obs::resolve_metrics_out(&args);
   const std::string trace_out = obs::resolve_trace_out(&args);
   const std::string journal_out = obs::resolve_journal_out(&args);
@@ -164,14 +163,14 @@ int main(int argc, char** argv) {
     obs::ClusterTraceHub hub;
     hub.enable_trace(!trace_out.empty());
     hub.enable_journal(!journal_out.empty());
-    cluster::ClusterOptions options;
+    metrics::RunOptions opts;
+    if (!metrics_out.empty()) opts.telemetry = &telemetry;
     if (!trace_out.empty() || !journal_out.empty()) {
-      options.hub = &hub;
-      options.phase_accounting = true;
+      opts.hub = &hub;
+      opts.phase_accounting = true;
     }
-    (void)metrics::run_cluster(suite, sequences[0], options,
-                               sim::seconds(36000.0),
-                               metrics_out.empty() ? nullptr : &telemetry);
+    (void)metrics::run_single_board(metrics::SystemKind::kVersaBigLittle,
+                                    suite, sequences[0], opts);
     if (!metrics_out.empty()) {
       telemetry.info().config.emplace_back("figure", "fig5");
       telemetry.info().config.emplace_back("congestion", "Stress");

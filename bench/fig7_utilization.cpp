@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
   auto cells = runner.run(suite, grid);
   // Per-spec completion split over the Big.Little dynamic-check replicas:
   // apps of this spec that completed, and of those, how many passed
-  // through a recovery phase (zero here — no faults are injected — but
-  // the schema stays aligned with faulted reruns).
+  // through a recovery phase (always zero: single-board runs are
+  // fault-free; the column keeps the committed CSV schema).
   std::vector<int> dyn_completed(suite.size(), 0);
   std::vector<int> dyn_recovering(suite.size(), 0);
   for (std::size_t i = 0; i < sequences.size(); ++i) {

@@ -92,6 +92,9 @@ int main() {
                     config.board);
   core::VersaSlotPolicy policy{core::VersaSlotOptions{}};
   runtime::BoardRuntime rt(board, policy);
+  obs::ClusterTraceHub hub;
+  hub.enable_trace();
+  hub.attach_spans(board.name(), &rt.trace());
   rt.trace().enable();
   rt.submit(report.app, 0, /*batch=*/8, 0);
   rt.submit(report.app, 0, /*batch=*/12, 0);
@@ -105,8 +108,7 @@ int main() {
   std::cout << "invariant audit: " << audit.to_string();
 
   // 4. Export the execution trace.
-  sim::write_chrome_trace_file(rt.trace().spans(),
-                               "offline_flow_trace.json");
+  hub.write_chrome_trace_file("offline_flow_trace.json");
   std::cout << "\ntrace written to offline_flow_trace.json (load in "
                "chrome://tracing or ui.perfetto.dev)\n";
   return 0;

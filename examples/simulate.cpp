@@ -32,7 +32,7 @@ constexpr const char* kUsage = R"(usage: simulate [options]
   --boards N          boards per fabric configuration (cluster mode)
   --quality           print slowdown/fairness/throughput metrics
   --csv FILE          append one summary row to a CSV file
-  --trace FILE        write a Chrome trace of the run (single-board mode)
+  --trace FILE        write a Chrome trace of the run (one process per board)
   --help              this text
 )";
 
@@ -109,11 +109,24 @@ int main(int argc, char** argv) {
     std::cout << "workload saved to " << args.get("save-workload") << "\n";
   }
 
+  // --trace FILE: both modes record spans through one trace hub.
+  const std::string trace_file = args.get("trace");
+  obs::ClusterTraceHub hub;
+  hub.enable_trace();
+  obs::ClusterTraceHub* trace_hub = trace_file.empty() ? nullptr : &hub;
+  auto write_trace = [&] {
+    if (trace_hub == nullptr) return;
+    hub.write_chrome_trace_file(trace_file);
+    std::cout << "trace written to " << trace_file << "\n";
+  };
+
   if (args.get_bool("cluster")) {
     cluster::ClusterOptions options;
     options.boards_per_config =
         static_cast<int>(args.get_int("boards", 1));
+    options.hub = trace_hub;
     auto r = metrics::run_cluster(suite, sequence, options);
+    write_trace();
     std::cout << "cluster run: " << r.completed << "/" << r.submitted
               << " apps, mean " << util::fmt(r.response.mean, 1)
               << " ms, P95 " << util::fmt(r.response.p95, 1) << " ms, "
@@ -131,13 +144,10 @@ int main(int argc, char** argv) {
   }
 
   metrics::RunOptions options;
-  options.record_trace = args.has("trace");
-  options.trace_path = args.get("trace");
+  options.hub = trace_hub;
   metrics::RunResult r =
       metrics::run_single_board(kind, suite, sequence, options);
-  if (options.record_trace) {
-    std::cout << "trace written to " << options.trace_path << "\n";
-  }
+  write_trace();
 
   std::cout << r.system << ": " << r.completed << "/" << r.submitted
             << " apps, mean " << util::fmt(r.response.mean, 1) << " ms, P95 "

@@ -78,6 +78,20 @@ grep -q '"phases": \[' build/trace_smoke.report.json
 grep -q '"event":"crash"' build/trace_smoke.jsonl
 grep -q '"event":"readmit"' build/trace_smoke.jsonl
 
+echo "== example trace smoke (hub writer, full-precision timestamps) =="
+# The examples write Chrome traces through the trace hub, like the benches.
+# Timestamps must print as shortest round-trip decimals: ostream's default
+# six significant digits turned every span past 10 s into e-notation.
+(cd build && ./examples/simulate --system versaslot-bl --congestion stress \
+  --apps 20 --trace simulate_smoke.json >/dev/null)
+grep -q '"process_name"' build/simulate_smoke.json
+if grep -qE '"ts":[-0-9.]*[eE]' build/simulate_smoke.json; then
+  echo "simulate trace has e-notation timestamps" >&2
+  exit 1
+fi
+(cd build && ./examples/offline_flow >/dev/null)
+test -s build/offline_flow_trace.json
+
 echo "== committed CSVs: regenerate and byte-compare =="
 # Every committed CSV at the repo root is a pure function of its bench's
 # seeds, whatever the --jobs worker count. Regenerate all nine in a temp
@@ -129,7 +143,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake -B build-asan -S . -DVS_SANITIZE=address
   cmake --build build-asan -j "$JOBS" --target versaslot_tests
   ./build-asan/tests/versaslot_tests \
-    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:Telemetry*:ChromeTraceExport.*:TraceRecorder.*:TraceRecorderCapacity.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:SingleBoardFaults.*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*'
+    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:Telemetry*:TraceRecorder.*:TraceRecorderCapacity.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*'
 fi
 
 if [[ "${SKIP_COV:-0}" != "1" ]]; then

@@ -36,11 +36,11 @@
 #include "fpga/fabric.h"          // IWYU pragma: export
 #include "fpga/params.h"          // IWYU pragma: export
 #include "metrics/experiment.h"   // IWYU pragma: export
+#include "obs/trace_hub.h"        // IWYU pragma: export
 #include "runtime/board_runtime.h"  // IWYU pragma: export
 #include "runtime/invariants.h"   // IWYU pragma: export
 #include "sim/simulator.h"        // IWYU pragma: export
 #include "sim/trace.h"            // IWYU pragma: export
-#include "sim/trace_export.h"     // IWYU pragma: export
 #include "util/stats.h"           // IWYU pragma: export
 #include "util/table.h"           // IWYU pragma: export
 #include "workload/generator.h"   // IWYU pragma: export

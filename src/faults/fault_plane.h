@@ -21,10 +21,8 @@
 //
 // The plane flips its own board-up/link-up registers and surfaces every
 // transition as a HealthEvent to a single handler. It never touches
-// runtimes or the Aurora link itself, so it depends only on sim/fpga/obs
-// and is reusable under any control plane: the cluster manager's recovery
-// policy, and the single-board harness's hold-and-readmit loop
-// (metrics::run_single_board) both drive recovery off the same events.
+// runtimes or the Aurora link itself, so it depends only on sim/fpga/obs;
+// the cluster manager's recovery policy drives recovery off these events.
 #pragma once
 
 #include <functional>

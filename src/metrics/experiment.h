@@ -12,7 +12,6 @@
 #include "apps/task.h"
 #include "cluster/cluster.h"
 #include "core/versaslot_policy.h"
-#include "faults/scenario.h"
 #include "fpga/params.h"
 #include "obs/telemetry.h"
 #include "runtime/board_runtime.h"
@@ -57,30 +56,16 @@ struct RunResult {
   std::vector<runtime::CompletedApp> apps;  ///< completion order
   std::vector<double> response_ms;   ///< per completed app
   util::Summary response;            ///< summary over response_ms
-  runtime::RuntimeCounters counters; ///< summed over board epochs
+  runtime::RuntimeCounters counters;
   runtime::UtilizationIntegral utilization;
   sim::SimTime makespan = 0;         ///< completion time of the last app
   int submitted = 0;
   int completed = 0;
-  /// Fault bookkeeping (all zero without a fault scenario). On a single
-  /// board every displaced app is held and re-admitted at reboot, so
-  /// apps_lost/apps_shed stay zero; evacuated / checkpoint_restored /
-  /// restarted record how much progress survived each crash.
-  cluster::RecoveryStats recovery;
-  /// Board availability over the run (1.0 without a fault plane).
-  double availability = 1.0;
-  /// Checkpoint pass accounting summed over board epochs (all zero
-  /// without an active CheckpointPolicy).
-  runtime::CheckpointStats checkpoint;
 };
 
 struct RunOptions {
   fpga::BoardParams board_params;
   core::VersaSlotOptions vs_options;
-  bool record_trace = false;
-  /// When record_trace is set and this is non-empty, the span log is also
-  /// written as Chrome trace-event JSON to this path after the run.
-  std::string trace_path;
   /// Overrides the system's default fabric (design-space exploration of
   /// "any Big/Little configuration", §III-A).
   std::optional<fpga::FabricConfig> fabric;
@@ -93,29 +78,20 @@ struct RunOptions {
   /// cannot be shared across replica threads).
   obs::Telemetry* telemetry = nullptr;
   /// Causal trace / journal hub (obs/trace_hub.h); null (the default)
-  /// disables flow + journal emission entirely. When set, the harness
-  /// attaches every board epoch's span recorder and binds the runtime to a
-  /// per-board channel. Same single-run restriction as `telemetry`.
+  /// disables span, flow and journal emission entirely. When set, the
+  /// harness attaches the board's span recorder and binds the runtime to
+  /// the board's channel. Same single-run restriction as `telemetry`.
   obs::ClusterTraceHub* hub = nullptr;
   /// Decomposes every app's response time into queue-wait / reconfig /
   /// exec / paused / migration / recovery phases (board_runtime.h) and
   /// exports vs_app_phase_ms histograms when telemetry is bound. Off by
   /// default so instrument-free runs stay byte-identical.
   bool phase_accounting = false;
-  /// Fault injection: the full scenario (PCAP CRC via stream "pcap/0",
-  /// board crashes, slot SEUs, scripted timeline) drives a FaultPlane with
-  /// this board registered as plane board 0. A crash freezes the live
-  /// runtime epoch and holds displaced apps (and arrivals while down);
-  /// the reboot scrubs the fabric, starts a fresh epoch and re-admits
-  /// them. Link events are ignored — one board has no Aurora link.
-  /// Disabled by default: the fault-free path is untouched. Cluster runs
-  /// take the scenario through ClusterOptions::faults instead.
-  faults::FaultScenario faults;
-  /// Periodic DDR checkpointing (restores bundled apps across crashes).
-  runtime::CheckpointPolicy checkpoint;
 };
 
-/// Runs `sequence` to completion under `kind` on a fresh single board.
+/// Runs `sequence` to completion under `kind` on a fresh single board. The
+/// run is fault-free, like the paper's Figs 5–7 grids: crashes, recovery,
+/// checkpointing and live migration belong to the cluster (run_cluster).
 [[nodiscard]] RunResult run_single_board(
     SystemKind kind, const std::vector<apps::AppSpec>& suite,
     const workload::Sequence& sequence, const RunOptions& options = {});

@@ -11,18 +11,6 @@ std::vector<RunResult> SweepRunner::run(
   });
 }
 
-AggregateResult SweepRunner::aggregate(
-    SystemKind kind, const std::vector<apps::AppSpec>& suite,
-    const std::vector<workload::Sequence>& sequences,
-    const RunOptions& options) const {
-  std::vector<SweepJob> sweep;
-  sweep.reserve(sequences.size());
-  for (const workload::Sequence& seq : sequences) {
-    sweep.push_back(SweepJob{kind, seq, options});
-  }
-  return reduce_aggregate(kind, run(suite, sweep));
-}
-
 AggregateResult reduce_aggregate(SystemKind kind,
                                  const std::vector<RunResult>& per_sequence) {
   AggregateResult agg;
@@ -36,19 +24,6 @@ AggregateResult reduce_aggregate(SystemKind kind,
   agg.p95_ms = s.p95;
   agg.p99_ms = s.p99;
   return agg;
-}
-
-std::vector<RunResult> run_sweep(const std::vector<apps::AppSpec>& suite,
-                                 const std::vector<SweepJob>& sweep,
-                                 int jobs) {
-  return SweepRunner(jobs).run(suite, sweep);
-}
-
-AggregateResult parallel_aggregate(
-    SystemKind kind, const std::vector<apps::AppSpec>& suite,
-    const std::vector<workload::Sequence>& sequences,
-    const RunOptions& options, int jobs) {
-  return SweepRunner(jobs).aggregate(kind, suite, sequences, options);
 }
 
 }  // namespace vs::metrics

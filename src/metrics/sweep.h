@@ -45,14 +45,6 @@ class SweepRunner {
       const std::vector<apps::AppSpec>& suite,
       const std::vector<SweepJob>& sweep) const;
 
-  /// Parallel counterpart of metrics::aggregate(): shards the per-sequence
-  /// replicas, then pools response times in sequence order. Bit-identical
-  /// to the serial function for any worker count.
-  [[nodiscard]] AggregateResult aggregate(
-      SystemKind kind, const std::vector<apps::AppSpec>& suite,
-      const std::vector<workload::Sequence>& sequences,
-      const RunOptions& options = {}) const;
-
   /// Deterministic generic map for grids that do not fit SweepJob (cluster
   /// runs, custom reducers): evaluates fn(0..n-1) across the workers and
   /// returns results keyed by index. Same drain-then-rethrow error path
@@ -69,17 +61,6 @@ class SweepRunner {
 /// AggregateResult exactly as metrics::aggregate() does.
 [[nodiscard]] AggregateResult reduce_aggregate(
     SystemKind kind, const std::vector<RunResult>& per_sequence);
-
-/// Free-function convenience over SweepRunner::run.
-[[nodiscard]] std::vector<RunResult> run_sweep(
-    const std::vector<apps::AppSpec>& suite,
-    const std::vector<SweepJob>& sweep, int jobs = 0);
-
-/// Free-function convenience over SweepRunner::aggregate.
-[[nodiscard]] AggregateResult parallel_aggregate(
-    SystemKind kind, const std::vector<apps::AppSpec>& suite,
-    const std::vector<workload::Sequence>& sequences,
-    const RunOptions& options = {}, int jobs = 0);
 
 // ---------------------------------------------------------------- inline
 

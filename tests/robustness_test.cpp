@@ -1,11 +1,9 @@
 // Robustness and auditing tests: runtime invariants under every policy,
-// PCAP fault injection (DFX verification failures with retry), Chrome
-// trace export, and the DML extension policy.
+// PCAP fault injection (DFX verification failures with retry), and the DML
+// extension policy.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <string>
 
 #include "apps/benchmarks.h"
 #include "baselines/dml.h"
@@ -15,7 +13,6 @@
 #include "runtime/board_runtime.h"
 #include "runtime/invariants.h"
 #include "sim/simulator.h"
-#include "sim/trace_export.h"
 #include "test_helpers.h"
 #include "workload/generator.h"
 
@@ -202,62 +199,6 @@ TEST(FaultInjection, WholeSystemSurvivesFlakyPcap) {
   EXPECT_GT(board.pcap().stats().load_failures, 0);
   auto report = runtime::audit(rt);
   EXPECT_TRUE(report.ok()) << report.to_string();
-}
-
-// ----------------------------------------------------------- trace export
-
-TEST(TraceExport, EmitsValidChromeJson) {
-  std::vector<sim::Span> spans{
-      {0, sim::ms(10), "L0", "App1.T1 PR", sim::SpanKind::kReconfig},
-      {sim::ms(10), sim::ms(15), "L0", "App1.T1 B1", sim::SpanKind::kExec},
-      {sim::ms(2), sim::ms(4), "PS0", "pass \"q\"", sim::SpanKind::kCoreOp},
-  };
-  std::ostringstream out;
-  sim::write_chrome_trace(spans, out);
-  std::string json = out.str();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"cat\":\"reconfig\""), std::string::npos);
-  EXPECT_NE(json.find("\"cat\":\"exec\""), std::string::npos);
-  EXPECT_NE(json.find("thread_name"), std::string::npos);
-  // Quotes in labels must be escaped.
-  EXPECT_NE(json.find("pass \\\"q\\\""), std::string::npos);
-  // Two lanes -> two thread_name metadata records.
-  EXPECT_NE(json.find("\"name\":\"L0\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"PS0\""), std::string::npos);
-}
-
-TEST(TraceExport, FileRoundTrip) {
-  std::vector<sim::Span> spans{
-      {0, 100, "lane", "x", sim::SpanKind::kExec}};
-  std::string path = testing::TempDir() + "/vs_trace.json";
-  sim::write_chrome_trace_file(spans, path);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_NE(buffer.str().find("\"dur\":0.1"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(TraceExport, ThrowsOnBadPath) {
-  EXPECT_THROW(
-      sim::write_chrome_trace_file({}, "/nonexistent_dir_xyz/trace.json"),
-      std::runtime_error);
-}
-
-TEST(TraceExport, RealRunExportsAllSpanKinds) {
-  fpga::BoardParams params;
-  auto suite = apps::make_suite(params);
-  workload::WorkloadConfig config;
-  config.apps_per_sequence = 4;
-  util::Rng rng(3);
-  auto seq = workload::generate_sequence(config, rng);
-  metrics::RunOptions options;
-  options.record_trace = true;
-  auto r = metrics::run_single_board(metrics::SystemKind::kVersaBigLittle,
-                                     suite, seq, options);
-  EXPECT_EQ(r.completed, 4);
 }
 
 // ------------------------------------------------------------------- DML

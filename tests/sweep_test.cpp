@@ -32,6 +32,19 @@ std::vector<workload::Sequence> sequences(workload::Congestion congestion,
   return workload::generate_sequences(config, count, seed);
 }
 
+/// Pools one system's per-sequence replicas the way every grid bench does:
+/// SweepRunner::run, then reduce_aggregate in sequence order.
+AggregateResult runner_aggregate(SystemKind kind,
+                                 const std::vector<apps::AppSpec>& apps,
+                                 const std::vector<workload::Sequence>& seqs,
+                                 int workers) {
+  std::vector<SweepJob> grid;
+  for (const workload::Sequence& seq : seqs) {
+    grid.push_back(SweepJob{kind, seq, {}});
+  }
+  return reduce_aggregate(kind, SweepRunner(workers).run(apps, grid));
+}
+
 // ------------------------------------------------------------ thread pool
 
 TEST(ThreadPool, RunsEveryJobAndStaysUsable) {
@@ -119,8 +132,7 @@ TEST(SweepDeterminism, ParallelAggregateMatchesSerialBitwise) {
       auto seqs = sequences(congestion, 3, 10, 777);
       AggregateResult serial = aggregate(kind, apps, seqs);
       for (int workers : {1, 2, 8}) {
-        AggregateResult par =
-            parallel_aggregate(kind, apps, seqs, {}, workers);
+        AggregateResult par = runner_aggregate(kind, apps, seqs, workers);
         SCOPED_TRACE(std::string(system_name(kind)) + " / " +
                      workload::congestion_name(congestion) + " / workers=" +
                      std::to_string(workers));
@@ -142,7 +154,7 @@ TEST(SweepDeterminism, RunSweepMatchesSerialReplicas) {
        {SystemKind::kFcfs, SystemKind::kVersaBigLittle}) {
     for (const auto& seq : seqs) grid.push_back(SweepJob{kind, seq, {}});
   }
-  auto parallel = run_sweep(apps, grid, 8);
+  auto parallel = SweepRunner(8).run(apps, grid);
   ASSERT_EQ(parallel.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     SCOPED_TRACE("job " + std::to_string(i));
@@ -167,7 +179,7 @@ TEST(SweepDeterminism, SeedStabilityGoldens) {
   // Exercise the parallel path; the bitwise-equivalence test above ties it
   // to the serial path, so these goldens pin both at once.
   AggregateResult agg =
-      parallel_aggregate(SystemKind::kVersaBigLittle, apps, seqs, {}, 4);
+      runner_aggregate(SystemKind::kVersaBigLittle, apps, seqs, 4);
   ASSERT_EQ(agg.all_responses_ms.size(), 60u);
   EXPECT_DOUBLE_EQ(agg.mean_response_ms, 1058.2510233666667);
   EXPECT_DOUBLE_EQ(agg.p95_ms, 1982.5594999999989);
@@ -193,7 +205,7 @@ TEST(SweepEdgeCases, EmptyAndSingleAppSequences) {
       SweepJob{SystemKind::kVersaBigLittle, single, {}},
       SweepJob{SystemKind::kBaseline, empty, {}},
   };
-  auto results = run_sweep(apps, grid, 4);
+  auto results = SweepRunner(4).run(apps, grid);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].submitted, 0);
   EXPECT_EQ(results[0].completed, 0);
@@ -204,8 +216,8 @@ TEST(SweepEdgeCases, EmptyAndSingleAppSequences) {
   EXPECT_EQ(results[1].response_ms.size(), 1u);
   EXPECT_EQ(results[2].completed, 0);
   // Aggregating over empty sequences is well-defined zeros, not a crash.
-  AggregateResult agg = parallel_aggregate(
-      SystemKind::kVersaBigLittle, apps, {empty, empty}, {}, 2);
+  AggregateResult agg = runner_aggregate(SystemKind::kVersaBigLittle, apps,
+                                         {empty, empty}, 2);
   EXPECT_TRUE(agg.all_responses_ms.empty());
   EXPECT_EQ(agg.mean_response_ms, 0.0);
 }
@@ -218,8 +230,8 @@ TEST(SweepEdgeCases, TimeLimitExpirySurfacesPartialResults) {
   RunResult serial =
       run_single_board(SystemKind::kVersaBigLittle, apps, seq, cut);
   ASSERT_LT(serial.completed, serial.submitted);
-  auto results =
-      run_sweep(apps, {SweepJob{SystemKind::kVersaBigLittle, seq, cut}}, 4);
+  auto results = SweepRunner(4).run(
+      apps, {SweepJob{SystemKind::kVersaBigLittle, seq, cut}});
   ASSERT_EQ(results.size(), 1u);
   // The truncated replica surfaces the same partial results as serial.
   EXPECT_EQ(results[0].completed, serial.completed);
@@ -260,7 +272,7 @@ TEST(SweepEdgeCases, InvalidSystemKindRethrownFromReplica) {
       SweepJob{SystemKind::kVersaBigLittle, seq, {}},
       SweepJob{static_cast<SystemKind>(99), seq, {}},
   };
-  EXPECT_THROW((void)run_sweep(apps, grid, 2), std::invalid_argument);
+  EXPECT_THROW((void)SweepRunner(2).run(apps, grid), std::invalid_argument);
 }
 
 }  // namespace

@@ -20,8 +20,8 @@ namespace vs::test {
 /// The app conservation law for a drained fault run: every submitted app
 /// ends in exactly one bucket — completed, lost with its board (recovery
 /// off), shed by graceful degradation, or refused at the door by the
-/// admission throttle. Works for metrics::RunResult and ClusterRunResult
-/// (anything with completed / submitted / recovery).
+/// admission throttle. Works for metrics::ClusterRunResult (anything with
+/// completed / submitted / recovery).
 template <typename Result>
 void expect_app_conservation(const Result& r) {
   EXPECT_EQ(r.completed + r.recovery.apps_lost + r.recovery.apps_shed +

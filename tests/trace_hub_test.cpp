@@ -2,11 +2,13 @@
 // trace with flow events, the structured run journal and its round-trip
 // parser, TraceRecorder capacity bounds, response-time phase accounting
 // (phases sum exactly to response time across fault scenarios), and the
-// pinned guarantee that none of it perturbs an uninstrumented run.
+// pinned guarantee that none of it perturbs an uninstrumented cluster or
+// single-board run.
 #include <array>
 #include <cstdint>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -77,6 +79,20 @@ TEST(TraceRecorderCapacity, ZeroCapacityRestoresUnboundedGrowth) {
   EXPECT_EQ(rec.dropped(), 0u);
 }
 
+TEST(TraceRecorder, ClearReleasesSpanCapacity) {
+  sim::TraceRecorder recorder;
+  recorder.enable();
+  for (int i = 0; i < 1000; ++i) {
+    recorder.add(i, i + 1, "lane", "label", sim::SpanKind::kMarker);
+  }
+  ASSERT_EQ(recorder.spans().size(), 1000u);
+  ASSERT_GT(recorder.spans().capacity(), 0u);
+  recorder.clear();
+  EXPECT_TRUE(recorder.spans().empty());
+  // The swap idiom must release the backing allocation, not just size().
+  EXPECT_EQ(recorder.spans().capacity(), 0u);
+}
+
 // --------------------------------------------- Prometheus label escaping
 
 TEST(PrometheusEscaping, HostileLabelValuesAreEscaped) {
@@ -106,6 +122,9 @@ TEST(TraceHub, GoldenChromeTraceWithFlowEvents) {
   rec.enable();
   rec.add(1000, 3000, "slot L1", "A PR", sim::SpanKind::kReconfig);
   rec.add(2000, 6000, "core", "pass", sim::SpanKind::kCoreOp);
+  rec.add(2500, 5000, "core", "pass \"hot\"\nb\\c", sim::SpanKind::kCoreOp);
+  // Past 10 s a timestamp needs more than six significant digits.
+  rec.add(16444000500, 16444003000, "slot L1", "late", sim::SpanKind::kExec);
   hub.attach_spans("b0", &rec);
 
   TraceChannel& b0 = hub.channel("b0");
@@ -138,6 +157,10 @@ TEST(TraceHub, GoldenChromeTraceWithFlowEvents) {
       "\"tid\":1,\"ts\":1,\"dur\":2},\n"
       "{\"name\":\"pass\",\"cat\":\"core\",\"ph\":\"X\",\"pid\":1,"
       "\"tid\":2,\"ts\":2,\"dur\":4},\n"
+      "{\"name\":\"pass \\\"hot\\\"\\nb\\\\c\",\"cat\":\"core\",\"ph\":\"X\","
+      "\"pid\":1,\"tid\":2,\"ts\":2.5,\"dur\":2.5},\n"
+      "{\"name\":\"late\",\"cat\":\"exec\",\"ph\":\"X\",\"pid\":1,"
+      "\"tid\":1,\"ts\":16444000.5,\"dur\":2.5},\n"
       "{\"name\":\"go\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":4294967297,"
       "\"pid\":1,\"tid\":3,\"ts\":2},\n"
       "{\"name\":\"hop\",\"cat\":\"flow\",\"ph\":\"t\",\"id\":4294967297,"
@@ -153,6 +176,12 @@ TEST(TraceHub, EmptyHubEmitsAnEmptyJsonArray) {
   std::ostringstream out;
   hub.write_chrome_trace(out);
   EXPECT_EQ(out.str(), "[\n]\n");
+}
+
+TEST(TraceHub, UnopenableTraceFileThrows) {
+  ClusterTraceHub hub;
+  EXPECT_THROW(hub.write_chrome_trace_file("/nonexistent-dir/trace.json"),
+               std::runtime_error);
 }
 
 TEST(TraceHub, SealedSpansSurviveRecorderDestruction) {
@@ -334,29 +363,6 @@ TEST(PhaseAccounting, PhasesSumExactlyToResponseAcrossScenarios) {
   }
 }
 
-TEST(PhaseAccounting, PhasesSumExactlyToResponseOnFaultedSingleBoard) {
-  fpga::BoardParams params;
-  auto suite = apps::make_suite(params);
-  workload::Sequence seq = stress_sequence(2025, 15);
-  metrics::RunOptions opts;
-  opts.phase_accounting = true;
-  opts.faults = faulty_scenario();
-  metrics::RunResult r = metrics::run_single_board(
-      metrics::SystemKind::kVersaBigLittle, suite, seq, opts);
-  expect_phases_sum_to_response(r.apps, "single-board faulted");
-  // The fault path was actually exercised.
-  EXPECT_GT(r.recovery.boards_crashed, 0);
-  // Recovery transit shows up in the account of at least one app.
-  bool recovery_charged = false;
-  for (const runtime::CompletedApp& c : r.apps) {
-    if (c.phase_ns[static_cast<std::size_t>(runtime::AppPhase::kRecovery)] >
-        0) {
-      recovery_charged = true;
-    }
-  }
-  EXPECT_TRUE(recovery_charged);
-}
-
 TEST(PhaseAccounting, ObservabilityDoesNotPerturbAFaultedClusterRun) {
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
@@ -508,6 +514,72 @@ TEST(PhaseAccounting, HistogramsRegisterOnlyWhenEnabledAndReconcile) {
               std::string::npos)
         << runtime::to_string(static_cast<runtime::AppPhase>(p));
   }
+}
+
+// ------------------------------------------------- single-board harness
+
+TEST(TraceHub, SingleBoardRunTracesThroughTheHubUnperturbed) {
+  fpga::BoardParams params;
+  auto suite = apps::make_suite(params);
+  workload::Sequence seq = stress_sequence(2025, 15);
+  const auto kind = metrics::SystemKind::kVersaBigLittle;
+  metrics::RunResult plain = metrics::run_single_board(kind, suite, seq);
+
+  ClusterTraceHub hub;
+  hub.enable_trace();
+  hub.enable_journal();
+  metrics::RunOptions options;
+  options.hub = &hub;
+  options.phase_accounting = true;
+  metrics::RunResult traced =
+      metrics::run_single_board(kind, suite, seq, options);
+
+  // Bit-identical: doubles compared with ==, not within a tolerance.
+  ASSERT_EQ(traced.completed, plain.completed);
+  EXPECT_EQ(traced.response_ms, plain.response_ms);
+  EXPECT_EQ(traced.makespan, plain.makespan);
+  for (std::size_t i = 0; i < plain.apps.size(); ++i) {
+    EXPECT_EQ(traced.apps[i].app_id, plain.apps[i].app_id) << i;
+    EXPECT_EQ(traced.apps[i].completed, plain.apps[i].completed) << i;
+  }
+  EXPECT_EQ(traced.counters.pr_requests, plain.counters.pr_requests);
+  EXPECT_EQ(traced.counters.pr_blocked, plain.counters.pr_blocked);
+  EXPECT_EQ(traced.counters.preemptions, plain.counters.preemptions);
+  EXPECT_EQ(traced.counters.items_executed, plain.counters.items_executed);
+  EXPECT_EQ(traced.counters.passes, plain.counters.passes);
+  EXPECT_EQ(traced.utilization.lut_used, plain.utilization.lut_used);
+  EXPECT_EQ(traced.utilization.lut_fabric, plain.utilization.lut_fabric);
+
+  // The hub was sealed before the runtime died: the export is one fpga0
+  // process with one reconfiguration span per PR and one execution span
+  // per batch item.
+  std::ostringstream trace_out;
+  hub.write_chrome_trace(trace_out);
+  const std::string trace = trace_out.str();
+  EXPECT_NE(trace.find("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+                       "\"args\":{\"name\":\"fpga0\"}}"),
+            std::string::npos);
+  EXPECT_EQ(trace.find("\"pid\":2"), std::string::npos);
+  auto count = [&trace](const std::string& needle) {
+    std::int64_t n = 0;
+    for (auto at = trace.find(needle); at != std::string::npos;
+         at = trace.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("\"cat\":\"reconfig\",\"ph\":\"X\""),
+            plain.counters.pr_requests);
+  EXPECT_EQ(count("\"cat\":\"exec\",\"ph\":\"X\""),
+            plain.counters.items_executed);
+
+  int completes = 0;
+  for (const JournalRecord& rec : hub.merged_journal()) {
+    EXPECT_EQ(rec.board, "fpga0");
+    if (rec.event == JournalEvent::kComplete) ++completes;
+  }
+  EXPECT_EQ(completes, plain.completed);
+  expect_phases_sum_to_response(traced.apps, "single-board traced");
 }
 
 }  // namespace
