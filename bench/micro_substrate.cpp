@@ -135,8 +135,8 @@ BENCHMARK(BM_SimulatorEventRate);
 struct MeteredLoop {
   sim::Simulator* sim;
   int remaining = 0;
-  obs::CounterHandle events;
-  obs::GaugeHandle depth;
+  obs::CounterHandle events{};
+  obs::GaugeHandle depth{};
   void tick() {
     events.add();
     depth.set(static_cast<double>(remaining));

@@ -92,6 +92,30 @@ fi
 (cd build && ./examples/offline_flow >/dev/null)
 test -s build/offline_flow_trace.json
 
+echo "== run-length scaling smoke (per-event cost independent of history) =="
+# Ten times the apps should cost about ten times the host time. Per-event
+# work that rescans every app a board has ever admitted grows the ratio
+# with run length (about 60 when the runtime and policies did that); the
+# bound is loose because the host may be shared. Best of 3 per size.
+best_ns() {
+  local best=0 t0 t1
+  for _ in 1 2 3; do
+    t0=$(date +%s%N)
+    ./examples/simulate --system versaslot-ol --congestion standard --seed 7 \
+      --apps "$1" >/dev/null
+    t1=$(date +%s%N)
+    if (( best == 0 || t1 - t0 < best )); then best=$((t1 - t0)); fi
+  done
+  echo "$best"
+}
+t200=$(cd build && best_ns 200)
+t2000=$(cd build && best_ns 2000)
+echo "simulate --apps 200: $((t200 / 1000000)) ms, --apps 2000: $((t2000 / 1000000)) ms"
+if (( t2000 > 25 * t200 )); then
+  echo "run-length scaling: t2000 / t200 exceeds 25" >&2
+  exit 1
+fi
+
 echo "== committed CSVs: regenerate and byte-compare =="
 # Every committed CSV at the repo root is a pure function of its bench's
 # seeds, whatever the --jobs worker count. Regenerate all nine in a temp

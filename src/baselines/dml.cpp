@@ -8,7 +8,7 @@ void DmlPolicy::on_pass(runtime::BoardRuntime& rt) {
   // optimal allocation is available *right now*, otherwise it is skipped
   // and later apps may backfill the remaining slots.
   std::vector<int> idle = rt.idle_slots(fpga::SlotKind::kLittle);
-  for (int id : live_apps(rt)) {
+  for (int id : rt.live_ids()) {
     if (idle.empty()) break;
     runtime::AppRun& app = rt.app(id);
     int cap = alloc_.get(rt, app);

@@ -9,7 +9,7 @@ void FcfsPolicy::on_pass(runtime::BoardRuntime& rt) {
   // later contribution of Nimblock/VersaSlot — this policy predates it.
   // Free slots go to the earliest-arrived waiting application.
   std::vector<int> idle = rt.idle_slots(fpga::SlotKind::kLittle);
-  for (int id : live_apps(rt)) {
+  for (int id : rt.live_ids()) {
     if (idle.empty()) break;
     runtime::AppRun& app = rt.app(id);
     if (app.units_placed() >= 1) continue;

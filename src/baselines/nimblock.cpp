@@ -25,7 +25,7 @@ sim::SimDuration NimblockPolicy::remaining_estimate(
 }
 
 void NimblockPolicy::on_pass(runtime::BoardRuntime& rt) {
-  std::vector<int> order = live_apps(rt);
+  const std::vector<int>& order = rt.live_ids();
   if (order.empty()) return;
 
   // Priority: shortest estimated remaining work first; FIFO tie-break is

@@ -31,14 +31,6 @@ bool has_pending_units(const runtime::AppRun& app) {
   return next_pending_unit(app) >= 0;
 }
 
-std::vector<int> live_apps(const runtime::BoardRuntime& rt) {
-  std::vector<int> out;
-  for (const runtime::AppRun& a : rt.apps()) {
-    if (a.spec != nullptr && !a.done()) out.push_back(a.id);
-  }
-  return out;
-}
-
 int take_slot(runtime::BoardRuntime& rt, int app_id, int unit,
               std::vector<int>& idle) {
   int slot = rt.choose_slot(app_id, unit, idle);

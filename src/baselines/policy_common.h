@@ -36,9 +36,6 @@ void grant_little_slots(runtime::BoardRuntime& rt,
                         const std::unordered_map<int, int>& caps,
                         bool one_per_app = false);
 
-/// Apps that are live on the board (admitted, not finished, not migrated).
-[[nodiscard]] std::vector<int> live_apps(const runtime::BoardRuntime& rt);
-
 /// Picks the best slot for (app, unit) out of `idle` — preferring one whose
 /// bitstream is already staged — and removes it from the list.
 int take_slot(runtime::BoardRuntime& rt, int app_id, int unit,

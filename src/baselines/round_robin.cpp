@@ -9,7 +9,7 @@ void RoundRobinPolicy::on_pass(runtime::BoardRuntime& rt) {
   // sequentially through one Little slot, but free slots are offered to
   // applications in cyclic order, so late arrivals are not starved by a
   // long head-of-line application.
-  std::vector<int> order = live_apps(rt);
+  std::vector<int> order = rt.live_ids();
   if (order.empty()) return;
   std::size_t start = cursor_ % order.size();
   std::rotate(order.begin(),

@@ -363,11 +363,8 @@ void Cluster::sample_and_act() {
     rt.reset_window();
     sample.prs += rt.counters().pr_requests - epoch.pr_snapshot;
     epoch.pr_snapshot = rt.counters().pr_requests;
-    for (const runtime::AppRun& a : rt.apps()) {
-      if (a.spec == nullptr || a.done()) continue;
-      ++sample.apps;
-      sample.batch += a.batch;
-    }
+    sample.apps += rt.active_apps();
+    for (int id : rt.live_ids()) sample.batch += rt.app(id).batch;
   }
   if (sample.prs == 0 && sample.apps > 0) {
     // No PR activity this window (slots are mid-batch): the sample carries

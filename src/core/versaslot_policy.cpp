@@ -29,12 +29,14 @@ void VersaSlotPolicy::on_app_submitted(runtime::BoardRuntime& rt,
   s.optimal_little = apps::optimal_little_slots(
       *app.spec, app.batch, rt.board().params(), std::max(total_little, 1));
   s.optimal_big = apps::optimal_big_slots(*app.spec, options_.bundle_size);
-  state_[app_id] = s;
+  auto index = static_cast<std::size_t>(app_id);
+  if (index >= state_.size()) state_.resize(index + 1);
+  state_[index] = s;
 }
 
 bool VersaSlotPolicy::can_bundle_cached(runtime::BoardRuntime& rt,
                                         int app_id) {
-  AppState& s = state_[app_id];
+  AppState& s = state(app_id);
   if (!s.bundle_checked) {
     s.bundle_checked = true;
     s.bundleable =
@@ -79,11 +81,9 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
   // bundles) reserved until it finishes (line 1 of Algorithm 1).
   int big_reserved = 0;
   int little_reserved = 0;
-  for (const runtime::AppRun& a : rt.apps()) {
-    if (a.spec == nullptr || a.done()) continue;
-    auto it = state_.find(a.id);
-    if (it == state_.end()) continue;
-    const AppState& s = it->second;
+  for (int id : rt.live_ids()) {
+    const runtime::AppRun& a = rt.app(id);
+    const AppState& s = state(id);
     if (s.binding == Binding::kBig) {
       big_reserved += std::min(s.alloc_big, a.units_unfinished());
     } else if (s.binding == Binding::kLittle) {
@@ -98,9 +98,10 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
   // Rebinding (lines 4-6): Little-bound apps that have not started return
   // to the waiting list when Big slots could take them.
   if (big_little && options_.enable_rebinding && big_avail > 0) {
-    for (const runtime::AppRun& a : rt.apps()) {
-      if (a.spec == nullptr || a.done() || a.started) continue;
-      AppState& s = state_[a.id];
+    for (int id : rt.live_ids()) {
+      const runtime::AppRun& a = rt.app(id);
+      if (a.started) continue;
+      AppState& s = state(id);
       if (s.binding == Binding::kLittle) {
         little_left += std::min(s.alloc_little, a.units_unfinished());
         s.binding = Binding::kWaiting;
@@ -111,9 +112,9 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
   }
 
   // Primary allocation (lines 7-13), waiting apps in arrival order.
-  for (const runtime::AppRun& a : rt.apps()) {
-    if (a.spec == nullptr || a.done()) continue;
-    AppState& s = state_[a.id];
+  for (int id : rt.live_ids()) {
+    const runtime::AppRun& a = rt.app(id);
+    AppState& s = state(id);
     if (s.binding != Binding::kWaiting) continue;
 
     // Binding: prioritise Big slots for bundleable apps (lines 8-10). On a
@@ -121,7 +122,7 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
     // their units fit (bitstreams are generated "adaptive to each slot").
     // Apps that already carry execution progress (live-migration arrivals)
     // are pinned to their per-task decomposition and cannot be re-bundled.
-    bool big_eligible = !a.started && can_bundle_cached(rt, a.id);
+    bool big_eligible = !a.started && can_bundle_cached(rt, id);
     if (!big_eligible && little_total == 0) {
       auto units = apps::make_big_units(*a.spec, a.batch, rt.board().params(),
                                         options_.synthesis,
@@ -140,11 +141,11 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
       if (s.bundleable) m_bundles_.add();
       // Online 3-in-1 bundling: re-unitise for Big-slot execution now that
       // the binding is decided (Algorithm 2 lines 4-7).
-      rt.set_units(a.id, apps::make_big_units(*a.spec, a.batch,
-                                              rt.board().params(),
-                                              options_.synthesis,
-                                              options_.bundle_size,
-                                              options_.forced_bundle_mode));
+      rt.set_units(id, apps::make_big_units(*a.spec, a.batch,
+                                            rt.board().params(),
+                                            options_.synthesis,
+                                            options_.bundle_size,
+                                            options_.forced_bundle_mode));
       continue;
     }
     // Binding with Little slots (lines 11-13).
@@ -160,10 +161,10 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
   // Redistribution of leftover Little slots (lines 14-18): runnable-queue
   // front first, up to each app's remaining-unit demand.
   if (options_.enable_redistribution && little_left > 0) {
-    for (const runtime::AppRun& a : rt.apps()) {
+    for (int id : rt.live_ids()) {
       if (little_left <= 0) break;
-      if (a.spec == nullptr || a.done()) continue;
-      AppState& s = state_[a.id];
+      const runtime::AppRun& a = rt.app(id);
+      AppState& s = state(id);
       if (s.binding != Binding::kLittle) continue;
       int delta = a.units_unfinished() - s.alloc_little;
       if (delta <= 0) continue;
@@ -192,20 +193,18 @@ void VersaSlotPolicy::schedule(runtime::BoardRuntime& rt) {
   bool placed = true;
   while (placed) {
     placed = false;
-    for (const runtime::AppRun& a : rt.apps()) {
-      if (a.spec == nullptr || a.done()) continue;
-      auto it = state_.find(a.id);
-      if (it == state_.end()) continue;
-      AppState& s = it->second;
+    for (int id : rt.live_ids()) {
+      const runtime::AppRun& a = rt.app(id);
+      AppState& s = state(id);
       int unit = next_pending_unit(a);
       if (unit < 0) continue;
       if (s.binding == Binding::kBig && !idle_big.empty() &&
           a.units_placed() < s.alloc_big) {
-        rt.request_pr(a.id, unit, take(a.id, unit, idle_big));
+        rt.request_pr(id, unit, take(id, unit, idle_big));
         placed = true;
       } else if (s.binding == Binding::kLittle && !idle_little.empty() &&
                  a.units_placed() < s.alloc_little) {
-        rt.request_pr(a.id, unit, take(a.id, unit, idle_little));
+        rt.request_pr(id, unit, take(id, unit, idle_little));
         placed = true;
         s.wait_since = rt.sim().now();
       }
@@ -213,12 +212,10 @@ void VersaSlotPolicy::schedule(runtime::BoardRuntime& rt) {
   }
 
   // Refresh starvation clocks for apps that hold slots or have no work.
-  for (const runtime::AppRun& a : rt.apps()) {
-    if (a.spec == nullptr || a.done()) continue;
-    auto it = state_.find(a.id);
-    if (it == state_.end()) continue;
+  for (int id : rt.live_ids()) {
+    const runtime::AppRun& a = rt.app(id);
     if (a.units_placed() > 0 || next_pending_unit(a) < 0) {
-      it->second.wait_since = rt.sim().now();
+      state(id).wait_since = rt.sim().now();
     }
   }
 }
@@ -230,11 +227,9 @@ void VersaSlotPolicy::preempt_little(runtime::BoardRuntime& rt) {
   // redistribution handed every Little slot to earlier apps.
   int starving = -1;
   sim::SimTime oldest = rt.sim().now();
-  for (const runtime::AppRun& a : rt.apps()) {
-    if (a.spec == nullptr || a.done()) continue;
-    auto it = state_.find(a.id);
-    if (it == state_.end()) continue;
-    const AppState& s = it->second;
+  for (int id : rt.live_ids()) {
+    const runtime::AppRun& a = rt.app(id);
+    const AppState& s = state(id);
     if (s.binding == Binding::kBig || a.units_placed() > 0) continue;
     if (next_pending_unit(a) < 0) continue;
     if (rt.sim().now() - s.wait_since < options_.starvation_threshold) {
@@ -242,7 +237,7 @@ void VersaSlotPolicy::preempt_little(runtime::BoardRuntime& rt) {
     }
     if (s.wait_since <= oldest) {
       oldest = s.wait_since;
-      starving = a.id;
+      starving = id;
     }
   }
   if (starving < 0) return;
@@ -250,19 +245,18 @@ void VersaSlotPolicy::preempt_little(runtime::BoardRuntime& rt) {
   // ... and take one slot from the Little-bound app holding the most.
   int victim = -1;
   int victim_held = 1;  // must hold more than one slot to be preempted
-  for (const runtime::AppRun& a : rt.apps()) {
-    if (a.spec == nullptr || a.done() || a.id == starving) continue;
-    auto it = state_.find(a.id);
-    if (it == state_.end() || it->second.binding != Binding::kLittle) continue;
-    if (rt.sim().now() - it->second.last_preempted <
-            options_.preempt_cooldown &&
-        it->second.last_preempted >= 0) {
+  for (int id : rt.live_ids()) {
+    if (id == starving) continue;
+    const AppState& s = state(id);
+    if (s.binding != Binding::kLittle) continue;
+    if (rt.sim().now() - s.last_preempted < options_.preempt_cooldown &&
+        s.last_preempted >= 0) {
       continue;
     }
-    int held = a.units_placed();
+    int held = rt.app(id).units_placed();
     if (held > victim_held) {
       victim_held = held;
-      victim = a.id;
+      victim = id;
     }
   }
   if (victim < 0) return;
@@ -273,10 +267,10 @@ void VersaSlotPolicy::preempt_little(runtime::BoardRuntime& rt) {
       int unit_index = static_cast<int>(&u - v.units.data());
       rt.preempt_unit(victim, unit_index);
       m_preemptions_.add();
-      AppState& vs_state = state_[victim];
+      AppState& vs_state = state(victim);
       vs_state.last_preempted = rt.sim().now();
       if (vs_state.alloc_little > 1) --vs_state.alloc_little;
-      AppState& st = state_[starving];
+      AppState& st = state(starving);
       st.binding = Binding::kLittle;  // waiting apps enter the Little pool
       st.alloc_little = std::max(st.alloc_little, 1);
       std::vector<int> idle = rt.idle_slots(fpga::SlotKind::kLittle);

@@ -18,7 +18,9 @@
 // paper's individual mechanisms off.
 #pragma once
 
-#include <unordered_map>
+#include <cassert>
+#include <optional>
+#include <vector>
 
 #include "apps/bundling.h"
 #include "apps/synthesis.h"
@@ -67,8 +69,9 @@ class VersaSlotPolicy : public runtime::SchedulerPolicy {
   /// Binding state, exposed for tests and the ablation benches.
   enum class Binding { kWaiting, kBig, kLittle };
   [[nodiscard]] Binding binding(int app_id) const {
-    auto it = state_.find(app_id);
-    return it != state_.end() ? it->second.binding : Binding::kWaiting;
+    auto index = static_cast<std::size_t>(app_id);
+    return app_id >= 0 && index < state_.size() ? state_[index].binding
+                                                : Binding::kWaiting;
   }
   [[nodiscard]] const VersaSlotOptions& options() const noexcept {
     return options_;
@@ -92,9 +95,17 @@ class VersaSlotPolicy : public runtime::SchedulerPolicy {
   void preempt_little(runtime::BoardRuntime& rt);
 
   [[nodiscard]] bool can_bundle_cached(runtime::BoardRuntime& rt, int app_id);
+  [[nodiscard]] AppState& state(int app_id) {
+    auto index = static_cast<std::size_t>(app_id);
+    assert(index < state_.size() && "app was never submitted to this policy");
+    return state_[index];
+  }
 
   VersaSlotOptions options_;
-  std::unordered_map<int, AppState> state_;
+  /// Per-app decision state, indexed by runtime app id. A policy serves one
+  /// runtime, whose ids run densely from 0, and on_app_submitted sizes the
+  /// vector on every admission — so every live id has an entry.
+  std::vector<AppState> state_;
 
   // Telemetry: Algorithm 1/2 decision outcomes (no-ops until bound).
   obs::CounterHandle m_big_bindings_;     ///< vs_policy_big_bindings_total

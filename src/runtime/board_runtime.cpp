@@ -174,6 +174,7 @@ int BoardRuntime::submit(const apps::AppSpec& spec, int spec_index, int batch,
   app.phase_since = app.arrival;
   apps_.push_back(std::move(app));
   int id = apps_.back().id;
+  live_.push_back(id);  // ids only grow, so the index stays ascending
   init_dirty(apps_.back());
   if (obs_ && obs_->journal_on()) {
     obs_->journal(sim().now(), obs::JournalEvent::kAdmit, board_.name(), id,
@@ -279,8 +280,8 @@ bool migratable_now(const AppRun& a) {
 
 std::int64_t BoardRuntime::migratable_state_bytes() const {
   std::int64_t bytes = 0;
-  for (const AppRun& a : apps_) {
-    if (a.spec == nullptr || a.done()) continue;
+  for (int id : live_) {
+    const AppRun& a = app(id);
     if (a.started && !per_task_units(a)) continue;
     bytes += migratable_app_bytes(a);
   }
@@ -288,14 +289,14 @@ std::int64_t BoardRuntime::migratable_state_bytes() const {
 }
 
 void BoardRuntime::begin_migration_stream() {
-  for (AppRun& a : apps_) a.precopy_streamed = false;
+  for (int id : live_) app(id).precopy_streamed = false;
 }
 
 std::int64_t BoardRuntime::take_migration_stream_bytes() {
   if (dirty_granularity_ <= 0) return 0;
   std::int64_t bytes = 0;
-  for (AppRun& a : apps_) {
-    if (a.spec == nullptr || a.done()) continue;
+  for (int id : live_) {
+    AppRun& a = app(id);
     // Running apps keep dirtying their image until they pause — or drain
     // here, in which case their dirt was never anybody's payload. Bundled
     // apps never migrate at all.
@@ -333,8 +334,9 @@ void BoardRuntime::checkpoint_pass() {
   std::int64_t pass_delta_bytes = 0;
   const bool delta_mode = ckpt_.delta_active() && dirty_granularity_ > 0;
   std::vector<int> snap;
-  for (AppRun& a : apps_) {
-    if (a.spec == nullptr || a.done() || !a.started) continue;
+  for (int id : live_) {
+    AppRun& a = app(id);
+    if (!a.started) continue;
     // Expand to per-task progress: a bundle's items_done means that many
     // items passed through every task in its range, so each covered task
     // inherits the bundle count. Pipeline item-readiness keeps items_done
@@ -508,12 +510,6 @@ bool BoardRuntime::item_ready(const AppRun& app, int unit_index) const {
   }
   const UnitRun& up = app.units[static_cast<std::size_t>(unit_index - 1)];
   return up.items_done > u.items_done;
-}
-
-int BoardRuntime::active_apps() const noexcept {
-  int n = 0;
-  for (const AppRun& a : apps_) n += (!a.done() && a.spec != nullptr);
-  return n;
 }
 
 void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
@@ -781,25 +777,38 @@ BoardRuntime::MigratedApp migrated_with_progress(const AppRun& a) {
 
 }  // namespace
 
+template <typename Extract>
+void BoardRuntime::extract_live_if(Extract extract) {
+  std::size_t kept = 0;
+  for (int id : live_) {
+    AppRun& a = app(id);
+    if (extract(a)) {
+      a.spec = nullptr;  // tombstone: extracted
+    } else {
+      live_[kept++] = id;  // kept <= the read position: order is preserved
+    }
+  }
+  live_.resize(kept);
+}
+
 std::vector<BoardRuntime::MigratedApp> BoardRuntime::extract_unstarted() {
   std::vector<MigratedApp> out;
-  for (AppRun& a : apps_) {
-    if (a.spec == nullptr || a.started || a.done()) continue;
+  extract_live_if([&](AppRun& a) {
+    if (a.started) return false;
     touch_phase(a);
     MigratedApp m = migrated_descriptor(a);
     m.phase_ns = a.phase_ns;
     m.extracted = sim().now();
     m.ckpt_flow = a.ckpt_flow;
     out.push_back(std::move(m));
-    a.spec = nullptr;  // tombstone: extracted
-  }
+    return true;
+  });
   return out;
 }
 
 std::vector<BoardRuntime::MigratedApp> BoardRuntime::extract_migratable() {
   std::vector<MigratedApp> out = extract_unstarted();
-  for (AppRun& a : apps_) {
-    if (a.spec == nullptr || a.done() || !a.started) continue;
+  extract_live_if([&](AppRun& a) {
     // Paused: nothing placed, nothing mid-flight, and still on the per-task
     // decomposition (one unit per task — bundled apps complete on the Big
     // slots they are bound to, per §III-C).
@@ -810,15 +819,15 @@ std::vector<BoardRuntime::MigratedApp> BoardRuntime::extract_migratable() {
                  u.state == UnitState::kFinished) &&
                 !u.item_in_flight;
     }
-    if (!paused) continue;
+    if (!paused) return false;
     touch_phase(a);
     MigratedApp m = migrated_with_progress(a);
     m.phase_ns = a.phase_ns;
     m.extracted = sim().now();
     m.ckpt_flow = a.ckpt_flow;
     out.push_back(std::move(m));
-    a.spec = nullptr;  // tombstone: extracted
-  }
+    return true;
+  });
   return out;
 }
 
@@ -841,8 +850,7 @@ BoardRuntime::CrashReport BoardRuntime::crash() {
   // through the same submit_with_progress packing, re-running at most one
   // checkpoint interval. Only apps with neither live progress nor a
   // snapshot are truly lost: killed descriptors restart from scratch.
-  for (AppRun& a : apps_) {
-    if (a.spec == nullptr || a.done()) continue;
+  extract_live_if([&](AppRun& a) {
     touch_phase(a);
     bool per_task =
         a.units.size() == static_cast<std::size_t>(a.spec->task_count());
@@ -870,8 +878,8 @@ BoardRuntime::CrashReport BoardRuntime::crash() {
     } else {
       report.killed.push_back(std::move(m));
     }
-    a.spec = nullptr;  // tombstone: extracted by the crash
-  }
+    return true;  // every app still live is extracted by the crash
+  });
   crashed_ = true;
   pass_queued_ = false;
   for (fpga::Slot& s : board_.slots()) s.scrub();
@@ -954,8 +962,8 @@ void BoardRuntime::run_pass() {
 }
 
 void BoardRuntime::try_launches() {
-  for (AppRun& a : apps_) {
-    if (a.spec == nullptr || a.done()) continue;
+  for (int id : live_) {
+    AppRun& a = app(id);
     for (UnitRun& u : a.units) {
       if (u.state != UnitState::kRunning || u.item_in_flight) continue;
       if (u.items_done >= a.batch) continue;
@@ -1085,6 +1093,9 @@ void BoardRuntime::check_app_complete(AppRun& a) {
     }
   }
   a.completed = sim().now();
+  auto live = std::lower_bound(live_.begin(), live_.end(), a.id);
+  assert(live != live_.end() && *live == a.id && "completing a non-live app");
+  live_.erase(live);
   ++counters_.apps_completed;
   m_apps_completed_.add();
   m_response_ms_.observe(sim::to_ms(a.completed - a.arrival));
@@ -1113,9 +1124,8 @@ void BoardRuntime::touch_utilization() {
   if (dt <= 0) return;
 
   fpga::ResourceVector used;
-  for (const AppRun& a : apps_) {
-    if (a.spec == nullptr || a.done()) continue;
-    for (const UnitRun& u : a.units) {
+  for (int id : live_) {
+    for (const UnitRun& u : app(id).units) {
       if (u.state == UnitState::kRunning) used += u.spec.impl_usage;
     }
   }

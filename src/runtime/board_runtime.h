@@ -279,8 +279,19 @@ class BoardRuntime {
   /// satisfied (unit 0 is always ready until the batch is exhausted).
   [[nodiscard]] bool item_ready(const AppRun& app, int unit_index) const;
 
-  /// Apps not yet complete.
-  [[nodiscard]] int active_apps() const noexcept;
+  /// Ids of the live apps — admitted, not completed, not extracted — in
+  /// ascending order, which is exactly the order of their apps() entries.
+  /// Policies and drivers walk this, never apps(), so a pass costs O(load)
+  /// rather than O(run history); apps() stays for lookup by id. Only
+  /// admission, completion and extraction change it — none of which a
+  /// policy pass triggers synchronously — so a pass may iterate it in place.
+  [[nodiscard]] const std::vector<int>& live_ids() const noexcept {
+    return live_;
+  }
+  /// Live apps: neither complete nor extracted.
+  [[nodiscard]] int active_apps() const noexcept {
+    return static_cast<int>(live_.size());
+  }
   [[nodiscard]] bool drained() const noexcept { return active_apps() == 0; }
 
   [[nodiscard]] const RuntimeCounters& counters() const noexcept {
@@ -472,6 +483,10 @@ class BoardRuntime {
   void finish_item(int app_id, int unit_index);
   void finish_unit(UnitRun& unit);
   void check_app_complete(AppRun& app);
+  /// Walks the live index in ascending order and tombstones every app
+  /// `extract` accepts, compacting the index in place around the rest.
+  template <typename Extract>
+  void extract_live_if(Extract extract);
   void touch_utilization();
   /// Recounts the per-state slot occupancy gauges; no-op until bound.
   void refresh_slot_gauges();
@@ -496,6 +511,7 @@ class BoardRuntime {
   SchedulerPolicy& policy_;
   bool dual_core_;
   std::vector<AppRun> apps_;
+  std::vector<int> live_;  ///< live app ids, ascending (see live_ids())
   RuntimeCounters counters_;
   UtilizationIntegral util_;
   std::vector<CompletedApp> completed_;

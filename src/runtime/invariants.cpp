@@ -1,5 +1,7 @@
 #include "runtime/invariants.h"
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <sstream>
 
@@ -141,6 +143,24 @@ InvariantReport audit(const BoardRuntime& rt) {
           done.name + "#" + std::to_string(done.app_id) +
               ": completed before arrival");
   }
+
+  // I9: the live index is strictly ascending and holds exactly the apps
+  // that are admitted, not completed and not extracted.
+  const std::vector<int>& live = rt.live_ids();
+  check(report,
+        std::adjacent_find(live.begin(), live.end(),
+                           std::greater_equal<>()) == live.end(),
+        "live index not strictly ascending");
+  std::vector<int> expected;
+  for (const AppRun& a : rt.apps()) {
+    if (a.spec != nullptr && !a.done()) expected.push_back(a.id);
+  }
+  check(report, live == expected,
+        "live index holds " + std::to_string(live.size()) +
+            " ids, app states say " + std::to_string(expected.size()) +
+            " apps are live");
+  check(report, rt.active_apps() == static_cast<int>(live.size()),
+        "active_apps disagrees with the live index");
 
   return report;
 }

@@ -82,9 +82,8 @@ void ResourceManager::dispatch(const ServeArrival& a) {
     int best = 0;
     for (runtime::BoardRuntime* rt : cluster_.active_runtimes()) {
       int score = 2 * rt->active_apps();
-      for (const runtime::AppRun& r : rt->apps()) {
-        if (r.spec != nullptr && !r.done() &&
-            r.spec_index == a.app.spec_index) {
+      for (int id : rt->live_ids()) {
+        if (rt->app(id).spec_index == a.app.spec_index) {
           score -= 1;
           break;
         }

@@ -244,7 +244,7 @@ TEST(PolicyCommon, LiveAppsSkipsDoneAndExtracted) {
   apps::AppSpec app = make_uniform_app("a", 1, sim::ms(1));
   rt.submit(app, 0, 1, 0);
   f.sim.run();
-  EXPECT_TRUE(live_apps(rt).empty());
+  EXPECT_TRUE(rt.live_ids().empty());
 }
 
 TEST(PolicyCommon, GrantRespectsCaps) {

@@ -175,7 +175,9 @@ void expect_same_run(const metrics::ClusterRunResult& a,
   EXPECT_EQ(a.recovery.mttr_total, b.recovery.mttr_total);
   EXPECT_EQ(a.recovery.mttr_count, b.recovery.mttr_count);
   EXPECT_EQ(a.availability, b.availability);
-  if (compare_events) EXPECT_EQ(a.events, b.events);
+  if (compare_events) {
+    EXPECT_EQ(a.events, b.events);
+  }
 }
 
 // ------------------------------------------------------------ ChaosCampaign

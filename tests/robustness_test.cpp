@@ -3,7 +3,10 @@
 // extension policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "apps/benchmarks.h"
 #include "baselines/dml.h"
@@ -18,6 +21,28 @@
 
 namespace vs {
 namespace {
+
+/// Submits each arrival of `seq` to `rt` at its arrival time.
+void schedule_sequence(sim::Simulator& sim, runtime::BoardRuntime& rt,
+                       const std::vector<apps::AppSpec>& suite,
+                       const workload::Sequence& seq) {
+  for (const auto& a : seq) {
+    sim.schedule_at(a.arrival, [&rt, &suite, a] {
+      rt.submit(suite[static_cast<std::size_t>(a.spec_index)], a.spec_index,
+                a.batch, a.arrival);
+    });
+  }
+}
+
+/// gtest-safe parameter name for a system ("VersaSlot-BL" -> VersaSlot_BL).
+std::string system_param_name(
+    const ::testing::TestParamInfo<metrics::SystemKind>& info) {
+  std::string n = metrics::system_name(info.param);
+  for (char& c : n) {
+    if (c == '-' || c == '.') c = '_';
+  }
+  return n;
+}
 
 // ----------------------------------------------------------- invariants
 
@@ -64,12 +89,7 @@ TEST_P(InvariantSweep, HoldAtCompletionForEverySystem) {
   fpga::Board board(sim, "b0", metrics::fabric_for(GetParam()), params);
   auto policy = metrics::make_policy(GetParam());
   runtime::BoardRuntime rt(board, *policy);
-  for (const auto& a : seq) {
-    sim.schedule_at(a.arrival, [&rt, &suite, a] {
-      rt.submit(suite[static_cast<std::size_t>(a.spec_index)], a.spec_index,
-                a.batch, a.arrival);
-    });
-  }
+  schedule_sequence(sim, rt, suite, seq);
   // Audit at periodic checkpoints and at the end.
   for (int i = 1; i <= 10; ++i) {
     sim.run(sim::seconds(3.0 * i));
@@ -91,13 +111,108 @@ INSTANTIATE_TEST_SUITE_P(
                       metrics::SystemKind::kVersaOnlyLittle,
                       metrics::SystemKind::kVersaBigLittle,
                       metrics::SystemKind::kDml),
-    [](const auto& info) {
-      std::string n = metrics::system_name(info.param);
-      for (char& c : n) {
-        if (c == '-' || c == '.') c = '_';
-      }
-      return n;
-    });
+    system_param_name);
+
+TEST(Invariants, LiveIndexTracksEveryExit) {
+  // The live index must drop an app at each of its four exits — completion
+  // (also inside submit, for an app that arrives finished), extraction of
+  // unstarted apps, extraction of paused apps, and a crash — and keep the
+  // survivors in ascending id order. audit() (I9) cross-checks the index
+  // against the app states after every step.
+  sim::Simulator sim;
+  fpga::Board board(sim, "b0", fpga::FabricConfig::only_little());
+  test::GreedyPolicy greedy;
+  bool place = true;
+  test::ScriptedPolicy policy([&](runtime::BoardRuntime& rt) {
+    if (place) greedy.on_pass(rt);
+  });
+  runtime::BoardRuntime rt(board, policy);
+  auto app = test::make_uniform_app("a", 2, sim::ms(1));
+  auto expect_live = [&rt](const std::vector<int>& ids) {
+    auto report = runtime::audit(rt);
+    EXPECT_TRUE(report.ok()) << report.to_string();
+    EXPECT_EQ(rt.live_ids(), ids);
+    EXPECT_EQ(rt.active_apps(), static_cast<int>(ids.size()));
+  };
+
+  // Normal completion.
+  int done = rt.submit(app, 0, 2, 0);
+  expect_live({done});
+  sim.run();
+  ASSERT_TRUE(rt.app(done).done());
+  expect_live({});
+
+  // An all-done progress vector completes inside submit_with_progress.
+  int arrived_done = rt.submit_with_progress(app, 0, 2, sim.now(), {2, 2});
+  ASSERT_TRUE(rt.app(arrived_done).done());
+  expect_live({});
+
+  // From here on nothing is placed by the policy.
+  place = false;
+  int unstarted_a = rt.submit(app, 0, 2, sim.now());
+  int paused = rt.submit_with_progress(app, 0, 2, sim.now(), {1, 0});
+  int placed = rt.submit(app, 0, 2, sim.now());
+  rt.request_pr(placed, 0, rt.idle_slots(fpga::SlotKind::kLittle).front());
+  int unstarted_b = rt.submit(app, 0, 2, sim.now());
+  expect_live({unstarted_a, paused, placed, unstarted_b});
+
+  EXPECT_EQ(rt.extract_unstarted().size(), 2u);
+  expect_live({paused, placed});
+
+  EXPECT_EQ(rt.extract_migratable().size(), 1u);  // the paused app
+  expect_live({placed});
+
+  int late = rt.submit(app, 0, 2, sim.now());
+  expect_live({placed, late});
+  auto report = rt.crash();
+  EXPECT_EQ(report.evacuable.size() + report.checkpointed.size() +
+                report.killed.size(),
+            2u);
+  expect_live({});
+}
+
+// Per-pass and per-event work walks the live index, so it must be bounded
+// by the board's load, not by how many apps the board has ever admitted: a
+// 2000-app Standard run keeps as few apps live as a short one.
+class RunLength : public ::testing::TestWithParam<metrics::SystemKind> {};
+
+TEST_P(RunLength, LiveIndexBoundedByLoadNotHistory) {
+  fpga::BoardParams params;
+  auto suite = apps::make_suite(params);
+  workload::WorkloadConfig config;
+  config.congestion = workload::Congestion::kStandard;
+  config.apps_per_sequence = 2000;
+  util::Rng rng(2025);
+  auto seq = workload::generate_sequence(config, rng);
+
+  sim::Simulator sim;
+  fpga::Board board(sim, "b0", metrics::fabric_for(GetParam()), params);
+  auto policy = metrics::make_policy(GetParam());
+  runtime::BoardRuntime rt(board, *policy);
+  schedule_sequence(sim, rt, suite, seq);
+  std::size_t peak_live = 0;
+  std::int64_t steps = 0;
+  while (sim.step()) {
+    peak_live = std::max(peak_live, rt.live_ids().size());
+    if (++steps % 10000 == 0) {
+      auto report = runtime::audit(rt);
+      ASSERT_TRUE(report.ok()) << "step " << steps << ": "
+                               << report.to_string();
+    }
+  }
+  auto report = runtime::audit(rt);
+  ASSERT_TRUE(report.ok()) << report.to_string();
+  EXPECT_EQ(rt.apps().size(), 2000u);
+  EXPECT_EQ(rt.completed().size(), 2000u);
+  EXPECT_LE(peak_live, 8u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SharingSystems, RunLength,
+    ::testing::Values(metrics::SystemKind::kVersaOnlyLittle,
+                      metrics::SystemKind::kVersaBigLittle,
+                      metrics::SystemKind::kNimblock),
+    system_param_name);
 
 TEST(Invariants, DetectInconsistentState) {
   // Manually corrupt a runtime into an inconsistent state and verify the

@@ -87,8 +87,8 @@ class GreedyPolicy final : public runtime::SchedulerPolicy {
   [[nodiscard]] bool dual_core() const override { return dual_; }
   void on_app_submitted(runtime::BoardRuntime&, int) override {}
   void on_pass(runtime::BoardRuntime& rt) override {
-    for (const runtime::AppRun& a : rt.apps()) {
-      if (a.spec == nullptr || a.done()) continue;
+    for (int id : rt.live_ids()) {
+      const runtime::AppRun& a = rt.app(id);
       for (const runtime::UnitRun& u : a.units) {
         if (u.state != runtime::UnitState::kPending) continue;
         auto idle = rt.idle_slots(u.spec.slot_kind);
