@@ -66,17 +66,24 @@ grep -q 'vs_migration_downtime_ms' build/ckpt_smoke.prom
 
 echo "== causal trace + journal smoke (flow events, phases, journal) =="
 # A faulted traced replay must emit cross-board flow events (crash ->
-# evacuation -> readmission arrows), the phase histograms, and a
-# structured journal with the crash recorded.
+# evacuation -> readmission arrows), the phase histograms, a structured
+# journal with the crash recorded, and the metrics series next to it (the
+# journal gets its own file so it cannot overwrite the series). The
+# series' first line carries every column, board availability included.
 (cd build && ./bench/ext_fault_resilience --apps 12 --seqs 1 \
   --metrics-out trace_smoke --trace-out trace_smoke.json \
-  --journal-out trace_smoke.jsonl >/dev/null)
+  --journal-out trace_smoke.journal.jsonl >/dev/null)
 grep -q '"ph":"s"' build/trace_smoke.json
 grep -q '"ph":"f"' build/trace_smoke.json
 grep -q 'vs_app_phase_ms' build/trace_smoke.prom
 grep -q '"phases": \[' build/trace_smoke.report.json
-grep -q '"event":"crash"' build/trace_smoke.jsonl
-grep -q '"event":"readmit"' build/trace_smoke.jsonl
+grep -q '"event":"crash"' build/trace_smoke.journal.jsonl
+grep -q '"event":"readmit"' build/trace_smoke.journal.jsonl
+IFS= read -r series_head < build/trace_smoke.jsonl
+if [[ "$series_head" != *vs_board_available* ]]; then
+  echo "trace_smoke.jsonl: first series line lacks vs_board_available" >&2
+  exit 1
+fi
 
 echo "== example trace smoke (hub writer, full-precision timestamps) =="
 # The examples write Chrome traces through the trace hub, like the benches.
@@ -91,6 +98,15 @@ if grep -qE '"ts":[-0-9.]*[eE]' build/simulate_smoke.json; then
 fi
 (cd build && ./examples/offline_flow >/dev/null)
 test -s build/offline_flow_trace.json
+
+echo "== write-failure smoke (a trace that cannot be written fails the run) =="
+# /dev/full opens but rejects every write; the exporter must report it
+# instead of exiting 0 with no file.
+if (cd build && ./examples/simulate --system versaslot-bl --congestion stress \
+    --apps 20 --trace /dev/full >/dev/null 2>&1); then
+  echo "simulate --trace /dev/full exited 0" >&2
+  exit 1
+fi
 
 echo "== run-length scaling smoke (per-event cost independent of history) =="
 # Ten times the apps should cost about ten times the host time. Per-event

@@ -1,12 +1,15 @@
 #include "obs/export.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <ostream>
 #include <set>
 #include <sstream>
 
+#include "obs/block_writer.h"
 #include "sim/time.h"
 
 namespace vs::obs {
@@ -108,23 +111,7 @@ void append_json_labels(std::string& out, const Labels& labels) {
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  append_json_escaped(out, s);
   return out;
 }
 
@@ -164,30 +151,53 @@ void write_prometheus(const MetricsRegistry& registry, std::ostream& out) {
 void write_timeseries_jsonl(const Sampler& sampler,
                             const MetricsRegistry& registry,
                             std::ostream& out) {
-  for (const auto& snap : sampler.snapshots()) {
-    std::string line = "{\"t_ms\":" + fmt_double(sim::to_ms(snap.time));
-    std::size_t col = 0;
-    // Gauges first, then counters — the order sample_now() recorded them.
-    // A snapshot taken before later registrations is narrower; only emit
-    // the columns it actually has.
-    for (const auto& row : registry.gauges()) {
-      if (col >= snap.gauge_count) break;
-      line += ",\"" +
-              json_escape(MetricsRegistry::full_name(row.name, row.labels)) +
-              "\":" + fmt_double(snap.values[col]);
-      ++col;
+  // Column keys, escaped once per export as `,"<full name>":`. Columns are
+  // gauges, then counters, in registration order — the order sample_now()
+  // records them. The registry only grows, so a snapshot's columns are a
+  // prefix of each list, and a later snapshot's prefix is never shorter.
+  auto keys_of = [](const auto& rows) {
+    std::vector<std::string> keys;
+    keys.reserve(rows.size());
+    for (const auto& row : rows) {
+      std::string key = ",\"";
+      append_json_escaped(key,
+                          MetricsRegistry::full_name(row.name, row.labels));
+      key += "\":";
+      keys.push_back(std::move(key));
     }
-    std::size_t counter_cols = snap.values.size() - snap.gauge_count;
-    std::size_t counter_idx = 0;
-    for (const auto& row : registry.counters()) {
-      if (counter_idx >= counter_cols) break;
-      line += ",\"" +
-              json_escape(MetricsRegistry::full_name(row.name, row.labels)) +
-              "\":" + fmt_double(snap.values[snap.gauge_count + counter_idx]);
-      ++counter_idx;
+    return keys;
+  };
+  const std::vector<std::string> gauge_keys = keys_of(registry.gauges());
+  const std::vector<std::string> counter_keys = keys_of(registry.counters());
+
+  BlockWriter w(out);
+  // Bit pattern of each column's last written value; a column past the end
+  // has not been sampled yet. Comparing bits keeps 0.0 vs -0.0 distinct.
+  std::vector<std::uint64_t> last_gauge;
+  std::vector<std::uint64_t> last_counter;
+  auto emit_changed = [&w](const std::vector<std::string>& keys,
+                           const double* values, std::size_t n,
+                           std::vector<std::uint64_t>& last) {
+    n = std::min(n, keys.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto bits = std::bit_cast<std::uint64_t>(values[i]);
+      if (i < last.size()) {
+        if (bits == last[i]) continue;
+        last[i] = bits;
+      } else {
+        last.push_back(bits);  // first sample of this column
+      }
+      w.raw(keys[i]).num(values[i]);
     }
-    line += "}";
-    out << line << '\n';
+  };
+  for (const Snapshot& snap : sampler.snapshots()) {
+    w.raw("{\"t_ms\":").num(sim::to_ms(snap.time));
+    emit_changed(gauge_keys, snap.values.data(), snap.gauge_count,
+                 last_gauge);
+    emit_changed(counter_keys, snap.values.data() + snap.gauge_count,
+                 snap.values.size() - snap.gauge_count, last_counter);
+    w.raw("}\n");
+    w.end_record();
   }
 }
 

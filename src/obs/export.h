@@ -3,11 +3,19 @@
 // Three machine formats plus one human one:
 //  - Prometheus text exposition (`# TYPE` headers, `name{labels} value`
 //    lines, histogram `_bucket`/`_sum`/`_count` series with a +Inf bucket),
-//  - JSONL time series (one flat JSON object per sampler snapshot keyed by
-//    instrument full name, with `t_ms` for the simulated timestamp),
+//  - JSONL time series, one flat JSON object per sampler snapshot keyed by
+//    instrument full name, with `t_ms` for the simulated timestamp. The
+//    first line carries every column; each later line carries `t_ms` plus
+//    only the columns whose value changed (by bit pattern) since the line
+//    before, and a column first appears on the line of its first sample.
+//    A reader rebuilds snapshot k by carrying values forward through lines
+//    0..k (docs/observability.md, "Reading the metrics series"),
 //  - a RunReport JSON document (config echo, final instrument values,
 //    histogram percentile summaries),
 //  - a dashboard-style ASCII summary (examples/telemetry_demo.cpp).
+//
+// The series and the trace hub's writers format into one BlockWriter
+// (obs/block_writer.h), so their cost follows what the run recorded.
 #pragma once
 
 #include <iosfwd>

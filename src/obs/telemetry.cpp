@@ -1,40 +1,26 @@
 #include "obs/telemetry.h"
 
 #include <cstdlib>
-#include <fstream>
-#include <stdexcept>
+#include <ostream>
 
+#include "obs/block_writer.h"
 #include "util/cli.h"
 
 namespace vs::obs {
-namespace {
-
-std::ofstream open_or_throw(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("cannot open metrics output file " + path);
-  }
-  return out;
-}
-
-}  // namespace
 
 Telemetry::Telemetry(sim::SimDuration sample_interval)
     : sampler_(registry_, sample_interval) {}
 
 void Telemetry::write_outputs(const std::string& prefix) const {
-  {
-    auto out = open_or_throw(prefix + ".prom");
-    write_prometheus(registry_, out);
-  }
-  {
-    auto out = open_or_throw(prefix + ".jsonl");
+  const char* what = "metrics output file";
+  write_file(prefix + ".prom", what,
+             [this](std::ostream& out) { write_prometheus(registry_, out); });
+  write_file(prefix + ".jsonl", what, [this](std::ostream& out) {
     write_timeseries_jsonl(sampler_, registry_, out);
-  }
-  {
-    auto out = open_or_throw(prefix + ".report.json");
+  });
+  write_file(prefix + ".report.json", what, [this](std::ostream& out) {
     write_run_report(registry_, info_, &sampler_, out);
-  }
+  });
 }
 
 namespace {

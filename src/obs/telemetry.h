@@ -4,7 +4,10 @@
 // RunInfo config echo, with a one-call exporter that writes the three
 // machine formats next to each other:
 //   <prefix>.prom         Prometheus text exposition (final values)
-//   <prefix>.jsonl        gauge/counter time series, one snapshot per line
+//   <prefix>.jsonl        gauge/counter time series, one line per snapshot:
+//                         the first line carries every column, each later
+//                         line `t_ms` plus the columns that changed since
+//                         the line before (carry values forward to read)
 //   <prefix>.report.json  RunReport (config echo + finals + percentiles)
 //
 // Experiments take a `Telemetry*` (null = telemetry off, the default): the
@@ -49,7 +52,8 @@ class Telemetry {
   void start_sampling(sim::Simulator& sim) { sampler_.start(sim); }
 
   /// Writes <prefix>.prom, <prefix>.jsonl and <prefix>.report.json.
-  /// Throws std::runtime_error if a file cannot be opened.
+  /// Throws std::runtime_error naming the path if a file cannot be opened
+  /// or written in full.
   void write_outputs(const std::string& prefix) const;
 
   [[nodiscard]] std::string dashboard(const std::string& title) const {

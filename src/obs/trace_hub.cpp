@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
-#include <fstream>
+#include <deque>
 #include <istream>
-#include <ostream>
-#include <stdexcept>
+#include <map>
 
-#include "obs/export.h"
+#include "obs/block_writer.h"
 
 namespace vs::obs {
 
@@ -24,15 +22,6 @@ const char* span_category(sim::SpanKind kind) {
     case sim::SpanKind::kMarker: return "marker";
   }
   return "other";
-}
-
-// Shortest round-trip decimal for microsecond timestamps; matches the
-// fmt_double convention in export.cpp rather than ostream's 6-digit default.
-std::string fmt_num(double v) {
-  char buf[32];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc{}) return "0";
-  return std::string(buf, ptr);
 }
 
 const char* flow_ph(FlowPhase phase) {
@@ -61,6 +50,22 @@ constexpr JournalName kJournalNames[] = {
     {JournalEvent::kShed, "shed"},
     {JournalEvent::kReadmit, "readmit"},
 };
+
+/// One kind of record from every channel, by pointer, in canonical merged
+/// order: time, then channel creation order, then append order.
+template <typename Rec>
+std::vector<const Rec*> merge_by_time(
+    const std::deque<TraceChannel>& channels,
+    const std::vector<Rec>& (TraceChannel::*records)() const noexcept) {
+  std::vector<const Rec*> out;
+  for (const TraceChannel& ch : channels) {
+    for (const Rec& r : (ch.*records)()) out.push_back(&r);
+  }
+  std::stable_sort(out.begin(), out.end(), [](const Rec* a, const Rec* b) {
+    return a->time < b->time;
+  });
+  return out;
+}
 
 }  // namespace
 
@@ -123,175 +128,206 @@ void ClusterTraceHub::seal() {
 
 std::vector<JournalRecord> ClusterTraceHub::merged_journal() const {
   std::vector<JournalRecord> out;
-  for (const TraceChannel& ch : channels_) {
-    out.insert(out.end(), ch.journal().begin(), ch.journal().end());
+  for (const JournalRecord* r :
+       merge_by_time(channels_, &TraceChannel::journal)) {
+    out.push_back(*r);
   }
-  // Stable: equal timestamps keep channel-creation then append order.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const JournalRecord& a, const JournalRecord& b) {
-                     return a.time < b.time;
-                   });
   return out;
 }
 
 std::vector<FlowPoint> ClusterTraceHub::merged_flows() const {
   std::vector<FlowPoint> out;
-  for (const TraceChannel& ch : channels_) {
-    out.insert(out.end(), ch.flows().begin(), ch.flows().end());
+  for (const FlowPoint* f : merge_by_time(channels_, &TraceChannel::flows)) {
+    out.push_back(*f);
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const FlowPoint& a, const FlowPoint& b) {
-                     return a.time < b.time;
-                   });
   return out;
 }
 
 void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
-  const std::vector<FlowPoint> flows = merged_flows();
-
-  // Processes: attached boards in attach order, then any board that only
-  // appears as a flow endpoint (e.g. the cluster coordinator).
-  std::vector<std::string> boards = board_order_;
-  std::map<std::string, int> pid;
-  for (const std::string& b : boards) {
-    pid.emplace(b, static_cast<int>(pid.size()) + 1);
-  }
-  for (const FlowPoint& f : flows) {
-    if (pid.emplace(f.board, static_cast<int>(pid.size()) + 1).second) {
-      boards.push_back(f.board);
-    }
-  }
-
-  // Threads: per board, lanes in first-appearance order — span lanes first
-  // (recorder attach order), then flow lanes.
-  std::map<std::string, std::map<std::string, int>> lane_tid;
-  std::map<std::string, std::vector<std::string>> lane_order;
-  auto intern_lane = [&](const std::string& board, const std::string& lane) {
-    auto& tids = lane_tid[board];
-    auto [it, fresh] = tids.emplace(lane, static_cast<int>(tids.size()) + 1);
-    if (fresh) lane_order[board].push_back(lane);
+  // Processes in pid order: attached boards in attach order, then any
+  // board that only appears as a flow endpoint (e.g. the cluster
+  // coordinator). Threads per process: lanes in first-appearance order —
+  // span lanes first (recorder attach order), then flow lanes.
+  struct Process {
+    const std::string* board;  ///< key in pid_of
+    std::map<std::string, int> tid;
+    std::vector<const std::string*> lanes;  ///< keys in tid, in tid order
+  };
+  std::deque<Process> procs;  // in pid order
+  std::map<std::string, int> pid_of;
+  auto pid_for = [&](const std::string& board) {
+    auto [it, fresh] =
+        pid_of.try_emplace(board, static_cast<int>(procs.size()) + 1);
+    if (fresh) procs.push_back(Process{&it->first, {}, {}});
+    return it->second;
+  };
+  auto tid_for = [&](int pid, const std::string& lane) {
+    Process& p = procs[static_cast<std::size_t>(pid - 1)];
+    auto [it, fresh] =
+        p.tid.try_emplace(lane, static_cast<int>(p.lanes.size()) + 1);
+    if (fresh) p.lanes.push_back(&it->first);
     return it->second;
   };
 
+  // Spans are placed by pointer: sealed spans where the hub keeps them,
+  // spans of recorders still attached from ring-unrolled copies.
   struct PlacedSpan {
-    const sim::Span* span;
+    sim::SimTime start;
     int pid;
     int tid;
+    const sim::Span* span;
   };
-  std::vector<sim::Span> storage;  // ring-unrolled copies stay alive
+  std::deque<std::vector<sim::Span>> live;
   std::vector<PlacedSpan> placed;
-  std::vector<std::pair<std::size_t, std::size_t>> board_ranges;
   for (const std::string& b : board_order_) {
-    std::size_t begin = storage.size();
+    const int pid = pid_for(b);
+    auto place = [&](const std::vector<sim::Span>& spans) {
+      for (const sim::Span& s : spans) {
+        placed.push_back(PlacedSpan{s.start, pid, tid_for(pid, s.lane), &s});
+      }
+    };
     if (auto sit = sealed_spans_.find(b); sit != sealed_spans_.end()) {
-      storage.insert(storage.end(), sit->second.begin(), sit->second.end());
+      place(sit->second);
     }
     for (const sim::TraceRecorder* rec : recorders_.at(b)) {
-      std::vector<sim::Span> spans = rec->ordered_spans();
-      storage.insert(storage.end(), spans.begin(), spans.end());
-    }
-    board_ranges.emplace_back(begin, storage.size());
-  }
-  for (std::size_t bi = 0; bi < board_order_.size(); ++bi) {
-    const std::string& b = board_order_[bi];
-    for (std::size_t i = board_ranges[bi].first; i < board_ranges[bi].second;
-         ++i) {
-      const sim::Span& s = storage[i];
-      placed.push_back(PlacedSpan{&s, pid[b], intern_lane(b, s.lane)});
+      place(live.emplace_back(rec->ordered_spans()));
     }
   }
-  for (const FlowPoint& f : flows) intern_lane(f.board, f.lane);
   std::stable_sort(placed.begin(), placed.end(),
                    [](const PlacedSpan& a, const PlacedSpan& b) {
-                     if (a.span->start != b.span->start) {
-                       return a.span->start < b.span->start;
-                     }
+                     if (a.start != b.start) return a.start < b.start;
                      return a.pid < b.pid;
                    });
 
-  out << "[";
+  // Flows take their pid and tid from this one interning pass.
+  struct PlacedFlow {
+    const FlowPoint* flow;
+    int pid;
+    int tid;
+  };
+  std::vector<PlacedFlow> flows;
+  for (const FlowPoint* f : merge_by_time(channels_, &TraceChannel::flows)) {
+    const int pid = pid_for(f->board);
+    flows.push_back(PlacedFlow{f, pid, tid_for(pid, f->lane)});
+  }
+
+  BlockWriter w(out);
+  w.raw("[");
   bool first = true;
   auto sep = [&] {
-    if (!first) out << ",";
+    w.end_record();
+    w.raw(first ? "\n" : ",\n");
     first = false;
-    out << "\n";
   };
 
-  for (const std::string& b : boards) {
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    const Process& p = procs[i];
+    const int pid = static_cast<int>(i) + 1;
     sep();
-    out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid[b]
-        << ",\"args\":{\"name\":\"" << json_escape(b) << "\"}}";
-    auto rit = recorders_.find(b);
-    if (rit != recorders_.end()) {
+    w.raw("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":")
+        .num(pid)
+        .raw(",\"args\":{\"name\":\"")
+        .escaped(*p.board)
+        .raw("\"}}");
+    if (auto rit = recorders_.find(*p.board); rit != recorders_.end()) {
       std::uint64_t dropped = 0;
-      if (auto dit = sealed_dropped_.find(b); dit != sealed_dropped_.end()) {
+      if (auto dit = sealed_dropped_.find(*p.board);
+          dit != sealed_dropped_.end()) {
         dropped += dit->second;
       }
       for (const sim::TraceRecorder* rec : rit->second) {
         dropped += rec->dropped();
       }
       sep();
-      out << "{\"name\":\"vs_dropped_spans\",\"ph\":\"M\",\"pid\":" << pid[b]
-          << ",\"args\":{\"dropped\":" << dropped << "}}";
+      w.raw("{\"name\":\"vs_dropped_spans\",\"ph\":\"M\",\"pid\":")
+          .num(pid)
+          .raw(",\"args\":{\"dropped\":")
+          .num(dropped)
+          .raw("}}");
     }
-    for (const std::string& lane : lane_order[b]) {
+    for (std::size_t t = 0; t < p.lanes.size(); ++t) {
       sep();
-      out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid[b]
-          << ",\"tid\":" << lane_tid[b][lane] << ",\"args\":{\"name\":\""
-          << json_escape(lane) << "\"}}";
+      w.raw("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":")
+          .num(pid)
+          .raw(",\"tid\":")
+          .num(t + 1)
+          .raw(",\"args\":{\"name\":\"")
+          .escaped(*p.lanes[t])
+          .raw("\"}}");
     }
   }
 
   for (const PlacedSpan& p : placed) {
     sep();
-    out << "{\"name\":\"" << json_escape(p.span->label) << "\",\"cat\":\""
-        << span_category(p.span->kind) << "\",\"ph\":\"X\",\"pid\":" << p.pid
-        << ",\"tid\":" << p.tid << ",\"ts\":"
-        << fmt_num(static_cast<double>(p.span->start) / 1e3) << ",\"dur\":"
-        << fmt_num(static_cast<double>(p.span->end - p.span->start) / 1e3)
-        << "}";
+    w.raw("{\"name\":\"")
+        .escaped(p.span->label)
+        .raw("\",\"cat\":\"")
+        .raw(span_category(p.span->kind))
+        .raw("\",\"ph\":\"X\",\"pid\":")
+        .num(p.pid)
+        .raw(",\"tid\":")
+        .num(p.tid)
+        .raw(",\"ts\":")
+        .num(static_cast<double>(p.start) / 1e3)
+        .raw(",\"dur\":")
+        .num(static_cast<double>(p.span->end - p.start) / 1e3)
+        .raw("}");
   }
 
-  for (const FlowPoint& f : flows) {
+  for (const PlacedFlow& p : flows) {
+    const FlowPoint& f = *p.flow;
     sep();
-    out << "{\"name\":\"" << json_escape(f.name)
-        << "\",\"cat\":\"flow\",\"ph\":\"" << flow_ph(f.phase)
-        << "\",\"id\":" << f.id << ",\"pid\":" << pid[f.board]
-        << ",\"tid\":" << lane_tid[f.board][f.lane] << ",\"ts\":"
-        << fmt_num(static_cast<double>(f.time) / 1e3);
-    if (f.phase == FlowPhase::kEnd) out << ",\"bp\":\"e\"";
-    out << "}";
+    w.raw("{\"name\":\"")
+        .escaped(f.name)
+        .raw("\",\"cat\":\"flow\",\"ph\":\"")
+        .raw(flow_ph(f.phase))
+        .raw("\",\"id\":")
+        .num(f.id)
+        .raw(",\"pid\":")
+        .num(p.pid)
+        .raw(",\"tid\":")
+        .num(p.tid)
+        .raw(",\"ts\":")
+        .num(static_cast<double>(f.time) / 1e3);
+    if (f.phase == FlowPhase::kEnd) w.raw(",\"bp\":\"e\"");
+    w.raw("}");
   }
 
-  out << "\n]\n";
+  w.raw("\n]\n");
 }
 
 void ClusterTraceHub::write_chrome_trace_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open trace file " + path);
-  write_chrome_trace(out);
+  write_file(path, "trace file",
+             [this](std::ostream& out) { write_chrome_trace(out); });
 }
 
 void ClusterTraceHub::write_journal(std::ostream& out) const {
-  for (const JournalRecord& r : merged_journal()) {
-    out << "{\"t_ns\":" << r.time
-        << ",\"t_ms\":" << fmt_num(sim::to_ms(r.time)) << ",\"event\":\""
-        << to_string(r.event) << "\",\"board\":\"" << json_escape(r.board)
-        << "\"";
-    if (r.app >= 0) out << ",\"app\":" << r.app;
-    if (!r.spec.empty()) out << ",\"spec\":\"" << json_escape(r.spec) << "\"";
-    if (r.flow != 0) out << ",\"flow\":" << r.flow;
-    if (!r.detail.empty()) {
-      out << ",\"detail\":\"" << json_escape(r.detail) << "\"";
+  BlockWriter w(out);
+  for (const JournalRecord* r :
+       merge_by_time(channels_, &TraceChannel::journal)) {
+    w.raw("{\"t_ns\":")
+        .num(r->time)
+        .raw(",\"t_ms\":")
+        .num(sim::to_ms(r->time))
+        .raw(",\"event\":\"")
+        .raw(to_string(r->event))
+        .raw("\",\"board\":\"")
+        .escaped(r->board)
+        .raw("\"");
+    if (r->app >= 0) w.raw(",\"app\":").num(r->app);
+    if (!r->spec.empty()) w.raw(",\"spec\":\"").escaped(r->spec).raw("\"");
+    if (r->flow != 0) w.raw(",\"flow\":").num(r->flow);
+    if (!r->detail.empty()) {
+      w.raw(",\"detail\":\"").escaped(r->detail).raw("\"");
     }
-    out << "}\n";
+    w.raw("}\n");
+    w.end_record();
   }
 }
 
 void ClusterTraceHub::write_journal_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open journal file " + path);
-  write_journal(out);
+  write_file(path, "journal file",
+             [this](std::ostream& out) { write_journal(out); });
 }
 
 namespace {

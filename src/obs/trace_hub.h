@@ -162,10 +162,14 @@ class ClusterTraceHub {
   /// ("process_name", per-lane "thread_name", "vs_dropped_spans" with each
   /// board's capacity-bound losses), and "s"/"t"/"f" flow events.
   void write_chrome_trace(std::ostream& out) const;
+  /// Throws std::runtime_error naming `path` if it cannot be opened or
+  /// written in full.
   void write_chrome_trace_file(const std::string& path) const;
 
   /// Run journal as JSONL, one record per line, in canonical merged order.
   void write_journal(std::ostream& out) const;
+  /// Throws std::runtime_error naming `path` if it cannot be opened or
+  /// written in full.
   void write_journal_file(const std::string& path) const;
 
   /// All channels' journal records in canonical merged order

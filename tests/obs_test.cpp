@@ -1,11 +1,16 @@
 // Telemetry subsystem tests: registry semantics, histogram math, exporter
 // round-trips, sampler determinism, and the pinned guarantee that enabling
 // telemetry does not perturb simulation results.
+#include <bit>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <map>
 #include <regex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -93,6 +98,70 @@ std::vector<std::pair<std::string, double>> parse_flat_json(
   }
   return out;
 }
+
+/// Reads a changed-values JSONL series the way docs/observability.md
+/// describes — carry every key forward, line by line — and expects the
+/// state after line k to hold exactly snapshot k's columns, keyed by full
+/// name, with every value and `t_ms` equal bit for bit.
+void expect_series_rebuilds_snapshots(const Sampler& sampler,
+                                      const MetricsRegistry& registry) {
+  std::vector<std::string> gauge_names;
+  for (const auto& row : registry.gauges()) {
+    gauge_names.push_back(MetricsRegistry::full_name(row.name, row.labels));
+  }
+  std::vector<std::string> counter_names;
+  for (const auto& row : registry.counters()) {
+    counter_names.push_back(MetricsRegistry::full_name(row.name, row.labels));
+  }
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  const std::vector<Snapshot>& snaps = sampler.snapshots();
+  std::istringstream in(timeseries_jsonl(sampler, registry));
+  std::map<std::string, double> state;
+  std::string line;
+  std::size_t k = 0;
+  for (; std::getline(in, line); ++k) {
+    ASSERT_LT(k, snaps.size()) << "more lines than snapshots";
+    for (auto& [key, value] : parse_flat_json(line)) state[key] = value;
+    const Snapshot& snap = snaps[k];
+    ASSERT_EQ(state.size(), 1 + snap.values.size()) << "line " << k;
+    EXPECT_EQ(bits(state["t_ms"]), bits(sim::to_ms(snap.time)))
+        << "line " << k;
+    for (std::size_t i = 0; i < snap.values.size(); ++i) {
+      const std::string& name = i < snap.gauge_count
+                                    ? gauge_names[i]
+                                    : counter_names[i - snap.gauge_count];
+      auto it = state.find(name);
+      ASSERT_NE(it, state.end()) << name << " missing at line " << k;
+      EXPECT_EQ(bits(it->second), bits(snap.values[i]))
+          << name << " at line " << k;
+    }
+  }
+  EXPECT_EQ(k, snaps.size());
+}
+
+/// A 25-app Stress sequence on the two-board cluster under crash, flap and
+/// SEU hazards plus a scripted crash of board 0 at 1 s.
+struct FaultedCluster {
+  std::vector<apps::AppSpec> suite = apps::make_suite(fpga::BoardParams{});
+  workload::Sequence seq;
+  cluster::ClusterOptions options;
+
+  FaultedCluster() {
+    workload::WorkloadConfig config;
+    config.congestion = workload::Congestion::kStress;
+    config.apps_per_sequence = 25;
+    util::Rng rng(2025);
+    seq = workload::generate_sequence(config, rng);
+    options.faults.seed = 77;
+    options.faults.hazards.board_crash_per_s = 0.05;
+    options.faults.hazards.link_flap_per_s = 0.05;
+    options.faults.hazards.slot_seu_per_s = 0.1;
+    options.faults.horizon = sim::seconds(60.0);
+    options.faults.timeline.push_back(
+        {sim::seconds(1.0), faults::FaultKind::kBoardCrash, 0, -1});
+  }
+};
 
 // ----------------------------------------------------------------- registry
 
@@ -241,28 +310,44 @@ TEST(JsonlExport, SnapshotsRoundTripIncludingNarrowEarlyRows) {
   Gauge& g = registry.gauge("vs_g", {{"board", "fpga0"}});
   g.set(1.5);
   sampler.sample_now(sim::ms(10));  // narrow: one gauge, no counters
-  registry.counter("vs_c_total").add(4);
+  Counter& c = registry.counter("vs_c_total");
+  c.add(4);
+  Gauge& h = registry.gauge("vs_h");
   g.set(2.5);
-  sampler.sample_now(sim::ms(20));  // wide: gauge + counter
+  sampler.sample_now(sim::ms(20));  // wide: two gauges + counter
+  sampler.sample_now(sim::ms(30));  // nothing changed
+  h.set(-0.0);
+  sampler.sample_now(sim::ms(40));  // 0.0 -> -0.0: equal, not the same bits
+  c.add(1);
+  sampler.sample_now(sim::ms(50.5));
 
-  std::string jsonl = timeseries_jsonl(sampler, registry);
-  std::istringstream in(jsonl);
-  std::string line;
-  std::vector<std::vector<std::pair<std::string, double>>> rows;
-  while (std::getline(in, line)) rows.push_back(parse_flat_json(line));
-  ASSERT_EQ(rows.size(), 2u);
+  expect_series_rebuilds_snapshots(sampler, registry);
 
-  ASSERT_EQ(rows[0].size(), 2u);  // t_ms + the one gauge
-  EXPECT_EQ(rows[0][0].first, "t_ms");
-  EXPECT_DOUBLE_EQ(rows[0][0].second, 10.0);
-  EXPECT_EQ(rows[0][1].first, "vs_g{board=\"fpga0\"}");
-  EXPECT_DOUBLE_EQ(rows[0][1].second, 1.5);
+  // The first line carries every column; later lines only what changed,
+  // with a new column on the line of its first sample.
+  EXPECT_EQ(timeseries_jsonl(sampler, registry),
+            "{\"t_ms\":10,\"vs_g{board=\\\"fpga0\\\"}\":1.5}\n"
+            "{\"t_ms\":20,\"vs_g{board=\\\"fpga0\\\"}\":2.5,\"vs_h\":0,"
+            "\"vs_c_total\":4}\n"
+            "{\"t_ms\":30}\n"
+            "{\"t_ms\":40,\"vs_h\":-0}\n"
+            "{\"t_ms\":50.5,\"vs_c_total\":5}\n");
+}
 
-  ASSERT_EQ(rows[1].size(), 3u);  // t_ms + gauge + counter
-  EXPECT_DOUBLE_EQ(rows[1][0].second, 20.0);
-  EXPECT_DOUBLE_EQ(rows[1][1].second, 2.5);
-  EXPECT_EQ(rows[1][2].first, "vs_c_total");
-  EXPECT_DOUBLE_EQ(rows[1][2].second, 4.0);
+TEST(JsonlExport, FaultedClusterSeriesRebuildsEverySnapshot) {
+  // Every row and column of a telemetry-on faulted cluster run rebuilds
+  // exactly from the changed-values lines, including the rows that widen
+  // when instruments register mid-run.
+  FaultedCluster run;
+  obs::Telemetry telemetry;
+  metrics::ClusterRunResult r = metrics::run_cluster(
+      run.suite, run.seq, run.options, sim::seconds(36000.0), &telemetry);
+  ASSERT_GT(r.recovery.boards_crashed, 0);
+  const std::vector<Snapshot>& snaps = telemetry.sampler().snapshots();
+  ASSERT_GT(snaps.size(), 10u);
+  ASSERT_LT(snaps.front().values.size(), snaps.back().values.size());
+
+  expect_series_rebuilds_snapshots(telemetry.sampler(), telemetry.registry());
 }
 
 TEST(RunReportExport, ContainsConfigEchoAndHistogramPercentiles) {
@@ -426,28 +511,13 @@ TEST(TelemetryDeterminism, ClusterResultsAreBitIdenticalWithMetricsOn) {
 TEST(TelemetryDeterminism, FaultyClusterResultsAreBitIdenticalWithMetricsOn) {
   // Same guarantee under an active fault plane: attaching telemetry to a
   // run with crashes, flaps and SEUs must not perturb a single event.
-  fpga::BoardParams params;
-  auto suite = apps::make_suite(params);
-  workload::WorkloadConfig config;
-  config.congestion = workload::Congestion::kStress;
-  config.apps_per_sequence = 25;
-  util::Rng rng(2025);
-  auto seq = workload::generate_sequence(config, rng);
-
-  cluster::ClusterOptions options;
-  options.faults.seed = 77;
-  options.faults.hazards.board_crash_per_s = 0.05;
-  options.faults.hazards.link_flap_per_s = 0.05;
-  options.faults.hazards.slot_seu_per_s = 0.1;
-  options.faults.horizon = sim::seconds(60.0);
-  options.faults.timeline.push_back(
-      {sim::seconds(1.0), faults::FaultKind::kBoardCrash, 0, -1});
-
-  metrics::ClusterRunResult plain = metrics::run_cluster(suite, seq, options);
+  FaultedCluster run;
+  metrics::ClusterRunResult plain =
+      metrics::run_cluster(run.suite, run.seq, run.options);
 
   obs::Telemetry telemetry;
   metrics::ClusterRunResult instrumented = metrics::run_cluster(
-      suite, seq, options, sim::seconds(36000.0), &telemetry);
+      run.suite, run.seq, run.options, sim::seconds(36000.0), &telemetry);
 
   ASSERT_GT(plain.recovery.boards_crashed, 0);
   ASSERT_EQ(instrumented.response_ms.size(), plain.response_ms.size());
@@ -518,6 +588,28 @@ TEST(Telemetry, WriteOutputsThrowsOnUnopenablePath) {
   Telemetry telemetry;
   EXPECT_THROW(telemetry.write_outputs("/nonexistent-dir/metrics"),
                std::runtime_error);
+}
+
+TEST(Telemetry, WriteOutputsThrowsWhenAWriteFails) {
+  namespace fs = std::filesystem;
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  // <prefix>.prom opens fine but every write to it fails (ENOSPC).
+  const fs::path dir = fs::path(testing::TempDir()) / "vs_metrics_dev_full";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  fs::create_symlink("/dev/full", dir / "m.prom");
+  Telemetry telemetry;
+  telemetry.registry().counter("vs_ops_total").add(1);
+  const std::string prefix = (dir / "m").string();
+  try {
+    telemetry.write_outputs(prefix);
+    ADD_FAILURE() << "write_outputs returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(prefix + ".prom"),
+              std::string::npos)
+        << e.what();
+  }
+  fs::remove_all(dir);
 }
 
 TEST(Telemetry, ResolveMetricsOutPrefersFlagThenEnv) {

@@ -6,6 +6,7 @@
 // single-board run.
 #include <array>
 #include <cstdint>
+#include <filesystem>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -184,6 +185,18 @@ TEST(TraceHub, UnopenableTraceFileThrows) {
                std::runtime_error);
 }
 
+TEST(TraceHub, TraceWriteToFullDeviceThrows) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  ClusterTraceHub hub;
+  try {
+    hub.write_chrome_trace_file("/dev/full");
+    ADD_FAILURE() << "write_chrome_trace_file returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(TraceHub, SealedSpansSurviveRecorderDestruction) {
   ClusterTraceHub hub;
   hub.enable_trace();
@@ -250,6 +263,51 @@ TEST(RunJournal, RoundTripsThroughJsonl) {
 
   EXPECT_EQ(records[2].event, JournalEvent::kComplete);
   EXPECT_EQ(records[2].detail, "");
+}
+
+TEST(RunJournal, GoldenJsonl) {
+  // Exact bytes: every optional field present and absent, hostile board
+  // and detail strings, app 0 (present) vs -1 (omitted), and a fractional
+  // t_ms past 10 s.
+  ClusterTraceHub hub;
+  hub.enable_journal();
+  TraceChannel& b0 = hub.channel("b0");
+  TraceChannel& cl = hub.channel("cluster");
+  b0.journal(1500000, JournalEvent::kAdmit, "b0", 3, "Digit");
+  cl.journal(2000000, JournalEvent::kCrash, "fpga \"hot\"\\0", -1, {}, 42,
+             "2 displaced\nwith\t\x01 \"quotes\" and \\slashes");
+  b0.journal(12345678901, JournalEvent::kComplete, "b0", 0, {}, 7,
+             "slot L2 unit 1");
+  cl.journal(12345678901, JournalEvent::kReadmit, "cluster");
+
+  std::ostringstream out;
+  hub.write_journal(out);
+  const std::string expected =
+      "{\"t_ns\":1500000,\"t_ms\":1.5,\"event\":\"admit\",\"board\":\"b0\","
+      "\"app\":3,\"spec\":\"Digit\"}\n"
+      "{\"t_ns\":2000000,\"t_ms\":2,\"event\":\"crash\","
+      "\"board\":\"fpga \\\"hot\\\"\\\\0\",\"flow\":42,"
+      "\"detail\":\"2 displaced\\nwith\\t\\u0001 \\\"quotes\\\" and "
+      "\\\\slashes\"}\n"
+      "{\"t_ns\":12345678901,\"t_ms\":12345.678901,\"event\":\"complete\","
+      "\"board\":\"b0\",\"app\":0,\"flow\":7,\"detail\":\"slot L2 unit 1\"}\n"
+      "{\"t_ns\":12345678901,\"t_ms\":12345.678901,\"event\":\"readmit\","
+      "\"board\":\"cluster\"}\n";
+  EXPECT_EQ(out.str(), expected);
+}
+
+TEST(RunJournal, WriteToFullDeviceThrows) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  ClusterTraceHub hub;
+  hub.enable_journal();
+  hub.channel("b0").journal(1000, JournalEvent::kAdmit, "b0", 1, "Digit");
+  try {
+    hub.write_journal_file("/dev/full");
+    ADD_FAILURE() << "write_journal_file returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(RunJournal, EventNamesRoundTrip) {
