@@ -7,6 +7,8 @@
 # code in the repo) and AddressSanitizer over the event-kernel and
 # telemetry tests (the slab queue and InlineEvent do placement-new lifetime
 # management by hand; the registry hands out long-lived cell pointers).
+# The e2ebench digest gate holds every benchmark workload's outputs to the
+# committed reference digests at both reference seeds.
 # Run from the repository root:
 #
 #   scripts/check.sh              # everything
@@ -153,6 +155,23 @@ for csv in fig5_response_time fig6_tail_latency fig7_utilization \
 done
 rm -rf "$csv_dir"
 
+echo "== e2ebench digest gate (reference digests at seeds 2025 and 7) =="
+# Performance work must leave every output byte-identical. The runner
+# builds its driver into .bench_build/, checks each run's digest against
+# e2ebench/reference_digests.json and prints "correct": true only when all
+# of them match (and conservation and phase sums hold).
+for w in paper_grid serve_fleet cluster_chaos long_steady; do
+  for seed in 2025 7; do
+    result="$(python3 e2ebench/run.py --workload "$w" --seed "$seed" \
+      --seconds 0.1 | tail -n 1)"
+    if [[ "$result" != *'"correct": true'* ]]; then
+      echo "e2ebench $w seed $seed: $result" >&2
+      exit 1
+    fi
+    echo "e2ebench $w seed $seed: correct"
+  done
+done
+
 echo "== multi-tenant serving smoke (vs_tenant_* metrics in exports) =="
 (cd build && ./bench/ext_multitenant --boards 8 --rate 1.0 --horizon 10 \
   --jobs 1 --metrics-out mt_smoke >/dev/null)
@@ -183,7 +202,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake -B build-asan -S . -DVS_SANITIZE=address
   cmake --build build-asan -j "$JOBS" --target versaslot_tests
   ./build-asan/tests/versaslot_tests \
-    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:Telemetry*:TraceRecorder.*:TraceRecorderCapacity.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*'
+    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:Telemetry*:TraceRecorder.*:TraceRecorderCapacity.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*'
 fi
 
 if [[ "${SKIP_COV:-0}" != "1" ]]; then

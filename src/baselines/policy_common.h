@@ -15,7 +15,6 @@ namespace vs::baselines {
 class LittleAllocCache {
  public:
   int get(runtime::BoardRuntime& rt, const runtime::AppRun& app);
-  void forget(int app_id) { cache_.erase(app_id); }
 
  private:
   std::unordered_map<int, int> cache_;

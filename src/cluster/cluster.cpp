@@ -4,6 +4,7 @@
 #include <cassert>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/trace_hub.h"
@@ -29,6 +30,13 @@ Cluster::Cluster(sim::Simulator& sim, const std::vector<apps::AppSpec>& suite,
       monitor_(options.dswitch_period),
       loop_(options.t1, options.t2, options.initial) {
   assert(options_.boards_per_config >= 1);
+  if (suite_.size() > static_cast<std::size_t>(runtime::LoadCell::kSpecBits)) {
+    // Affinity routing reads one load-cell bit per spec.
+    throw std::invalid_argument(
+        "cluster suites hold at most " +
+        std::to_string(runtime::LoadCell::kSpecBits) + " app specs, got " +
+        std::to_string(suite_.size()));
+  }
   options_.bl_policy.mode = core::VersaSlotOptions::Mode::kBigLittle;
   options_.ol_policy.mode = core::VersaSlotOptions::Mode::kOnlyLittle;
   if (options_.metrics != nullptr) {
@@ -190,26 +198,39 @@ bool Cluster::board_usable(const fpga::Board* board) const {
 }
 
 void Cluster::activate_pool(core::SwitchLoop::Config config) {
-  active_epochs_.clear();
+  std::vector<int> pool;
   for (fpga::Board* board : boards_for(config)) {
     if (!board_usable(board)) continue;  // down boards rejoin on reboot
-    active_epochs_.push_back(new_epoch(config, *board));
+    pool.push_back(new_epoch(config, *board));
+  }
+  set_active_pool(std::move(pool));
+}
+
+void Cluster::set_active_pool(std::vector<int> epochs) {
+  for (int index : active_epochs_) runtime_of(index).bind_load_cell(nullptr);
+  active_epochs_ = std::move(epochs);
+  // Bound only after the resize: growing the vector moves every cell.
+  pool_cells_.assign(active_epochs_.size(), runtime::LoadCell{});
+  for (std::size_t i = 0; i < active_epochs_.size(); ++i) {
+    runtime_of(active_epochs_[i]).bind_load_cell(&pool_cells_[i]);
   }
 }
 
-runtime::BoardRuntime* Cluster::least_loaded_or_null() {
-  runtime::BoardRuntime* best = nullptr;
-  int best_load = 0;
-  for (int index : active_epochs_) {
-    runtime::BoardRuntime& rt =
-        *epochs_[static_cast<std::size_t>(index)]->runtime;
-    int load = rt.active_apps();
-    if (best == nullptr || load < best_load) {
-      best = &rt;
-      best_load = load;
+runtime::BoardRuntime* Cluster::least_loaded_or_null(int warm_spec) {
+  // Butler's "find an available FPGA" as one pass over dense cells: the
+  // first minimum of 2*load - warm keeps the pool-order tie-break.
+  std::size_t best = pool_cells_.size();
+  int best_score = 0;
+  for (std::size_t i = 0; i < pool_cells_.size(); ++i) {
+    const runtime::LoadCell& cell = pool_cells_[i];
+    int score = 2 * cell.load - (cell.warm(warm_spec) ? 1 : 0);
+    if (best == pool_cells_.size() || score < best_score) {
+      best = i;
+      best_score = score;
     }
   }
-  return best;
+  if (best == pool_cells_.size()) return nullptr;
+  return &runtime_of(active_epochs_[best]);
 }
 
 void Cluster::submit_sequence(const workload::Sequence& sequence) {
@@ -218,8 +239,7 @@ void Cluster::submit_sequence(const workload::Sequence& sequence) {
   }
 }
 
-void Cluster::dispatch_arrival(const apps::AppArrival& a,
-                               runtime::BoardRuntime* preferred) {
+void Cluster::dispatch_arrival(const apps::AppArrival& a, int warm_spec) {
   ++submitted_;
   const RecoveryOptions::Throttle throttle = options_.recovery.throttle;
   if (throttle != RecoveryOptions::Throttle::kOff &&
@@ -246,8 +266,7 @@ void Cluster::dispatch_arrival(const apps::AppArrival& a,
     readmit_queue_.push_back(ReadmitEntry{std::move(m), nullptr});
     return;
   }
-  runtime::BoardRuntime* rt =
-      preferred != nullptr ? preferred : least_loaded_or_null();
+  runtime::BoardRuntime* rt = least_loaded_or_null(warm_spec);
   if (rt == nullptr) {
     // Every board is down (fault plane only — the fault-free cluster
     // always has an active pool). Under kShed the arrival is refused at
@@ -273,40 +292,21 @@ void Cluster::dispatch_arrival(const apps::AppArrival& a,
   on_queue_update();
 }
 
-std::vector<runtime::BoardRuntime*> Cluster::active_runtimes() {
-  std::vector<runtime::BoardRuntime*> out;
-  out.reserve(active_epochs_.size());
-  for (int index : active_epochs_) {
-    out.push_back(epochs_[static_cast<std::size_t>(index)]->runtime.get());
-  }
-  return out;
-}
-
 int Cluster::rebalance_active(int min_spread) {
   assert(min_spread >= 1);
-  if (active_epochs_.size() < 2) return 0;
-  runtime::BoardRuntime* busiest = nullptr;
-  int max_load = 0;
-  int min_load = 0;
-  for (int index : active_epochs_) {
-    runtime::BoardRuntime& rt =
-        *epochs_[static_cast<std::size_t>(index)]->runtime;
-    int load = rt.active_apps();
-    if (busiest == nullptr) {
-      busiest = &rt;
-      max_load = min_load = load;
-      continue;
-    }
-    if (load > max_load) {
-      busiest = &rt;
-      max_load = load;
-    }
+  if (pool_cells_.size() < 2) return 0;
+  std::size_t busiest = 0;
+  int min_load = pool_cells_[0].load;
+  for (std::size_t i = 1; i < pool_cells_.size(); ++i) {
+    int load = pool_cells_[i].load;
+    if (load > pool_cells_[busiest].load) busiest = i;
     min_load = std::min(min_load, load);
   }
-  if (max_load - min_load < min_spread) return 0;
+  if (pool_cells_[busiest].load - min_load < min_spread) return 0;
   // Only unstarted apps move — the same "ready list" a D_switch migration
   // ships — so no progress is at risk and the origin keeps its running work.
-  std::vector<MigratedApp> moved = busiest->extract_unstarted();
+  std::vector<MigratedApp> moved =
+      runtime_of(active_epochs_[busiest]).extract_unstarted();
   if (moved.empty()) return 0;
   const int moved_count = static_cast<int>(moved.size());
   std::int64_t bytes = 4096;  // rebalance-control message
@@ -719,13 +719,11 @@ void Cluster::on_health_event(const faults::HealthEvent& e) {
         std::move(report.killed.begin(), report.killed.end(),
                   std::back_inserter(killed));
       }
-      active_epochs_.erase(
-          std::remove_if(active_epochs_.begin(), active_epochs_.end(),
-                         [&](int index) {
-                           return epochs_[static_cast<std::size_t>(index)]
-                                      ->board == board;
-                         }),
-          active_epochs_.end());
+      std::vector<int> pool = active_epochs_;
+      std::erase_if(pool, [&](int index) {
+        return epochs_[static_cast<std::size_t>(index)]->board == board;
+      });
+      set_active_pool(std::move(pool));
       std::uint64_t flow = 0;
       if (obs_ != nullptr && obs_->trace_on()) {
         flow = obs_->new_flow_id();
@@ -792,12 +790,14 @@ void Cluster::on_health_event(const faults::HealthEvent& e) {
       board->reconfigure_fabric(board->fabric());
       core::SwitchLoop::Config config =
           plane_configs_.at(static_cast<std::size_t>(e.board));
-      if (config == loop_.config()) {
-        active_epochs_.push_back(new_epoch(config, *board));
-      } else if (active_epochs_.empty()) {
-        // The whole active pool is down: fail over to the rebooted board.
-        loop_ = core::SwitchLoop(options_.t1, options_.t2, config);
-        active_epochs_.push_back(new_epoch(config, *board));
+      if (config == loop_.config() || active_epochs_.empty()) {
+        if (config != loop_.config()) {
+          // The whole active pool is down: fail over to the rebooted board.
+          loop_ = core::SwitchLoop(options_.t1, options_.t2, config);
+        }
+        std::vector<int> pool = active_epochs_;
+        pool.push_back(new_epoch(config, *board));
+        set_active_pool(std::move(pool));
       }
       drain_readmit_queue();
       break;

@@ -4,15 +4,17 @@
 // configured (one board each by default, matching the paper's two-ZCU216
 // cluster; `boards_per_config` scales the pools). The pool matching the
 // current configuration is *active*: arrivals are dispatched to its least-
-// loaded board. The D_switch metric is recomputed over the active pool
-// every `dswitch_period` candidate-queue updates and fed into the
-// Schmitt-trigger switch loop. On a switch: every origin board stops
-// admitting, applications that have not started — plus started apps paused
-// between tasks, which carry their per-task progress and intermediate
-// buffers — are extracted and transferred over the Aurora link to the
-// spare pool (live migration), new arrivals flow to the new active pool,
-// and origin boards drain their ongoing applications to completion before
-// being freed (so one available FPGA suffices to switch the whole system).
+// loaded board, read from one load cell per pool position that each
+// board's runtime keeps current (runtime::LoadCell). The D_switch metric is
+// recomputed over the active pool every `dswitch_period` candidate-queue
+// updates and fed into the Schmitt-trigger switch loop. On a switch: every
+// origin board stops admitting, applications that have not started — plus
+// started apps paused between tasks, which carry their per-task progress
+// and intermediate buffers — are extracted and transferred over the Aurora
+// link to the spare pool (live migration), new arrivals flow to the new
+// active pool, and origin boards drain their ongoing applications to
+// completion before being freed (so one available FPGA suffices to switch
+// the whole system).
 #pragma once
 
 #include <cstdint>
@@ -187,21 +189,19 @@ class Cluster {
 
   // --- Serving-plane entry points (serve::ResourceManager) -------------
   /// Dispatches one arrival *now* (call inside an event at its arrival
-  /// time). `preferred` routes to that board (it must be an active
-  /// runtime); null falls back to the least-loaded active board. A fully
-  /// down cluster holds the arrival for re-admission at the next reboot,
-  /// and the recovery throttle (RecoveryOptions::throttle) may defer or
-  /// shed it while the readmission queue is non-empty.
-  void dispatch_arrival(const apps::AppArrival& a,
-                        runtime::BoardRuntime* preferred = nullptr);
-  /// The active pool's usable board runtimes, in fixed pool order (empty
-  /// only when every board is down under a fault plane).
-  [[nodiscard]] std::vector<runtime::BoardRuntime*> active_runtimes();
-  /// Depth of the readmission queue (non-zero while displaced apps or
-  /// held/deferred arrivals are waiting for a board).
-  [[nodiscard]] int readmit_pending() const noexcept {
-    return static_cast<int>(readmit_queue_.size());
-  }
+  /// time) to least_loaded_or_null(warm_spec). A fully down cluster holds
+  /// the arrival for re-admission at the next reboot, and the recovery
+  /// throttle (RecoveryOptions::throttle) may defer or shed it while the
+  /// readmission queue is non-empty.
+  void dispatch_arrival(const apps::AppArrival& a, int warm_spec = -1);
+  /// The least-loaded board of the active pool, first in pool order among
+  /// equals, or null when every board is down. With `warm_spec` >= 0 it
+  /// minimises 2*load minus one for a board already running that spec
+  /// (Butler-style affinity: its placement-specific bitstreams are warm).
+  /// Loads are integers, so the bonus only breaks ties at the minimum load.
+  /// One pass over the pool's load cells: no runtime is visited.
+  [[nodiscard]] runtime::BoardRuntime* least_loaded_or_null(
+      int warm_spec = -1);
   /// Cluster-level completion hook, invoked after the cluster's own
   /// bookkeeping (D_switch sampling) for each completed app.
   void set_on_app_complete(
@@ -230,9 +230,10 @@ class Cluster {
   [[nodiscard]] core::SwitchLoop::Config active_config() const noexcept {
     return loop_.config();
   }
-  /// First board of the active pool (pools of size 1 have exactly one).
-  [[nodiscard]] runtime::BoardRuntime& active_runtime() {
-    return *epochs_[static_cast<std::size_t>(active_epochs_.front())]->runtime;
+  /// The board at `pos` in the active pool (pools of size 1 have exactly
+  /// one).
+  [[nodiscard]] runtime::BoardRuntime& active_runtime(int pos = 0) {
+    return runtime_of(active_epochs_.at(static_cast<std::size_t>(pos)));
   }
   [[nodiscard]] int active_board_count() const noexcept {
     return static_cast<int>(active_epochs_.size());
@@ -274,7 +275,14 @@ class Cluster {
   };
 
   int new_epoch(core::SwitchLoop::Config config, fpga::Board& board);
+  [[nodiscard]] runtime::BoardRuntime& runtime_of(int epoch) {
+    return *epochs_[static_cast<std::size_t>(epoch)]->runtime;
+  }
   void activate_pool(core::SwitchLoop::Config config);
+  /// Replaces the active pool and rebinds the load cells: boards leaving
+  /// the pool stop writing, and each member writes the cell at its
+  /// position.
+  void set_active_pool(std::vector<int> epochs);
   void on_queue_update();
   void sample_and_act();
   void prewarm(core::SwitchLoop::Config config);
@@ -303,7 +311,6 @@ class Cluster {
   /// Flow/journal origin of a switch: the first origin board's name, or
   /// "cluster" when the active pool is empty.
   [[nodiscard]] std::string origin_name(const std::vector<int>& origins) const;
-  [[nodiscard]] runtime::BoardRuntime* least_loaded_or_null();
   [[nodiscard]] std::vector<fpga::Board*> boards_for(
       core::SwitchLoop::Config config);
   /// The pool for `config` is free when no undrained epoch uses its boards.
@@ -355,6 +362,8 @@ class Cluster {
   core::SwitchLoop loop_;
   std::vector<std::unique_ptr<Epoch>> epochs_;
   std::vector<int> active_epochs_;  ///< indices into epochs_
+  /// One load cell per active_epochs_ position (see set_active_pool).
+  std::vector<runtime::LoadCell> pool_cells_;
   std::vector<runtime::CompletedApp> completed_;
   std::vector<SwitchEvent> switch_events_;
   std::function<void(const runtime::CompletedApp&)> on_app_complete_;

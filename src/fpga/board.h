@@ -25,6 +25,7 @@ class Board {
         name_(std::move(name)),
         params_(params),
         fabric_(fabric),
+        fabric_capacity_(reconfigurable_capacity(fabric, params_)),
         slots_(make_slots(fabric, params_)),
         core0_(sim, name_ + ".PS0"),
         core1_(sim, name_ + ".PS1"),
@@ -39,6 +40,10 @@ class Board {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const BoardParams& params() const noexcept { return params_; }
   [[nodiscard]] const FabricConfig& fabric() const noexcept { return fabric_; }
+  /// Total reconfigurable capacity of the current fabric (every slot).
+  [[nodiscard]] const ResourceVector& fabric_capacity() const noexcept {
+    return fabric_capacity_;
+  }
 
   [[nodiscard]] std::vector<Slot>& slots() noexcept { return slots_; }
   [[nodiscard]] const std::vector<Slot>& slots() const noexcept {
@@ -58,10 +63,8 @@ class Board {
 
   [[nodiscard]] sim::Simulator& sim() noexcept { return sim_; }
 
-  [[nodiscard]] int count_slots(SlotKind kind) const {
-    int n = 0;
-    for (const Slot& s : slots_) n += (s.kind() == kind) ? 1 : 0;
-    return n;
+  [[nodiscard]] int count_slots(SlotKind kind) const noexcept {
+    return kind == SlotKind::kBig ? fabric_.big_slots : fabric_.little_slots;
   }
 
   /// Rebuilds the fabric with a new configuration. Real hardware needs a
@@ -70,6 +73,7 @@ class Board {
   /// for spare-pool management between workloads.
   void reconfigure_fabric(FabricConfig config) {
     fabric_ = config;
+    fabric_capacity_ = reconfigurable_capacity(config, params_);
     slots_ = make_slots(config, params_);
   }
 
@@ -78,6 +82,7 @@ class Board {
   std::string name_;
   BoardParams params_;
   FabricConfig fabric_;
+  ResourceVector fabric_capacity_;
   std::vector<Slot> slots_;
   sim::Core core0_;
   sim::Core core1_;

@@ -5,10 +5,9 @@
 namespace vs::fpga {
 
 void Pcap::request(sim::SimDuration load_duration, sim::Core& core,
-                   sim::EventFn on_done, std::string label,
-                   sim::EventFn on_blocked, std::int64_t bytes) {
-  Request req{load_duration, &core,     std::move(on_done),
-              std::move(label), sim_.now(), bytes};
+                   sim::EventFn on_done, sim::EventFn on_blocked,
+                   std::int64_t bytes) {
+  Request req{load_duration, &core, std::move(on_done), sim_.now(), bytes};
   if (busy_) {
     ++stats_.loads_queued_behind_another;
     queued_total_.add();
@@ -54,16 +53,13 @@ void Pcap::start(Request req) {
   load_ms_.observe(sim::to_ms(req.duration));
   sim::SimDuration duration = req.duration;
   sim::Core& core = *req.core;
-  // The "pcap:" prefix is functional — BoardRuntime::kick() detects a
-  // suspended scheduler core by it. The suffix is cosmetic and empty when
-  // tracing is off, so this concatenation stays within SSO.
-  std::string label = "pcap:" + req.label;
   current_ = std::move(req);
   // The load suspends the issuing core: it is a core operation of the full
   // load duration. Note: if the core is itself mid-operation, the load (and
   // thus the PCAP) effectively starts when the core frees up — matching the
-  // real flow where the CPU drives the PCAP transfer.
-  core.submit(duration, [this] { finish_load(); }, std::move(label));
+  // real flow where the CPU drives the PCAP transfer. The kPcap kind is
+  // how BoardRuntime::kick() detects a scheduler core suspended by a load.
+  core.submit(duration, [this] { finish_load(); }, sim::OpKind::kPcap);
 }
 
 void Pcap::finish_load() {

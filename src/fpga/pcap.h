@@ -57,8 +57,8 @@ class Pcap {
   /// accounting). `bytes` is the partial-bitstream size, accounted to the
   /// vs_pcap_bytes_loaded_total telemetry counter on successful completion.
   void request(sim::SimDuration load_duration, sim::Core& core,
-               sim::EventFn on_done, std::string label = {},
-               sim::EventFn on_blocked = nullptr, std::int64_t bytes = 0);
+               sim::EventFn on_done, sim::EventFn on_blocked = nullptr,
+               std::int64_t bytes = 0);
 
   [[nodiscard]] bool busy() const noexcept { return busy_; }
   [[nodiscard]] std::size_t backlog() const noexcept { return queue_.size(); }
@@ -74,7 +74,6 @@ class Pcap {
     sim::SimDuration duration = 0;
     sim::Core* core = nullptr;
     sim::EventFn on_done;
-    std::string label;
     sim::SimTime enqueued = 0;
     std::int64_t bytes = 0;
   };

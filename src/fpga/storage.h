@@ -8,10 +8,11 @@
 // storage in a new FPGA" pre-warming effect of §III-D.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_set>
+#include <vector>
 
 #include "fpga/params.h"
 #include "sim/simulator.h"
@@ -23,6 +24,29 @@ namespace vs::fpga {
 /// target slot, variant) into 64 bits — partial bitstreams are
 /// placement-specific.
 using BitstreamKey = std::uint64_t;
+
+/// A set of bitstream keys as one sorted vector. A board's DDR store holds
+/// a few hundred keys at most, so a binary search over contiguous memory
+/// beats hashing, and lookups never allocate.
+class BitstreamKeySet {
+ public:
+  [[nodiscard]] bool contains(BitstreamKey key) const {
+    auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+    return it != keys_.end() && *it == key;
+  }
+  /// Adds `key`; false when it was already present.
+  bool insert(BitstreamKey key) {
+    auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+    if (it != keys_.end() && *it == key) return false;
+    keys_.insert(it, key);
+    return true;
+  }
+  void clear() noexcept { keys_.clear(); }
+  [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
+
+ private:
+  std::vector<BitstreamKey> keys_;  ///< ascending, no duplicates
+};
 
 /// SD-card controller: a serial device with an in-memory (DDR) cache.
 /// Reads go through its own DMA queue — one transfer at a time — and do
@@ -58,8 +82,7 @@ class SdCard {
   /// fetch of `key` would take (0 when cached). Marks the key cached.
   [[nodiscard]] sim::SimDuration fetch_time(BitstreamKey key,
                                             std::int64_t bytes) {
-    if (cache_.contains(key)) return 0;
-    cache_.insert(key);
+    if (!cache_.insert(key)) return 0;
     ++misses_;
     return params_.sd_read_time(bytes);
   }
@@ -72,13 +95,11 @@ class SdCard {
   [[nodiscard]] sim::SimDuration fetch_time(BitstreamKey key,
                                             BitstreamKey content_key,
                                             std::int64_t bytes) {
-    if (cache_.contains(key)) return 0;
-    cache_.insert(key);
-    if (content_.contains(content_key)) {
+    if (!cache_.insert(key)) return 0;
+    if (!content_.insert(content_key)) {
       ++relocations_;
       return params_.reloc_time(bytes);
     }
-    content_.insert(content_key);
     ++misses_;
     return params_.sd_read_time(bytes);
   }
@@ -93,6 +114,10 @@ class SdCard {
 
   [[nodiscard]] bool cached(BitstreamKey key) const {
     return cache_.contains(key);
+  }
+  /// Placement-specific bitstreams resident in DDR.
+  [[nodiscard]] std::size_t cached_count() const noexcept {
+    return cache_.size();
   }
   [[nodiscard]] bool busy() const noexcept { return busy_; }
   [[nodiscard]] std::size_t backlog() const noexcept { return queue_.size(); }
@@ -130,8 +155,8 @@ class SdCard {
 
   sim::Simulator& sim_;
   const BoardParams& params_;
-  std::unordered_set<BitstreamKey> cache_;
-  std::unordered_set<BitstreamKey> content_;
+  BitstreamKeySet cache_;
+  BitstreamKeySet content_;
   std::deque<Pending> queue_;
   Pending current_;
   bool busy_ = false;

@@ -154,6 +154,7 @@ int BoardRuntime::submit(const apps::AppSpec& spec, int spec_index, int batch,
                          int tenant) {
   assert(admission_open_ && "board is draining; submit to the active board");
   assert(batch >= 1);
+  assert(spec_index >= 0);
   AppRun app;
   app.id = static_cast<int>(apps_.size());
   app.spec = &spec;
@@ -175,6 +176,8 @@ int BoardRuntime::submit(const apps::AppSpec& spec, int spec_index, int batch,
   apps_.push_back(std::move(app));
   int id = apps_.back().id;
   live_.push_back(id);  // ids only grow, so the index stays ascending
+  count_live(spec_index, +1);
+  publish_load();
   init_dirty(apps_.back());
   if (obs_ && obs_->journal_on()) {
     obs_->journal(sim().now(), obs::JournalEvent::kAdmit, board_.name(), id,
@@ -454,7 +457,7 @@ void BoardRuntime::checkpoint_pass() {
     cost += board_.params().ckpt_delta_time(pass_delta_bytes);
   }
   if (cost > 0) {
-    board_.scheduler_core().submit(cost, [] {}, "ckpt");
+    board_.scheduler_core().submit(cost, [] {}, sim::OpKind::kCkpt);
   }
 }
 
@@ -524,8 +527,8 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
 
   touch_utilization();
   fpga::BitstreamKey key = unit_bitstream_key(a.spec_index, u.spec, slot_id);
-  slot.begin_reconfig(app_id, key);
-  u.state = UnitState::kReconfiguring;
+  begin_slot_reconfig(slot, app_id, key);
+  set_unit_state(u, UnitState::kReconfiguring);
   u.slot = slot_id;
   u.pr_was_blocked = false;
   a.started = true;
@@ -555,13 +558,6 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
       board_.sdcard().fetch_time(key, content_key, u.spec.bitstream_bytes) +
       p.pcap_load_time(u.spec.bitstream_bytes);
   sim::Core& core = dual_core_ ? board_.pr_core() : board_.scheduler_core();
-  // Span labels are built only when tracing is on: benchmark runs must not
-  // pay for string formatting (or its allocations) per PR.
-  std::string label;
-  if (trace_.enabled()) {
-    label = a.spec->name + "#" + std::to_string(app_id) + ".u" +
-            std::to_string(unit_index);
-  }
   sim::SimTime requested = sim().now();
 
   board_.pcap().request(
@@ -576,15 +572,15 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
           // An SEU hit the region mid-load: the configured logic is dead on
           // arrival. Release the slot and retry the unit from Pending.
           u2.seu_poisoned = false;
-          board_.slot(u2.slot).release();
-          u2.state = UnitState::kPending;
+          release_slot(board_.slot(u2.slot));
+          set_unit_state(u2, UnitState::kPending);
           u2.slot = -1;
           touch_phase(a2);
           refresh_slot_gauges();
           board_.ocm().post([this] { kick(); });
           return;
         }
-        u2.state = UnitState::kRunning;
+        set_unit_state(u2, UnitState::kRunning);
         touch_phase(a2);
         refresh_slot_gauges();
         if (trace_.enabled()) {
@@ -596,7 +592,6 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
         // The PR server notifies the scheduler through the OCM mailbox.
         board_.ocm().post([this] { kick(); });
       },
-      std::move(label),
       [this, app_id, unit_index]() {
         UnitRun& blocked_unit =
             app(app_id).units[static_cast<std::size_t>(unit_index)];
@@ -623,7 +618,7 @@ void BoardRuntime::request_full_reconfig(int app_id) {
   ++counters_.pr_requests;
   m_pr_requests_.add();
   for (UnitRun& u : a.units) {
-    u.state = UnitState::kReconfiguring;
+    set_unit_state(u, UnitState::kReconfiguring);
     u.slot = -2;
   }
   touch_phase(a);
@@ -641,7 +636,7 @@ void BoardRuntime::request_full_reconfig(int app_id) {
       [this, app_id, requested]() {
         AppRun& a2 = app(app_id);
         touch_utilization();
-        for (UnitRun& u : a2.units) u.state = UnitState::kRunning;
+        for (UnitRun& u : a2.units) set_unit_state(u, UnitState::kRunning);
         touch_phase(a2);
         if (trace_.enabled()) {
           trace_.add(requested, sim().now(), "fabric",
@@ -650,9 +645,6 @@ void BoardRuntime::request_full_reconfig(int app_id) {
         }
         kick();
       },
-      trace_.enabled()
-          ? a.spec->name + "#" + std::to_string(app_id) + ".full"
-          : std::string{},
       nullptr, p.full_bitstream_bytes);
 }
 
@@ -663,8 +655,8 @@ void BoardRuntime::preempt_unit(int app_id, int unit_index) {
          "preemption only at item boundaries");
   assert(u.slot >= 0);
   touch_utilization();
-  board_.slot(u.slot).release();
-  u.state = UnitState::kPending;
+  release_slot(board_.slot(u.slot));
+  set_unit_state(u, UnitState::kPending);
   u.slot = -1;
   touch_phase(a);
   ++counters_.preemptions;
@@ -689,7 +681,7 @@ void BoardRuntime::apply_progress(AppRun& a,
     upstream = done;
     UnitRun& u = a.units[i];
     u.items_done = done;
-    if (done >= a.batch) u.state = UnitState::kFinished;
+    if (done >= a.batch) set_unit_state(u, UnitState::kFinished);
   }
   // Mark started so policies neither re-unitise nor rebind the app: its
   // per-task progress pins the Little decomposition.
@@ -783,12 +775,18 @@ void BoardRuntime::extract_live_if(Extract extract) {
   for (int id : live_) {
     AppRun& a = app(id);
     if (extract(a)) {
+      // A crash extracts apps mid-run: their running units stop counting.
+      for (const UnitRun& u : a.units) {
+        if (u.state == UnitState::kRunning) used_ -= u.spec.impl_usage;
+      }
+      count_live(a.spec_index, -1);
       a.spec = nullptr;  // tombstone: extracted
     } else {
       live_[kept++] = id;  // kept <= the read position: order is preserved
     }
   }
   live_.resize(kept);
+  publish_load();
 }
 
 std::vector<BoardRuntime::MigratedApp> BoardRuntime::extract_unstarted() {
@@ -883,6 +881,7 @@ BoardRuntime::CrashReport BoardRuntime::crash() {
   crashed_ = true;
   pass_queued_ = false;
   for (fpga::Slot& s : board_.slots()) s.scrub();
+  occupied_ = {};
   // Cores drop their queues and in-flight ops (this also cancels the core
   // op that would have completed the PCAP's in-flight load), then the PCAP
   // clears its FIFO. Stale simulator events (DMA completions, item
@@ -926,8 +925,8 @@ void BoardRuntime::inject_slot_seu(int slot_id) {
   assert(unit->state == UnitState::kRunning);
   // Configured and between items: evict on the spot.
   touch_utilization();
-  slot.release();
-  unit->state = UnitState::kPending;
+  release_slot(slot);
+  set_unit_state(*unit, UnitState::kPending);
   unit->slot = -1;
   touch_phase(a);
   refresh_slot_gauges();
@@ -942,14 +941,14 @@ void BoardRuntime::kick() {
   // Single-core designs: if the scheduler core is currently suspended by a
   // PCAP load, this pass (and the launches it would perform) is blocked —
   // the paper's task-execution-blocking problem.
-  if (!dual_core_ && core.busy() &&
-      core.current_label().rfind("pcap:", 0) == 0) {
+  if (!dual_core_ && core.busy() && core.current_kind() == sim::OpKind::kPcap) {
     ++counters_.launch_blocked;
     ++window_blocked_;
     m_launch_blocked_.add();
   }
   core.submit(
-      board_.params().sched_pass_cost, [this] { run_pass(); }, "pass");
+      board_.params().sched_pass_cost, [this] { run_pass(); },
+      sim::OpKind::kPass);
 }
 
 void BoardRuntime::run_pass() {
@@ -1034,7 +1033,7 @@ void BoardRuntime::launch_item(AppRun& app_ref, UnitRun& unit_ref) {
           });
         });
       },
-      "launch");
+      sim::OpKind::kLaunch);
 }
 
 void BoardRuntime::finish_item(int app_id, int unit_index) {
@@ -1049,8 +1048,8 @@ void BoardRuntime::finish_item(int app_id, int unit_index) {
     // and is discarded (not counted), the instance is evicted, and the
     // unit retries from Pending with its earlier items intact in DDR.
     u.seu_poisoned = false;
-    if (u.slot >= 0) board_.slot(u.slot).release();
-    u.state = UnitState::kPending;
+    if (u.slot >= 0) release_slot(board_.slot(u.slot));
+    set_unit_state(u, UnitState::kPending);
     u.slot = -1;
     touch_phase(a);
     refresh_slot_gauges();
@@ -1070,10 +1069,8 @@ void BoardRuntime::finish_item(int app_id, int unit_index) {
 
 void BoardRuntime::finish_unit(UnitRun& unit) {
   touch_utilization();
-  unit.state = UnitState::kFinished;
-  if (unit.slot >= 0) {
-    board_.slot(unit.slot).release();
-  }
+  set_unit_state(unit, UnitState::kFinished);
+  if (unit.slot >= 0) release_slot(board_.slot(unit.slot));
   unit.slot = -1;
 }
 
@@ -1096,6 +1093,8 @@ void BoardRuntime::check_app_complete(AppRun& a) {
   auto live = std::lower_bound(live_.begin(), live_.end(), a.id);
   assert(live != live_.end() && *live == a.id && "completing a non-live app");
   live_.erase(live);
+  count_live(a.spec_index, -1);
+  publish_load();
   ++counters_.apps_completed;
   m_apps_completed_.add();
   m_response_ms_.observe(sim::to_ms(a.completed - a.arrival));
@@ -1117,31 +1116,58 @@ void BoardRuntime::check_app_complete(AppRun& a) {
   if (on_app_complete_) on_app_complete_(c);
 }
 
+void BoardRuntime::bind_load_cell(LoadCell* cell) noexcept {
+  load_cell_ = cell;
+  if (cell == nullptr) return;
+  cell->load = active_apps();
+  cell->specs = 0;
+  const std::size_t bits = std::min(live_per_spec_.size(),
+                                    std::size_t{LoadCell::kSpecBits});
+  for (std::size_t s = 0; s < bits; ++s) {
+    if (live_per_spec_[s] > 0) cell->specs |= std::uint64_t{1} << s;
+  }
+}
+
+void BoardRuntime::count_live(int spec_index, int delta) {
+  auto s = static_cast<std::size_t>(spec_index);
+  if (s >= live_per_spec_.size()) live_per_spec_.resize(s + 1, 0);
+  const bool live = (live_per_spec_[s] += delta) > 0;
+  if (load_cell_ != nullptr && spec_index < LoadCell::kSpecBits) {
+    const std::uint64_t bit = std::uint64_t{1} << s;
+    load_cell_->specs = live ? load_cell_->specs | bit
+                             : load_cell_->specs & ~bit;
+  }
+}
+
+void BoardRuntime::set_unit_state(UnitRun& u, UnitState state) noexcept {
+  if (u.state == UnitState::kRunning) used_ -= u.spec.impl_usage;
+  if (state == UnitState::kRunning) used_ += u.spec.impl_usage;
+  u.state = state;
+}
+
+void BoardRuntime::begin_slot_reconfig(fpga::Slot& slot, int app_id,
+                                       fpga::ConfiguredKey key) {
+  if (slot.state() == fpga::SlotState::kIdle) occupied_ += slot.capacity();
+  slot.begin_reconfig(app_id, key);
+}
+
+void BoardRuntime::release_slot(fpga::Slot& slot) {
+  if (slot.state() != fpga::SlotState::kIdle) occupied_ -= slot.capacity();
+  slot.release();
+}
+
 void BoardRuntime::touch_utilization() {
   sim::SimTime now = sim().now();
   auto dt = static_cast<double>(now - last_util_touch_);
   last_util_touch_ = now;
   if (dt <= 0) return;
 
-  fpga::ResourceVector used;
-  for (int id : live_) {
-    for (const UnitRun& u : app(id).units) {
-      if (u.state == UnitState::kRunning) used += u.spec.impl_usage;
-    }
-  }
-  fpga::ResourceVector occupied;
-  if (full_fabric_app_ >= 0) {
-    occupied = reconfigurable_capacity(board_.fabric(), board_.params());
-  } else {
-    for (const fpga::Slot& s : board_.slots()) {
-      if (s.state() != fpga::SlotState::kIdle) occupied += s.capacity();
-    }
-  }
-  fpga::ResourceVector fabric =
-      reconfigurable_capacity(board_.fabric(), board_.params());
-
-  util_.lut_used += dt * static_cast<double>(used.luts);
-  util_.ff_used += dt * static_cast<double>(used.ffs);
+  // The sums are integers kept exact at every transition, so integrating
+  // them gives the same doubles as recounting units and slots here would.
+  const fpga::ResourceVector& occupied = occupied_resources();
+  const fpga::ResourceVector& fabric = board_.fabric_capacity();
+  util_.lut_used += dt * static_cast<double>(used_.luts);
+  util_.ff_used += dt * static_cast<double>(used_.ffs);
   util_.lut_capacity += dt * static_cast<double>(occupied.luts);
   util_.ff_capacity += dt * static_cast<double>(occupied.ffs);
   util_.lut_fabric += dt * static_cast<double>(fabric.luts);

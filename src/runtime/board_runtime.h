@@ -168,12 +168,21 @@ struct UtilizationIntegral {
   [[nodiscard]] double ff_of_occupied() const {
     return ff_capacity > 0 ? ff_used / ff_capacity : 0.0;
   }
-  [[nodiscard]] double lut_of_fabric() const {
-    return lut_fabric > 0 ? lut_used / lut_fabric : 0.0;
+};
+
+/// One active-pool position's routing state, as the cluster's least-loaded
+/// pick reads it: the board's live-app count and one bit per app spec with
+/// at least one live app there. Specs past the mask width get no bit.
+struct LoadCell {
+  static constexpr int kSpecBits = 64;
+  int load = 0;
+  std::uint64_t specs = 0;
+
+  [[nodiscard]] bool warm(int spec_index) const noexcept {
+    return spec_index >= 0 && spec_index < kSpecBits &&
+           ((specs >> spec_index) & 1U) != 0;
   }
-  [[nodiscard]] double ff_of_fabric() const {
-    return ff_fabric > 0 ? ff_used / ff_fabric : 0.0;
-  }
+  bool operator==(const LoadCell&) const noexcept = default;
 };
 
 struct CompletedApp {
@@ -294,6 +303,36 @@ class BoardRuntime {
   }
   [[nodiscard]] bool drained() const noexcept { return active_apps() == 0; }
 
+  /// Binds the load cell this runtime mirrors its live set into (the
+  /// cluster's active-pool cell at this board's position), writing the
+  /// current state at once; null unbinds. Admission, completion and
+  /// extraction then keep the cell current, so routing reads one cell per
+  /// board instead of walking runtimes.
+  void bind_load_cell(LoadCell* cell) noexcept;
+  [[nodiscard]] const LoadCell* load_cell() const noexcept {
+    return load_cell_;
+  }
+  /// Live apps of spec `spec_index` on this board.
+  [[nodiscard]] int live_of_spec(int spec_index) const noexcept {
+    auto s = static_cast<std::size_t>(spec_index);
+    return s < live_per_spec_.size() ? live_per_spec_[s] : 0;
+  }
+
+  /// Resources of the units running right now (live kRunning units).
+  [[nodiscard]] const fpga::ResourceVector& used_resources() const noexcept {
+    return used_;
+  }
+  /// Capacity of the occupied fabric right now: every non-idle slot, or the
+  /// whole reconfigurable fabric while a full-fabric app owns the board.
+  [[nodiscard]] const fpga::ResourceVector& occupied_resources()
+      const noexcept {
+    return full_fabric_app_ >= 0 ? board_.fabric_capacity() : occupied_;
+  }
+  /// Exclusive baseline: the app owning the whole fabric (-1 = none).
+  [[nodiscard]] int full_fabric_app() const noexcept {
+    return full_fabric_app_;
+  }
+
   [[nodiscard]] const RuntimeCounters& counters() const noexcept {
     return counters_;
   }
@@ -386,9 +425,6 @@ class BoardRuntime {
   /// are registered only when the policy is active, so checkpoint-free
   /// exports stay byte-identical.
   void enable_checkpoints(const CheckpointPolicy& policy);
-  [[nodiscard]] const CheckpointPolicy& checkpoint_policy() const noexcept {
-    return ckpt_;
-  }
   [[nodiscard]] const CheckpointStats& checkpoint_stats() const noexcept {
     return ckpt_stats_;
   }
@@ -487,6 +523,22 @@ class BoardRuntime {
   /// `extract` accepts, compacting the index in place around the rest.
   template <typename Extract>
   void extract_live_if(Extract extract);
+  /// Adds `delta` to the live count of `spec_index` and mirrors the spec's
+  /// bit into the bound load cell.
+  void count_live(int spec_index, int delta);
+  /// Mirrors active_apps() into the bound load cell (after live_ changed).
+  void publish_load() noexcept {
+    if (load_cell_ != nullptr) load_cell_->load = active_apps();
+  }
+  /// Every unit state change goes through here, keeping used_ exact.
+  void set_unit_state(UnitRun& u, UnitState state) noexcept;
+  /// Occupies an idle slot with a PR load, or frees an occupied one;
+  /// either keeps occupied_ exact.
+  void begin_slot_reconfig(fpga::Slot& slot, int app_id,
+                           fpga::ConfiguredKey key);
+  void release_slot(fpga::Slot& slot);
+  /// Integrates the utilisation since the last touch at the current sums.
+  /// Call before every change to used_ or occupied_resources().
   void touch_utilization();
   /// Recounts the per-state slot occupancy gauges; no-op until bound.
   void refresh_slot_gauges();
@@ -512,6 +564,10 @@ class BoardRuntime {
   bool dual_core_;
   std::vector<AppRun> apps_;
   std::vector<int> live_;  ///< live app ids, ascending (see live_ids())
+  std::vector<int> live_per_spec_;  ///< live apps by spec index
+  LoadCell* load_cell_ = nullptr;   ///< see bind_load_cell()
+  fpga::ResourceVector used_;       ///< see used_resources()
+  fpga::ResourceVector occupied_;   ///< non-idle slots' capacity
   RuntimeCounters counters_;
   UtilizationIntegral util_;
   std::vector<CompletedApp> completed_;

@@ -162,6 +162,50 @@ InvariantReport audit(const BoardRuntime& rt) {
   check(report, rt.active_apps() == static_cast<int>(live.size()),
         "active_apps disagrees with the live index");
 
+  // I10: the running-resource sums, the per-spec live counts and the bound
+  // load cell equal a recount. A full-fabric app owns the whole fabric, so
+  // its capacity stands in for the occupied slots.
+  fpga::ResourceVector used;
+  LoadCell cell{static_cast<int>(live.size()), 0};
+  int max_spec = -1;
+  for (const AppRun& a : rt.apps()) max_spec = std::max(max_spec, a.spec_index);
+  std::vector<int> per_spec(static_cast<std::size_t>(max_spec + 1), 0);
+  for (int id : live) {
+    const AppRun& a = rt.app(id);
+    for (const UnitRun& u : a.units) {
+      if (u.state == UnitState::kRunning) used += u.spec.impl_usage;
+    }
+    ++per_spec[static_cast<std::size_t>(a.spec_index)];
+    if (a.spec_index < LoadCell::kSpecBits) {
+      cell.specs |= std::uint64_t{1} << a.spec_index;
+    }
+  }
+  fpga::ResourceVector occupied;
+  for (const fpga::Slot& s : board.slots()) {
+    if (s.state() != fpga::SlotState::kIdle) occupied += s.capacity();
+  }
+  if (rt.full_fabric_app() >= 0) occupied = board.fabric_capacity();
+  check(report, rt.used_resources() == used,
+        "used sum " + rt.used_resources().to_string() +
+            ", running units recount " + used.to_string());
+  check(report, rt.occupied_resources() == occupied,
+        "occupied sum " + rt.occupied_resources().to_string() +
+            ", slot recount " + occupied.to_string());
+  for (int spec = 0; spec <= max_spec; ++spec) {
+    const int n = per_spec[static_cast<std::size_t>(spec)];
+    check(report, rt.live_of_spec(spec) == n,
+          "spec " + std::to_string(spec) + ": live count " +
+              std::to_string(rt.live_of_spec(spec)) + ", recount " +
+              std::to_string(n));
+  }
+  if (const LoadCell* bound = rt.load_cell(); bound != nullptr) {
+    check(report, *bound == cell,
+          "load cell (" + std::to_string(bound->load) + ", " +
+              std::to_string(bound->specs) + ") disagrees with the live set (" +
+              std::to_string(cell.load) + ", " + std::to_string(cell.specs) +
+              ")");
+  }
+
   return report;
 }
 

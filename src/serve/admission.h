@@ -58,7 +58,6 @@ class AdmissionController {
   [[nodiscard]] const std::vector<TenantState>& tenants() const noexcept {
     return tenants_;
   }
-  [[nodiscard]] int inflight() const noexcept { return inflight_; }
   [[nodiscard]] std::int64_t queued() const {
     std::int64_t n = 0;
     for (const TenantState& t : tenants_) {

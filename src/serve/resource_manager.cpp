@@ -73,28 +73,12 @@ void ResourceManager::dispatch(const ServeArrival& a) {
   // the admission pump dispatch through this same path, and the counter
   // must agree with AdmissionController's per-tenant `admitted` stat.
   m_admitted_[static_cast<std::size_t>(a.tenant)].add();
-  runtime::BoardRuntime* preferred = nullptr;
-  if (config_.affinity_routing) {
-    // Butler-style routing: among the active pool (fixed order, so ties
-    // resolve identically under both kernels), minimise 2*load minus an
-    // affinity bonus for boards already running the same spec — a warm
-    // board wins only while it is at most half an app busier.
-    int best = 0;
-    for (runtime::BoardRuntime* rt : cluster_.active_runtimes()) {
-      int score = 2 * rt->active_apps();
-      for (int id : rt->live_ids()) {
-        if (rt->app(id).spec_index == a.app.spec_index) {
-          score -= 1;
-          break;
-        }
-      }
-      if (preferred == nullptr || score < best) {
-        preferred = rt;
-        best = score;
-      }
-    }
-  }
-  cluster_.dispatch_arrival(a.app, preferred);
+  // Butler-style routing: the cluster's least-loaded pick with an affinity
+  // bonus for boards already running the same spec. Loads are integers, so
+  // a warm board never beats a less loaded one; the bonus only breaks ties
+  // at the minimum load, and pool order breaks the rest.
+  cluster_.dispatch_arrival(a.app,
+                            config_.affinity_routing ? a.app.spec_index : -1);
 }
 
 void ResourceManager::on_complete(const runtime::CompletedApp& c) {

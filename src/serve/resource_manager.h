@@ -5,7 +5,7 @@
 // passes it through the fair-share AdmissionController, and routes
 // admitted jobs across the active board pool by load and app affinity
 // (a board already running the same spec has its placement-specific
-// bitstreams warm — prefer it when the load penalty is small, like
+// bitstreams warm — among the least-loaded boards, prefer it, like
 // Butler's locality-aware dispatch). Completions flow back through the
 // cluster-level hook: they release admission capacity, record per-tenant
 // and per-SLO-class response times, and — when ServeConfig::rebalance is
@@ -74,7 +74,8 @@ class ResourceManager {
  private:
   void on_arrival(const ServeArrival& a);
   /// Routing: least loaded among active boards, with an affinity bonus for
-  /// boards already running the same spec (score = 2*load - affinity).
+  /// boards already running the same spec (score = 2*load - affinity; see
+  /// Cluster::least_loaded_or_null).
   void dispatch(const ServeArrival& a);
   void on_complete(const runtime::CompletedApp& c);
 

@@ -8,9 +8,17 @@ namespace vs::sim {
 Core::Core(Simulator& sim, std::string name)
     : sim_(sim), name_(std::move(name)) {}
 
-void Core::submit(SimDuration duration, EventFn on_done, std::string label) {
+void Core::submit(SimDuration duration, EventFn on_done, OpKind kind) {
   assert(duration >= 0);
-  queue_.push_back(Op{duration, std::move(on_done), std::move(label)});
+  if (head_ > 0 && queue_.size() == queue_.capacity() &&
+      2 * head_ >= queue_.size()) {
+    // A core that never drains would otherwise grow the vector forever:
+    // reclaim the consumed half instead of reallocating.
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  queue_.push_back(Op{duration, std::move(on_done), kind});
   ops_total_.add();
   queue_depth_.add(1.0);
   if (!busy_) start_next();
@@ -29,21 +37,25 @@ void Core::bind_metrics(obs::MetricsRegistry& registry) {
 SimTime Core::available_at() const noexcept {
   if (!busy_) return sim_.now();
   SimTime t = current_end_;
-  for (const Op& op : queue_) t += op.duration;
+  for (std::size_t i = head_; i < queue_.size(); ++i) t += queue_[i].duration;
   return t;
 }
 
 void Core::start_next() {
-  assert(!busy_ && !queue_.empty());
-  Op op = std::move(queue_.front());
-  queue_.pop_front();
+  assert(!busy_ && head_ < queue_.size());
+  Op& op = queue_[head_++];
   busy_ = true;
-  current_label_ = std::move(op.label);
+  current_kind_ = op.kind;
   current_end_ = sim_.now() + op.duration;
   busy_time_ += op.duration;
   busy_ns_total_.add(op.duration);
   current_done_ = std::move(op.on_done);
-  finish_event_ = sim_.schedule(op.duration, [this] { finish_current(); });
+  SimDuration duration = op.duration;
+  if (head_ == queue_.size()) {
+    queue_.clear();
+    head_ = 0;
+  }
+  finish_event_ = sim_.schedule(duration, [this] { finish_current(); });
 }
 
 void Core::reset() {
@@ -57,16 +69,17 @@ void Core::reset() {
       busy_ns_total_.add(-remaining);
     }
     busy_ = false;
-    current_label_.clear();
+    current_kind_ = OpKind::kOther;
     current_done_ = EventFn{};
   }
   queue_.clear();
+  head_ = 0;
   queue_depth_.set(0.0);
 }
 
 void Core::finish_current() {
   busy_ = false;
-  current_label_.clear();
+  current_kind_ = OpKind::kOther;
   queue_depth_.add(-1.0);
   // Move out first: the callback may submit more work and restart the core,
   // which would overwrite current_done_.
@@ -74,7 +87,7 @@ void Core::finish_current() {
   if (done) done();
   // The completion callback may have submitted more work and restarted the
   // core already; only pull the next op if still idle.
-  if (!busy_ && !queue_.empty()) start_next();
+  if (!busy_ && head_ < queue_.size()) start_next();
 }
 
 }  // namespace vs::sim

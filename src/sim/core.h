@@ -10,14 +10,18 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
 namespace vs::sim {
+
+/// What a core operation is doing. kick() tests for kPcap to detect a
+/// scheduler core suspended by a bitstream load.
+enum class OpKind : std::uint8_t { kPass, kLaunch, kPcap, kCkpt, kOther };
 
 class Core {
  public:
@@ -26,13 +30,15 @@ class Core {
   /// Enqueues an operation taking `duration` core time; `on_done` fires when
   /// it completes. Returns immediately. Operations run in submission order.
   void submit(SimDuration duration, EventFn on_done,
-              std::string label = {});
+              OpKind kind = OpKind::kOther);
 
   /// True if an operation is executing right now.
   [[nodiscard]] bool busy() const noexcept { return busy_; }
 
   /// Number of operations waiting (not counting the one executing).
-  [[nodiscard]] std::size_t backlog() const noexcept { return queue_.size(); }
+  [[nodiscard]] std::size_t backlog() const noexcept {
+    return queue_.size() - head_;
+  }
 
   /// Earliest time a newly submitted op could start (now if idle).
   [[nodiscard]] SimTime available_at() const noexcept;
@@ -42,10 +48,8 @@ class Core {
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-  /// Label of the currently executing operation (empty when idle).
-  [[nodiscard]] const std::string& current_label() const noexcept {
-    return current_label_;
-  }
+  /// Kind of the currently executing operation (kOther when idle).
+  [[nodiscard]] OpKind current_kind() const noexcept { return current_kind_; }
 
   /// Registers this core's instruments (labelled by core name) and resolves
   /// the telemetry handles. Without this call every update is a no-op.
@@ -60,7 +64,7 @@ class Core {
   struct Op {
     SimDuration duration;
     EventFn on_done;
-    std::string label;
+    OpKind kind;
   };
 
   void start_next();
@@ -68,10 +72,14 @@ class Core {
 
   Simulator& sim_;
   std::string name_;
-  std::deque<Op> queue_;
+  // FIFO of waiting ops: queue_[head_..] in submission order. The vector is
+  // cleared (keeping its capacity) whenever it drains, so a steady-state
+  // submit allocates nothing.
+  std::vector<Op> queue_;
+  std::size_t head_ = 0;
   bool busy_ = false;
   SimTime current_end_ = 0;
-  std::string current_label_;
+  OpKind current_kind_ = OpKind::kOther;
   // The in-flight op's completion callback. The core is serially busy, so
   // parking it here lets the scheduled completion event capture only `this`
   // and stay within the event queue's inline closure buffer.

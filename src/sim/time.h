@@ -29,9 +29,6 @@ constexpr SimDuration seconds(double v) noexcept {
 constexpr double to_ms(SimTime t) noexcept {
   return static_cast<double>(t) / static_cast<double>(kMillisecond);
 }
-constexpr double to_us(SimTime t) noexcept {
-  return static_cast<double>(t) / static_cast<double>(kMicrosecond);
-}
 constexpr double to_seconds(SimTime t) noexcept {
   return static_cast<double>(t) / static_cast<double>(kSecond);
 }

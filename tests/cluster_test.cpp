@@ -3,7 +3,9 @@
 // golden, and D_switch transfers that land while target boards are down.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "apps/benchmarks.h"
 #include "cluster/aurora.h"
@@ -56,6 +58,18 @@ struct ClusterFixture {
     return workload::generate_sequence(config, rng);
   }
 };
+
+TEST(Cluster, RejectsSuitesWiderThanTheLoadCellMask) {
+  // Affinity routing keeps one load-cell bit per spec.
+  ClusterFixture f;
+  std::vector<apps::AppSpec> wide(
+      static_cast<std::size_t>(runtime::LoadCell::kSpecBits) + 1,
+      f.suite.front());
+  EXPECT_THROW(Cluster(f.sim, wide, ClusterOptions{}), std::invalid_argument);
+  wide.pop_back();
+  Cluster fits(f.sim, wide, ClusterOptions{});
+  EXPECT_EQ(fits.active_board_count(), 1);
+}
 
 TEST(Cluster, AllAppsCompleteWithSwitching) {
   ClusterFixture f;

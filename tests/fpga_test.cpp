@@ -121,8 +121,8 @@ TEST(Pcap, OnBlockedFiresOnlyForQueuedRequests) {
   sim::Core core(sim, "ps0");
   Pcap pcap(sim);
   int blocked = 0;
-  pcap.request(sim::ms(5), core, [] {}, "first", [&] { ++blocked; });
-  pcap.request(sim::ms(5), core, [] {}, "second", [&] { ++blocked; });
+  pcap.request(sim::ms(5), core, [] {}, [&] { ++blocked; });
+  pcap.request(sim::ms(5), core, [] {}, [&] { ++blocked; });
   sim.run();
   EXPECT_EQ(blocked, 1);
 }
@@ -131,7 +131,7 @@ TEST(Pcap, SuspendsIssuingCore) {
   sim::Simulator sim;
   sim::Core core(sim, "ps0");
   Pcap pcap(sim);
-  pcap.request(sim::ms(10), core, [] {}, "load");
+  pcap.request(sim::ms(10), core, [] {});
   // Work submitted to the core after the PR waits for the load to finish.
   sim::SimTime op_done = -1;
   core.submit(sim::us(1), [&] { op_done = sim.now(); });

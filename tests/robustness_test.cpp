@@ -227,6 +227,139 @@ TEST(Invariants, DetectInconsistentState) {
   auto report = runtime::audit(rt);
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.to_string().find("slot L3"), std::string::npos);
+  // I10: the runtime's occupied sum never saw that slot change.
+  EXPECT_NE(report.to_string().find("occupied sum"), std::string::npos);
+}
+
+// ------------------------------------------------------------ audit I10
+
+/// Steps `sim` one event at a time, auditing after each, until `done`
+/// holds or the queue drains. Returns whether `done` was reached.
+template <typename Done>
+bool step_audited(sim::Simulator& sim, const runtime::BoardRuntime& rt,
+                  Done done) {
+  while (!done()) {
+    if (!sim.step()) return false;
+    auto report = runtime::audit(rt);
+    EXPECT_TRUE(report.ok()) << "t=" << sim.now() << " "
+                             << report.to_string();
+    if (!report.ok()) return false;
+  }
+  return true;
+}
+
+TEST(AuditI10, SumsAndCellMatchRecountAcrossEveryTransition) {
+  sim::Simulator sim;
+  fpga::Board board(sim, "b0", fpga::FabricConfig::only_little());
+  test::ScriptedPolicy policy(nullptr, /*dual=*/true);
+  runtime::BoardRuntime rt(board, policy);
+  runtime::LoadCell cell;
+  rt.bind_load_cell(&cell);
+  auto audited = [&](const char* what) {
+    auto report = runtime::audit(rt);
+    EXPECT_TRUE(report.ok()) << what << ": " << report.to_string();
+  };
+  const auto two = test::make_uniform_app("two", 2, sim::ms(1.0));
+  const auto one = test::make_uniform_app("one", 1, sim::ms(1.0));
+  const fpga::ResourceVector little = board.params().little_slot;
+  const fpga::ResourceVector task = two.tasks[0].impl_usage;
+
+  const int a = rt.submit(two, 0, /*batch=*/3, 0);
+  const int b = rt.submit(one, 3, /*batch=*/2, 0);
+  audited("admission");
+  EXPECT_EQ(cell, (runtime::LoadCell{2, 0b1001}));
+  auto unit = [&](int app, int u) -> const runtime::UnitRun& {
+    return rt.app(app).units[static_cast<std::size_t>(u)];
+  };
+  auto configured_idle = [&](int app, int u) {
+    return unit(app, u).state == runtime::UnitState::kRunning &&
+           !unit(app, u).item_in_flight;
+  };
+
+  // PR done: the unit runs and its slot stays occupied.
+  rt.request_pr(a, 0, 0);
+  audited("PR issued");
+  EXPECT_EQ(rt.occupied_resources(), little);
+  ASSERT_TRUE(step_audited(sim, rt, [&] { return configured_idle(a, 0); }));
+  EXPECT_EQ(rt.used_resources(), task);
+
+  // Preempt between items.
+  ASSERT_TRUE(step_audited(sim, rt, [&] {
+    return configured_idle(a, 0) && unit(a, 0).items_done >= 1;
+  }));
+  rt.preempt_unit(a, 0);
+  audited("preempt");
+  EXPECT_EQ(rt.used_resources(), fpga::ResourceVector{});
+  EXPECT_EQ(rt.occupied_resources(), fpga::ResourceVector{});
+
+  // SEU-poisoned PR: the load lands dead and the slot frees.
+  rt.request_pr(a, 1, 1);
+  rt.inject_slot_seu(1);
+  ASSERT_TRUE(step_audited(sim, rt, [&] {
+    return unit(a, 1).state == runtime::UnitState::kPending;
+  }));
+  EXPECT_EQ(board.slot(1).state(), fpga::SlotState::kIdle);
+
+  // SEU between items evicts on the spot.
+  rt.request_pr(a, 0, 2);
+  ASSERT_TRUE(step_audited(sim, rt, [&] { return configured_idle(a, 0); }));
+  rt.inject_slot_seu(2);
+  audited("SEU evict");
+  EXPECT_EQ(unit(a, 0).state, runtime::UnitState::kPending);
+
+  // SEU mid-item: the item completes mechanically and is discarded.
+  rt.request_pr(a, 0, 3);
+  ASSERT_TRUE(step_audited(sim, rt, [&] {
+    return board.slot(3).state() == fpga::SlotState::kExecuting;
+  }));
+  const int done_before = unit(a, 0).items_done;
+  rt.inject_slot_seu(3);
+  ASSERT_TRUE(step_audited(sim, rt, [&] {
+    return unit(a, 0).state == runtime::UnitState::kPending;
+  }));
+  EXPECT_EQ(unit(a, 0).items_done, done_before);
+
+  // Unit finish and app completion: the spec's bit clears with its last
+  // live app.
+  rt.request_pr(a, 0, 4);
+  rt.request_pr(a, 1, 5);
+  ASSERT_TRUE(step_audited(sim, rt, [&] { return rt.app(a).done(); }));
+  EXPECT_EQ(cell, (runtime::LoadCell{1, 0b1000}));
+  EXPECT_EQ(rt.used_resources(), fpga::ResourceVector{});
+
+  // Full-fabric reconfiguration (exclusive baseline): the fabric capacity
+  // stands in for the occupied slots until the owner completes.
+  rt.request_full_reconfig(b);
+  audited("full reconfig issued");
+  EXPECT_EQ(rt.occupied_resources(), board.fabric_capacity());
+  ASSERT_TRUE(step_audited(sim, rt, [&] {
+    return unit(b, 0).state == runtime::UnitState::kRunning;
+  }));
+  EXPECT_EQ(rt.used_resources(), one.tasks[0].impl_usage);
+  ASSERT_TRUE(step_audited(sim, rt, [&] { return rt.app(b).done(); }));
+  EXPECT_EQ(rt.full_fabric_app(), -1);
+  EXPECT_EQ(rt.occupied_resources(), fpga::ResourceVector{});
+  EXPECT_EQ(cell, (runtime::LoadCell{0, 0}));
+
+  // Crash with a unit running: every sum and the cell drop to zero.
+  const int c = rt.submit(two, 1, /*batch=*/5, sim.now());
+  (void)rt.submit(one, 2, /*batch=*/5, sim.now());
+  rt.request_pr(c, 0, 6);
+  ASSERT_TRUE(step_audited(sim, rt, [&] { return configured_idle(c, 0); }));
+  EXPECT_EQ(cell, (runtime::LoadCell{2, 0b0110}));
+  (void)rt.crash();
+  audited("crash");
+  EXPECT_EQ(rt.used_resources(), fpga::ResourceVector{});
+  EXPECT_EQ(rt.occupied_resources(), fpga::ResourceVector{});
+  EXPECT_EQ(cell, (runtime::LoadCell{0, 0}));
+  // The stale in-flight events die against the crash guards.
+  (void)step_audited(sim, rt, [] { return false; });
+
+  // An unbound runtime leaves its old cell alone.
+  rt.bind_load_cell(nullptr);
+  cell = runtime::LoadCell{7, 7};
+  audited("unbound");
+  EXPECT_EQ(cell, (runtime::LoadCell{7, 7}));
 }
 
 // -------------------------------------------------------- fault injection

@@ -133,7 +133,7 @@ TEST(BoardRuntime, SingleCorePrSuspendsScheduler) {
   bool checked = false;
   f.sim.schedule(sim::ms(20), [&] {
     EXPECT_TRUE(f.board.scheduler_core().busy());
-    EXPECT_EQ(f.board.scheduler_core().current_label().rfind("pcap:", 0), 0u);
+    EXPECT_EQ(f.board.scheduler_core().current_kind(), sim::OpKind::kPcap);
     checked = true;
   });
   f.sim.run();

@@ -20,6 +20,7 @@
 #include "serve/serve.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "util/rng.h"
 
 namespace vs {
 namespace {
@@ -360,6 +361,137 @@ TEST(ServePlane, RecoveryThrottleDefersArrivalsWithoutLosingApps) {
   for (const serve::TenantResult& tr : r.tenants) {
     EXPECT_EQ(tr.completed, tr.admitted);
   }
+}
+
+// ------------------------------------------------------------ ServeRouting
+
+/// The routing scan the pool's load cells replaced, kept as the oracle: the
+/// first minimum, in pool order, of 2*active_apps minus one when some live
+/// app on the board has `warm_spec`.
+runtime::BoardRuntime* scan_pick(cluster::Cluster& cluster, int warm_spec) {
+  runtime::BoardRuntime* best = nullptr;
+  int best_score = 0;
+  for (int i = 0; i < cluster.active_board_count(); ++i) {
+    runtime::BoardRuntime& rt = cluster.active_runtime(i);
+    int score = 2 * rt.active_apps();
+    for (int id : rt.live_ids()) {
+      if (rt.app(id).spec_index == warm_spec) {
+        score -= 1;
+        break;
+      }
+    }
+    if (best == nullptr || score < best_score) {
+      best = &rt;
+      best_score = score;
+    }
+  }
+  return best;
+}
+
+TEST(ServeRouting, CellPickMatchesRuntimeScan) {
+  fpga::BoardParams params;
+  const auto suite = apps::make_suite(params);
+  const int specs = static_cast<int>(suite.size());
+  int switched = 0, crashed = 0, reboots = 0, warm_mattered = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    util::Rng rng(seed);
+    const int boards = static_cast<int>(rng.uniform_int(1, 64));
+    cluster::ClusterOptions options;
+    options.boards_per_config = boards;
+    // The first D_switch sample switches to Big.Little and nothing switches
+    // back: the Only.Little boards leave the pool and keep completing the
+    // apps they drain, which must no longer touch any pool cell.
+    options.t1 = 0.0;
+    options.t2 = -1.0;
+    options.warmup_samples = 0;
+    options.min_queue_for_switch = 0;
+    options.dswitch_period = static_cast<int>(rng.uniform_int(10, 40));
+    // One scripted crash per pool at the same instant: whichever pool is
+    // active loses a member, and the reboot appends it back.
+    const int victim = static_cast<int>(rng.uniform_int(0, boards - 1));
+    const sim::SimTime crash_at = sim::ms(rng.uniform01() * 300.0 + 20.0);
+    options.faults.timeline = {
+        {crash_at, faults::FaultKind::kBoardCrash, victim, -1},
+        {crash_at, faults::FaultKind::kBoardCrash, boards + victim, -1}};
+    options.faults.repair.board_reboot = sim::ms(150.0);
+
+    sim::Simulator sim;
+    cluster::Cluster cluster(sim, suite, options);
+    auto check = [&](int step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      // Each member's cell holds its live set: a departed board that still
+      // wrote to its old position would corrupt a current member's cell.
+      for (int i = 0; i < cluster.active_board_count(); ++i) {
+        const runtime::BoardRuntime& rt = cluster.active_runtime(i);
+        runtime::LoadCell recount{rt.active_apps(), 0};
+        for (int id : rt.live_ids()) {
+          recount.specs |= std::uint64_t{1} << rt.app(id).spec_index;
+        }
+        ASSERT_NE(rt.load_cell(), nullptr) << "position " << i;
+        EXPECT_EQ(*rt.load_cell(), recount) << "position " << i;
+      }
+      EXPECT_EQ(cluster.least_loaded_or_null(), scan_pick(cluster, -1));
+      for (int spec = 0; spec < specs; ++spec) {
+        runtime::BoardRuntime* pick = cluster.least_loaded_or_null(spec);
+        EXPECT_EQ(pick, scan_pick(cluster, spec)) << "spec " << spec;
+        warm_mattered += pick != cluster.least_loaded_or_null() ? 1 : 0;
+      }
+    };
+
+    for (int step = 0; step < 200; ++step) {
+      const int pool = cluster.active_board_count();
+      auto member = [&]() -> runtime::BoardRuntime& {
+        return cluster.active_runtime(
+            static_cast<int>(rng.uniform_int(0, pool - 1)));
+      };
+      const int spec = static_cast<int>(rng.uniform_int(0, specs - 1));
+      const int batch = static_cast<int>(rng.uniform_int(1, 4));
+      switch (rng.uniform_int(0, 6)) {
+        case 0:
+        case 1:
+          // Uneven admissions straight onto one member.
+          if (pool > 0) {
+            member().submit(suite[static_cast<std::size_t>(spec)], spec, batch,
+                            sim.now());
+          }
+          break;
+        case 2: {
+          // Routed arrivals: counted as queue updates, so they drive the
+          // D_switch sampling that triggers the switch.
+          apps::AppArrival a;
+          a.spec_index = spec;
+          a.batch = batch;
+          a.arrival = sim.now();
+          cluster.dispatch_arrival(a, rng.bernoulli(0.5) ? spec : -1);
+          break;
+        }
+        case 3:
+          if (pool > 0) (void)member().extract_unstarted();
+          break;
+        case 4:
+          if (pool > 0) (void)member().extract_migratable();
+          break;
+        default:
+          // Completions, the switch's landing, the crash and the reboot all
+          // happen inside simulated time.
+          sim.run(sim.now() + sim::ms(rng.uniform01() * 40.0));
+          break;
+      }
+      check(step);
+    }
+    sim.run();
+    check(200);
+    switched += cluster.switches().empty() ? 0 : 1;
+    crashed += cluster.recovery_stats().boards_crashed > 0 ? 1 : 0;
+    reboots += cluster.recovery_stats().boards_rebooted > 0 ? 1 : 0;
+  }
+  // The scenario exercised what it claims to: pool departures by switch
+  // and by crash, appends by reboot, and picks the affinity bonus changed.
+  EXPECT_GT(switched, 0);
+  EXPECT_GT(crashed, 0);
+  EXPECT_GT(reboots, 0);
+  EXPECT_GT(warm_mattered, 0);
 }
 
 }  // namespace

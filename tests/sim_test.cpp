@@ -2,6 +2,8 @@
 // cancellation, time semantics, and the serially-busy Core model.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include <vector>
 
 #include "sim/core.h"
@@ -152,19 +154,104 @@ TEST(Core, TracksBusyTime) {
   EXPECT_EQ(core.busy_time(), 125);
 }
 
-TEST(Core, LabelVisibleWhileExecuting) {
+TEST(Core, KindVisibleWhileExecuting) {
   Simulator sim;
   Core core(sim, "c0");
   bool checked = false;
-  core.submit(
-      100, [] {}, "pcap:load");
+  core.submit(100, [] {}, OpKind::kPcap);
   sim.schedule(50, [&] {
-    EXPECT_EQ(core.current_label(), "pcap:load");
+    EXPECT_EQ(core.current_kind(), OpKind::kPcap);
     checked = true;
   });
   sim.run();
   EXPECT_TRUE(checked);
-  EXPECT_TRUE(core.current_label().empty());
+  EXPECT_EQ(core.current_kind(), OpKind::kOther);
+}
+
+TEST(Core, FifoOrderAcrossDrainAndRefill) {
+  Simulator sim;
+  Core core(sim, "c0");
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) core.submit(10, [&, i] { order.push_back(i); });
+  sim.run();
+  EXPECT_FALSE(core.busy());
+  EXPECT_EQ(core.backlog(), 0u);
+  EXPECT_EQ(core.available_at(), sim.now());
+  // Refill the drained queue: the new ops start now and keep their order.
+  const SimTime refill = sim.now();
+  for (int i = 3; i < 6; ++i) core.submit(10, [&, i] { order.push_back(i); });
+  EXPECT_TRUE(core.busy());
+  EXPECT_EQ(core.backlog(), 2u);
+  EXPECT_EQ(core.available_at(), refill + 30);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.now(), refill + 30);
+  EXPECT_EQ(core.busy_time(), 60);
+}
+
+TEST(Core, ReentrantSubmitsQueueBehindWaitingOps) {
+  Simulator sim;
+  Core core(sim, "c0");
+  std::vector<int> order;
+  core.submit(10, [&] {
+    order.push_back(0);
+    // Submitted from a completion: behind the ops already waiting. The
+    // first submit restarts the idle core on op 1.
+    core.submit(10, [&] { order.push_back(3); });
+    core.submit(10, [&] { order.push_back(4); });
+    EXPECT_TRUE(core.busy());
+    EXPECT_EQ(core.backlog(), 3u);
+  });
+  core.submit(10, [&] { order.push_back(1); });
+  core.submit(10, [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sim.now(), 50);
+}
+
+TEST(Core, NeverDrainingQueueKeepsFifoOrder) {
+  // Every completion submits one op, so the backlog never empties and the
+  // queue must reuse its storage without reordering anything.
+  Simulator sim;
+  Core core(sim, "c0");
+  constexpr int kOps = 5000;
+  std::vector<int> order;
+  int submitted = 0;
+  std::function<void()> submit_next = [&] {
+    const int i = submitted++;
+    core.submit(1 + i % 7, [&, i] {
+      order.push_back(i);
+      if (submitted < kOps) submit_next();
+    });
+  };
+  for (int i = 0; i < 8; ++i) submit_next();
+  EXPECT_EQ(core.backlog(), 7u);
+  sim.run();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kOps));
+  for (int i = 0; i < kOps; ++i) ASSERT_EQ(order[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(core.backlog(), 0u);
+}
+
+TEST(Core, ResetMidQueueDropsEverything) {
+  Simulator sim;
+  Core core(sim, "c0");
+  int fired = 0;
+  for (int i = 0; i < 4; ++i) core.submit(100, [&] { ++fired; });
+  sim.run(150);  // the first op completed; the second is mid-flight
+  EXPECT_EQ(fired, 1);
+  core.reset();
+  EXPECT_FALSE(core.busy());
+  EXPECT_EQ(core.backlog(), 0u);
+  EXPECT_EQ(core.current_kind(), OpKind::kOther);
+  EXPECT_EQ(core.available_at(), sim.now());
+  EXPECT_EQ(core.busy_time(), 150);  // the aborted remainder is given back
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  // The reset core takes new work normally.
+  core.submit(10, [&] { fired += 10; }, OpKind::kLaunch);
+  EXPECT_EQ(core.current_kind(), OpKind::kLaunch);
+  sim.run();
+  EXPECT_EQ(fired, 11);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 // SD queue, and cache-aware slot selection in the runtime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "fpga/board.h"
 #include "fpga/storage.h"
 #include "runtime/board_runtime.h"
@@ -36,6 +40,69 @@ TEST(Relocation, DifferentContentAlwaysReadsSd) {
   EXPECT_EQ(t, params.sd_read_time(1'000'000));
   EXPECT_EQ(sd.misses(), 2);
   EXPECT_EQ(sd.relocations(), 0);
+}
+
+TEST(Relocation, DropCacheKeepsContentSoAVariantRelocates) {
+  // drop_cache() empties the placement-specific cache only: the content is
+  // still resident, so re-staging any variant of it is a relocation.
+  sim::Simulator sim;
+  fpga::BoardParams params;
+  fpga::SdCard sd(sim, params);
+  (void)sd.fetch_time(1, 0xA, 1'000'000);
+  sd.drop_cache();
+  EXPECT_FALSE(sd.cached(1));
+  EXPECT_EQ(sd.fetch_time(1, 0xA, 1'000'000), params.reloc_time(1'000'000));
+  EXPECT_EQ(sd.fetch_time(3, 0xA, 1'000'000), params.reloc_time(1'000'000));
+  EXPECT_EQ(sd.misses(), 1);
+  EXPECT_EQ(sd.relocations(), 2);
+}
+
+TEST(SdCache, RepeatedInsertsAreOneEntryInAnyOrder) {
+  sim::Simulator sim;
+  fpga::BoardParams params;
+  fpga::SdCard sd(sim, params);
+  sd.prewarm(5);
+  sd.prewarm(5);
+  EXPECT_EQ(sd.cached_count(), 1u);
+  EXPECT_EQ(sd.fetch_time(5, 1000), 0);
+  EXPECT_EQ(sd.cached_count(), 1u);
+  // Keys arrive in no particular order, many of them twice.
+  std::vector<fpga::BitstreamKey> keys;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    keys.push_back((i * 0x9E3779B97F4A7C15ULL) >> 40);
+  }
+  for (fpga::BitstreamKey k : keys) sd.prewarm(k);
+  for (fpga::BitstreamKey k : keys) sd.prewarm(k);
+  std::vector<fpga::BitstreamKey> distinct = keys;
+  distinct.push_back(5);
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  EXPECT_EQ(sd.cached_count(), distinct.size());
+  for (fpga::BitstreamKey k : distinct) EXPECT_TRUE(sd.cached(k)) << k;
+  EXPECT_FALSE(sd.cached(distinct.back() + 1));
+  EXPECT_EQ(sd.misses(), 0);
+  sd.drop_cache();
+  EXPECT_EQ(sd.cached_count(), 0u);
+  EXPECT_FALSE(sd.cached(5));
+}
+
+TEST(SdCache, AsyncFetchAfterDropCacheReadsAgain) {
+  sim::Simulator sim;
+  fpga::BoardParams params;
+  fpga::SdCard sd(sim, params);
+  std::vector<sim::SimTime> ready;
+  sd.fetch(9, 4'000'000, [&] { ready.push_back(sim.now()); });
+  sim.run();
+  sd.fetch(9, 4'000'000, [&] { ready.push_back(sim.now()); });  // cached
+  sd.drop_cache();
+  const sim::SimTime dropped = sim.now();
+  sd.fetch(9, 4'000'000, [&] { ready.push_back(sim.now()); });
+  sim.run();
+  const sim::SimDuration read = params.sd_read_time(4'000'000);
+  EXPECT_EQ(ready, (std::vector<sim::SimTime>{read, read, dropped + read}));
+  EXPECT_EQ(sd.misses(), 2);
+  EXPECT_TRUE(sd.cached(9));
 }
 
 TEST(SdAsyncQueue, SerializesReads) {
