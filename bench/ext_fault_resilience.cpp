@@ -49,7 +49,7 @@
 #include "util/thread_pool.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace vs;
 
   util::CliArgs args(argc, argv);
@@ -550,4 +550,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli([&] { return run(argc, argv); });
 }

@@ -103,7 +103,7 @@ vs::serve::ServeConfig make_config(int boards_per_config, double rate_mult,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace vs;
 
   util::CliArgs args(argc, argv);
@@ -227,4 +227,8 @@ int main(int argc, char** argv) {
               << ".{prom,jsonl,report.json}\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli([&] { return run(argc, argv); });
 }

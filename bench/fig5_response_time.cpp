@@ -33,7 +33,7 @@ constexpr int kAppsPerSequence = 20;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace vs;
 
   util::CliArgs args(argc, argv);
@@ -188,4 +188,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli([&] { return run(argc, argv); });
 }

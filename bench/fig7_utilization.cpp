@@ -23,7 +23,7 @@
 #include "util/table.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace vs;
 
   util::CliArgs args(argc, argv);
@@ -224,4 +224,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli([&] { return run(argc, argv); });
 }

@@ -29,7 +29,7 @@
 
 #include "workload/patterns.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace vs;
 
   util::CliArgs args(argc, argv);
@@ -246,4 +246,8 @@ int main(int argc, char** argv) {
     std::cout << "Run journal written to " << journal_out << "\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli([&] { return run(argc, argv); });
 }

@@ -7,8 +7,9 @@
 #include <iostream>
 
 #include "core/versaslot.h"
+#include "util/cli.h"
 
-int main() {
+int run() {
   using namespace vs;
 
   // A 10-stage video-analytics pipeline: decode -> preprocess -> detect ->
@@ -113,3 +114,5 @@ int main() {
                "chrome://tracing or ui.perfetto.dev)\n";
   return 0;
 }
+
+int main() { return vs::util::run_cli(run); }

@@ -73,7 +73,7 @@ bool parse_congestion(const std::string& name, workload::Congestion& c) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliArgs args(argc, argv);
   if (args.has("help")) {
     std::cout << kUsage;
@@ -178,4 +178,8 @@ int main(int argc, char** argv) {
     std::cout << "summary appended to " << args.get("csv") << "\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli([&] { return run(argc, argv); });
 }

@@ -21,7 +21,7 @@
 #include "util/table.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace vs;
 
   util::CliArgs args(argc, argv);
@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   std::cout << "completed " << result.completed << "/" << result.submitted
             << " apps;  mean response " << util::fmt(result.response.mean, 1)
             << " ms;  " << result.switches.size() << " cross-board switch(es);  "
-            << telemetry.sampler().snapshots().size()
+            << telemetry.sampler().rows()
             << " sampler snapshots @ "
             << sim::to_ms(telemetry.sampler().interval()) << " ms\n";
 
@@ -60,4 +60,8 @@ int main(int argc, char** argv) {
               << ".{prom,jsonl,report.json}\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli([&] { return run(argc, argv); });
 }

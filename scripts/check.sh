@@ -101,14 +101,23 @@ fi
 (cd build && ./examples/offline_flow >/dev/null)
 test -s build/offline_flow_trace.json
 
-echo "== write-failure smoke (a trace that cannot be written fails the run) =="
-# /dev/full opens but rejects every write; the exporter must report it
-# instead of exiting 0 with no file.
-if (cd build && ./examples/simulate --system versaslot-bl --congestion stress \
-    --apps 20 --trace /dev/full >/dev/null 2>&1); then
-  echo "simulate --trace /dev/full exited 0" >&2
-  exit 1
-fi
+echo "== write-failure smoke (an unwritable capture file exits 1) =="
+# /dev/full opens but rejects every write, and /dev/full/x cannot be
+# opened at all. Either way the run must exit 1 with the path on stderr:
+# not 0 with no file, and not an abort on an uncaught exception.
+expect_write_failure() {
+  local path=$1 rc=0 err
+  shift
+  err="$(cd build && "$@" 2>&1 >/dev/null)" || rc=$?
+  if (( rc != 1 )) || [[ "$err" != *"$path"* ]]; then
+    echo "$*: exit $rc (want 1), stderr: $err" >&2
+    exit 1
+  fi
+}
+expect_write_failure /dev/full ./examples/simulate --system versaslot-bl \
+  --congestion stress --apps 20 --trace /dev/full
+expect_write_failure /dev/full/x ./bench/ext_multitenant --boards 8 \
+  --rate 1.0 --horizon 10 --jobs 1 --metrics-out /dev/full/x
 
 echo "== run-length scaling smoke (per-event cost independent of history) =="
 # Ten times the apps should cost about ten times the host time. Per-event
@@ -202,7 +211,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake -B build-asan -S . -DVS_SANITIZE=address
   cmake --build build-asan -j "$JOBS" --target versaslot_tests
   ./build-asan/tests/versaslot_tests \
-    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:Telemetry*:TraceRecorder.*:TraceRecorderCapacity.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*'
+    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:SamplerChangeLog.*:CaptureGolden.*:BlockWriterNumbers.*:Telemetry*:TraceRecorder.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*'
 fi
 
 if [[ "${SKIP_COV:-0}" != "1" ]]; then

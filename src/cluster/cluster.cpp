@@ -524,7 +524,7 @@ void Cluster::do_switch(core::SwitchLoop::Config target, double d) {
   if (obs_ != nullptr && obs_->trace_on()) {
     flow = obs_->new_flow_id();
     obs_->flow(flow, obs::FlowPhase::kStart, sim_.now(), origin, "migration",
-               std::string("switch -> ") + config_name(target));
+               "switch -> ", config_name(target));
   }
 
   activate_pool(target);
@@ -545,10 +545,8 @@ void Cluster::do_switch(core::SwitchLoop::Config target, double d) {
   m_migrated_apps_.add(event.apps_migrated);
   if (obs_ != nullptr && obs_->journal_on()) {
     obs_->journal(sim_.now(), obs::JournalEvent::kMigrate, origin, -1, {},
-                  flow,
-                  std::string("whole-state -> ") + config_name(target) + ", " +
-                      std::to_string(migrated.size()) + " apps, " +
-                      std::to_string(event.bytes) + " B");
+                  flow, "whole-state -> ", config_name(target), ", ",
+                  migrated.size(), " apps, ", event.bytes, " B");
   }
 
   VS_INFO << "cross-board switch -> " << config_name(target) << " (D=" << d
@@ -574,13 +572,13 @@ void Cluster::begin_precopy(core::SwitchLoop::Config target, double d) {
   if (obs_ != nullptr && obs_->trace_on()) {
     st->flow = obs_->new_flow_id();
     obs_->flow(st->flow, obs::FlowPhase::kStart, sim_.now(),
-               origin_name(st->origins), "migration",
-               std::string("pre-copy -> ") + config_name(target));
+               origin_name(st->origins), "migration", "pre-copy -> ",
+               config_name(target));
   }
   if (obs_ != nullptr && obs_->journal_on()) {
     obs_->journal(sim_.now(), obs::JournalEvent::kMigrate,
-                  origin_name(st->origins), -1, {}, st->flow,
-                  std::string("pre-copy -> ") + config_name(target));
+                  origin_name(st->origins), -1, {}, st->flow, "pre-copy -> ",
+                  config_name(target));
   }
   // The origins stop admitting but *keep executing* — that is the point of
   // pre-copy. New arrivals flow to the target pool immediately.
@@ -621,9 +619,7 @@ void Cluster::precopy_round(std::shared_ptr<PrecopyState> st,
   m_precopy_bytes_.add(bytes);
   if (st->flow != 0) {
     obs_->flow(st->flow, obs::FlowPhase::kStep, sim_.now(), "cluster",
-               "precopy",
-               "round " + std::to_string(st->rounds) + " (" +
-                   std::to_string(bytes) + " B)");
+               "precopy", "round ", st->rounds, " (", bytes, " B)");
   }
   link_.transfer(bytes, [this, st] {
     // Round landed: the next payload is the footprint of apps that paused
@@ -673,9 +669,7 @@ void Cluster::finish_precopy(std::shared_ptr<PrecopyState> st,
   m_migrated_apps_.add(event.apps_migrated);
   if (st->flow != 0) {
     obs_->flow(st->flow, obs::FlowPhase::kStep, sim_.now(), "cluster",
-               "precopy",
-               "stop-and-copy (" + std::to_string(event.stopcopy_bytes) +
-                   " B)");
+               "precopy", "stop-and-copy (", event.stopcopy_bytes, " B)");
   }
   VS_INFO << "pre-copy stop-and-copy after " << st->rounds << " rounds ("
           << event.precopy_bytes << " streamed, " << event.stopcopy_bytes
@@ -728,13 +722,12 @@ void Cluster::on_health_event(const faults::HealthEvent& e) {
       if (obs_ != nullptr && obs_->trace_on()) {
         flow = obs_->new_flow_id();
         obs_->flow(flow, obs::FlowPhase::kStart, e.time, board->name(),
-                   "fault", "crash " + board->name());
+                   "fault", "crash ", board->name());
       }
       if (obs_ != nullptr && obs_->journal_on()) {
         obs_->journal(e.time, obs::JournalEvent::kCrash, board->name(), -1,
-                      {}, flow,
-                      std::to_string(evacuable.size() + killed.size()) +
-                          " displaced");
+                      {}, flow, evacuable.size() + killed.size(),
+                      " displaced");
       }
       if (!options_.faults.domains.empty()) {
         // Rack mode: crashes landing inside one detection window — a rack
@@ -779,7 +772,7 @@ void Cluster::on_health_event(const faults::HealthEvent& e) {
       ++recovery_stats_.rack_events;
       if (obs_ != nullptr && obs_->journal_on()) {
         obs_->journal(e.time, obs::JournalEvent::kCrash, "cluster", -1, {},
-                      0, "rack event, domain " + std::to_string(e.board));
+                      0, "rack event, domain ", e.board);
       }
       break;
     }
@@ -881,7 +874,7 @@ void Cluster::handle_crash(std::vector<MigratedApp> evacuable,
     m_shed_.add(shed);
     if (obs_ != nullptr && obs_->journal_on()) {
       obs_->journal(sim_.now(), obs::JournalEvent::kShed, "cluster", -1, {},
-                    flow, std::to_string(shed) + " apps");
+                    flow, shed, " apps");
     }
     fresh.resize(static_cast<std::size_t>(room));
   }
@@ -960,8 +953,7 @@ void Cluster::handle_crash(std::vector<MigratedApp> evacuable,
                          bytes]() mutable {
     if (ticket->flow != 0) {
       obs_->flow(ticket->flow, obs::FlowPhase::kStep, sim_.now(), "cluster",
-                 "recovery",
-                 "evacuation landed (" + std::to_string(bytes) + " B)");
+                 "recovery", "evacuation landed (", bytes, " B)");
     }
     for (MigratedApp& m : keep) place_displaced(std::move(m), ticket);
   });

@@ -93,8 +93,8 @@ RunResult run_single_board(SystemKind kind,
     });
   }
   sim.run(options.time_limit);
-  // Snapshot the span log into the hub before the runtime is torn down so
-  // the caller can export after this function returns.
+  // Move the span log into the hub before the runtime is torn down so the
+  // caller can export after this function returns.
   if (options.hub != nullptr) options.hub->seal();
 
   RunResult result;

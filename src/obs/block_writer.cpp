@@ -1,13 +1,20 @@
 #include "obs/block_writer.h"
 
+#include <cassert>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 
 namespace vs::obs {
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  // Runs of characters that need no escaping are appended in one piece.
+namespace {
+
+/// Calls `sink` on the pieces of `s`'s JSON string escaping in order: runs
+/// of characters that need no escaping in one piece each, and an escape
+/// sequence for each character that does.
+template <typename Sink>
+void for_each_escaped_piece(std::string_view s, Sink&& sink) {
   std::size_t run = 0;
   for (std::size_t i = 0; i < s.size(); ++i) {
     const char c = s[i];
@@ -21,37 +28,129 @@ void append_json_escaped(std::string& out, std::string_view s) {
       default:
         if (static_cast<unsigned char>(c) >= 0x20) continue;
     }
-    out.append(s, run, i - run);
+    if (i > run) sink(s.substr(run, i - run));
     run = i + 1;
     if (esc != nullptr) {
-      out += esc;
+      sink(std::string_view(esc));
     } else {
       static constexpr char kHex[] = "0123456789abcdef";
-      out += "\\u00";
-      out += kHex[(c >> 4) & 0xf];
-      out += kHex[c & 0xf];
+      const char u[] = {'\\', 'u', '0', '0', kHex[(c >> 4) & 0xf],
+                        kHex[c & 0xf]};
+      sink(std::string_view(u, sizeof u));
     }
   }
-  out.append(s, run);
+  sink(s.substr(run));
 }
 
-BlockWriter::BlockWriter(std::ostream& out) : out_(out) {
-  buf_.reserve(2 * kBlockBytes);
+constexpr double kPow10[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6};
+/// Below this magnitude an integer and its decimal point shift have at
+/// most 15 significant digits, so that decimal is the shortest string that
+/// round-trips its nearest double: num_scaled can print it digit for digit.
+constexpr std::int64_t kExactLimit = 1'000'000'000'000'000;
+
+}  // namespace
+
+void append_json_escaped(std::string& out, std::string_view s) {
+  for_each_escaped_piece(s, [&out](std::string_view p) { out.append(p); });
 }
+
+BlockWriter::BlockWriter(std::ostream& out)
+    : out_(out), buf_(new char[kBlockBytes]) {}
 
 BlockWriter::~BlockWriter() { flush(); }
 
-BlockWriter& BlockWriter::num(double v) {
-  char b[64];
-  auto [end, ec] = std::to_chars(b, b + sizeof b, v);
-  if (ec != std::errc{}) return raw("0");
-  buf_.append(b, end);
+BlockWriter& BlockWriter::escaped(std::string_view s) {
+  for_each_escaped_piece(s, [this](std::string_view p) { raw(p); });
   return *this;
 }
 
+BlockWriter& BlockWriter::num(double v) {
+  if (v > -1e15 && v < 1e15) {
+    const auto n = static_cast<std::int64_t>(v);
+    if (static_cast<double>(n) == v && (n != 0 || !std::signbit(v))) {
+      return num_scaled(n, 0);
+    }
+  }
+  auto [ptr, ec] = std::to_chars(room(kNumBytes), end(), v);
+  if (ec != std::errc{}) return raw("0");
+  len_ = static_cast<std::size_t>(ptr - buf_.get());
+  return *this;
+}
+
+BlockWriter& BlockWriter::num_scaled(std::int64_t n, int scale) {
+  assert(scale >= 0 && scale <= 6);
+  if (n <= -kExactLimit || n >= kExactLimit) {
+    return num(static_cast<double>(n) / kPow10[scale]);
+  }
+  if (n == 0) return raw("0");
+  char* p = room(kNumBytes);
+  if (n < 0) {
+    *p++ = '-';
+    n = -n;
+  }
+  // The value is 0.d1..dk * 10^(x+1) with the significant digits d1..dk of
+  // n, trailing zeros stripped; x is its exponent in e-notation.
+  char digits[16];
+  int k = static_cast<int>(
+      std::to_chars(digits, digits + sizeof digits, n).ptr - digits);
+  int zeros = 0;
+  while (digits[k - 1] == '0') {
+    --k;
+    ++zeros;
+  }
+  const int x = k - 1 + zeros - scale;  // |x| <= 14
+  // to_chars prints the shorter of the fixed and e-notation forms, and
+  // fixed on a tie. The sign is common to both.
+  const int fixed_len = x < 0 ? k - x + 1 : (k <= x + 1 ? x + 1 : k + 1);
+  const int sci_len = k + (k > 1 ? 1 : 0) + 4;  // "d[.ddd]e+XX"
+  const auto put = [&p](const char* from, int count) {
+    std::memcpy(p, from, static_cast<std::size_t>(count));
+    p += count;
+  };
+  const auto pad = [&p](int count) {
+    std::memset(p, '0', static_cast<std::size_t>(count));
+    p += count;
+  };
+  if (sci_len < fixed_len) {
+    *p++ = digits[0];
+    if (k > 1) {
+      *p++ = '.';
+      put(digits + 1, k - 1);
+    }
+    *p++ = 'e';
+    *p++ = x < 0 ? '-' : '+';
+    const int ax = x < 0 ? -x : x;
+    *p++ = static_cast<char>('0' + ax / 10);
+    *p++ = static_cast<char>('0' + ax % 10);
+  } else if (x < 0) {  // 0.000ddd
+    *p++ = '0';
+    *p++ = '.';
+    pad(-x - 1);
+    put(digits, k);
+  } else if (k <= x + 1) {  // ddd000
+    put(digits, k);
+    pad(x + 1 - k);
+  } else {  // dd.ddd
+    put(digits, x + 1);
+    *p++ = '.';
+    put(digits + x + 1, k - x - 1);
+  }
+  len_ = static_cast<std::size_t>(p - buf_.get());
+  return *this;
+}
+
+BlockWriter& BlockWriter::raw_large(std::string_view s) {
+  flush();
+  if (s.size() > kBlockBytes) {
+    out_.write(s.data(), static_cast<std::streamsize>(s.size()));
+    return *this;
+  }
+  return raw(s);
+}
+
 void BlockWriter::flush() {
-  out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-  buf_.clear();
+  out_.write(buf_.get(), static_cast<std::streamsize>(len_));
+  len_ = 0;
 }
 
 void write_file(const std::string& path, const char* what,

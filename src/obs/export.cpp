@@ -1,7 +1,6 @@
 #include "obs/export.h"
 
 #include <algorithm>
-#include <bit>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
@@ -10,7 +9,6 @@
 #include <sstream>
 
 #include "obs/block_writer.h"
-#include "sim/time.h"
 
 namespace vs::obs {
 namespace {
@@ -151,10 +149,9 @@ void write_prometheus(const MetricsRegistry& registry, std::ostream& out) {
 void write_timeseries_jsonl(const Sampler& sampler,
                             const MetricsRegistry& registry,
                             std::ostream& out) {
-  // Column keys, escaped once per export as `,"<full name>":`. Columns are
-  // gauges, then counters, in registration order — the order sample_now()
-  // records them. The registry only grows, so a snapshot's columns are a
-  // prefix of each list, and a later snapshot's prefix is never shorter.
+  // Column keys, escaped once per export as `,"<full name>":`. The
+  // sampler's change log already holds exactly the values each line
+  // carries; a counter's column id has Sampler::kCounterColumn set.
   auto keys_of = [](const auto& rows) {
     std::vector<std::string> keys;
     keys.reserve(rows.size());
@@ -171,33 +168,18 @@ void write_timeseries_jsonl(const Sampler& sampler,
   const std::vector<std::string> counter_keys = keys_of(registry.counters());
 
   BlockWriter w(out);
-  // Bit pattern of each column's last written value; a column past the end
-  // has not been sampled yet. Comparing bits keeps 0.0 vs -0.0 distinct.
-  std::vector<std::uint64_t> last_gauge;
-  std::vector<std::uint64_t> last_counter;
-  auto emit_changed = [&w](const std::vector<std::string>& keys,
-                           const double* values, std::size_t n,
-                           std::vector<std::uint64_t>& last) {
-    n = std::min(n, keys.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto bits = std::bit_cast<std::uint64_t>(values[i]);
-      if (i < last.size()) {
-        if (bits == last[i]) continue;
-        last[i] = bits;
-      } else {
-        last.push_back(bits);  // first sample of this column
-      }
-      w.raw(keys[i]).num(values[i]);
+  for (std::size_t r = 0; r < sampler.rows(); ++r) {
+    w.raw("{\"t_ms\":").num_scaled(sampler.row_time(r), 6);
+    const auto columns = sampler.changed_columns(r);
+    const auto values = sampler.changed_values(r);
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+      const std::uint32_t c = columns[i];
+      w.raw((c & Sampler::kCounterColumn) != 0
+                ? counter_keys[c & ~Sampler::kCounterColumn]
+                : gauge_keys[c])
+          .num(values[i]);
     }
-  };
-  for (const Snapshot& snap : sampler.snapshots()) {
-    w.raw("{\"t_ms\":").num(sim::to_ms(snap.time));
-    emit_changed(gauge_keys, snap.values.data(), snap.gauge_count,
-                 last_gauge);
-    emit_changed(counter_keys, snap.values.data() + snap.gauge_count,
-                 snap.values.size() - snap.gauge_count, last_counter);
     w.raw("}\n");
-    w.end_record();
   }
 }
 
@@ -324,8 +306,8 @@ void write_run_report(const MetricsRegistry& registry, const RunInfo& info,
     out << "\n  ],\n";
   }
 
-  out << "  \"snapshots\": "
-      << (sampler != nullptr ? sampler->snapshots().size() : 0) << "\n}\n";
+  out << "  \"snapshots\": " << (sampler != nullptr ? sampler->rows() : 0)
+      << "\n}\n";
 }
 
 std::string prometheus_text(const MetricsRegistry& registry) {

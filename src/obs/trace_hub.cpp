@@ -4,7 +4,7 @@
 #include <charconv>
 #include <deque>
 #include <istream>
-#include <map>
+#include <unordered_map>
 
 #include "obs/block_writer.h"
 
@@ -51,19 +51,30 @@ constexpr JournalName kJournalNames[] = {
     {JournalEvent::kReadmit, "readmit"},
 };
 
+/// A channel's record and the channel holding its text.
+template <typename Rec>
+struct Merged {
+  const Rec* rec;
+  const TraceChannel* channel;
+};
+
 /// One kind of record from every channel, by pointer, in canonical merged
 /// order: time, then channel creation order, then append order.
 template <typename Rec>
-std::vector<const Rec*> merge_by_time(
+std::vector<Merged<Rec>> merge_by_time(
     const std::deque<TraceChannel>& channels,
     const std::vector<Rec>& (TraceChannel::*records)() const noexcept) {
-  std::vector<const Rec*> out;
+  std::size_t n = 0;
+  for (const TraceChannel& ch : channels) n += (ch.*records)().size();
+  std::vector<Merged<Rec>> out;
+  out.reserve(n);
   for (const TraceChannel& ch : channels) {
-    for (const Rec& r : (ch.*records)()) out.push_back(&r);
+    for (const Rec& r : (ch.*records)()) out.push_back({&r, &ch});
   }
-  std::stable_sort(out.begin(), out.end(), [](const Rec* a, const Rec* b) {
-    return a->time < b->time;
-  });
+  std::stable_sort(out.begin(), out.end(),
+                   [](const Merged<Rec>& a, const Merged<Rec>& b) {
+                     return a.rec->time < b.rec->time;
+                   });
   return out;
 }
 
@@ -92,6 +103,17 @@ bool TraceChannel::journal_on() const noexcept {
   return hub_->journal_enabled();
 }
 
+ClusterTraceHub::ClusterTraceHub() { intern({}); }
+
+NameId ClusterTraceHub::intern(std::string_view name) {
+  if (auto it = name_ids_.find(name); it != name_ids_.end()) {
+    return it->second;
+  }
+  const auto id = static_cast<NameId>(names_.size());
+  name_ids_.emplace(names_.emplace_back(name), id);
+  return id;
+}
+
 TraceChannel& ClusterTraceHub::channel(const std::string& name) {
   auto it = channel_index_.find(name);
   if (it != channel_index_.end()) return *it->second;
@@ -102,43 +124,41 @@ TraceChannel& ClusterTraceHub::channel(const std::string& name) {
 }
 
 void ClusterTraceHub::attach_spans(const std::string& board,
-                                   const sim::TraceRecorder* rec) {
-  auto it = recorders_.find(board);
-  if (it == recorders_.end()) {
-    board_order_.push_back(board);
-    it = recorders_.emplace(board, std::vector<const sim::TraceRecorder*>{})
-             .first;
-  }
-  it->second.push_back(rec);
+                                   sim::TraceRecorder* rec) {
+  auto [it, fresh] = spans_.try_emplace(board);
+  if (fresh) board_order_.push_back(board);
+  it->second.attached.push_back(rec);
 }
 
 void ClusterTraceHub::seal() {
-  for (auto& [board, recs] : recorders_) {
-    std::vector<sim::Span>& dst = sealed_spans_[board];
-    std::uint64_t& dropped = sealed_dropped_[board];
-    for (const sim::TraceRecorder* rec : recs) {
-      std::vector<sim::Span> spans = rec->ordered_spans();
-      dst.insert(dst.end(), std::make_move_iterator(spans.begin()),
-                 std::make_move_iterator(spans.end()));
-      dropped += rec->dropped();
+  for (auto& [board, spans] : spans_) {
+    for (sim::TraceRecorder* rec : spans.attached) {
+      spans.sealed.push_back(std::move(*rec));
+      rec->clear();
     }
-    recs.clear();
+    spans.attached.clear();
   }
 }
 
 std::vector<JournalRecord> ClusterTraceHub::merged_journal() const {
   std::vector<JournalRecord> out;
-  for (const JournalRecord* r :
-       merge_by_time(channels_, &TraceChannel::journal)) {
-    out.push_back(*r);
+  for (const auto& [j, ch] :
+       merge_by_time(channels_, &TraceChannel::journal_records)) {
+    out.push_back(JournalRecord{j->time, j->event, std::string(name(j->board)),
+                                j->app, std::string(name(j->spec)), j->flow,
+                                std::string(ch->detail(*j))});
   }
   return out;
 }
 
 std::vector<FlowPoint> ClusterTraceHub::merged_flows() const {
   std::vector<FlowPoint> out;
-  for (const FlowPoint* f : merge_by_time(channels_, &TraceChannel::flows)) {
-    out.push_back(*f);
+  for (const auto& [f, ch] :
+       merge_by_time(channels_, &TraceChannel::flows)) {
+    out.push_back(FlowPoint{f->id, f->phase, f->time,
+                            std::string(name(f->board)),
+                            std::string(name(f->lane)),
+                            std::string(ch->name(*f))});
   }
   return out;
 }
@@ -149,49 +169,59 @@ void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
   // coordinator). Threads per process: lanes in first-appearance order —
   // span lanes first (recorder attach order), then flow lanes.
   struct Process {
-    const std::string* board;  ///< key in pid_of
-    std::map<std::string, int> tid;
-    std::vector<const std::string*> lanes;  ///< keys in tid, in tid order
+    std::string_view board;
+    std::unordered_map<std::string_view, int> tid;
+    std::vector<std::string_view> lanes;  ///< in tid order
   };
   std::deque<Process> procs;  // in pid order
-  std::map<std::string, int> pid_of;
-  auto pid_for = [&](const std::string& board) {
+  std::unordered_map<std::string_view, int> pid_of;
+  auto pid_for = [&](std::string_view board) {
     auto [it, fresh] =
         pid_of.try_emplace(board, static_cast<int>(procs.size()) + 1);
-    if (fresh) procs.push_back(Process{&it->first, {}, {}});
+    if (fresh) procs.push_back(Process{board, {}, {}});
     return it->second;
   };
-  auto tid_for = [&](int pid, const std::string& lane) {
+  auto tid_for = [&](int pid, std::string_view lane) {
     Process& p = procs[static_cast<std::size_t>(pid - 1)];
     auto [it, fresh] =
         p.tid.try_emplace(lane, static_cast<int>(p.lanes.size()) + 1);
-    if (fresh) p.lanes.push_back(&it->first);
+    if (fresh) p.lanes.push_back(lane);
     return it->second;
   };
 
-  // Spans are placed by pointer: sealed spans where the hub keeps them,
-  // spans of recorders still attached from ring-unrolled copies.
+  // Spans are placed by pointer into their recorders. Each recorder's lane
+  // ids map to tids once, at the lane's first span, so tids follow the
+  // order in which lanes first appear in the spans.
   struct PlacedSpan {
     sim::SimTime start;
+    const sim::TraceRecorder::Record* rec;
+    const sim::TraceRecorder* recorder;
     int pid;
     int tid;
-    const sim::Span* span;
   };
-  std::deque<std::vector<sim::Span>> live;
+  std::size_t span_count = 0;
+  for (const auto& [board, spans] : spans_) {
+    for (const sim::TraceRecorder& rec : spans.sealed) span_count += rec.size();
+    for (const sim::TraceRecorder* rec : spans.attached) {
+      span_count += rec->size();
+    }
+  }
   std::vector<PlacedSpan> placed;
+  placed.reserve(span_count);
+  std::vector<int> lane_tid;
+  auto place = [&](const sim::TraceRecorder& rec, int pid) {
+    lane_tid.assign(rec.lanes().size(), 0);
+    for (const sim::TraceRecorder::Record& r : rec.records()) {
+      int& tid = lane_tid[r.lane];
+      if (tid == 0) tid = tid_for(pid, rec.lanes()[r.lane]);
+      placed.push_back(PlacedSpan{r.start, &r, &rec, pid, tid});
+    }
+  };
   for (const std::string& b : board_order_) {
     const int pid = pid_for(b);
-    auto place = [&](const std::vector<sim::Span>& spans) {
-      for (const sim::Span& s : spans) {
-        placed.push_back(PlacedSpan{s.start, pid, tid_for(pid, s.lane), &s});
-      }
-    };
-    if (auto sit = sealed_spans_.find(b); sit != sealed_spans_.end()) {
-      place(sit->second);
-    }
-    for (const sim::TraceRecorder* rec : recorders_.at(b)) {
-      place(live.emplace_back(rec->ordered_spans()));
-    }
+    const BoardSpans& spans = spans_.at(b);
+    for (const sim::TraceRecorder& rec : spans.sealed) place(rec, pid);
+    for (const sim::TraceRecorder* rec : spans.attached) place(*rec, pid);
   }
   std::stable_sort(placed.begin(), placed.end(),
                    [](const PlacedSpan& a, const PlacedSpan& b) {
@@ -201,21 +231,23 @@ void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
 
   // Flows take their pid and tid from this one interning pass.
   struct PlacedFlow {
-    const FlowPoint* flow;
+    const TraceChannel::Flow* flow;
+    const TraceChannel* channel;
     int pid;
     int tid;
   };
   std::vector<PlacedFlow> flows;
-  for (const FlowPoint* f : merge_by_time(channels_, &TraceChannel::flows)) {
-    const int pid = pid_for(f->board);
-    flows.push_back(PlacedFlow{f, pid, tid_for(pid, f->lane)});
+  const auto merged = merge_by_time(channels_, &TraceChannel::flows);
+  flows.reserve(merged.size());
+  for (const auto& [f, ch] : merged) {
+    const int pid = pid_for(name(f->board));
+    flows.push_back(PlacedFlow{f, ch, pid, tid_for(pid, name(f->lane))});
   }
 
   BlockWriter w(out);
   w.raw("[");
   bool first = true;
   auto sep = [&] {
-    w.end_record();
     w.raw(first ? "\n" : ",\n");
     first = false;
   };
@@ -227,24 +259,8 @@ void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
     w.raw("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":")
         .num(pid)
         .raw(",\"args\":{\"name\":\"")
-        .escaped(*p.board)
+        .escaped(p.board)
         .raw("\"}}");
-    if (auto rit = recorders_.find(*p.board); rit != recorders_.end()) {
-      std::uint64_t dropped = 0;
-      if (auto dit = sealed_dropped_.find(*p.board);
-          dit != sealed_dropped_.end()) {
-        dropped += dit->second;
-      }
-      for (const sim::TraceRecorder* rec : rit->second) {
-        dropped += rec->dropped();
-      }
-      sep();
-      w.raw("{\"name\":\"vs_dropped_spans\",\"ph\":\"M\",\"pid\":")
-          .num(pid)
-          .raw(",\"args\":{\"dropped\":")
-          .num(dropped)
-          .raw("}}");
-    }
     for (std::size_t t = 0; t < p.lanes.size(); ++t) {
       sep();
       w.raw("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":")
@@ -252,7 +268,7 @@ void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
           .raw(",\"tid\":")
           .num(t + 1)
           .raw(",\"args\":{\"name\":\"")
-          .escaped(*p.lanes[t])
+          .escaped(p.lanes[t])
           .raw("\"}}");
     }
   }
@@ -260,25 +276,25 @@ void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
   for (const PlacedSpan& p : placed) {
     sep();
     w.raw("{\"name\":\"")
-        .escaped(p.span->label)
+        .escaped(p.recorder->label(*p.rec))
         .raw("\",\"cat\":\"")
-        .raw(span_category(p.span->kind))
+        .raw(span_category(p.rec->kind))
         .raw("\",\"ph\":\"X\",\"pid\":")
         .num(p.pid)
         .raw(",\"tid\":")
         .num(p.tid)
         .raw(",\"ts\":")
-        .num(static_cast<double>(p.start) / 1e3)
+        .num_scaled(p.start, 3)
         .raw(",\"dur\":")
-        .num(static_cast<double>(p.span->end - p.start) / 1e3)
+        .num_scaled(p.rec->end - p.start, 3)
         .raw("}");
   }
 
   for (const PlacedFlow& p : flows) {
-    const FlowPoint& f = *p.flow;
+    const TraceChannel::Flow& f = *p.flow;
     sep();
     w.raw("{\"name\":\"")
-        .escaped(f.name)
+        .escaped(p.channel->name(f))
         .raw("\",\"cat\":\"flow\",\"ph\":\"")
         .raw(flow_ph(f.phase))
         .raw("\",\"id\":")
@@ -288,7 +304,7 @@ void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
         .raw(",\"tid\":")
         .num(p.tid)
         .raw(",\"ts\":")
-        .num(static_cast<double>(f.time) / 1e3);
+        .num_scaled(f.time, 3);
     if (f.phase == FlowPhase::kEnd) w.raw(",\"bp\":\"e\"");
     w.raw("}");
   }
@@ -303,25 +319,24 @@ void ClusterTraceHub::write_chrome_trace_file(const std::string& path) const {
 
 void ClusterTraceHub::write_journal(std::ostream& out) const {
   BlockWriter w(out);
-  for (const JournalRecord* r :
-       merge_by_time(channels_, &TraceChannel::journal)) {
+  for (const auto& [j, ch] :
+       merge_by_time(channels_, &TraceChannel::journal_records)) {
     w.raw("{\"t_ns\":")
-        .num(r->time)
+        .num(j->time)
         .raw(",\"t_ms\":")
-        .num(sim::to_ms(r->time))
+        .num_scaled(j->time, 6)
         .raw(",\"event\":\"")
-        .raw(to_string(r->event))
+        .raw(to_string(j->event))
         .raw("\",\"board\":\"")
-        .escaped(r->board)
+        .escaped(name(j->board))
         .raw("\"");
-    if (r->app >= 0) w.raw(",\"app\":").num(r->app);
-    if (!r->spec.empty()) w.raw(",\"spec\":\"").escaped(r->spec).raw("\"");
-    if (r->flow != 0) w.raw(",\"flow\":").num(r->flow);
-    if (!r->detail.empty()) {
-      w.raw(",\"detail\":\"").escaped(r->detail).raw("\"");
+    if (j->app >= 0) w.raw(",\"app\":").num(j->app);
+    if (j->spec != 0) w.raw(",\"spec\":\"").escaped(name(j->spec)).raw("\"");
+    if (j->flow != 0) w.raw(",\"flow\":").num(j->flow);
+    if (j->detail_len != 0) {
+      w.raw(",\"detail\":\"").escaped(ch->detail(*j)).raw("\"");
     }
     w.raw("}\n");
-    w.end_record();
   }
 }
 

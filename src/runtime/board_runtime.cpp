@@ -5,6 +5,7 @@
 
 #include "obs/trace_hub.h"
 #include "util/log.h"
+#include "util/text_arena.h"
 
 namespace vs::runtime {
 
@@ -181,7 +182,7 @@ int BoardRuntime::submit(const apps::AppSpec& spec, int spec_index, int batch,
   init_dirty(apps_.back());
   if (obs_ && obs_->journal_on()) {
     obs_->journal(sim().now(), obs::JournalEvent::kAdmit, board_.name(), id,
-                  spec.name, 0, "batch " + std::to_string(batch));
+                  spec.name, 0, "batch ", batch);
   }
   policy_.on_app_submitted(*this, id);
   arm_checkpoint();
@@ -432,8 +433,7 @@ void BoardRuntime::checkpoint_pass() {
       if (a.ckpt_flow == 0) {
         a.ckpt_flow = obs_->new_flow_id();
         obs_->flow(a.ckpt_flow, obs::FlowPhase::kStart, sim().now(),
-                   board_.name(), "ckpt",
-                   "ckpt " + a.spec->name + "#" + std::to_string(a.id));
+                   board_.name(), "ckpt", "ckpt ", a.spec->name, '#', a.id);
       } else {
         obs_->flow(a.ckpt_flow, obs::FlowPhase::kStep, sim().now(),
                    board_.name(), "ckpt", is_delta ? "ckpt delta" : "ckpt base");
@@ -442,8 +442,7 @@ void BoardRuntime::checkpoint_pass() {
     if (obs_ && obs_->journal_on()) {
       obs_->journal(sim().now(), obs::JournalEvent::kCheckpoint,
                     board_.name(), a.id, a.spec->name, a.ckpt_flow,
-                    std::string(is_delta ? "delta " : "base ") +
-                        std::to_string(bytes) + " B");
+                    is_delta ? "delta " : "base ", bytes, " B");
     }
   }
   // Charge the DDR-to-DDR copies on the scheduler core: launches and
@@ -538,9 +537,8 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
   refresh_slot_gauges();
   if (obs_ && obs_->journal_on()) {
     obs_->journal(sim().now(), obs::JournalEvent::kBind, board_.name(),
-                  app_id, a.spec->name, 0,
-                  "unit " + std::to_string(unit_index) + " slot " +
-                      std::to_string(slot_id));
+                  app_id, a.spec->name, 0, "unit ", unit_index, " slot ",
+                  slot_id);
   }
 
   const fpga::BoardParams& p = board_.params();
@@ -584,10 +582,9 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
         touch_phase(a2);
         refresh_slot_gauges();
         if (trace_.enabled()) {
-          trace_.add(requested, sim().now(), board_.slot(u2.slot).name(),
-                     a2.spec->name + "#" + std::to_string(app_id) + ".u" +
-                         std::to_string(unit_index) + " PR",
-                     sim::SpanKind::kReconfig);
+          trace_.add(requested, sim().now(), trace_lane(u2.slot),
+                     sim::SpanKind::kReconfig, a2.spec->name, '#', app_id,
+                     ".u", unit_index, " PR");
         }
         // The PR server notifies the scheduler through the OCM mailbox.
         board_.ocm().post([this] { kick(); });
@@ -639,13 +636,21 @@ void BoardRuntime::request_full_reconfig(int app_id) {
         for (UnitRun& u : a2.units) set_unit_state(u, UnitState::kRunning);
         touch_phase(a2);
         if (trace_.enabled()) {
-          trace_.add(requested, sim().now(), "fabric",
-                     a2.spec->name + "#" + std::to_string(app_id) + " full",
-                     sim::SpanKind::kReconfig);
+          trace_.add(requested, sim().now(), trace_lane(-1),
+                     sim::SpanKind::kReconfig, a2.spec->name, '#', app_id,
+                     " full");
         }
         kick();
       },
       nullptr, p.full_bitstream_bytes);
+}
+
+sim::LaneId BoardRuntime::trace_lane(int slot) {
+  if (slot < 0) return trace_.lane("fabric");
+  if (slot_lanes_.empty()) {
+    for (const fpga::Slot& s : board_.slots()) slot_lanes_.push_back(s.name());
+  }
+  return trace_.lane(slot_lanes_[static_cast<std::size_t>(slot)]);
 }
 
 void BoardRuntime::preempt_unit(int app_id, int unit_index) {
@@ -664,8 +669,7 @@ void BoardRuntime::preempt_unit(int app_id, int unit_index) {
   refresh_slot_gauges();
   if (obs_ && obs_->journal_on()) {
     obs_->journal(sim().now(), obs::JournalEvent::kPreempt, board_.name(),
-                  app_id, a.spec->name, 0,
-                  "unit " + std::to_string(unit_index));
+                  app_id, a.spec->name, 0, "unit ", unit_index);
   }
 }
 
@@ -722,7 +726,7 @@ int BoardRuntime::submit_migrated(const apps::AppSpec& spec,
   }
   if (m.ckpt_flow != 0 && obs_ && obs_->trace_on()) {
     obs_->flow(m.ckpt_flow, obs::FlowPhase::kEnd, sim().now(), board_.name(),
-               "ckpt", "restore " + spec.name + "#" + std::to_string(id));
+               "ckpt", "restore ", spec.name, '#', id);
   }
   if (obs_ && obs_->journal_on()) {
     obs_->journal(sim().now(), obs::JournalEvent::kRestore, board_.name(),
@@ -1021,12 +1025,9 @@ void BoardRuntime::launch_item(AppRun& app_ref, UnitRun& unit_ref) {
             if (trace_.enabled()) {
               AppRun& a3 = app(app_id);
               UnitRun& u3 = a3.units[static_cast<std::size_t>(unit_index)];
-              trace_.add(started, sim().now(),
-                         u3.slot >= 0 ? board_.slot(u3.slot).name() : "fabric",
-                         a3.spec->name + "#" + std::to_string(app_id) + ".u" +
-                             std::to_string(unit_index) + " B" +
-                             std::to_string(item + 1),
-                         sim::SpanKind::kExec);
+              trace_.add(started, sim().now(), trace_lane(u3.slot),
+                         sim::SpanKind::kExec, a3.spec->name, '#', app_id,
+                         ".u", unit_index, " B", item + 1);
             }
             m_item_ms_.observe(sim::to_ms(sim().now() - started));
             finish_item(app_id, unit_index);
@@ -1110,8 +1111,8 @@ void BoardRuntime::check_app_complete(AppRun& a) {
            << " complete, response " << c.response_ms() << " ms";
   if (obs_ && obs_->journal_on()) {
     obs_->journal(sim().now(), obs::JournalEvent::kComplete, board_.name(),
-                  a.id, a.spec->name, 0,
-                  "response_ms " + std::to_string(c.response_ms()));
+                  a.id, a.spec->name, 0, "response_ms ",
+                  util::Fixed{c.response_ms()});
   }
   if (on_app_complete_) on_app_complete_(c);
 }

@@ -542,6 +542,9 @@ class BoardRuntime {
   void touch_utilization();
   /// Recounts the per-state slot occupancy gauges; no-op until bound.
   void refresh_slot_gauges();
+  /// Trace lane of `slot`, or of the whole fabric for a negative slot. The
+  /// slot lane names are built once, on the first traced span.
+  sim::LaneId trace_lane(int slot);
   /// Schedules the next checkpoint tick (no-op when the policy is inactive,
   /// a tick is already pending, or the board crashed).
   void arm_checkpoint();
@@ -572,6 +575,7 @@ class BoardRuntime {
   UtilizationIntegral util_;
   std::vector<CompletedApp> completed_;
   sim::TraceRecorder trace_;
+  std::vector<std::string> slot_lanes_;  ///< see trace_lane()
   std::function<void(const CompletedApp&)> on_app_complete_;
   bool pass_queued_ = false;
   bool admission_open_ = true;

@@ -22,6 +22,16 @@ char glyph(SpanKind kind) {
 }
 }  // namespace
 
+std::vector<Span> TraceRecorder::spans() const {
+  std::vector<Span> out;
+  out.reserve(records_.size());
+  for (const Record& r : records_) {
+    out.push_back(Span{r.start, r.end, lanes_[r.lane], std::string(label(r)),
+                       r.kind});
+  }
+  return out;
+}
+
 std::string render_gantt(const std::vector<Span>& spans, int width) {
   if (spans.empty()) return "(empty trace)\n";
   SimTime t0 = spans.front().start;

@@ -1,14 +1,17 @@
 // Execution trace recording for timeline rendering (Fig 2 reproduction) and
 // debugging. Components append spans (start, end, lane, label); the ASCII
-// Gantt renderer in examples/pipeline_timeline.cpp consumes them.
+// Gantt renderer in examples/pipeline_timeline.cpp and the trace hub's
+// Chrome-trace writer (obs/trace_hub.h) consume them.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.h"
+#include "util/text_arena.h"
 
 namespace vs::sim {
 
@@ -29,89 +32,86 @@ struct Span {
   SpanKind kind = SpanKind::kMarker;
 };
 
-/// Memory-bounding behaviour once a TraceRecorder reaches its capacity.
-enum class TraceCapacityMode {
-  kUnbounded,  ///< grow without limit (the default)
-  kDrop,       ///< keep the oldest spans, drop new ones
-  kRing,       ///< keep the newest spans, overwrite the oldest
-};
+/// Index of a lane in one TraceRecorder's lane table.
+using LaneId = std::uint32_t;
 
 /// Append-only span log. Disabled by default (no allocation cost in
-/// benchmark runs); enable for examples and debugging. Long traced cluster
-/// runs bound its memory with set_capacity(); every span lost to the bound
-/// is counted in dropped() and surfaced in the trace export header.
+/// benchmark runs); enable for examples and debugging. Each span costs one
+/// 32-byte Record; its label lives in the recorder's text arena and its
+/// lane is an index into a table of the recorder's few lane names.
 class TraceRecorder {
  public:
+  struct Record {
+    SimTime start = 0;
+    SimTime end = 0;
+    std::uint32_t label_at = 0;  ///< label offset in the text arena
+    std::uint32_t label_len = 0;
+    LaneId lane = 0;
+    SpanKind kind = SpanKind::kMarker;
+  };
+
   void enable(bool on = true) noexcept { enabled_ = on; }
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
-  /// Bounds the log to `max_spans` (0 restores unbounded growth). In kDrop
-  /// mode spans past the bound are discarded; in kRing mode they overwrite
-  /// the oldest recorded span. Either way dropped() counts the losses.
-  void set_capacity(std::size_t max_spans,
-                    TraceCapacityMode mode = TraceCapacityMode::kRing) {
-    capacity_ = max_spans;
-    mode_ = max_spans == 0 ? TraceCapacityMode::kUnbounded : mode;
+  /// Id of lane `name`, interned on first request: lanes number in order of
+  /// first appearance. A linear scan — a recorder has a handful of lanes.
+  [[nodiscard]] LaneId lane(std::string_view name) {
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      if (lanes_[i] == name) return static_cast<LaneId>(i);
+    }
+    lanes_.emplace_back(name);
+    return static_cast<LaneId>(lanes_.size() - 1);
   }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] TraceCapacityMode capacity_mode() const noexcept {
-    return mode_;
-  }
-  /// Spans lost to the capacity bound (discarded or overwritten).
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
-  void add(Span span) {
+  /// Appends a span on lane `lane` whose label is the concatenation of
+  /// `label`'s pieces (strings, characters, integers), formatted straight
+  /// into the text arena.
+  template <typename... Piece>
+  void add(SimTime start, SimTime end, LaneId lane, SpanKind kind,
+           const Piece&... label) {
     if (!enabled_) return;
-    if (mode_ != TraceCapacityMode::kUnbounded && spans_.size() >= capacity_) {
-      ++dropped_;
-      if (mode_ == TraceCapacityMode::kRing) {
-        spans_[ring_head_] = std::move(span);
-        ring_head_ = (ring_head_ + 1) % capacity_;
-      }
-      return;
-    }
-    spans_.push_back(std::move(span));
+    const auto [at, len] = text_.append(label...);
+    records_.push_back(Record{start, end, at, len, lane, kind});
   }
-  void add(SimTime start, SimTime end, std::string lane, std::string label,
-           SpanKind kind) {
-    if (enabled_) {
-      add(Span{start, end, std::move(lane), std::move(label), kind});
-    }
+  void add(SimTime start, SimTime end, std::string_view lane,
+           std::string_view label, SpanKind kind) {
+    if (enabled_) add(start, end, this->lane(lane), kind, label);
   }
 
-  /// Raw storage order: append order until the bound is hit; in kRing mode
-  /// the slot at the ring head holds the oldest surviving span.
-  [[nodiscard]] const std::vector<Span>& spans() const noexcept {
-    return spans_;
+  [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
+  [[nodiscard]] const std::vector<Record>& records() const noexcept {
+    return records_;
   }
-  /// Spans in recording order, unrolling the ring when it wrapped. Equal to
-  /// spans() for unbounded and kDrop recorders.
-  [[nodiscard]] std::vector<Span> ordered_spans() const {
-    std::vector<Span> out;
-    out.reserve(spans_.size());
-    out.insert(out.end(), spans_.begin() + static_cast<std::ptrdiff_t>(
-                                               ring_head_),
-               spans_.end());
-    out.insert(out.end(), spans_.begin(),
-               spans_.begin() + static_cast<std::ptrdiff_t>(ring_head_));
-    return out;
+  /// Lane names, indexed by LaneId.
+  [[nodiscard]] const std::vector<std::string>& lanes() const noexcept {
+    return lanes_;
   }
-  /// Drops all spans AND releases their capacity (swap idiom): long sweep
-  /// runs that toggle tracing must not retain peak span memory. The
-  /// capacity bound and the dropped counter survive a clear.
+  [[nodiscard]] std::string_view label(const Record& r) const noexcept {
+    return text_.view(r.label_at, r.label_len);
+  }
+  /// The log as self-contained spans, in recording order.
+  [[nodiscard]] std::vector<Span> spans() const;
+
+  /// Bytes the span records and their labels hold, spare capacity
+  /// included.
+  [[nodiscard]] std::size_t reserved_bytes() const noexcept {
+    return records_.capacity() * sizeof(Record) + text_.capacity();
+  }
+  /// Drops all spans and lanes AND releases their memory: long sweep runs
+  /// that toggle tracing must not retain peak span memory.
   void clear() noexcept {
-    std::vector<Span>().swap(spans_);
-    ring_head_ = 0;
+    std::vector<Record>().swap(records_);
+    std::vector<std::string>().swap(lanes_);
+    text_.clear();
   }
 
  private:
   bool enabled_ = false;
-  std::size_t capacity_ = 0;
-  TraceCapacityMode mode_ = TraceCapacityMode::kUnbounded;
-  std::size_t ring_head_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::vector<Span> spans_;
+  std::vector<Record> records_;
+  std::vector<std::string> lanes_;
+  util::TextArena text_;
 };
+static_assert(sizeof(TraceRecorder::Record) == 32);
 
 /// Renders spans grouped by lane as an ASCII Gantt chart. `width` is the
 /// number of character cells for the full time range.

@@ -1,6 +1,8 @@
 #include "util/cli.h"
 
 #include <cstdlib>
+#include <iostream>
+#include <stdexcept>
 
 namespace vs::util {
 
@@ -69,6 +71,15 @@ double resolve_double(const CliArgs* cli, const std::string& flag,
     return std::strtod(value, nullptr);
   }
   return fallback;
+}
+
+int run_cli(const std::function<int()>& body) {
+  try {
+    return body();
+  } catch (const std::runtime_error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }
 
 }  // namespace vs::util

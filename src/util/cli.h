@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -49,5 +50,11 @@ class CliArgs {
 [[nodiscard]] double resolve_double(const CliArgs* cli,
                                     const std::string& flag, const char* env,
                                     double fallback);
+
+/// Runs a CLI's `body` and returns its exit code. A std::runtime_error that
+/// escapes it — an output file that cannot be opened or written in full —
+/// prints "error: <message>" on stderr and returns 1, where the uncaught
+/// exception would end the process in std::terminate.
+int run_cli(const std::function<int()>& body);
 
 }  // namespace vs::util

@@ -1,5 +1,7 @@
 // Tests for the command-line flag parser.
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -61,6 +63,17 @@ TEST(Cli, FlagFollowedByFlagIsBoolean) {
   CliArgs args = parse({"--a", "--b", "value"});
   EXPECT_EQ(args.get("a"), "true");
   EXPECT_EQ(args.get("b"), "value");
+}
+
+TEST(Cli, RunCliTurnsAnEscapingRuntimeErrorIntoExitOne) {
+  EXPECT_EQ(run_cli([] { return 3; }), 3);
+  testing::internal::CaptureStderr();
+  const int rc = run_cli([]() -> int {
+    throw std::runtime_error("cannot write trace file /dev/full");
+  });
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, 1);
+  EXPECT_EQ(err, "error: cannot write trace file /dev/full\n");
 }
 
 TEST(Log, ParseLogLevelIsCaseInsensitiveWithFallback) {

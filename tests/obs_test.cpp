@@ -1,6 +1,7 @@
 // Telemetry subsystem tests: registry semantics, histogram math, exporter
-// round-trips, sampler determinism, and the pinned guarantee that enabling
-// telemetry does not perturb simulation results.
+// round-trips, the sampler's change log against a dense oracle, digests of
+// every capture file, and the pinned guarantee that enabling telemetry does
+// not perturb simulation results.
 #include <bit>
 #include <cctype>
 #include <cmath>
@@ -17,11 +18,13 @@
 #include <gtest/gtest.h>
 
 #include "apps/benchmarks.h"
+#include "cluster/cluster.h"
 #include "metrics/experiment.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/telemetry.h"
+#include "obs/trace_hub.h"
 #include "sim/simulator.h"
 #include "util/cli.h"
 #include "workload/generator.h"
@@ -99,12 +102,99 @@ std::vector<std::pair<std::string, double>> parse_flat_json(
   return out;
 }
 
+/// One dense sampling row: every gauge, then every counter (as doubles),
+/// in registration order.
+struct DenseRow {
+  sim::SimTime time = 0;
+  std::size_t gauge_count = 0;
+  std::vector<double> values;
+};
+
+/// The dense sampler the change log replaced, kept as a test oracle: each
+/// sample copies every instrument.
+class DenseSampler {
+ public:
+  explicit DenseSampler(const MetricsRegistry& registry)
+      : registry_(&registry) {}
+
+  void sample_now(sim::SimTime now) {
+    DenseRow row;
+    row.time = now;
+    row.gauge_count = registry_->gauges().size();
+    row.values.reserve(row.gauge_count + registry_->counters().size());
+    for (const auto& g : registry_->gauges()) {
+      row.values.push_back(g.cell.value());
+    }
+    for (const auto& c : registry_->counters()) {
+      row.values.push_back(static_cast<double>(c.cell.value()));
+    }
+    rows_.push_back(std::move(row));
+  }
+  [[nodiscard]] const std::vector<DenseRow>& rows() const { return rows_; }
+
+ private:
+  const MetricsRegistry* registry_;
+  std::vector<DenseRow> rows_;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Rebuilds dense rows from the sampler's change log by carrying values
+/// forward. Every logged change must be a new column (the next one in its
+/// list) or a new bit pattern, so the log holds nothing redundant.
+std::vector<DenseRow> rebuild_rows(const Sampler& sampler) {
+  std::vector<DenseRow> out;
+  std::vector<double> gauges;
+  std::vector<double> counters;
+  for (std::size_t r = 0; r < sampler.rows(); ++r) {
+    const auto columns = sampler.changed_columns(r);
+    const auto values = sampler.changed_values(r);
+    EXPECT_EQ(columns.size(), values.size());
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+      const bool counter = (columns[i] & Sampler::kCounterColumn) != 0;
+      std::vector<double>& list = counter ? counters : gauges;
+      const std::size_t at = columns[i] & ~Sampler::kCounterColumn;
+      if (at < list.size()) {
+        EXPECT_NE(bits(list[at]), bits(values[i]))
+            << "row " << r << " logs an unchanged column";
+        list[at] = values[i];
+      } else {
+        EXPECT_EQ(at, list.size()) << "row " << r << " skips a column";
+        list.push_back(values[i]);
+      }
+    }
+    DenseRow row;
+    row.time = sampler.row_time(r);
+    row.gauge_count = gauges.size();
+    row.values = gauges;
+    row.values.insert(row.values.end(), counters.begin(), counters.end());
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+/// Expects two dense row lists to be equal bit for bit.
+void expect_rows_equal(const std::vector<DenseRow>& got,
+                       const std::vector<DenseRow>& oracle) {
+  ASSERT_EQ(got.size(), oracle.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].time, oracle[k].time) << "row " << k;
+    EXPECT_EQ(got[k].gauge_count, oracle[k].gauge_count) << "row " << k;
+    ASSERT_EQ(got[k].values.size(), oracle[k].values.size()) << "row " << k;
+    for (std::size_t i = 0; i < got[k].values.size(); ++i) {
+      EXPECT_EQ(bits(got[k].values[i]), bits(oracle[k].values[i]))
+          << "row " << k << " column " << i;
+    }
+  }
+}
+
 /// Reads a changed-values JSONL series the way docs/observability.md
 /// describes — carry every key forward, line by line — and expects the
-/// state after line k to hold exactly snapshot k's columns, keyed by full
+/// state after line k to hold exactly oracle row k's columns, keyed by full
 /// name, with every value and `t_ms` equal bit for bit.
-void expect_series_rebuilds_snapshots(const Sampler& sampler,
-                                      const MetricsRegistry& registry) {
+void expect_series_rebuilds(const std::string& jsonl,
+                            const std::vector<DenseRow>& oracle,
+                            const MetricsRegistry& registry) {
   std::vector<std::string> gauge_names;
   for (const auto& row : registry.gauges()) {
     gauge_names.push_back(MetricsRegistry::full_name(row.name, row.labels));
@@ -113,31 +203,29 @@ void expect_series_rebuilds_snapshots(const Sampler& sampler,
   for (const auto& row : registry.counters()) {
     counter_names.push_back(MetricsRegistry::full_name(row.name, row.labels));
   }
-  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
 
-  const std::vector<Snapshot>& snaps = sampler.snapshots();
-  std::istringstream in(timeseries_jsonl(sampler, registry));
+  std::istringstream in(jsonl);
   std::map<std::string, double> state;
   std::string line;
   std::size_t k = 0;
   for (; std::getline(in, line); ++k) {
-    ASSERT_LT(k, snaps.size()) << "more lines than snapshots";
+    ASSERT_LT(k, oracle.size()) << "more lines than rows";
     for (auto& [key, value] : parse_flat_json(line)) state[key] = value;
-    const Snapshot& snap = snaps[k];
-    ASSERT_EQ(state.size(), 1 + snap.values.size()) << "line " << k;
-    EXPECT_EQ(bits(state["t_ms"]), bits(sim::to_ms(snap.time)))
+    const DenseRow& row = oracle[k];
+    ASSERT_EQ(state.size(), 1 + row.values.size()) << "line " << k;
+    EXPECT_EQ(bits(state["t_ms"]), bits(sim::to_ms(row.time)))
         << "line " << k;
-    for (std::size_t i = 0; i < snap.values.size(); ++i) {
-      const std::string& name = i < snap.gauge_count
+    for (std::size_t i = 0; i < row.values.size(); ++i) {
+      const std::string& name = i < row.gauge_count
                                     ? gauge_names[i]
-                                    : counter_names[i - snap.gauge_count];
+                                    : counter_names[i - row.gauge_count];
       auto it = state.find(name);
       ASSERT_NE(it, state.end()) << name << " missing at line " << k;
-      EXPECT_EQ(bits(it->second), bits(snap.values[i]))
+      EXPECT_EQ(bits(it->second), bits(row.values[i]))
           << name << " at line " << k;
     }
   }
-  EXPECT_EQ(k, snaps.size());
+  EXPECT_EQ(k, oracle.size());
 }
 
 /// A 25-app Stress sequence on the two-board cluster under crash, flap and
@@ -160,6 +248,24 @@ struct FaultedCluster {
     options.faults.horizon = sim::seconds(60.0);
     options.faults.timeline.push_back(
         {sim::seconds(1.0), faults::FaultKind::kBoardCrash, 0, -1});
+  }
+
+  /// Runs the cluster with `telemetry` bound, and has `oracle` sample
+  /// right after each of the real sampler's ticks, in the same instant:
+  /// the simulation is stepped, and no event runs between the two.
+  void run_sampled(Telemetry& telemetry, DenseSampler& oracle) const {
+    cluster::ClusterOptions sampled = options;
+    sampled.metrics = &telemetry.registry();
+    sim::Simulator sim;
+    cluster::Cluster cluster(sim, suite, sampled);
+    telemetry.start_sampling(sim);
+    cluster.submit_sequence(seq);
+    while (sim.step()) {
+      if (telemetry.sampler().rows() > oracle.rows().size()) {
+        oracle.sample_now(sim.now());
+      }
+    }
+    ASSERT_GT(cluster.recovery_stats().boards_crashed, 0);
   }
 };
 
@@ -307,21 +413,28 @@ TEST(PrometheusExport, LinesParseAndHistogramSeriesAreConsistent) {
 TEST(JsonlExport, SnapshotsRoundTripIncludingNarrowEarlyRows) {
   MetricsRegistry registry;
   Sampler sampler(registry, sim::ms(10));
+  DenseSampler oracle(registry);
+  auto sample = [&](sim::SimTime t) {
+    sampler.sample_now(t);
+    oracle.sample_now(t);
+  };
   Gauge& g = registry.gauge("vs_g", {{"board", "fpga0"}});
   g.set(1.5);
-  sampler.sample_now(sim::ms(10));  // narrow: one gauge, no counters
+  sample(sim::ms(10));  // narrow: one gauge, no counters
   Counter& c = registry.counter("vs_c_total");
   c.add(4);
   Gauge& h = registry.gauge("vs_h");
   g.set(2.5);
-  sampler.sample_now(sim::ms(20));  // wide: two gauges + counter
-  sampler.sample_now(sim::ms(30));  // nothing changed
+  sample(sim::ms(20));  // wide: two gauges + counter
+  sample(sim::ms(30));  // nothing changed
   h.set(-0.0);
-  sampler.sample_now(sim::ms(40));  // 0.0 -> -0.0: equal, not the same bits
+  sample(sim::ms(40));  // 0.0 -> -0.0: equal, not the same bits
   c.add(1);
-  sampler.sample_now(sim::ms(50.5));
+  sample(sim::ms(50.5));
 
-  expect_series_rebuilds_snapshots(sampler, registry);
+  expect_rows_equal(rebuild_rows(sampler), oracle.rows());
+  expect_series_rebuilds(timeseries_jsonl(sampler, registry), oracle.rows(),
+                         registry);
 
   // The first line carries every column; later lines only what changed,
   // with a new column on the line of its first sample.
@@ -339,15 +452,16 @@ TEST(JsonlExport, FaultedClusterSeriesRebuildsEverySnapshot) {
   // exactly from the changed-values lines, including the rows that widen
   // when instruments register mid-run.
   FaultedCluster run;
-  obs::Telemetry telemetry;
-  metrics::ClusterRunResult r = metrics::run_cluster(
-      run.suite, run.seq, run.options, sim::seconds(36000.0), &telemetry);
-  ASSERT_GT(r.recovery.boards_crashed, 0);
-  const std::vector<Snapshot>& snaps = telemetry.sampler().snapshots();
-  ASSERT_GT(snaps.size(), 10u);
-  ASSERT_LT(snaps.front().values.size(), snaps.back().values.size());
+  Telemetry telemetry;
+  DenseSampler oracle(telemetry.registry());
+  run.run_sampled(telemetry, oracle);
+  const std::vector<DenseRow>& rows = oracle.rows();
+  ASSERT_GT(rows.size(), 10u);
+  ASSERT_LT(rows.front().values.size(), rows.back().values.size());
 
-  expect_series_rebuilds_snapshots(telemetry.sampler(), telemetry.registry());
+  expect_series_rebuilds(
+      timeseries_jsonl(telemetry.sampler(), telemetry.registry()), rows,
+      telemetry.registry());
 }
 
 TEST(RunReportExport, ContainsConfigEchoAndHistogramPercentiles) {
@@ -425,15 +539,112 @@ TEST(Sampler, TicksAtFixedCadenceAndLetsTheSimulatorDrain) {
 
   // Ticks at 50/100/150/200 while the 220 ms event is pending, then one
   // final tick at 250 that finds the queue idle and does not re-arm.
-  ASSERT_EQ(sampler.snapshots().size(), 5u);
-  const auto& snaps = sampler.snapshots();
-  for (std::size_t i = 0; i < snaps.size(); ++i) {
-    EXPECT_EQ(snaps[i].time, sim::ms(50) * static_cast<sim::SimTime>(i + 1));
-    ASSERT_EQ(snaps[i].gauge_count, 1u);
-    ASSERT_EQ(snaps[i].values.size(), 1u);
+  ASSERT_EQ(sampler.rows(), 5u);
+  const std::vector<DenseRow> rows = rebuild_rows(sampler);
+  ASSERT_EQ(rows.size(), 5u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].time, sim::ms(50) * static_cast<sim::SimTime>(i + 1));
+    ASSERT_EQ(rows[i].gauge_count, 1u);
+    ASSERT_EQ(rows[i].values.size(), 1u);
   }
-  EXPECT_DOUBLE_EQ(snaps[0].values[0], 1.0);   // after the 10 ms event
-  EXPECT_DOUBLE_EQ(snaps[4].values[0], 2.0);   // after the 220 ms event
+  EXPECT_DOUBLE_EQ(rows[0].values[0], 1.0);   // after the 10 ms event
+  EXPECT_DOUBLE_EQ(rows[4].values[0], 2.0);   // after the 220 ms event
+  // The log holds the gauge's two values and nothing else.
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_TRUE(sampler.changed_columns(i).empty()) << "row " << i;
+  }
+  ASSERT_EQ(sampler.changed_columns(0).size(), 1u);
+  ASSERT_EQ(sampler.changed_columns(4).size(), 1u);
+}
+
+TEST(SamplerChangeLog, FaultedClusterRowsRebuildTheDenseOracle) {
+  // The dense oracle samples in the same instant as every real tick; each
+  // of its rows — columns registered mid-run included — must rebuild bit
+  // for bit from the change log.
+  FaultedCluster run;
+  Telemetry telemetry;
+  DenseSampler oracle(telemetry.registry());
+  run.run_sampled(telemetry, oracle);
+  ASSERT_GT(oracle.rows().size(), 10u);
+  ASSERT_LT(oracle.rows().front().values.size(),
+            oracle.rows().back().values.size());
+  expect_rows_equal(rebuild_rows(telemetry.sampler()), oracle.rows());
+}
+
+TEST(SamplerChangeLog, SignedZeroAndLateColumnsAreChanges) {
+  MetricsRegistry registry;
+  Sampler sampler(registry, sim::ms(10));
+  Gauge& g = registry.gauge("vs_g");
+  sampler.sample_now(sim::ms(10));  // first row: the new column, value 0
+  g.set(-0.0);
+  sampler.sample_now(sim::ms(20));  // -0.0 has other bits than 0.0
+  g.set(-0.0);
+  sampler.sample_now(sim::ms(30));  // same bits: no change
+  registry.counter("vs_c_total");
+  g.set(0.0);
+  sampler.sample_now(sim::ms(40));  // back to +0.0, and a late counter at 0
+  ASSERT_EQ(sampler.rows(), 4u);
+  auto columns = [&](std::size_t r) {
+    auto c = sampler.changed_columns(r);
+    return std::vector<std::uint32_t>(c.begin(), c.end());
+  };
+  EXPECT_EQ(columns(0), std::vector<std::uint32_t>{0});
+  EXPECT_EQ(columns(1), std::vector<std::uint32_t>{0});
+  EXPECT_TRUE(columns(2).empty());
+  EXPECT_EQ(columns(3),
+            (std::vector<std::uint32_t>{0, Sampler::kCounterColumn | 0}));
+  EXPECT_TRUE(std::signbit(sampler.changed_values(1)[0]));
+  EXPECT_FALSE(std::signbit(sampler.changed_values(3)[0]));
+}
+
+// ------------------------------------------------------ capture golden
+
+/// FNV-1a, 64-bit.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(CaptureGolden, FaultedCheckpointedClusterFilesKeepTheirBytes) {
+  // All five capture files of a faulted cluster run with delta
+  // checkpoints, pre-copy migration and phase accounting, pinned by
+  // digest. The constants are the digests of the files written before
+  // spans, flows, journal records and sampler rows became compact records
+  // (with the trace's always-zero "vs_dropped_spans" lines removed), so
+  // the record layouts are proven not to change a byte.
+  FaultedCluster run;
+  cluster::ClusterOptions options = run.options;
+  options.checkpoint.enabled = true;
+  options.checkpoint.delta = true;
+  options.migration.precopy = true;
+  options.phase_accounting = true;
+  ClusterTraceHub hub;
+  hub.enable_trace();
+  hub.enable_journal();
+  options.hub = &hub;
+  Telemetry telemetry;
+  metrics::ClusterRunResult r = metrics::run_cluster(
+      run.suite, run.seq, options, sim::seconds(36000.0), &telemetry);
+  ASSERT_EQ(r.recovery.boards_crashed, 5);
+  ASSERT_EQ(r.switches.size(), 3u);
+
+  std::ostringstream trace;
+  hub.write_chrome_trace(trace);
+  std::ostringstream journal;
+  hub.write_journal(journal);
+  EXPECT_EQ(fnv1a(prometheus_text(telemetry.registry())),
+            0x17d1b4ac69936b7full);
+  EXPECT_EQ(fnv1a(timeseries_jsonl(telemetry.sampler(), telemetry.registry())),
+            0x24d68b8d62c04bb3ull);
+  EXPECT_EQ(fnv1a(run_report_json(telemetry.registry(), telemetry.info(),
+                                  &telemetry.sampler())),
+            0x863dcf6349d9397bull);
+  EXPECT_EQ(fnv1a(trace.str()), 0xdfc65dc5a09b6a0bull);
+  EXPECT_EQ(fnv1a(journal.str()), 0x4c42e79491d0e25eull);
 }
 
 // --------------------------------------------- determinism + instrumentation
@@ -465,7 +676,7 @@ TEST(TelemetryDeterminism, SingleBoardResultsAreBitIdenticalWithMetricsOn) {
   EXPECT_EQ(instrumented.counters.items_executed,
             plain.counters.items_executed);
   // And the sampler actually ran.
-  EXPECT_GT(telemetry.sampler().snapshots().size(), 0u);
+  EXPECT_GT(telemetry.sampler().rows(), 0u);
   // Slot-state gauges partition the board's slots: their sum is a whole
   // number of slots at all times, including at end of run.
   double slots = sum_gauges(telemetry.registry(), "vs_slot_state_count");

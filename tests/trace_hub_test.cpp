@@ -1,6 +1,7 @@
 // Cluster-wide causal observability tests: the trace hub's merged Chrome
 // trace with flow events, the structured run journal and its round-trip
-// parser, TraceRecorder capacity bounds, response-time phase accounting
+// parser, the compact TraceRecorder, seal by move, response-time phase
+// accounting
 // (phases sum exactly to response time across fault scenarios), and the
 // pinned guarantee that none of it perturbs an uninstrumented cluster or
 // single-board run.
@@ -17,68 +18,25 @@
 
 #include "apps/benchmarks.h"
 #include "cluster/cluster.h"
+#include "core/versaslot_policy.h"
 #include "faults/scenario.h"
 #include "metrics/experiment.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace_hub.h"
+#include "runtime/board_runtime.h"
+#include "sim/simulator.h"
 #include "sim/trace.h"
 #include "util/cli.h"
 #include "util/rng.h"
+#include "util/text_arena.h"
 #include "workload/generator.h"
 
 namespace vs::obs {
 namespace {
 
-// ------------------------------------------------------- recorder capacity
-
-TEST(TraceRecorderCapacity, RingModeKeepsNewestAndCountsLosses) {
-  sim::TraceRecorder rec;
-  rec.enable();
-  rec.set_capacity(3, sim::TraceCapacityMode::kRing);
-  for (int i = 1; i <= 5; ++i) {
-    rec.add(i * 100, i * 100 + 10, "lane", "s" + std::to_string(i),
-            sim::SpanKind::kMarker);
-  }
-  EXPECT_EQ(rec.spans().size(), 3u);
-  EXPECT_EQ(rec.dropped(), 2u);
-  auto ordered = rec.ordered_spans();
-  ASSERT_EQ(ordered.size(), 3u);
-  EXPECT_EQ(ordered[0].label, "s3");
-  EXPECT_EQ(ordered[1].label, "s4");
-  EXPECT_EQ(ordered[2].label, "s5");
-  // Oldest-first: the unrolled ring is in append order.
-  EXPECT_LT(ordered[0].start, ordered[2].start);
-}
-
-TEST(TraceRecorderCapacity, DropModeKeepsOldest) {
-  sim::TraceRecorder rec;
-  rec.enable();
-  rec.set_capacity(2, sim::TraceCapacityMode::kDrop);
-  for (int i = 1; i <= 5; ++i) {
-    rec.add(i * 100, i * 100 + 10, "lane", "s" + std::to_string(i),
-            sim::SpanKind::kMarker);
-  }
-  EXPECT_EQ(rec.dropped(), 3u);
-  auto ordered = rec.ordered_spans();
-  ASSERT_EQ(ordered.size(), 2u);
-  EXPECT_EQ(ordered[0].label, "s1");
-  EXPECT_EQ(ordered[1].label, "s2");
-}
-
-TEST(TraceRecorderCapacity, ZeroCapacityRestoresUnboundedGrowth) {
-  sim::TraceRecorder rec;
-  rec.enable();
-  rec.set_capacity(1, sim::TraceCapacityMode::kRing);
-  rec.set_capacity(0);
-  EXPECT_EQ(rec.capacity_mode(), sim::TraceCapacityMode::kUnbounded);
-  for (int i = 0; i < 10; ++i) {
-    rec.add(i, i + 1, "lane", "s", sim::SpanKind::kMarker);
-  }
-  EXPECT_EQ(rec.spans().size(), 10u);
-  EXPECT_EQ(rec.dropped(), 0u);
-}
+// ------------------------------------------------------------- recorder
 
 TEST(TraceRecorder, ClearReleasesSpanCapacity) {
   sim::TraceRecorder recorder;
@@ -86,12 +44,57 @@ TEST(TraceRecorder, ClearReleasesSpanCapacity) {
   for (int i = 0; i < 1000; ++i) {
     recorder.add(i, i + 1, "lane", "label", sim::SpanKind::kMarker);
   }
-  ASSERT_EQ(recorder.spans().size(), 1000u);
-  ASSERT_GT(recorder.spans().capacity(), 0u);
+  ASSERT_EQ(recorder.size(), 1000u);
+  ASSERT_GE(recorder.reserved_bytes(),
+            1000u * sizeof(sim::TraceRecorder::Record));
   recorder.clear();
+  EXPECT_EQ(recorder.size(), 0u);
   EXPECT_TRUE(recorder.spans().empty());
-  // The swap idiom must release the backing allocation, not just size().
-  EXPECT_EQ(recorder.spans().capacity(), 0u);
+  EXPECT_TRUE(recorder.lanes().empty());
+  // The swap idiom must release the backing allocations, not just size().
+  EXPECT_EQ(recorder.reserved_bytes(), 0u);
+}
+
+TEST(TraceRecorder, LanesInternInFirstAppearanceOrder) {
+  sim::TraceRecorder rec;
+  EXPECT_EQ(rec.lane("B0"), 0u);
+  EXPECT_EQ(rec.lane("fabric"), 1u);
+  EXPECT_EQ(rec.lane("B0"), 0u);
+  EXPECT_EQ(rec.lane("L1"), 2u);
+  EXPECT_EQ(rec.lanes(), (std::vector<std::string>{"B0", "fabric", "L1"}));
+
+  // Recording through names interns the same way; a disabled recorder
+  // records nothing and interns nothing.
+  sim::TraceRecorder off;
+  off.add(0, 1, "x", "y", sim::SpanKind::kExec);
+  EXPECT_EQ(off.size(), 0u);
+  EXPECT_TRUE(off.lanes().empty());
+  sim::TraceRecorder named;
+  named.enable();
+  named.add(5, 9, "L1", "a", sim::SpanKind::kExec);
+  named.add(6, 7, "B0", "b", sim::SpanKind::kReconfig);
+  named.add(8, 9, "L1", "c", sim::SpanKind::kExec);
+  EXPECT_EQ(named.lanes(), (std::vector<std::string>{"L1", "B0"}));
+  ASSERT_EQ(named.size(), 3u);
+  EXPECT_EQ(named.records()[2].lane, 0u);
+}
+
+TEST(TraceRecorder, LabelsAreFormattedFromPieces) {
+  sim::TraceRecorder rec;
+  rec.enable();
+  const sim::LaneId lane = rec.lane("L2");
+  rec.add(100, 250, lane, sim::SpanKind::kExec, std::string("Digit"), '#',
+          17, ".u", 0, " B", std::int64_t{-3});
+  rec.add(300, 300, lane, sim::SpanKind::kMarker);
+  const std::vector<sim::Span> spans = rec.spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].label, "Digit#17.u0 B-3");
+  EXPECT_EQ(spans[0].lane, "L2");
+  EXPECT_EQ(spans[0].start, 100);
+  EXPECT_EQ(spans[0].end, 250);
+  EXPECT_EQ(spans[0].kind, sim::SpanKind::kExec);
+  EXPECT_EQ(spans[1].label, "");
+  EXPECT_EQ(spans[1].kind, sim::SpanKind::kMarker);
 }
 
 // --------------------------------------------- Prometheus label escaping
@@ -142,8 +145,6 @@ TEST(TraceHub, GoldenChromeTraceWithFlowEvents) {
       "[\n"
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
       "\"args\":{\"name\":\"b0\"}},\n"
-      "{\"name\":\"vs_dropped_spans\",\"ph\":\"M\",\"pid\":1,"
-      "\"args\":{\"dropped\":0}},\n"
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,"
       "\"args\":{\"name\":\"slot L1\"}},\n"
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,"
@@ -168,6 +169,44 @@ TEST(TraceHub, GoldenChromeTraceWithFlowEvents) {
       "\"pid\":2,\"tid\":1,\"ts\":4},\n"
       "{\"name\":\"land\",\"cat\":\"flow\",\"ph\":\"f\",\"id\":4294967297,"
       "\"pid\":1,\"tid\":1,\"ts\":5,\"bp\":\"e\"}\n"
+      "]\n";
+  EXPECT_EQ(out.str(), expected);
+}
+
+TEST(TraceHub, HostileNamesExportAsBefore) {
+  // Quotes, backslashes and control characters in board, lane, label and
+  // flow names; timestamps that print in e-notation. The expected bytes
+  // are what the writer produced before spans and flows became compact
+  // records.
+  ClusterTraceHub hub;
+  hub.enable_trace();
+  sim::TraceRecorder rec;
+  rec.enable();
+  rec.add(0, 1500, "L\"0\"", "q\"uote \\back\\slash", sim::SpanKind::kExec);
+  rec.add(2000, 2001, "tab\tlane", std::string("ctl\x01\x1f\r\n\b end"),
+          sim::SpanKind::kReconfig);
+  rec.add(3000, 123000003000, "L\"0\"", "", sim::SpanKind::kBlocked);
+  hub.attach_spans("fpga \"0\"", &rec);
+  hub.channel("cluster").flow(5, FlowPhase::kEnd, 123000000000000,
+                              "fpga \"0\"", "tab\tlane", "f\\\"low\x7f");
+  std::ostringstream out;
+  hub.write_chrome_trace(out);
+  const std::string expected =
+      "[\n"
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":"
+      "\"fpga \\\"0\\\"\"}},\n"
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{"
+      "\"name\":\"L\\\"0\\\"\"}},\n"
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,\"args\":{"
+      "\"name\":\"tab\\tlane\"}},\n"
+      "{\"name\":\"q\\\"uote \\\\back\\\\slash\",\"cat\":\"exec\",\"ph\":\"X"
+      "\",\"pid\":1,\"tid\":1,\"ts\":0,\"dur\":1.5},\n"
+      "{\"name\":\"ctl\\u0001\\u001f\\r\\n\\u0008 end\",\"cat\":\"reconfig\","
+      "\"ph\":\"X\",\"pid\":1,\"tid\":2,\"ts\":2,\"dur\":0.001},\n"
+      "{\"name\":\"\",\"cat\":\"blocked\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\""
+      "ts\":3,\"dur\":1.23e+08},\n"
+      "{\"name\":\"f\\\\\\\"low\x7f""\",\"cat\":\"flow\",\"ph\":\"f\",\"id\":"
+      "5,\"pid\":1,\"tid\":2,\"ts\":1.23e+11,\"bp\":\"e\"}\n"
       "]\n";
   EXPECT_EQ(out.str(), expected);
 }
@@ -203,7 +242,6 @@ TEST(TraceHub, SealedSpansSurviveRecorderDestruction) {
   {
     sim::TraceRecorder rec;
     rec.enable();
-    rec.set_capacity(1, sim::TraceCapacityMode::kRing);
     rec.add(100, 200, "lane", "old", sim::SpanKind::kMarker);
     rec.add(300, 400, "lane", "new", sim::SpanKind::kMarker);
     hub.attach_spans("b0", &rec);
@@ -211,9 +249,91 @@ TEST(TraceHub, SealedSpansSurviveRecorderDestruction) {
   }  // recorder destroyed; the hub must not dereference it
   std::ostringstream out;
   hub.write_chrome_trace(out);
+  EXPECT_NE(out.str().find("\"old\""), std::string::npos);
   EXPECT_NE(out.str().find("\"new\""), std::string::npos);
-  EXPECT_EQ(out.str().find("\"old\""), std::string::npos);
-  EXPECT_NE(out.str().find("\"dropped\":1"), std::string::npos);
+}
+
+TEST(TraceHub, SealMovesSpansAndKeepsTheExportBytes) {
+  // Two boards, the first with two epochs' recorders; a hostile label and
+  // lanes shared between recorders of one board.
+  ClusterTraceHub hub;
+  hub.enable_trace();
+  sim::TraceRecorder a1, a2, b;
+  for (sim::TraceRecorder* r : {&a1, &a2, &b}) r->enable();
+  a1.add(10, 20, "L0", "a1 \"x\"\t\x1f", sim::SpanKind::kExec);
+  a1.add(15, 40, "fabric", "a1 full", sim::SpanKind::kReconfig);
+  a2.add(50, 60, "B1", "a2", sim::SpanKind::kReconfig);
+  a2.add(55, 70, "L0", "a2 exec", sim::SpanKind::kExec);
+  b.add(10, 30, "L0", "b", sim::SpanKind::kExec);
+  hub.attach_spans("fpga0", &a1);
+  hub.attach_spans("fpga1", &b);
+  hub.attach_spans("fpga0", &a2);
+  hub.channel("cluster").flow(7, FlowPhase::kStart, 12, "fpga0", "B1",
+                              "hop");
+
+  std::ostringstream live;
+  hub.write_chrome_trace(live);
+  hub.seal();
+  for (const sim::TraceRecorder* r : {&a1, &a2, &b}) {
+    EXPECT_EQ(r->size(), 0u);
+    EXPECT_TRUE(r->lanes().empty());
+    EXPECT_EQ(r->reserved_bytes(), 0u);
+  }
+  std::ostringstream sealed;
+  hub.write_chrome_trace(sealed);
+  EXPECT_EQ(sealed.str(), live.str());
+  // The flow's lane "B1" is fpga0's third span lane: tids follow lanes'
+  // first appearance across the board's recorders.
+  EXPECT_NE(live.str().find("\"ph\":\"M\",\"pid\":1,\"tid\":3,"
+                            "\"args\":{\"name\":\"B1\"}"),
+            std::string::npos)
+      << live.str();
+  EXPECT_NE(live.str().find("\"name\":\"a1 \\\"x\\\"\\t\\u001f\""),
+            std::string::npos)
+      << live.str();
+}
+
+TEST(TraceHub, ExportAfterTheRunMatchesTheLiveExport) {
+  // A traced single-board run exports the same bytes from the live
+  // recorders and, after seal(), once the runtime is gone.
+  fpga::BoardParams params;
+  auto suite = apps::make_suite(params);
+  workload::WorkloadConfig config;
+  config.congestion = workload::Congestion::kStress;
+  config.apps_per_sequence = 12;
+  util::Rng rng(2025);
+  workload::Sequence seq = workload::generate_sequence(config, rng);
+
+  ClusterTraceHub hub;
+  hub.enable_trace();
+  hub.enable_journal();
+  std::string live;
+  {
+    sim::Simulator sim;
+    fpga::Board board(sim, "fpga0", fpga::FabricConfig::big_little(),
+                      params);
+    core::VersaSlotPolicy policy{core::VersaSlotOptions{}};
+    runtime::BoardRuntime rt(board, policy);
+    hub.attach_spans(board.name(), &rt.trace());
+    rt.trace().enable();
+    rt.bind_observability(&hub.channel(board.name()));
+    for (const apps::AppArrival& a : seq) {
+      sim.schedule_at(a.arrival, [&rt, &suite, a] {
+        rt.submit(suite.at(static_cast<std::size_t>(a.spec_index)),
+                  a.spec_index, a.batch, a.arrival, a.item_interval);
+      });
+    }
+    sim.run();
+    ASSERT_GT(rt.trace().size(), 0u);
+    std::ostringstream out;
+    hub.write_chrome_trace(out);
+    live = out.str();
+    hub.seal();
+    EXPECT_EQ(rt.trace().size(), 0u);
+  }
+  std::ostringstream after;
+  hub.write_chrome_trace(after);
+  EXPECT_EQ(after.str(), live);
 }
 
 TEST(TraceHub, FlowIdsAreNamespacedPerChannel) {
@@ -340,6 +460,75 @@ TEST(RunJournal, MergeIsStableAcrossEqualTimestamps) {
   // first, so its t=100 record precedes "second"'s.
   EXPECT_EQ(merged[1].board, "first");
   EXPECT_EQ(merged[2].board, "second");
+}
+
+TEST(RunJournal, MergedRecordsCarryEveryField) {
+  ClusterTraceHub hub;
+  hub.enable_trace();
+  hub.enable_journal();
+  TraceChannel& b0 = hub.channel("b0");
+  TraceChannel& cl = hub.channel("cluster");
+  cl.flow(9, FlowPhase::kEnd, 300, "b1", "recovery", "readmit");
+  b0.flow(8, FlowPhase::kStart, 100, "b0", "ckpt", "ckpt ", "Digit", '#', 4);
+  cl.journal(300, JournalEvent::kReadmit, "b1", -1, "Digit", 9);
+  b0.journal(100, JournalEvent::kComplete, "b0", 4, "Digit", 0,
+             "response_ms ", util::Fixed{12.5});
+  b0.journal(200, JournalEvent::kCheckpoint, "b0", 4, "Digit", 8, "delta ",
+             std::int64_t{4096}, " B");
+
+  const std::vector<FlowPoint> flows = hub.merged_flows();
+  ASSERT_EQ(flows.size(), 2u);
+  EXPECT_EQ(flows[0].id, 8u);
+  EXPECT_EQ(flows[0].phase, FlowPhase::kStart);
+  EXPECT_EQ(flows[0].time, 100);
+  EXPECT_EQ(flows[0].board, "b0");
+  EXPECT_EQ(flows[0].lane, "ckpt");
+  EXPECT_EQ(flows[0].name, "ckpt Digit#4");
+  EXPECT_EQ(flows[1].board, "b1");
+  EXPECT_EQ(flows[1].lane, "recovery");
+  EXPECT_EQ(flows[1].name, "readmit");
+
+  const std::vector<JournalRecord> merged = hub.merged_journal();
+  ASSERT_EQ(merged.size(), 3u);
+  // std::to_string(double)'s "%f" bytes.
+  EXPECT_EQ(merged[0].detail, "response_ms " + std::to_string(12.5));
+  EXPECT_EQ(merged[1].detail, "delta 4096 B");
+  EXPECT_EQ(merged[1].flow, 8u);
+  EXPECT_EQ(merged[2].board, "b1");
+  EXPECT_EQ(merged[2].app, -1);
+  EXPECT_EQ(merged[2].spec, "Digit");
+  EXPECT_EQ(merged[2].detail, "");
+
+  // The JSONL file parses back to the merged records, field for field.
+  std::ostringstream out;
+  hub.write_journal(out);
+  std::istringstream in(out.str());
+  const std::vector<JournalRecord> parsed = parse_journal(in);
+  ASSERT_EQ(parsed.size(), merged.size());
+  for (std::size_t i = 0; i < parsed.size(); ++i) {
+    EXPECT_EQ(parsed[i].time, merged[i].time) << i;
+    EXPECT_EQ(parsed[i].event, merged[i].event) << i;
+    EXPECT_EQ(parsed[i].board, merged[i].board) << i;
+    EXPECT_EQ(parsed[i].app, merged[i].app) << i;
+    EXPECT_EQ(parsed[i].spec, merged[i].spec) << i;
+    EXPECT_EQ(parsed[i].flow, merged[i].flow) << i;
+    EXPECT_EQ(parsed[i].detail, merged[i].detail) << i;
+  }
+}
+
+TEST(TraceHub, NamesInternOncePerHub) {
+  ClusterTraceHub hub;
+  EXPECT_EQ(hub.intern(""), 0u);
+  std::vector<NameId> ids;
+  for (int i = 0; i < 1024; ++i) {
+    ids.push_back(hub.intern("fpga" + std::to_string(i)));
+  }
+  for (int i = 0; i < 1024; ++i) {
+    EXPECT_EQ(hub.intern("fpga" + std::to_string(i)),
+              ids[static_cast<std::size_t>(i)]);
+    EXPECT_EQ(hub.name(ids[static_cast<std::size_t>(i)]),
+              "fpga" + std::to_string(i));
+  }
 }
 
 // -------------------------------------------------------------- resolvers
