@@ -18,11 +18,11 @@
 //                   since the last snapshot (base-plus-delta chains with
 //                   periodic compaction) instead of the whole image
 //
-// Checkpoint knobs: --ckpt-interval MS (VS_CKPT_INTERVAL) sets the pass
-// cadence and --ckpt-granularity BYTES (VS_CKPT_GRANULARITY) the dirty-
-// region size, so sweeps can trade snapshot overhead against re-run
-// window without recompiling. Per-mode checkpoint/migration byte and
-// downtime accounting is exported to ext_fault_resilience.csv.
+// Checkpoint knobs: --ckpt-interval MS sets the pass cadence and
+// --ckpt-granularity BYTES the dirty-region size, so sweeps can trade
+// snapshot overhead against re-run window without recompiling. Per-mode
+// checkpoint/migration byte and downtime accounting is exported to
+// ext_fault_resilience.csv.
 //
 // Because lost apps never complete, plain mean response over completions
 // would reward dropping work. The headline metric is therefore the
@@ -39,10 +39,9 @@
 
 #include "apps/benchmarks.h"
 #include "faults/scenario.h"
+#include "metrics/capture.h"
 #include "metrics/experiment.h"
 #include "metrics/sweep.h"
-#include "obs/telemetry.h"
-#include "obs/trace_hub.h"
 #include "util/cli.h"
 #include "util/csv.h"
 #include "util/table.h"
@@ -56,18 +55,11 @@ int run(int argc, char** argv) {
   metrics::SweepRunner runner(util::resolve_jobs(&args));
   const int apps_per_seq = static_cast<int>(args.get_int("apps", 40));
   const int n_seqs_arg = static_cast<int>(args.get_int("seqs", 2));
-  const std::string metrics_out = obs::resolve_metrics_out(&args);
-  // Causal trace / run journal capture (--trace-out FILE or VS_TRACE,
-  // --journal-out FILE or VS_JOURNAL): same instrumented replay as
-  // --metrics-out, with flow events stitching crash -> evacuation ->
-  // readmission across the two boards.
-  const std::string trace_out = obs::resolve_trace_out(&args);
-  const std::string journal_out = obs::resolve_journal_out(&args);
-  // Checkpoint knobs (--flag wins, then VS_* env, then the policy default).
-  const double ckpt_interval_ms =
-      util::resolve_double(&args, "ckpt-interval", "VS_CKPT_INTERVAL", 25.0);
-  const std::int64_t ckpt_granularity = util::resolve_int(
-      &args, "ckpt-granularity", "VS_CKPT_GRANULARITY", 64 * 1024);
+  // Capture (metrics/capture.h) attaches to one replay after the sweep.
+  metrics::Capture capture(args);
+  const double ckpt_interval_ms = args.get_double("ckpt-interval", 25.0);
+  const std::int64_t ckpt_granularity =
+      args.get_int("ckpt-granularity", 64 * 1024);
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
@@ -297,22 +289,19 @@ int run(int argc, char** argv) {
                  "re-admission while the throttle holds fresh arrivals "
                  "behind them)\n"
                  "Series written to ext_fault_resilience_rack.csv\n";
-    if (!metrics_out.empty()) {
+    if (capture.requested()) {
       // Instrumented replay of the harshest cell (highest rack rate, full
       // recovery + throttle) so the export carries the rack-event and
       // spare-exhaustion instruments.
-      obs::Telemetry telemetry;
       cluster::ClusterOptions options;
       options.boards_per_config = racks;
       options.faults = rack_scenario(rack_rates.back(), 0);
       options.recovery.throttle = throttle;
+      capture.attach(options);
       (void)metrics::run_cluster(suite, sequences[0], options,
-                                 sim::seconds(36000.0), &telemetry);
-      telemetry.info().config.emplace_back("bench", "ext_fault_resilience");
-      telemetry.info().config.emplace_back("mode", "rack-sweep");
-      telemetry.write_outputs(metrics_out);
-      std::cout << "Telemetry written to " << metrics_out
-                << ".{prom,jsonl,report.json}\n";
+                                 sim::seconds(36000.0), capture.telemetry());
+      capture.write(
+          {{"bench", "ext_fault_resilience"}, {"mode", "rack-sweep"}});
     }
     return 0;
   }
@@ -506,17 +495,11 @@ int run(int argc, char** argv) {
                "crashed board and pays T_eval for each)\n"
                "Series written to ext_fault_resilience.csv\n";
 
-  // Optional instrumented replay (--metrics-out PREFIX / --trace-out FILE /
-  // --journal-out FILE): re-run the harshest recovery cell with telemetry
-  // and/or the causal trace hub attached, so the run report carries the
-  // fault counters, evacuation latency, MTTR and per-board availability,
-  // and the trace/journal capture the crash -> evacuation -> readmission
-  // causality. Phase accounting rides the trace/journal flags.
-  if (!metrics_out.empty() || !trace_out.empty() || !journal_out.empty()) {
-    obs::Telemetry telemetry;
-    obs::ClusterTraceHub hub;
-    hub.enable_trace(!trace_out.empty());
-    hub.enable_journal(!journal_out.empty());
+  // Optional instrumented replay of the harshest recovery cell: the run
+  // report carries the fault counters, evacuation latency, MTTR and
+  // per-board availability, and the trace/journal the crash -> evacuation
+  // -> readmission causality.
+  if (capture.requested()) {
     cluster::ClusterOptions options;
     options.faults =
         scenario_for(crash_rates[std::size(crash_rates) - 1], 0);
@@ -526,28 +509,11 @@ int run(int argc, char** argv) {
     options.checkpoint.interval = sim::ms(ckpt_interval_ms);
     options.checkpoint.granularity = ckpt_granularity;
     options.migration.precopy = true;
-    if (!trace_out.empty() || !journal_out.empty()) {
-      options.hub = &hub;
-      options.phase_accounting = true;
-    }
+    capture.attach(options);
     (void)metrics::run_cluster(suite, sequences[0], options,
-                               sim::seconds(36000.0),
-                               metrics_out.empty() ? nullptr : &telemetry);
-    if (!metrics_out.empty()) {
-      telemetry.info().config.emplace_back("bench", "ext_fault_resilience");
-      telemetry.info().config.emplace_back("mode", "ckpt-delta+precopy");
-      telemetry.write_outputs(metrics_out);
-      std::cout << "Telemetry written to " << metrics_out
-                << ".{prom,jsonl,report.json}\n";
-    }
-    if (!trace_out.empty()) {
-      hub.write_chrome_trace_file(trace_out);
-      std::cout << "Chrome trace written to " << trace_out << "\n";
-    }
-    if (!journal_out.empty()) {
-      hub.write_journal_file(journal_out);
-      std::cout << "Run journal written to " << journal_out << "\n";
-    }
+                               sim::seconds(36000.0), capture.telemetry());
+    capture.write(
+        {{"bench", "ext_fault_resilience"}, {"mode", "ckpt-delta+precopy"}});
   }
   return 0;
 }

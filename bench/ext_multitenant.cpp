@@ -16,17 +16,17 @@
 // in simulation events over a seed-derived trace, so the table and
 // ext_multitenant.csv are bit-identical for any --jobs worker count.
 //
-// --metrics-out PREFIX re-runs the largest cell instrumented and writes
-// the vs_tenant_* series (admitted/rejected/deferred/completed/slo_miss
-// counters per tenant, response histograms per class).
+// Capture (metrics/capture.h) re-runs the largest cell with the vs_tenant_*
+// series (admitted/rejected/deferred/completed/slo_miss counters per
+// tenant, response histograms per class), its trace and its journal.
 #include <iostream>
 #include <iterator>
 #include <string>
 #include <vector>
 
 #include "apps/benchmarks.h"
+#include "metrics/capture.h"
 #include "metrics/sweep.h"
-#include "obs/telemetry.h"
 #include "serve/serve.h"
 #include "util/cli.h"
 #include "util/csv.h"
@@ -108,8 +108,8 @@ int run(int argc, char** argv) {
 
   util::CliArgs args(argc, argv);
   metrics::SweepRunner runner(util::resolve_jobs(&args));
-  const double horizon_s = util::resolve_double(&args, "horizon", "VS_HORIZON", 20.0);
-  const std::string metrics_out = obs::resolve_metrics_out(&args);
+  const double horizon_s = args.get_double("horizon", 20.0);
+  metrics::Capture capture(args);
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
@@ -209,22 +209,18 @@ int run(int argc, char** argv) {
                "that admits more than it can serve in time gains nothing)\n"
                "Series written to ext_multitenant.csv\n";
 
-  // Optional instrumented replay of the largest swept cell: exports the
-  // vs_tenant_* series registered by the serving plane.
-  if (!metrics_out.empty()) {
-    obs::Telemetry telemetry;
+  // Optional instrumented replay of the largest swept cell.
+  if (capture.requested()) {
     cluster::ClusterOptions options;
     options.boards_per_config = board_counts.back();
     options.enable_switching = false;
+    capture.attach(options);
     serve::ServeConfig config =
         make_config(board_counts.back(), rate_mults.back(), horizon_s);
     config.rebalance = true;
     (void)serve::run_serve(suite, config, options, sim::seconds(36000.0),
-                           &telemetry);
-    telemetry.info().config.emplace_back("bench", "ext_multitenant");
-    telemetry.write_outputs(metrics_out);
-    std::cout << "Telemetry written to " << metrics_out
-              << ".{prom,jsonl,report.json}\n";
+                           capture.telemetry());
+    capture.write({{"bench", "ext_multitenant"}});
   }
   return 0;
 }

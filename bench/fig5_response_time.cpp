@@ -17,9 +17,8 @@
 #include <iostream>
 
 #include "apps/benchmarks.h"
+#include "metrics/capture.h"
 #include "metrics/sweep.h"
-#include "obs/telemetry.h"
-#include "obs/trace_hub.h"
 #include "util/cli.h"
 #include "util/csv.h"
 #include "util/table.h"
@@ -59,12 +58,7 @@ int run(int argc, char** argv) {
         workload::generate_sequences(config, kSequences, kMasterSeed);
     for (int k = 0; k < metrics::kSystemCount; ++k) {
       for (const auto& seq : sequences) {
-        metrics::RunOptions options;
-        // Phase accounting feeds the completed/recovering CSV split; it is
-        // pure bookkeeping, so every response-time column is unchanged.
-        options.phase_accounting = true;
-        grid.push_back(metrics::SweepJob{
-            static_cast<metrics::SystemKind>(k), seq, options});
+        grid.push_back({static_cast<metrics::SystemKind>(k), seq, {}});
       }
     }
   }
@@ -72,7 +66,7 @@ int run(int argc, char** argv) {
 
   util::CsvWriter csv("fig5_response_time.csv");
   csv.header({"congestion", "system", "mean_ms", "reduction_vs_baseline",
-              "completed", "recovering"});
+              "completed"});
 
   double bl_best_reduction = 0;
   double bl_vs_nimblock_best = 0;
@@ -85,12 +79,7 @@ int run(int argc, char** argv) {
     std::vector<metrics::AggregateResult> results;
     std::vector<util::RunningStats> seq_means(
         static_cast<std::size_t>(metrics::kSystemCount));
-    // Pooled completion split per system: apps finished clean vs apps whose
-    // phase account shows recovery time (always zero: single-board runs
-    // are fault-free; the column keeps the committed CSV schema).
     std::vector<int> sys_completed(
-        static_cast<std::size_t>(metrics::kSystemCount), 0);
-    std::vector<int> sys_recovering(
         static_cast<std::size_t>(metrics::kSystemCount), 0);
     for (int k = 0; k < metrics::kSystemCount; ++k) {
       auto kind = static_cast<metrics::SystemKind>(k);
@@ -103,8 +92,6 @@ int run(int argc, char** argv) {
       for (const auto& r : per_seq) {
         seq_means[static_cast<std::size_t>(k)].add(r.response.mean);
         sys_completed[static_cast<std::size_t>(k)] += r.completed;
-        sys_recovering[static_cast<std::size_t>(k)] +=
-            metrics::recovered_completions(r.apps);
       }
     }
     double baseline_mean = results[0].mean_response_ms;
@@ -125,8 +112,7 @@ int run(int argc, char** argv) {
       table.cell(util::fmt(reduction, 2) + "x");
       csv.row({workload::congestion_name(congestion), r.system,
                util::fmt(r.mean_response_ms, 3), util::fmt(reduction, 4),
-               std::to_string(sys_completed[k]),
-               std::to_string(sys_recovering[k])});
+               std::to_string(sys_completed[k])});
     }
     table.print(std::cout);
     std::cout << "\n";
@@ -146,46 +132,19 @@ int run(int argc, char** argv) {
             << util::fmt(bl_vs_ol_best, 2) << "x\n"
             << "\nSeries written to fig5_response_time.csv\n";
 
-  // Optional telemetry (--metrics-out PREFIX or VS_METRICS, --trace-out,
-  // --journal-out): replay the stress / VersaSlot-BL / first-sequence cell
-  // single-board, the same cell the grid above measured, with the
-  // instruments bound, and export them. The sweep grid never carries
-  // telemetry.
-  const std::string metrics_out = obs::resolve_metrics_out(&args);
-  const std::string trace_out = obs::resolve_trace_out(&args);
-  const std::string journal_out = obs::resolve_journal_out(&args);
-  if (!metrics_out.empty() || !trace_out.empty() || !journal_out.empty()) {
+  // Optional capture (metrics/capture.h): replay the grid's stress /
+  // VersaSlot-BL / first-sequence cell single-board with it attached.
+  metrics::Capture capture(args);
+  if (capture.requested()) {
     workload::WorkloadConfig config;
     config.congestion = workload::Congestion::kStress;
     config.apps_per_sequence = kAppsPerSequence;
     auto sequences = workload::generate_sequences(config, 1, kMasterSeed);
-    obs::Telemetry telemetry;
-    obs::ClusterTraceHub hub;
-    hub.enable_trace(!trace_out.empty());
-    hub.enable_journal(!journal_out.empty());
     metrics::RunOptions opts;
-    if (!metrics_out.empty()) opts.telemetry = &telemetry;
-    if (!trace_out.empty() || !journal_out.empty()) {
-      opts.hub = &hub;
-      opts.phase_accounting = true;
-    }
+    capture.attach(opts);
     (void)metrics::run_single_board(metrics::SystemKind::kVersaBigLittle,
                                     suite, sequences[0], opts);
-    if (!metrics_out.empty()) {
-      telemetry.info().config.emplace_back("figure", "fig5");
-      telemetry.info().config.emplace_back("congestion", "Stress");
-      telemetry.write_outputs(metrics_out);
-      std::cout << "Telemetry written to " << metrics_out
-                << ".{prom,jsonl,report.json}\n";
-    }
-    if (!trace_out.empty()) {
-      hub.write_chrome_trace_file(trace_out);
-      std::cout << "Chrome trace written to " << trace_out << "\n";
-    }
-    if (!journal_out.empty()) {
-      hub.write_journal_file(journal_out);
-      std::cout << "Run journal written to " << journal_out << "\n";
-    }
+    capture.write({{"figure", "fig5"}, {"congestion", "Stress"}});
   }
   return 0;
 }

@@ -12,9 +12,8 @@
 #include <iostream>
 
 #include "apps/benchmarks.h"
+#include "metrics/capture.h"
 #include "metrics/sweep.h"
-#include "obs/telemetry.h"
-#include "obs/trace_hub.h"
 #include "util/cli.h"
 #include "util/csv.h"
 #include "util/table.h"
@@ -41,7 +40,7 @@ int run(int argc, char** argv) {
             << "(" << runner.jobs() << " worker thread(s))\n\n";
   util::CsvWriter csv("fig6_tail_latency.csv");
   csv.header({"congestion", "system", "p95_ms", "p99_ms", "p95_vs_baseline",
-              "p99_vs_baseline", "completed", "recovering"});
+              "p99_vs_baseline", "completed"});
 
   for (int ci = 0; ci < workload::kCongestionCount; ++ci) {
     auto congestion = static_cast<workload::Congestion>(ci);
@@ -55,20 +54,13 @@ int run(int argc, char** argv) {
     std::vector<metrics::SweepJob> grid;
     for (int k = 0; k < metrics::kSystemCount; ++k) {
       for (const auto& seq : sequences) {
-        metrics::RunOptions options;
-        // Phase accounting feeds the completed/recovering CSV split; every
-        // latency column is unchanged (pure bookkeeping).
-        options.phase_accounting = true;
-        grid.push_back(metrics::SweepJob{
-            static_cast<metrics::SystemKind>(k), seq, options});
+        grid.push_back({static_cast<metrics::SystemKind>(k), seq, {}});
       }
     }
     auto cells = runner.run(suite, grid);
 
     std::vector<metrics::AggregateResult> results;
     std::vector<int> sys_completed(
-        static_cast<std::size_t>(metrics::kSystemCount), 0);
-    std::vector<int> sys_recovering(
         static_cast<std::size_t>(metrics::kSystemCount), 0);
     for (int k = 0; k < metrics::kSystemCount; ++k) {
       std::vector<metrics::RunResult> per_seq(
@@ -78,8 +70,6 @@ int run(int argc, char** argv) {
           static_cast<metrics::SystemKind>(k), per_seq));
       for (const auto& r : per_seq) {
         sys_completed[static_cast<std::size_t>(k)] += r.completed;
-        sys_recovering[static_cast<std::size_t>(k)] +=
-            metrics::recovered_completions(r.apps);
       }
     }
     const auto& base = results[0];
@@ -102,8 +92,7 @@ int run(int argc, char** argv) {
                util::fmt(r.p95_ms, 3), util::fmt(r.p99_ms, 3),
                util::fmt(r.p95_ms / base.p95_ms, 4),
                util::fmt(r.p99_ms / base.p99_ms, 4),
-               std::to_string(sys_completed[k]),
-               std::to_string(sys_recovering[k])});
+               std::to_string(sys_completed[k])});
     }
     table.print(std::cout);
     std::cout << "  Big.Little vs Nimblock: P95 "
@@ -114,45 +103,19 @@ int run(int argc, char** argv) {
   }
   std::cout << "Series written to fig6_tail_latency.csv\n";
 
-  // Optional telemetry (--metrics-out PREFIX or VS_METRICS): replay the
-  // stress / VersaSlot-BL / first-sequence cell single-board with metrics
-  // bound and export its instruments. The sweep grid never carries
-  // telemetry.
-  const std::string metrics_out = obs::resolve_metrics_out(&args);
-  const std::string trace_out = obs::resolve_trace_out(&args);
-  const std::string journal_out = obs::resolve_journal_out(&args);
-  if (!metrics_out.empty() || !trace_out.empty() || !journal_out.empty()) {
+  // Optional capture (metrics/capture.h): replay the grid's stress /
+  // VersaSlot-BL / first-sequence cell single-board with it attached.
+  metrics::Capture capture(args);
+  if (capture.requested()) {
     workload::WorkloadConfig config;
     config.congestion = workload::Congestion::kStress;
     config.apps_per_sequence = kAppsPerSequence;
     auto sequences = workload::generate_sequences(config, 1, kMasterSeed);
-    obs::Telemetry telemetry;
-    obs::ClusterTraceHub hub;
-    hub.enable_trace(!trace_out.empty());
-    hub.enable_journal(!journal_out.empty());
     metrics::RunOptions opts;
-    if (!metrics_out.empty()) opts.telemetry = &telemetry;
-    if (!trace_out.empty() || !journal_out.empty()) {
-      opts.hub = &hub;
-      opts.phase_accounting = true;
-    }
+    capture.attach(opts);
     (void)metrics::run_single_board(metrics::SystemKind::kVersaBigLittle,
                                     suite, sequences[0], opts);
-    if (!metrics_out.empty()) {
-      telemetry.info().config.emplace_back("figure", "fig6");
-      telemetry.info().config.emplace_back("congestion", "Stress");
-      telemetry.write_outputs(metrics_out);
-      std::cout << "Telemetry written to " << metrics_out
-                << ".{prom,jsonl,report.json}\n";
-    }
-    if (!trace_out.empty()) {
-      hub.write_chrome_trace_file(trace_out);
-      std::cout << "Chrome trace written to " << trace_out << "\n";
-    }
-    if (!journal_out.empty()) {
-      hub.write_journal_file(journal_out);
-      std::cout << "Run journal written to " << journal_out << "\n";
-    }
+    capture.write({{"figure", "fig6"}, {"congestion", "Stress"}});
   }
   return 0;
 }

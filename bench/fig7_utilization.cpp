@@ -15,9 +15,8 @@
 
 #include "apps/benchmarks.h"
 #include "apps/bundling.h"
+#include "metrics/capture.h"
 #include "metrics/sweep.h"
-#include "obs/telemetry.h"
-#include "obs/trace_hub.h"
 #include "util/cli.h"
 #include "util/csv.h"
 #include "util/table.h"
@@ -33,8 +32,8 @@ int run(int argc, char** argv) {
   apps::SynthesisModel model;
   auto suite = apps::make_suite(params, model);
 
-  // The dynamic-check sweep runs up front (its per-spec completion split
-  // feeds the dyn_* CSV columns of the left panel below); its summary
+  // The dynamic-check sweep runs up front (its per-spec completions feed
+  // the dyn_completed CSV column of the left panel below); its summary
   // still prints after the two static panels, in the original order.
   workload::WorkloadConfig config;
   config.congestion = workload::Congestion::kStress;
@@ -44,28 +43,15 @@ int run(int argc, char** argv) {
   // (sequence, system) job order keeps the reduction deterministic.
   std::vector<metrics::SweepJob> grid;
   for (const auto& seq : sequences) {
-    metrics::RunOptions dyn_options;
-    // Phase accounting feeds the per-app completed/recovering split; the
-    // utilisation integrals are unchanged (pure bookkeeping).
-    dyn_options.phase_accounting = true;
-    grid.push_back(metrics::SweepJob{metrics::SystemKind::kVersaBigLittle,
-                                     seq, dyn_options});
-    grid.push_back(metrics::SweepJob{metrics::SystemKind::kVersaOnlyLittle,
-                                     seq, dyn_options});
+    grid.push_back({metrics::SystemKind::kVersaBigLittle, seq, {}});
+    grid.push_back({metrics::SystemKind::kVersaOnlyLittle, seq, {}});
   }
   auto cells = runner.run(suite, grid);
-  // Per-spec completion split over the Big.Little dynamic-check replicas:
-  // apps of this spec that completed, and of those, how many passed
-  // through a recovery phase (always zero: single-board runs are
-  // fault-free; the column keeps the committed CSV schema).
+  // Per-spec completions over the Big.Little dynamic-check replicas.
   std::vector<int> dyn_completed(suite.size(), 0);
-  std::vector<int> dyn_recovering(suite.size(), 0);
   for (std::size_t i = 0; i < sequences.size(); ++i) {
     for (const runtime::CompletedApp& c : cells[2 * i].apps) {
-      auto spec = static_cast<std::size_t>(c.spec_index);
-      ++dyn_completed[spec];
-      auto phase = static_cast<std::size_t>(runtime::AppPhase::kRecovery);
-      if (c.phase_ns[phase] > 0) ++dyn_recovering[spec];
+      ++dyn_completed[static_cast<std::size_t>(c.spec_index)];
     }
   }
 
@@ -73,8 +59,7 @@ int run(int argc, char** argv) {
                "===\n\n";
   util::CsvWriter csv("fig7_utilization.csv");
   csv.header({"app", "lut_little", "lut_big", "lut_improvement_pct",
-              "ff_little", "ff_big", "ff_improvement_pct", "dyn_completed",
-              "dyn_recovering"});
+              "ff_little", "ff_big", "ff_improvement_pct", "dyn_completed"});
 
   util::Table table({"app", "LUT little", "LUT 3-in-1", "LUT +%",
                      "FF little", "FF 3-in-1", "FF +%"});
@@ -122,8 +107,7 @@ int run(int argc, char** argv) {
     table.cell(ff_imp, 1);
     csv.row({app.name, util::fmt(lut_l, 4), util::fmt(lut_b, 4),
              util::fmt(lut_imp, 2), util::fmt(ff_l, 4), util::fmt(ff_b, 4),
-             util::fmt(ff_imp, 2), std::to_string(dyn_completed[app_index]),
-             std::to_string(dyn_recovering[app_index])});
+             util::fmt(ff_imp, 2), std::to_string(dyn_completed[app_index])});
   }
   table.print(std::cout);
   std::cout << "\n  average improvement: LUT +"
@@ -190,38 +174,15 @@ int run(int argc, char** argv) {
             << util::fmt((bl_ff / ol_ff - 1) * 100, 1) << "%)\n"
             << "\nSeries written to fig7_utilization.csv\n";
 
-  // Optional telemetry (--metrics-out PREFIX or VS_METRICS): replay the
-  // dynamic check's first Big.Little cell with metrics bound and export.
-  const std::string metrics_out = obs::resolve_metrics_out(&args);
-  const std::string trace_out = obs::resolve_trace_out(&args);
-  const std::string journal_out = obs::resolve_journal_out(&args);
-  if (!metrics_out.empty() || !trace_out.empty() || !journal_out.empty()) {
-    obs::Telemetry telemetry;
-    obs::ClusterTraceHub hub;
-    hub.enable_trace(!trace_out.empty());
-    hub.enable_journal(!journal_out.empty());
+  // Optional capture (metrics/capture.h): replay the dynamic check's first
+  // Big.Little cell with it attached.
+  metrics::Capture capture(args);
+  if (capture.requested()) {
     metrics::RunOptions opts;
-    if (!metrics_out.empty()) opts.telemetry = &telemetry;
-    if (!trace_out.empty() || !journal_out.empty()) {
-      opts.hub = &hub;
-      opts.phase_accounting = true;
-    }
+    capture.attach(opts);
     (void)metrics::run_single_board(metrics::SystemKind::kVersaBigLittle,
                                     suite, sequences[0], opts);
-    if (!metrics_out.empty()) {
-      telemetry.info().config.emplace_back("figure", "fig7");
-      telemetry.write_outputs(metrics_out);
-      std::cout << "Telemetry written to " << metrics_out
-                << ".{prom,jsonl,report.json}\n";
-    }
-    if (!trace_out.empty()) {
-      hub.write_chrome_trace_file(trace_out);
-      std::cout << "Chrome trace written to " << trace_out << "\n";
-    }
-    if (!journal_out.empty()) {
-      hub.write_journal_file(journal_out);
-      std::cout << "Run journal written to " << journal_out << "\n";
-    }
+    capture.write({{"figure", "fig7"}});
   }
   return 0;
 }

@@ -19,9 +19,8 @@
 #include <vector>
 
 #include "apps/benchmarks.h"
+#include "metrics/capture.h"
 #include "metrics/experiment.h"
-#include "obs/telemetry.h"
-#include "obs/trace_hub.h"
 #include "util/cli.h"
 #include "util/csv.h"
 #include "util/table.h"
@@ -33,25 +32,14 @@ int run(int argc, char** argv) {
   using namespace vs;
 
   util::CliArgs args(argc, argv);
-  // Telemetry capture (--metrics-out PREFIX or VS_METRICS) attaches to the
-  // first workload's with-switching run — the run whose D_switch loop and
-  // Aurora migrations the figure is about.
-  const std::string metrics_out = obs::resolve_metrics_out(&args);
-  obs::Telemetry telemetry;
-  // Causal trace / run journal capture (--trace-out FILE or VS_TRACE,
-  // --journal-out FILE or VS_JOURNAL) rides the same first with-switching
-  // run; either flag also turns on response-time phase accounting there.
-  // The committed figure series never read these.
-  const std::string trace_out = obs::resolve_trace_out(&args);
-  const std::string journal_out = obs::resolve_journal_out(&args);
-  obs::ClusterTraceHub hub;
-  hub.enable_trace(!trace_out.empty());
-  hub.enable_journal(!journal_out.empty());
-  const bool observe = !trace_out.empty() || !journal_out.empty();
-  // Round cap for the pre-copy comparison runs (--precopy-rounds N or
-  // VS_PRECOPY_ROUNDS); the committed figure series never read it.
-  const int precopy_rounds = static_cast<int>(
-      util::resolve_int(&args, "precopy-rounds", "VS_PRECOPY_ROUNDS", 4));
+  // Capture (metrics/capture.h) attaches to the first workload's
+  // with-switching run: the run whose D_switch loop and Aurora migrations
+  // the figure is about. The committed figure series never read it.
+  metrics::Capture capture(args);
+  // Round cap for the pre-copy comparison runs; the committed figure
+  // series never read it.
+  const int precopy_rounds =
+      static_cast<int>(args.get_int("precopy-rounds", 4));
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
@@ -84,16 +72,11 @@ int run(int argc, char** argv) {
   for (int w = 0; w < 3; ++w) {
     workload::Sequence seq = workload::fig8_long_workload(3000 + w);
 
-    obs::Telemetry* capture =
-        (w == 0 && !metrics_out.empty()) ? &telemetry : nullptr;
     cluster::ClusterOptions run_options = options;
-    if (w == 0 && observe) {
-      run_options.hub = &hub;
-      run_options.phase_accounting = true;
-    }
-    metrics::ClusterRunResult with_sw =
-        metrics::run_cluster(suite, seq, run_options, sim::seconds(36000.0),
-                             capture);
+    if (w == 0) capture.attach(run_options);
+    metrics::ClusterRunResult with_sw = metrics::run_cluster(
+        suite, seq, run_options, sim::seconds(36000.0),
+        w == 0 ? capture.telemetry() : nullptr);
     cluster::ClusterOptions off = options;
     off.enable_switching = false;
     metrics::ClusterRunResult only_little =
@@ -230,21 +213,7 @@ int run(int argc, char** argv) {
             << "\nSeries written to fig8_dswitch_trace.csv / "
                "fig8_summary.csv / fig8_downtime.csv\n";
 
-  if (!metrics_out.empty()) {
-    telemetry.info().config.emplace_back("figure", "fig8");
-    telemetry.info().config.emplace_back("workload", "0");
-    telemetry.write_outputs(metrics_out);
-    std::cout << "Telemetry written to " << metrics_out
-              << ".{prom,jsonl,report.json}\n";
-  }
-  if (!trace_out.empty()) {
-    hub.write_chrome_trace_file(trace_out);
-    std::cout << "Chrome trace written to " << trace_out << "\n";
-  }
-  if (!journal_out.empty()) {
-    hub.write_journal_file(journal_out);
-    std::cout << "Run journal written to " << journal_out << "\n";
-  }
+  capture.write({{"figure", "fig8"}, {"workload", "0"}});
   return 0;
 }
 

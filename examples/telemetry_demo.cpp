@@ -12,11 +12,13 @@
 //   # -> demo.prom (Prometheus text), demo.jsonl (time series),
 //   #    demo.report.json (run report)
 // or equivalently VS_METRICS=demo ./build/examples/telemetry_demo.
+// --trace-out FILE and --journal-out FILE add the run's Chrome trace and
+// journal (metrics/capture.h).
 #include <iostream>
 
 #include "apps/benchmarks.h"
+#include "metrics/capture.h"
 #include "metrics/experiment.h"
-#include "obs/telemetry.h"
 #include "util/cli.h"
 #include "util/table.h"
 #include "workload/generator.h"
@@ -25,7 +27,7 @@ int run(int argc, char** argv) {
   using namespace vs;
 
   util::CliArgs args(argc, argv);
-  const std::string metrics_out = obs::resolve_metrics_out(&args);
+  metrics::Capture capture(args);
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
@@ -39,11 +41,13 @@ int run(int argc, char** argv) {
   util::Rng rng(/*seed=*/2025);
   workload::Sequence sequence = workload::generate_sequence(config, rng);
 
-  obs::Telemetry telemetry;
+  // The dashboard reads the instruments, so telemetry is bound whether or
+  // not --metrics-out asks for the files.
+  cluster::ClusterOptions options;
+  capture.attach(options);
+  obs::Telemetry& telemetry = capture.bundle();
   metrics::ClusterRunResult result = metrics::run_cluster(
-      suite, sequence, cluster::ClusterOptions{}, sim::seconds(36000.0),
-      &telemetry);
-  telemetry.info().config.emplace_back("example", "telemetry_demo");
+      suite, sequence, options, sim::seconds(36000.0), &telemetry);
 
   std::cout << telemetry.dashboard("VersaSlot cluster telemetry") << "\n";
 
@@ -54,11 +58,7 @@ int run(int argc, char** argv) {
             << " sampler snapshots @ "
             << sim::to_ms(telemetry.sampler().interval()) << " ms\n";
 
-  if (!metrics_out.empty()) {
-    telemetry.write_outputs(metrics_out);
-    std::cout << "Telemetry written to " << metrics_out
-              << ".{prom,jsonl,report.json}\n";
-  }
+  capture.write({{"example", "telemetry_demo"}});
   return 0;
 }
 

@@ -87,6 +87,24 @@ if [[ "$series_head" != *vs_board_available* ]]; then
   exit 1
 fi
 
+echo "== capture flag smoke (every capturing CLI writes what it is asked) =="
+# Each of these runs once exited 0 without writing its trace or journal.
+# The journals must carry the decisions the runs are about: the rack
+# replay's crashes and the serving plane's admissions.
+(cd build && ./bench/ext_fault_resilience --racks 2 --apps 12 --seqs 1 \
+  --trace-out rack_capture.json --journal-out rack_capture.journal.jsonl \
+  >/dev/null)
+(cd build && ./bench/ext_multitenant --boards 8 --rate 1.0 --horizon 10 \
+  --jobs 1 --trace-out mt_capture.json --journal-out mt_capture.journal.jsonl \
+  >/dev/null)
+(cd build && ./examples/telemetry_demo --trace-out demo_capture.json >/dev/null)
+for f in rack_capture.json rack_capture.journal.jsonl mt_capture.json \
+         mt_capture.journal.jsonl demo_capture.json; do
+  test -s "build/$f"
+done
+grep -q '"event":"crash"' build/rack_capture.journal.jsonl
+grep -q '"event":"admit"' build/mt_capture.journal.jsonl
+
 echo "== example trace smoke (hub writer, full-precision timestamps) =="
 # The examples write Chrome traces through the trace hub, like the benches.
 # Timestamps must print as shortest round-trip decimals: ostream's default
@@ -118,6 +136,8 @@ expect_write_failure /dev/full ./examples/simulate --system versaslot-bl \
   --congestion stress --apps 20 --trace /dev/full
 expect_write_failure /dev/full/x ./bench/ext_multitenant --boards 8 \
   --rate 1.0 --horizon 10 --jobs 1 --metrics-out /dev/full/x
+expect_write_failure /dev/full ./bench/fig7_utilization --jobs 1 \
+  --journal-out /dev/full
 
 echo "== run-length scaling smoke (per-event cost independent of history) =="
 # Ten times the apps should cost about ten times the host time. Per-event
@@ -211,7 +231,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake -B build-asan -S . -DVS_SANITIZE=address
   cmake --build build-asan -j "$JOBS" --target versaslot_tests
   ./build-asan/tests/versaslot_tests \
-    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:SamplerChangeLog.*:CaptureGolden.*:BlockWriterNumbers.*:Telemetry*:TraceRecorder.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*'
+    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:SamplerChangeLog.*:CaptureGolden.*:Capture.*:BlockWriterNumbers.*:Telemetry*:TraceRecorder.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*'
 fi
 
 if [[ "${SKIP_COV:-0}" != "1" ]]; then

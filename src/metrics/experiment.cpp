@@ -130,15 +130,6 @@ AggregateResult aggregate(SystemKind kind,
   return agg;
 }
 
-int recovered_completions(const std::vector<runtime::CompletedApp>& apps) {
-  int n = 0;
-  for (const runtime::CompletedApp& c : apps) {
-    auto phase = static_cast<std::size_t>(runtime::AppPhase::kRecovery);
-    if (c.phase_ns[phase] > 0) ++n;
-  }
-  return n;
-}
-
 ClusterRunResult run_cluster(const std::vector<apps::AppSpec>& suite,
                              const workload::Sequence& sequence,
                              const cluster::ClusterOptions& options,

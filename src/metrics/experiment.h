@@ -141,11 +141,4 @@ struct ClusterRunResult {
     sim::SimTime time_limit = sim::seconds(36000.0),
     obs::Telemetry* telemetry = nullptr);
 
-/// Completed apps whose phase account charged any time to kRecovery — i.e.
-/// apps that finished *through* a crash (evacuated, restored, or restarted
-/// and re-admitted). Requires phase accounting on the run; with it off (or
-/// without faults) every account is zero and this returns 0.
-[[nodiscard]] int recovered_completions(
-    const std::vector<runtime::CompletedApp>& apps);
-
 }  // namespace vs::metrics

@@ -28,10 +28,6 @@ namespace vs::sim {
 class Simulator;
 }  // namespace vs::sim
 
-namespace vs::util {
-class CliArgs;
-}  // namespace vs::util
-
 namespace vs::obs {
 
 class Telemetry {
@@ -65,18 +61,5 @@ class Telemetry {
   Sampler sampler_;
   RunInfo info_;
 };
-
-/// Output prefix resolution for the bench/example CLIs: `--metrics-out`
-/// flag first, then the VS_METRICS environment variable; empty string means
-/// telemetry stays off. Pass null args to consult the environment only.
-[[nodiscard]] std::string resolve_metrics_out(const util::CliArgs* args);
-
-/// Chrome-trace output path: `--trace-out` flag, then VS_TRACE. Empty means
-/// cluster tracing stays off.
-[[nodiscard]] std::string resolve_trace_out(const util::CliArgs* args);
-
-/// Run-journal output path: `--journal-out` flag, then VS_JOURNAL. Empty
-/// means the journal stays off.
-[[nodiscard]] std::string resolve_journal_out(const util::CliArgs* args);
 
 }  // namespace vs::obs

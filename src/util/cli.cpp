@@ -55,24 +55,6 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   return it->second != "false" && it->second != "0" && it->second != "no";
 }
 
-std::int64_t resolve_int(const CliArgs* cli, const std::string& flag,
-                         const char* env, std::int64_t fallback) {
-  if (cli != nullptr && cli->has(flag)) return cli->get_int(flag, fallback);
-  if (const char* value = std::getenv(env)) {
-    return std::strtoll(value, nullptr, 10);
-  }
-  return fallback;
-}
-
-double resolve_double(const CliArgs* cli, const std::string& flag,
-                      const char* env, double fallback) {
-  if (cli != nullptr && cli->has(flag)) return cli->get_double(flag, fallback);
-  if (const char* value = std::getenv(env)) {
-    return std::strtod(value, nullptr);
-  }
-  return fallback;
-}
-
 int run_cli(const std::function<int()>& body) {
   try {
     return body();

@@ -40,17 +40,6 @@ class CliArgs {
   std::vector<std::string> positional_;
 };
 
-/// Generic knob resolution, same precedence as resolve_jobs
-/// (util/thread_pool.h): the `--flag` wins, then the `env` variable, then
-/// `fallback`. Benches use these for sweepable knobs so scripted runs
-/// can set VS_* once instead of threading flags everywhere.
-[[nodiscard]] std::int64_t resolve_int(const CliArgs* cli,
-                                       const std::string& flag,
-                                       const char* env, std::int64_t fallback);
-[[nodiscard]] double resolve_double(const CliArgs* cli,
-                                    const std::string& flag, const char* env,
-                                    double fallback);
-
 /// Runs a CLI's `body` and returns its exit code. A std::runtime_error that
 /// escapes it — an output file that cannot be opened or written in full —
 /// prints "error: <message>" on stderr and returns 1, where the uncaught

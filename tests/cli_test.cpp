@@ -104,38 +104,5 @@ TEST(Log, InitFromEnvAppliesVsLogOnce) {
   Log::set_level(saved);
 }
 
-TEST(Cli, ResolveIntAndDoublePrecedence) {
-  // Flag beats env beats fallback — the pattern the checkpoint/migration
-  // knobs (--ckpt-interval / --ckpt-granularity / --precopy-rounds) use.
-  ASSERT_EQ(::setenv("VS_CKPT_GRANULARITY", "1024", 1), 0);
-  ASSERT_EQ(::setenv("VS_CKPT_INTERVAL", "12.5", 1), 0);
-  CliArgs with_flags =
-      parse({"--ckpt-granularity", "2048", "--ckpt-interval", "7.5"});
-  EXPECT_EQ(
-      resolve_int(&with_flags, "ckpt-granularity", "VS_CKPT_GRANULARITY", 64),
-      2048);
-  EXPECT_DOUBLE_EQ(
-      resolve_double(&with_flags, "ckpt-interval", "VS_CKPT_INTERVAL", 25.0),
-      7.5);
-  CliArgs no_flags = parse({});
-  EXPECT_EQ(
-      resolve_int(&no_flags, "ckpt-granularity", "VS_CKPT_GRANULARITY", 64),
-      1024);
-  EXPECT_DOUBLE_EQ(
-      resolve_double(&no_flags, "ckpt-interval", "VS_CKPT_INTERVAL", 25.0),
-      12.5);
-  EXPECT_EQ(resolve_int(nullptr, "ckpt-granularity", "VS_CKPT_GRANULARITY",
-                        64),
-            1024);
-  ASSERT_EQ(::unsetenv("VS_CKPT_GRANULARITY"), 0);
-  ASSERT_EQ(::unsetenv("VS_CKPT_INTERVAL"), 0);
-  EXPECT_EQ(
-      resolve_int(&no_flags, "ckpt-granularity", "VS_CKPT_GRANULARITY", 64),
-      64);
-  EXPECT_DOUBLE_EQ(
-      resolve_double(&no_flags, "ckpt-interval", "VS_CKPT_INTERVAL", 25.0),
-      25.0);
-}
-
 }  // namespace
 }  // namespace vs::util

@@ -1,13 +1,14 @@
 // Telemetry subsystem tests: registry semantics, histogram math, exporter
 // round-trips, the sampler's change log against a dense oracle, digests of
-// every capture file, and the pinned guarantee that enabling telemetry does
-// not perturb simulation results.
+// every capture file, the CLI capture path, and the pinned guarantee that
+// enabling telemetry does not perturb simulation results.
 #include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <regex>
 #include <sstream>
@@ -19,6 +20,7 @@
 
 #include "apps/benchmarks.h"
 #include "cluster/cluster.h"
+#include "metrics/capture.h"
 #include "metrics/experiment.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -609,42 +611,156 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
 TEST(CaptureGolden, FaultedCheckpointedClusterFilesKeepTheirBytes) {
   // All five capture files of a faulted cluster run with delta
   // checkpoints, pre-copy migration and phase accounting, pinned by
   // digest. The constants are the digests of the files written before
   // spans, flows, journal records and sampler rows became compact records
   // (with the trace's always-zero "vs_dropped_spans" lines removed), so
-  // the record layouts are proven not to change a byte.
+  // the record layouts are proven not to change a byte. The same run is
+  // captured twice: wired by hand to the exporters, and through the CLIs'
+  // metrics::Capture writing real files.
   FaultedCluster run;
   cluster::ClusterOptions options = run.options;
   options.checkpoint.enabled = true;
   options.checkpoint.delta = true;
   options.migration.precopy = true;
-  options.phase_accounting = true;
-  ClusterTraceHub hub;
-  hub.enable_trace();
-  hub.enable_journal();
-  options.hub = &hub;
-  Telemetry telemetry;
-  metrics::ClusterRunResult r = metrics::run_cluster(
-      run.suite, run.seq, options, sim::seconds(36000.0), &telemetry);
-  ASSERT_EQ(r.recovery.boards_crashed, 5);
-  ASSERT_EQ(r.switches.size(), 3u);
+  // .prom, .jsonl, .report.json, Chrome trace, journal.
+  auto expect_golden = [](const std::vector<std::string>& files) {
+    const std::uint64_t golden[] = {
+        0x17d1b4ac69936b7full, 0x24d68b8d62c04bb3ull, 0x863dcf6349d9397bull,
+        0xdfc65dc5a09b6a0bull, 0x4c42e79491d0e25eull};
+    ASSERT_EQ(files.size(), std::size(golden));
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      EXPECT_EQ(fnv1a(files[i]), golden[i]) << "file " << i;
+    }
+  };
 
-  std::ostringstream trace;
-  hub.write_chrome_trace(trace);
-  std::ostringstream journal;
-  hub.write_journal(journal);
-  EXPECT_EQ(fnv1a(prometheus_text(telemetry.registry())),
-            0x17d1b4ac69936b7full);
-  EXPECT_EQ(fnv1a(timeseries_jsonl(telemetry.sampler(), telemetry.registry())),
-            0x24d68b8d62c04bb3ull);
-  EXPECT_EQ(fnv1a(run_report_json(telemetry.registry(), telemetry.info(),
-                                  &telemetry.sampler())),
-            0x863dcf6349d9397bull);
-  EXPECT_EQ(fnv1a(trace.str()), 0xdfc65dc5a09b6a0bull);
-  EXPECT_EQ(fnv1a(journal.str()), 0x4c42e79491d0e25eull);
+  {
+    SCOPED_TRACE("exporters");
+    cluster::ClusterOptions wired = options;
+    wired.phase_accounting = true;
+    ClusterTraceHub hub;
+    hub.enable_trace();
+    hub.enable_journal();
+    wired.hub = &hub;
+    Telemetry telemetry;
+    metrics::ClusterRunResult r = metrics::run_cluster(
+        run.suite, run.seq, wired, sim::seconds(36000.0), &telemetry);
+    ASSERT_EQ(r.recovery.boards_crashed, 5);
+    ASSERT_EQ(r.switches.size(), 3u);
+    std::ostringstream trace;
+    hub.write_chrome_trace(trace);
+    std::ostringstream journal;
+    hub.write_journal(journal);
+    expect_golden(
+        {prometheus_text(telemetry.registry()),
+         timeseries_jsonl(telemetry.sampler(), telemetry.registry()),
+         run_report_json(telemetry.registry(), telemetry.info(),
+                         &telemetry.sampler()),
+         trace.str(), journal.str()});
+  }
+  {
+    SCOPED_TRACE("metrics::Capture");
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(testing::TempDir()) / "vs_capture_golden";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string prefix = (dir / "m").string();
+    const std::string trace = (dir / "trace.json").string();
+    const std::string journal = (dir / "journal.jsonl").string();
+    const char* argv[] = {"prog",         "--metrics-out", prefix.c_str(),
+                          "--trace-out",  trace.c_str(),   "--journal-out",
+                          journal.c_str()};
+    metrics::Capture capture(util::CliArgs(7, argv));
+    cluster::ClusterOptions wired = options;
+    capture.attach(wired);
+    metrics::ClusterRunResult r = metrics::run_cluster(
+        run.suite, run.seq, wired, sim::seconds(36000.0),
+        capture.telemetry());
+    ASSERT_EQ(r.recovery.boards_crashed, 5);
+    testing::internal::CaptureStdout();
+    capture.write({});
+    EXPECT_EQ(testing::internal::GetCapturedStdout(),
+              "Telemetry written to " + prefix +
+                  ".{prom,jsonl,report.json}\nChrome trace written to " +
+                  trace + "\nRun journal written to " + journal + "\n");
+    expect_golden({read_file(prefix + ".prom"), read_file(prefix + ".jsonl"),
+                   read_file(prefix + ".report.json"), read_file(trace),
+                   read_file(journal)});
+    fs::remove_all(dir);
+  }
+}
+
+TEST(Capture, EachOutputAttachesOnlyItself) {
+  using Path = const std::string& (metrics::Capture::*)() const;
+  struct Output {
+    const char* flag;
+    const char* env;
+    Path path;
+  };
+  const Output outputs[] = {
+      {"--metrics-out", "VS_METRICS", &metrics::Capture::metrics_out},
+      {"--trace-out", "VS_TRACE", &metrics::Capture::trace_out},
+      {"--journal-out", "VS_JOURNAL", &metrics::Capture::journal_out},
+  };
+  for (const Output& o : outputs) ::unsetenv(o.env);
+
+  // Nothing requested: no telemetry bound, no hub attached, and the
+  // options keep their instrument-free defaults.
+  const char* bare[] = {"prog"};
+  const util::CliArgs no_flags(1, bare);
+  {
+    metrics::Capture capture(no_flags);
+    EXPECT_FALSE(capture.requested());
+    EXPECT_EQ(capture.telemetry(), nullptr);
+    metrics::RunOptions single;
+    capture.attach(single);
+    EXPECT_EQ(single.telemetry, nullptr);
+    EXPECT_EQ(single.hub, nullptr);
+    EXPECT_FALSE(single.phase_accounting);
+    cluster::ClusterOptions cluster;
+    capture.attach(cluster);
+    EXPECT_EQ(cluster.hub, nullptr);
+    EXPECT_FALSE(cluster.phase_accounting);
+  }
+
+  for (const Output& o : outputs) {
+    SCOPED_TRACE(o.flag);
+    const char* flagged[] = {"prog", o.flag, "fromflag"};
+    const util::CliArgs with_flag(3, flagged);
+
+    // Requested alone, each output attaches its own instrument only.
+    metrics::Capture capture(with_flag);
+    EXPECT_TRUE(capture.requested());
+    for (const Output& other : outputs) {
+      EXPECT_EQ((capture.*other.path)(), &other == &o ? "fromflag" : "");
+    }
+    const bool metrics_on = o.path == &metrics::Capture::metrics_out;
+    const bool trace_on = o.path == &metrics::Capture::trace_out;
+    const bool journal_on = o.path == &metrics::Capture::journal_out;
+    metrics::RunOptions single;
+    capture.attach(single);
+    EXPECT_EQ(single.telemetry != nullptr, metrics_on);
+    EXPECT_EQ(single.telemetry, capture.telemetry());
+    EXPECT_EQ(single.hub != nullptr, trace_on || journal_on);
+    EXPECT_EQ(single.phase_accounting, trace_on || journal_on);
+    cluster::ClusterOptions cluster;
+    capture.attach(cluster);
+    EXPECT_EQ(cluster.hub, single.hub);
+    EXPECT_EQ(cluster.phase_accounting, trace_on || journal_on);
+    if (single.hub != nullptr) {
+      EXPECT_EQ(single.hub->trace_enabled(), trace_on);
+      EXPECT_EQ(single.hub->journal_enabled(), journal_on);
+    }
+  }
 }
 
 // --------------------------------------------- determinism + instrumentation
@@ -823,16 +939,22 @@ TEST(Telemetry, WriteOutputsThrowsWhenAWriteFails) {
   fs::remove_all(dir);
 }
 
+
 TEST(Telemetry, ResolveMetricsOutPrefersFlagThenEnv) {
   const char* argv[] = {"prog", "--metrics-out", "fromflag"};
   util::CliArgs args(3, argv);
   ::setenv("VS_METRICS", "fromenv", 1);
-  EXPECT_EQ(resolve_metrics_out(&args), "fromflag");
+  EXPECT_EQ(metrics::Capture(args).metrics_out(), "fromflag");
   util::CliArgs no_flag(1, argv);
-  EXPECT_EQ(resolve_metrics_out(&no_flag), "fromenv");
+  EXPECT_EQ(metrics::Capture(no_flag).metrics_out(), "fromenv");
+  const char* emptied[] = {"prog", "--metrics-out="};
+  util::CliArgs empty_flag(2, emptied);
+  EXPECT_EQ(metrics::Capture(empty_flag).metrics_out(), "");
+  ::setenv("VS_METRICS", "", 1);
+  EXPECT_FALSE(metrics::Capture(no_flag).requested());
   ::unsetenv("VS_METRICS");
-  EXPECT_EQ(resolve_metrics_out(&no_flag), "");
-  EXPECT_EQ(resolve_metrics_out(nullptr), "");
+  EXPECT_EQ(metrics::Capture(no_flag).metrics_out(), "");
+  EXPECT_FALSE(metrics::Capture(no_flag).requested());
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "cluster/cluster.h"
 #include "core/versaslot_policy.h"
 #include "faults/scenario.h"
+#include "metrics/capture.h"
 #include "metrics/experiment.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -539,17 +540,27 @@ TEST(Resolvers, TraceAndJournalOutPreferFlagThenEnv) {
   util::CliArgs args(5, argv);
   ::setenv("VS_TRACE", "env-t.json", 1);
   ::setenv("VS_JOURNAL", "env-j.jsonl", 1);
-  EXPECT_EQ(resolve_trace_out(&args), "t.json");
-  EXPECT_EQ(resolve_journal_out(&args), "j.jsonl");
+  const metrics::Capture flagged(args);
+  EXPECT_EQ(flagged.trace_out(), "t.json");
+  EXPECT_EQ(flagged.journal_out(), "j.jsonl");
   util::CliArgs no_flag(1, argv);
-  EXPECT_EQ(resolve_trace_out(&no_flag), "env-t.json");
-  EXPECT_EQ(resolve_journal_out(&no_flag), "env-j.jsonl");
+  const metrics::Capture from_env(no_flag);
+  EXPECT_EQ(from_env.trace_out(), "env-t.json");
+  EXPECT_EQ(from_env.journal_out(), "env-j.jsonl");
+  const char* emptied[] = {"prog", "--trace-out=", "--journal-out="};
+  util::CliArgs empty_flags(3, emptied);
+  const metrics::Capture switched_off(empty_flags);
+  EXPECT_EQ(switched_off.trace_out(), "");
+  EXPECT_EQ(switched_off.journal_out(), "");
+  ::setenv("VS_TRACE", "", 1);
+  ::setenv("VS_JOURNAL", "", 1);
+  EXPECT_FALSE(metrics::Capture(no_flag).requested());
   ::unsetenv("VS_TRACE");
   ::unsetenv("VS_JOURNAL");
-  EXPECT_EQ(resolve_trace_out(&no_flag), "");
-  EXPECT_EQ(resolve_journal_out(&no_flag), "");
-  EXPECT_EQ(resolve_trace_out(nullptr), "");
-  EXPECT_EQ(resolve_journal_out(nullptr), "");
+  const metrics::Capture unset(no_flag);
+  EXPECT_EQ(unset.trace_out(), "");
+  EXPECT_EQ(unset.journal_out(), "");
+  EXPECT_FALSE(unset.requested());
 }
 
 // ----------------------------------------------------- phase accounting
