@@ -4,9 +4,11 @@
 // whole-sequence simulation rates for each scheduler.
 //
 // The event-kernel benches (BM_EventQueueScheduleAndPop,
-// BM_SimulatorEventRate) report an `allocs_per_event` counter fed by the
+// BM_SimulatorEventRate, BM_SimulatorInterleavedChains and the two
+// overhead benches) report an `allocs_per_event` counter fed by the
 // allocation-counting operator new below: the InlineEvent + slab-heap
-// kernel must execute steady-state events with ZERO heap allocations, and
+// kernel must execute steady-state events with ZERO heap allocations.
+// scripts/check.sh fails unless every one reads 0, and
 // scripts/bench_substrate.sh records the numbers in BENCH_substrate.json.
 #include <benchmark/benchmark.h>
 
@@ -122,6 +124,40 @@ void BM_SimulatorEventRate(benchmark::State& state) {
   state.counters["allocs_per_event"] = steady_allocs / (10.0 * kEvents);
 }
 BENCHMARK(BM_SimulatorEventRate);
+
+/// Two tick chains half a period apart. Every pop leaves the other chain's
+/// next tick pending, so the event queue's time-ordered run never drains
+/// inside one sim.run(): it must drop its consumed prefix rather than grow.
+/// The probe runs chains ten times longer than the warm-up, so a run that
+/// kept its consumed prefix would reallocate and the probe would read
+/// non-zero.
+void BM_SimulatorInterleavedChains(benchmark::State& state) {
+  constexpr int kEvents = 10000;  // per chain
+  sim::Simulator sim;
+  int remaining_a = 0;
+  int remaining_b = 0;
+  auto run_chains = [&](int events) {
+    remaining_a = events;
+    remaining_b = events;
+    sim.schedule(0, Tick{&sim, &remaining_a});
+    sim.schedule(50, Tick{&sim, &remaining_b});
+    sim.run();
+  };
+  run_chains(kEvents);  // warm the queue's slab and run
+
+  // Steady-state allocation probe (see BM_EventQueueScheduleAndPop).
+  std::int64_t probe_before = alloc_calls();
+  run_chains(10 * kEvents);
+  double steady_allocs = static_cast<double>(alloc_calls() - probe_before);
+
+  for (auto _ : state) {
+    run_chains(kEvents);
+    benchmark::DoNotOptimize(sim.events_executed());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kEvents);
+  state.counters["allocs_per_event"] = steady_allocs / (2.0 * 10 * kEvents);
+}
+BENCHMARK(BM_SimulatorInterleavedChains);
 
 /// The tick chain with telemetry handles on the hot path: one counter add
 /// and one gauge store per event. Mirrors how real components are

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Repository check gate: the tier-1 build + full test suite, a smoke run of
-# the substrate micro-benchmarks (which carry the event kernel's
-# zero-allocation probe, including the telemetry-handle overhead bench) and
-# of the telemetry demo + its three exporters, then sanitizer passes:
+# Repository check gate: the tier-1 build + full test suite, the substrate
+# micro-benchmarks (failing unless the event kernel's zero-allocation
+# probes, telemetry-handle overhead bench included, all read 0), a smoke
+# run of the telemetry demo + its three exporters, then sanitizer passes:
 # ThreadSanitizer over the parallel sweep runner (the only multi-threaded
 # code in the repo) and AddressSanitizer over the event-kernel and
 # telemetry tests (the slab queue and InlineEvent do placement-new lifetime
@@ -25,11 +25,26 @@ cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== substrate micro-bench smoke (zero-alloc probe) =="
+echo "== substrate micro-bench gate (zero-alloc probe) =="
+# Every event-kernel bench carries a steady-state allocation probe; the
+# kernel's contract is that each one reads exactly 0.
 cmake --build build -j "$JOBS" --target micro_substrate
 ./build/bench/micro_substrate \
-  --benchmark_filter='BM_EventQueueScheduleAndPop|BM_SimulatorEventRate|BM_MetricsOverhead|BM_PhaseAccountingOverhead' \
-  --benchmark_min_time=0.01
+  --benchmark_filter='BM_EventQueueScheduleAndPop|BM_SimulatorEventRate|BM_SimulatorInterleavedChains|BM_MetricsOverhead|BM_PhaseAccountingOverhead' \
+  --benchmark_min_time=0.01 --benchmark_format=json \
+  >build/substrate_smoke.json
+python3 - build/substrate_smoke.json <<'PY'
+import json
+import sys
+
+benches = json.load(open(sys.argv[1]))["benchmarks"]
+bad = [f"{b['name']}: {b.get('allocs_per_event')}" for b in benches
+       if b.get("allocs_per_event") != 0]
+if not benches or bad:
+    sys.exit("allocs_per_event must be 0: " + (", ".join(bad) or "no benches"))
+for b in benches:
+    print(f"{b['name']}: allocs_per_event 0")
+PY
 
 echo "== telemetry demo smoke (dashboard + exporters) =="
 ./build/examples/telemetry_demo --metrics-out build/telemetry_demo_smoke \
@@ -231,7 +246,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake -B build-asan -S . -DVS_SANITIZE=address
   cmake --build build-asan -j "$JOBS" --target versaslot_tests
   ./build-asan/tests/versaslot_tests \
-    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:SamplerChangeLog.*:CaptureGolden.*:Capture.*:BlockWriterNumbers.*:Telemetry*:TraceRecorder.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*'
+    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:SamplerChangeLog.*:CaptureGolden.*:Capture.*:BlockWriterNumbers.*:Telemetry*:TraceRecorder.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*:Invariants.*'
 fi
 
 if [[ "${SKIP_COV:-0}" != "1" ]]; then

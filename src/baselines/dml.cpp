@@ -7,26 +7,26 @@ void DmlPolicy::on_pass(runtime::BoardRuntime& rt) {
   // within their optimal allocation; a waiting app starts only if its full
   // optimal allocation is available *right now*, otherwise it is skipped
   // and later apps may backfill the remaining slots.
-  std::vector<int> idle = rt.idle_slots(fpga::SlotKind::kLittle);
+  rt.idle_slots(fpga::SlotKind::kLittle, idle_);
   for (int id : rt.live_ids()) {
-    if (idle.empty()) break;
+    if (idle_.empty()) break;
     runtime::AppRun& app = rt.app(id);
     int cap = alloc_.get(rt, app);
     if (app.started) {
-      while (app.units_placed() < cap && !idle.empty()) {
-        int unit = next_pending_unit(app);
+      while (app.units_placed() < cap && !idle_.empty()) {
+        int unit = app.next_pending_unit();
         if (unit < 0) break;
-        rt.request_pr(id, unit, take_slot(rt, id, unit, idle));
+        rt.request_pr(id, unit, take_slot(rt, id, unit, idle_));
       }
       continue;
     }
-    if (!has_pending_units(app)) continue;
+    if (app.units_pending() == 0) continue;
     int want = std::min(cap, app.units_unfinished());
-    if (static_cast<int>(idle.size()) < want) continue;  // backfill
+    if (static_cast<int>(idle_.size()) < want) continue;  // backfill
     for (int i = 0; i < want; ++i) {
-      int unit = next_pending_unit(app);
+      int unit = app.next_pending_unit();
       if (unit < 0) break;
-      rt.request_pr(id, unit, take_slot(rt, id, unit, idle));
+      rt.request_pr(id, unit, take_slot(rt, id, unit, idle_));
     }
   }
 }

@@ -28,6 +28,7 @@ class DmlPolicy final : public runtime::SchedulerPolicy {
 
  private:
   LittleAllocCache alloc_;
+  std::vector<int> idle_;  ///< idle Little slots, refilled every pass
 };
 
 }  // namespace vs::baselines

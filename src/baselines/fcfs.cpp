@@ -8,14 +8,14 @@ void FcfsPolicy::on_pass(runtime::BoardRuntime& rt) {
   // sequentially (one PR per task). Multi-slot pipeline execution is the
   // later contribution of Nimblock/VersaSlot — this policy predates it.
   // Free slots go to the earliest-arrived waiting application.
-  std::vector<int> idle = rt.idle_slots(fpga::SlotKind::kLittle);
+  rt.idle_slots(fpga::SlotKind::kLittle, idle_);
   for (int id : rt.live_ids()) {
-    if (idle.empty()) break;
+    if (idle_.empty()) break;
     runtime::AppRun& app = rt.app(id);
     if (app.units_placed() >= 1) continue;
-    int unit = next_pending_unit(app);
+    int unit = app.next_pending_unit();
     if (unit < 0) continue;
-    rt.request_pr(id, unit, take_slot(rt, id, unit, idle));
+    rt.request_pr(id, unit, take_slot(rt, id, unit, idle_));
   }
 }
 

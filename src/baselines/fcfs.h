@@ -19,6 +19,7 @@ class FcfsPolicy final : public runtime::SchedulerPolicy {
 
  private:
   LittleAllocCache alloc_;
+  std::vector<int> idle_;  ///< idle Little slots, refilled every pass
 };
 
 }  // namespace vs::baselines

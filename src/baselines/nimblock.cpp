@@ -47,7 +47,7 @@ void NimblockPolicy::on_pass(runtime::BoardRuntime& rt) {
   int total_little = rt.board().count_slots(fpga::SlotKind::kLittle);
   int contenders = 0;
   for (int id : order) {
-    if (has_pending_units(rt.app(id))) ++contenders;
+    if (rt.app(id).units_pending() > 0) ++contenders;
   }
   int fair_share =
       contenders > 0 ? std::max(1, total_little / contenders) : total_little;
@@ -55,12 +55,12 @@ void NimblockPolicy::on_pass(runtime::BoardRuntime& rt) {
   for (int id : priority_order) {
     caps[id] = std::min(alloc_.get(rt, rt.app(id)), fair_share);
   }
-  grant_little_slots(rt, priority_order, caps);
+  grant_little_slots(rt, priority_order, caps, idle_);
 
   // Track how long apps with pending work have been slot-less.
   for (int id : priority_order) {
     const runtime::AppRun& a = rt.app(id);
-    if (a.units_placed() > 0 || !has_pending_units(a)) {
+    if (a.units_placed() > 0 || a.units_pending() == 0) {
       wait_since_[id] = rt.sim().now();
     }
   }
@@ -73,7 +73,7 @@ void NimblockPolicy::maybe_preempt(runtime::BoardRuntime& rt,
   int starving = -1;
   for (int id : priority_order) {
     const runtime::AppRun& a = rt.app(id);
-    if (a.units_placed() == 0 && has_pending_units(a) &&
+    if (a.units_placed() == 0 && a.units_pending() > 0 &&
         rt.sim().now() - wait_since_[id] >= options_.starvation_threshold) {
       starving = id;
       break;
@@ -99,11 +99,11 @@ void NimblockPolicy::maybe_preempt(runtime::BoardRuntime& rt,
         rt.preempt_unit(victim, unit_index);
         last_preempted_[victim] = rt.sim().now();
         // The freed slot goes to the starving app immediately.
-        std::vector<int> idle = rt.idle_slots(fpga::SlotKind::kLittle);
-        int pending = next_pending_unit(rt.app(starving));
-        if (!idle.empty() && pending >= 0) {
+        rt.idle_slots(fpga::SlotKind::kLittle, idle_);
+        int pending = rt.app(starving).next_pending_unit();
+        if (!idle_.empty() && pending >= 0) {
           rt.request_pr(starving, pending,
-                        rt.choose_slot(starving, pending, idle));
+                        rt.choose_slot(starving, pending, idle_));
           wait_since_[starving] = rt.sim().now();
         }
         return;  // at most one preemption per pass

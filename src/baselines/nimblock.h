@@ -46,6 +46,7 @@ class NimblockPolicy : public runtime::SchedulerPolicy {
 
   NimblockOptions options_;
   LittleAllocCache alloc_;
+  std::vector<int> idle_;  ///< idle Little slots, refilled every pass
   std::unordered_map<int, sim::SimTime> wait_since_;
   std::unordered_map<int, sim::SimTime> last_preempted_;
 };

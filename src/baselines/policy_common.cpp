@@ -18,19 +18,6 @@ int LittleAllocCache::get(runtime::BoardRuntime& rt,
   return alloc;
 }
 
-int next_pending_unit(const runtime::AppRun& app) {
-  for (const runtime::UnitRun& u : app.units) {
-    if (u.state == runtime::UnitState::kPending) {
-      return static_cast<int>(&u - app.units.data());
-    }
-  }
-  return -1;
-}
-
-bool has_pending_units(const runtime::AppRun& app) {
-  return next_pending_unit(app) >= 0;
-}
-
 int take_slot(runtime::BoardRuntime& rt, int app_id, int unit,
               std::vector<int>& idle) {
   int slot = rt.choose_slot(app_id, unit, idle);
@@ -41,8 +28,8 @@ int take_slot(runtime::BoardRuntime& rt, int app_id, int unit,
 void grant_little_slots(runtime::BoardRuntime& rt,
                         const std::vector<int>& app_order,
                         const std::unordered_map<int, int>& caps,
-                        bool one_per_app) {
-  std::vector<int> idle = rt.idle_slots(fpga::SlotKind::kLittle);
+                        std::vector<int>& idle, bool one_per_app) {
+  rt.idle_slots(fpga::SlotKind::kLittle, idle);
   bool placed_any = true;
   while (placed_any && !idle.empty()) {
     placed_any = false;
@@ -53,7 +40,7 @@ void grant_little_slots(runtime::BoardRuntime& rt,
       auto cap_it = caps.find(app_id);
       int cap = cap_it != caps.end() ? cap_it->second : 1;
       if (app.units_placed() >= cap) continue;
-      int unit = next_pending_unit(app);
+      int unit = app.next_pending_unit();
       if (unit < 0) continue;
       rt.request_pr(app_id, unit, take_slot(rt, app_id, unit, idle));
       placed_any = true;

@@ -20,20 +20,15 @@ class LittleAllocCache {
   std::unordered_map<int, int> cache_;
 };
 
-/// Index of the lowest pending unit of `app` (pipeline order), or -1.
-[[nodiscard]] int next_pending_unit(const runtime::AppRun& app);
-
-/// True if the app still has work that needs a slot.
-[[nodiscard]] bool has_pending_units(const runtime::AppRun& app);
-
 /// Grants idle Little slots to apps in the given order: each app may place
 /// pending units (in pipeline order) until it reaches its `cap` placed
 /// units or slots run out. `one_per_app` makes a single placement per app
-/// per call (round-robin fairness).
+/// per call (round-robin fairness). `idle` is the caller's buffer: it is
+/// refilled with the idle Little slots and left holding those not granted.
 void grant_little_slots(runtime::BoardRuntime& rt,
                         const std::vector<int>& app_order,
                         const std::unordered_map<int, int>& caps,
-                        bool one_per_app = false);
+                        std::vector<int>& idle, bool one_per_app = false);
 
 /// Picks the best slot for (app, unit) out of `idle` — preferring one whose
 /// bitstream is already staged — and removes it from the list.

@@ -16,15 +16,15 @@ void RoundRobinPolicy::on_pass(runtime::BoardRuntime& rt) {
               order.begin() + static_cast<std::ptrdiff_t>(start),
               order.end());
 
-  std::vector<int> idle = rt.idle_slots(fpga::SlotKind::kLittle);
+  rt.idle_slots(fpga::SlotKind::kLittle, idle_);
   int granted = 0;
   for (int id : order) {
-    if (idle.empty()) break;
+    if (idle_.empty()) break;
     runtime::AppRun& app = rt.app(id);
     if (app.units_placed() >= 1) continue;
-    int unit = next_pending_unit(app);
+    int unit = app.next_pending_unit();
     if (unit < 0) continue;
-    rt.request_pr(id, unit, take_slot(rt, id, unit, idle));
+    rt.request_pr(id, unit, take_slot(rt, id, unit, idle_));
     ++granted;
   }
   cursor_ += static_cast<std::size_t>(granted) + 1;

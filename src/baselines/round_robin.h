@@ -19,6 +19,7 @@ class RoundRobinPolicy final : public runtime::SchedulerPolicy {
 
  private:
   LittleAllocCache alloc_;
+  std::vector<int> idle_;  ///< idle Little slots, refilled every pass
   std::size_t cursor_ = 0;
 };
 

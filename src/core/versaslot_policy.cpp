@@ -7,19 +7,6 @@
 
 namespace vs::core {
 
-namespace {
-
-int next_pending_unit(const runtime::AppRun& app) {
-  for (const runtime::UnitRun& u : app.units) {
-    if (u.state == runtime::UnitState::kPending) {
-      return static_cast<int>(&u - app.units.data());
-    }
-  }
-  return -1;
-}
-
-}  // namespace
-
 void VersaSlotPolicy::on_app_submitted(runtime::BoardRuntime& rt,
                                        int app_id) {
   AppState s;
@@ -181,8 +168,8 @@ void VersaSlotPolicy::schedule(runtime::BoardRuntime& rt) {
   // Schedule pending units to idle slots within each app's allocation
   // (lines 13-19). PR requests are asynchronous: in dual-core mode they are
   // queued on the PR-server core and this pass continues immediately.
-  std::vector<int> idle_big = rt.idle_slots(fpga::SlotKind::kBig);
-  std::vector<int> idle_little = rt.idle_slots(fpga::SlotKind::kLittle);
+  rt.idle_slots(fpga::SlotKind::kBig, idle_big_);
+  rt.idle_slots(fpga::SlotKind::kLittle, idle_little_);
 
   auto take = [&rt](int app_id, int unit, std::vector<int>& idle) {
     int slot = rt.choose_slot(app_id, unit, idle);
@@ -196,15 +183,15 @@ void VersaSlotPolicy::schedule(runtime::BoardRuntime& rt) {
     for (int id : rt.live_ids()) {
       const runtime::AppRun& a = rt.app(id);
       AppState& s = state(id);
-      int unit = next_pending_unit(a);
+      int unit = a.next_pending_unit();
       if (unit < 0) continue;
-      if (s.binding == Binding::kBig && !idle_big.empty() &&
+      if (s.binding == Binding::kBig && !idle_big_.empty() &&
           a.units_placed() < s.alloc_big) {
-        rt.request_pr(id, unit, take(id, unit, idle_big));
+        rt.request_pr(id, unit, take(id, unit, idle_big_));
         placed = true;
-      } else if (s.binding == Binding::kLittle && !idle_little.empty() &&
+      } else if (s.binding == Binding::kLittle && !idle_little_.empty() &&
                  a.units_placed() < s.alloc_little) {
-        rt.request_pr(id, unit, take(id, unit, idle_little));
+        rt.request_pr(id, unit, take(id, unit, idle_little_));
         placed = true;
         s.wait_since = rt.sim().now();
       }
@@ -214,7 +201,7 @@ void VersaSlotPolicy::schedule(runtime::BoardRuntime& rt) {
   // Refresh starvation clocks for apps that hold slots or have no work.
   for (int id : rt.live_ids()) {
     const runtime::AppRun& a = rt.app(id);
-    if (a.units_placed() > 0 || next_pending_unit(a) < 0) {
+    if (a.units_placed() > 0 || a.units_pending() == 0) {
       state(id).wait_since = rt.sim().now();
     }
   }
@@ -231,7 +218,7 @@ void VersaSlotPolicy::preempt_little(runtime::BoardRuntime& rt) {
     const runtime::AppRun& a = rt.app(id);
     const AppState& s = state(id);
     if (s.binding == Binding::kBig || a.units_placed() > 0) continue;
-    if (next_pending_unit(a) < 0) continue;
+    if (a.units_pending() == 0) continue;
     if (rt.sim().now() - s.wait_since < options_.starvation_threshold) {
       continue;
     }
@@ -273,11 +260,11 @@ void VersaSlotPolicy::preempt_little(runtime::BoardRuntime& rt) {
       AppState& st = state(starving);
       st.binding = Binding::kLittle;  // waiting apps enter the Little pool
       st.alloc_little = std::max(st.alloc_little, 1);
-      std::vector<int> idle = rt.idle_slots(fpga::SlotKind::kLittle);
-      int pending = next_pending_unit(rt.app(starving));
-      if (!idle.empty() && pending >= 0) {
+      rt.idle_slots(fpga::SlotKind::kLittle, idle_little_);
+      int pending = rt.app(starving).next_pending_unit();
+      if (!idle_little_.empty() && pending >= 0) {
         rt.request_pr(starving, pending,
-                      rt.choose_slot(starving, pending, idle));
+                      rt.choose_slot(starving, pending, idle_little_));
         st.wait_since = rt.sim().now();
       }
       return;

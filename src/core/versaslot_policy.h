@@ -106,6 +106,10 @@ class VersaSlotPolicy : public runtime::SchedulerPolicy {
   /// runtime, whose ids run densely from 0, and on_app_submitted sizes the
   /// vector on every admission — so every live id has an entry.
   std::vector<AppState> state_;
+  /// Idle-slot buffers refilled by every pass (BoardRuntime::idle_slots),
+  /// so a pass allocates nothing once they have grown to the slot counts.
+  std::vector<int> idle_big_;
+  std::vector<int> idle_little_;
 
   // Telemetry: Algorithm 1/2 decision outcomes (no-ops until bound).
   obs::CounterHandle m_big_bindings_;     ///< vs_policy_big_bindings_total

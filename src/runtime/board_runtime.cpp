@@ -39,6 +39,20 @@ fpga::BitstreamKey unit_bitstream_key(int spec_index,
          static_cast<fpga::BitstreamKey>(static_cast<std::uint8_t>(unit.mode));
 }
 
+namespace {
+
+/// Replaces `a`'s units with fresh pending ones built from `specs`.
+void assign_pending_units(AppRun& a, std::vector<apps::UnitSpec> specs) {
+  a.units.clear();
+  a.units.reserve(specs.size());
+  for (auto& u : specs) a.units.push_back(UnitRun{std::move(u)});
+  a.unit_counts = {};
+  a.unit_counts[static_cast<std::size_t>(UnitState::kPending)] =
+      static_cast<int>(a.units.size());
+}
+
+}  // namespace
+
 BoardRuntime::BoardRuntime(fpga::Board& board, SchedulerPolicy& policy)
     : board_(board), policy_(policy), dual_core_(policy.dual_core()) {
   policy_.attach(*this);
@@ -165,9 +179,7 @@ int BoardRuntime::submit(const apps::AppSpec& spec, int spec_index, int batch,
   app.admitted = sim().now();
   app.batch = batch;
   app.item_interval = item_interval;
-  auto units = apps::make_little_units(spec);
-  app.units.reserve(units.size());
-  for (auto& u : units) app.units.push_back(UnitRun{std::move(u)});
+  assign_pending_units(app, apps::make_little_units(spec));
   // The phase chain starts at *arrival*, not admission: any gap between the
   // two (a resubmission, a held arrival) is re-attributed by
   // submit_migrated, and for fresh arrivals the two coincide, so phases
@@ -267,17 +279,10 @@ bool per_task_units(const AppRun& a) {
 }
 
 /// Migratable right now: unstarted, or paused between tasks — the same
-/// test extract_migratable applies before tombstoning.
+/// test extract_migratable applies before tombstoning. Paused means no unit
+/// placed in a slot; an item is only ever in flight in a placed unit (I3).
 bool migratable_now(const AppRun& a) {
-  if (!a.started) return true;
-  if (!per_task_units(a)) return false;
-  for (const UnitRun& u : a.units) {
-    if ((u.state != UnitState::kPending && u.state != UnitState::kFinished) ||
-        u.item_in_flight) {
-      return false;
-    }
-  }
-  return true;
+  return !a.started || (per_task_units(a) && a.units_placed() == 0);
 }
 
 }  // namespace
@@ -464,30 +469,20 @@ void BoardRuntime::set_units(int app_id, std::vector<apps::UnitSpec> units) {
   AppRun& a = app(app_id);
   assert(!a.started && "cannot re-unitise an app that has begun execution");
   assert(!units.empty());
-  a.units.clear();
-  a.units.reserve(units.size());
-  for (auto& u : units) a.units.push_back(UnitRun{std::move(u)});
+  assign_pending_units(a, std::move(units));
   // Re-unitising reshapes the DDR image: rebuild the dirty map for the new
   // layout (everything is new to both consumers again).
   init_dirty(a);
 }
 
-std::vector<int> BoardRuntime::idle_slots(fpga::SlotKind kind) const {
-  std::vector<int> out;
+void BoardRuntime::idle_slots(fpga::SlotKind kind,
+                              std::vector<int>& out) const {
+  out.clear();
   for (const fpga::Slot& s : board_.slots()) {
     if (s.kind() == kind && s.state() == fpga::SlotState::kIdle) {
       out.push_back(s.id());
     }
   }
-  return out;
-}
-
-int BoardRuntime::count_idle_slots(fpga::SlotKind kind) const {
-  int n = 0;
-  for (const fpga::Slot& s : board_.slots()) {
-    n += (s.kind() == kind && s.state() == fpga::SlotState::kIdle);
-  }
-  return n;
 }
 
 int BoardRuntime::choose_slot(int app_id, int unit_index,
@@ -527,7 +522,7 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
   touch_utilization();
   fpga::BitstreamKey key = unit_bitstream_key(a.spec_index, u.spec, slot_id);
   begin_slot_reconfig(slot, app_id, key);
-  set_unit_state(u, UnitState::kReconfiguring);
+  set_unit_state(a, u, UnitState::kReconfiguring);
   u.slot = slot_id;
   u.pr_was_blocked = false;
   a.started = true;
@@ -571,14 +566,14 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
           // arrival. Release the slot and retry the unit from Pending.
           u2.seu_poisoned = false;
           release_slot(board_.slot(u2.slot));
-          set_unit_state(u2, UnitState::kPending);
+          set_unit_state(a2, u2, UnitState::kPending);
           u2.slot = -1;
           touch_phase(a2);
           refresh_slot_gauges();
           board_.ocm().post([this] { kick(); });
           return;
         }
-        set_unit_state(u2, UnitState::kRunning);
+        set_unit_state(a2, u2, UnitState::kRunning);
         touch_phase(a2);
         refresh_slot_gauges();
         if (trace_.enabled()) {
@@ -615,7 +610,7 @@ void BoardRuntime::request_full_reconfig(int app_id) {
   ++counters_.pr_requests;
   m_pr_requests_.add();
   for (UnitRun& u : a.units) {
-    set_unit_state(u, UnitState::kReconfiguring);
+    set_unit_state(a, u, UnitState::kReconfiguring);
     u.slot = -2;
   }
   touch_phase(a);
@@ -633,7 +628,9 @@ void BoardRuntime::request_full_reconfig(int app_id) {
       [this, app_id, requested]() {
         AppRun& a2 = app(app_id);
         touch_utilization();
-        for (UnitRun& u : a2.units) set_unit_state(u, UnitState::kRunning);
+        for (UnitRun& u : a2.units) {
+          set_unit_state(a2, u, UnitState::kRunning);
+        }
         touch_phase(a2);
         if (trace_.enabled()) {
           trace_.add(requested, sim().now(), trace_lane(-1),
@@ -661,7 +658,7 @@ void BoardRuntime::preempt_unit(int app_id, int unit_index) {
   assert(u.slot >= 0);
   touch_utilization();
   release_slot(board_.slot(u.slot));
-  set_unit_state(u, UnitState::kPending);
+  set_unit_state(a, u, UnitState::kPending);
   u.slot = -1;
   touch_phase(a);
   ++counters_.preemptions;
@@ -685,7 +682,7 @@ void BoardRuntime::apply_progress(AppRun& a,
     upstream = done;
     UnitRun& u = a.units[i];
     u.items_done = done;
-    if (done >= a.batch) set_unit_state(u, UnitState::kFinished);
+    if (done >= a.batch) set_unit_state(a, u, UnitState::kFinished);
   }
   // Mark started so policies neither re-unitise nor rebind the app: its
   // per-task progress pins the Little decomposition.
@@ -811,17 +808,10 @@ std::vector<BoardRuntime::MigratedApp> BoardRuntime::extract_unstarted() {
 std::vector<BoardRuntime::MigratedApp> BoardRuntime::extract_migratable() {
   std::vector<MigratedApp> out = extract_unstarted();
   extract_live_if([&](AppRun& a) {
-    // Paused: nothing placed, nothing mid-flight, and still on the per-task
-    // decomposition (one unit per task — bundled apps complete on the Big
-    // slots they are bound to, per §III-C).
-    bool paused = a.units.size() ==
-                  static_cast<std::size_t>(a.spec->task_count());
-    for (const UnitRun& u : a.units) {
-      paused &= (u.state == UnitState::kPending ||
-                 u.state == UnitState::kFinished) &&
-                !u.item_in_flight;
-    }
-    if (!paused) return false;
+    // Paused: nothing placed, and still on the per-task decomposition (one
+    // unit per task — bundled apps complete on the Big slots they are
+    // bound to, per §III-C).
+    if (!migratable_now(a)) return false;
     touch_phase(a);
     MigratedApp m = migrated_with_progress(a);
     m.phase_ns = a.phase_ns;
@@ -854,8 +844,7 @@ BoardRuntime::CrashReport BoardRuntime::crash() {
   // snapshot are truly lost: killed descriptors restart from scratch.
   extract_live_if([&](AppRun& a) {
     touch_phase(a);
-    bool per_task =
-        a.units.size() == static_cast<std::size_t>(a.spec->task_count());
+    const bool per_task = per_task_units(a);
     bool has_progress = false;
     for (const UnitRun& u : a.units) has_progress |= u.items_done > 0;
     MigratedApp m;
@@ -930,7 +919,7 @@ void BoardRuntime::inject_slot_seu(int slot_id) {
   // Configured and between items: evict on the spot.
   touch_utilization();
   release_slot(slot);
-  set_unit_state(*unit, UnitState::kPending);
+  set_unit_state(a, *unit, UnitState::kPending);
   unit->slot = -1;
   touch_phase(a);
   refresh_slot_gauges();
@@ -967,6 +956,7 @@ void BoardRuntime::run_pass() {
 void BoardRuntime::try_launches() {
   for (int id : live_) {
     AppRun& a = app(id);
+    if (a.units_in(UnitState::kRunning) == 0) continue;
     for (UnitRun& u : a.units) {
       if (u.state != UnitState::kRunning || u.item_in_flight) continue;
       if (u.items_done >= a.batch) continue;
@@ -1050,7 +1040,7 @@ void BoardRuntime::finish_item(int app_id, int unit_index) {
     // unit retries from Pending with its earlier items intact in DDR.
     u.seu_poisoned = false;
     if (u.slot >= 0) release_slot(board_.slot(u.slot));
-    set_unit_state(u, UnitState::kPending);
+    set_unit_state(a, u, UnitState::kPending);
     u.slot = -1;
     touch_phase(a);
     refresh_slot_gauges();
@@ -1061,25 +1051,22 @@ void BoardRuntime::finish_item(int app_id, int unit_index) {
   mark_item_write(a, unit_index, u.items_done - 1);
   ++counters_.items_executed;
   m_items_.add();
-  if (u.items_done >= a.batch) finish_unit(u);
+  if (u.items_done >= a.batch) finish_unit(a, u);
   touch_phase(a);
   refresh_slot_gauges();
   check_app_complete(a);
   kick();
 }
 
-void BoardRuntime::finish_unit(UnitRun& unit) {
+void BoardRuntime::finish_unit(AppRun& a, UnitRun& unit) {
   touch_utilization();
-  set_unit_state(unit, UnitState::kFinished);
+  set_unit_state(a, unit, UnitState::kFinished);
   if (unit.slot >= 0) release_slot(board_.slot(unit.slot));
   unit.slot = -1;
 }
 
 void BoardRuntime::check_app_complete(AppRun& a) {
-  if (a.done()) return;
-  for (const UnitRun& u : a.units) {
-    if (u.state != UnitState::kFinished) return;
-  }
+  if (a.done() || a.units_unfinished() > 0) return;
   if (phase_acct_) {
     // Close the open interval against the current phase; after this the
     // account sums exactly (in integer nanoseconds) to completed - arrival.
@@ -1140,9 +1127,12 @@ void BoardRuntime::count_live(int spec_index, int delta) {
   }
 }
 
-void BoardRuntime::set_unit_state(UnitRun& u, UnitState state) noexcept {
+void BoardRuntime::set_unit_state(AppRun& a, UnitRun& u,
+                                  UnitState state) noexcept {
   if (u.state == UnitState::kRunning) used_ -= u.spec.impl_usage;
   if (state == UnitState::kRunning) used_ += u.spec.impl_usage;
+  --a.unit_counts[static_cast<std::size_t>(u.state)];
+  ++a.unit_counts[static_cast<std::size_t>(state)];
   u.state = state;
 }
 

@@ -47,6 +47,7 @@ enum class UnitState : std::uint8_t {
   kRunning,        ///< configured in a slot (possibly executing an item)
   kFinished,       ///< all batch items done
 };
+inline constexpr std::size_t kUnitStateCount = 4;
 
 struct UnitRun {
   apps::UnitSpec spec;
@@ -84,6 +85,11 @@ struct AppRun {
   int batch = 1;
   sim::SimDuration item_interval = 0;  ///< streaming source period (0 = staged)
   std::vector<UnitRun> units;
+  /// How many of `units` are in each UnitState, indexed by the enum. The
+  /// runtime keeps them exact: admission and re-unitising start every unit
+  /// pending, and BoardRuntime::set_unit_state is the only place a unit
+  /// changes state. Audit I5 recounts them.
+  std::array<int, kUnitStateCount> unit_counts{};
   bool started = false;       ///< any PR ever issued for it
   sim::SimTime completed = -1;
   sim::SimTime stream_kick = -1;  ///< pending wake-up for streamed items
@@ -124,10 +130,12 @@ struct AppRun {
     return static_cast<int>(
         std::min<std::int64_t>(streamed, batch));
   }
+  /// Units in `state`. O(1): see unit_counts.
+  [[nodiscard]] int units_in(UnitState state) const noexcept {
+    return unit_counts[static_cast<std::size_t>(state)];
+  }
   [[nodiscard]] int units_finished() const noexcept {
-    int n = 0;
-    for (const UnitRun& u : units) n += (u.state == UnitState::kFinished);
-    return n;
+    return units_in(UnitState::kFinished);
   }
   /// Unfinished units (the N_T of Algorithm 1).
   [[nodiscard]] int units_unfinished() const noexcept {
@@ -135,12 +143,23 @@ struct AppRun {
   }
   /// Units currently holding a slot (reconfiguring or running).
   [[nodiscard]] int units_placed() const noexcept {
-    int n = 0;
+    return units_in(UnitState::kReconfiguring) +
+           units_in(UnitState::kRunning);
+  }
+  /// Units waiting for a slot.
+  [[nodiscard]] int units_pending() const noexcept {
+    return units_in(UnitState::kPending);
+  }
+  /// Index of the lowest pending unit (pipeline order), or -1 — without a
+  /// scan when no unit is pending.
+  [[nodiscard]] int next_pending_unit() const noexcept {
+    if (units_pending() == 0) return -1;
     for (const UnitRun& u : units) {
-      n += (u.state == UnitState::kReconfiguring ||
-            u.state == UnitState::kRunning);
+      if (u.state == UnitState::kPending) {
+        return static_cast<int>(&u - units.data());
+      }
     }
-    return n;
+    return -1;
   }
 };
 
@@ -273,8 +292,10 @@ class BoardRuntime {
     return apps_.at(static_cast<std::size_t>(id));
   }
 
-  [[nodiscard]] std::vector<int> idle_slots(fpga::SlotKind kind) const;
-  [[nodiscard]] int count_idle_slots(fpga::SlotKind kind) const;
+  /// Clears `out` and fills it with the ids of the idle slots of `kind`, in
+  /// ascending order. Policies pass a buffer they keep, so a pass does not
+  /// allocate once the buffer has grown to the slot count.
+  void idle_slots(fpga::SlotKind kind, std::vector<int>& out) const;
 
   /// Placement hint: among idle `candidates`, returns the one whose
   /// placement-specific bitstream for (app, unit) is already staged in DDR
@@ -517,7 +538,7 @@ class BoardRuntime {
   void try_launches();
   void launch_item(AppRun& app, UnitRun& unit);
   void finish_item(int app_id, int unit_index);
-  void finish_unit(UnitRun& unit);
+  void finish_unit(AppRun& a, UnitRun& unit);
   void check_app_complete(AppRun& app);
   /// Walks the live index in ascending order and tombstones every app
   /// `extract` accepts, compacting the index in place around the rest.
@@ -530,8 +551,9 @@ class BoardRuntime {
   void publish_load() noexcept {
     if (load_cell_ != nullptr) load_cell_->load = active_apps();
   }
-  /// Every unit state change goes through here, keeping used_ exact.
-  void set_unit_state(UnitRun& u, UnitState state) noexcept;
+  /// Every unit state change goes through here, keeping used_ and the
+  /// app's unit_counts exact.
+  void set_unit_state(AppRun& a, UnitRun& u, UnitState state) noexcept;
   /// Occupies an idle slot with a PR load, or frees an occupied one;
   /// either keeps occupied_ exact.
   void begin_slot_reconfig(fpga::Slot& slot, int app_id,

@@ -1,6 +1,7 @@
 #include "runtime/invariants.h"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <map>
 #include <sstream>
@@ -12,6 +13,9 @@ namespace {
 void check(InvariantReport& report, bool condition, const std::string& msg) {
   if (!condition) report.violations.push_back(msg);
 }
+
+constexpr std::array<const char*, kUnitStateCount> kUnitStateNames = {
+    "pending", "reconfiguring", "running", "finished"};
 
 std::string unit_name(const AppRun& a, int unit_index) {
   return (a.spec ? a.spec->name : std::string("<extracted>")) + "#" +
@@ -99,17 +103,18 @@ InvariantReport audit(const BoardRuntime& rt) {
             "app " + std::to_string(a.id) + ": done with unfinished units");
     }
 
-    // I5: derived counts agree with unit states.
-    int placed = 0, unfinished = 0;
+    // I5: the per-state unit counts (which units_placed, units_pending and
+    // friends answer from) agree with a recount of the unit states.
+    std::array<int, kUnitStateCount> recount{};
     for (const UnitRun& u : a.units) {
-      placed += (u.state == UnitState::kReconfiguring ||
-                 u.state == UnitState::kRunning);
-      unfinished += (u.state != UnitState::kFinished);
+      ++recount[static_cast<std::size_t>(u.state)];
     }
-    check(report, placed == a.units_placed(),
-          "app " + std::to_string(a.id) + ": units_placed mismatch");
-    check(report, unfinished == a.units_unfinished(),
-          "app " + std::to_string(a.id) + ": units_unfinished mismatch");
+    for (std::size_t st = 0; st < kUnitStateCount; ++st) {
+      check(report, a.unit_counts[st] == recount[st],
+            "app " + std::to_string(a.id) + ": " + kUnitStateNames[st] +
+                " unit count " + std::to_string(a.unit_counts[st]) +
+                ", recount " + std::to_string(recount[st]));
+    }
   }
 
   // I6: slot states agree with the holder map.

@@ -12,8 +12,22 @@ EventId EventQueue::schedule(SimTime when, EventFn fn) {
   s.fn = std::move(fn);
   s.seq = next_seq_++;
   EventId id = (static_cast<EventId>(s.gen) << 32) | index;
-  heap_.push_back(Node{when, id});
-  sift_up(heap_.size() - 1);
+  if (run_.empty() || when >= run_.back().time) {
+    // Not earlier than anything in the run (and later in seq than all of
+    // it): appending keeps the run sorted by (time, seq).
+    if (run_head_ > 0 && run_.size() == run_.capacity() &&
+        2 * run_head_ >= run_.size()) {
+      // A run that never drains would otherwise grow forever: drop the
+      // consumed half instead of reallocating (sim::Core::submit's rule).
+      run_.erase(run_.begin(),
+                 run_.begin() + static_cast<std::ptrdiff_t>(run_head_));
+      run_head_ = 0;
+    }
+    run_.push_back(Node{when, id});
+  } else {
+    heap_.push_back(Node{when, id});
+    sift_up(heap_.size() - 1);
+  }
   ++live_;
   return id;
 }
@@ -26,36 +40,47 @@ void EventQueue::cancel(EventId id) {
   // reused). Empty fn with matching generation: already cancelled. Either
   // way the cancel is stale and must not touch live_.
   if (s.gen != gen_of(id) || !s.fn) return;
-  s.fn.reset();  // release captures now; the heap node becomes a tombstone
+  s.fn.reset();  // release captures now; the node becomes a tombstone
   --live_;
 }
 
 SimTime EventQueue::next_time() const {
   // Tombstone removal does not change the observable state of the queue;
   // confine the const_cast here as the previous implementation did.
-  const_cast<EventQueue*>(this)->drop_tombstones();
-  assert(!heap_.empty());
-  return heap_.front().time;
+  const bool from_run = const_cast<EventQueue*>(this)->drop_tombstones();
+  return from_run ? run_[run_head_].time : heap_.front().time;
 }
 
 EventQueue::Popped EventQueue::pop() {
-  drop_tombstones();
-  assert(!heap_.empty());
-  const Node root = heap_.front();
-  std::uint32_t index = slot_of(root.id);
-  Popped out{root.time, std::move(slab_[index].fn)};
+  const bool from_run = drop_tombstones();
+  const Node head = from_run ? run_[run_head_] : heap_.front();
+  std::uint32_t index = slot_of(head.id);
+  Popped out{head.time, std::move(slab_[index].fn)};
   free_slot(index);
-  pop_node();
+  if (from_run) {
+    pop_run();
+  } else {
+    pop_node();
+  }
   --live_;
   return out;
 }
 
-void EventQueue::drop_tombstones() {
-  while (!heap_.empty()) {
-    std::uint32_t index = slot_of(heap_.front().id);
-    if (slab_[index].fn) break;
+bool EventQueue::drop_tombstones() {
+  // Tombstones leave in (time, seq) order, the order their events would
+  // have fired in, so the run and the heap are always consumed in step.
+  for (;;) {
+    const bool from_run = run_first();
+    assert((from_run || !heap_.empty()) && "queue is empty");
+    const std::uint32_t index =
+        slot_of(from_run ? run_[run_head_].id : heap_.front().id);
+    if (slab_[index].fn) return from_run;
     free_slot(index);
-    pop_node();
+    if (from_run) {
+      pop_run();
+    } else {
+      pop_node();
+    }
   }
 }
 

@@ -1,23 +1,30 @@
 // Pending-event set for the discrete-event kernel.
 //
-// Two cooperating structures (see docs/architecture.md, "Event kernel
+// Three cooperating structures (see docs/architecture.md, "Event kernel
 // memory model"):
 //
 //  - a hand-rolled 4-ary min-heap of 16-byte (SimTime, EventId) PODs, so
 //    sift operations move small trivially-copyable nodes and never touch a
 //    closure;
+//  - beside it, a time-ordered run: a FIFO of the same nodes that takes
+//    every node scheduled no earlier than the run's last one. The drivers
+//    schedule their whole, pre-sorted arrival timeline up front, so it
+//    lands here and never sifts; the heap holds only what the run cannot;
 //  - a free-list slab of closure slots indexed by the low 32 bits of the
 //    EventId, with a generation tag in the high 32 bits that makes cancel()
 //    safe against id reuse (a stale cancel is a no-op, never a misfire).
 //
 // Equal-time events fire in schedule order: every slot carries a sequence
-// number from one queue-wide counter, and the heap orders by (time, seq).
-// That FIFO tie-break is the whole event-ordering contract — with it, a
-// simulation is a pure function of its inputs.
+// number from one queue-wide counter, the heap orders by (time, seq), the
+// run is sorted by (time, seq) by construction, and pop() takes the earlier
+// of the two heads. That FIFO tie-break is the whole event-ordering
+// contract — with it, a simulation is a pure function of its inputs.
 //
 // Steady-state schedule/pop performs zero heap allocations: closures live
-// in recycled slab slots (inline up to InlineEvent::kInlineSize bytes) and
-// the heap vector only grows to the high-water mark of pending events.
+// in recycled slab slots (inline up to InlineEvent::kInlineSize bytes), the
+// heap vector only grows to the high-water mark of pending events, and the
+// run clears when consumed and drops its consumed prefix instead of
+// growing, so it too stays bounded by its pending size.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +48,9 @@ class EventQueue {
   EventId schedule(SimTime when, EventFn fn);
 
   /// Lazily cancels a pending event: the closure is destroyed immediately
-  /// (releasing its captures) but the 16-byte heap node stays behind as a
-  /// tombstone, skipped when it surfaces. Cancelling an id that already
-  /// fired or was already cancelled is a no-op. O(1).
+  /// (releasing its captures) but the 16-byte node stays behind in the heap
+  /// or the run as a tombstone, skipped when it surfaces. Cancelling an id
+  /// that already fired or was already cancelled is a no-op. O(1).
   void cancel(EventId id);
 
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
@@ -59,13 +66,14 @@ class EventQueue {
   Popped pop();
 
  private:
-  /// What sifts through the heap: one cache line holds four of these.
+  /// What sifts through the heap (and queues in the run): one cache line
+  /// holds four of these.
   struct Node {
     SimTime time;
     EventId id;
   };
 
-  /// Closure storage, stable in the slab while its node is in the heap.
+  /// Closure storage, stable in the slab while its node is pending.
   struct Slot {
     EventFn fn;               ///< empty = cancelled tombstone or vacant
     std::uint64_t seq = 0;    ///< scheduling order: FIFO tie-break
@@ -84,21 +92,39 @@ class EventQueue {
   }
 
   /// Strict weak order: (time, seq). Slab slots are pinned while their
-  /// node is in the heap, so the tie-break key never moves.
+  /// node is pending, so the tie-break key never moves.
   [[nodiscard]] bool earlier(const Node& a, const Node& b) const noexcept {
     if (a.time != b.time) return a.time < b.time;
     return slab_[slot_of(a.id)].seq < slab_[slot_of(b.id)].seq;
   }
 
+  /// True when the run's head is the earliest pending node (live or not).
+  [[nodiscard]] bool run_first() const noexcept {
+    return run_head_ < run_.size() &&
+           (heap_.empty() || earlier(run_[run_head_], heap_.front()));
+  }
+
   void sift_up(std::size_t i) noexcept;
   void sift_down(std::size_t i) noexcept;
   void pop_node() noexcept;  ///< removes heap_[0], restores heap order
-  void drop_tombstones();    ///< discards cancelled nodes at the root
+  /// Consumes the run's head.
+  void pop_run() noexcept {
+    if (++run_head_ == run_.size()) {
+      run_.clear();  // fully consumed: keep the capacity, restart at the front
+      run_head_ = 0;
+    }
+  }
+  /// Discards cancelled nodes, earliest first, up to the earliest live
+  /// one; returns true when that one heads the run. Precondition: !empty().
+  bool drop_tombstones();
 
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t index) noexcept;
 
   std::vector<Node> heap_;
+  /// The time-ordered run: run_[run_head_..] pending, sorted by (time, seq).
+  std::vector<Node> run_;
+  std::size_t run_head_ = 0;
   std::vector<Slot> slab_;
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 0;

@@ -231,10 +231,10 @@ TEST(PolicyCommon, NextPendingUnitInPipelineOrder) {
   BoardRuntime rt(f.board, policy);
   apps::AppSpec app = make_uniform_app("a", 3, sim::ms(1));
   int id = rt.submit(app, 0, 1, 0);
-  EXPECT_EQ(next_pending_unit(rt.app(id)), 0);
+  EXPECT_EQ(rt.app(id).next_pending_unit(), 0);
   rt.request_pr(id, 0, 0);
-  EXPECT_EQ(next_pending_unit(rt.app(id)), 1);
-  EXPECT_TRUE(has_pending_units(rt.app(id)));
+  EXPECT_EQ(rt.app(id).next_pending_unit(), 1);
+  EXPECT_EQ(rt.app(id).units_pending(), 2);
 }
 
 TEST(PolicyCommon, LiveAppsSkipsDoneAndExtracted) {
@@ -254,8 +254,12 @@ TEST(PolicyCommon, GrantRespectsCaps) {
   apps::AppSpec app = make_uniform_app("a", 6, sim::ms(1));
   int id = rt.submit(app, 0, 1, 0);
   std::unordered_map<int, int> caps{{id, 2}};
-  grant_little_slots(rt, {id}, caps);
+  std::vector<int> idle;
+  grant_little_slots(rt, {id}, caps, idle);
   EXPECT_EQ(rt.app(id).units_placed(), 2);
+  // The caller's buffer keeps the slots nobody was granted.
+  EXPECT_EQ(static_cast<int>(idle.size()),
+            f.board.count_slots(fpga::SlotKind::kLittle) - 2);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // interleaved schedule/cancel/pop, equivalence with a reference model).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -254,51 +255,90 @@ class ReferenceQueue {
 };
 
 TEST(EventQueueProperty, MatchesReferenceUnderInterleavedOps) {
-  // Random interleavings of schedule / cancel / pop, several seeds. The
-  // real queue must fire exactly the same payloads in exactly the same
-  // order as the reference, and agree on size() throughout.
-  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 2025ULL}) {
-    util::Rng rng(seed, /*stream=*/99);
-    EventQueue q;
-    ReferenceQueue ref;
-    std::vector<std::uint64_t> fired;       // reference handles, in order
-    std::vector<std::uint64_t> ref_fired;   // model's expectation
-    std::vector<std::pair<EventId, std::uint64_t>> outstanding;
-
-    for (int step = 0; step < 4000; ++step) {
-      std::int64_t op = rng.uniform_int(0, 9);
-      if (op < 5) {  // schedule (biased so the queue grows)
-        auto when = static_cast<SimTime>(rng.uniform_int(0, 50));
+  // Random interleavings of schedule / cancel / pop, several seeds, under
+  // two streams of schedule times. The uniform stream scatters times over
+  // a small range. The timeline stream follows a driver: a pre-sorted
+  // batch up front (an arrival timeline, which the queue keeps in its
+  // time-ordered run), then a slowly advancing clock (appended to the run)
+  // with some times a little behind it (which go to the heap). Its pops
+  // keep pace with its schedules, so the run drains and restarts, and half
+  // its cancels hit the newest events, so many land inside the run. Times
+  // are coarse enough that run and heap nodes often tie. The real queue
+  // must fire exactly the same payloads in exactly the same order as the
+  // reference, and agree on size() throughout.
+  for (bool timeline : {false, true}) {
+    for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 2025ULL}) {
+      util::Rng rng(seed, /*stream=*/99);
+      EventQueue q;
+      ReferenceQueue ref;
+      std::vector<std::uint64_t> fired;       // reference handles, in order
+      std::vector<std::uint64_t> ref_fired;   // model's expectation
+      std::vector<std::pair<EventId, std::uint64_t>> outstanding;
+      auto schedule = [&](SimTime when) {
         std::uint64_t handle = ref.schedule(when);
-        EventId id = q.schedule(
-            when, [&fired, handle] { fired.push_back(handle); });
+        EventId id =
+            q.schedule(when, [&fired, handle] { fired.push_back(handle); });
         outstanding.emplace_back(id, handle);
-      } else if (op < 7 && !outstanding.empty()) {  // cancel a random event
-        std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(outstanding.size()) - 1));
-        auto [id, handle] = outstanding[pick];
-        // May be stale (already fired or cancelled) — both sides must
-        // treat it as a no-op then.
-        ref.cancel(handle);
-        q.cancel(id);
-      } else if (!q.empty()) {  // pop
+      };
+
+      SimTime clock = 0;  // timeline stream: the advancing clock
+      if (timeline) {
+        std::vector<SimTime> arrivals(300);
+        for (SimTime& t : arrivals) t = rng.uniform_int(0, 100);
+        std::sort(arrivals.begin(), arrivals.end());
+        for (SimTime t : arrivals) schedule(t);
+        clock = arrivals.back();
+      }
+      auto next_time = [&]() -> SimTime {
+        if (!timeline) return rng.uniform_int(0, 50);
+        if (rng.bernoulli(0.2)) {
+          return std::max<SimTime>(0, clock - rng.uniform_int(0, 3));
+        }
+        clock += rng.uniform_int(0, 1);
+        return clock;
+      };
+      // Ops 0..9: schedule below the first bound, cancel below the second,
+      // pop otherwise. The uniform stream grows the queue.
+      const std::int64_t schedule_below = timeline ? 4 : 5;
+      const std::int64_t cancel_below = timeline ? 6 : 7;
+
+      for (int step = 0; step < 4000; ++step) {
+        std::int64_t op = rng.uniform_int(0, 9);
+        if (op < schedule_below) {
+          schedule(next_time());
+        } else if (op < cancel_below && !outstanding.empty()) {
+          auto last = static_cast<std::int64_t>(outstanding.size()) - 1;
+          std::int64_t first = timeline && rng.bernoulli(0.5)
+                                   ? std::max<std::int64_t>(0, last - 15)
+                                   : 0;
+          auto pick = static_cast<std::size_t>(rng.uniform_int(first, last));
+          auto [id, handle] = outstanding[pick];
+          // May be stale (already fired or cancelled) — both sides must
+          // treat it as a no-op then.
+          ref.cancel(handle);
+          q.cancel(id);
+        } else if (!q.empty()) {  // pop
+          auto expect = ref.pop();
+          ASSERT_TRUE(expect.has_value());
+          auto popped = q.pop();
+          EXPECT_EQ(popped.time, ref.time_of(*expect));
+          popped.fn();
+          ref_fired.push_back(*expect);
+        }
+        ASSERT_EQ(q.size(), ref.live())
+            << "timeline " << timeline << " seed " << seed << " step "
+            << step;
+        ASSERT_EQ(q.empty(), ref.live() == 0);
+      }
+      while (!q.empty()) {
         auto expect = ref.pop();
         ASSERT_TRUE(expect.has_value());
-        auto popped = q.pop();
-        EXPECT_EQ(popped.time, ref.time_of(*expect));
-        popped.fn();
+        q.pop().fn();
         ref_fired.push_back(*expect);
       }
-      ASSERT_EQ(q.size(), ref.live()) << "seed " << seed << " step " << step;
-      ASSERT_EQ(q.empty(), ref.live() == 0);
+      EXPECT_EQ(fired, ref_fired)
+          << "timeline " << timeline << " seed " << seed;
     }
-    while (!q.empty()) {
-      auto expect = ref.pop();
-      ASSERT_TRUE(expect.has_value());
-      q.pop().fn();
-      ref_fired.push_back(*expect);
-    }
-    EXPECT_EQ(fired, ref_fired) << "seed " << seed;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "apps/benchmarks.h"
 #include "apps/bundling.h"
@@ -59,6 +60,7 @@ class ChaosPolicy final : public runtime::SchedulerPolicy {
     // Random placements in pipeline-prefix order (placing a unit whose
     // upstream was never placed would deadlock the app, which is a policy
     // bug, not a runtime one — chaos stays within the legal contract).
+    std::vector<int> idle;
     for (int attempt = 0; attempt < 4; ++attempt) {
       std::vector<std::pair<int, int>> placeable;  // (app, lowest pending)
       for (const runtime::AppRun& a : rt.apps()) {
@@ -77,7 +79,7 @@ class ChaosPolicy final : public runtime::SchedulerPolicy {
                                   1))];
       const runtime::UnitRun& u =
           rt.app(app_id).units[static_cast<std::size_t>(unit)];
-      auto idle = rt.idle_slots(u.spec.slot_kind);
+      rt.idle_slots(u.spec.slot_kind, idle);
       if (idle.empty()) continue;
       int slot = idle[static_cast<std::size_t>(
           rng_.uniform_int(0, static_cast<std::int64_t>(idle.size()) - 1))];
@@ -96,7 +98,7 @@ class ChaosPolicy final : public runtime::SchedulerPolicy {
               u.items_done < a.batch && rng_.bernoulli(0.3)) {
             int unit_index = static_cast<int>(&u - a.units.data());
             rt.preempt_unit(a.id, unit_index);
-            auto idle = rt.idle_slots(u.spec.slot_kind);
+            rt.idle_slots(u.spec.slot_kind, idle);
             ASSERT_FALSE(idle.empty());  // at least the freed slot
             int slot = idle[static_cast<std::size_t>(rng_.uniform_int(
                 0, static_cast<std::int64_t>(idle.size()) - 1))];

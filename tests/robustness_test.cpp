@@ -152,7 +152,9 @@ TEST(Invariants, LiveIndexTracksEveryExit) {
   int unstarted_a = rt.submit(app, 0, 2, sim.now());
   int paused = rt.submit_with_progress(app, 0, 2, sim.now(), {1, 0});
   int placed = rt.submit(app, 0, 2, sim.now());
-  rt.request_pr(placed, 0, rt.idle_slots(fpga::SlotKind::kLittle).front());
+  std::vector<int> idle;
+  rt.idle_slots(fpga::SlotKind::kLittle, idle);
+  rt.request_pr(placed, 0, idle.front());
   int unstarted_b = rt.submit(app, 0, 2, sim.now());
   expect_live({unstarted_a, paused, placed, unstarted_b});
 
@@ -229,6 +231,20 @@ TEST(Invariants, DetectInconsistentState) {
   EXPECT_NE(report.to_string().find("slot L3"), std::string::npos);
   // I10: the runtime's occupied sum never saw that slot change.
   EXPECT_NE(report.to_string().find("occupied sum"), std::string::npos);
+
+  // I5: a unit state written directly, past the runtime's transitions,
+  // leaves the app's per-state counts stale.
+  auto second = test::make_uniform_app("b", 2, sim::ms(1));
+  const int b = rt.submit(second, 1, 1, 0);
+  rt.app(b).units[1].state = runtime::UnitState::kFinished;
+  report = runtime::audit(rt);
+  const std::string text = report.to_string();
+  EXPECT_NE(text.find("app 1: pending unit count 2, recount 1"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("app 1: finished unit count 0, recount 1"),
+            std::string::npos)
+      << text;
 }
 
 // ------------------------------------------------------------ audit I10

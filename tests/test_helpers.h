@@ -91,16 +91,17 @@ class GreedyPolicy final : public runtime::SchedulerPolicy {
       const runtime::AppRun& a = rt.app(id);
       for (const runtime::UnitRun& u : a.units) {
         if (u.state != runtime::UnitState::kPending) continue;
-        auto idle = rt.idle_slots(u.spec.slot_kind);
-        if (idle.empty()) return;
+        rt.idle_slots(u.spec.slot_kind, idle_);
+        if (idle_.empty()) return;
         int unit_index = static_cast<int>(&u - a.units.data());
-        rt.request_pr(a.id, unit_index, idle.front());
+        rt.request_pr(a.id, unit_index, idle_.front());
       }
     }
   }
 
  private:
   bool dual_;
+  std::vector<int> idle_;
 };
 
 }  // namespace vs::test
