@@ -4,8 +4,9 @@
 // whole-sequence simulation rates for each scheduler.
 //
 // The event-kernel benches (BM_EventQueueScheduleAndPop,
-// BM_SimulatorEventRate, BM_SimulatorInterleavedChains and the two
-// overhead benches) report an `allocs_per_event` counter fed by the
+// BM_SimulatorEventRate, BM_SimulatorInterleavedChains,
+// BM_SimulatorHoldModel and the two overhead benches) report an
+// `allocs_per_event` counter fed by the
 // allocation-counting operator new below: the InlineEvent + slab-heap
 // kernel must execute steady-state events with ZERO heap allocations.
 // scripts/check.sh fails unless every one reads 0, and
@@ -14,6 +15,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -158,6 +160,57 @@ void BM_SimulatorInterleavedChains(benchmark::State& state) {
   state.counters["allocs_per_event"] = steady_allocs / (2.0 * 10 * kEvents);
 }
 BENCHMARK(BM_SimulatorInterleavedChains);
+
+/// One of many chains whose every event schedules its successor a short,
+/// varied delay ahead: 2, 5, 20 or 50 us plus up to 1 us of jitter, drawn
+/// from the chain's own LCG (serve_fleet's OCM posts, DMA hops, passes and
+/// launches). Stops every chain once `remaining` events have fired.
+struct HoldTick {
+  sim::Simulator* sim;
+  int* remaining;
+  std::uint32_t lcg;
+  void operator()() const {
+    if (--*remaining <= 0) return;
+    static constexpr std::array<sim::SimDuration, 4> kDelays{2000, 5000,
+                                                             20000, 50000};
+    const std::uint32_t next = lcg * 1664525U + 1013904223U;
+    sim->schedule(kDelays[next >> 30] + (next >> 8) % 1000,
+                  HoldTick{sim, remaining, next});
+  }
+};
+
+/// The DES hold model at fleet scale: 1,024 chains (one per serve_fleet
+/// board) keep about a thousand events pending, and almost every pop is
+/// followed by one schedule a little way into the future.
+void BM_SimulatorHoldModel(benchmark::State& state) {
+  constexpr int kChains = 1024;
+  constexpr int kEvents = 100000;  // across all chains
+  sim::Simulator sim;
+  int remaining = 0;
+  auto run_chains = [&](int events) {
+    remaining = events;
+    for (std::uint32_t c = 0; c < kChains; ++c) {
+      sim.schedule(static_cast<sim::SimDuration>(c) * 37,
+                   HoldTick{&sim, &remaining, c});
+    }
+    sim.run();
+  };
+  run_chains(kEvents);  // warm the queue's slab, heap and run
+
+  // Steady-state allocation probe (see BM_EventQueueScheduleAndPop).
+  std::int64_t probe_before = alloc_calls();
+  for (int rep = 0; rep < 10; ++rep) run_chains(kEvents);
+  double steady_allocs = static_cast<double>(alloc_calls() - probe_before);
+
+  for (auto _ : state) {
+    run_chains(kEvents);
+    benchmark::DoNotOptimize(sim.events_executed());
+  }
+  state.SetItemsProcessed(state.iterations() * (kEvents + kChains));
+  state.counters["allocs_per_event"] =
+      steady_allocs / (10.0 * (kEvents + kChains));
+}
+BENCHMARK(BM_SimulatorHoldModel);
 
 /// The tick chain with telemetry handles on the hot path: one counter add
 /// and one gauge store per event. Mirrors how real components are

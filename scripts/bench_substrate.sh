@@ -31,7 +31,7 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS" --target micro_substrate >/dev/null
 
 ./build/bench/micro_substrate \
-  --benchmark_filter='BM_EventQueueScheduleAndPop|BM_SimulatorEventRate|BM_SimulatorInterleavedChains|BM_MetricsOverhead|BM_PhaseAccountingOverhead|BM_PcapQueueing' \
+  --benchmark_filter='BM_EventQueueScheduleAndPop|BM_SimulatorEventRate|BM_SimulatorInterleavedChains|BM_SimulatorHoldModel|BM_MetricsOverhead|BM_PhaseAccountingOverhead|BM_PcapQueueing' \
   --benchmark_repetitions="$REPS" \
   --benchmark_report_aggregates_only=true \
   --benchmark_out=BENCH_substrate.json \

@@ -1,6 +1,7 @@
 #include "baselines/nimblock.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "apps/bundling.h"
 
@@ -86,29 +87,26 @@ void NimblockPolicy::maybe_preempt(runtime::BoardRuntime& rt,
   for (auto it = priority_order.rbegin(); it != priority_order.rend(); ++it) {
     int victim = *it;
     if (victim == starving) continue;
-    runtime::AppRun& v = rt.app(victim);
+    const runtime::AppRun& v = rt.app(victim);
     if (v.units_placed() <= 1) continue;
     auto lp = last_preempted_.find(victim);
     if (lp != last_preempted_.end() &&
         rt.sim().now() - lp->second < options_.preempt_cooldown) {
       continue;
     }
-    for (const runtime::UnitRun& u : v.units) {
-      if (u.state == runtime::UnitState::kRunning && !u.item_in_flight) {
-        int unit_index = static_cast<int>(&u - v.units.data());
-        rt.preempt_unit(victim, unit_index);
-        last_preempted_[victim] = rt.sim().now();
-        // The freed slot goes to the starving app immediately.
-        rt.idle_slots(fpga::SlotKind::kLittle, idle_);
-        int pending = rt.app(starving).next_pending_unit();
-        if (!idle_.empty() && pending >= 0) {
-          rt.request_pr(starving, pending,
-                        rt.choose_slot(starving, pending, idle_));
-          wait_since_[starving] = rt.sim().now();
-        }
-        return;  // at most one preemption per pass
-      }
+    const std::uint32_t idle = v.idle_units();
+    if (idle == 0) continue;
+    rt.preempt_unit(victim, std::countr_zero(idle));
+    last_preempted_[victim] = rt.sim().now();
+    // The freed slot goes to the starving app immediately.
+    rt.idle_slots(fpga::SlotKind::kLittle, idle_);
+    int pending = rt.app(starving).next_pending_unit();
+    if (!idle_.empty() && pending >= 0) {
+      rt.request_pr(starving, pending,
+                    rt.choose_slot(starving, pending, idle_));
+      wait_since_[starving] = rt.sim().now();
     }
+    return;  // at most one preemption per pass
   }
 }
 

@@ -356,15 +356,14 @@ void Cluster::on_queue_update() {
 void Cluster::sample_and_act() {
   core::DSwitchSample sample;
   sample.time = sim_.now();
-  for (int index : active_epochs_) {
-    Epoch& epoch = *epochs_[static_cast<std::size_t>(index)];
-    runtime::BoardRuntime& rt = *epoch.runtime;
-    sample.blocked += rt.window_blocked();
-    rt.reset_window();
-    sample.prs += rt.counters().pr_requests - epoch.pr_snapshot;
-    epoch.pr_snapshot = rt.counters().pr_requests;
-    sample.apps += rt.active_apps();
-    for (int id : rt.live_ids()) sample.batch += rt.app(id).batch;
+  // One pass over the active pool's cells, taking each board's window.
+  for (runtime::LoadCell& cell : pool_cells_) {
+    sample.blocked += cell.blocked;
+    sample.prs += cell.prs;
+    sample.apps += cell.load;
+    sample.batch += cell.batch;
+    cell.blocked = 0;
+    cell.prs = 0;
   }
   if (sample.prs == 0 && sample.apps > 0) {
     // No PR activity this window (slots are mid-batch): the sample carries

@@ -6,7 +6,7 @@
 // current configuration is *active*: arrivals are dispatched to its least-
 // loaded board, read from one load cell per pool position that each
 // board's runtime keeps current (runtime::LoadCell). The D_switch metric is
-// recomputed over the active pool every `dswitch_period` candidate-queue
+// recomputed from the same cells every `dswitch_period` candidate-queue
 // updates and fed into the Schmitt-trigger switch loop. On a switch: every
 // origin board stops admitting, applications that have not started — plus
 // started apps paused between tasks, which carry their per-task progress
@@ -271,7 +271,6 @@ class Cluster {
     core::SwitchLoop::Config config = core::SwitchLoop::Config::kOnlyLittle;
     std::unique_ptr<core::VersaSlotPolicy> policy;
     std::unique_ptr<runtime::BoardRuntime> runtime;
-    std::int64_t pr_snapshot = 0;  ///< counters().pr_requests at last sample
   };
 
   int new_epoch(core::SwitchLoop::Config config, fpga::Board& board);
@@ -362,7 +361,8 @@ class Cluster {
   core::SwitchLoop loop_;
   std::vector<std::unique_ptr<Epoch>> epochs_;
   std::vector<int> active_epochs_;  ///< indices into epochs_
-  /// One load cell per active_epochs_ position (see set_active_pool).
+  /// One load cell per active_epochs_ position (see set_active_pool):
+  /// routing and D_switch sampling read these, not the runtimes.
   std::vector<runtime::LoadCell> pool_cells_;
   std::vector<runtime::CompletedApp> completed_;
   std::vector<SwitchEvent> switch_events_;

@@ -1,6 +1,7 @@
 #include "core/versaslot_policy.h"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "runtime/board_runtime.h"
@@ -60,6 +61,10 @@ void VersaSlotPolicy::bind_metrics(obs::MetricsRegistry& registry,
 
 // --------------------------------------------------------------- Algorithm 1
 void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
+  // Line 2 reads only the live apps' bindings, allocations and unfinished
+  // units: with none of them changed since it last exited, it exits again.
+  // A pass that gets past line 2 can only follow a change: its memo is stale.
+  if (rt.allocation_changes() == exit_changes_) return;
   const bool big_little = options_.mode == VersaSlotOptions::Mode::kBigLittle;
   const int big_total = rt.board().count_slots(fpga::SlotKind::kBig);
   const int little_total = rt.board().count_slots(fpga::SlotKind::kLittle);
@@ -80,7 +85,10 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
   int big_avail = big_total - big_reserved;
   int little_left = little_total - little_reserved;
 
-  if (big_avail <= 0 && little_left <= 0) return;  // line 2: nothing to do
+  if (big_avail <= 0 && little_left <= 0) {  // line 2: nothing to do
+    exit_changes_ = rt.allocation_changes();
+    return;
+  }
 
   // Rebinding (lines 4-6): Little-bound apps that have not started return
   // to the waiting list when Big slots could take them.
@@ -177,8 +185,9 @@ void VersaSlotPolicy::schedule(runtime::BoardRuntime& rt) {
     return slot;
   };
 
+  // A sweep with no idle slot of either kind places nothing, so none runs.
   bool placed = true;
-  while (placed) {
+  while (placed && (!idle_big_.empty() || !idle_little_.empty())) {
     placed = false;
     for (int id : rt.live_ids()) {
       const runtime::AppRun& a = rt.app(id);
@@ -248,27 +257,24 @@ void VersaSlotPolicy::preempt_little(runtime::BoardRuntime& rt) {
   }
   if (victim < 0) return;
 
-  runtime::AppRun& v = rt.app(victim);
-  for (const runtime::UnitRun& u : v.units) {
-    if (u.state == runtime::UnitState::kRunning && !u.item_in_flight) {
-      int unit_index = static_cast<int>(&u - v.units.data());
-      rt.preempt_unit(victim, unit_index);
-      m_preemptions_.add();
-      AppState& vs_state = state(victim);
-      vs_state.last_preempted = rt.sim().now();
-      if (vs_state.alloc_little > 1) --vs_state.alloc_little;
-      AppState& st = state(starving);
-      st.binding = Binding::kLittle;  // waiting apps enter the Little pool
-      st.alloc_little = std::max(st.alloc_little, 1);
-      rt.idle_slots(fpga::SlotKind::kLittle, idle_little_);
-      int pending = rt.app(starving).next_pending_unit();
-      if (!idle_little_.empty() && pending >= 0) {
-        rt.request_pr(starving, pending,
-                      rt.choose_slot(starving, pending, idle_little_));
-        st.wait_since = rt.sim().now();
-      }
-      return;
-    }
+  // The victim's first unit between items gives up its slot.
+  const std::uint32_t idle = rt.app(victim).idle_units();
+  if (idle == 0) return;
+  rt.preempt_unit(victim, std::countr_zero(idle));
+  exit_changes_ = kNoExit;
+  m_preemptions_.add();
+  AppState& vs_state = state(victim);
+  vs_state.last_preempted = rt.sim().now();
+  if (vs_state.alloc_little > 1) --vs_state.alloc_little;
+  AppState& st = state(starving);
+  st.binding = Binding::kLittle;  // waiting apps enter the Little pool
+  st.alloc_little = std::max(st.alloc_little, 1);
+  rt.idle_slots(fpga::SlotKind::kLittle, idle_little_);
+  int pending = rt.app(starving).next_pending_unit();
+  if (!idle_little_.empty() && pending >= 0) {
+    rt.request_pr(starving, pending,
+                  rt.choose_slot(starving, pending, idle_little_));
+    st.wait_since = rt.sim().now();
   }
 }
 

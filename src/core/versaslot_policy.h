@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cassert>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -106,6 +107,11 @@ class VersaSlotPolicy : public runtime::SchedulerPolicy {
   /// runtime, whose ids run densely from 0, and on_app_submitted sizes the
   /// vector on every admission — so every live id has an entry.
   std::vector<AppState> state_;
+  /// Memo of Algorithm 1's line-2 exit: allocation_changes() when a pass
+  /// last took it. preempt_little, the only other writer of bindings and
+  /// allocations, clears it (kNoExit).
+  static constexpr std::uint64_t kNoExit = ~std::uint64_t{0};
+  std::uint64_t exit_changes_ = kNoExit;
   /// Idle-slot buffers refilled by every pass (BoardRuntime::idle_slots),
   /// so a pass allocates nothing once they have grown to the slot counts.
   std::vector<int> idle_big_;

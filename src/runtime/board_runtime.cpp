@@ -1,6 +1,7 @@
 #include "runtime/board_runtime.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/trace_hub.h"
@@ -43,18 +44,39 @@ namespace {
 
 /// Replaces `a`'s units with fresh pending ones built from `specs`.
 void assign_pending_units(AppRun& a, std::vector<apps::UnitSpec> specs) {
+  if (specs.size() > AppRun::kMaxUnits) {
+    throw std::invalid_argument(std::to_string(specs.size()) +
+                                " units in one app; at most 32 are supported");
+  }
   a.units.clear();
   a.units.reserve(specs.size());
   for (auto& u : specs) a.units.push_back(UnitRun{std::move(u)});
-  a.unit_counts = {};
-  a.unit_counts[static_cast<std::size_t>(UnitState::kPending)] =
-      static_cast<int>(a.units.size());
+  a.unit_masks = {};
+  a.unit_masks[static_cast<std::size_t>(UnitState::kPending)] =
+      static_cast<std::uint32_t>((std::uint64_t{1} << a.units.size()) - 1);
+  a.in_flight_mask = 0;
+}
+
+/// Every item_in_flight change goes through here, keeping in_flight_mask.
+void set_in_flight(AppRun& a, UnitRun& u, bool in_flight) noexcept {
+  const std::uint32_t bit = std::uint32_t{1} << (&u - a.units.data());
+  a.in_flight_mask = in_flight ? a.in_flight_mask | bit
+                               : a.in_flight_mask & ~bit;
+  u.item_in_flight = in_flight;
 }
 
 }  // namespace
 
 BoardRuntime::BoardRuntime(fpga::Board& board, SchedulerPolicy& policy)
     : board_(board), policy_(policy), dual_core_(policy.dual_core()) {
+  if (board_.slots().size() > 64) {
+    throw std::invalid_argument(board_.name() + " has " +
+                                std::to_string(board_.slots().size()) +
+                                " slots; at most 64 are supported");
+  }
+  for (const fpga::Slot& s : board_.slots()) {
+    if (s.state() == fpga::SlotState::kIdle) mark_idle(s);
+  }
   policy_.attach(*this);
 }
 
@@ -135,12 +157,8 @@ AppPhase BoardRuntime::classify(const AppRun& a) const noexcept {
   // even while another unit reconfigures; reconfig next; an app that never
   // issued a PR is still queued; otherwise it is configured-or-preempted
   // and waiting between items.
-  bool reconfiguring = false;
-  for (const UnitRun& u : a.units) {
-    if (u.item_in_flight) return AppPhase::kExec;
-    reconfiguring |= u.state == UnitState::kReconfiguring;
-  }
-  if (reconfiguring) return AppPhase::kReconfig;
+  if (a.in_flight_mask != 0) return AppPhase::kExec;
+  if (a.units_mask(UnitState::kReconfiguring) != 0) return AppPhase::kReconfig;
   if (!a.started) return AppPhase::kQueueWait;
   return AppPhase::kPaused;
 }
@@ -189,8 +207,8 @@ int BoardRuntime::submit(const apps::AppSpec& spec, int spec_index, int batch,
   apps_.push_back(std::move(app));
   int id = apps_.back().id;
   live_.push_back(id);  // ids only grow, so the index stays ascending
-  count_live(spec_index, +1);
-  publish_load();
+  ++allocation_changes_;
+  count_live(apps_.back(), +1);
   init_dirty(apps_.back());
   if (obs_ && obs_->journal_on()) {
     obs_->journal(sim().now(), obs::JournalEvent::kAdmit, board_.name(), id,
@@ -470,6 +488,7 @@ void BoardRuntime::set_units(int app_id, std::vector<apps::UnitSpec> units) {
   assert(!a.started && "cannot re-unitise an app that has begun execution");
   assert(!units.empty());
   assign_pending_units(a, std::move(units));
+  ++allocation_changes_;
   // Re-unitising reshapes the DDR image: rebuild the dirty map for the new
   // layout (everything is new to both consumers again).
   init_dirty(a);
@@ -478,10 +497,8 @@ void BoardRuntime::set_units(int app_id, std::vector<apps::UnitSpec> units) {
 void BoardRuntime::idle_slots(fpga::SlotKind kind,
                               std::vector<int>& out) const {
   out.clear();
-  for (const fpga::Slot& s : board_.slots()) {
-    if (s.kind() == kind && s.state() == fpga::SlotState::kIdle) {
-      out.push_back(s.id());
-    }
+  for (std::uint64_t idle = idle_mask(kind); idle != 0; idle &= idle - 1) {
+    out.push_back(std::countr_zero(idle));
   }
 }
 
@@ -528,6 +545,7 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
   a.started = true;
   touch_phase(a);
   ++counters_.pr_requests;
+  ++cell_->prs;
   m_pr_requests_.add();
   refresh_slot_gauges();
   if (obs_ && obs_->journal_on()) {
@@ -590,7 +608,7 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
         if (blocked_unit.pr_was_blocked) return;
         blocked_unit.pr_was_blocked = true;
         ++counters_.pr_blocked;
-        ++window_blocked_;
+        ++cell_->blocked;
         m_pr_blocked_.add();
       },
       u.spec.bitstream_bytes);
@@ -599,15 +617,13 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
 void BoardRuntime::request_full_reconfig(int app_id) {
   AppRun& a = app(app_id);
   assert(full_fabric_app_ == -1 && "fabric already owned");
-  for (const fpga::Slot& s : board_.slots()) {
-    assert(s.state() == fpga::SlotState::kIdle &&
-           "full reconfig requires an empty fabric");
-    (void)s;
-  }
+  assert(occupied_ == fpga::ResourceVector{} &&
+         "full reconfig requires an empty fabric");
   touch_utilization();
   full_fabric_app_ = app_id;
   a.started = true;
   ++counters_.pr_requests;
+  ++cell_->prs;
   m_pr_requests_.add();
   for (UnitRun& u : a.units) {
     set_unit_state(a, u, UnitState::kReconfiguring);
@@ -780,14 +796,14 @@ void BoardRuntime::extract_live_if(Extract extract) {
       for (const UnitRun& u : a.units) {
         if (u.state == UnitState::kRunning) used_ -= u.spec.impl_usage;
       }
-      count_live(a.spec_index, -1);
+      count_live(a, -1);
       a.spec = nullptr;  // tombstone: extracted
     } else {
       live_[kept++] = id;  // kept <= the read position: order is preserved
     }
   }
+  if (kept < live_.size()) ++allocation_changes_;
   live_.resize(kept);
-  publish_load();
 }
 
 std::vector<BoardRuntime::MigratedApp> BoardRuntime::extract_unstarted() {
@@ -873,7 +889,10 @@ BoardRuntime::CrashReport BoardRuntime::crash() {
   });
   crashed_ = true;
   pass_queued_ = false;
-  for (fpga::Slot& s : board_.slots()) s.scrub();
+  for (fpga::Slot& s : board_.slots()) {
+    s.scrub();
+    mark_idle(s);
+  }
   occupied_ = {};
   // Cores drop their queues and in-flight ops (this also cancels the core
   // op that would have completed the PCAP's in-flight load), then the PCAP
@@ -936,7 +955,7 @@ void BoardRuntime::kick() {
   // the paper's task-execution-blocking problem.
   if (!dual_core_ && core.busy() && core.current_kind() == sim::OpKind::kPcap) {
     ++counters_.launch_blocked;
-    ++window_blocked_;
+    ++cell_->blocked;
     m_launch_blocked_.add();
   }
   core.submit(
@@ -956,11 +975,12 @@ void BoardRuntime::run_pass() {
 void BoardRuntime::try_launches() {
   for (int id : live_) {
     AppRun& a = app(id);
-    if (a.units_in(UnitState::kRunning) == 0) continue;
-    for (UnitRun& u : a.units) {
-      if (u.state != UnitState::kRunning || u.item_in_flight) continue;
+    // A launch changes only its own unit's bit, so this walks exactly the
+    // units a unit-by-unit scan would, in the same order.
+    for (std::uint32_t idle = a.idle_units(); idle != 0; idle &= idle - 1) {
+      const int idx = std::countr_zero(idle);
+      UnitRun& u = a.units[static_cast<std::size_t>(idx)];
       if (u.items_done >= a.batch) continue;
-      int idx = static_cast<int>(&u - a.units.data());
       if (!item_ready(a, idx)) {
         // A streamed first stage blocked only on source availability needs
         // a wake-up at the next item's arrival (nothing else would kick).
@@ -986,7 +1006,7 @@ void BoardRuntime::try_launches() {
 }
 
 void BoardRuntime::launch_item(AppRun& app_ref, UnitRun& unit_ref) {
-  unit_ref.item_in_flight = true;
+  set_in_flight(app_ref, unit_ref, true);
   touch_phase(app_ref);
   int app_id = app_ref.id;
   int unit_index = static_cast<int>(&unit_ref - app_ref.units.data());
@@ -1033,7 +1053,7 @@ void BoardRuntime::finish_item(int app_id, int unit_index) {
   UnitRun& u = a.units[static_cast<std::size_t>(unit_index)];
   touch_utilization();
   if (u.slot >= 0) board_.slot(u.slot).finish_exec();
-  u.item_in_flight = false;
+  set_in_flight(a, u, false);
   if (u.seu_poisoned) {
     // An SEU killed the slot logic mid-item: the item's result is garbage
     // and is discarded (not counted), the instance is evicted, and the
@@ -1081,8 +1101,8 @@ void BoardRuntime::check_app_complete(AppRun& a) {
   auto live = std::lower_bound(live_.begin(), live_.end(), a.id);
   assert(live != live_.end() && *live == a.id && "completing a non-live app");
   live_.erase(live);
-  count_live(a.spec_index, -1);
-  publish_load();
+  ++allocation_changes_;
+  count_live(a, -1);
   ++counters_.apps_completed;
   m_apps_completed_.add();
   m_response_ms_.observe(sim::to_ms(a.completed - a.arrival));
@@ -1105,25 +1125,20 @@ void BoardRuntime::check_app_complete(AppRun& a) {
 }
 
 void BoardRuntime::bind_load_cell(LoadCell* cell) noexcept {
-  load_cell_ = cell;
-  if (cell == nullptr) return;
-  cell->load = active_apps();
-  cell->specs = 0;
-  const std::size_t bits = std::min(live_per_spec_.size(),
-                                    std::size_t{LoadCell::kSpecBits});
-  for (std::size_t s = 0; s < bits; ++s) {
-    if (live_per_spec_[s] > 0) cell->specs |= std::uint64_t{1} << s;
-  }
+  LoadCell* target = cell != nullptr ? cell : &own_cell_;
+  *target = *cell_;
+  cell_ = target;
 }
 
-void BoardRuntime::count_live(int spec_index, int delta) {
-  auto s = static_cast<std::size_t>(spec_index);
+void BoardRuntime::count_live(const AppRun& a, int delta) {
+  auto s = static_cast<std::size_t>(a.spec_index);
   if (s >= live_per_spec_.size()) live_per_spec_.resize(s + 1, 0);
   const bool live = (live_per_spec_[s] += delta) > 0;
-  if (load_cell_ != nullptr && spec_index < LoadCell::kSpecBits) {
+  cell_->load += delta;
+  cell_->batch += delta * a.batch;
+  if (a.spec_index < LoadCell::kSpecBits) {
     const std::uint64_t bit = std::uint64_t{1} << s;
-    load_cell_->specs = live ? load_cell_->specs | bit
-                             : load_cell_->specs & ~bit;
+    cell_->specs = live ? cell_->specs | bit : cell_->specs & ~bit;
   }
 }
 
@@ -1131,19 +1146,24 @@ void BoardRuntime::set_unit_state(AppRun& a, UnitRun& u,
                                   UnitState state) noexcept {
   if (u.state == UnitState::kRunning) used_ -= u.spec.impl_usage;
   if (state == UnitState::kRunning) used_ += u.spec.impl_usage;
-  --a.unit_counts[static_cast<std::size_t>(u.state)];
-  ++a.unit_counts[static_cast<std::size_t>(state)];
+  const std::uint32_t bit = std::uint32_t{1} << (&u - a.units.data());
+  a.unit_masks[static_cast<std::size_t>(u.state)] &= ~bit;
+  a.unit_masks[static_cast<std::size_t>(state)] |= bit;
+  if (state == UnitState::kFinished) ++allocation_changes_;
   u.state = state;
 }
 
 void BoardRuntime::begin_slot_reconfig(fpga::Slot& slot, int app_id,
                                        fpga::ConfiguredKey key) {
   if (slot.state() == fpga::SlotState::kIdle) occupied_ += slot.capacity();
+  idle_masks_[static_cast<std::size_t>(slot.kind())] &=
+      ~(std::uint64_t{1} << slot.id());
   slot.begin_reconfig(app_id, key);
 }
 
 void BoardRuntime::release_slot(fpga::Slot& slot) {
   if (slot.state() != fpga::SlotState::kIdle) occupied_ -= slot.capacity();
+  mark_idle(slot);
   slot.release();
 }
 

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -85,11 +86,12 @@ struct AppRun {
   int batch = 1;
   sim::SimDuration item_interval = 0;  ///< streaming source period (0 = staged)
   std::vector<UnitRun> units;
-  /// How many of `units` are in each UnitState, indexed by the enum. The
-  /// runtime keeps them exact: admission and re-unitising start every unit
-  /// pending, and BoardRuntime::set_unit_state is the only place a unit
-  /// changes state. Audit I5 recounts them.
-  std::array<int, kUnitStateCount> unit_counts{};
+  /// Bit i of unit_masks[s] is set while units[i] is in UnitState s, and of
+  /// in_flight_mask while it has an item in flight. Only BoardRuntime
+  /// writes them, at admission, set_units and each transition (audit I5).
+  static constexpr std::size_t kMaxUnits = 32;
+  std::array<std::uint32_t, kUnitStateCount> unit_masks{};
+  std::uint32_t in_flight_mask = 0;
   bool started = false;       ///< any PR ever issued for it
   sim::SimTime completed = -1;
   sim::SimTime stream_kick = -1;  ///< pending wake-up for streamed items
@@ -130,12 +132,15 @@ struct AppRun {
     return static_cast<int>(
         std::min<std::int64_t>(streamed, batch));
   }
-  /// Units in `state`. O(1): see unit_counts.
-  [[nodiscard]] int units_in(UnitState state) const noexcept {
-    return unit_counts[static_cast<std::size_t>(state)];
+  [[nodiscard]] std::uint32_t units_mask(UnitState state) const noexcept {
+    return unit_masks[static_cast<std::size_t>(state)];
+  }
+  /// Running units with no item in flight: configured, between items.
+  [[nodiscard]] std::uint32_t idle_units() const noexcept {
+    return units_mask(UnitState::kRunning) & ~in_flight_mask;
   }
   [[nodiscard]] int units_finished() const noexcept {
-    return units_in(UnitState::kFinished);
+    return std::popcount(units_mask(UnitState::kFinished));
   }
   /// Unfinished units (the N_T of Algorithm 1).
   [[nodiscard]] int units_unfinished() const noexcept {
@@ -143,23 +148,17 @@ struct AppRun {
   }
   /// Units currently holding a slot (reconfiguring or running).
   [[nodiscard]] int units_placed() const noexcept {
-    return units_in(UnitState::kReconfiguring) +
-           units_in(UnitState::kRunning);
+    return std::popcount(units_mask(UnitState::kReconfiguring) |
+                         units_mask(UnitState::kRunning));
   }
   /// Units waiting for a slot.
   [[nodiscard]] int units_pending() const noexcept {
-    return units_in(UnitState::kPending);
+    return std::popcount(units_mask(UnitState::kPending));
   }
-  /// Index of the lowest pending unit (pipeline order), or -1 — without a
-  /// scan when no unit is pending.
+  /// Index of the lowest pending unit (pipeline order), or -1.
   [[nodiscard]] int next_pending_unit() const noexcept {
-    if (units_pending() == 0) return -1;
-    for (const UnitRun& u : units) {
-      if (u.state == UnitState::kPending) {
-        return static_cast<int>(&u - units.data());
-      }
-    }
-    return -1;
+    const std::uint32_t pending = units_mask(UnitState::kPending);
+    return pending == 0 ? -1 : std::countr_zero(pending);
   }
 };
 
@@ -189,13 +188,18 @@ struct UtilizationIntegral {
   }
 };
 
-/// One active-pool position's routing state, as the cluster's least-loaded
-/// pick reads it: the board's live-app count and one bit per app spec with
-/// at least one live app there. Specs past the mask width get no bit.
+/// One active-pool position's state, as the cluster reads it instead of the
+/// board's runtime: for routing, the live-app count and one bit per app spec
+/// with a live app there (specs past the mask width get no bit); for
+/// D_switch, the live apps' batch sum and the blocked events and PR requests
+/// since the cluster last took that window.
 struct LoadCell {
   static constexpr int kSpecBits = 64;
   int load = 0;
+  int batch = 0;
   std::uint64_t specs = 0;
+  std::int64_t blocked = 0;
+  std::int64_t prs = 0;
 
   [[nodiscard]] bool warm(int spec_index) const noexcept {
     return spec_index >= 0 && spec_index < kSpecBits &&
@@ -223,6 +227,8 @@ struct CompletedApp {
 
 class BoardRuntime {
  public:
+  /// Throws std::invalid_argument when the board has more than 64 slots
+  /// (the idle masks hold one bit per slot).
   BoardRuntime(fpga::Board& board, SchedulerPolicy& policy);
 
   BoardRuntime(const BoardRuntime&) = delete;
@@ -233,7 +239,8 @@ class BoardRuntime {
   /// to the Little (per-task) decomposition; policies re-unitise via
   /// set_units before the first PR. A non-zero `item_interval` makes the
   /// batch *streaming*: item i only becomes available at
-  /// arrival + i * item_interval (dynamic batch processing, §III-A).
+  /// arrival + i * item_interval (dynamic batch processing, §III-A). Apps of
+  /// over AppRun::kMaxUnits units throw std::invalid_argument (set_units too).
   int submit(const apps::AppSpec& spec, int spec_index, int batch,
              sim::SimTime arrival, sim::SimDuration item_interval = 0,
              int tenant = -1);
@@ -296,6 +303,10 @@ class BoardRuntime {
   /// ascending order. Policies pass a buffer they keep, so a pass does not
   /// allocate once the buffer has grown to the slot count.
   void idle_slots(fpga::SlotKind kind, std::vector<int>& out) const;
+  /// The idle slots of `kind`, bit i for slot id i (kept, never recounted).
+  [[nodiscard]] std::uint64_t idle_mask(fpga::SlotKind kind) const noexcept {
+    return idle_masks_[static_cast<std::size_t>(kind)];
+  }
 
   /// Placement hint: among idle `candidates`, returns the one whose
   /// placement-specific bitstream for (app, unit) is already staged in DDR
@@ -318,21 +329,28 @@ class BoardRuntime {
   [[nodiscard]] const std::vector<int>& live_ids() const noexcept {
     return live_;
   }
+  /// Counts changes to what slot allocation reads of the runtime: admission,
+  /// live-set exit, set_units and a unit reaching kFinished each bump it.
+  [[nodiscard]] std::uint64_t allocation_changes() const noexcept {
+    return allocation_changes_;
+  }
   /// Live apps: neither complete nor extracted.
   [[nodiscard]] int active_apps() const noexcept {
     return static_cast<int>(live_.size());
   }
   [[nodiscard]] bool drained() const noexcept { return active_apps() == 0; }
 
-  /// Binds the load cell this runtime mirrors its live set into (the
-  /// cluster's active-pool cell at this board's position), writing the
-  /// current state at once; null unbinds. Admission, completion and
-  /// extraction then keep the cell current, so routing reads one cell per
-  /// board instead of walking runtimes.
+  /// Moves the load state into `cell` (the cluster's active-pool cell at
+  /// this board's position), or back into the runtime's own cell for null.
+  /// The runtime then keeps it current there, so routing and D_switch
+  /// sampling read one cell per board instead of walking runtimes.
   void bind_load_cell(LoadCell* cell) noexcept;
+  /// The bound cell, or null when unbound.
   [[nodiscard]] const LoadCell* load_cell() const noexcept {
-    return load_cell_;
+    return cell_ == &own_cell_ ? nullptr : cell_;
   }
+  /// The load state wherever it lives: the bound cell or the own cell.
+  [[nodiscard]] const LoadCell& load_state() const noexcept { return *cell_; }
   /// Live apps of spec `spec_index` on this board.
   [[nodiscard]] int live_of_spec(int spec_index) const noexcept {
     auto s = static_cast<std::size_t>(spec_index);
@@ -367,9 +385,10 @@ class BoardRuntime {
 
   /// Blocked-event count since the last D_switch sampling window reset.
   [[nodiscard]] std::int64_t window_blocked() const noexcept {
-    return window_blocked_;
+    return cell_->blocked;
   }
-  void reset_window() noexcept { window_blocked_ = 0; }
+  /// Starts a new D_switch window (blocked events and PR requests).
+  void reset_window() noexcept { cell_->blocked = cell_->prs = 0; }
 
   /// Hook invoked on every app completion (cluster layer: D_switch
   /// recalculation cadence).
@@ -544,21 +563,21 @@ class BoardRuntime {
   /// `extract` accepts, compacting the index in place around the rest.
   template <typename Extract>
   void extract_live_if(Extract extract);
-  /// Adds `delta` to the live count of `spec_index` and mirrors the spec's
-  /// bit into the bound load cell.
-  void count_live(int spec_index, int delta);
-  /// Mirrors active_apps() into the bound load cell (after live_ changed).
-  void publish_load() noexcept {
-    if (load_cell_ != nullptr) load_cell_->load = active_apps();
-  }
+  /// Counts `a` into (+1) or out of (-1) the live set's sums: its spec's
+  /// live count, and the load, spec bit and batch sum of the load cell.
+  void count_live(const AppRun& a, int delta);
   /// Every unit state change goes through here, keeping used_ and the
-  /// app's unit_counts exact.
+  /// app's unit masks exact.
   void set_unit_state(AppRun& a, UnitRun& u, UnitState state) noexcept;
   /// Occupies an idle slot with a PR load, or frees an occupied one;
-  /// either keeps occupied_ exact.
+  /// either keeps occupied_ and the idle masks exact.
   void begin_slot_reconfig(fpga::Slot& slot, int app_id,
                            fpga::ConfiguredKey key);
   void release_slot(fpga::Slot& slot);
+  void mark_idle(const fpga::Slot& slot) noexcept {
+    idle_masks_[static_cast<std::size_t>(slot.kind())] |= std::uint64_t{1}
+                                                          << slot.id();
+  }
   /// Integrates the utilisation since the last touch at the current sums.
   /// Call before every change to used_ or occupied_resources().
   void touch_utilization();
@@ -589,10 +608,13 @@ class BoardRuntime {
   bool dual_core_;
   std::vector<AppRun> apps_;
   std::vector<int> live_;  ///< live app ids, ascending (see live_ids())
+  std::uint64_t allocation_changes_ = 0;  ///< see allocation_changes()
   std::vector<int> live_per_spec_;  ///< live apps by spec index
-  LoadCell* load_cell_ = nullptr;   ///< see bind_load_cell()
+  LoadCell own_cell_;                ///< the load state while unbound
+  LoadCell* cell_ = &own_cell_;      ///< see bind_load_cell()
   fpga::ResourceVector used_;       ///< see used_resources()
   fpga::ResourceVector occupied_;   ///< non-idle slots' capacity
+  std::array<std::uint64_t, 2> idle_masks_{};  ///< see idle_mask()
   RuntimeCounters counters_;
   UtilizationIntegral util_;
   std::vector<CompletedApp> completed_;
@@ -609,7 +631,6 @@ class BoardRuntime {
   obs::TraceChannel* obs_ = nullptr;
   std::int64_t dirty_granularity_ = 0;  ///< 0 = no dirty tracking
   int full_fabric_app_ = -1;  ///< baseline: app owning the whole fabric
-  std::int64_t window_blocked_ = 0;
   sim::SimTime last_util_touch_ = 0;
 
   // Telemetry handles (null until bind_metrics; updates are then no-ops).

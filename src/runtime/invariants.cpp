@@ -2,17 +2,21 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <functional>
 #include <map>
 #include <sstream>
 
+/// Records `msg` when `condition` fails. The message is built only then, so
+/// a passing audit does no string work and can run after every event.
+#define VS_CHECK(report, condition, msg)                   \
+  do {                                                     \
+    if (!(condition)) (report).violations.push_back(msg); \
+  } while (false)
+
 namespace vs::runtime {
 
 namespace {
-
-void check(InvariantReport& report, bool condition, const std::string& msg) {
-  if (!condition) report.violations.push_back(msg);
-}
 
 constexpr std::array<const char*, kUnitStateCount> kUnitStateNames = {
     "pending", "reconfiguring", "running", "finished"};
@@ -45,50 +49,53 @@ InvariantReport audit(const BoardRuntime& rt) {
     for (std::size_t ui = 0; ui < a.units.size(); ++ui) {
       const UnitRun& u = a.units[ui];
       int unit_index = static_cast<int>(ui);
-      std::string name = unit_name(a, unit_index);
+      auto name = [&] { return unit_name(a, unit_index); };
 
       // I1: items_done within [0, batch].
-      check(report, u.items_done >= 0 && u.items_done <= a.batch,
-            name + ": items_done " + std::to_string(u.items_done) +
-                " outside [0," + std::to_string(a.batch) + "]");
+      VS_CHECK(report, u.items_done >= 0 && u.items_done <= a.batch,
+               name() + ": items_done " + std::to_string(u.items_done) +
+                   " outside [0," + std::to_string(a.batch) + "]");
 
       // I2: pipeline order — a unit can never be ahead of its predecessor.
       if (prev_items >= 0) {
-        check(report, u.items_done <= prev_items,
-              name + ": ahead of upstream (" + std::to_string(u.items_done) +
-                  " > " + std::to_string(prev_items) + ")");
+        VS_CHECK(report, u.items_done <= prev_items,
+                 name() + ": ahead of upstream (" +
+                     std::to_string(u.items_done) + " > " +
+                     std::to_string(prev_items) + ")");
       }
       prev_items = u.items_done;
 
       // I3: state/slot consistency.
       switch (u.state) {
         case UnitState::kPending:
-          check(report, u.slot == -1, name + ": pending but holds a slot");
-          check(report, !u.item_in_flight,
-                name + ": pending with an item in flight");
+          VS_CHECK(report, u.slot == -1, name() + ": pending but holds a slot");
+          VS_CHECK(report, !u.item_in_flight,
+                   name() + ": pending with an item in flight");
           break;
         case UnitState::kReconfiguring:
         case UnitState::kRunning:
-          check(report, u.slot >= 0 || u.slot == -2,
-                name + ": placed without a slot");
+          VS_CHECK(report, u.slot >= 0 || u.slot == -2,
+                   name() + ": placed without a slot");
           if (u.slot >= 0) {
             auto [it, inserted] =
                 holders.emplace(u.slot, std::make_pair(a.id, unit_index));
-            check(report, inserted,
-                  name + ": slot " + std::to_string(u.slot) +
-                      " also held by app " + std::to_string(it->second.first));
+            VS_CHECK(report, inserted,
+                     name() + ": slot " + std::to_string(u.slot) +
+                         " also held by app " +
+                         std::to_string(it->second.first));
           }
           if (u.state == UnitState::kReconfiguring) {
-            check(report, !u.item_in_flight,
-                  name + ": executing while reconfiguring");
+            VS_CHECK(report, !u.item_in_flight,
+                     name() + ": executing while reconfiguring");
           }
           break;
         case UnitState::kFinished:
-          check(report, u.slot == -1, name + ": finished but holds a slot");
-          check(report, u.items_done == a.batch,
-                name + ": finished with incomplete batch");
-          check(report, !u.item_in_flight,
-                name + ": finished with an item in flight");
+          VS_CHECK(report, u.slot == -1,
+                   name() + ": finished but holds a slot");
+          VS_CHECK(report, u.items_done == a.batch,
+                   name() + ": finished with incomplete batch");
+          VS_CHECK(report, !u.item_in_flight,
+                   name() + ": finished with an item in flight");
           break;
       }
     }
@@ -99,79 +106,87 @@ InvariantReport audit(const BoardRuntime& rt) {
       all_finished &= (u.state == UnitState::kFinished);
     }
     if (a.done()) {
-      check(report, all_finished,
-            "app " + std::to_string(a.id) + ": done with unfinished units");
+      VS_CHECK(report, all_finished,
+               "app " + std::to_string(a.id) + ": done with unfinished units");
     }
 
-    // I5: the per-state unit counts (which units_placed, units_pending and
-    // friends answer from) agree with a recount of the unit states.
-    std::array<int, kUnitStateCount> recount{};
-    for (const UnitRun& u : a.units) {
-      ++recount[static_cast<std::size_t>(u.state)];
+    // I5: the per-state unit masks and the in-flight mask (which
+    // units_placed, next_pending_unit, try_launches and friends answer
+    // from) agree with a recount of the units.
+    std::array<std::uint32_t, kUnitStateCount> recount{};
+    std::uint32_t in_flight = 0;
+    for (std::size_t ui = 0; ui < a.units.size(); ++ui) {
+      recount[static_cast<std::size_t>(a.units[ui].state)] |= 1U << ui;
+      in_flight |= a.units[ui].item_in_flight ? 1U << ui : 0U;
     }
     for (std::size_t st = 0; st < kUnitStateCount; ++st) {
-      check(report, a.unit_counts[st] == recount[st],
-            "app " + std::to_string(a.id) + ": " + kUnitStateNames[st] +
-                " unit count " + std::to_string(a.unit_counts[st]) +
-                ", recount " + std::to_string(recount[st]));
+      VS_CHECK(report, a.unit_masks[st] == recount[st],
+               "app " + std::to_string(a.id) + ": " + kUnitStateNames[st] +
+                   " unit count " +
+                   std::to_string(std::popcount(a.unit_masks[st])) +
+                   ", recount " + std::to_string(std::popcount(recount[st])));
     }
+    VS_CHECK(report, a.in_flight_mask == in_flight,
+             "app " + std::to_string(a.id) + ": in-flight mask " +
+                 std::to_string(a.in_flight_mask) + ", recount " +
+                 std::to_string(in_flight));
   }
 
   // I6: slot states agree with the holder map.
   for (const fpga::Slot& s : board.slots()) {
     bool held = holders.count(s.id()) > 0;
     if (s.state() == fpga::SlotState::kIdle) {
-      check(report, !held,
-            "slot " + s.name() + ": idle but a unit claims it");
+      VS_CHECK(report, !held,
+               "slot " + s.name() + ": idle but a unit claims it");
     } else {
-      check(report, held,
-            "slot " + s.name() + ": " + to_string(s.state()) +
-                " but no unit claims it");
+      VS_CHECK(report, held,
+               "slot " + s.name() + ": " + to_string(s.state()) +
+                   " but no unit claims it");
       if (held) {
-        check(report, s.occupant_app() == holders[s.id()].first,
-              "slot " + s.name() + ": occupant app mismatch");
+        VS_CHECK(report, s.occupant_app() == holders[s.id()].first,
+                 "slot " + s.name() + ": occupant app mismatch");
       }
     }
   }
 
   // I7: counter consistency.
   const RuntimeCounters& c = rt.counters();
-  check(report, c.pr_blocked <= c.pr_requests,
-        "more blocked PRs than PR requests");
-  check(report, c.apps_completed ==
-                    static_cast<std::int64_t>(rt.completed().size()),
-        "apps_completed counter disagrees with completion log");
+  VS_CHECK(report, c.pr_blocked <= c.pr_requests,
+           "more blocked PRs than PR requests");
+  VS_CHECK(report, c.apps_completed ==
+                       static_cast<std::int64_t>(rt.completed().size()),
+           "apps_completed counter disagrees with completion log");
 
   // I8: completion log sanity.
   for (const CompletedApp& done : rt.completed()) {
-    check(report, done.completed >= done.arrival,
-          done.name + "#" + std::to_string(done.app_id) +
-              ": completed before arrival");
+    VS_CHECK(report, done.completed >= done.arrival,
+             done.name + "#" + std::to_string(done.app_id) +
+                 ": completed before arrival");
   }
 
   // I9: the live index is strictly ascending and holds exactly the apps
   // that are admitted, not completed and not extracted.
   const std::vector<int>& live = rt.live_ids();
-  check(report,
-        std::adjacent_find(live.begin(), live.end(),
-                           std::greater_equal<>()) == live.end(),
-        "live index not strictly ascending");
+  VS_CHECK(report,
+           std::adjacent_find(live.begin(), live.end(),
+                              std::greater_equal<>()) == live.end(),
+           "live index not strictly ascending");
   std::vector<int> expected;
   for (const AppRun& a : rt.apps()) {
     if (a.spec != nullptr && !a.done()) expected.push_back(a.id);
   }
-  check(report, live == expected,
-        "live index holds " + std::to_string(live.size()) +
-            " ids, app states say " + std::to_string(expected.size()) +
-            " apps are live");
-  check(report, rt.active_apps() == static_cast<int>(live.size()),
-        "active_apps disagrees with the live index");
+  VS_CHECK(report, live == expected,
+           "live index holds " + std::to_string(live.size()) +
+               " ids, app states say " + std::to_string(expected.size()) +
+               " apps are live");
+  VS_CHECK(report, rt.active_apps() == static_cast<int>(live.size()),
+           "active_apps disagrees with the live index");
 
-  // I10: the running-resource sums, the per-spec live counts and the bound
-  // load cell equal a recount. A full-fabric app owns the whole fabric, so
-  // its capacity stands in for the occupied slots.
+  // I10: the running-resource sums, the idle-slot masks, the per-spec live
+  // counts and the load cell equal a recount. A full-fabric app owns the
+  // whole fabric, so its capacity stands in for the occupied slots.
   fpga::ResourceVector used;
-  LoadCell cell{static_cast<int>(live.size()), 0};
+  LoadCell cell{static_cast<int>(live.size())};
   int max_spec = -1;
   for (const AppRun& a : rt.apps()) max_spec = std::max(max_spec, a.spec_index);
   std::vector<int> per_spec(static_cast<std::size_t>(max_spec + 1), 0);
@@ -181,35 +196,56 @@ InvariantReport audit(const BoardRuntime& rt) {
       if (u.state == UnitState::kRunning) used += u.spec.impl_usage;
     }
     ++per_spec[static_cast<std::size_t>(a.spec_index)];
+    cell.batch += a.batch;
     if (a.spec_index < LoadCell::kSpecBits) {
       cell.specs |= std::uint64_t{1} << a.spec_index;
     }
   }
   fpga::ResourceVector occupied;
+  std::array<std::uint64_t, 2> idle{};
   for (const fpga::Slot& s : board.slots()) {
-    if (s.state() != fpga::SlotState::kIdle) occupied += s.capacity();
+    if (s.state() != fpga::SlotState::kIdle) {
+      occupied += s.capacity();
+    } else {
+      idle[static_cast<std::size_t>(s.kind())] |= std::uint64_t{1} << s.id();
+    }
+  }
+  for (fpga::SlotKind kind : {fpga::SlotKind::kLittle, fpga::SlotKind::kBig}) {
+    const std::uint64_t recount = idle[static_cast<std::size_t>(kind)];
+    VS_CHECK(report, rt.idle_mask(kind) == recount,
+             std::string("idle ") + fpga::to_string(kind) + " slot mask " +
+                 std::to_string(rt.idle_mask(kind)) + ", slot recount " +
+                 std::to_string(recount));
   }
   if (rt.full_fabric_app() >= 0) occupied = board.fabric_capacity();
-  check(report, rt.used_resources() == used,
-        "used sum " + rt.used_resources().to_string() +
-            ", running units recount " + used.to_string());
-  check(report, rt.occupied_resources() == occupied,
-        "occupied sum " + rt.occupied_resources().to_string() +
-            ", slot recount " + occupied.to_string());
+  VS_CHECK(report, rt.used_resources() == used,
+           "used sum " + rt.used_resources().to_string() +
+               ", running units recount " + used.to_string());
+  VS_CHECK(report, rt.occupied_resources() == occupied,
+           "occupied sum " + rt.occupied_resources().to_string() +
+               ", slot recount " + occupied.to_string());
   for (int spec = 0; spec <= max_spec; ++spec) {
     const int n = per_spec[static_cast<std::size_t>(spec)];
-    check(report, rt.live_of_spec(spec) == n,
-          "spec " + std::to_string(spec) + ": live count " +
-              std::to_string(rt.live_of_spec(spec)) + ", recount " +
-              std::to_string(n));
+    VS_CHECK(report, rt.live_of_spec(spec) == n,
+             "spec " + std::to_string(spec) + ": live count " +
+                 std::to_string(rt.live_of_spec(spec)) + ", recount " +
+                 std::to_string(n));
   }
-  if (const LoadCell* bound = rt.load_cell(); bound != nullptr) {
-    check(report, *bound == cell,
-          "load cell (" + std::to_string(bound->load) + ", " +
-              std::to_string(bound->specs) + ") disagrees with the live set (" +
-              std::to_string(cell.load) + ", " + std::to_string(cell.specs) +
-              ")");
-  }
+  // The D_switch window counts events since the cluster last took it, so
+  // it lies between zero and the runtime's cumulative counts.
+  const LoadCell& state = rt.load_state();
+  cell.blocked = std::clamp<std::int64_t>(state.blocked, 0,
+                                          c.pr_blocked + c.launch_blocked);
+  cell.prs = std::clamp<std::int64_t>(state.prs, 0, c.pr_requests);
+  auto fields = [](const LoadCell& x) {
+    return "(load " + std::to_string(x.load) + ", batch " +
+           std::to_string(x.batch) + ", specs " + std::to_string(x.specs) +
+           ", blocked " + std::to_string(x.blocked) + ", prs " +
+           std::to_string(x.prs) + ")";
+  };
+  VS_CHECK(report, state == cell,
+           "load cell " + fields(state) + " disagrees with a recount " +
+               fields(cell));
 
   return report;
 }

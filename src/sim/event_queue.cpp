@@ -24,6 +24,11 @@ EventId EventQueue::schedule(SimTime when, EventFn fn) {
       run_head_ = 0;
     }
     run_.push_back(Node{when, id});
+  } else if (hole_) {
+    // One sift_down instead of the pop's sift_down plus a sift_up.
+    hole_ = false;
+    heap_.front() = Node{when, id};
+    sift_down(0);
   } else {
     heap_.push_back(Node{when, id});
     sift_up(heap_.size() - 1);
@@ -60,13 +65,17 @@ EventQueue::Popped EventQueue::pop() {
   if (from_run) {
     pop_run();
   } else {
-    pop_node();
+    hole_ = true;  // refilled by the next heap-bound schedule, or settled
   }
   --live_;
   return out;
 }
 
 bool EventQueue::drop_tombstones() {
+  if (hole_) {
+    hole_ = false;
+    pop_node();
+  }
   // Tombstones leave in (time, seq) order, the order their events would
   // have fired in, so the run and the heap are always consumed in step.
   for (;;) {

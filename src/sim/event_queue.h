@@ -5,7 +5,8 @@
 //
 //  - a hand-rolled 4-ary min-heap of 16-byte (SimTime, EventId) PODs, so
 //    sift operations move small trivially-copyable nodes and never touch a
-//    closure;
+//    closure. A pop leaves the root vacant for the next heap-bound schedule
+//    to fill with one sift_down (the DES "hold"); reads settle it first;
 //  - beside it, a time-ordered run: a FIFO of the same nodes that takes
 //    every node scheduled no earlier than the run's last one. The drivers
 //    schedule their whole, pre-sorted arrival timeline up front, so it
@@ -114,14 +115,18 @@ class EventQueue {
       run_head_ = 0;
     }
   }
-  /// Discards cancelled nodes, earliest first, up to the earliest live
-  /// one; returns true when that one heads the run. Precondition: !empty().
+  /// Settles a vacant root, then discards cancelled nodes, earliest first,
+  /// up to the earliest live one; returns true when that one heads the run.
+  /// Precondition: !empty().
   bool drop_tombstones();
 
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t index) noexcept;
 
   std::vector<Node> heap_;
+  /// heap_[0] is vacant: pop() left it for the next heap-bound schedule.
+  /// Pop order cannot change, as (time, seq) is a strict total order.
+  bool hole_ = false;
   /// The time-ordered run: run_[run_head_..] pending, sorted by (time, seq).
   std::vector<Node> run_;
   std::size_t run_head_ = 0;

@@ -3,8 +3,13 @@
 // one contract a policy author must respect.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
 #include "fpga/board.h"
 #include "runtime/board_runtime.h"
+#include "runtime/invariants.h"
 #include "sim/simulator.h"
 #include "test_helpers.h"
 
@@ -116,6 +121,39 @@ TEST(ContractsDeathTest, SlotExecWithoutConfigureAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   fpga::Slot slot(0, fpga::SlotKind::kLittle, {1, 1, 1, 1});
   EXPECT_DEATH(slot.begin_exec(), "");
+}
+
+// The unit and idle-slot masks are 32 and 64 bits wide. Wider inputs are
+// rejected with an exception, before any state changes, not truncated.
+TEST(Contracts, AppsPastTheUnitMaskWidthAreRejected) {
+  sim::Simulator sim;
+  fpga::Board board(sim, "b0", fpga::FabricConfig::only_little());
+  ScriptedPolicy policy;
+  BoardRuntime rt(board, policy);
+  const auto widest = make_uniform_app("widest", 32, sim::ms(1));
+  const auto wider = make_uniform_app("wider", 33, sim::ms(1));
+  const int id = rt.submit(widest, 0, 1, 0);
+  EXPECT_EQ(rt.app(id).units_pending(), 32);
+  EXPECT_EQ(rt.app(id).units_unfinished(), 32);
+  EXPECT_EQ(rt.app(id).next_pending_unit(), 0);
+  EXPECT_THROW((void)rt.submit(wider, 1, 1, 0), std::invalid_argument);
+  std::vector<apps::UnitSpec> units(33, rt.app(id).units[0].spec);
+  EXPECT_THROW(rt.set_units(id, units), std::invalid_argument);
+  EXPECT_EQ(rt.apps().size(), 1U);
+  EXPECT_EQ(rt.app(id).units.size(), 32U);
+  auto report = audit(rt);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+TEST(Contracts, BoardsPastTheIdleMaskWidthAreRejected) {
+  sim::Simulator sim;
+  ScriptedPolicy policy;
+  fpga::Board widest(sim, "widest", fpga::FabricConfig::custom(0, 64));
+  BoardRuntime rt(widest, policy);
+  EXPECT_EQ(rt.idle_mask(fpga::SlotKind::kLittle), ~std::uint64_t{0});
+  EXPECT_EQ(rt.idle_mask(fpga::SlotKind::kBig), 0U);
+  fpga::Board wider(sim, "wider", fpga::FabricConfig::custom(1, 64));
+  EXPECT_THROW(BoardRuntime(wider, policy), std::invalid_argument);
 }
 
 }  // namespace

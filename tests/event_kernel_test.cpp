@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -239,6 +240,14 @@ class ReferenceQueue {
     for (const Ref& r : events_) n += (!r.cancelled && !r.fired) ? 1 : 0;
     return n;
   }
+  /// Time of the earliest live event. Precondition: live() > 0.
+  [[nodiscard]] SimTime next_time() const {
+    SimTime best = std::numeric_limits<SimTime>::max();
+    for (const Ref& r : events_) {
+      if (!r.cancelled && !r.fired) best = std::min(best, r.time);
+    }
+    return best;
+  }
   [[nodiscard]] SimTime time_of(std::uint64_t handle) const {
     return events_[handle].time;
   }
@@ -263,9 +272,14 @@ TEST(EventQueueProperty, MatchesReferenceUnderInterleavedOps) {
   // with some times a little behind it (which go to the heap). Its pops
   // keep pace with its schedules, so the run drains and restarts, and half
   // its cancels hit the newest events, so many land inside the run. Times
-  // are coarse enough that run and heap nodes often tie. The real queue
-  // must fire exactly the same payloads in exactly the same order as the
-  // reference, and agree on size() throughout.
+  // are coarse enough that run and heap nodes often tie. Every pop is
+  // followed by one of the hold patterns (a pop from the heap leaves its
+  // root vacant until the next heap-bound schedule): a schedule before the
+  // run's tail, which fills the root, or after it, which leaves it vacant;
+  // a cancel of the popped id; or next_time() and size() read with the
+  // root still vacant. The real queue must fire exactly the same payloads
+  // in exactly the same order as the reference, and agree on size() and
+  // next_time() throughout.
   for (bool timeline : {false, true}) {
     for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 2025ULL}) {
       util::Rng rng(seed, /*stream=*/99);
@@ -317,13 +331,34 @@ TEST(EventQueueProperty, MatchesReferenceUnderInterleavedOps) {
           // treat it as a no-op then.
           ref.cancel(handle);
           q.cancel(id);
-        } else if (!q.empty()) {  // pop
+        } else if (!q.empty()) {  // pop, then a hold pattern
           auto expect = ref.pop();
           ASSERT_TRUE(expect.has_value());
           auto popped = q.pop();
           EXPECT_EQ(popped.time, ref.time_of(*expect));
           popped.fn();
           ref_fired.push_back(*expect);
+          const SimTime tail = timeline ? clock : 50;  // the run's tail, about
+          switch (rng.uniform_int(0, 3)) {
+            case 0:
+              schedule(std::max<SimTime>(0, tail - rng.uniform_int(1, 5)));
+              break;
+            case 1:
+              schedule(tail + rng.uniform_int(0, 2));
+              break;
+            case 2:  // stale: the popped event already fired
+              ASSERT_EQ(outstanding[*expect].second, *expect);
+              q.cancel(outstanding[*expect].first);
+              ref.cancel(*expect);
+              break;
+            default:
+              if (!q.empty()) {
+                ASSERT_EQ(q.next_time(), ref.next_time())
+                    << "timeline " << timeline << " seed " << seed
+                    << " step " << step;
+              }
+              break;
+          }
         }
         ASSERT_EQ(q.size(), ref.live())
             << "timeline " << timeline << " seed " << seed << " step "

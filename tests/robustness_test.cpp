@@ -279,11 +279,18 @@ TEST(AuditI10, SumsAndCellMatchRecountAcrossEveryTransition) {
   const auto one = test::make_uniform_app("one", 1, sim::ms(1.0));
   const fpga::ResourceVector little = board.params().little_slot;
   const fpga::ResourceVector task = two.tasks[0].impl_usage;
+  // The cell's value for a live set: nothing takes the D_switch window
+  // here, so it holds every blocked event and PR request so far.
+  auto expected = [&](int load, int batch, std::uint64_t specs) {
+    const runtime::RuntimeCounters& c = rt.counters();
+    return runtime::LoadCell{load, batch, specs,
+                             c.pr_blocked + c.launch_blocked, c.pr_requests};
+  };
 
   const int a = rt.submit(two, 0, /*batch=*/3, 0);
   const int b = rt.submit(one, 3, /*batch=*/2, 0);
   audited("admission");
-  EXPECT_EQ(cell, (runtime::LoadCell{2, 0b1001}));
+  EXPECT_EQ(cell, expected(2, 5, 0b1001));
   auto unit = [&](int app, int u) -> const runtime::UnitRun& {
     return rt.app(app).units[static_cast<std::size_t>(u)];
   };
@@ -340,7 +347,8 @@ TEST(AuditI10, SumsAndCellMatchRecountAcrossEveryTransition) {
   rt.request_pr(a, 0, 4);
   rt.request_pr(a, 1, 5);
   ASSERT_TRUE(step_audited(sim, rt, [&] { return rt.app(a).done(); }));
-  EXPECT_EQ(cell, (runtime::LoadCell{1, 0b1000}));
+  EXPECT_EQ(cell, expected(1, 2, 0b1000));
+  EXPECT_GT(cell.prs, 0);
   EXPECT_EQ(rt.used_resources(), fpga::ResourceVector{});
 
   // Full-fabric reconfiguration (exclusive baseline): the fabric capacity
@@ -355,27 +363,39 @@ TEST(AuditI10, SumsAndCellMatchRecountAcrossEveryTransition) {
   ASSERT_TRUE(step_audited(sim, rt, [&] { return rt.app(b).done(); }));
   EXPECT_EQ(rt.full_fabric_app(), -1);
   EXPECT_EQ(rt.occupied_resources(), fpga::ResourceVector{});
-  EXPECT_EQ(cell, (runtime::LoadCell{0, 0}));
+  EXPECT_EQ(cell, expected(0, 0, 0));
 
   // Crash with a unit running: every sum and the cell drop to zero.
   const int c = rt.submit(two, 1, /*batch=*/5, sim.now());
   (void)rt.submit(one, 2, /*batch=*/5, sim.now());
   rt.request_pr(c, 0, 6);
   ASSERT_TRUE(step_audited(sim, rt, [&] { return configured_idle(c, 0); }));
-  EXPECT_EQ(cell, (runtime::LoadCell{2, 0b0110}));
+  EXPECT_EQ(cell, expected(2, 10, 0b0110));
   (void)rt.crash();
   audited("crash");
   EXPECT_EQ(rt.used_resources(), fpga::ResourceVector{});
   EXPECT_EQ(rt.occupied_resources(), fpga::ResourceVector{});
-  EXPECT_EQ(cell, (runtime::LoadCell{0, 0}));
+  EXPECT_EQ(cell, expected(0, 0, 0));
   // The stale in-flight events die against the crash guards.
   (void)step_audited(sim, rt, [] { return false; });
 
-  // An unbound runtime leaves its old cell alone.
+  // An unbound runtime leaves its old cell alone and keeps the state,
+  // window included, in its own cell.
   rt.bind_load_cell(nullptr);
-  cell = runtime::LoadCell{7, 7};
+  cell = runtime::LoadCell{7, 7, 7, 7, 7};
   audited("unbound");
-  EXPECT_EQ(cell, (runtime::LoadCell{7, 7}));
+  EXPECT_EQ(cell, (runtime::LoadCell{7, 7, 7, 7, 7}));
+  EXPECT_EQ(rt.load_state(), expected(0, 0, 0));
+
+  // Rebinding carries the state, window included, into the new cell, and
+  // taking the window zeroes it there.
+  runtime::LoadCell rebound;
+  rt.bind_load_cell(&rebound);
+  audited("rebound");
+  EXPECT_EQ(rebound, expected(0, 0, 0));
+  rt.reset_window();
+  audited("window taken");
+  EXPECT_EQ(rebound, runtime::LoadCell{});
 }
 
 // -------------------------------------------------------- fault injection

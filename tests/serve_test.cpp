@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "apps/benchmarks.h"
@@ -417,19 +419,46 @@ TEST(ServeRouting, CellPickMatchesRuntimeScan) {
 
     sim::Simulator sim;
     cluster::Cluster cluster(sim, suite, options);
+    // Each board's D_switch window (blocked events, PRs) and cumulative
+    // counts at the previous check; a board first seen starts from zero.
+    std::map<const runtime::BoardRuntime*, std::array<std::int64_t, 4>>
+        last_window;
+    std::size_t samples = 0;
     auto check = [&](int step) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
                    std::to_string(step));
+      const bool sampled = cluster.dswitch().trace().size() != samples;
+      samples = cluster.dswitch().trace().size();
       // Each member's cell holds its live set: a departed board that still
       // wrote to its old position would corrupt a current member's cell.
       for (int i = 0; i < cluster.active_board_count(); ++i) {
         const runtime::BoardRuntime& rt = cluster.active_runtime(i);
-        runtime::LoadCell recount{rt.active_apps(), 0};
+        ASSERT_NE(rt.load_cell(), nullptr) << "position " << i;
+        const runtime::LoadCell& cell = *rt.load_cell();
+        runtime::LoadCell recount{rt.active_apps(), 0, 0, cell.blocked,
+                                  cell.prs};
         for (int id : rt.live_ids()) {
+          recount.batch += rt.app(id).batch;
           recount.specs |= std::uint64_t{1} << rt.app(id).spec_index;
         }
-        ASSERT_NE(rt.load_cell(), nullptr) << "position " << i;
-        EXPECT_EQ(*rt.load_cell(), recount) << "position " << i;
+        EXPECT_EQ(cell, recount) << "position " << i;
+        // The window: with no sample taken since the previous check it
+        // grew by exactly the board's new events; a sample since then
+        // restarted it from zero, so it holds at most those events.
+        const runtime::RuntimeCounters& c = rt.counters();
+        const std::array<std::int64_t, 4> now{
+            cell.blocked, cell.prs, c.pr_blocked + c.launch_blocked,
+            c.pr_requests};
+        const std::array<std::int64_t, 4> before = last_window[&rt];
+        for (std::size_t f = 0; f < 2; ++f) {
+          const std::int64_t fresh = now[f + 2] - before[f + 2];
+          const bool grew = now[f] == before[f] + fresh;
+          EXPECT_TRUE(grew || (sampled && now[f] >= 0 && now[f] <= fresh))
+              << "position " << i << (f == 0 ? " blocked " : " prs ")
+              << now[f] << ", was " << before[f] << ", new events "
+              << fresh << (sampled ? ", sampled" : "");
+        }
+        last_window[&rt] = now;
       }
       EXPECT_EQ(cluster.least_loaded_or_null(), scan_pick(cluster, -1));
       for (int spec = 0; spec < specs; ++spec) {
