@@ -11,13 +11,19 @@
 // kernel must execute steady-state events with ZERO heap allocations.
 // scripts/check.sh fails unless every one reads 0, and
 // scripts/bench_substrate.sh records the numbers in BENCH_substrate.json.
+// BM_PolicyPassAllocs reports `allocs_per_pass` for each paper system's
+// scheduling pass from the same hook; check.sh fails when a baseline
+// policy's (Baseline, FCFS, RR, Nimblock) reads 0.05 or more.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
+#include <utility>
 
 #include "apps/benchmarks.h"
 #include "apps/bundling.h"
@@ -25,6 +31,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_hub.h"
 #include "runtime/board_runtime.h"
+#include "runtime/policy.h"
 #include "sim/core.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
@@ -372,17 +379,22 @@ void BM_MakeBigUnits(benchmark::State& state) {
 }
 BENCHMARK(BM_MakeBigUnits);
 
-/// Simulation rate for a full 20-app standard sequence per system. Reports
+/// The 20-app Stress sequence BM_FullSequence and BM_PolicyPassAllocs run.
+workload::Sequence stress_sequence() {
+  workload::WorkloadConfig config;
+  config.congestion = workload::Congestion::kStress;
+  config.apps_per_sequence = 20;
+  util::Rng rng(7);
+  return workload::generate_sequence(config, rng);
+}
+
+/// Simulation rate for a full 20-app stress sequence per system. Reports
 /// how many simulated seconds one wall-clock second covers.
 void BM_FullSequence(benchmark::State& state) {
   auto kind = static_cast<metrics::SystemKind>(state.range(0));
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
-  workload::WorkloadConfig config;
-  config.congestion = workload::Congestion::kStress;
-  config.apps_per_sequence = 20;
-  util::Rng rng(7);
-  auto seq = workload::generate_sequence(config, rng);
+  auto seq = stress_sequence();
   double sim_seconds = 0;
   for (auto _ : state) {
     auto r = metrics::run_single_board(kind, suite, seq);
@@ -394,6 +406,76 @@ void BM_FullSequence(benchmark::State& state) {
       sim_seconds, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FullSequence)->DenseRange(0, metrics::kSystemCount - 1);
+
+/// Forwards every call to the wrapped policy and counts the heap
+/// allocations made inside its passes.
+class PassAllocProbe final : public runtime::SchedulerPolicy {
+ public:
+  explicit PassAllocProbe(std::unique_ptr<runtime::SchedulerPolicy> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] const char* name() const override { return inner_->name(); }
+  [[nodiscard]] bool dual_core() const override {
+    return inner_->dual_core();
+  }
+  void attach(runtime::BoardRuntime& rt) override { inner_->attach(rt); }
+  void bind_metrics(obs::MetricsRegistry& registry,
+                    const std::string& board) override {
+    inner_->bind_metrics(registry, board);
+  }
+  void on_app_submitted(runtime::BoardRuntime& rt, int app_id) override {
+    inner_->on_app_submitted(rt, app_id);
+  }
+  void on_pass(runtime::BoardRuntime& rt) override {
+    std::int64_t before = alloc_calls();
+    inner_->on_pass(rt);
+    allocs_ += alloc_calls() - before;
+    ++passes_;
+  }
+
+  [[nodiscard]] std::int64_t allocs() const noexcept { return allocs_; }
+  [[nodiscard]] std::int64_t passes() const noexcept { return passes_; }
+
+ private:
+  std::unique_ptr<runtime::SchedulerPolicy> inner_;
+  std::int64_t allocs_ = 0;
+  std::int64_t passes_ = 0;
+};
+
+/// Heap allocations per scheduling pass over BM_FullSequence's stress
+/// sequence, counted inside on_pass only. A baseline policy keeps its
+/// per-app state from admission and refills kept buffers, so only the
+/// first passes' buffer growth counts. VersaSlot's binding work (the
+/// bundling check, make_big_units re-unitising) allocates when an app binds.
+void BM_PolicyPassAllocs(benchmark::State& state) {
+  auto kind = static_cast<metrics::SystemKind>(state.range(0));
+  fpga::BoardParams params;
+  auto suite = apps::make_suite(params);
+  auto seq = stress_sequence();
+  std::int64_t allocs = 0;
+  std::int64_t passes = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    fpga::Board board(sim, "fpga0", metrics::fabric_for(kind), params);
+    PassAllocProbe policy(metrics::make_policy(kind));
+    runtime::BoardRuntime rt(board, policy);
+    for (const apps::AppArrival& a : seq) {
+      sim.schedule_at(a.arrival, [&rt, &suite, a] {
+        rt.submit(suite.at(static_cast<std::size_t>(a.spec_index)),
+                  a.spec_index, a.batch, a.arrival, a.item_interval);
+      });
+    }
+    sim.run();
+    benchmark::DoNotOptimize(rt.completed().size());
+    allocs += policy.allocs();
+    passes += policy.passes();
+  }
+  state.SetLabel(metrics::system_name(kind));
+  state.counters["allocs_per_pass"] =
+      passes > 0 ? static_cast<double>(allocs) / static_cast<double>(passes)
+                 : 0.0;
+}
+BENCHMARK(BM_PolicyPassAllocs)->DenseRange(0, metrics::kSystemCount - 1);
 
 }  // namespace
 

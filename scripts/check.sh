@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repository check gate: the tier-1 build + full test suite, the substrate
 # micro-benchmarks (failing unless the event kernel's zero-allocation
-# probes, telemetry-handle overhead bench included, all read 0), a smoke
+# probes, telemetry-handle overhead bench included, all read 0, and the
+# baseline policies' passes allocate under 0.05 times per pass), a smoke
 # run of the telemetry demo + its three exporters, then sanitizer passes:
 # ThreadSanitizer over the parallel sweep runner (the only multi-threaded
 # code in the repo) and AddressSanitizer over the event-kernel and
@@ -25,12 +26,17 @@ cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== substrate micro-bench gate (zero-alloc probe) =="
+echo "== substrate micro-bench gate (zero-alloc probes) =="
 # Every event-kernel bench carries a steady-state allocation probe; the
-# kernel's contract is that each one reads exactly 0.
+# kernel's contract is that each one reads exactly 0. BM_PolicyPassAllocs
+# counts allocations inside each paper system's scheduling passes: the
+# baseline policies keep per-app state from admission and reuse their
+# buffers, so each must stay below 0.05 per pass. VersaSlot's binding work
+# (bundling check, re-unitising) allocates when an app binds and is
+# reported, not gated.
 cmake --build build -j "$JOBS" --target micro_substrate
 ./build/bench/micro_substrate \
-  --benchmark_filter='BM_EventQueueScheduleAndPop|BM_SimulatorEventRate|BM_SimulatorInterleavedChains|BM_SimulatorHoldModel|BM_MetricsOverhead|BM_PhaseAccountingOverhead' \
+  --benchmark_filter='BM_EventQueueScheduleAndPop|BM_SimulatorEventRate|BM_SimulatorInterleavedChains|BM_SimulatorHoldModel|BM_MetricsOverhead|BM_PhaseAccountingOverhead|BM_PolicyPassAllocs' \
   --benchmark_min_time=0.01 --benchmark_format=json \
   >build/substrate_smoke.json
 python3 - build/substrate_smoke.json <<'PY'
@@ -38,12 +44,23 @@ import json
 import sys
 
 benches = json.load(open(sys.argv[1]))["benchmarks"]
-bad = [f"{b['name']}: {b.get('allocs_per_event')}" for b in benches
-       if b.get("allocs_per_event") != 0]
-if not benches or bad:
-    sys.exit("allocs_per_event must be 0: " + (", ".join(bad) or "no benches"))
-for b in benches:
+kernel = [b for b in benches if "allocs_per_event" in b]
+policy = [b for b in benches if "allocs_per_pass" in b]
+gated = {"Baseline", "FCFS", "RR", "Nimblock"}
+bad = [f"{b['name']}: allocs_per_event {b['allocs_per_event']}"
+       for b in kernel if b["allocs_per_event"] != 0]
+bad += [f"{b['name']} ({b['label']}): allocs_per_pass {b['allocs_per_pass']}"
+        for b in policy
+        if b["label"] in gated and b["allocs_per_pass"] >= 0.05]
+if not kernel or not gated <= {b["label"] for b in policy} or bad:
+    sys.exit("allocation probes failed: " +
+             (", ".join(bad) or "missing benches"))
+for b in kernel:
     print(f"{b['name']}: allocs_per_event 0")
+for b in policy:
+    note = "" if b["label"] in gated else " (reported, not gated)"
+    print(f"{b['name']} ({b['label']}): "
+          f"allocs_per_pass {b['allocs_per_pass']:.4f}{note}")
 PY
 
 echo "== telemetry demo smoke (dashboard + exporters) =="
@@ -242,11 +259,13 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
 fi
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
-  echo "== AddressSanitizer: event kernel + telemetry =="
+  echo "== AddressSanitizer: event kernel + telemetry + policies =="
+  # The baseline policies index per-app vectors by app id: an id out of
+  # range is undefined behaviour that only a sanitizer reports.
   cmake -B build-asan -S . -DVS_SANITIZE=address
   cmake --build build-asan -j "$JOBS" --target versaslot_tests
   ./build-asan/tests/versaslot_tests \
-    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:SamplerChangeLog.*:CaptureGolden.*:Capture.*:BlockWriterNumbers.*:Telemetry*:TraceRecorder.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*:Invariants.*:StepwiseAudit.*:DSwitchGolden.*:Contracts.*'
+    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:SamplerChangeLog.*:CaptureGolden.*:Capture.*:BlockWriterNumbers.*:Telemetry*:TraceRecorder.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*:Invariants.*:StepwiseAudit.*:DSwitchGolden.*:Contracts.*:Fcfs.*:RoundRobin.*:Nimblock.*:Dml.*:PolicyCommon.*:BaselineGolden.*'
 fi
 
 if [[ "${SKIP_COV:-0}" != "1" ]]; then

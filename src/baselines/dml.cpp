@@ -2,6 +2,12 @@
 
 namespace vs::baselines {
 
+void DmlPolicy::on_app_submitted(runtime::BoardRuntime& rt, int app_id) {
+  auto index = static_cast<std::size_t>(app_id);
+  if (index >= optimal_little_.size()) optimal_little_.resize(index + 1);
+  optimal_little_[index] = optimal_little(rt, rt.app(app_id));
+}
+
 void DmlPolicy::on_pass(runtime::BoardRuntime& rt) {
   // FIFO with backfilling: walk apps in arrival order; running apps top up
   // within their optimal allocation; a waiting app starts only if its full
@@ -11,7 +17,7 @@ void DmlPolicy::on_pass(runtime::BoardRuntime& rt) {
   for (int id : rt.live_ids()) {
     if (idle_.empty()) break;
     runtime::AppRun& app = rt.app(id);
-    int cap = alloc_.get(rt, app);
+    int cap = optimal(id);
     if (app.started) {
       while (app.units_placed() < cap && !idle_.empty()) {
         int unit = app.next_pending_unit();

@@ -13,6 +13,9 @@
 // its allocation scheme.
 #pragma once
 
+#include <cassert>
+#include <vector>
+
 #include "baselines/policy_common.h"
 #include "runtime/policy.h"
 
@@ -22,12 +25,20 @@ class DmlPolicy final : public runtime::SchedulerPolicy {
  public:
   [[nodiscard]] const char* name() const override { return "DML"; }
 
-  void on_app_submitted(runtime::BoardRuntime&, int) override {}
+  void on_app_submitted(runtime::BoardRuntime& rt, int app_id) override;
 
   void on_pass(runtime::BoardRuntime& rt) override;
 
  private:
-  LittleAllocCache alloc_;
+  [[nodiscard]] int optimal(int app_id) const {
+    auto index = static_cast<std::size_t>(app_id);
+    assert(index < optimal_little_.size() &&
+           "app was never submitted to this policy");
+    return optimal_little_[index];
+  }
+
+  /// O^L per runtime app id, set at admission (ids run densely from 0).
+  std::vector<int> optimal_little_;
   std::vector<int> idle_;  ///< idle Little slots, refilled every pass
 };
 

@@ -18,7 +18,6 @@ class FcfsPolicy final : public runtime::SchedulerPolicy {
   void on_pass(runtime::BoardRuntime& rt) override;
 
  private:
-  LittleAllocCache alloc_;
   std::vector<int> idle_;  ///< idle Little slots, refilled every pass
 };
 

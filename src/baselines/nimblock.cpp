@@ -2,80 +2,80 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 
 #include "apps/bundling.h"
 
 namespace vs::baselines {
 
 void NimblockPolicy::on_app_submitted(runtime::BoardRuntime& rt, int app_id) {
-  wait_since_[app_id] = rt.sim().now();
-}
-
-sim::SimDuration NimblockPolicy::remaining_estimate(
-    runtime::BoardRuntime& rt, const runtime::AppRun& app) {
-  int k = alloc_.get(rt, const_cast<runtime::AppRun&>(app));
-  sim::SimDuration full = apps::estimate_little_makespan(
-      *app.spec, app.batch, k, rt.board().params());
-  // Scale by the fraction of batch-items still outstanding.
-  std::int64_t total_items =
-      static_cast<std::int64_t>(app.units.size()) * app.batch;
-  std::int64_t done_items = 0;
-  for (const runtime::UnitRun& u : app.units) done_items += u.items_done;
-  if (total_items == 0) return full;
-  return full * (total_items - done_items) / total_items;
+  const runtime::AppRun& app = rt.app(app_id);
+  AppState s;
+  s.optimal_little = optimal_little(rt, app);
+  s.full_estimate = apps::estimate_little_makespan(
+      *app.spec, app.batch, s.optimal_little, rt.board().params());
+  s.wait_since = rt.sim().now();
+  auto index = static_cast<std::size_t>(app_id);
+  if (index >= state_.size()) state_.resize(index + 1);
+  state_[index] = s;
 }
 
 void NimblockPolicy::on_pass(runtime::BoardRuntime& rt) {
-  const std::vector<int>& order = rt.live_ids();
-  if (order.empty()) return;
+  const std::vector<int>& live = rt.live_ids();
+  if (live.empty()) return;
 
-  // Priority: shortest estimated remaining work first; FIFO tie-break is
-  // implicit via stable_sort over submission order.
-  std::vector<std::pair<sim::SimDuration, int>> keyed;
-  keyed.reserve(order.size());
-  for (int id : order) {
-    keyed.emplace_back(remaining_estimate(rt, rt.app(id)), id);
+  // Priority: shortest estimated remaining work first — the full estimate
+  // scaled by the fraction of batch-items still outstanding. live_ids()
+  // ascends, so the id in the key breaks ties in submission order.
+  keyed_.clear();
+  int contenders = 0;
+  for (int id : live) {
+    const runtime::AppRun& app = rt.app(id);
+    std::int64_t total_items =
+        static_cast<std::int64_t>(app.units.size()) * app.batch;
+    std::int64_t done_items = 0;
+    for (const runtime::UnitRun& u : app.units) done_items += u.items_done;
+    sim::SimDuration estimate = state(id).full_estimate;
+    if (total_items > 0) {
+      estimate = estimate * (total_items - done_items) / total_items;
+    }
+    keyed_.emplace_back(estimate, id);
+    if (app.units_pending() > 0) ++contenders;
   }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<int> priority_order;
-  priority_order.reserve(keyed.size());
-  for (const auto& [est, id] : keyed) priority_order.push_back(id);
+  std::sort(keyed_.begin(), keyed_.end());
 
   // Dynamic slot allocation: under contention the per-app slot count is
   // shrunk toward the fair share, trading pipeline depth for throughput
   // (Nimblock's adaptive virtual-block sizing).
   int total_little = rt.board().count_slots(fpga::SlotKind::kLittle);
-  int contenders = 0;
-  for (int id : order) {
-    if (rt.app(id).units_pending() > 0) ++contenders;
-  }
   int fair_share =
       contenders > 0 ? std::max(1, total_little / contenders) : total_little;
-  std::unordered_map<int, int> caps;
-  for (int id : priority_order) {
-    caps[id] = std::min(alloc_.get(rt, rt.app(id)), fair_share);
+  order_.clear();
+  caps_.clear();
+  for (const auto& [estimate, id] : keyed_) {
+    order_.push_back(id);
+    caps_.push_back(std::min(state(id).optimal_little, fair_share));
   }
-  grant_little_slots(rt, priority_order, caps, idle_);
+  grant_little_slots(rt, order_, caps_, idle_);
 
   // Track how long apps with pending work have been slot-less.
-  for (int id : priority_order) {
+  for (int id : live) {
     const runtime::AppRun& a = rt.app(id);
     if (a.units_placed() > 0 || a.units_pending() == 0) {
-      wait_since_[id] = rt.sim().now();
+      state(id).wait_since = rt.sim().now();
     }
   }
-  maybe_preempt(rt, priority_order);
+  maybe_preempt(rt);
 }
 
-void NimblockPolicy::maybe_preempt(runtime::BoardRuntime& rt,
-                                   const std::vector<int>& priority_order) {
+void NimblockPolicy::maybe_preempt(runtime::BoardRuntime& rt) {
+  const sim::SimTime now = rt.sim().now();
   // Find the highest-priority starving app.
   int starving = -1;
-  for (int id : priority_order) {
+  for (int id : order_) {
     const runtime::AppRun& a = rt.app(id);
     if (a.units_placed() == 0 && a.units_pending() > 0 &&
-        rt.sim().now() - wait_since_[id] >= options_.starvation_threshold) {
+        now - state(id).wait_since >= options_.starvation_threshold) {
       starving = id;
       break;
     }
@@ -84,27 +84,24 @@ void NimblockPolicy::maybe_preempt(runtime::BoardRuntime& rt,
 
   // Victim: the lowest-priority app holding more than one slot, not
   // recently preempted, with a unit at an item boundary.
-  for (auto it = priority_order.rbegin(); it != priority_order.rend(); ++it) {
+  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
     int victim = *it;
     if (victim == starving) continue;
     const runtime::AppRun& v = rt.app(victim);
     if (v.units_placed() <= 1) continue;
-    auto lp = last_preempted_.find(victim);
-    if (lp != last_preempted_.end() &&
-        rt.sim().now() - lp->second < options_.preempt_cooldown) {
-      continue;
-    }
+    const sim::SimTime last = state(victim).last_preempted;
+    if (last >= 0 && now - last < options_.preempt_cooldown) continue;
     const std::uint32_t idle = v.idle_units();
     if (idle == 0) continue;
     rt.preempt_unit(victim, std::countr_zero(idle));
-    last_preempted_[victim] = rt.sim().now();
+    state(victim).last_preempted = now;
     // The freed slot goes to the starving app immediately.
     rt.idle_slots(fpga::SlotKind::kLittle, idle_);
     int pending = rt.app(starving).next_pending_unit();
     if (!idle_.empty() && pending >= 0) {
       rt.request_pr(starving, pending,
                     rt.choose_slot(starving, pending, idle_));
-      wait_since_[starving] = rt.sim().now();
+      state(starving).wait_since = now;
     }
     return;  // at most one preemption per pass
   }

@@ -10,7 +10,9 @@
 // the VersaSlot paper illustrates.
 #pragma once
 
-#include <unordered_map>
+#include <cassert>
+#include <utility>
+#include <vector>
 
 #include "baselines/policy_common.h"
 #include "runtime/policy.h"
@@ -26,7 +28,7 @@ struct NimblockOptions {
   sim::SimDuration preempt_cooldown = sim::ms(1000.0);
 };
 
-class NimblockPolicy : public runtime::SchedulerPolicy {
+class NimblockPolicy final : public runtime::SchedulerPolicy {
  public:
   explicit NimblockPolicy(NimblockOptions options = {})
       : options_(options) {}
@@ -36,19 +38,39 @@ class NimblockPolicy : public runtime::SchedulerPolicy {
   void on_app_submitted(runtime::BoardRuntime& rt, int app_id) override;
   void on_pass(runtime::BoardRuntime& rt) override;
 
- protected:
-  /// Priority key: estimated remaining work, smaller = runs first.
-  [[nodiscard]] sim::SimDuration remaining_estimate(
-      runtime::BoardRuntime& rt, const runtime::AppRun& app);
+ private:
+  /// What a pass reads of an app. Everything but the two times is fixed at
+  /// admission.
+  struct AppState {
+    int optimal_little = 0;              ///< O^L
+    sim::SimDuration full_estimate = 0;  ///< makespan at O^L, no progress
+    /// Admission, or the last pass that found it holding a slot or with
+    /// nothing pending: starvation is measured from here.
+    sim::SimTime wait_since = 0;
+    sim::SimTime last_preempted = -1;  ///< last time it was a victim; -1 never
+  };
 
-  void maybe_preempt(runtime::BoardRuntime& rt,
-                     const std::vector<int>& priority_order);
+  void maybe_preempt(runtime::BoardRuntime& rt);
+
+  [[nodiscard]] AppState& state(int app_id) {
+    auto index = static_cast<std::size_t>(app_id);
+    assert(index < state_.size() && "app was never submitted to this policy");
+    return state_[index];
+  }
 
   NimblockOptions options_;
-  LittleAllocCache alloc_;
-  std::vector<int> idle_;  ///< idle Little slots, refilled every pass
-  std::unordered_map<int, sim::SimTime> wait_since_;
-  std::unordered_map<int, sim::SimTime> last_preempted_;
+  /// Per-app state, indexed by runtime app id. A policy serves one runtime,
+  /// whose ids run densely from 0, and on_app_submitted sizes the vector on
+  /// every admission — so every live id has an entry.
+  std::vector<AppState> state_;
+  /// Pass buffers, refilled every pass so a pass allocates nothing once
+  /// they have grown to the live-app and slot counts: (remaining estimate,
+  /// id) keys, the priority order they sort into, its slot caps, and the
+  /// idle Little slots.
+  std::vector<std::pair<sim::SimDuration, int>> keyed_;
+  std::vector<int> order_;
+  std::vector<int> caps_;
+  std::vector<int> idle_;
 };
 
 }  // namespace vs::baselines

@@ -1,25 +1,23 @@
 #include "baselines/round_robin.h"
 
-#include <algorithm>
-
 namespace vs::baselines {
 
 void RoundRobinPolicy::on_pass(runtime::BoardRuntime& rt) {
   // Coyote-style round-robin: like FCFS each application runs its tasks
   // sequentially through one Little slot, but free slots are offered to
   // applications in cyclic order, so late arrivals are not starved by a
-  // long head-of-line application.
-  std::vector<int> order = rt.live_ids();
-  if (order.empty()) return;
-  std::size_t start = cursor_ % order.size();
-  std::rotate(order.begin(),
-              order.begin() + static_cast<std::ptrdiff_t>(start),
-              order.end());
+  // long head-of-line application. Visiting live[(start + k) % n] for
+  // k = 0..n-1 walks the live index rotated to start at the cursor.
+  const std::vector<int>& live = rt.live_ids();
+  const std::size_t n = live.size();
+  if (n == 0) return;
+  const std::size_t start = cursor_ % n;
 
   rt.idle_slots(fpga::SlotKind::kLittle, idle_);
   int granted = 0;
-  for (int id : order) {
+  for (std::size_t k = 0; k < n; ++k) {
     if (idle_.empty()) break;
+    int id = live[(start + k) % n];
     runtime::AppRun& app = rt.app(id);
     if (app.units_placed() >= 1) continue;
     int unit = app.next_pending_unit();

@@ -3,6 +3,8 @@
 // allocation, single-core).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "apps/benchmarks.h"
 #include "baselines/baseline_exclusive.h"
 #include "baselines/fcfs.h"
@@ -10,9 +12,11 @@
 #include "baselines/policy_common.h"
 #include "baselines/round_robin.h"
 #include "fpga/board.h"
+#include "metrics/experiment.h"
 #include "runtime/board_runtime.h"
 #include "sim/simulator.h"
 #include "test_helpers.h"
+#include "workload/generator.h"
 
 namespace vs::baselines {
 namespace {
@@ -223,6 +227,24 @@ TEST(Nimblock, ShortJobFirstOrdering) {
   EXPECT_LT(short_done, long_done);
 }
 
+TEST(Nimblock, EqualEstimatesKeepSubmissionOrder) {
+  Fixture f;
+  NimblockPolicy policy;
+  BoardRuntime rt(f.board, policy);
+  // 24 identical apps (more than the 16 that std::sort orders by insertion
+  // sort, which would keep ties in place by accident) reach the first pass
+  // together: fair share is one slot each, so the 8 slots go to the first 8
+  // in priority order, which on equal estimates is submission order.
+  apps::AppSpec app = make_uniform_app("a", 2, sim::ms(5));
+  for (int i = 0; i < 24; ++i) rt.submit(app, 0, 2, 0);
+  while (rt.counters().passes == 0 && f.sim.step()) {
+  }
+  ASSERT_EQ(rt.counters().passes, 1);
+  for (int id = 0; id < 24; ++id) {
+    EXPECT_EQ(rt.app(id).units_placed(), id < 8 ? 1 : 0) << "app " << id;
+  }
+}
+
 // ------------------------------------------------------------ policy_common
 
 TEST(PolicyCommon, NextPendingUnitInPipelineOrder) {
@@ -253,13 +275,91 @@ TEST(PolicyCommon, GrantRespectsCaps) {
   BoardRuntime rt(f.board, policy);
   apps::AppSpec app = make_uniform_app("a", 6, sim::ms(1));
   int id = rt.submit(app, 0, 1, 0);
-  std::unordered_map<int, int> caps{{id, 2}};
   std::vector<int> idle;
-  grant_little_slots(rt, {id}, caps, idle);
+  grant_little_slots(rt, {id}, {2}, idle);
   EXPECT_EQ(rt.app(id).units_placed(), 2);
   // The caller's buffer keeps the slots nobody was granted.
   EXPECT_EQ(static_cast<int>(idle.size()),
             f.board.count_slots(fpga::SlotKind::kLittle) - 2);
+}
+
+// ------------------------------------------------------------------ golden
+
+/// FNV-1a over every CompletedApp field, in completion order, then the
+/// counters a policy's decisions move.
+std::uint64_t decision_hash(const metrics::RunResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto add = [&h](std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const runtime::CompletedApp& c : r.apps) {
+    add(c.app_id);
+    add(c.spec_index);
+    for (char ch : c.name) add(ch);
+    add(c.arrival);
+    add(c.completed);
+    add(c.tenant);
+    for (sim::SimDuration p : c.phase_ns) add(p);
+  }
+  add(r.counters.passes);
+  add(r.counters.preemptions);
+  add(r.counters.pr_requests);
+  add(r.counters.pr_blocked);
+  add(r.counters.launch_blocked);
+  return h;
+}
+
+// Pins every decision of the four slot-sharing baselines (DML has no
+// committed CSV and no e2ebench digest, so nothing else pins it): any
+// change to their order, caps, preemption or placement moves a hash.
+// FCFS and RR differ only in whom a free slot goes to while several apps
+// wait, which these Standard sequences never make them decide differently.
+TEST(BaselineGolden, EachPolicyKeepsItsDecisions) {
+  struct Case {
+    metrics::SystemKind kind;
+    // Standard @2025, Stress @2025, Standard @7, Stress @7.
+    std::uint64_t hash[4];
+  };
+  const Case cases[] = {
+      {metrics::SystemKind::kFcfs,
+       {15021326053413338722ULL, 4647215931961187772ULL,
+        5168322438857453718ULL, 10670190428895095079ULL}},
+      {metrics::SystemKind::kRoundRobin,
+       {15021326053413338722ULL, 8785684730675466004ULL,
+        5168322438857453718ULL, 8765497361291924315ULL}},
+      {metrics::SystemKind::kNimblock,
+       {3694002044335524215ULL, 12921935959665772350ULL,
+        6720790881315731679ULL, 17423879433764859577ULL}},
+      {metrics::SystemKind::kDml,
+       {14436593319107697167ULL, 13235460285390377019ULL,
+        9619594925501704944ULL, 16048098154274693673ULL}},
+  };
+  fpga::BoardParams params;
+  auto suite = apps::make_suite(params);
+  metrics::RunOptions options;
+  options.phase_accounting = true;
+  for (const Case& c : cases) {
+    int i = 0;
+    for (std::uint64_t seed : {2025u, 7u}) {
+      for (workload::Congestion congestion :
+           {workload::Congestion::kStandard, workload::Congestion::kStress}) {
+        workload::WorkloadConfig config;
+        config.congestion = congestion;
+        config.apps_per_sequence = 20;
+        auto sequence = workload::generate_sequences(config, 1, seed)[0];
+        auto result = metrics::run_single_board(c.kind, suite, sequence,
+                                                options);
+        EXPECT_EQ(result.completed, 20);
+        EXPECT_EQ(decision_hash(result), c.hash[i])
+            << metrics::system_name(c.kind) << " "
+            << workload::congestion_name(congestion) << " seed " << seed;
+        ++i;
+      }
+    }
+  }
 }
 
 }  // namespace
