@@ -5,15 +5,16 @@
 //
 // The event-kernel benches (BM_EventQueueScheduleAndPop,
 // BM_SimulatorEventRate, BM_SimulatorInterleavedChains,
-// BM_SimulatorHoldModel and the two overhead benches) report an
-// `allocs_per_event` counter fed by the
+// BM_SimulatorHoldModel, BM_CoreOpChain and the two overhead benches)
+// report an `allocs_per_event` counter fed by the
 // allocation-counting operator new below: the InlineEvent + slab-heap
 // kernel must execute steady-state events with ZERO heap allocations.
 // scripts/check.sh fails unless every one reads 0, and
 // scripts/bench_substrate.sh records the numbers in BENCH_substrate.json.
 // BM_PolicyPassAllocs reports `allocs_per_pass` for each paper system's
 // scheduling pass from the same hook; check.sh fails when a baseline
-// policy's (Baseline, FCFS, RR, Nimblock) reads 0.05 or more.
+// policy's (Baseline, FCFS, RR, Nimblock) or VersaSlot-OL's reads 0.05 or
+// more.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -218,6 +219,52 @@ void BM_SimulatorHoldModel(benchmark::State& state) {
       steady_allocs / (10.0 * (kEvents + kChains));
 }
 BENCHMARK(BM_SimulatorHoldModel);
+
+/// Ops on a sim::Core, the way BoardRuntime drives the scheduler core: a
+/// chain whose every completion submits the next op, to a core that is
+/// idle with an empty FIFO (the op starts at once), and a burst submitted
+/// together, where all but the first queue behind a busy core.
+struct CoreChain {
+  sim::Core* core;
+  int remaining = 0;
+  std::int64_t done = 0;
+  void next() {
+    ++done;
+    if (--remaining > 0) {
+      core->submit(100, [this] { next(); }, sim::OpKind::kLaunch);
+    }
+  }
+};
+
+void BM_CoreOpChain(benchmark::State& state) {
+  constexpr int kOps = 1000;  // per path
+  sim::Simulator sim;
+  sim::Core core(sim, "PS0");
+  CoreChain chain{&core};
+  auto run_round = [&] {
+    chain.remaining = kOps;
+    core.submit(100, [&chain] { chain.next(); }, sim::OpKind::kLaunch);
+    sim.run();
+    for (int i = 0; i < kOps; ++i) {
+      core.submit(100, [&chain] { ++chain.done; }, sim::OpKind::kPass);
+    }
+    sim.run();
+  };
+  run_round();  // warm the queue's slab and the core's FIFO
+
+  // Steady-state allocation probe (see BM_EventQueueScheduleAndPop).
+  std::int64_t probe_before = alloc_calls();
+  for (int rep = 0; rep < 10; ++rep) run_round();
+  double steady_allocs = static_cast<double>(alloc_calls() - probe_before);
+
+  for (auto _ : state) {
+    run_round();
+    benchmark::DoNotOptimize(chain.done);
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kOps);
+  state.counters["allocs_per_event"] = steady_allocs / (10.0 * 2 * kOps);
+}
+BENCHMARK(BM_CoreOpChain);
 
 /// The tick chain with telemetry handles on the hot path: one counter add
 /// and one gauge store per event. Mirrors how real components are
@@ -445,8 +492,9 @@ class PassAllocProbe final : public runtime::SchedulerPolicy {
 /// Heap allocations per scheduling pass over BM_FullSequence's stress
 /// sequence, counted inside on_pass only. A baseline policy keeps its
 /// per-app state from admission and refills kept buffers, so only the
-/// first passes' buffer growth counts. VersaSlot's binding work (the
-/// bundling check, make_big_units re-unitising) allocates when an app binds.
+/// first passes' buffer growth counts. VersaSlot-BL's binding work (the
+/// bundling check, make_big_units re-unitising) allocates when an app
+/// binds Big; VersaSlot-OL never binds Big and skips it.
 void BM_PolicyPassAllocs(benchmark::State& state) {
   auto kind = static_cast<metrics::SystemKind>(state.range(0));
   fpga::BoardParams params;

@@ -21,9 +21,12 @@
 # guards the same way: /0 (accounting off, no hub — the shipping default)
 # must hold the BM_SimulatorEventRate rate within 3%, and both /0 and /1
 # must keep allocs_per_event at 0.
+# BM_CoreOpChain runs sim::Core op chains (ops started on an idle core and
+# ops queued behind a busy one) and must keep allocs_per_event at 0.
 # BM_PolicyPassAllocs/0..5 report `allocs_per_pass`, the heap allocations
 # inside each paper system's scheduling passes over a 20-app stress
-# sequence; Baseline, FCFS, RR and Nimblock must stay below 0.05.
+# sequence; Baseline, FCFS, RR, Nimblock and VersaSlot-OL must stay below
+# 0.05.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,7 +37,7 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS" --target micro_substrate >/dev/null
 
 ./build/bench/micro_substrate \
-  --benchmark_filter='BM_EventQueueScheduleAndPop|BM_SimulatorEventRate|BM_SimulatorInterleavedChains|BM_SimulatorHoldModel|BM_MetricsOverhead|BM_PhaseAccountingOverhead|BM_PcapQueueing|BM_PolicyPassAllocs' \
+  --benchmark_filter='BM_EventQueueScheduleAndPop|BM_SimulatorEventRate|BM_SimulatorInterleavedChains|BM_SimulatorHoldModel|BM_CoreOpChain|BM_MetricsOverhead|BM_PhaseAccountingOverhead|BM_PcapQueueing|BM_PolicyPassAllocs' \
   --benchmark_repetitions="$REPS" \
   --benchmark_report_aggregates_only=true \
   --benchmark_out=BENCH_substrate.json \

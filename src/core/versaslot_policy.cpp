@@ -34,6 +34,25 @@ bool VersaSlotPolicy::can_bundle_cached(runtime::BoardRuntime& rt,
   return s.bundleable;
 }
 
+bool VersaSlotPolicy::big_eligible(runtime::BoardRuntime& rt, int app_id,
+                                   int little_total) {
+  // Apps that already carry execution progress (live-migration arrivals)
+  // are pinned to their per-task decomposition and cannot be re-bundled.
+  const runtime::AppRun& a = rt.app(app_id);
+  if (!a.started && can_bundle_cached(rt, app_id)) return true;
+  if (little_total > 0) return false;
+  // On a fabric without Little slots, non-bundleable apps also bind Big
+  // when their units fit (bitstreams are generated "adaptive to each
+  // slot").
+  auto units = apps::make_big_units(*a.spec, a.batch, rt.board().params(),
+                                    options_.synthesis, options_.bundle_size);
+  bool fits = true;
+  for (const apps::UnitSpec& u : units) {
+    fits &= rt.board().params().big_slot.fits(u.impl_usage);
+  }
+  return fits;
+}
+
 void VersaSlotPolicy::on_pass(runtime::BoardRuntime& rt) {
   allocate(rt);
   schedule(rt);
@@ -112,22 +131,10 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
     AppState& s = state(id);
     if (s.binding != Binding::kWaiting) continue;
 
-    // Binding: prioritise Big slots for bundleable apps (lines 8-10). On a
-    // fabric without Little slots, non-bundleable apps also bind Big when
-    // their units fit (bitstreams are generated "adaptive to each slot").
-    // Apps that already carry execution progress (live-migration arrivals)
-    // are pinned to their per-task decomposition and cannot be re-bundled.
-    bool big_eligible = !a.started && can_bundle_cached(rt, id);
-    if (!big_eligible && little_total == 0) {
-      auto units = apps::make_big_units(*a.spec, a.batch, rt.board().params(),
-                                        options_.synthesis,
-                                        options_.bundle_size);
-      big_eligible = true;
-      for (const apps::UnitSpec& u : units) {
-        big_eligible &= rt.board().params().big_slot.fits(u.impl_usage);
-      }
-    }
-    if (big_little && big_avail > 0 && big_eligible) {
+    // Binding: prioritise Big slots for bundleable apps (lines 8-10). Only
+    // a Big.Little pass with a Big slot to grant asks, since the check
+    // allocates and Only.Little never binds Big.
+    if (big_little && big_avail > 0 && big_eligible(rt, id, little_total)) {
       int grant = std::min(s.optimal_big, big_avail);
       s.binding = Binding::kBig;
       s.alloc_big = grant;

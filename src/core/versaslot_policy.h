@@ -96,6 +96,9 @@ class VersaSlotPolicy : public runtime::SchedulerPolicy {
   void preempt_little(runtime::BoardRuntime& rt);
 
   [[nodiscard]] bool can_bundle_cached(runtime::BoardRuntime& rt, int app_id);
+  /// Whether Algorithm 1 may bind `app_id` to Big slots (lines 8-10).
+  [[nodiscard]] bool big_eligible(runtime::BoardRuntime& rt, int app_id,
+                                  int little_total);
   [[nodiscard]] AppState& state(int app_id) {
     auto index = static_cast<std::size_t>(app_id);
     assert(index < state_.size() && "app was never submitted to this policy");

@@ -1,6 +1,7 @@
 // A simulated FPGA board: PS (two ARM cores, PCAP, OCM, SD card) plus PL
-// (the slot fabric and DMA paths). The BoardRuntime in src/runtime drives
-// it; schedulers never touch the board directly.
+// (the slot fabric). DMA paths have no device object: BoardParams carries
+// their timing, which BoardRuntime charges per item. The BoardRuntime in
+// src/runtime drives the board; schedulers never touch it directly.
 #pragma once
 
 #include <memory>
@@ -30,9 +31,8 @@ class Board {
         core0_(sim, name_ + ".PS0"),
         core1_(sim, name_ + ".PS1"),
         pcap_(sim),
-        sdcard_(sim, params_),
-        ocm_(sim, params_),
-        dma_(sim, params_) {}
+        sdcard_(params_),
+        ocm_(sim, params_) {}
 
   Board(const Board&) = delete;
   Board& operator=(const Board&) = delete;
@@ -59,7 +59,6 @@ class Board {
   [[nodiscard]] Pcap& pcap() noexcept { return pcap_; }
   [[nodiscard]] SdCard& sdcard() noexcept { return sdcard_; }
   [[nodiscard]] Ocm& ocm() noexcept { return ocm_; }
-  [[nodiscard]] Dma& dma() noexcept { return dma_; }
 
   [[nodiscard]] sim::Simulator& sim() noexcept { return sim_; }
 
@@ -89,7 +88,6 @@ class Board {
   Pcap pcap_;
   SdCard sdcard_;
   Ocm ocm_;
-  Dma dma_;
 };
 
 }  // namespace vs::fpga

@@ -1,5 +1,7 @@
 // SD-card bitstream storage with an in-memory cache, plus the OCM mailbox
-// and AXI DMA latency models.
+// latency model. (Application data's AXI DMA has no device model: a batch
+// item's input transfer, BoardParams::dma_time, is charged inside the
+// item's execution event; see BoardRuntime::launch_item.)
 //
 // The PR server loads pre-generated partial bitstreams from the SD card into
 // DDR before pushing them through the PCAP. Once a bitstream has been read
@@ -10,8 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "fpga/params.h"
@@ -48,38 +49,16 @@ class BitstreamKeySet {
   std::vector<BitstreamKey> keys_;  ///< ascending, no duplicates
 };
 
-/// SD-card controller: a serial device with an in-memory (DDR) cache.
-/// Reads go through its own DMA queue — one transfer at a time — and do
-/// not occupy a CPU core or the PCAP, so bitstream staging overlaps
-/// reconfiguration and execution (the PR server double-buffers), but a
-/// burst of distinct bitstream requests still queues at the card.
+/// SD-card bitstream store: a residency cache in front of the card. A
+/// read's cost is returned synchronously by fetch_time(), and the caller
+/// charges it to the core op that performs the PR (BoardRuntime adds it to
+/// the PCAP load's duration), so the card schedules no events of its own.
 class SdCard {
  public:
-  SdCard(sim::Simulator& sim, const BoardParams& params)
-      : sim_(sim), params_(params) {}
+  explicit SdCard(const BoardParams& params) : params_(params) {}
 
-  /// Makes `key` memory-resident, then fires `on_ready`: immediately when
-  /// cached, after a queued SD read of `bytes` otherwise. `on_blocked`, if
-  /// set, fires once when the read had to wait behind another transfer
-  /// (PR-contention accounting).
-  void fetch(BitstreamKey key, std::int64_t bytes, sim::EventFn on_ready,
-             sim::EventFn on_blocked = nullptr) {
-    if (cache_.contains(key)) {
-      on_ready();
-      return;
-    }
-    ++misses_;
-    Pending p{key, bytes, std::move(on_ready)};
-    if (busy_) {
-      if (on_blocked) on_blocked();
-      queue_.push_back(std::move(p));
-      return;
-    }
-    start(std::move(p));
-  }
-
-  /// Synchronous variant for tests and estimators: the read time a cold
-  /// fetch of `key` would take (0 when cached). Marks the key cached.
+  /// The read time staging `key` costs (0 when resident). Marks the key
+  /// resident and counts a miss when it was not.
   [[nodiscard]] sim::SimDuration fetch_time(BitstreamKey key,
                                             std::int64_t bytes) {
     if (!cache_.insert(key)) return 0;
@@ -119,47 +98,15 @@ class SdCard {
   [[nodiscard]] std::size_t cached_count() const noexcept {
     return cache_.size();
   }
-  [[nodiscard]] bool busy() const noexcept { return busy_; }
-  [[nodiscard]] std::size_t backlog() const noexcept { return queue_.size(); }
   [[nodiscard]] std::int64_t misses() const noexcept { return misses_; }
+  /// Empties the placement-specific cache. The next fetch of a dropped key
+  /// misses again; a content-keyed fetch of its content relocates.
   void drop_cache() { cache_.clear(); }
 
  private:
-  struct Pending {
-    BitstreamKey key = 0;
-    std::int64_t bytes = 0;
-    sim::EventFn on_ready;
-  };
-
-  void start(Pending p) {
-    busy_ = true;
-    sim::SimDuration read_time = params_.sd_read_time(p.bytes);
-    // The card is serial: park the in-flight read in current_ so the
-    // completion event captures only `this` (stays inline in the queue).
-    current_ = std::move(p);
-    sim_.schedule(read_time, [this] { finish_read(); });
-  }
-
-  void finish_read() {
-    cache_.insert(current_.key);
-    // Move out first: on_ready may fetch again re-entrantly.
-    Pending done = std::move(current_);
-    busy_ = false;
-    if (done.on_ready) done.on_ready();
-    if (!busy_ && !queue_.empty()) {
-      Pending next = std::move(queue_.front());
-      queue_.pop_front();
-      start(std::move(next));
-    }
-  }
-
-  sim::Simulator& sim_;
   const BoardParams& params_;
   BitstreamKeySet cache_;
   BitstreamKeySet content_;
-  std::deque<Pending> queue_;
-  Pending current_;
-  bool busy_ = false;
   std::int64_t misses_ = 0;
   std::int64_t relocations_ = 0;
 };
@@ -171,9 +118,12 @@ class Ocm {
   Ocm(sim::Simulator& sim, const BoardParams& params)
       : sim_(sim), params_(params) {}
 
-  void post(sim::EventFn deliver) {
+  /// Delivers `deliver` (any void() callable, built in its event's slot)
+  /// after the mailbox latency.
+  template <typename F>
+  void post(F&& deliver) {
     ++messages_;
-    sim_.schedule(params_.ocm_message_latency, std::move(deliver));
+    sim_.schedule(params_.ocm_message_latency, std::forward<F>(deliver));
   }
 
   [[nodiscard]] std::int64_t messages() const noexcept { return messages_; }
@@ -182,32 +132,6 @@ class Ocm {
   sim::Simulator& sim_;
   const BoardParams& params_;
   std::int64_t messages_ = 0;
-};
-
-/// AXI DMA engine for application data. Transfers are not serialised: the
-/// interconnect has ample parallel bandwidth relative to our payload sizes,
-/// so each transfer simply takes bytes/bandwidth + setup.
-class Dma {
- public:
-  Dma(sim::Simulator& sim, const BoardParams& params)
-      : sim_(sim), params_(params) {}
-
-  void transfer(std::int64_t bytes, sim::EventFn on_done) {
-    ++transfers_;
-    bytes_moved_ += bytes;
-    sim_.schedule(params_.dma_time(bytes), std::move(on_done));
-  }
-
-  [[nodiscard]] std::int64_t transfers() const noexcept { return transfers_; }
-  [[nodiscard]] std::int64_t bytes_moved() const noexcept {
-    return bytes_moved_;
-  }
-
- private:
-  sim::Simulator& sim_;
-  const BoardParams& params_;
-  std::int64_t transfers_ = 0;
-  std::int64_t bytes_moved_ = 0;
 };
 
 }  // namespace vs::fpga

@@ -896,9 +896,8 @@ BoardRuntime::CrashReport BoardRuntime::crash() {
   occupied_ = {};
   // Cores drop their queues and in-flight ops (this also cancels the core
   // op that would have completed the PCAP's in-flight load), then the PCAP
-  // clears its FIFO. Stale simulator events (DMA completions, item
-  // finishes, OCM posts, checkpoint ticks) hit the crashed_ guards and
-  // die.
+  // clears its FIFO. Stale simulator events (item finishes, OCM posts,
+  // checkpoint ticks) hit the crashed_ guards and die.
   board_.scheduler_core().reset();
   board_.pr_core().reset();
   board_.pcap().reset();
@@ -1011,37 +1010,35 @@ void BoardRuntime::launch_item(AppRun& app_ref, UnitRun& unit_ref) {
   int app_id = app_ref.id;
   int unit_index = static_cast<int>(&unit_ref - app_ref.units.data());
   int item = unit_ref.items_done;
-  // Launch: scheduler-core op (buffer setup, DMA kick) ...
+  // Launch: a scheduler-core op (buffer setup, DMA kick), then the input
+  // DMA, then execution in the slot. Nothing reads the instant the input
+  // lands, so one event at the execution's end covers both, and the slot
+  // is executing from the kick. An SEU or a crash in the DMA window
+  // reaches that event through seu_poisoned and the crashed_ guard.
   board_.scheduler_core().submit(
       board_.params().launch_op_cost,
       [this, app_id, unit_index, item] {
         AppRun& a = app(app_id);
         UnitRun& u = a.units[static_cast<std::size_t>(unit_index)];
-        // ... then the input DMA ...
-        board_.dma().transfer(u.spec.item_bytes_in, [this, app_id, unit_index,
-                                                     item] {
+        touch_utilization();
+        if (u.slot >= 0) board_.slot(u.slot).begin_exec();
+        refresh_slot_gauges();
+        const sim::SimTime started =
+            sim().now() + board_.params().dma_time(u.spec.item_bytes_in);
+        const sim::SimDuration d =
+            u.spec.item_latency + (item == 0 ? u.spec.fill_latency : 0);
+        sim().schedule_at(started + d, [this, app_id, unit_index, started,
+                                        item] {
           if (crashed_) return;
-          AppRun& a2 = app(app_id);
-          UnitRun& u2 = a2.units[static_cast<std::size_t>(unit_index)];
-          // ... then execution in the slot.
-          touch_utilization();
-          if (u2.slot >= 0) board_.slot(u2.slot).begin_exec();
-          refresh_slot_gauges();
-          sim::SimDuration d = u2.spec.item_latency +
-                               (item == 0 ? u2.spec.fill_latency : 0);
-          sim::SimTime started = sim().now();
-          sim().schedule(d, [this, app_id, unit_index, started, item] {
-            if (crashed_) return;
-            if (trace_.enabled()) {
-              AppRun& a3 = app(app_id);
-              UnitRun& u3 = a3.units[static_cast<std::size_t>(unit_index)];
-              trace_.add(started, sim().now(), trace_lane(u3.slot),
-                         sim::SpanKind::kExec, a3.spec->name, '#', app_id,
-                         ".u", unit_index, " B", item + 1);
-            }
-            m_item_ms_.observe(sim::to_ms(sim().now() - started));
-            finish_item(app_id, unit_index);
-          });
+          if (trace_.enabled()) {
+            AppRun& a2 = app(app_id);
+            UnitRun& u2 = a2.units[static_cast<std::size_t>(unit_index)];
+            trace_.add(started, sim().now(), trace_lane(u2.slot),
+                       sim::SpanKind::kExec, a2.spec->name, '#', app_id,
+                       ".u", unit_index, " B", item + 1);
+          }
+          m_item_ms_.observe(sim::to_ms(sim().now() - started));
+          finish_item(app_id, unit_index);
         });
       },
       sim::OpKind::kLaunch);

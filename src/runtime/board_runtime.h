@@ -518,9 +518,9 @@ class BoardRuntime {
   /// Kills this board: every active app is extracted (paused apps as
   /// evacuable, checkpointed apps to their last snapshot, the rest as
   /// killed descriptors), all slots are scrubbed, the cores and PCAP
-  /// reset, and the runtime freezes — stale in-flight events (DMA
-  /// completions, item finishes, OCM posts, checkpoint ticks) become
-  /// no-ops. Terminal: a rebooted board gets a fresh BoardRuntime epoch.
+  /// reset, and the runtime freezes — stale in-flight events (item
+  /// finishes, OCM posts, checkpoint ticks) become no-ops. Terminal: a
+  /// rebooted board gets a fresh BoardRuntime epoch.
   [[nodiscard]] CrashReport crash();
   [[nodiscard]] bool crashed() const noexcept { return crashed_; }
 
@@ -555,6 +555,9 @@ class BoardRuntime {
   void apply_progress(AppRun& a, const std::vector<int>& items_done);
   void run_pass();
   void try_launches();
+  /// One item's pipeline: a launch op on the scheduler core, whose
+  /// completion kicks the input DMA and schedules the execution end
+  /// (DMA time plus item latency later), which calls finish_item.
   void launch_item(AppRun& app, UnitRun& unit);
   void finish_item(int app_id, int unit_index);
   void finish_unit(AppRun& a, UnitRun& unit);

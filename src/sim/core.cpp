@@ -8,8 +8,7 @@ namespace vs::sim {
 Core::Core(Simulator& sim, std::string name)
     : sim_(sim), name_(std::move(name)) {}
 
-void Core::submit(SimDuration duration, EventFn on_done, OpKind kind) {
-  assert(duration >= 0);
+Core::Op& Core::push_op(SimDuration duration, OpKind kind) {
   if (head_ > 0 && queue_.size() == queue_.capacity() &&
       2 * head_ >= queue_.size()) {
     // A core that never drains would otherwise grow the vector forever:
@@ -18,10 +17,7 @@ void Core::submit(SimDuration duration, EventFn on_done, OpKind kind) {
                  queue_.begin() + static_cast<std::ptrdiff_t>(head_));
     head_ = 0;
   }
-  queue_.push_back(Op{duration, std::move(on_done), kind});
-  ops_total_.add();
-  queue_depth_.add(1.0);
-  if (!busy_) start_next();
+  return queue_.emplace_back(Op{duration, nullptr, kind});
 }
 
 void Core::bind_metrics(obs::MetricsRegistry& registry) {
@@ -41,21 +37,26 @@ SimTime Core::available_at() const noexcept {
   return t;
 }
 
+void Core::start(SimDuration duration, OpKind kind) {
+  busy_ = true;
+  current_kind_ = kind;
+  current_end_ = sim_.now() + duration;
+  busy_time_ += duration;
+  busy_ns_total_.add(duration);
+  finish_event_ = sim_.schedule(duration, [this] { finish_current(); });
+}
+
 void Core::start_next() {
   assert(!busy_ && head_ < queue_.size());
   Op& op = queue_[head_++];
-  busy_ = true;
-  current_kind_ = op.kind;
-  current_end_ = sim_.now() + op.duration;
-  busy_time_ += op.duration;
-  busy_ns_total_.add(op.duration);
   current_done_ = std::move(op.on_done);
-  SimDuration duration = op.duration;
+  const SimDuration duration = op.duration;
+  const OpKind kind = op.kind;
   if (head_ == queue_.size()) {
     queue_.clear();
     head_ = 0;
   }
-  finish_event_ = sim_.schedule(duration, [this] { finish_current(); });
+  start(duration, kind);
 }
 
 void Core::reset() {

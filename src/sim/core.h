@@ -9,8 +9,10 @@
 // which is exactly the task-execution-blocking effect of Fig 2.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -27,10 +29,26 @@ class Core {
  public:
   Core(Simulator& sim, std::string name);
 
-  /// Enqueues an operation taking `duration` core time; `on_done` fires when
-  /// it completes. Returns immediately. Operations run in submission order.
-  void submit(SimDuration duration, EventFn on_done,
-              OpKind kind = OpKind::kOther);
+  /// Enqueues an operation taking `duration` core time; `on_done` (any
+  /// void() callable) fires when it completes. Returns immediately.
+  /// Operations run in submission order. The callback is built once: in
+  /// the in-flight slot when the core is idle with nothing waiting (the op
+  /// starts at once, without a trip through the FIFO), else in its FIFO
+  /// entry.
+  template <typename F>
+  void submit(SimDuration duration, F&& on_done,
+              OpKind kind = OpKind::kOther) {
+    assert(duration >= 0);
+    ops_total_.add();
+    queue_depth_.add(1.0);
+    if (!busy_ && head_ == queue_.size()) {
+      current_done_.emplace(std::forward<F>(on_done));
+      start(duration, kind);
+      return;
+    }
+    push_op(duration, kind).on_done.emplace(std::forward<F>(on_done));
+    if (!busy_) start_next();
+  }
 
   /// True if an operation is executing right now.
   [[nodiscard]] bool busy() const noexcept { return busy_; }
@@ -67,7 +85,11 @@ class Core {
     OpKind kind;
   };
 
-  void start_next();
+  /// Appends an op with an empty callback to the FIFO and returns it.
+  Op& push_op(SimDuration duration, OpKind kind);
+  /// Starts the op whose callback is already in current_done_.
+  void start(SimDuration duration, OpKind kind);
+  void start_next();  ///< moves the FIFO head in-flight and starts it
   void finish_current();
 
   Simulator& sim_;
@@ -80,9 +102,10 @@ class Core {
   bool busy_ = false;
   SimTime current_end_ = 0;
   OpKind current_kind_ = OpKind::kOther;
-  // The in-flight op's completion callback. The core is serially busy, so
-  // parking it here lets the scheduled completion event capture only `this`
-  // and stay within the event queue's inline closure buffer.
+  // The in-flight op's completion callback (the in-flight slot). The core
+  // is serially busy, so parking it here lets the scheduled completion
+  // event capture only `this` and stay within the event queue's inline
+  // closure buffer.
   EventFn current_done_;
   EventId finish_event_ = 0;  ///< valid only while busy_ (reset() cancels it)
   SimDuration busy_time_ = 0;

@@ -5,11 +5,9 @@
 
 namespace vs::sim {
 
-EventId EventQueue::schedule(SimTime when, EventFn fn) {
-  assert(fn && "scheduling an empty event");
-  std::uint32_t index = alloc_slot();
+EventId EventQueue::enqueue(SimTime when, std::uint32_t index) {
   Slot& s = slab_[index];
-  s.fn = std::move(fn);
+  assert(s.fn && "scheduling an empty event");
   s.seq = next_seq_++;
   EventId id = (static_cast<EventId>(s.gen) << 32) | index;
   if (run_.empty() || when >= run_.back().time) {

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_event.h"
@@ -45,8 +46,14 @@ using EventFn = InlineEvent;
 class EventQueue {
  public:
   /// Schedules `fn` at absolute time `when`. Returns an id usable with
-  /// cancel(). Events at equal times fire in scheduling order.
-  EventId schedule(SimTime when, EventFn fn);
+  /// cancel(). Events at equal times fire in scheduling order. The closure
+  /// is built in its slab slot (an EventFn argument is moved there once).
+  template <typename F>
+  EventId schedule(SimTime when, F&& fn) {
+    const std::uint32_t index = alloc_slot();
+    slab_[index].fn.emplace(std::forward<F>(fn));
+    return enqueue(when, index);
+  }
 
   /// Lazily cancels a pending event: the closure is destroyed immediately
   /// (releasing its captures) but the 16-byte node stays behind in the heap
@@ -104,6 +111,10 @@ class EventQueue {
     return run_head_ < run_.size() &&
            (heap_.empty() || earlier(run_[run_head_], heap_.front()));
   }
+
+  /// Stamps the slot's sequence number and queues its node: schedule()'s
+  /// work once the closure is in place.
+  EventId enqueue(SimTime when, std::uint32_t index);
 
   void sift_up(std::size_t i) noexcept;
   void sift_down(std::size_t i) noexcept;

@@ -27,10 +27,10 @@ namespace vs::sim {
 
 class InlineEvent {
  public:
-  /// Bytes of inline closure storage. Sized for the largest steady-state
-  /// capture in the runtime (BoardRuntime's PR-completion callback: a this
-  /// pointer, two ints, a SimTime and a std::string ≈ 56 bytes) with a
-  /// little headroom; larger captures still work via a heap fallback.
+  /// Bytes of inline closure storage. The largest steady-state capture in
+  /// the runtime, BoardRuntime's execution-end closure (a this pointer,
+  /// three ints and a SimTime), takes 32; the rest is headroom. Larger
+  /// captures still work via a heap fallback.
   static constexpr std::size_t kInlineSize = 64;
 
   InlineEvent() noexcept = default;
@@ -41,26 +41,35 @@ class InlineEvent {
                 !std::is_same_v<std::remove_cvref_t<F>, InlineEvent> &&
                 std::is_invocable_r_v<void, std::remove_cvref_t<F>&>>>
   InlineEvent(F&& f) {  // NOLINT: implicit, mirrors std::function
-    emplace(std::forward<F>(f));
+    construct(std::forward<F>(f));
   }
 
-  InlineEvent(InlineEvent&& other) noexcept : vt_(other.vt_) {
-    if (vt_ != nullptr) {
-      vt_->relocate(other.buf_, buf_);
-      other.vt_ = nullptr;
-    }
-  }
+  InlineEvent(InlineEvent&& other) noexcept { take(other); }
 
   InlineEvent& operator=(InlineEvent&& other) noexcept {
     if (this != &other) {
       reset();
-      vt_ = other.vt_;
-      if (vt_ != nullptr) {
-        vt_->relocate(other.buf_, buf_);
-        other.vt_ = nullptr;
-      }
+      take(other);
     }
     return *this;
+  }
+
+  /// Replaces the held closure with `f`, built in this event's own storage:
+  /// the event queue, sim::Core and the OCM build a caller's lambda where
+  /// it will run instead of relocating a temporary InlineEvent into place.
+  /// An InlineEvent argument is moved in (one relocation).
+  template <typename F>
+  void emplace(F&& f) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<F>, InlineEvent>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "InlineEvent is move-only: pass an rvalue");
+      *this = std::move(f);
+    } else {
+      static_assert(std::is_invocable_r_v<void, std::remove_cvref_t<F>&>,
+                    "an event callback must be callable as void()");
+      reset();
+      construct(std::forward<F>(f));
+    }
   }
 
   InlineEvent& operator=(std::nullptr_t) noexcept {
@@ -133,8 +142,18 @@ class InlineEvent {
       },
   };
 
+  /// Moves `other`'s closure into this (empty) event, leaving `other` empty.
+  void take(InlineEvent& other) noexcept {
+    vt_ = other.vt_;
+    if (vt_ != nullptr) {
+      vt_->relocate(other.buf_, buf_);
+      other.vt_ = nullptr;
+    }
+  }
+
+  /// Builds `f` in this (empty) event's storage.
   template <typename F>
-  void emplace(F&& f) {
+  void construct(F&& f) {
     using D = std::remove_cvref_t<F>;
     if constexpr (stores_inline<D>()) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));

@@ -1,19 +1,8 @@
 #include "sim/simulator.h"
 
-#include <cassert>
-#include <utility>
+#include <limits>
 
 namespace vs::sim {
-
-EventId Simulator::schedule(SimDuration delay, EventFn fn) {
-  assert(delay >= 0 && "events cannot be scheduled in the past");
-  return queue_.schedule(now_ + delay, std::move(fn));
-}
-
-EventId Simulator::schedule_at(SimTime when, EventFn fn) {
-  assert(when >= now_ && "events cannot be scheduled in the past");
-  return queue_.schedule(when, std::move(fn));
-}
 
 std::uint64_t Simulator::run(SimTime until) {
   std::uint64_t n = 0;

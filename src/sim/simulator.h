@@ -9,8 +9,10 @@
 // event_queue.h).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
@@ -25,11 +27,21 @@ class Simulator {
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedules `fn` to run `delay` ns from now (delay >= 0).
-  EventId schedule(SimDuration delay, EventFn fn);
+  /// Schedules `fn` to run `delay` ns from now (delay >= 0). Like
+  /// schedule_at, takes any void() callable and builds it in the event
+  /// queue's slab slot.
+  template <typename F>
+  EventId schedule(SimDuration delay, F&& fn) {
+    assert(delay >= 0 && "events cannot be scheduled in the past");
+    return queue_.schedule(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Schedules `fn` at absolute time `when` (>= now()).
-  EventId schedule_at(SimTime when, EventFn fn);
+  template <typename F>
+  EventId schedule_at(SimTime when, F&& fn) {
+    assert(when >= now_ && "events cannot be scheduled in the past");
+    return queue_.schedule(when, std::forward<F>(fn));
+  }
 
   void cancel(EventId id) { queue_.cancel(id); }
 

@@ -1,5 +1,6 @@
 // Tests for the allocation-free event kernel: InlineEvent lifetime
-// semantics (SBO, heap fallback, move-only captures) and the slab-backed
+// semantics (SBO, heap fallback, move-only captures, in-place building on
+// the hot path) and the slab-backed
 // 4-ary-heap EventQueue (generation-tagged cancel, FIFO determinism under
 // interleaved schedule/cancel/pop, equivalence with a reference model).
 #include <gtest/gtest.h>
@@ -12,8 +13,10 @@
 #include <optional>
 #include <vector>
 
+#include "sim/core.h"
 #include "sim/event_queue.h"
 #include "sim/inline_event.h"
+#include "sim/simulator.h"
 #include "util/rng.h"
 
 namespace vs::sim {
@@ -128,6 +131,39 @@ TEST(InlineEvent, OversizedCaptureFallsBackToHeap) {
     moved();
     EXPECT_EQ(stats.moves, moves_before + 7);
   }
+  EXPECT_EQ(stats.constructed, stats.destroyed);
+}
+
+TEST(InlineEvent, HotPathBuildsCallbacksWhereTheyRun) {
+  // A caller's lambda is moved once, into the slot it runs from: the slab
+  // slot for Simulator::schedule, the in-flight slot for sim::Core::submit
+  // on an idle core. An EventFn argument is moved into the slab once.
+  LifetimeStats stats;
+  Simulator sim;
+  // Grow the slab first: its growth relocates pending closures too.
+  for (int i = 0; i < 8; ++i) sim.schedule(0, [] {});
+  sim.run();
+  int ran = 0;
+  sim.schedule(5, [t = Tracked(&stats), &ran] {
+    (void)t;
+    ++ran;
+  });
+  EXPECT_EQ(stats.moves, 1);
+  Core core(sim, "c0");
+  core.submit(7, [t = Tracked(&stats), &ran] {
+    (void)t;
+    ++ran;
+  });
+  EXPECT_EQ(stats.moves, 2);
+  EventFn fn([t = Tracked(&stats), &ran] {
+    (void)t;
+    ++ran;
+  });
+  EXPECT_EQ(stats.moves, 3);
+  sim.schedule_at(9, std::move(fn));
+  EXPECT_EQ(stats.moves, 4);
+  sim.run();
+  EXPECT_EQ(ran, 3);
   EXPECT_EQ(stats.constructed, stats.destroyed);
 }
 

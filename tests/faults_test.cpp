@@ -683,7 +683,7 @@ TEST(BoardCrash, ReportPartitionsAppsAndRuntimeFreezes) {
   auto audit_report = runtime::audit(rt);
   EXPECT_TRUE(audit_report.ok()) << audit_report.to_string();
 
-  // Stale in-flight events (DMA, item finishes, core ops) must all die
+  // Stale in-flight events (item finishes, core ops) must all die
   // against the crashed_ guards without completing anything.
   sim.run();
   EXPECT_EQ(static_cast<int>(rt.completed().size()), completed_before);

@@ -1,5 +1,5 @@
 // Unit tests for the FPGA board substrate: resource vectors, slots, PCAP
-// serialisation and CPU suspension, SD-card caching, OCM, DMA and fabric
+// serialisation and CPU suspension, SD-card caching, OCM and fabric
 // configurations.
 #include <gtest/gtest.h>
 
@@ -165,9 +165,8 @@ TEST(Pcap, DifferentCoresStillSerialized) {
 // ------------------------------------------------------------------ SdCard
 
 TEST(SdCard, CachesAfterFirstFetch) {
-  sim::Simulator sim;
   BoardParams params;
-  SdCard sd(sim, params);
+  SdCard sd(params);
   sim::SimDuration first = sd.fetch_time(1, 12'000'000);
   EXPECT_GT(first, 0);
   EXPECT_EQ(sd.fetch_time(1, 12'000'000), 0);
@@ -177,18 +176,16 @@ TEST(SdCard, CachesAfterFirstFetch) {
 }
 
 TEST(SdCard, PrewarmAvoidsReadTime) {
-  sim::Simulator sim;
   BoardParams params;
-  SdCard sd(sim, params);
+  SdCard sd(params);
   sd.prewarm(7);
   EXPECT_EQ(sd.fetch_time(7, 12'000'000), 0);
   EXPECT_EQ(sd.misses(), 0);
 }
 
 TEST(SdCard, DropCacheForcesRefetch) {
-  sim::Simulator sim;
   BoardParams params;
-  SdCard sd(sim, params);
+  SdCard sd(params);
   (void)sd.fetch_time(1, 1000);
   sd.drop_cache();
   EXPECT_GT(sd.fetch_time(1, 1000), 0);
@@ -196,9 +193,8 @@ TEST(SdCard, DropCacheForcesRefetch) {
 }
 
 TEST(SdCard, ReadTimeScalesWithBytes) {
-  sim::Simulator sim;
   BoardParams params;
-  SdCard sd(sim, params);
+  SdCard sd(params);
   sim::SimDuration small = sd.fetch_time(1, 1'000'000);
   sim::SimDuration large = sd.fetch_time(2, 10'000'000);
   EXPECT_GT(large, small);
@@ -215,20 +211,6 @@ TEST(Ocm, DeliversAfterLatency) {
   sim.run();
   EXPECT_EQ(delivered, params.ocm_message_latency);
   EXPECT_EQ(ocm.messages(), 1);
-}
-
-// --------------------------------------------------------------------- Dma
-
-TEST(Dma, TransferTimeAndAccounting) {
-  sim::Simulator sim;
-  BoardParams params;
-  Dma dma(sim, params);
-  sim::SimTime done = -1;
-  dma.transfer(4'000'000, [&] { done = sim.now(); });
-  sim.run();
-  EXPECT_EQ(done, params.dma_time(4'000'000));
-  EXPECT_EQ(dma.transfers(), 1);
-  EXPECT_EQ(dma.bytes_moved(), 4'000'000);
 }
 
 // ------------------------------------------------------------------ Fabric

@@ -1,8 +1,11 @@
 // Tests for the BoardRuntime execution engine: admission, PR flow, slot
 // lifecycle, item-wise pipeline dependencies, single- vs dual-core PR
 // blocking, preemption, full-fabric reconfiguration, utilisation
-// accounting, and migration extraction.
+// accounting, migration extraction, and the per-item event path.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "fpga/board.h"
 #include "runtime/board_runtime.h"
@@ -341,6 +344,129 @@ TEST(BoardRuntime, SdCacheMakesSecondPrFaster) {
   sim::SimTime second_done = rt.completed()[1].completed - second_start;
   EXPECT_LT(second_done, first_done);  // bitstream already in DDR
   EXPECT_EQ(f.board.sdcard().misses(), 1);
+}
+
+// ---- Item path: launch op, then input DMA + execution, then pass ----------
+
+/// Steps until the scheduler core starts a launch op; returns that op's
+/// end, the instant the item's input DMA is kicked.
+sim::SimTime step_to_launch(Fixture& f) {
+  while (f.board.scheduler_core().current_kind() != sim::OpKind::kLaunch) {
+    if (!f.sim.step()) {
+      ADD_FAILURE() << "drained before a launch op";
+      return -1;
+    }
+  }
+  return f.sim.now() + f.board.params().launch_op_cost;
+}
+
+TEST(ItemPath, ThreeKernelEventsPerItem) {
+  // A lone single-unit app on an otherwise idle board. Between two item
+  // completions the kernel fires exactly the launch op's end, the
+  // execution end and the pass that launches the next item: the input DMA
+  // has no event of its own.
+  Fixture f;
+  GreedyPolicy policy;
+  BoardRuntime rt(f.board, policy);
+  apps::AppSpec app = make_uniform_app("a", 1, sim::ms(1));
+  const int id = rt.submit(app, 0, /*batch=*/6, 0);
+  std::vector<std::uint64_t> events_at_item;
+  while (f.sim.step()) {
+    if (rt.counters().items_executed >
+        static_cast<std::int64_t>(events_at_item.size())) {
+      events_at_item.push_back(f.sim.events_executed());
+    }
+  }
+  ASSERT_TRUE(rt.app(id).done());
+  ASSERT_EQ(events_at_item.size(), 6u);
+  for (std::size_t i = 1; i < events_at_item.size(); ++i) {
+    EXPECT_EQ(events_at_item[i] - events_at_item[i - 1], 3u) << "item " << i;
+  }
+}
+
+TEST(ItemPath, ExecSpanStartsAfterLaunchOpAndDmaIn) {
+  // The slot executes from the DMA kick, while the exec span and the item
+  // latency histogram start once the input has landed.
+  Fixture f;
+  GreedyPolicy policy;
+  BoardRuntime rt(f.board, policy);
+  rt.trace().enable();
+  apps::AppSpec app = make_uniform_app("a", 1, sim::ms(1));
+  (void)rt.submit(app, 0, /*batch=*/1, 0);
+  const sim::SimTime kick = step_to_launch(f);
+  const sim::SimTime started =
+      kick + f.board.params().dma_time(app.tasks[0].item_bytes_in);
+  fpga::SlotState in_dma_window = fpga::SlotState::kIdle;
+  f.sim.schedule_at((kick + started) / 2,
+                    [&] { in_dma_window = f.board.slot(0).state(); });
+  f.sim.run();
+  EXPECT_EQ(in_dma_window, fpga::SlotState::kExecuting);
+  std::vector<sim::Span> exec;
+  for (const sim::Span& s : rt.trace().spans()) {
+    if (s.kind == sim::SpanKind::kExec) exec.push_back(s);
+  }
+  ASSERT_EQ(exec.size(), 1u);
+  EXPECT_EQ(exec[0].start, started);
+  EXPECT_EQ(exec[0].end, started + app.tasks[0].item_latency);
+  ASSERT_EQ(rt.completed().size(), 1u);
+  EXPECT_EQ(rt.completed()[0].completed, exec[0].end);
+}
+
+TEST(ItemPath, SeuInDmaWindowDiscardsTheItem) {
+  // An SEU after the launch op, before the input lands, poisons the item
+  // in flight: its execution end discards it uncounted and evicts the
+  // unit, which retries from Pending with its earlier items intact.
+  Fixture f;
+  GreedyPolicy policy;
+  BoardRuntime rt(f.board, policy);
+  apps::AppSpec app = make_uniform_app("a", 1, sim::ms(1));
+  const int id = rt.submit(app, 0, /*batch=*/3, 0);
+  const UnitRun& unit = rt.app(id).units[0];
+  while (unit.items_done < 1 && f.sim.step()) {
+  }
+  const sim::SimTime kick = step_to_launch(f);
+  const sim::SimDuration dma =
+      f.board.params().dma_time(app.tasks[0].item_bytes_in);
+  const int slot = unit.slot;
+  ASSERT_GE(slot, 0);
+  f.sim.schedule_at(kick + dma / 2, [&] { rt.inject_slot_seu(slot); });
+  while (unit.state != UnitState::kPending && f.sim.step()) {
+  }
+  EXPECT_EQ(f.sim.now(), kick + dma + app.tasks[0].item_latency);
+  EXPECT_EQ(unit.items_done, 1);
+  EXPECT_EQ(rt.counters().items_executed, 1);
+  EXPECT_EQ(f.board.slot(slot).state(), fpga::SlotState::kIdle);
+  f.sim.run();
+  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_EQ(rt.counters().items_executed, 3);
+}
+
+TEST(ItemPath, CrashInDmaWindowCompletesNothing) {
+  // A crash after the launch op, before the input lands: the item dies
+  // with the fabric, the app evacuates with only its finished item, and
+  // the stale execution end completes nothing.
+  Fixture f;
+  GreedyPolicy policy;
+  BoardRuntime rt(f.board, policy);
+  apps::AppSpec app = make_uniform_app("a", 1, sim::ms(1));
+  const int id = rt.submit(app, 0, /*batch=*/3, 0);
+  while (rt.app(id).units[0].items_done < 1 && f.sim.step()) {
+  }
+  const sim::SimTime kick = step_to_launch(f);
+  const sim::SimDuration dma =
+      f.board.params().dma_time(app.tasks[0].item_bytes_in);
+  BoardRuntime::CrashReport report;
+  f.sim.schedule_at(kick + dma / 2, [&] { report = rt.crash(); });
+  f.sim.run();
+  ASSERT_TRUE(rt.crashed());
+  ASSERT_EQ(report.evacuable.size(), 1u);
+  EXPECT_EQ(report.evacuable[0].progress, std::vector<int>{1});
+  EXPECT_TRUE(report.killed.empty());
+  EXPECT_EQ(rt.counters().items_executed, 1);
+  EXPECT_TRUE(rt.completed().empty());
+  for (const fpga::Slot& s : f.board.slots()) {
+    EXPECT_EQ(s.state(), fpga::SlotState::kIdle) << s.name();
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Tests for placement-specific bitstream storage: relocation, the async
-// SD queue, and cache-aware slot selection in the runtime.
+// Tests for placement-specific bitstream storage: relocation, the DDR
+// residency cache, and cache-aware slot selection in the runtime.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,9 +16,8 @@ namespace vs {
 namespace {
 
 TEST(Relocation, SecondSlotVariantRelocatesInsteadOfRereading) {
-  sim::Simulator sim;
   fpga::BoardParams params;
-  fpga::SdCard sd(sim, params);
+  fpga::SdCard sd(params);
   const fpga::BitstreamKey content = 0xAA00;
   sim::SimDuration first = sd.fetch_time(/*key=*/1, content, 12'000'000);
   EXPECT_EQ(first, params.sd_read_time(12'000'000));
@@ -32,9 +31,8 @@ TEST(Relocation, SecondSlotVariantRelocatesInsteadOfRereading) {
 }
 
 TEST(Relocation, DifferentContentAlwaysReadsSd) {
-  sim::Simulator sim;
   fpga::BoardParams params;
-  fpga::SdCard sd(sim, params);
+  fpga::SdCard sd(params);
   (void)sd.fetch_time(1, 0xA, 1'000'000);
   sim::SimDuration t = sd.fetch_time(2, 0xB, 1'000'000);
   EXPECT_EQ(t, params.sd_read_time(1'000'000));
@@ -45,9 +43,8 @@ TEST(Relocation, DifferentContentAlwaysReadsSd) {
 TEST(Relocation, DropCacheKeepsContentSoAVariantRelocates) {
   // drop_cache() empties the placement-specific cache only: the content is
   // still resident, so re-staging any variant of it is a relocation.
-  sim::Simulator sim;
   fpga::BoardParams params;
-  fpga::SdCard sd(sim, params);
+  fpga::SdCard sd(params);
   (void)sd.fetch_time(1, 0xA, 1'000'000);
   sd.drop_cache();
   EXPECT_FALSE(sd.cached(1));
@@ -58,9 +55,8 @@ TEST(Relocation, DropCacheKeepsContentSoAVariantRelocates) {
 }
 
 TEST(SdCache, RepeatedInsertsAreOneEntryInAnyOrder) {
-  sim::Simulator sim;
   fpga::BoardParams params;
-  fpga::SdCard sd(sim, params);
+  fpga::SdCard sd(params);
   sd.prewarm(5);
   sd.prewarm(5);
   EXPECT_EQ(sd.cached_count(), 1u);
@@ -88,58 +84,27 @@ TEST(SdCache, RepeatedInsertsAreOneEntryInAnyOrder) {
 }
 
 TEST(SdCache, AsyncFetchAfterDropCacheReadsAgain) {
+  // A read's cost is charged as the delay of the event that consumes the
+  // bitstream, as BoardRuntime charges it to the PCAP load.
   sim::Simulator sim;
   fpga::BoardParams params;
-  fpga::SdCard sd(sim, params);
+  fpga::SdCard sd(params);
   std::vector<sim::SimTime> ready;
-  sd.fetch(9, 4'000'000, [&] { ready.push_back(sim.now()); });
+  auto fetch = [&] {
+    sim.schedule(sd.fetch_time(9, 4'000'000),
+                 [&] { ready.push_back(sim.now()); });
+  };
+  fetch();
   sim.run();
-  sd.fetch(9, 4'000'000, [&] { ready.push_back(sim.now()); });  // cached
+  fetch();  // cached
   sd.drop_cache();
   const sim::SimTime dropped = sim.now();
-  sd.fetch(9, 4'000'000, [&] { ready.push_back(sim.now()); });
+  fetch();
   sim.run();
   const sim::SimDuration read = params.sd_read_time(4'000'000);
   EXPECT_EQ(ready, (std::vector<sim::SimTime>{read, read, dropped + read}));
   EXPECT_EQ(sd.misses(), 2);
   EXPECT_TRUE(sd.cached(9));
-}
-
-TEST(SdAsyncQueue, SerializesReads) {
-  sim::Simulator sim;
-  fpga::BoardParams params;
-  fpga::SdCard sd(sim, params);
-  std::vector<std::pair<int, sim::SimTime>> done;
-  sd.fetch(1, 8'000'000, [&] { done.emplace_back(1, sim.now()); });
-  sd.fetch(2, 8'000'000, [&] { done.emplace_back(2, sim.now()); });
-  EXPECT_TRUE(sd.busy());
-  EXPECT_EQ(sd.backlog(), 1u);
-  sim.run();
-  ASSERT_EQ(done.size(), 2u);
-  sim::SimDuration read = params.sd_read_time(8'000'000);
-  EXPECT_EQ(done[0].second, read);
-  EXPECT_EQ(done[1].second, 2 * read);
-}
-
-TEST(SdAsyncQueue, CachedFetchIsImmediate) {
-  sim::Simulator sim;
-  fpga::BoardParams params;
-  fpga::SdCard sd(sim, params);
-  sd.prewarm(7);
-  bool done = false;
-  sd.fetch(7, 8'000'000, [&] { done = true; });
-  EXPECT_TRUE(done);  // synchronous hit
-}
-
-TEST(SdAsyncQueue, OnBlockedFiresForQueuedReads) {
-  sim::Simulator sim;
-  fpga::BoardParams params;
-  fpga::SdCard sd(sim, params);
-  int blocked = 0;
-  sd.fetch(1, 1'000'000, [] {}, [&] { ++blocked; });
-  sd.fetch(2, 1'000'000, [] {}, [&] { ++blocked; });
-  sim.run();
-  EXPECT_EQ(blocked, 1);
 }
 
 TEST(ChooseSlot, PrefersCachedPlacement) {
