@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   util::Table modes({"app", "bundle", "Tmax ms", "sum ms", "batch=1",
                      "batch=2", "batch=5", "batch=30"});
   for (const apps::AppSpec& app : suite) {
-    auto bundles = apps::make_big_units(app, 1, params, model);
+    std::vector<apps::UnitSpec> bundles;
+    apps::make_big_units(bundles, app, 1, params, model);
     for (std::size_t b = 0; b < bundles.size(); ++b) {
       std::vector<sim::SimDuration> lat;
       for (int t = bundles[b].first_task; t <= bundles[b].last_task; ++t) {

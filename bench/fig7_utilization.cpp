@@ -79,7 +79,8 @@ int run(int argc, char** argv) {
 
     // Big: average implemented utilisation of the app's bundles in Big
     // slots, weighted by bundle width.
-    auto bundles = apps::make_big_units(app, /*batch=*/17, params, model);
+    std::vector<apps::UnitSpec> bundles;
+    apps::make_big_units(bundles, app, /*batch=*/17, params, model);
     double lut_b = 0, ff_b = 0;
     int weight = 0;
     for (const apps::UnitSpec& u : bundles) {

@@ -5,23 +5,71 @@
 
 namespace vs::apps {
 
-BundleMode choose_mode(const std::vector<sim::SimDuration>& latencies,
-                       int batch) {
-  assert(!latencies.empty() && batch >= 1);
-  if (latencies.size() == 1) return BundleMode::kSingle;
-  sim::SimDuration tmax = 0;
-  sim::SimDuration sum = 0;
-  for (sim::SimDuration t : latencies) {
-    tmax = std::max(tmax, t);
-    sum += t;
-  }
-  auto g = static_cast<sim::SimDuration>(latencies.size());
+namespace {
+
+/// choose_mode for a bundle of `g` tasks whose latencies peak at `tmax` and
+/// sum to `sum`.
+BundleMode mode_for(sim::SimDuration tmax, sim::SimDuration sum,
+                    sim::SimDuration g, int batch) {
+  assert(g >= 1 && batch >= 1);
+  if (g == 1) return BundleMode::kSingle;
   sim::SimDuration parallel_makespan =
       tmax * (static_cast<sim::SimDuration>(batch) + g - 1);
   sim::SimDuration serial_makespan =
       sum * static_cast<sim::SimDuration>(batch);
   return parallel_makespan <= serial_makespan ? BundleMode::kParallel
                                               : BundleMode::kSerial;
+}
+
+/// The Big-slot unit bundling tasks [first, last] of `app` (see
+/// make_big_units).
+UnitSpec make_bundle(const AppSpec& app, int first, int last, int batch,
+                     const fpga::BoardParams& params,
+                     const SynthesisModel& model,
+                     std::optional<BundleMode> forced_mode) {
+  UnitSpec u;
+  u.first_task = first;
+  u.last_task = last;
+  u.slot_kind = fpga::SlotKind::kBig;
+  sim::SimDuration tmax = 0;
+  sim::SimDuration sum = 0;
+  fpga::ResourceVector impl_sum;
+  for (int t = first; t <= last; ++t) {
+    const TaskSpec& task = app.tasks[static_cast<std::size_t>(t)];
+    tmax = std::max(tmax, task.item_latency);
+    sum += task.item_latency;
+    u.synth_usage += task.synth_usage;  // model.bundle_synth of the parts
+    impl_sum += model.implement(task.synth_usage);
+  }
+  const auto g = static_cast<sim::SimDuration>(u.task_count());
+  u.mode = (forced_mode.has_value() && g > 1) ? *forced_mode
+                                              : mode_for(tmax, sum, g, batch);
+  if (u.mode == BundleMode::kParallel) {
+    u.item_latency = tmax;
+    u.fill_latency = tmax * (g - 1);
+  } else {
+    u.item_latency = sum;
+    u.fill_latency = 0;
+  }
+  u.impl_usage = g > 1 ? model.share(impl_sum) : impl_sum;
+  u.bitstream_bytes = params.big_bitstream_bytes;
+  u.item_bytes_in = app.tasks[static_cast<std::size_t>(first)].item_bytes_in;
+  u.item_bytes_out = app.tasks[static_cast<std::size_t>(last)].item_bytes_out;
+  return u;
+}
+
+}  // namespace
+
+BundleMode choose_mode(const std::vector<sim::SimDuration>& latencies,
+                       int batch) {
+  sim::SimDuration tmax = 0;
+  sim::SimDuration sum = 0;
+  for (sim::SimDuration t : latencies) {
+    tmax = std::max(tmax, t);
+    sum += t;
+  }
+  return mode_for(tmax, sum, static_cast<sim::SimDuration>(latencies.size()),
+                  batch);
 }
 
 std::vector<UnitSpec> make_little_units(const AppSpec& app) {
@@ -44,58 +92,30 @@ std::vector<UnitSpec> make_little_units(const AppSpec& app) {
   return units;
 }
 
-std::vector<UnitSpec> make_big_units(const AppSpec& app, int batch,
-                                     const fpga::BoardParams& params,
-                                     const SynthesisModel& model,
-                                     int bundle_size,
-                                     std::optional<BundleMode> forced_mode) {
+void make_big_units(std::vector<UnitSpec>& units, const AppSpec& app,
+                    int batch, const fpga::BoardParams& params,
+                    const SynthesisModel& model, int bundle_size,
+                    std::optional<BundleMode> forced_mode) {
   assert(bundle_size >= 1);
-  std::vector<UnitSpec> units;
+  units.clear();
   const int n = app.task_count();
   for (int first = 0; first < n; first += bundle_size) {
-    int last = std::min(first + bundle_size, n) - 1;
-    UnitSpec u;
-    u.first_task = first;
-    u.last_task = last;
-    u.slot_kind = fpga::SlotKind::kBig;
-
-    std::vector<sim::SimDuration> latencies;
-    std::vector<fpga::ResourceVector> parts;
-    for (int t = first; t <= last; ++t) {
-      latencies.push_back(app.tasks[static_cast<std::size_t>(t)].item_latency);
-      parts.push_back(app.tasks[static_cast<std::size_t>(t)].synth_usage);
-    }
-    u.mode = (forced_mode.has_value() && latencies.size() > 1)
-                 ? *forced_mode
-                 : choose_mode(latencies, batch);
-    sim::SimDuration tmax = *std::max_element(latencies.begin(),
-                                              latencies.end());
-    sim::SimDuration sum = 0;
-    for (sim::SimDuration t : latencies) sum += t;
-    if (u.mode == BundleMode::kParallel) {
-      u.item_latency = tmax;
-      u.fill_latency = tmax * static_cast<sim::SimDuration>(latencies.size() - 1);
-    } else {
-      u.item_latency = sum;
-      u.fill_latency = 0;
-    }
-    u.synth_usage = model.bundle_synth(parts);
-    u.impl_usage = u.task_count() > 1 ? model.bundle_impl(parts)
-                                      : model.implement(parts.front());
-    u.bitstream_bytes = params.big_bitstream_bytes;
-    u.item_bytes_in = app.tasks[static_cast<std::size_t>(first)].item_bytes_in;
-    u.item_bytes_out = app.tasks[static_cast<std::size_t>(last)].item_bytes_out;
-    units.push_back(u);
+    const int last = std::min(first + bundle_size, n) - 1;
+    units.push_back(
+        make_bundle(app, first, last, batch, params, model, forced_mode));
   }
-  return units;
 }
 
 bool can_bundle(const AppSpec& app, const fpga::BoardParams& params,
                 const SynthesisModel& model, int bundle_size) {
+  assert(bundle_size >= 1);
   if (app.task_count() < 2) return false;  // nothing to bundle
   // Representative batch of 1 for mode choice; fit does not depend on mode.
-  auto units = make_big_units(app, 1, params, model, bundle_size);
-  for (const UnitSpec& u : units) {
+  const int n = app.task_count();
+  for (int first = 0; first < n; first += bundle_size) {
+    const int last = std::min(first + bundle_size, n) - 1;
+    const UnitSpec u =
+        make_bundle(app, first, last, 1, params, model, std::nullopt);
     if (!params.big_slot.fits(u.impl_usage)) return false;
   }
   return true;

@@ -64,14 +64,16 @@ struct UnitSpec {
 /// One unit per task, targeting Little slots.
 [[nodiscard]] std::vector<UnitSpec> make_little_units(const AppSpec& app);
 
-/// Bundled units targeting Big slots: consecutive groups of up to
-/// `bundle_size` tasks, each with its runtime-chosen mode for `batch` —
-/// or with `forced_mode` for every multi-task bundle (ablation of the
-/// runtime selection; single-task groups stay kSingle).
-[[nodiscard]] std::vector<UnitSpec> make_big_units(
-    const AppSpec& app, int batch, const fpga::BoardParams& params,
-    const SynthesisModel& model = {}, int bundle_size = 3,
-    std::optional<BundleMode> forced_mode = std::nullopt);
+/// Fills `units` with bundled units targeting Big slots: consecutive
+/// groups of up to `bundle_size` tasks, each with its runtime-chosen mode
+/// for `batch` — or with `forced_mode` for every multi-task bundle
+/// (ablation of the runtime selection; single-task groups stay kSingle).
+/// `units` is cleared first and keeps its capacity, so a caller that keeps
+/// it allocates nothing once it holds the bundle count.
+void make_big_units(std::vector<UnitSpec>& units, const AppSpec& app,
+                    int batch, const fpga::BoardParams& params,
+                    const SynthesisModel& model = {}, int bundle_size = 3,
+                    std::optional<BundleMode> forced_mode = std::nullopt);
 
 /// True when every bundle of the app fits a Big slot at implementation —
 /// the canBundle() predicate of Algorithm 1.

@@ -145,9 +145,9 @@ BitstreamManifest make_manifest(const AppSpec& app,
     // Both execution modes are generated offline; the scheduler picks one
     // at runtime based on the batch size (§III-B).
     auto add_bundles = [&](BundleMode mode) {
-      auto units = make_big_units(app, mode == BundleMode::kParallel ? 30 : 1,
-                                  config.board, config.synthesis,
-                                  config.bundle_size);
+      std::vector<UnitSpec> units;
+      make_big_units(units, app, mode == BundleMode::kParallel ? 30 : 1,
+                     config.board, config.synthesis, config.bundle_size);
       int bundle_index = 0;
       for (const UnitSpec& u : units) {
         BitstreamEntry e;

@@ -40,13 +40,18 @@ fpga::ResourceVector SynthesisModel::bundle_impl(
     const std::vector<fpga::ResourceVector>& parts_synth) const {
   fpga::ResourceVector sum;
   for (const auto& p : parts_synth) sum += implement(p);
+  return share(sum);
+}
+
+fpga::ResourceVector SynthesisModel::share(
+    const fpga::ResourceVector& impl_sum) const {
   return {
-      static_cast<std::int64_t>(static_cast<double>(sum.luts) *
+      static_cast<std::int64_t>(static_cast<double>(impl_sum.luts) *
                                 bundle_share_lut),
-      static_cast<std::int64_t>(static_cast<double>(sum.ffs) *
+      static_cast<std::int64_t>(static_cast<double>(impl_sum.ffs) *
                                 bundle_share_ff),
-      sum.brams,
-      sum.dsps,
+      impl_sum.brams,
+      impl_sum.dsps,
   };
 }
 

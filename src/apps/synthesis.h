@@ -58,6 +58,12 @@ struct SynthesisModel {
   /// usage scaled by the sharing factors.
   [[nodiscard]] fpga::ResourceVector bundle_impl(
       const std::vector<fpga::ResourceVector>& parts_synth) const;
+
+  /// The sharing factors applied to `impl_sum`, the summed implementation
+  /// usage of a bundle's parts: bundle_impl(parts) is share(sum of
+  /// implement(part)).
+  [[nodiscard]] fpga::ResourceVector share(
+      const fpga::ResourceVector& impl_sum) const;
 };
 
 }  // namespace vs::apps

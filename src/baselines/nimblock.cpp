@@ -14,7 +14,6 @@ void NimblockPolicy::on_app_submitted(runtime::BoardRuntime& rt, int app_id) {
   s.optimal_little = optimal_little(rt, app);
   s.full_estimate = apps::estimate_little_makespan(
       *app.spec, app.batch, s.optimal_little, rt.board().params());
-  s.wait_since = rt.sim().now();
   auto index = static_cast<std::size_t>(app_id);
   if (index >= state_.size()) state_.resize(index + 1);
   state_[index] = s;
@@ -57,25 +56,18 @@ void NimblockPolicy::on_pass(runtime::BoardRuntime& rt) {
     caps_.push_back(std::min(state(id).optimal_little, fair_share));
   }
   grant_little_slots(rt, order_, caps_, idle_);
-
-  // Track how long apps with pending work have been slot-less.
-  for (int id : live) {
-    const runtime::AppRun& a = rt.app(id);
-    if (a.units_placed() > 0 || a.units_pending() == 0) {
-      state(id).wait_since = rt.sim().now();
-    }
-  }
   maybe_preempt(rt);
 }
 
 void NimblockPolicy::maybe_preempt(runtime::BoardRuntime& rt) {
+  // Only a slot-less app can starve.
+  if (rt.slotless_apps() == 0) return;
   const sim::SimTime now = rt.sim().now();
   // Find the highest-priority starving app.
   int starving = -1;
   for (int id : order_) {
     const runtime::AppRun& a = rt.app(id);
-    if (a.units_placed() == 0 && a.units_pending() > 0 &&
-        now - state(id).wait_since >= options_.starvation_threshold) {
+    if (a.slotless() && now - a.wait_since >= options_.starvation_threshold) {
       starving = id;
       break;
     }
@@ -101,7 +93,6 @@ void NimblockPolicy::maybe_preempt(runtime::BoardRuntime& rt) {
     if (!idle_.empty() && pending >= 0) {
       rt.request_pr(starving, pending,
                     rt.choose_slot(starving, pending, idle_));
-      state(starving).wait_since = now;
     }
     return;  // at most one preemption per pass
   }

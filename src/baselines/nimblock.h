@@ -39,14 +39,12 @@ class NimblockPolicy final : public runtime::SchedulerPolicy {
   void on_pass(runtime::BoardRuntime& rt) override;
 
  private:
-  /// What a pass reads of an app. Everything but the two times is fixed at
+  /// What a pass reads of an app beside the runtime's starvation clock
+  /// (AppRun::wait_since). Everything but last_preempted is fixed at
   /// admission.
   struct AppState {
     int optimal_little = 0;              ///< O^L
     sim::SimDuration full_estimate = 0;  ///< makespan at O^L, no progress
-    /// Admission, or the last pass that found it holding a slot or with
-    /// nothing pending: starvation is measured from here.
-    sim::SimTime wait_since = 0;
     sim::SimTime last_preempted = -1;  ///< last time it was a victim; -1 never
   };
 

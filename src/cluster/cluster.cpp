@@ -444,11 +444,12 @@ void Cluster::prewarm(core::SwitchLoop::Config config) {
         } else {
           // Both serial and parallel bundle bitstreams are pre-generated;
           // warm the variants for representative batch extremes.
+          std::vector<apps::UnitSpec> bundles;
           for (int batch : {1, 30}) {
-            for (const apps::UnitSpec& u : apps::make_big_units(
-                     spec, batch, options_.board_params,
-                     options_.bl_policy.synthesis,
-                     options_.bl_policy.bundle_size)) {
+            apps::make_big_units(bundles, spec, batch, options_.board_params,
+                                 options_.bl_policy.synthesis,
+                                 options_.bl_policy.bundle_size);
+            for (const apps::UnitSpec& u : bundles) {
               board->sdcard().prewarm(runtime::unit_bitstream_key(
                   static_cast<int>(i), u, slot.id()));
             }

@@ -11,7 +11,6 @@ namespace vs::core {
 void VersaSlotPolicy::on_app_submitted(runtime::BoardRuntime& rt,
                                        int app_id) {
   AppState s;
-  s.wait_since = rt.sim().now();
   const runtime::AppRun& app = rt.app(app_id);
   int total_little = rt.board().count_slots(fpga::SlotKind::kLittle);
   s.optimal_little = apps::optimal_little_slots(
@@ -20,34 +19,35 @@ void VersaSlotPolicy::on_app_submitted(runtime::BoardRuntime& rt,
   auto index = static_cast<std::size_t>(app_id);
   if (index >= state_.size()) state_.resize(index + 1);
   state_[index] = s;
+  auto spec = static_cast<std::size_t>(app.spec_index);
+  if (spec >= bundleable_.size()) bundleable_.resize(spec + 1, kUnchecked);
 }
 
-bool VersaSlotPolicy::can_bundle_cached(runtime::BoardRuntime& rt,
-                                        int app_id) {
-  AppState& s = state(app_id);
-  if (!s.bundle_checked) {
-    s.bundle_checked = true;
-    s.bundleable =
-        apps::can_bundle(*rt.app(app_id).spec, rt.board().params(),
-                         options_.synthesis, options_.bundle_size);
+bool VersaSlotPolicy::bundles(const runtime::BoardRuntime& rt,
+                              const runtime::AppRun& a) {
+  if (a.started) return false;
+  std::int8_t& verdict = bundleable_[static_cast<std::size_t>(a.spec_index)];
+  if (verdict == kUnchecked) {
+    verdict = apps::can_bundle(*a.spec, rt.board().params(),
+                               options_.synthesis, options_.bundle_size)
+                  ? 1
+                  : 0;
   }
-  return s.bundleable;
+  return verdict != 0;
 }
 
-bool VersaSlotPolicy::big_eligible(runtime::BoardRuntime& rt, int app_id,
+bool VersaSlotPolicy::big_eligible(const runtime::BoardRuntime& rt,
+                                   const runtime::AppRun& a,
                                    int little_total) {
-  // Apps that already carry execution progress (live-migration arrivals)
-  // are pinned to their per-task decomposition and cannot be re-bundled.
-  const runtime::AppRun& a = rt.app(app_id);
-  if (!a.started && can_bundle_cached(rt, app_id)) return true;
+  if (bundles(rt, a)) return true;
   if (little_total > 0) return false;
   // On a fabric without Little slots, non-bundleable apps also bind Big
   // when their units fit (bitstreams are generated "adaptive to each
   // slot").
-  auto units = apps::make_big_units(*a.spec, a.batch, rt.board().params(),
-                                    options_.synthesis, options_.bundle_size);
+  apps::make_big_units(big_units_, *a.spec, a.batch, rt.board().params(),
+                       options_.synthesis, options_.bundle_size);
   bool fits = true;
-  for (const apps::UnitSpec& u : units) {
+  for (const apps::UnitSpec& u : big_units_) {
     fits &= rt.board().params().big_slot.fits(u.impl_usage);
   }
   return fits;
@@ -80,10 +80,8 @@ void VersaSlotPolicy::bind_metrics(obs::MetricsRegistry& registry,
 
 // --------------------------------------------------------------- Algorithm 1
 void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
-  // Line 2 reads only the live apps' bindings, allocations and unfinished
-  // units: with none of them changed since it last exited, it exits again.
-  // A pass that gets past line 2 can only follow a change: its memo is stale.
-  if (rt.allocation_changes() == exit_changes_) return;
+  // Nothing it reads has changed since a run that changed nothing.
+  if (rt.allocation_changes() == allocate_memo_) return;
   const bool big_little = options_.mode == VersaSlotOptions::Mode::kBigLittle;
   const int big_total = rt.board().count_slots(fpga::SlotKind::kBig);
   const int little_total = rt.board().count_slots(fpga::SlotKind::kLittle);
@@ -105,9 +103,10 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
   int little_left = little_total - little_reserved;
 
   if (big_avail <= 0 && little_left <= 0) {  // line 2: nothing to do
-    exit_changes_ = rt.allocation_changes();
+    allocate_memo_ = rt.allocation_changes();
     return;
   }
+  bool changed = false;
 
   // Rebinding (lines 4-6): Little-bound apps that have not started return
   // to the waiting list when Big slots could take them.
@@ -120,6 +119,7 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
         little_left += std::min(s.alloc_little, a.units_unfinished());
         s.binding = Binding::kWaiting;
         s.alloc_little = 0;
+        changed = true;
         m_rebindings_.add();
       }
     }
@@ -132,22 +132,22 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
     if (s.binding != Binding::kWaiting) continue;
 
     // Binding: prioritise Big slots for bundleable apps (lines 8-10). Only
-    // a Big.Little pass with a Big slot to grant asks, since the check
-    // allocates and Only.Little never binds Big.
-    if (big_little && big_avail > 0 && big_eligible(rt, id, little_total)) {
+    // a Big.Little pass with a Big slot to grant asks, since Only.Little
+    // never binds Big.
+    if (big_little && big_avail > 0 && big_eligible(rt, a, little_total)) {
       int grant = std::min(s.optimal_big, big_avail);
       s.binding = Binding::kBig;
       s.alloc_big = grant;
       big_avail -= grant;
+      changed = true;
       m_big_bindings_.add();
-      if (s.bundleable) m_bundles_.add();
+      if (bundles(rt, a)) m_bundles_.add();
       // Online 3-in-1 bundling: re-unitise for Big-slot execution now that
       // the binding is decided (Algorithm 2 lines 4-7).
-      rt.set_units(id, apps::make_big_units(*a.spec, a.batch,
-                                            rt.board().params(),
-                                            options_.synthesis,
-                                            options_.bundle_size,
-                                            options_.forced_bundle_mode));
+      apps::make_big_units(big_units_, *a.spec, a.batch, rt.board().params(),
+                           options_.synthesis, options_.bundle_size,
+                           options_.forced_bundle_mode);
+      rt.set_units(id, big_units_);
       continue;
     }
     // Binding with Little slots (lines 11-13).
@@ -156,6 +156,7 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
       s.binding = Binding::kLittle;
       s.alloc_little = grant;
       little_left -= grant;
+      changed = true;
       m_little_bindings_.add();
     }
   }
@@ -173,13 +174,22 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
       int extra = std::min(delta, little_left);
       s.alloc_little += extra;
       little_left -= extra;
+      changed = true;
       m_redistributed_.add(extra);
     }
+  }
+  if (changed) {
+    sweep_memo_ = kStale;
+  } else {
+    allocate_memo_ = rt.allocation_changes();
   }
 }
 
 // --------------------------------------------------------------- Algorithm 2
 void VersaSlotPolicy::schedule(runtime::BoardRuntime& rt) {
+  // A sweep ends where another would place nothing; with nothing it reads
+  // changed since, it still would.
+  if (rt.allocation_changes() == sweep_memo_) return;
   // Schedule pending units to idle slots within each app's allocation
   // (lines 13-19). PR requests are asynchronous: in dual-core mode they are
   // queued on the PR-server core and this pass continues immediately.
@@ -209,37 +219,29 @@ void VersaSlotPolicy::schedule(runtime::BoardRuntime& rt) {
                  a.units_placed() < s.alloc_little) {
         rt.request_pr(id, unit, take(id, unit, idle_little_));
         placed = true;
-        s.wait_since = rt.sim().now();
       }
     }
   }
-
-  // Refresh starvation clocks for apps that hold slots or have no work.
-  for (int id : rt.live_ids()) {
-    const runtime::AppRun& a = rt.app(id);
-    if (a.units_placed() > 0 || a.units_pending() == 0) {
-      state(id).wait_since = rt.sim().now();
-    }
-  }
+  sweep_memo_ = rt.allocation_changes();
 }
 
 void VersaSlotPolicy::preempt_little(runtime::BoardRuntime& rt) {
   // Preemption applies only in Little slots (§III-C2): find the longest
   // slot-less waiter past the threshold — either a Little-bound app whose
   // slots were all taken, or an app still waiting for any binding because
-  // redistribution handed every Little slot to earlier apps.
+  // redistribution handed every Little slot to earlier apps. With no app
+  // slot-less there is none.
+  if (rt.slotless_apps() == 0) return;
   int starving = -1;
   sim::SimTime oldest = rt.sim().now();
   for (int id : rt.live_ids()) {
     const runtime::AppRun& a = rt.app(id);
-    const AppState& s = state(id);
-    if (s.binding == Binding::kBig || a.units_placed() > 0) continue;
-    if (a.units_pending() == 0) continue;
-    if (rt.sim().now() - s.wait_since < options_.starvation_threshold) {
+    if (state(id).binding == Binding::kBig || !a.slotless()) continue;
+    if (rt.sim().now() - a.wait_since < options_.starvation_threshold) {
       continue;
     }
-    if (s.wait_since <= oldest) {
-      oldest = s.wait_since;
+    if (a.wait_since <= oldest) {
+      oldest = a.wait_since;
       starving = id;
     }
   }
@@ -268,7 +270,6 @@ void VersaSlotPolicy::preempt_little(runtime::BoardRuntime& rt) {
   const std::uint32_t idle = rt.app(victim).idle_units();
   if (idle == 0) return;
   rt.preempt_unit(victim, std::countr_zero(idle));
-  exit_changes_ = kNoExit;
   m_preemptions_.add();
   AppState& vs_state = state(victim);
   vs_state.last_preempted = rt.sim().now();
@@ -281,7 +282,6 @@ void VersaSlotPolicy::preempt_little(runtime::BoardRuntime& rt) {
   if (!idle_little_.empty() && pending >= 0) {
     rt.request_pr(starving, pending,
                   rt.choose_slot(starving, pending, idle_little_));
-    st.wait_since = rt.sim().now();
   }
 }
 

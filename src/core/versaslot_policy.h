@@ -29,6 +29,10 @@
 #include "runtime/policy.h"
 #include "sim/time.h"
 
+namespace vs::runtime {
+struct AppRun;
+}  // namespace vs::runtime
+
 namespace vs::core {
 
 struct VersaSlotOptions {
@@ -85,9 +89,6 @@ class VersaSlotPolicy : public runtime::SchedulerPolicy {
     int alloc_little = 0;
     int optimal_big = 0;
     int optimal_little = 0;
-    bool bundle_checked = false;
-    bool bundleable = false;
-    sim::SimTime wait_since = 0;
     sim::SimTime last_preempted = -1;
   };
 
@@ -95,10 +96,15 @@ class VersaSlotPolicy : public runtime::SchedulerPolicy {
   void schedule(runtime::BoardRuntime& rt);   ///< Algorithm 2
   void preempt_little(runtime::BoardRuntime& rt);
 
-  [[nodiscard]] bool can_bundle_cached(runtime::BoardRuntime& rt, int app_id);
-  /// Whether Algorithm 1 may bind `app_id` to Big slots (lines 8-10).
-  [[nodiscard]] bool big_eligible(runtime::BoardRuntime& rt, int app_id,
-                                  int little_total);
+  /// canBundle() of an unstarted app: apps::can_bundle for its spec,
+  /// computed once per spec index. Apps that already carry execution
+  /// progress (live-migration arrivals) are pinned to their per-task
+  /// decomposition and never bundle.
+  [[nodiscard]] bool bundles(const runtime::BoardRuntime& rt,
+                             const runtime::AppRun& a);
+  /// Whether Algorithm 1 may bind `a` to Big slots (lines 8-10).
+  [[nodiscard]] bool big_eligible(const runtime::BoardRuntime& rt,
+                                  const runtime::AppRun& a, int little_total);
   [[nodiscard]] AppState& state(int app_id) {
     auto index = static_cast<std::size_t>(app_id);
     assert(index < state_.size() && "app was never submitted to this policy");
@@ -110,15 +116,28 @@ class VersaSlotPolicy : public runtime::SchedulerPolicy {
   /// runtime, whose ids run densely from 0, and on_app_submitted sizes the
   /// vector on every admission — so every live id has an entry.
   std::vector<AppState> state_;
-  /// Memo of Algorithm 1's line-2 exit: allocation_changes() when a pass
-  /// last took it. preempt_little, the only other writer of bindings and
-  /// allocations, clears it (kNoExit).
-  static constexpr std::uint64_t kNoExit = ~std::uint64_t{0};
-  std::uint64_t exit_changes_ = kNoExit;
-  /// Idle-slot buffers refilled by every pass (BoardRuntime::idle_slots),
-  /// so a pass allocates nothing once they have grown to the slot counts.
+  /// apps::can_bundle verdicts by spec index: kUnchecked, 0 or 1. Sized at
+  /// admission, filled on first use.
+  static constexpr std::int8_t kUnchecked = -1;
+  std::vector<std::int8_t> bundleable_;
+  /// Algorithm 1 and the placement sweep read only the live set, the unit
+  /// masks and the idle masks, which BoardRuntime::allocation_changes()
+  /// counts changes to, and this policy's bindings and allocations. So a
+  /// step is skipped while the count stands where it stood after a run that
+  /// changed nothing: allocate()'s memo is the count after its last run
+  /// that wrote no binding or allocation (a line-2 exit included), and the
+  /// sweep's the count after the last sweep. A run of allocate() that does
+  /// write one clears the sweep's; preempt_little() writes them only beside
+  /// a preemption, which moves the count.
+  static constexpr std::uint64_t kStale = ~std::uint64_t{0};
+  std::uint64_t allocate_memo_ = kStale;
+  std::uint64_t sweep_memo_ = kStale;
+  /// Idle-slot buffers refilled by every sweep (BoardRuntime::idle_slots),
+  /// and the Big units a binding builds, so a pass allocates nothing once
+  /// they have grown to the slot and bundle counts.
   std::vector<int> idle_big_;
   std::vector<int> idle_little_;
+  std::vector<apps::UnitSpec> big_units_;
 
   // Telemetry: Algorithm 1/2 decision outcomes (no-ops until bound).
   obs::CounterHandle m_big_bindings_;     ///< vs_policy_big_bindings_total

@@ -42,15 +42,15 @@ fpga::BitstreamKey unit_bitstream_key(int spec_index,
 
 namespace {
 
-/// Replaces `a`'s units with fresh pending ones built from `specs`.
-void assign_pending_units(AppRun& a, std::vector<apps::UnitSpec> specs) {
+/// Replaces `a`'s units with fresh pending ones copied from `specs`.
+void assign_pending_units(AppRun& a, std::span<const apps::UnitSpec> specs) {
   if (specs.size() > AppRun::kMaxUnits) {
     throw std::invalid_argument(std::to_string(specs.size()) +
                                 " units in one app; at most 32 are supported");
   }
   a.units.clear();
   a.units.reserve(specs.size());
-  for (auto& u : specs) a.units.push_back(UnitRun{std::move(u)});
+  for (const apps::UnitSpec& u : specs) a.units.push_back(UnitRun{u});
   a.unit_masks = {};
   a.unit_masks[static_cast<std::size_t>(UnitState::kPending)] =
       static_cast<std::uint32_t>((std::uint64_t{1} << a.units.size()) - 1);
@@ -204,6 +204,7 @@ int BoardRuntime::submit(const apps::AppSpec& spec, int spec_index, int batch,
   // always sum to completed - arrival.
   app.phase = AppPhase::kQueueWait;
   app.phase_since = app.arrival;
+  app.wait_since = app.admitted;
   apps_.push_back(std::move(app));
   int id = apps_.back().id;
   live_.push_back(id);  // ids only grow, so the index stays ascending
@@ -483,11 +484,15 @@ void BoardRuntime::checkpoint_pass() {
   }
 }
 
-void BoardRuntime::set_units(int app_id, std::vector<apps::UnitSpec> units) {
+void BoardRuntime::set_units(int app_id,
+                             std::span<const apps::UnitSpec> units) {
   AppRun& a = app(app_id);
   assert(!a.started && "cannot re-unitise an app that has begun execution");
   assert(!units.empty());
-  assign_pending_units(a, std::move(units));
+  const bool was_slotless = a.slotless();
+  assign_pending_units(a, units);
+  slotless_apps_ += static_cast<int>(a.slotless()) -
+                    static_cast<int>(was_slotless);
   ++allocation_changes_;
   // Re-unitising reshapes the DDR image: rebuild the dirty map for the new
   // layout (everything is new to both consumers again).
@@ -594,6 +599,7 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
         set_unit_state(a2, u2, UnitState::kRunning);
         touch_phase(a2);
         refresh_slot_gauges();
+        mark_launch(a2);
         if (trace_.enabled()) {
           trace_.add(requested, sim().now(), trace_lane(u2.slot),
                      sim::SpanKind::kReconfig, a2.spec->name, '#', app_id,
@@ -648,6 +654,7 @@ void BoardRuntime::request_full_reconfig(int app_id) {
           set_unit_state(a2, u, UnitState::kRunning);
         }
         touch_phase(a2);
+        mark_launch(a2);
         if (trace_.enabled()) {
           trace_.add(requested, sim().now(), trace_lane(-1),
                      sim::SpanKind::kReconfig, a2.spec->name, '#', app_id,
@@ -965,15 +972,28 @@ void BoardRuntime::kick() {
 void BoardRuntime::run_pass() {
   if (crashed_) return;
   pass_queued_ = false;
+  last_pass_ = sim().now();
   ++counters_.passes;
   m_passes_.add();
   policy_.on_pass(*this);
   try_launches();
 }
 
+void BoardRuntime::mark_launch(AppRun& a) {
+  if (a.launch_marked) return;
+  a.launch_marked = true;
+  launch_marks_.push_back(a.id);
+}
+
 void BoardRuntime::try_launches() {
-  for (int id : live_) {
+  // Ascending ids: the order a walk of the live index launches in. An
+  // unmarked app has launched every ready idle unit since its last mark,
+  // and a streamed first stage that was not ready has its kick armed.
+  std::sort(launch_marks_.begin(), launch_marks_.end());
+  for (int id : launch_marks_) {
     AppRun& a = app(id);
+    a.launch_marked = false;
+    if (a.spec == nullptr || a.done()) continue;  // left the live set since
     // A launch changes only its own unit's bit, so this walks exactly the
     // units a unit-by-unit scan would, in the same order.
     for (std::uint32_t idle = a.idle_units(); idle != 0; idle &= idle - 1) {
@@ -992,7 +1012,9 @@ void BoardRuntime::try_launches() {
             a.stream_kick = next;
             int app_id = a.id;
             sim().schedule_at(next, [this, app_id] {
-              app(app_id).stream_kick = -1;
+              AppRun& woken = app(app_id);
+              woken.stream_kick = -1;
+              mark_launch(woken);
               kick();
             });
           }
@@ -1002,6 +1024,7 @@ void BoardRuntime::try_launches() {
       launch_item(a, u);
     }
   }
+  launch_marks_.clear();
 }
 
 void BoardRuntime::launch_item(AppRun& app_ref, UnitRun& unit_ref) {
@@ -1071,6 +1094,9 @@ void BoardRuntime::finish_item(int app_id, int unit_index) {
   if (u.items_done >= a.batch) finish_unit(a, u);
   touch_phase(a);
   refresh_slot_gauges();
+  // Marked before completion: the completion hook may admit apps here,
+  // which can move `a`.
+  mark_launch(a);
   check_app_complete(a);
   kick();
 }
@@ -1131,6 +1157,7 @@ void BoardRuntime::count_live(const AppRun& a, int delta) {
   auto s = static_cast<std::size_t>(a.spec_index);
   if (s >= live_per_spec_.size()) live_per_spec_.resize(s + 1, 0);
   const bool live = (live_per_spec_[s] += delta) > 0;
+  if (a.slotless()) slotless_apps_ += delta;
   cell_->load += delta;
   cell_->batch += delta * a.batch;
   if (a.spec_index < LoadCell::kSpecBits) {
@@ -1143,15 +1170,27 @@ void BoardRuntime::set_unit_state(AppRun& a, UnitRun& u,
                                   UnitState state) noexcept {
   if (u.state == UnitState::kRunning) used_ -= u.spec.impl_usage;
   if (state == UnitState::kRunning) used_ += u.spec.impl_usage;
+  const bool was_slotless = a.slotless();
   const std::uint32_t bit = std::uint32_t{1} << (&u - a.units.data());
   a.unit_masks[static_cast<std::size_t>(u.state)] &= ~bit;
   a.unit_masks[static_cast<std::size_t>(state)] |= bit;
-  if (state == UnitState::kFinished) ++allocation_changes_;
   u.state = state;
+  ++allocation_changes_;
+  if (a.slotless() == was_slotless) return;
+  if (was_slotless) {
+    --slotless_apps_;
+    return;
+  }
+  // Only events between passes make an app slot-less (a pass only places,
+  // and a preemption victim keeps a slot), so the last pass still saw it
+  // holding a slot or with nothing pending: its clock restarts there.
+  ++slotless_apps_;
+  a.wait_since = last_pass_;
 }
 
 void BoardRuntime::begin_slot_reconfig(fpga::Slot& slot, int app_id,
                                        fpga::ConfiguredKey key) {
+  ++allocation_changes_;
   if (slot.state() == fpga::SlotState::kIdle) occupied_ += slot.capacity();
   idle_masks_[static_cast<std::size_t>(slot.kind())] &=
       ~(std::uint64_t{1} << slot.id());
@@ -1159,6 +1198,7 @@ void BoardRuntime::begin_slot_reconfig(fpga::Slot& slot, int app_id,
 }
 
 void BoardRuntime::release_slot(fpga::Slot& slot) {
+  ++allocation_changes_;
   if (slot.state() != fpga::SlotState::kIdle) occupied_ -= slot.capacity();
   mark_idle(slot);
   slot.release();

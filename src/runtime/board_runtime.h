@@ -15,6 +15,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,8 +94,14 @@ struct AppRun {
   std::array<std::uint32_t, kUnitStateCount> unit_masks{};
   std::uint32_t in_flight_mask = 0;
   bool started = false;       ///< any PR ever issued for it
+  /// Queued for the next pass's launch scan (see BoardRuntime::launch_marks).
+  bool launch_marked = false;
   sim::SimTime completed = -1;
   sim::SimTime stream_kick = -1;  ///< pending wake-up for streamed items
+  /// Starvation clock, read by the preempting policies while the app is
+  /// slot-less(): its admission, then, each time it becomes slot-less, the
+  /// runtime's last pass time. Only BoardRuntime writes it.
+  sim::SimTime wait_since = 0;
   /// Last DDR checkpoint (CheckpointPolicy): expanded per-task progress,
   /// when it was taken (-1 = never), and the byte volume a crash
   /// evacuation ships to restore it — the reconstructed image in both
@@ -154,6 +161,12 @@ struct AppRun {
   /// Units waiting for a slot.
   [[nodiscard]] int units_pending() const noexcept {
     return std::popcount(units_mask(UnitState::kPending));
+  }
+  /// Units pending and none placed: the app waits for a slot, holding none.
+  [[nodiscard]] bool slotless() const noexcept {
+    return (units_mask(UnitState::kReconfiguring) |
+            units_mask(UnitState::kRunning)) == 0 &&
+           units_mask(UnitState::kPending) != 0;
   }
   /// Index of the lowest pending unit (pipeline order), or -1.
   [[nodiscard]] int next_pending_unit() const noexcept {
@@ -263,9 +276,11 @@ class BoardRuntime {
   }
 
   // ------------------------------------------------------- policy commands
-  /// Replaces an app's unit decomposition (bundling / rebinding). Only legal
-  /// before the app has started.
-  void set_units(int app_id, std::vector<apps::UnitSpec> units);
+  /// Replaces an app's unit decomposition (bundling / rebinding), copying
+  /// `units` into the app's unit storage. Only legal before the app has
+  /// started. Allocates nothing when the app has at least as many tasks as
+  /// `units` has entries, as every bundling of it does.
+  void set_units(int app_id, std::span<const apps::UnitSpec> units);
 
   /// Requests partial reconfiguration of a pending unit into an idle slot of
   /// the matching kind. Asynchronous: the PR server (or the scheduler core
@@ -329,10 +344,21 @@ class BoardRuntime {
   [[nodiscard]] const std::vector<int>& live_ids() const noexcept {
     return live_;
   }
-  /// Counts changes to what slot allocation reads of the runtime: admission,
-  /// live-set exit, set_units and a unit reaching kFinished each bump it.
+  /// Counts changes to what slot allocation and placement read of the
+  /// runtime: admission, live-set exit, set_units, every unit-state
+  /// transition and every slot occupied or released each bump it.
   [[nodiscard]] std::uint64_t allocation_changes() const noexcept {
     return allocation_changes_;
+  }
+  /// Live apps that are slot-less (AppRun::slotless()); kept at every
+  /// transition, never recounted. Zero means no app can be starving.
+  [[nodiscard]] int slotless_apps() const noexcept { return slotless_apps_; }
+  /// Ids of the apps the next pass's launch scan visits, in marking order.
+  /// An app is marked when an item of it ends, a PR or full-fabric load of
+  /// it completes, or its stream kick fires: only then can it gain a ready
+  /// idle unit (audit I11), so the scan skips every other app.
+  [[nodiscard]] const std::vector<int>& launch_marks() const noexcept {
+    return launch_marks_;
   }
   /// Live apps: neither complete nor extracted.
   [[nodiscard]] int active_apps() const noexcept {
@@ -554,7 +580,12 @@ class BoardRuntime {
   /// Advances a fresh app's units to `items_done` (migration restore).
   void apply_progress(AppRun& a, const std::vector<int>& items_done);
   void run_pass();
+  /// Launches every ready idle unit of the marked apps, in ascending id
+  /// order, and clears the marks.
   void try_launches();
+  /// Marks an app for the next launch scan (see launch_marks()); the scan
+  /// skips it if it has left the live set by then.
+  void mark_launch(AppRun& a);
   /// One item's pipeline: a launch op on the scheduler core, whose
   /// completion kicks the input DMA and schedules the execution end
   /// (DMA time plus item latency later), which calls finish_item.
@@ -567,10 +598,11 @@ class BoardRuntime {
   template <typename Extract>
   void extract_live_if(Extract extract);
   /// Counts `a` into (+1) or out of (-1) the live set's sums: its spec's
-  /// live count, and the load, spec bit and batch sum of the load cell.
+  /// live count, the slot-less count, and the load, spec bit and batch sum
+  /// of the load cell.
   void count_live(const AppRun& a, int delta);
-  /// Every unit state change goes through here, keeping used_ and the
-  /// app's unit masks exact.
+  /// Every unit state change goes through here, keeping used_, the app's
+  /// unit masks, the slot-less count and the starvation clock exact.
   void set_unit_state(AppRun& a, UnitRun& u, UnitState state) noexcept;
   /// Occupies an idle slot with a PR load, or frees an occupied one;
   /// either keeps occupied_ and the idle masks exact.
@@ -612,6 +644,9 @@ class BoardRuntime {
   std::vector<AppRun> apps_;
   std::vector<int> live_;  ///< live app ids, ascending (see live_ids())
   std::uint64_t allocation_changes_ = 0;  ///< see allocation_changes()
+  int slotless_apps_ = 0;                 ///< see slotless_apps()
+  std::vector<int> launch_marks_;         ///< see launch_marks()
+  sim::SimTime last_pass_ = 0;  ///< when the last pass ran (wait_since)
   std::vector<int> live_per_spec_;  ///< live apps by spec index
   LoadCell own_cell_;                ///< the load state while unbound
   LoadCell* cell_ = &own_cell_;      ///< see bind_load_cell()

@@ -247,6 +247,43 @@ InvariantReport audit(const BoardRuntime& rt) {
            "load cell " + fields(state) + " disagrees with a recount " +
                fields(cell));
 
+  // I11: the slot-less count equals a recount, the launch marks name each
+  // marked app once, and every live app with an idle running unit whose
+  // next item is ready is marked for the next launch scan — unless that
+  // unit is a streamed first stage whose stream kick is pending (the kick
+  // marks the app when it fires).
+  int slotless = 0;
+  for (int id : live) {
+    const AppRun& a = rt.app(id);
+    slotless += a.slotless() ? 1 : 0;
+    for (std::uint32_t idle = a.idle_units(); idle != 0; idle &= idle - 1) {
+      const int ui = std::countr_zero(idle);
+      const bool kick_pending =
+          ui == 0 && a.item_interval > 0 && a.stream_kick >= 0;
+      VS_CHECK(report,
+               a.launch_marked || kick_pending || !rt.item_ready(a, ui),
+               unit_name(a, ui) +
+                   ": idle with its next item ready, but its app is not "
+                   "marked for the launch scan");
+    }
+  }
+  VS_CHECK(report, rt.slotless_apps() == slotless,
+           "slot-less app count " + std::to_string(rt.slotless_apps()) +
+               ", recount " + std::to_string(slotless));
+  std::vector<int> marks = rt.launch_marks();
+  std::sort(marks.begin(), marks.end());
+  VS_CHECK(report,
+           std::adjacent_find(marks.begin(), marks.end()) == marks.end(),
+           "an app is marked twice for the launch scan");
+  std::size_t flagged = 0;
+  for (const AppRun& a : rt.apps()) flagged += a.launch_marked ? 1 : 0;
+  VS_CHECK(report,
+           flagged == marks.size() &&
+               std::all_of(marks.begin(), marks.end(),
+                           [&rt](int id) { return rt.app(id).launch_marked; }),
+           std::to_string(marks.size()) + " launch marks, " +
+               std::to_string(flagged) + " apps flagged as marked");
+
   return report;
 }
 

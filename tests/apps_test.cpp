@@ -177,7 +177,8 @@ TEST(Bundling, LittleUnitsOnePerTask) {
 
 TEST(Bundling, BigUnitsGroupByThree) {
   AppSpec of = make_app(Benchmark::kOF, params_);
-  auto units = make_big_units(of, /*batch=*/10, params_);
+  std::vector<UnitSpec> units;
+  make_big_units(units, of, /*batch=*/10, params_);
   ASSERT_EQ(units.size(), 3u);
   EXPECT_EQ(units[0].first_task, 0);
   EXPECT_EQ(units[0].last_task, 2);
@@ -192,7 +193,8 @@ TEST(Bundling, BigUnitsGroupByThree) {
 
 TEST(Bundling, BigUnitsHandleRemainder) {
   AppSpec a3 = make_app(Benchmark::k3DR, params_);
-  auto pairs = make_big_units(a3, 10, params_, {}, /*bundle_size=*/2);
+  std::vector<UnitSpec> pairs;
+  make_big_units(pairs, a3, 10, params_, {}, /*bundle_size=*/2);
   ASSERT_EQ(pairs.size(), 2u);
   EXPECT_EQ(pairs[0].task_count(), 2);
   EXPECT_EQ(pairs[1].task_count(), 1);
@@ -201,7 +203,8 @@ TEST(Bundling, BigUnitsHandleRemainder) {
 
 TEST(Bundling, ParallelBundleLatencyModel) {
   AppSpec a3 = make_app(Benchmark::k3DR, params_);
-  auto units = make_big_units(a3, /*batch=*/20, params_);
+  std::vector<UnitSpec> units;
+  make_big_units(units, a3, /*batch=*/20, params_);
   ASSERT_EQ(units.size(), 1u);
   const UnitSpec& u = units[0];
   EXPECT_EQ(u.mode, BundleMode::kParallel);
@@ -228,7 +231,8 @@ TEST(Bundling, SerialBundleLatencyModel) {
     t.bitstream_bytes = params_.little_bitstream_bytes;
     app.tasks.push_back(t);
   }
-  auto units = make_big_units(app, /*batch=*/1, params_);
+  std::vector<UnitSpec> units;
+  make_big_units(units, app, /*batch=*/1, params_);
   ASSERT_EQ(units.size(), 1u);
   EXPECT_EQ(units[0].mode, BundleMode::kSerial);
   EXPECT_EQ(units[0].item_latency, sim::ms(32));

@@ -50,8 +50,9 @@ class ChaosPolicy final : public runtime::SchedulerPolicy {
       for (const runtime::AppRun& a : rt.apps()) {
         if (a.spec == nullptr || a.done() || a.started) continue;
         if (apps::can_bundle(*a.spec, rt.board().params())) {
-          rt.set_units(a.id, apps::make_big_units(*a.spec, a.batch,
-                                                  rt.board().params()));
+          std::vector<apps::UnitSpec> bundles;
+          apps::make_big_units(bundles, *a.spec, a.batch, rt.board().params());
+          rt.set_units(a.id, bundles);
         }
         break;
       }

@@ -40,6 +40,7 @@ TEST(BitstreamKeys, UniquePerSpecUnitAndSlot) {
   auto suite = apps::make_suite(params);
   std::set<fpga::BitstreamKey> keys;
   int count = 0;
+  std::vector<apps::UnitSpec> bundles;
   for (std::size_t s = 0; s < suite.size(); ++s) {
     for (const apps::UnitSpec& u : apps::make_little_units(suite[s])) {
       for (int slot = 0; slot < 8; ++slot) {
@@ -48,8 +49,8 @@ TEST(BitstreamKeys, UniquePerSpecUnitAndSlot) {
         ++count;
       }
     }
-    for (const apps::UnitSpec& u :
-         apps::make_big_units(suite[s], 17, params)) {
+    apps::make_big_units(bundles, suite[s], 17, params);
+    for (const apps::UnitSpec& u : bundles) {
       for (int slot = 0; slot < 2; ++slot) {
         keys.insert(
             runtime::unit_bitstream_key(static_cast<int>(s), u, slot));
@@ -63,10 +64,12 @@ TEST(BitstreamKeys, UniquePerSpecUnitAndSlot) {
 TEST(BitstreamKeys, SerialAndParallelVariantsDiffer) {
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
-  auto parallel = apps::make_big_units(suite[1], 17, params, {}, 3,
-                                       apps::BundleMode::kParallel);
-  auto serial = apps::make_big_units(suite[1], 17, params, {}, 3,
-                                     apps::BundleMode::kSerial);
+  std::vector<apps::UnitSpec> parallel;
+  std::vector<apps::UnitSpec> serial;
+  apps::make_big_units(parallel, suite[1], 17, params, {}, 3,
+                       apps::BundleMode::kParallel);
+  apps::make_big_units(serial, suite[1], 17, params, {}, 3,
+                       apps::BundleMode::kSerial);
   EXPECT_NE(runtime::unit_bitstream_key(1, parallel[0], 0),
             runtime::unit_bitstream_key(1, serial[0], 0));
 }
@@ -75,8 +78,9 @@ TEST(ForcedMode, AppliesToMultiTaskBundlesOnly) {
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
   // 3DR (3 tasks) with bundle_size 2 -> one pair + one single.
-  auto units = apps::make_big_units(suite[0], 17, params, {}, 2,
-                                    apps::BundleMode::kSerial);
+  std::vector<apps::UnitSpec> units;
+  apps::make_big_units(units, suite[0], 17, params, {}, 2,
+                       apps::BundleMode::kSerial);
   ASSERT_EQ(units.size(), 2u);
   EXPECT_EQ(units[0].mode, apps::BundleMode::kSerial);
   EXPECT_EQ(units[1].mode, apps::BundleMode::kSingle);  // not forced
@@ -85,8 +89,9 @@ TEST(ForcedMode, AppliesToMultiTaskBundlesOnly) {
 TEST(ForcedMode, SerialBundleLatencyIsSumOfTasks) {
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
-  auto serial = apps::make_big_units(suite[0], 17, params, {}, 3,
-                                     apps::BundleMode::kSerial);
+  std::vector<apps::UnitSpec> serial;
+  apps::make_big_units(serial, suite[0], 17, params, {}, 3,
+                       apps::BundleMode::kSerial);
   ASSERT_EQ(serial.size(), 1u);
   EXPECT_EQ(serial[0].item_latency, suite[0].item_latency_sum());
   EXPECT_EQ(serial[0].fill_latency, 0);

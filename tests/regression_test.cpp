@@ -92,7 +92,8 @@ TEST(PaperShape, UtilizationAnchors) {
     }
     lut_l /= app.task_count();
     ff_l /= app.task_count();
-    auto bundles = apps::make_big_units(app, 17, params, model);
+    std::vector<apps::UnitSpec> bundles;
+    apps::make_big_units(bundles, app, 17, params, model);
     double lut_b = 0, ff_b = 0;
     int weight = 0;
     for (const apps::UnitSpec& u : bundles) {

@@ -48,7 +48,8 @@ TEST(BoardRuntime, SetUnitsRebundles) {
   BoardRuntime rt(f.board, policy);
   apps::AppSpec app = make_uniform_app("a", 6, sim::ms(1));
   int id = rt.submit(app, 0, 5, 0);
-  auto bundles = apps::make_big_units(app, 5, f.board.params());
+  std::vector<apps::UnitSpec> bundles;
+  apps::make_big_units(bundles, app, 5, f.board.params());
   rt.set_units(id, bundles);
   EXPECT_EQ(rt.app(id).units.size(), 2u);
   EXPECT_EQ(rt.app(id).units[0].spec.slot_kind, fpga::SlotKind::kBig);
@@ -295,7 +296,8 @@ TEST(BoardRuntime, ParallelBundleFillChargedOnFirstItemOnly) {
   BoardRuntime rt(f.board, policy);
   apps::AppSpec app = make_uniform_app("a", 3, sim::ms(10));
   int id = rt.submit(app, 0, 4, 0);
-  auto units = apps::make_big_units(app, 4, f.board.params());
+  std::vector<apps::UnitSpec> units;
+  apps::make_big_units(units, app, 4, f.board.params());
   ASSERT_EQ(units.size(), 1u);
   ASSERT_EQ(units[0].mode, apps::BundleMode::kParallel);
   rt.set_units(id, units);

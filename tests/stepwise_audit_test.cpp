@@ -2,11 +2,12 @@
 // samples.
 //
 // The runtime keeps indices beside the state they summarise: per-state unit
-// masks and the in-flight mask, per-kind idle-slot masks, and the pool cell
-// that routing and D_switch sampling read instead of the runtime. These
-// tests step a serve run and a faulted cluster run one event at a time and
-// audit every active runtime after each event, so a transition that forgets
-// an index fails at the event that broke it.
+// masks and the in-flight mask, per-kind idle-slot masks, the pool cell
+// that routing and D_switch sampling read instead of the runtime, the
+// slot-less count and the launch marks. These tests step a serve run, a
+// faulted cluster run and single-board runs of every system one event at a
+// time and audit every active runtime after each event, so a transition
+// that forgets an index fails at the event that broke it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,10 +18,13 @@
 
 #include "apps/benchmarks.h"
 #include "cluster/cluster.h"
+#include "fpga/board.h"
+#include "metrics/experiment.h"
 #include "runtime/invariants.h"
 #include "serve/resource_manager.h"
 #include "serve/tenant.h"
 #include "sim/simulator.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 #include "workload/patterns.h"
 
@@ -167,6 +171,43 @@ TEST(StepwiseAudit, FaultedClusterRunHoldsEveryInvariantAfterEveryEvent) {
     EXPECT_GE(cluster.recovery_stats().boards_crashed, 2);
     EXPECT_GE(cluster.recovery_stats().boards_rebooted, 2);
     EXPECT_GT(cluster.recovery_stats().slot_seus, 0);
+  }
+}
+
+TEST(StepwiseAudit, StreamedSingleBoardRunsHoldEveryInvariantAfterEveryEvent) {
+  // Every system on one board, with streamed and staged apps mixed: the
+  // launch marks (I11) must follow stream wake-ups as well as PR, load and
+  // item ends, and the slot-less count every transition.
+  const fpga::BoardParams params;
+  const auto suite = apps::make_suite(params);
+  for (std::uint64_t seed : {2025ULL, 7ULL}) {
+    const workload::Sequence seq = test::mixed_stream_sequence(seed);
+    for (int k = 0; k < metrics::kSystemCountExtended; ++k) {
+      const auto kind = static_cast<metrics::SystemKind>(k);
+      SCOPED_TRACE(std::string(metrics::system_name(kind)) + " seed " +
+                   std::to_string(seed));
+      sim::Simulator sim;
+      fpga::Board board(sim, "fpga0", metrics::fabric_for(kind), params);
+      auto policy = metrics::make_policy(kind);
+      runtime::BoardRuntime rt(board, *policy);
+      for (const apps::AppArrival& a : seq) {
+        sim.schedule_at(a.arrival, [&rt, &suite, a] {
+          rt.submit(suite.at(static_cast<std::size_t>(a.spec_index)),
+                    a.spec_index, a.batch, a.arrival, a.item_interval);
+        });
+      }
+      std::int64_t events = 0;
+      while (sim.step()) {
+        ++events;
+        const runtime::InvariantReport report = runtime::audit(rt);
+        if (!report.ok()) {
+          ADD_FAILURE() << "event " << events << " t=" << sim.now() << ": "
+                        << report.to_string();
+          break;
+        }
+      }
+      EXPECT_EQ(rt.completed().size(), seq.size());
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 // items become available over time, gating the first pipeline stage.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "apps/benchmarks.h"
 #include "fpga/board.h"
 #include "metrics/experiment.h"
@@ -112,6 +114,68 @@ TEST(Streaming, StreamedBatchSurvivesMigrationExtraction) {
   ASSERT_EQ(migrated.size(), 1u);
   // Descriptor is staged-size based (items stream on the target too).
   EXPECT_GT(migrated[0].state_bytes, 4096);
+}
+
+// ------------------------------------------------------------------ golden
+
+/// FNV-1a over every CompletedApp field, in completion order, then the
+/// counters the item pipeline and the policy's decisions move.
+std::uint64_t completion_hash(const metrics::RunResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto add = [&h](std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const CompletedApp& c : r.apps) {
+    add(c.app_id);
+    add(c.spec_index);
+    for (char ch : c.name) add(ch);
+    add(c.arrival);
+    add(c.completed);
+    add(c.tenant);
+    for (sim::SimDuration p : c.phase_ns) add(p);
+  }
+  add(r.counters.passes);
+  add(r.counters.items_executed);
+  add(r.counters.preemptions);
+  add(r.counters.pr_requests);
+  add(r.counters.pr_blocked);
+  add(r.counters.launch_blocked);
+  return h;
+}
+
+// No committed CSV and no e2ebench digest streams batch items, so this pins
+// the streamed path for every system, on test::mixed_stream_sequence.
+TEST(StreamingGolden, EachSystemKeepsItsStreamedCompletions) {
+  // Seed 2025, seed 7; indexed by SystemKind. Computed while every pass
+  // still walked every live app for launches.
+  constexpr std::uint64_t kGolden[metrics::kSystemCountExtended][2] = {
+      {11075276340986315330ULL, 14672226574156274054ULL},  // Baseline
+      {18262044503090929268ULL, 4053615752776570217ULL},   // FCFS
+      {7237874026219548855ULL, 14715765002943348841ULL},   // RR
+      {14952320570109771319ULL, 9974510884737917047ULL},   // Nimblock
+      {11816036764458941957ULL, 18284485864627464442ULL},  // VersaSlot-OL
+      {10298471021805662833ULL, 2100083502583207811ULL},   // VersaSlot-BL
+      {6863756949950289602ULL, 14188923476602640471ULL},   // DML
+  };
+  fpga::BoardParams params;
+  auto suite = apps::make_suite(params);
+  metrics::RunOptions options;
+  options.phase_accounting = true;
+  int s = 0;
+  for (std::uint64_t seed : {2025u, 7u}) {
+    const workload::Sequence sequence = test::mixed_stream_sequence(seed);
+    for (int k = 0; k < metrics::kSystemCountExtended; ++k) {
+      const auto kind = static_cast<metrics::SystemKind>(k);
+      auto result = metrics::run_single_board(kind, suite, sequence, options);
+      EXPECT_EQ(result.completed, 20) << metrics::system_name(kind);
+      EXPECT_EQ(completion_hash(result), kGolden[k][s])
+          << metrics::system_name(kind) << " seed " << seed;
+    }
+    ++s;
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "fpga/params.h"
 #include "runtime/board_runtime.h"
 #include "runtime/policy.h"
+#include "workload/generator.h"
 
 namespace vs::test {
 
@@ -54,6 +55,21 @@ inline apps::AppSpec make_uniform_app(const std::string& name, int n_tasks,
     app.tasks.push_back(t);
   }
   return app;
+}
+
+/// A 20-app Stress sequence in which every other app's first stage is fed
+/// at 25, 50 or 75 ms per item, so stream wake-ups interleave with the
+/// staged apps' launches, PRs and preemptions.
+inline workload::Sequence mixed_stream_sequence(std::uint64_t seed) {
+  workload::WorkloadConfig config;
+  config.congestion = workload::Congestion::kStress;
+  config.apps_per_sequence = 20;
+  workload::Sequence sequence =
+      workload::generate_sequences(config, 1, seed)[0];
+  for (std::size_t i = 1; i < sequence.size(); i += 2) {
+    sequence[i].item_interval = sim::ms(25.0 * static_cast<double>(1 + i % 3));
+  }
+  return sequence;
 }
 
 /// A policy whose pass behaviour is provided by the test as a callback.
