@@ -89,10 +89,6 @@ constexpr double kLatencyScale = 6.0;
 
 }  // namespace
 
-const char* benchmark_name(Benchmark b) noexcept {
-  return kRawApps[static_cast<int>(b)].name;
-}
-
 AppSpec make_app(Benchmark b, const fpga::BoardParams& params,
                  const SynthesisModel& model) {
   const RawApp& raw = kRawApps[static_cast<int>(b)];

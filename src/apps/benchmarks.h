@@ -24,8 +24,6 @@ enum class Benchmark { k3DR = 0, kLeNet = 1, kIC = 2, kAN = 3, kOF = 4 };
 
 constexpr int kBenchmarkCount = 5;
 
-[[nodiscard]] const char* benchmark_name(Benchmark b) noexcept;
-
 /// Builds one application spec. `params` provides the slot capacities used
 /// to size bitstreams; `model` provides the synthesis behaviour.
 [[nodiscard]] AppSpec make_app(Benchmark b, const fpga::BoardParams& params,

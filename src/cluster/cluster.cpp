@@ -28,7 +28,7 @@ Cluster::Cluster(sim::Simulator& sim, const std::vector<apps::AppSpec>& suite,
       options_(options),
       link_(sim, options.link_params),
       monitor_(options.dswitch_period),
-      loop_(options.t1, options.t2, options.initial) {
+      loop_(options.t1, options.t2) {
   assert(options_.boards_per_config >= 1);
   if (suite_.size() > static_cast<std::size_t>(runtime::LoadCell::kSpecBits)) {
     // Affinity routing reads one load-cell bit per spec.
@@ -72,7 +72,8 @@ Cluster::Cluster(sim::Simulator& sim, const std::vector<apps::AppSpec>& suite,
         sim_, "fpga-BL" + std::to_string(i), fpga::FabricConfig::big_little(),
         options_.board_params));
   }
-  activate_pool(options_.initial);
+  // The cluster always starts in Only.Little, as the switch loop does.
+  activate_pool(core::SwitchLoop::Config::kOnlyLittle);
 
   // Fault plane: constructed only when the scenario is enabled so the
   // fault-free path stays byte-for-byte identical (no extra registry
@@ -747,7 +748,7 @@ void Cluster::on_health_event(const faults::HealthEvent& e) {
         batch_.killed = std::move(killed);
         batch_.crash_time = e.time;
         batch_.flow = flow;
-        sim_.schedule(options_.recovery.detection_latency, [this] {
+        sim_.schedule(kDetectionLatency, [this] {
           batch_open_ = false;
           PendingBatch batch = std::move(batch_);
           batch_ = PendingBatch{};
@@ -757,7 +758,7 @@ void Cluster::on_health_event(const faults::HealthEvent& e) {
         break;
       }
       // Recovery acts after the detection latency (heartbeat + decision).
-      sim_.schedule(options_.recovery.detection_latency,
+      sim_.schedule(kDetectionLatency,
                     [this, evacuable = std::move(evacuable),
                      killed = std::move(killed), crash_time = e.time,
                      flow]() mutable {

@@ -44,6 +44,9 @@ class TraceChannel;
 
 namespace vs::cluster {
 
+/// Health-event to recovery-action latency (heartbeat + decision).
+inline constexpr sim::SimDuration kDetectionLatency = sim::ms(5.0);
+
 /// Failure-recovery policy knobs (the RecoveryPolicy layer over the
 /// FaultPlane's health events).
 struct RecoveryOptions {
@@ -55,8 +58,6 @@ struct RecoveryOptions {
   /// restarts from scratch (kill-restart). Only read when enable_recovery
   /// is true. With both flags false, displaced apps are simply lost.
   bool kill_restart = false;
-  /// Health-event to recovery-action latency (heartbeat + decision).
-  sim::SimDuration detection_latency = sim::ms(5.0);
   /// Graceful degradation: when a crash displaces more than this many apps,
   /// zero-progress Little-slot work is shed smallest-batch-first; started
   /// tenants (apps with progress, including Big-slot bundle work) are
@@ -121,7 +122,6 @@ struct ClusterOptions {
   bool enable_switching = true;
   bool enable_prewarm = true;
   int boards_per_config = 1;        ///< pool size per fabric configuration
-  core::SwitchLoop::Config initial = core::SwitchLoop::Config::kOnlyLittle;
   fpga::BoardParams board_params;
   fpga::LinkParams link_params;
   core::VersaSlotOptions bl_policy;  ///< mode forced to kBigLittle

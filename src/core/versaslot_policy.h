@@ -120,9 +120,11 @@ class VersaSlotPolicy : public runtime::SchedulerPolicy {
   /// admission, filled on first use.
   static constexpr std::int8_t kUnchecked = -1;
   std::vector<std::int8_t> bundleable_;
-  /// Algorithm 1 and the placement sweep read only the live set, the unit
-  /// masks and the idle masks, which BoardRuntime::allocation_changes()
-  /// counts changes to, and this policy's bindings and allocations. So a
+  /// Algorithm 1 and the placement sweep read only the live set, each live
+  /// app's pending, placed and finished units and its started flag, and
+  /// the idle masks, which BoardRuntime::allocation_changes() counts
+  /// changes to, and this policy's bindings and allocations. A PR
+  /// completion changes none of them and moves no count. So a
   /// step is skipped while the count stands where it stood after a run that
   /// changed nothing: allocate()'s memo is the count after its last run
   /// that wrote no binding or allocation (a line-2 exit included), and the

@@ -4,7 +4,6 @@
 // never get near the range limit (ES.102 — prefer signed arithmetic).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -16,12 +15,6 @@ struct ResourceVector {
   std::int64_t brams = 0;
   std::int64_t dsps = 0;
 
-  constexpr ResourceVector operator+(const ResourceVector& o) const noexcept {
-    return {luts + o.luts, ffs + o.ffs, brams + o.brams, dsps + o.dsps};
-  }
-  constexpr ResourceVector operator-(const ResourceVector& o) const noexcept {
-    return {luts - o.luts, ffs - o.ffs, brams - o.brams, dsps - o.dsps};
-  }
   constexpr ResourceVector& operator+=(const ResourceVector& o) noexcept {
     luts += o.luts; ffs += o.ffs; brams += o.brams; dsps += o.dsps;
     return *this;
@@ -44,23 +37,6 @@ struct ResourceVector {
   [[nodiscard]] constexpr bool fits(const ResourceVector& demand) const noexcept {
     return demand.luts <= luts && demand.ffs <= ffs &&
            demand.brams <= brams && demand.dsps <= dsps;
-  }
-
-  [[nodiscard]] constexpr bool any_negative() const noexcept {
-    return luts < 0 || ffs < 0 || brams < 0 || dsps < 0;
-  }
-
-  /// Largest component-wise ratio demand/capacity — the binding constraint
-  /// when placing `*this` into `capacity`. Returns +inf style large value on
-  /// zero capacity with nonzero demand.
-  [[nodiscard]] double pressure_in(const ResourceVector& capacity) const noexcept {
-    auto ratio = [](std::int64_t d, std::int64_t c) {
-      if (d == 0) return 0.0;
-      if (c == 0) return 1e9;
-      return static_cast<double>(d) / static_cast<double>(c);
-    };
-    return std::max({ratio(luts, capacity.luts), ratio(ffs, capacity.ffs),
-                     ratio(brams, capacity.brams), ratio(dsps, capacity.dsps)});
   }
 
   [[nodiscard]] std::string to_string() const {

@@ -310,26 +310,6 @@ void write_run_report(const MetricsRegistry& registry, const RunInfo& info,
       << "\n}\n";
 }
 
-std::string prometheus_text(const MetricsRegistry& registry) {
-  std::ostringstream out;
-  write_prometheus(registry, out);
-  return out.str();
-}
-
-std::string timeseries_jsonl(const Sampler& sampler,
-                             const MetricsRegistry& registry) {
-  std::ostringstream out;
-  write_timeseries_jsonl(sampler, registry, out);
-  return out.str();
-}
-
-std::string run_report_json(const MetricsRegistry& registry,
-                            const RunInfo& info, const Sampler* sampler) {
-  std::ostringstream out;
-  write_run_report(registry, info, sampler, out);
-  return out.str();
-}
-
 std::string format_dashboard(const MetricsRegistry& registry,
                              const std::string& title) {
   std::ostringstream out;

@@ -42,13 +42,6 @@ void write_timeseries_jsonl(const Sampler& sampler,
 void write_run_report(const MetricsRegistry& registry, const RunInfo& info,
                       const Sampler* sampler, std::ostream& out);
 
-[[nodiscard]] std::string prometheus_text(const MetricsRegistry& registry);
-[[nodiscard]] std::string timeseries_jsonl(const Sampler& sampler,
-                                           const MetricsRegistry& registry);
-[[nodiscard]] std::string run_report_json(const MetricsRegistry& registry,
-                                          const RunInfo& info,
-                                          const Sampler* sampler);
-
 /// Terminal-width ASCII summary: counters/gauges as aligned rows, histogram
 /// rows with count/mean/p50/p95/p99/max and a log-bucket occupancy bar.
 [[nodiscard]] std::string format_dashboard(const MetricsRegistry& registry,

@@ -109,22 +109,4 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *cell;
 }
 
-const Counter* MetricsRegistry::find_counter(const std::string& name,
-                                             const Labels& labels) const {
-  auto it = counter_index_.find(full_name(name, labels));
-  return it != counter_index_.end() ? it->second : nullptr;
-}
-
-const Gauge* MetricsRegistry::find_gauge(const std::string& name,
-                                         const Labels& labels) const {
-  auto it = gauge_index_.find(full_name(name, labels));
-  return it != gauge_index_.end() ? it->second : nullptr;
-}
-
-const Histogram* MetricsRegistry::find_histogram(const std::string& name,
-                                                 const Labels& labels) const {
-  auto it = histogram_index_.find(full_name(name, labels));
-  return it != histogram_index_.end() ? it->second : nullptr;
-}
-
 }  // namespace vs::obs

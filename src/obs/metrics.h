@@ -194,14 +194,6 @@ class MetricsRegistry {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
 
-  /// Lookup without creation; nullptr when the instrument does not exist.
-  [[nodiscard]] const Counter* find_counter(const std::string& name,
-                                            const Labels& labels = {}) const;
-  [[nodiscard]] const Gauge* find_gauge(const std::string& name,
-                                        const Labels& labels = {}) const;
-  [[nodiscard]] const Histogram* find_histogram(
-      const std::string& name, const Labels& labels = {}) const;
-
   /// Canonical identity, e.g. `vs_pcap_loads_total{board="fpga0"}`; bare
   /// name when there are no labels. Used as the series key everywhere
   /// (index, JSONL, dashboard).

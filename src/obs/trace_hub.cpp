@@ -1,9 +1,7 @@
 #include "obs/trace_hub.h"
 
 #include <algorithm>
-#include <charconv>
 #include <deque>
-#include <istream>
 #include <unordered_map>
 
 #include "obs/block_writer.h"
@@ -16,7 +14,6 @@ const char* span_category(sim::SpanKind kind) {
   switch (kind) {
     case sim::SpanKind::kReconfig: return "reconfig";
     case sim::SpanKind::kExec: return "exec";
-    case sim::SpanKind::kCoreOp: return "core";
     case sim::SpanKind::kBlocked: return "blocked";
     case sim::SpanKind::kTransfer: return "transfer";
     case sim::SpanKind::kMarker: return "marker";
@@ -87,17 +84,6 @@ const char* to_string(JournalEvent e) noexcept {
   return "unknown";
 }
 
-bool journal_event_from_string(const std::string& name,
-                               JournalEvent& out) noexcept {
-  for (const auto& entry : kJournalNames) {
-    if (name == entry.name) {
-      out = entry.event;
-      return true;
-    }
-  }
-  return false;
-}
-
 bool TraceChannel::trace_on() const noexcept { return hub_->trace_enabled(); }
 bool TraceChannel::journal_on() const noexcept {
   return hub_->journal_enabled();
@@ -138,29 +124,6 @@ void ClusterTraceHub::seal() {
     }
     spans.attached.clear();
   }
-}
-
-std::vector<JournalRecord> ClusterTraceHub::merged_journal() const {
-  std::vector<JournalRecord> out;
-  for (const auto& [j, ch] :
-       merge_by_time(channels_, &TraceChannel::journal_records)) {
-    out.push_back(JournalRecord{j->time, j->event, std::string(name(j->board)),
-                                j->app, std::string(name(j->spec)), j->flow,
-                                std::string(ch->detail(*j))});
-  }
-  return out;
-}
-
-std::vector<FlowPoint> ClusterTraceHub::merged_flows() const {
-  std::vector<FlowPoint> out;
-  for (const auto& [f, ch] :
-       merge_by_time(channels_, &TraceChannel::flows)) {
-    out.push_back(FlowPoint{f->id, f->phase, f->time,
-                            std::string(name(f->board)),
-                            std::string(name(f->lane)),
-                            std::string(ch->name(*f))});
-  }
-  return out;
 }
 
 void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
@@ -343,82 +306,6 @@ void ClusterTraceHub::write_journal(std::ostream& out) const {
 void ClusterTraceHub::write_journal_file(const std::string& path) const {
   write_file(path, "journal file",
              [this](std::ostream& out) { write_journal(out); });
-}
-
-namespace {
-
-// Minimal extraction for the journal's own flat JSONL encoding; not a
-// general JSON parser.
-bool extract_raw(const std::string& line, const std::string& key,
-                 std::string& out) {
-  std::string needle = "\"" + key + "\":";
-  auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  pos += needle.size();
-  if (pos < line.size() && line[pos] == '"') {
-    ++pos;
-    std::string value;
-    while (pos < line.size()) {
-      char c = line[pos];
-      if (c == '"') break;
-      if (c == '\\' && pos + 1 < line.size()) {
-        char esc = line[pos + 1];
-        pos += 2;
-        switch (esc) {
-          case 'n': value += '\n'; break;
-          case 't': value += '\t'; break;
-          case '"': value += '"'; break;
-          case '\\': value += '\\'; break;
-          case 'u': {
-            if (pos + 4 <= line.size()) {
-              unsigned code = 0;
-              std::from_chars(line.data() + pos, line.data() + pos + 4, code,
-                              16);
-              value += static_cast<char>(code);
-              pos += 4;
-            }
-            break;
-          }
-          default: value += esc;
-        }
-        continue;
-      }
-      value += c;
-      ++pos;
-    }
-    out = std::move(value);
-    return true;
-  }
-  auto end = line.find_first_of(",}", pos);
-  if (end == std::string::npos) return false;
-  out = line.substr(pos, end - pos);
-  return true;
-}
-
-}  // namespace
-
-std::vector<JournalRecord> parse_journal(std::istream& in) {
-  std::vector<JournalRecord> out;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string raw;
-    JournalRecord r;
-    if (!extract_raw(line, "event", raw)) continue;
-    if (!journal_event_from_string(raw, r.event)) continue;
-    if (!extract_raw(line, "t_ns", raw)) continue;
-    std::from_chars(raw.data(), raw.data() + raw.size(), r.time);
-    if (extract_raw(line, "board", raw)) r.board = raw;
-    if (extract_raw(line, "app", raw)) {
-      std::from_chars(raw.data(), raw.data() + raw.size(), r.app);
-    }
-    if (extract_raw(line, "spec", raw)) r.spec = raw;
-    if (extract_raw(line, "flow", raw)) {
-      std::from_chars(raw.data(), raw.data() + raw.size(), r.flow);
-    }
-    if (extract_raw(line, "detail", raw)) r.detail = raw;
-    out.push_back(std::move(r));
-  }
-  return out;
 }
 
 }  // namespace vs::obs

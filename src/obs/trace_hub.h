@@ -53,37 +53,12 @@ enum class JournalEvent {
 };
 
 [[nodiscard]] const char* to_string(JournalEvent e) noexcept;
-/// Inverse of to_string; returns false when `name` is not a journal event.
-[[nodiscard]] bool journal_event_from_string(const std::string& name,
-                                             JournalEvent& out) noexcept;
 
 /// Position of a point within a causal flow arrow chain.
 enum class FlowPhase {
   kStart,  ///< Chrome "s" — origin of the flow
   kStep,   ///< Chrome "t" — intermediate hop
   kEnd,    ///< Chrome "f" — terminus (binds to the enclosing slice end)
-};
-
-/// One hop of a causal flow, pinned to a (board, lane) at a sim time.
-struct FlowPoint {
-  std::uint64_t id = 0;  ///< flow identity; all hops of a chain share it
-  FlowPhase phase = FlowPhase::kStep;
-  sim::SimTime time = 0;
-  std::string board;  ///< process the point renders under
-  std::string lane;   ///< thread the point renders under
-  std::string name;   ///< e.g. "migration", "crash-evac", "ckpt app3"
-};
-
-/// One structured lifecycle record. Fields with their listed defaults are
-/// omitted from the JSONL encoding.
-struct JournalRecord {
-  sim::SimTime time = 0;
-  JournalEvent event = JournalEvent::kAdmit;
-  std::string board;
-  int app = -1;           ///< app id; -1 for board-scope events
-  std::string spec;       ///< app spec name
-  std::uint64_t flow = 0; ///< causal flow id tying the record to the trace
-  std::string detail;     ///< free-form context ("slot L2 unit 1", ...)
 };
 
 class ClusterTraceHub;
@@ -240,12 +215,6 @@ class ClusterTraceHub {
   /// written in full.
   void write_journal_file(const std::string& path) const;
 
-  /// All channels' journal records in canonical merged order
-  /// (time, then channel creation order, then append order).
-  [[nodiscard]] std::vector<JournalRecord> merged_journal() const;
-  /// All channels' flow points in the same canonical order.
-  [[nodiscard]] std::vector<FlowPoint> merged_flows() const;
-
  private:
   /// One board's span sources: recorders sealed into the hub, then
   /// recorders still attached.
@@ -268,10 +237,5 @@ inline NameId TraceChannel::intern(std::string_view name, NameId& hint) {
   if (hub_->name(hint) != name) hint = hub_->intern(name);
   return hint;
 }
-
-/// Parses JSONL produced by write_journal back into records (round-trip
-/// helper for tests and postmortem tooling). Lines that are not journal
-/// records are skipped.
-[[nodiscard]] std::vector<JournalRecord> parse_journal(std::istream& in);
 
 }  // namespace vs::obs

@@ -306,16 +306,6 @@ bool migratable_now(const AppRun& a) {
 
 }  // namespace
 
-std::int64_t BoardRuntime::migratable_state_bytes() const {
-  std::int64_t bytes = 0;
-  for (int id : live_) {
-    const AppRun& a = app(id);
-    if (a.started && !per_task_units(a)) continue;
-    bytes += migratable_app_bytes(a);
-  }
-  return bytes;
-}
-
 void BoardRuntime::begin_migration_stream() {
   for (int id : live_) app(id).precopy_streamed = false;
 }
@@ -369,7 +359,7 @@ void BoardRuntime::checkpoint_pass() {
     // items passed through every task in its range, so each covered task
     // inherits the bundle count. Pipeline item-readiness keeps items_done
     // non-increasing across units, so the expansion stays monotone and
-    // restores cleanly through submit_with_progress.
+    // restores cleanly through submit_migrated.
     snap.clear();
     bool any = false;
     for (const UnitRun& u : a.units) {
@@ -712,20 +702,6 @@ void BoardRuntime::apply_progress(AppRun& a,
   a.started = true;
 }
 
-int BoardRuntime::submit_with_progress(const apps::AppSpec& spec,
-                                       int spec_index, int batch,
-                                       sim::SimTime arrival,
-                                       const std::vector<int>& items_done,
-                                       sim::SimDuration item_interval) {
-  int id = submit(spec, spec_index, batch, arrival, item_interval);
-  AppRun& a = app(id);
-  apply_progress(a, items_done);
-  touch_phase(a);
-  check_app_complete(a);
-  kick();
-  return id;
-}
-
 int BoardRuntime::submit_migrated(const apps::AppSpec& spec,
                                   const MigratedApp& m, AppPhase transit) {
   int id =
@@ -862,7 +838,7 @@ BoardRuntime::CrashReport BoardRuntime::crash() {
   // on the per-task decomposition. Bundled apps are bound to the Big
   // slots they died on (§III-C) and carry no portable *live* progress —
   // but when checkpointing is on, their last DDR snapshot restores them
-  // through the same submit_with_progress packing, re-running at most one
+  // through submit_migrated's progress packing, re-running at most one
   // checkpoint interval. Only apps with neither live progress nor a
   // snapshot are truly lost: killed descriptors restart from scratch.
   extract_live_if([&](AppRun& a) {
@@ -1171,11 +1147,15 @@ void BoardRuntime::set_unit_state(AppRun& a, UnitRun& u,
   if (u.state == UnitState::kRunning) used_ -= u.spec.impl_usage;
   if (state == UnitState::kRunning) used_ += u.spec.impl_usage;
   const bool was_slotless = a.slotless();
+  // A PR completion keeps the unit placed, and nothing allocation or
+  // placement reads tells reconfiguring from running.
+  if (u.state != UnitState::kReconfiguring || state != UnitState::kRunning) {
+    ++allocation_changes_;
+  }
   const std::uint32_t bit = std::uint32_t{1} << (&u - a.units.data());
   a.unit_masks[static_cast<std::size_t>(u.state)] &= ~bit;
   a.unit_masks[static_cast<std::size_t>(state)] |= bit;
   u.state = state;
-  ++allocation_changes_;
   if (a.slotless() == was_slotless) return;
   if (was_slotless) {
     --slotless_apps_;

@@ -258,17 +258,6 @@ class BoardRuntime {
              sim::SimTime arrival, sim::SimDuration item_interval = 0,
              int tenant = -1);
 
-  /// Admits an application that already made progress elsewhere (live
-  /// migration target side): `items_done` carries per-task completed item
-  /// counts (monotone non-increasing along the pipeline). The app arrives
-  /// marked as started, with its per-task Little units pre-advanced —
-  /// fully-done tasks are Finished — so execution resumes exactly where the
-  /// origin board paused it.
-  int submit_with_progress(const apps::AppSpec& spec, int spec_index,
-                           int batch, sim::SimTime arrival,
-                           const std::vector<int>& items_done,
-                           sim::SimDuration item_interval = 0);
-
   /// Stops accepting new apps (migration origin drain).
   void stop_admission() noexcept { admission_open_ = false; }
   [[nodiscard]] bool admission_open() const noexcept {
@@ -345,8 +334,9 @@ class BoardRuntime {
     return live_;
   }
   /// Counts changes to what slot allocation and placement read of the
-  /// runtime: admission, live-set exit, set_units, every unit-state
-  /// transition and every slot occupied or released each bump it.
+  /// runtime: admission, live-set exit, set_units, every slot occupied or
+  /// released, and every unit-state transition but a PR completion
+  /// (reconfiguring -> running, which keeps the unit placed) each bump it.
   [[nodiscard]] std::uint64_t allocation_changes() const noexcept {
     return allocation_changes_;
   }
@@ -408,13 +398,6 @@ class BoardRuntime {
     return completed_;
   }
   [[nodiscard]] sim::TraceRecorder& trace() noexcept { return trace_; }
-
-  /// Blocked-event count since the last D_switch sampling window reset.
-  [[nodiscard]] std::int64_t window_blocked() const noexcept {
-    return cell_->blocked;
-  }
-  /// Starts a new D_switch window (blocked events and PR requests).
-  void reset_window() noexcept { cell_->blocked = cell_->prs = 0; }
 
   /// Hook invoked on every app completion (cluster layer: D_switch
   /// recalculation cadence).
@@ -479,9 +462,12 @@ class BoardRuntime {
   /// Re-admits a migrated / evacuated / held app, restoring its carried
   /// phase account and charging its time off-board to `transit`
   /// (kMigration for D_switch and pre-copy placements, kRecovery for crash
-  /// evacuation, shedding survivors, and reboot readmissions). Subsumes the
-  /// submit / submit_with_progress branch every resubmission site used to
-  /// spell out; with phase accounting off it behaves identically.
+  /// evacuation, shedding survivors, and reboot readmissions). This is the
+  /// one resubmission path. A non-empty `m.progress` holds per-task
+  /// completed item counts (monotone non-increasing along the pipeline):
+  /// the app arrives marked as started, with its per-task Little units
+  /// pre-advanced — fully-done tasks are Finished — so execution resumes
+  /// exactly where the origin board paused it.
   int submit_migrated(const apps::AppSpec& spec, const MigratedApp& m,
                       AppPhase transit);
 
@@ -506,12 +492,6 @@ class BoardRuntime {
   }
 
   // -------------------------------------------------------------- pre-copy
-  /// Byte volume a stop-and-copy extraction would ship *right now*:
-  /// descriptors of unstarted apps plus the DDR images of started per-task
-  /// apps. Unlike extract_migratable() this does not require apps to be
-  /// paused — an upper bound on what a pre-copy would ever stream.
-  [[nodiscard]] std::int64_t migratable_state_bytes() const;
-
   /// Starts a pre-copy stream: clears every app's streamed flag so the
   /// next take_migration_stream_bytes() ships full footprints again.
   void begin_migration_stream();
@@ -531,7 +511,7 @@ class BoardRuntime {
   /// live-migrates them, unchanged from a D_switch migration);
   /// `checkpointed` apps — bundled apps and apps caught without committed
   /// per-task progress — carry the expanded progress of their last DDR
-  /// checkpoint and restore through the same submit_with_progress packing;
+  /// checkpoint and restore through submit_migrated's progress packing;
   /// `killed` apps had neither and can only restart from scratch (empty
   /// progress). Without an active CheckpointPolicy, `checkpointed` is
   /// always empty and the partition matches the two-way PR 4 behaviour.

@@ -30,13 +30,6 @@ void Core::bind_metrics(obs::MetricsRegistry& registry) {
       obs::GaugeHandle{&registry.gauge("vs_core_queue_depth", labels)};
 }
 
-SimTime Core::available_at() const noexcept {
-  if (!busy_) return sim_.now();
-  SimTime t = current_end_;
-  for (std::size_t i = head_; i < queue_.size(); ++i) t += queue_[i].duration;
-  return t;
-}
-
 void Core::start(SimDuration duration, OpKind kind) {
   busy_ = true;
   current_kind_ = kind;

@@ -58,9 +58,6 @@ class Core {
     return queue_.size() - head_;
   }
 
-  /// Earliest time a newly submitted op could start (now if idle).
-  [[nodiscard]] SimTime available_at() const noexcept;
-
   /// Total time this core has spent executing operations.
   [[nodiscard]] SimDuration busy_time() const noexcept { return busy_time_; }
 

@@ -13,7 +13,6 @@ char glyph(SpanKind kind) {
   switch (kind) {
     case SpanKind::kReconfig: return '#';
     case SpanKind::kExec: return '=';
-    case SpanKind::kCoreOp: return '+';
     case SpanKind::kBlocked: return '.';
     case SpanKind::kTransfer: return '>';
     case SpanKind::kMarker: return '|';
@@ -72,7 +71,7 @@ std::string render_gantt(const std::vector<Span>& spans, int width) {
   std::ostringstream out;
   out << "time: " << util::fmt_duration_ns(t0) << " .. "
       << util::fmt_duration_ns(t1)
-      << "   (#=reconfig  ==exec  +=core op  .=blocked  >=transfer)\n";
+      << "   (#=reconfig  ==exec  .=blocked  >=transfer)\n";
   for (const auto& lane : lane_order) {
     out << "  ";
     out << lane << std::string(lane_width - lane.size(), ' ') << " |"

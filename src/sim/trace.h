@@ -18,7 +18,6 @@ namespace vs::sim {
 enum class SpanKind {
   kReconfig,   ///< partial reconfiguration of a slot
   kExec,       ///< batch-item execution in a slot
-  kCoreOp,     ///< scheduler/PR-server operation on a CPU core
   kBlocked,    ///< time a ready action spent blocked (PR queue / core busy)
   kTransfer,   ///< DMA / Aurora data movement
   kMarker,     ///< instantaneous annotation
@@ -72,10 +71,6 @@ class TraceRecorder {
     if (!enabled_) return;
     const auto [at, len] = text_.append(label...);
     records_.push_back(Record{start, end, at, len, lane, kind});
-  }
-  void add(SimTime start, SimTime end, std::string_view lane,
-           std::string_view label, SpanKind kind) {
-    if (enabled_) add(start, end, this->lane(lane), kind, label);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }

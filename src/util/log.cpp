@@ -14,7 +14,6 @@ namespace {
 // level concurrently without a data race; writes remain rare main-thread
 // configuration.
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
-std::function<std::int64_t()> g_time_source;
 std::mutex g_mutex;
 
 const char* level_name(LogLevel level) {
@@ -63,20 +62,9 @@ LogLevel Log::level() noexcept {
   return g_level.load(std::memory_order_relaxed);
 }
 
-void Log::set_time_source(std::function<std::int64_t()> source) {
-  std::lock_guard lock(g_mutex);
-  g_time_source = std::move(source);
-}
-
 void Log::write(LogLevel level, const std::string& msg) {
   std::lock_guard lock(g_mutex);
-  if (g_time_source) {
-    double ms = static_cast<double>(g_time_source()) / 1e6;
-    std::fprintf(stderr, "[%s] [t=%.3fms] %s\n", level_name(level), ms,
-                 msg.c_str());
-  } else {
-    std::fprintf(stderr, "[%s] %s\n", level_name(level), msg.c_str());
-  }
+  std::fprintf(stderr, "[%s] %s\n", level_name(level), msg.c_str());
 }
 
 }  // namespace vs::util

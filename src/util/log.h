@@ -1,9 +1,7 @@
-// Lightweight leveled logger. Simulation components log with a sim-time
-// prefix supplied by the active Simulator (set via set_time_source).
+// Lightweight leveled logger: one stderr line per message, prefixed with
+// its level.
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <sstream>
 #include <string>
 
@@ -28,10 +26,6 @@ class Log {
   /// Applies VS_LOG to the global level; unset/invalid values leave it
   /// untouched. Runs automatically at static-init time; exposed for tests.
   static void init_from_env();
-
-  /// Installs a callback returning the current simulation time in ns, used
-  /// to prefix messages. Pass nullptr to clear.
-  static void set_time_source(std::function<std::int64_t()> source);
 
   static void write(LogLevel level, const std::string& msg);
 };

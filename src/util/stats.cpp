@@ -18,66 +18,22 @@ void RunningStats::add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  double delta = other.mean_ - mean_;
-  auto total = static_cast<double>(n_ + other.n_);
-  double new_mean =
-      mean_ + delta * static_cast<double>(other.n_) / total;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) / total;
-  mean_ = new_mean;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 double RunningStats::variance() const noexcept {
   return n_ ? m2_ / static_cast<double>(n_) : 0.0;
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-namespace {
-
-/// The R-7 rank for quantile `q` over `n` samples: the two bracketing
-/// order statistics and the interpolation fraction between them.
-struct Rank {
-  std::size_t lo;
-  std::size_t hi;
-  double frac;
-};
-
-Rank rank_of(std::size_t n, double q) {
-  q = std::clamp(q, 0.0, 1.0);
-  double rank = q * static_cast<double>(n - 1);
-  auto lo = static_cast<std::size_t>(rank);
-  std::size_t hi = std::min(lo + 1, n - 1);
-  return Rank{lo, hi, rank - static_cast<double>(lo)};
-}
-
-}  // namespace
-
-double percentile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  Rank r = rank_of(values.size(), q);
-  auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(r.lo);
-  std::nth_element(values.begin(), lo_it, values.end());
-  double lo_v = *lo_it;
-  if (r.hi == r.lo) return lo_v;
-  // The hi-th order statistic is the minimum of the partition above lo.
-  double hi_v = *std::min_element(lo_it + 1, values.end());
-  return lo_v + r.frac * (hi_v - lo_v);
-}
-
 double percentile_sorted(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
-  Rank r = rank_of(sorted.size(), q);
-  return sorted[r.lo] + r.frac * (sorted[r.hi] - sorted[r.lo]);
+  // The R-7 rank: the two bracketing order statistics and the
+  // interpolation fraction between them.
+  const double rank =
+      std::clamp(q, 0.0, 1.0) * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] +
+         (rank - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
 }
 
 Summary summarize(const std::vector<double>& values) {

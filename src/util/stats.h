@@ -10,7 +10,6 @@ namespace vs::util {
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
@@ -28,15 +27,10 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Batch percentile with linear interpolation (the "exclusive" R-7 method
-/// used by numpy's default). `q` in [0, 1]. Returns 0 for empty input.
-/// Selects the two bracketing order statistics with nth_element (O(n)), so
-/// a one-off query never pays a full sort.
-[[nodiscard]] double percentile(std::vector<double> values, double q);
-
-/// R-7 percentile of an already ascending-sorted sample. Use this (after
-/// one sort) when querying several quantiles of the same vector —
-/// summarize() is the common packaged case.
+/// Percentile of an already ascending-sorted sample, with linear
+/// interpolation (the R-7 method, numpy's default). `q` is clamped to
+/// [0, 1]; an empty sample gives 0. summarize() is the common packaged
+/// case.
 [[nodiscard]] double percentile_sorted(const std::vector<double>& sorted,
                                        double q);
 

@@ -39,10 +39,6 @@ void Table::cell(std::string value) {
 
 void Table::cell(double value, int precision) { cell(fmt(value, precision)); }
 
-void Table::row(std::vector<std::string> cells) {
-  rows_.push_back(std::move(cells));
-}
-
 void Table::print(std::ostream& os) const { os << to_string(); }
 
 std::string Table::to_string() const {

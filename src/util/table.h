@@ -28,9 +28,6 @@ class Table {
     cell(std::to_string(value));
   }
 
-  /// Appends a full row at once.
-  void row(std::vector<std::string> cells);
-
   void print(std::ostream& os) const;
   [[nodiscard]] std::string to_string() const;
 

@@ -64,15 +64,6 @@ std::vector<Sequence> generate_sequences(const WorkloadConfig& config,
 
 // --- Open-loop arrival processes ---------------------------------------
 
-const char* arrival_kind_name(ArrivalKind k) noexcept {
-  switch (k) {
-    case ArrivalKind::kPoisson: return "poisson";
-    case ArrivalKind::kMmpp: return "mmpp";
-    case ArrivalKind::kDiurnal: return "diurnal";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Exponential inter-arrival draw in seconds. uniform01() is in [0, 1), so

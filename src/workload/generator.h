@@ -62,8 +62,6 @@ enum class ArrivalKind {
 
 constexpr int kArrivalKindCount = 3;
 
-[[nodiscard]] const char* arrival_kind_name(ArrivalKind k) noexcept;
-
 /// One tenant's arrival process. A non-positive base rate emits nothing
 /// (and an MMPP whose burst rate is also non-positive emits nothing).
 struct ArrivalProcess {

@@ -1,6 +1,5 @@
 #include "workload/patterns.h"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -31,27 +30,6 @@ Sequence fig8_long_workload(std::uint64_t seed, int burst, int total) {
   return phased_sequence(
       {{burst, Congestion::kStress}, {total - burst, Congestion::kStandard}},
       rng);
-}
-
-Sequence poisson_sequence(int count, sim::SimDuration mean_interval,
-                          util::Rng& rng, const WorkloadConfig& config) {
-  Sequence seq;
-  sim::SimTime t = 0;
-  for (int i = 0; i < count; ++i) {
-    apps::AppArrival a;
-    a.spec_index =
-        static_cast<int>(rng.uniform_int(0, config.suite_size - 1));
-    a.batch = static_cast<int>(
-        rng.uniform_int(config.min_batch, config.max_batch));
-    a.arrival = t;
-    seq.push_back(a);
-    // Exponential inter-arrival via inverse transform; clamp u away from 0
-    // so log() stays finite.
-    double u = std::max(rng.uniform01(), 1e-12);
-    t += static_cast<sim::SimDuration>(
-        -std::log(u) * static_cast<double>(mean_interval));
-  }
-  return seq;
 }
 
 void save_sequence(const Sequence& sequence, const std::string& path) {

@@ -3,9 +3,9 @@
 // The paper's evaluation uses fixed-regime sequences (generator.h); the
 // cluster experiments additionally need load that *changes over time* so
 // the D_switch signal has a trajectory. This module provides phased
-// sequences (each phase draws arrivals from one congestion regime),
-// Poisson arrivals for queueing-theory-style experiments, and CSV
+// sequences (each phase draws arrivals from one congestion regime) and CSV
 // import/export so a workload can be pinned, shared and replayed exactly.
+// Open-loop Poisson arrivals come from ArrivalProcess (generator.h).
 #pragma once
 
 #include <string>
@@ -32,12 +32,6 @@ struct Phase {
 /// congestion-then-relief trajectory).
 [[nodiscard]] Sequence fig8_long_workload(std::uint64_t seed,
                                           int burst = 30, int total = 80);
-
-/// Memoryless arrivals at the given mean inter-arrival time.
-[[nodiscard]] Sequence poisson_sequence(int count,
-                                        sim::SimDuration mean_interval,
-                                        util::Rng& rng,
-                                        const WorkloadConfig& config = {});
 
 /// CSV persistence: "spec_index,arrival_ns,batch" per row with a header.
 void save_sequence(const Sequence& sequence, const std::string& path);

@@ -126,8 +126,8 @@ TEST(Benchmarks, TaskIndicesSequential) {
 }
 
 TEST(Benchmarks, NamesMatchEnum) {
-  EXPECT_STREQ(benchmark_name(Benchmark::k3DR), "3DR");
-  EXPECT_STREQ(benchmark_name(Benchmark::kOF), "OF");
+  EXPECT_EQ(make_app(Benchmark::k3DR, params_).name, "3DR");
+  EXPECT_EQ(make_app(Benchmark::kOF, params_).name, "OF");
 }
 
 // ---------------------------------------------------------------- Bundling

@@ -132,13 +132,13 @@ void check_invariants(const metrics::ClusterRunResult& r,
     }
   }
 
-  // 3. MTTR bounds: a ticket opens at detection (>= detection_latency
+  // 3. MTTR bounds: a ticket opens at detection (>= kDetectionLatency
   // after its first crash) and batching can only merge tickets, never
   // mint extra ones.
   EXPECT_LE(r.recovery.mttr_count, r.recovery.boards_crashed);
   EXPECT_GE(r.recovery.mttr_total,
             static_cast<sim::SimDuration>(r.recovery.mttr_count) *
-                c.options.recovery.detection_latency);
+                cluster::kDetectionLatency);
 
   // The scripted rack event always lands.
   EXPECT_GE(r.recovery.rack_events, 1);
@@ -316,7 +316,7 @@ TEST(SparePoolExhausted, DestinationDiesMidEvacuationAndAppsRequeue) {
   options.faults.timeline.push_back(
       {crash_at, faults::FaultKind::kBoardCrash, 0, -1});
   options.faults.timeline.push_back(
-      {crash_at + options.recovery.detection_latency + sim::us(10.0),
+      {crash_at + cluster::kDetectionLatency + sim::us(10.0),
        faults::FaultKind::kBoardCrash, 1, -1});
   options.recovery.throttle = cluster::RecoveryOptions::Throttle::kDefer;
 

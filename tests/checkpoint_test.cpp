@@ -195,13 +195,8 @@ TEST(CheckpointProperty, RestoredAppsResumeAndComplete) {
   auto policy2 = metrics::make_policy(metrics::SystemKind::kVersaBigLittle);
   runtime::BoardRuntime rt2(board2, *policy2);
   auto replay = [&](const runtime::BoardRuntime::MigratedApp& m) {
-    const auto& spec = suite[static_cast<std::size_t>(m.spec_index)];
-    if (m.progress.empty()) {
-      rt2.submit(spec, m.spec_index, m.batch, m.arrival, m.item_interval);
-    } else {
-      rt2.submit_with_progress(spec, m.spec_index, m.batch, m.arrival,
-                               m.progress, m.item_interval);
-    }
+    rt2.submit_migrated(suite[static_cast<std::size_t>(m.spec_index)], m,
+                        runtime::AppPhase::kRecovery);
   };
   for (const auto& m : report.evacuable) replay(m);
   for (const auto& m : report.checkpointed) replay(m);
@@ -327,14 +322,16 @@ TEST(CheckpointTelemetry, SnapshotAndRestoreInstrumentsExport) {
   EXPECT_GT(bytes, 0.0);
   EXPECT_EQ(restored,
             static_cast<double>(result.recovery.apps_checkpoint_restored));
-  const obs::Histogram* window =
-      telemetry.registry().find_histogram("vs_ckpt_rerun_window_ms", {});
-  ASSERT_NE(window, nullptr);
-  EXPECT_EQ(window->count(),
+  // Registering again finds the run's cell and adds no instrument.
+  const std::size_t instruments = telemetry.registry().size();
+  const obs::Histogram& window =
+      telemetry.registry().histogram("vs_ckpt_rerun_window_ms", {});
+  ASSERT_EQ(telemetry.registry().size(), instruments);
+  EXPECT_EQ(window.count(),
             static_cast<std::uint64_t>(
                 result.recovery.apps_checkpoint_restored));
   // Every observed re-run window respects the snapshot interval bound.
-  EXPECT_LE(window->max(),
+  EXPECT_LE(window.max(),
             sim::to_ms(checkpointed_options(true).checkpoint.interval));
 }
 

@@ -255,12 +255,9 @@ TEST(DSwitchDown, SwitchWithEveryActiveBoardDownKeepsEveryApp) {
       options.hub = &hub;
       metrics::ClusterRunResult r = metrics::run_cluster(f.suite, seq, options);
       test::expect_app_conservation(r);
-      int poolless = 0;
-      for (const obs::JournalRecord& j : hub.merged_journal()) {
-        if (j.event == obs::JournalEvent::kMigrate && j.board == "cluster") {
-          ++poolless;
-        }
-      }
+      const int poolless = test::count_lines(
+          test::journal_lines(hub),
+          {"\"event\":\"migrate\"", "\"board\":\"cluster\""});
       // The cluster stands in as the origin of the switch that found the
       // active pool empty.
       EXPECT_GE(poolless, 1);

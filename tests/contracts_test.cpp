@@ -102,7 +102,8 @@ TEST(ContractsDeathTest, ProgressVectorSizeMismatchAborts) {
   ScriptedPolicy policy;
   BoardRuntime rt(board, policy);
   auto app = make_uniform_app("a", 3, sim::ms(1));
-  EXPECT_DEATH(rt.submit_with_progress(app, 0, 4, 0, {1, 1}),
+  EXPECT_DEATH(rt.submit_migrated(app, test::resumed_app(0, 4, 0, {1, 1}),
+                                  AppPhase::kMigration),
                "cover every task");
 }
 
@@ -114,7 +115,9 @@ TEST(ContractsDeathTest, NonMonotoneProgressAborts) {
   BoardRuntime rt(board, policy);
   auto app = make_uniform_app("a", 2, sim::ms(1));
   // Downstream ahead of upstream is impossible in a pipeline.
-  EXPECT_DEATH(rt.submit_with_progress(app, 0, 4, 0, {1, 3}), "monotone");
+  EXPECT_DEATH(rt.submit_migrated(app, test::resumed_app(0, 4, 0, {1, 3}),
+                                  AppPhase::kMigration),
+               "monotone");
 }
 
 TEST(ContractsDeathTest, SlotExecWithoutConfigureAborts) {

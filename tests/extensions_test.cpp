@@ -105,10 +105,14 @@ TEST(Patterns, Fig8WorkloadShape) {
 
 TEST(Patterns, PoissonMeanInterval) {
   util::Rng rng(7);
-  auto seq = workload::poisson_sequence(2000, sim::ms(100.0), rng);
-  ASSERT_EQ(seq.size(), 2000u);
-  double mean_interval =
-      sim::to_ms(seq.back().arrival) / static_cast<double>(seq.size() - 1);
+  workload::ArrivalProcess poisson;
+  poisson.kind = workload::ArrivalKind::kPoisson;
+  poisson.rate_per_s = 10.0;
+  auto times = poisson.generate(sim::seconds(200.0), rng);
+  EXPECT_NEAR(static_cast<double>(times.size()), 2000.0, 200.0);
+  ASSERT_GT(times.size(), 1u);
+  double mean_interval = sim::to_ms(times.back() - times.front()) /
+                         static_cast<double>(times.size() - 1);
   EXPECT_NEAR(mean_interval, 100.0, 10.0);
 }
 
@@ -151,7 +155,8 @@ TEST(Migration, SubmitWithProgressResumesExactly) {
   test::GreedyPolicy policy;
   runtime::BoardRuntime rt(board, policy);
   auto app = test::make_uniform_app("a", 3, sim::ms(5));
-  int id = rt.submit_with_progress(app, 0, 10, 0, {10, 6, 2});
+  int id = rt.submit_migrated(app, test::resumed_app(0, 10, 0, {10, 6, 2}),
+                              runtime::AppPhase::kMigration);
   EXPECT_TRUE(rt.app(id).started);
   EXPECT_EQ(rt.app(id).units[0].state, runtime::UnitState::kFinished);
   EXPECT_EQ(rt.app(id).units[1].items_done, 6);
@@ -168,7 +173,8 @@ TEST(Migration, SubmitWithFullProgressCompletesImmediately) {
   test::ScriptedPolicy policy;
   runtime::BoardRuntime rt(board, policy);
   auto app = test::make_uniform_app("a", 2, sim::ms(5));
-  int id = rt.submit_with_progress(app, 0, 4, 0, {4, 4});
+  int id = rt.submit_migrated(app, test::resumed_app(0, 4, 0, {4, 4}),
+                              runtime::AppPhase::kMigration);
   EXPECT_TRUE(rt.app(id).done());
   EXPECT_EQ(rt.completed().size(), 1u);
 }
@@ -179,8 +185,8 @@ TEST(Migration, ExtractMigratableCarriesProgressAndBuffers) {
   test::ScriptedPolicy policy;
   runtime::BoardRuntime rt(board, policy);
   auto app = test::make_uniform_app("a", 3, sim::ms(5));
-  int id = rt.submit_with_progress(app, 0, 10, 0, {8, 3, 0});
-  (void)id;
+  rt.submit_migrated(app, test::resumed_app(0, 10, 0, {8, 3, 0}),
+                     runtime::AppPhase::kMigration);
   auto migrated = rt.extract_migratable();
   ASSERT_EQ(migrated.size(), 1u);
   EXPECT_EQ(migrated[0].progress, (std::vector<int>{8, 3, 0}));

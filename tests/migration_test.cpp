@@ -153,9 +153,6 @@ TEST(PrecopyConvergence, RoundsShipOnlyDirtWrittenBetweenPauses) {
   rt.begin_migration_stream();
   const std::int64_t full = rt.take_migration_stream_bytes();
   ASSERT_GT(full, 0);
-  // Pause-visible apps are a subset of the full migratable estimate
-  // (running per-task apps join the stream only when they pause).
-  EXPECT_LE(full, rt.migratable_state_bytes());
   // No execution since the stream started: the next round is empty.
   EXPECT_EQ(rt.take_migration_stream_bytes(), 0);
 
@@ -344,10 +341,12 @@ TEST(PrecopyTelemetry, RoundAndDowntimeInstrumentsMatchSwitchEvents) {
   }
   EXPECT_EQ(rounds, expected_rounds);
   EXPECT_EQ(precopy_bytes, expected_bytes);
-  const obs::Histogram* downtime =
-      telemetry.registry().find_histogram("vs_migration_downtime_ms", {});
-  ASSERT_NE(downtime, nullptr);
-  EXPECT_EQ(downtime->count(), r.switches.size());
+  // Registering again finds the run's cell and adds no instrument.
+  const std::size_t instruments = telemetry.registry().size();
+  const obs::Histogram& downtime =
+      telemetry.registry().histogram("vs_migration_downtime_ms", {});
+  ASSERT_EQ(telemetry.registry().size(), instruments);
+  EXPECT_EQ(downtime.count(), r.switches.size());
 }
 
 }  // namespace

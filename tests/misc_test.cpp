@@ -26,15 +26,6 @@ TEST(Log, LevelGatesOutput) {
   util::Log::set_level(before);
 }
 
-TEST(Log, TimeSourceInstallAndClear) {
-  util::Log::set_time_source([] { return std::int64_t{123456789}; });
-  util::Log::set_time_source(nullptr);  // must not crash later writes
-  util::LogLevel before = util::Log::level();
-  util::Log::set_level(util::LogLevel::kOff);
-  VS_ERROR << "suppressed";
-  util::Log::set_level(before);
-}
-
 TEST(BitstreamKeys, UniquePerSpecUnitAndSlot) {
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);

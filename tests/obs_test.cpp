@@ -287,15 +287,6 @@ TEST(MetricsRegistry, RegistrationIsIdempotentWithStableCells) {
   EXPECT_EQ(registry.size(), 2u);
 }
 
-TEST(MetricsRegistry, FindReturnsNullForUnknownInstrument) {
-  MetricsRegistry registry;
-  registry.gauge("vs_depth", {{"core", "c0"}}).set(4.0);
-  EXPECT_NE(registry.find_gauge("vs_depth", {{"core", "c0"}}), nullptr);
-  EXPECT_EQ(registry.find_gauge("vs_depth", {{"core", "c1"}}), nullptr);
-  EXPECT_EQ(registry.find_counter("vs_depth", {{"core", "c0"}}), nullptr);
-  EXPECT_EQ(registry.find_histogram("nope"), nullptr);
-}
-
 TEST(MetricsRegistry, FullNameFollowsPrometheusConventions) {
   EXPECT_EQ(MetricsRegistry::full_name("vs_x_total", {}), "vs_x_total");
   EXPECT_EQ(MetricsRegistry::full_name(
@@ -326,9 +317,11 @@ TEST(MetricsHandles, BoundHandlesUpdateTheirCell) {
   g.set(2.0);
   g.add(0.5);
   h.observe(4.0);
-  EXPECT_EQ(registry.find_counter("vs_n_total")->value(), 5);
-  EXPECT_DOUBLE_EQ(registry.find_gauge("vs_g")->value(), 2.5);
-  EXPECT_EQ(registry.find_histogram("vs_h_ms")->count(), 1u);
+  // Registering again resolves the cells the handles updated.
+  EXPECT_EQ(registry.counter("vs_n_total").value(), 5);
+  EXPECT_DOUBLE_EQ(registry.gauge("vs_g").value(), 2.5);
+  EXPECT_EQ(registry.histogram("vs_h_ms", {}).count(), 1u);
+  EXPECT_EQ(registry.size(), 3u);
 }
 
 // ---------------------------------------------------------------- histogram
@@ -386,7 +379,9 @@ TEST(PrometheusExport, LinesParseAndHistogramSeriesAreConsistent) {
   h.observe(5.0);
   h.observe(50.0);
 
-  std::string text = prometheus_text(registry);
+  std::ostringstream prom;
+  write_prometheus(registry, prom);
+  const std::string text = prom.str();
   // Every non-comment line must be `name{labels} value` with a numeric
   // value; `# TYPE` appears exactly once per metric name.
   std::regex sample_re(
@@ -435,12 +430,13 @@ TEST(JsonlExport, SnapshotsRoundTripIncludingNarrowEarlyRows) {
   sample(sim::ms(50.5));
 
   expect_rows_equal(rebuild_rows(sampler), oracle.rows());
-  expect_series_rebuilds(timeseries_jsonl(sampler, registry), oracle.rows(),
-                         registry);
+  std::ostringstream series;
+  write_timeseries_jsonl(sampler, registry, series);
+  expect_series_rebuilds(series.str(), oracle.rows(), registry);
 
   // The first line carries every column; later lines only what changed,
   // with a new column on the line of its first sample.
-  EXPECT_EQ(timeseries_jsonl(sampler, registry),
+  EXPECT_EQ(series.str(),
             "{\"t_ms\":10,\"vs_g{board=\\\"fpga0\\\"}\":1.5}\n"
             "{\"t_ms\":20,\"vs_g{board=\\\"fpga0\\\"}\":2.5,\"vs_h\":0,"
             "\"vs_c_total\":4}\n"
@@ -461,9 +457,9 @@ TEST(JsonlExport, FaultedClusterSeriesRebuildsEverySnapshot) {
   ASSERT_GT(rows.size(), 10u);
   ASSERT_LT(rows.front().values.size(), rows.back().values.size());
 
-  expect_series_rebuilds(
-      timeseries_jsonl(telemetry.sampler(), telemetry.registry()), rows,
-      telemetry.registry());
+  std::ostringstream series;
+  write_timeseries_jsonl(telemetry.sampler(), telemetry.registry(), series);
+  expect_series_rebuilds(series.str(), rows, telemetry.registry());
 }
 
 TEST(RunReportExport, ContainsConfigEchoAndHistogramPercentiles) {
@@ -474,7 +470,9 @@ TEST(RunReportExport, ContainsConfigEchoAndHistogramPercentiles) {
   info.experiment = "unit";
   info.config = {{"seed", "2025"}, {"note", "a\"b\\c"}};
 
-  std::string json = run_report_json(registry, info, nullptr);
+  std::ostringstream report;
+  write_run_report(registry, info, nullptr, report);
+  const std::string json = report.str();
   // Structural sanity: balanced braces/brackets.
   int braces = 0, brackets = 0;
   bool in_string = false;
@@ -660,16 +658,19 @@ TEST(CaptureGolden, FaultedCheckpointedClusterFilesKeepTheirBytes) {
         run.suite, run.seq, wired, sim::seconds(36000.0), &telemetry);
     ASSERT_EQ(r.recovery.boards_crashed, 5);
     ASSERT_EQ(r.switches.size(), 3u);
+    std::ostringstream prom;
+    write_prometheus(telemetry.registry(), prom);
+    std::ostringstream series;
+    write_timeseries_jsonl(telemetry.sampler(), telemetry.registry(), series);
+    std::ostringstream report;
+    write_run_report(telemetry.registry(), telemetry.info(),
+                     &telemetry.sampler(), report);
     std::ostringstream trace;
     hub.write_chrome_trace(trace);
     std::ostringstream journal;
     hub.write_journal(journal);
-    expect_golden(
-        {prometheus_text(telemetry.registry()),
-         timeseries_jsonl(telemetry.sampler(), telemetry.registry()),
-         run_report_json(telemetry.registry(), telemetry.info(),
-                         &telemetry.sampler()),
-         trace.str(), journal.str()});
+    expect_golden({prom.str(), series.str(), report.str(), trace.str(),
+                   journal.str()});
   }
   {
     SCOPED_TRACE("metrics::Capture");
@@ -906,8 +907,9 @@ TEST(TelemetryInstrumentation, ClusterRunPopulatesAllInstrumentFamilies) {
   EXPECT_TRUE(slot_gauges);
 
   // The run report surfaces all of them.
-  std::string report =
-      run_report_json(registry, telemetry.info(), &telemetry.sampler());
+  std::ostringstream out;
+  write_run_report(registry, telemetry.info(), &telemetry.sampler(), out);
+  const std::string report = out.str();
   for (const char* name :
        {"vs_pcap_loads_total", "vs_core_ops_total", "vs_slot_state_count",
         "vs_dswitch_evaluations_total", "vs_aurora_transfers_total"}) {

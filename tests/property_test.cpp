@@ -10,6 +10,7 @@
 #include "apps/bundling.h"
 #include "apps/offline_flow.h"
 #include "core/dswitch.h"
+#include "metrics/sweep.h"
 #include "sim/event_queue.h"
 #include "sim/trace.h"
 #include "util/rng.h"
@@ -96,19 +97,25 @@ TEST_P(Seeded, RunningStatsMatchesTwoPass) {
 }
 
 TEST_P(Seeded, MergedStatsEqualPooledStats) {
+  // Per-sequence results merge the way the grid benches merge them
+  // (metrics::reduce_aggregate): the merged statistics equal those of the
+  // pooled sample, however it was split.
   util::Rng rng(GetParam() ^ 0xabcdef);
-  util::RunningStats pooled;
-  std::vector<util::RunningStats> parts(4);
+  std::vector<double> pooled;
+  std::vector<metrics::RunResult> parts(4);
   for (int i = 0; i < 400; ++i) {
-    double v = rng.uniform_real(-100, 100);
-    pooled.add(v);
-    parts[static_cast<std::size_t>(rng.uniform_int(0, 3))].add(v);
+    double v = rng.uniform_real(0, 1000);
+    pooled.push_back(v);
+    parts[static_cast<std::size_t>(rng.uniform_int(0, 3))]
+        .response_ms.push_back(v);
   }
-  util::RunningStats merged;
-  for (const auto& p : parts) merged.merge(p);
-  EXPECT_EQ(merged.count(), pooled.count());
-  EXPECT_NEAR(merged.mean(), pooled.mean(), 1e-9);
-  EXPECT_NEAR(merged.variance(), pooled.variance(), 1e-6);
+  const metrics::AggregateResult merged =
+      metrics::reduce_aggregate(metrics::SystemKind::kVersaBigLittle, parts);
+  const util::Summary all = util::summarize(pooled);
+  EXPECT_EQ(merged.all_responses_ms.size(), pooled.size());
+  EXPECT_NEAR(merged.mean_response_ms, all.mean, 1e-9);
+  EXPECT_DOUBLE_EQ(merged.p95_ms, all.p95);
+  EXPECT_DOUBLE_EQ(merged.p99_ms, all.p99);
 }
 
 TEST_P(Seeded, PercentileBracketsSample) {
@@ -119,12 +126,13 @@ TEST_P(Seeded, PercentileBracketsSample) {
   std::vector<double> sorted = values;
   std::sort(sorted.begin(), sorted.end());
   for (double q : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
-    double p = util::percentile(values, q);
+    double p = util::percentile_sorted(sorted, q);
     EXPECT_GE(p, sorted.front());
     EXPECT_LE(p, sorted.back());
   }
   // Monotone in q.
-  EXPECT_LE(util::percentile(values, 0.5), util::percentile(values, 0.95));
+  EXPECT_LE(util::percentile_sorted(sorted, 0.5),
+            util::percentile_sorted(sorted, 0.95));
 }
 
 // ------------------------------------------------------ bundling criterion

@@ -142,15 +142,19 @@ TEST(Invariants, LiveIndexTracksEveryExit) {
   ASSERT_TRUE(rt.app(done).done());
   expect_live({});
 
-  // An all-done progress vector completes inside submit_with_progress.
-  int arrived_done = rt.submit_with_progress(app, 0, 2, sim.now(), {2, 2});
+  // An all-done progress vector completes inside submit_migrated.
+  int arrived_done = rt.submit_migrated(
+      app, test::resumed_app(0, 2, sim.now(), {2, 2}),
+      runtime::AppPhase::kMigration);
   ASSERT_TRUE(rt.app(arrived_done).done());
   expect_live({});
 
   // From here on nothing is placed by the policy.
   place = false;
   int unstarted_a = rt.submit(app, 0, 2, sim.now());
-  int paused = rt.submit_with_progress(app, 0, 2, sim.now(), {1, 0});
+  int paused = rt.submit_migrated(
+      app, test::resumed_app(0, 2, sim.now(), {1, 0}),
+      runtime::AppPhase::kMigration);
   int placed = rt.submit(app, 0, 2, sim.now());
   std::vector<int> idle;
   rt.idle_slots(fpga::SlotKind::kLittle, idle);
@@ -393,7 +397,7 @@ TEST(AuditI10, SumsAndCellMatchRecountAcrossEveryTransition) {
   rt.bind_load_cell(&rebound);
   audited("rebound");
   EXPECT_EQ(rebound, expected(0, 0, 0));
-  rt.reset_window();
+  rebound.blocked = rebound.prs = 0;  // as Cluster::sample_and_act takes it
   audited("window taken");
   EXPECT_EQ(rebound, runtime::LoadCell{});
 }

@@ -148,6 +148,8 @@ TEST(BoardRuntime, BlockedAccountingCountsPcapQueueing) {
   Fixture f;
   ScriptedPolicy policy(nullptr, /*dual=*/true);
   BoardRuntime rt(f.board, policy);
+  LoadCell cell;
+  rt.bind_load_cell(&cell);
   apps::AppSpec app = make_uniform_app("a", 3, sim::ms(1));
   int id = rt.submit(app, 0, 1, 0);
   f.sim.run(sim::ms(1));
@@ -160,9 +162,10 @@ TEST(BoardRuntime, BlockedAccountingCountsPcapQueueing) {
   rt.request_pr(id, 1, 1);
   rt.request_pr(id, 2, 2);
   EXPECT_EQ(rt.counters().pr_blocked, 2);
-  EXPECT_EQ(rt.window_blocked(), 2);
-  rt.reset_window();
-  EXPECT_EQ(rt.window_blocked(), 0);
+  EXPECT_EQ(cell.blocked, 2);
+  // The cluster takes the D_switch window by zeroing the cell's fields.
+  cell.blocked = cell.prs = 0;
+  EXPECT_EQ(rt.load_state().blocked, 0);
   EXPECT_EQ(rt.counters().pr_blocked, 2);  // cumulative survives reset
   f.sim.run();
   EXPECT_TRUE(rt.app(id).done());

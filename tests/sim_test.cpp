@@ -125,12 +125,19 @@ TEST(Core, BusyAndBacklogReflectQueue) {
 }
 
 TEST(Core, AvailableAtAccountsForQueuedWork) {
+  // A newly submitted op starts once the work queued ahead of it is done.
   Simulator sim;
   Core core(sim, "c0");
-  EXPECT_EQ(core.available_at(), 0);
+  SimTime idle_start = -1;
+  core.submit(0, [&] { idle_start = sim.now(); });
+  sim.run();
+  EXPECT_EQ(idle_start, 0);
   core.submit(100, [] {});
   core.submit(50, [] {});
-  EXPECT_EQ(core.available_at(), 150);
+  SimTime queued_end = -1;
+  core.submit(10, [&] { queued_end = sim.now(); });
+  sim.run();
+  EXPECT_EQ(queued_end, 150 + 10);
 }
 
 TEST(Core, CompletionCallbackCanResubmit) {
@@ -176,13 +183,11 @@ TEST(Core, FifoOrderAcrossDrainAndRefill) {
   sim.run();
   EXPECT_FALSE(core.busy());
   EXPECT_EQ(core.backlog(), 0u);
-  EXPECT_EQ(core.available_at(), sim.now());
   // Refill the drained queue: the new ops start now and keep their order.
   const SimTime refill = sim.now();
   for (int i = 3; i < 6; ++i) core.submit(10, [&, i] { order.push_back(i); });
   EXPECT_TRUE(core.busy());
   EXPECT_EQ(core.backlog(), 2u);
-  EXPECT_EQ(core.available_at(), refill + 30);
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
   EXPECT_EQ(sim.now(), refill + 30);
@@ -243,15 +248,20 @@ TEST(Core, ResetMidQueueDropsEverything) {
   EXPECT_FALSE(core.busy());
   EXPECT_EQ(core.backlog(), 0u);
   EXPECT_EQ(core.current_kind(), OpKind::kOther);
-  EXPECT_EQ(core.available_at(), sim.now());
   EXPECT_EQ(core.busy_time(), 150);  // the aborted remainder is given back
   sim.run();
   EXPECT_EQ(fired, 1);
-  // The reset core takes new work normally.
-  core.submit(10, [&] { fired += 10; }, OpKind::kLaunch);
+  // The reset core takes new work normally, starting it at once.
+  const SimTime restart = sim.now();
+  SimTime restart_end = -1;
+  core.submit(10, [&] {
+    fired += 10;
+    restart_end = sim.now();
+  }, OpKind::kLaunch);
   EXPECT_EQ(core.current_kind(), OpKind::kLaunch);
   sim.run();
   EXPECT_EQ(fired, 11);
+  EXPECT_EQ(restart_end, restart + 10);
 }
 
 }  // namespace

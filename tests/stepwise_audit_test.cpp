@@ -1,5 +1,5 @@
-// Whole runs audited after every event, and a golden pin of the D_switch
-// samples.
+// Whole runs audited after every event, VersaSlot's memo key checked after
+// every event, and a golden pin of the D_switch samples.
 //
 // The runtime keeps indices beside the state they summarise: per-state unit
 // masks and the in-flight mask, per-kind idle-slot masks, the pool cell
@@ -10,6 +10,7 @@
 // that forgets an index fails at the event that broke it.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -207,6 +208,112 @@ TEST(StepwiseAudit, StreamedSingleBoardRunsHoldEveryInvariantAfterEveryEvent) {
         }
       }
       EXPECT_EQ(rt.completed().size(), seq.size());
+    }
+  }
+}
+
+/// What VersaSlot's Algorithm 1 and placement sweep read of a runtime, and
+/// memoize against BoardRuntime::allocation_changes(): the live set, each
+/// live app's pending, placed and finished units and its started flag, and
+/// both idle-slot masks.
+struct AllocationView {
+  struct App {
+    int id;
+    std::uint32_t pending;
+    std::uint32_t placed;
+    std::uint32_t finished;
+    bool started;
+    bool operator==(const App&) const = default;
+  };
+  std::vector<App> live;
+  std::array<std::uint64_t, 2> idle{};
+  bool operator==(const AllocationView&) const = default;
+};
+
+AllocationView allocation_view(const runtime::BoardRuntime& rt) {
+  using runtime::UnitState;
+  AllocationView v;
+  for (int id : rt.live_ids()) {
+    const runtime::AppRun& a = rt.app(id);
+    v.live.push_back({id, a.units_mask(UnitState::kPending),
+                      a.units_mask(UnitState::kReconfiguring) |
+                          a.units_mask(UnitState::kRunning),
+                      a.units_mask(UnitState::kFinished), a.started});
+  }
+  v.idle = {rt.idle_mask(fpga::SlotKind::kBig),
+            rt.idle_mask(fpga::SlotKind::kLittle)};
+  return v;
+}
+
+/// Units of the live apps that are reconfiguring, by app: a PR completion
+/// moves a unit from here to running and changes nothing in the view.
+std::vector<std::uint32_t> reconfiguring(const runtime::BoardRuntime& rt) {
+  std::vector<std::uint32_t> out;
+  for (int id : rt.live_ids()) {
+    out.push_back(rt.app(id).units_mask(runtime::UnitState::kReconfiguring));
+  }
+  return out;
+}
+
+TEST(AllocationChanges, CoverWhatAllocationAndPlacementRead) {
+  // VersaSlot skips Algorithm 1 and its placement sweep while the change
+  // count stands still, so the count must move whenever anything they read
+  // changes. A PR completion changes nothing they read and must leave it.
+  const fpga::BoardParams params;
+  const auto suite = apps::make_suite(params);
+  for (auto kind : {metrics::SystemKind::kVersaOnlyLittle,
+                    metrics::SystemKind::kVersaBigLittle}) {
+    for (auto congestion :
+         {workload::Congestion::kStandard, workload::Congestion::kStress}) {
+      for (std::uint64_t seed : {2025ULL, 7ULL}) {
+        SCOPED_TRACE(std::string(metrics::system_name(kind)) + " " +
+                     workload::congestion_name(congestion) + " seed " +
+                     std::to_string(seed));
+        workload::WorkloadConfig config;
+        config.congestion = congestion;
+        const workload::Sequence seq =
+            workload::generate_sequences(config, 1, seed)[0];
+        sim::Simulator sim;
+        fpga::Board board(sim, "fpga0", metrics::fabric_for(kind), params);
+        auto policy = metrics::make_policy(kind);
+        runtime::BoardRuntime rt(board, *policy);
+        for (const apps::AppArrival& a : seq) {
+          sim.schedule_at(a.arrival, [&rt, &suite, a] {
+            rt.submit(suite.at(static_cast<std::size_t>(a.spec_index)),
+                      a.spec_index, a.batch, a.arrival, a.item_interval);
+          });
+        }
+        int changed_steps = 0;
+        int pr_completions = 0;
+        AllocationView before = allocation_view(rt);
+        std::vector<std::uint32_t> reconfig_before = reconfiguring(rt);
+        std::uint64_t count_before = rt.allocation_changes();
+        for (std::int64_t event = 1; sim.step(); ++event) {
+          const AllocationView after = allocation_view(rt);
+          const std::vector<std::uint32_t> reconfig_after = reconfiguring(rt);
+          const std::uint64_t count_after = rt.allocation_changes();
+          if (after != before) {
+            ++changed_steps;
+            ASSERT_NE(count_after, count_before)
+                << "event " << event << " t=" << sim.now()
+                << ": what allocation or placement reads changed, the "
+                   "count did not";
+          } else if (reconfig_after != reconfig_before) {
+            // Same live set and placed units: reconfiguring units became
+            // running (a PR completion) and nothing else changed.
+            ++pr_completions;
+            ASSERT_EQ(count_after, count_before)
+                << "event " << event << " t=" << sim.now()
+                << ": a PR completion moved the count";
+          }
+          before = after;
+          reconfig_before = reconfig_after;
+          count_before = count_after;
+        }
+        EXPECT_EQ(rt.completed().size(), seq.size());
+        EXPECT_GT(changed_steps, 0);
+        EXPECT_GT(pr_completions, 0);
+      }
     }
   }
 }

@@ -6,12 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <initializer_list>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/task.h"
 #include "fpga/params.h"
+#include "obs/trace_hub.h"
 #include "runtime/board_runtime.h"
 #include "runtime/policy.h"
 #include "workload/generator.h"
@@ -55,6 +60,43 @@ inline apps::AppSpec make_uniform_app(const std::string& name, int n_tasks,
     app.tasks.push_back(t);
   }
   return app;
+}
+
+/// The run journal's JSONL lines, as ClusterTraceHub::write_journal writes
+/// them.
+inline std::vector<std::string> journal_lines(const obs::ClusterTraceHub& hub) {
+  std::ostringstream out;
+  hub.write_journal(out);
+  std::istringstream in(out.str());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// How many of `lines` carry every one of `fields`, each a JSON fragment
+/// such as `"event":"crash"`.
+inline int count_lines(const std::vector<std::string>& lines,
+                       std::initializer_list<std::string_view> fields) {
+  return static_cast<int>(
+      std::count_if(lines.begin(), lines.end(), [&](const std::string& l) {
+        return std::all_of(fields.begin(), fields.end(), [&](auto f) {
+          return l.find(f) != std::string::npos;
+        });
+      }));
+}
+
+/// A descriptor that resubmits suite entry `spec_index` through
+/// BoardRuntime::submit_migrated, the one resubmission path, carrying
+/// per-task completed item counts `progress` (empty: never started).
+inline runtime::BoardRuntime::MigratedApp resumed_app(
+    int spec_index, int batch, sim::SimTime arrival,
+    std::vector<int> progress) {
+  runtime::BoardRuntime::MigratedApp m{};
+  m.spec_index = spec_index;
+  m.batch = batch;
+  m.arrival = arrival;
+  m.progress = std::move(progress);
+  return m;
 }
 
 /// A 20-app Stress sequence in which every other app's first stage is fed

@@ -1,6 +1,6 @@
 // Cluster-wide causal observability tests: the trace hub's merged Chrome
-// trace with flow events, the structured run journal and its round-trip
-// parser, the compact TraceRecorder, seal by move, response-time phase
+// trace with flow events, the structured run journal's exact JSONL bytes,
+// the compact TraceRecorder, seal by move, response-time phase
 // accounting
 // (phases sum exactly to response time across fault scenarios), and the
 // pinned guarantee that none of it perturbs an uninstrumented cluster or
@@ -29,6 +29,7 @@
 #include "runtime/board_runtime.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
+#include "test_helpers.h"
 #include "util/cli.h"
 #include "util/rng.h"
 #include "util/text_arena.h"
@@ -43,7 +44,8 @@ TEST(TraceRecorder, ClearReleasesSpanCapacity) {
   sim::TraceRecorder recorder;
   recorder.enable();
   for (int i = 0; i < 1000; ++i) {
-    recorder.add(i, i + 1, "lane", "label", sim::SpanKind::kMarker);
+    recorder.add(i, i + 1, recorder.lane("lane"), sim::SpanKind::kMarker,
+                 "label");
   }
   ASSERT_EQ(recorder.size(), 1000u);
   ASSERT_GE(recorder.reserved_bytes(),
@@ -64,17 +66,15 @@ TEST(TraceRecorder, LanesInternInFirstAppearanceOrder) {
   EXPECT_EQ(rec.lane("L1"), 2u);
   EXPECT_EQ(rec.lanes(), (std::vector<std::string>{"B0", "fabric", "L1"}));
 
-  // Recording through names interns the same way; a disabled recorder
-  // records nothing and interns nothing.
+  // Recording interns the same way; a disabled recorder records nothing.
   sim::TraceRecorder off;
-  off.add(0, 1, "x", "y", sim::SpanKind::kExec);
+  off.add(0, 1, off.lane("x"), sim::SpanKind::kExec, "y");
   EXPECT_EQ(off.size(), 0u);
-  EXPECT_TRUE(off.lanes().empty());
   sim::TraceRecorder named;
   named.enable();
-  named.add(5, 9, "L1", "a", sim::SpanKind::kExec);
-  named.add(6, 7, "B0", "b", sim::SpanKind::kReconfig);
-  named.add(8, 9, "L1", "c", sim::SpanKind::kExec);
+  named.add(5, 9, named.lane("L1"), sim::SpanKind::kExec, "a");
+  named.add(6, 7, named.lane("B0"), sim::SpanKind::kReconfig, "b");
+  named.add(8, 9, named.lane("L1"), sim::SpanKind::kExec, "c");
   EXPECT_EQ(named.lanes(), (std::vector<std::string>{"L1", "B0"}));
   ASSERT_EQ(named.size(), 3u);
   EXPECT_EQ(named.records()[2].lane, 0u);
@@ -125,11 +125,13 @@ TEST(TraceHub, GoldenChromeTraceWithFlowEvents) {
 
   sim::TraceRecorder rec;
   rec.enable();
-  rec.add(1000, 3000, "slot L1", "A PR", sim::SpanKind::kReconfig);
-  rec.add(2000, 6000, "core", "pass", sim::SpanKind::kCoreOp);
-  rec.add(2500, 5000, "core", "pass \"hot\"\nb\\c", sim::SpanKind::kCoreOp);
+  const sim::LaneId slot = rec.lane("slot L1");
+  const sim::LaneId core = rec.lane("core");
+  rec.add(1000, 3000, slot, sim::SpanKind::kReconfig, "A PR");
+  rec.add(2000, 6000, core, sim::SpanKind::kBlocked, "pass");
+  rec.add(2500, 5000, core, sim::SpanKind::kBlocked, "pass \"hot\"\nb\\c");
   // Past 10 s a timestamp needs more than six significant digits.
-  rec.add(16444000500, 16444003000, "slot L1", "late", sim::SpanKind::kExec);
+  rec.add(16444000500, 16444003000, slot, sim::SpanKind::kExec, "late");
   hub.attach_spans("b0", &rec);
 
   TraceChannel& b0 = hub.channel("b0");
@@ -158,10 +160,10 @@ TEST(TraceHub, GoldenChromeTraceWithFlowEvents) {
       "\"args\":{\"name\":\"recovery\"}},\n"
       "{\"name\":\"A PR\",\"cat\":\"reconfig\",\"ph\":\"X\",\"pid\":1,"
       "\"tid\":1,\"ts\":1,\"dur\":2},\n"
-      "{\"name\":\"pass\",\"cat\":\"core\",\"ph\":\"X\",\"pid\":1,"
+      "{\"name\":\"pass\",\"cat\":\"blocked\",\"ph\":\"X\",\"pid\":1,"
       "\"tid\":2,\"ts\":2,\"dur\":4},\n"
-      "{\"name\":\"pass \\\"hot\\\"\\nb\\\\c\",\"cat\":\"core\",\"ph\":\"X\","
-      "\"pid\":1,\"tid\":2,\"ts\":2.5,\"dur\":2.5},\n"
+      "{\"name\":\"pass \\\"hot\\\"\\nb\\\\c\",\"cat\":\"blocked\","
+      "\"ph\":\"X\",\"pid\":1,\"tid\":2,\"ts\":2.5,\"dur\":2.5},\n"
       "{\"name\":\"late\",\"cat\":\"exec\",\"ph\":\"X\",\"pid\":1,"
       "\"tid\":1,\"ts\":16444000.5,\"dur\":2.5},\n"
       "{\"name\":\"go\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":4294967297,"
@@ -183,10 +185,11 @@ TEST(TraceHub, HostileNamesExportAsBefore) {
   hub.enable_trace();
   sim::TraceRecorder rec;
   rec.enable();
-  rec.add(0, 1500, "L\"0\"", "q\"uote \\back\\slash", sim::SpanKind::kExec);
-  rec.add(2000, 2001, "tab\tlane", std::string("ctl\x01\x1f\r\n\b end"),
-          sim::SpanKind::kReconfig);
-  rec.add(3000, 123000003000, "L\"0\"", "", sim::SpanKind::kBlocked);
+  const sim::LaneId quoted = rec.lane("L\"0\"");
+  rec.add(0, 1500, quoted, sim::SpanKind::kExec, "q\"uote \\back\\slash");
+  rec.add(2000, 2001, rec.lane("tab\tlane"), sim::SpanKind::kReconfig,
+          std::string("ctl\x01\x1f\r\n\b end"));
+  rec.add(3000, 123000003000, quoted, sim::SpanKind::kBlocked, "");
   hub.attach_spans("fpga \"0\"", &rec);
   hub.channel("cluster").flow(5, FlowPhase::kEnd, 123000000000000,
                               "fpga \"0\"", "tab\tlane", "f\\\"low\x7f");
@@ -243,8 +246,8 @@ TEST(TraceHub, SealedSpansSurviveRecorderDestruction) {
   {
     sim::TraceRecorder rec;
     rec.enable();
-    rec.add(100, 200, "lane", "old", sim::SpanKind::kMarker);
-    rec.add(300, 400, "lane", "new", sim::SpanKind::kMarker);
+    rec.add(100, 200, rec.lane("lane"), sim::SpanKind::kMarker, "old");
+    rec.add(300, 400, rec.lane("lane"), sim::SpanKind::kMarker, "new");
     hub.attach_spans("b0", &rec);
     hub.seal();
   }  // recorder destroyed; the hub must not dereference it
@@ -261,11 +264,11 @@ TEST(TraceHub, SealMovesSpansAndKeepsTheExportBytes) {
   hub.enable_trace();
   sim::TraceRecorder a1, a2, b;
   for (sim::TraceRecorder* r : {&a1, &a2, &b}) r->enable();
-  a1.add(10, 20, "L0", "a1 \"x\"\t\x1f", sim::SpanKind::kExec);
-  a1.add(15, 40, "fabric", "a1 full", sim::SpanKind::kReconfig);
-  a2.add(50, 60, "B1", "a2", sim::SpanKind::kReconfig);
-  a2.add(55, 70, "L0", "a2 exec", sim::SpanKind::kExec);
-  b.add(10, 30, "L0", "b", sim::SpanKind::kExec);
+  a1.add(10, 20, a1.lane("L0"), sim::SpanKind::kExec, "a1 \"x\"\t\x1f");
+  a1.add(15, 40, a1.lane("fabric"), sim::SpanKind::kReconfig, "a1 full");
+  a2.add(50, 60, a2.lane("B1"), sim::SpanKind::kReconfig, "a2");
+  a2.add(55, 70, a2.lane("L0"), sim::SpanKind::kExec, "a2 exec");
+  b.add(10, 30, b.lane("L0"), sim::SpanKind::kExec, "b");
   hub.attach_spans("fpga0", &a1);
   hub.attach_spans("fpga1", &b);
   hub.attach_spans("fpga0", &a2);
@@ -354,36 +357,26 @@ TEST(TraceHub, FlowIdsAreNamespacedPerChannel) {
 // ------------------------------------------------------------ run journal
 
 TEST(RunJournal, RoundTripsThroughJsonl) {
+  // Every field a record carries reaches its JSONL line, and the detail's
+  // control characters, quotes and backslashes are escaped, not lost.
   ClusterTraceHub hub;
   hub.enable_journal();
   TraceChannel& ch = hub.channel("b0");
   ch.journal(1500000, JournalEvent::kAdmit, "b0", 3, "Digit", 0, "batch 17");
   ch.journal(2000000, JournalEvent::kCrash, "b0", -1, {}, 42,
-             "2 displaced\nwith \"quotes\" and \\slashes");
+             "2 displaced\nwith \"quotes\" and \\slashes\t\x1b");
   ch.journal(2500000, JournalEvent::kComplete, "b0", 3, "Digit");
 
   std::ostringstream out;
   hub.write_journal(out);
-  std::istringstream in(out.str());
-  auto records = parse_journal(in);
-  ASSERT_EQ(records.size(), 3u);
-
-  EXPECT_EQ(records[0].time, 1500000);
-  EXPECT_EQ(records[0].event, JournalEvent::kAdmit);
-  EXPECT_EQ(records[0].board, "b0");
-  EXPECT_EQ(records[0].app, 3);
-  EXPECT_EQ(records[0].spec, "Digit");
-  EXPECT_EQ(records[0].flow, 0u);
-  EXPECT_EQ(records[0].detail, "batch 17");
-
-  EXPECT_EQ(records[1].event, JournalEvent::kCrash);
-  EXPECT_EQ(records[1].app, -1);
-  EXPECT_EQ(records[1].flow, 42u);
-  EXPECT_EQ(records[1].detail,
-            "2 displaced\nwith \"quotes\" and \\slashes");
-
-  EXPECT_EQ(records[2].event, JournalEvent::kComplete);
-  EXPECT_EQ(records[2].detail, "");
+  EXPECT_EQ(out.str(),
+      "{\"t_ns\":1500000,\"t_ms\":1.5,\"event\":\"admit\",\"board\":\"b0\","
+      "\"app\":3,\"spec\":\"Digit\",\"detail\":\"batch 17\"}\n"
+      "{\"t_ns\":2000000,\"t_ms\":2,\"event\":\"crash\",\"board\":\"b0\","
+      "\"flow\":42,\"detail\":\"2 displaced\\nwith \\\"quotes\\\" and "
+      "\\\\slashes\\t\\u001b\"}\n"
+      "{\"t_ns\":2500000,\"t_ms\":2.5,\"event\":\"complete\","
+      "\"board\":\"b0\",\"app\":3,\"spec\":\"Digit\"}\n");
 }
 
 TEST(RunJournal, GoldenJsonl) {
@@ -432,18 +425,33 @@ TEST(RunJournal, WriteToFullDeviceThrows) {
 }
 
 TEST(RunJournal, EventNamesRoundTrip) {
-  for (JournalEvent e :
-       {JournalEvent::kAdmit, JournalEvent::kBind, JournalEvent::kPreempt,
-        JournalEvent::kCheckpoint, JournalEvent::kComplete,
-        JournalEvent::kMigrate, JournalEvent::kCrash, JournalEvent::kRestore,
-        JournalEvent::kShed, JournalEvent::kReadmit}) {
-    JournalEvent parsed;
-    ASSERT_TRUE(journal_event_from_string(to_string(e), parsed))
-        << to_string(e);
-    EXPECT_EQ(parsed, e);
+  // Each event is written under its own name, so a reader of the JSONL can
+  // map every record back to exactly one event.
+  const std::vector<std::pair<JournalEvent, std::string>> names = {
+      {JournalEvent::kAdmit, "admit"},
+      {JournalEvent::kBind, "bind"},
+      {JournalEvent::kPreempt, "preempt"},
+      {JournalEvent::kCheckpoint, "checkpoint"},
+      {JournalEvent::kComplete, "complete"},
+      {JournalEvent::kMigrate, "migrate"},
+      {JournalEvent::kCrash, "crash"},
+      {JournalEvent::kRestore, "restore"},
+      {JournalEvent::kShed, "shed"},
+      {JournalEvent::kReadmit, "readmit"}};
+  ClusterTraceHub hub;
+  hub.enable_journal();
+  TraceChannel& ch = hub.channel("b0");
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(to_string(names[i].first), names[i].second);
+    ch.journal(static_cast<sim::SimTime>(i), names[i].first, "b0");
   }
-  JournalEvent unused;
-  EXPECT_FALSE(journal_event_from_string("not-an-event", unused));
+  const std::vector<std::string> lines = test::journal_lines(hub);
+  ASSERT_EQ(lines.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const std::string field = "\"event\":\"" + names[i].second + "\"";
+    EXPECT_NE(lines[i].find(field), std::string::npos) << lines[i];
+    EXPECT_EQ(test::count_lines(lines, {field}), 1) << field;
+  }
 }
 
 TEST(RunJournal, MergeIsStableAcrossEqualTimestamps) {
@@ -451,16 +459,21 @@ TEST(RunJournal, MergeIsStableAcrossEqualTimestamps) {
   hub.enable_journal();
   TraceChannel& first = hub.channel("first");
   TraceChannel& second = hub.channel("second");
-  second.journal(100, JournalEvent::kAdmit, "second");
-  first.journal(100, JournalEvent::kAdmit, "first");
-  first.journal(50, JournalEvent::kAdmit, "first");
-  auto merged = hub.merged_journal();
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged[0].time, 50);
-  // Equal timestamps keep channel-creation order: "first" was created
-  // first, so its t=100 record precedes "second"'s.
-  EXPECT_EQ(merged[1].board, "first");
-  EXPECT_EQ(merged[2].board, "second");
+  second.journal(100, JournalEvent::kAdmit, "second", 1, {}, 0, "s\t\"1\"");
+  first.journal(100, JournalEvent::kAdmit, "first", 2, {}, 0, "f\\2\n");
+  first.journal(50, JournalEvent::kAdmit, "first", 3, {}, 0, "f\x01" "3");
+  // The earliest record leads; equal timestamps keep channel-creation
+  // order: "first" was created first, so its t=100 record precedes
+  // "second"'s.
+  std::ostringstream out;
+  hub.write_journal(out);
+  EXPECT_EQ(out.str(),
+      "{\"t_ns\":50,\"t_ms\":5e-05,\"event\":\"admit\",\"board\":\"first\","
+      "\"app\":3,\"detail\":\"f\\u00013\"}\n"
+      "{\"t_ns\":100,\"t_ms\":1e-04,\"event\":\"admit\",\"board\":\"first\","
+      "\"app\":2,\"detail\":\"f\\\\2\\n\"}\n"
+      "{\"t_ns\":100,\"t_ms\":1e-04,\"event\":\"admit\","
+      "\"board\":\"second\",\"app\":1,\"detail\":\"s\\t\\\"1\\\"\"}\n");
 }
 
 TEST(RunJournal, MergedRecordsCarryEveryField) {
@@ -473,48 +486,42 @@ TEST(RunJournal, MergedRecordsCarryEveryField) {
   b0.flow(8, FlowPhase::kStart, 100, "b0", "ckpt", "ckpt ", "Digit", '#', 4);
   cl.journal(300, JournalEvent::kReadmit, "b1", -1, "Digit", 9);
   b0.journal(100, JournalEvent::kComplete, "b0", 4, "Digit", 0,
-             "response_ms ", util::Fixed{12.5});
+             "response_ms ", util::Fixed{12.5}, "\n\t\"q\" \\ \x7f\x1f");
   b0.journal(200, JournalEvent::kCheckpoint, "b0", 4, "Digit", 8, "delta ",
              std::int64_t{4096}, " B");
 
-  const std::vector<FlowPoint> flows = hub.merged_flows();
-  ASSERT_EQ(flows.size(), 2u);
-  EXPECT_EQ(flows[0].id, 8u);
-  EXPECT_EQ(flows[0].phase, FlowPhase::kStart);
-  EXPECT_EQ(flows[0].time, 100);
-  EXPECT_EQ(flows[0].board, "b0");
-  EXPECT_EQ(flows[0].lane, "ckpt");
-  EXPECT_EQ(flows[0].name, "ckpt Digit#4");
-  EXPECT_EQ(flows[1].board, "b1");
-  EXPECT_EQ(flows[1].lane, "recovery");
-  EXPECT_EQ(flows[1].name, "readmit");
+  // Flow points: id, phase, time, board process, lane thread and name.
+  std::ostringstream trace;
+  hub.write_chrome_trace(trace);
+  EXPECT_EQ(trace.str(),
+      "[\n"
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+      "\"args\":{\"name\":\"b0\"}},\n"
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,"
+      "\"args\":{\"name\":\"ckpt\"}},\n"
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,"
+      "\"args\":{\"name\":\"b1\"}},\n"
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":1,"
+      "\"args\":{\"name\":\"recovery\"}},\n"
+      "{\"name\":\"ckpt Digit#4\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":8,"
+      "\"pid\":1,\"tid\":1,\"ts\":0.1},\n"
+      "{\"name\":\"readmit\",\"cat\":\"flow\",\"ph\":\"f\",\"id\":9,"
+      "\"pid\":2,\"tid\":1,\"ts\":0.3,\"bp\":\"e\"}\n"
+      "]\n");
 
-  const std::vector<JournalRecord> merged = hub.merged_journal();
-  ASSERT_EQ(merged.size(), 3u);
-  // std::to_string(double)'s "%f" bytes.
-  EXPECT_EQ(merged[0].detail, "response_ms " + std::to_string(12.5));
-  EXPECT_EQ(merged[1].detail, "delta 4096 B");
-  EXPECT_EQ(merged[1].flow, 8u);
-  EXPECT_EQ(merged[2].board, "b1");
-  EXPECT_EQ(merged[2].app, -1);
-  EXPECT_EQ(merged[2].spec, "Digit");
-  EXPECT_EQ(merged[2].detail, "");
-
-  // The JSONL file parses back to the merged records, field for field.
-  std::ostringstream out;
-  hub.write_journal(out);
-  std::istringstream in(out.str());
-  const std::vector<JournalRecord> parsed = parse_journal(in);
-  ASSERT_EQ(parsed.size(), merged.size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    EXPECT_EQ(parsed[i].time, merged[i].time) << i;
-    EXPECT_EQ(parsed[i].event, merged[i].event) << i;
-    EXPECT_EQ(parsed[i].board, merged[i].board) << i;
-    EXPECT_EQ(parsed[i].app, merged[i].app) << i;
-    EXPECT_EQ(parsed[i].spec, merged[i].spec) << i;
-    EXPECT_EQ(parsed[i].flow, merged[i].flow) << i;
-    EXPECT_EQ(parsed[i].detail, merged[i].detail) << i;
-  }
+  // Journal records, merged by time: every field and the piece-formatted
+  // details (util::Fixed prints as std::to_string(double)'s "%f").
+  std::ostringstream journal;
+  hub.write_journal(journal);
+  EXPECT_EQ(journal.str(),
+      "{\"t_ns\":100,\"t_ms\":1e-04,\"event\":\"complete\",\"board\":\"b0\","
+      "\"app\":4,\"spec\":\"Digit\",\"detail\":\"response_ms 12.500000"
+      "\\n\\t\\\"q\\\" \\\\ \x7f\\u001f\"}\n"
+      "{\"t_ns\":200,\"t_ms\":2e-04,\"event\":\"checkpoint\","
+      "\"board\":\"b0\",\"app\":4,\"spec\":\"Digit\",\"flow\":8,"
+      "\"detail\":\"delta 4096 B\"}\n"
+      "{\"t_ns\":300,\"t_ms\":3e-04,\"event\":\"readmit\",\"board\":\"b1\","
+      "\"spec\":\"Digit\",\"flow\":9}\n");
 }
 
 TEST(TraceHub, NamesInternOncePerHub) {
@@ -677,38 +684,34 @@ TEST(PhaseAccounting, FaultedClusterTraceCarriesCausalChains) {
 
   // A crash flow starts on the origin board and its readmission terminus
   // lands on a board process; both hops share the flow id.
-  auto flows = hub.merged_flows();
   bool crash_chain_closed = false;
-  for (const FlowPoint& s : flows) {
-    if (s.phase != FlowPhase::kStart || s.name.rfind("crash", 0) != 0) {
+  std::istringstream trace_in(trace);
+  for (std::string line; std::getline(trace_in, line);) {
+    if (line.rfind("{\"name\":\"crash", 0) != 0 ||
+        line.find("\"cat\":\"flow\",\"ph\":\"s\",\"id\":") ==
+            std::string::npos) {
       continue;
     }
-    for (const FlowPoint& f : flows) {
-      if (f.id == s.id && f.phase == FlowPhase::kEnd) {
-        crash_chain_closed = true;
-      }
+    const std::size_t at = line.find("\"id\":") + 5;
+    const std::string id = line.substr(at, line.find(',', at) - at);
+    if (trace.find("\"ph\":\"f\",\"id\":" + id + ",") != std::string::npos) {
+      crash_chain_closed = true;
     }
   }
   EXPECT_TRUE(crash_chain_closed);
 
-  std::ostringstream journal_out;
-  hub.write_journal(journal_out);
-  std::istringstream journal_in(journal_out.str());
-  auto records = parse_journal(journal_in);
-  int crashes = 0, restores = 0, completes = 0, admits = 0;
-  for (const JournalRecord& rec : records) {
-    if (rec.event == JournalEvent::kCrash) ++crashes;
-    if (rec.event == JournalEvent::kRestore) ++restores;
-    if (rec.event == JournalEvent::kComplete) ++completes;
-    if (rec.event == JournalEvent::kAdmit) ++admits;
-  }
-  EXPECT_GT(crashes, 0);
-  EXPECT_GT(restores, 0);
-  EXPECT_GT(completes, 0);
-  EXPECT_GT(admits, 0);
+  const std::vector<std::string> journal = test::journal_lines(hub);
+  EXPECT_GT(test::count_lines(journal, {"\"event\":\"crash\""}), 0);
+  EXPECT_GT(test::count_lines(journal, {"\"event\":\"restore\""}), 0);
+  EXPECT_GT(test::count_lines(journal, {"\"event\":\"complete\""}), 0);
+  EXPECT_GT(test::count_lines(journal, {"\"event\":\"admit\""}), 0);
   // Journal timestamps arrive merged in nondecreasing order.
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    EXPECT_LE(records[i - 1].time, records[i].time) << i;
+  std::int64_t last_ns = 0;
+  for (std::size_t i = 0; i < journal.size(); ++i) {
+    ASSERT_EQ(journal[i].rfind("{\"t_ns\":", 0), 0u) << journal[i];
+    const std::int64_t t_ns = std::stoll(journal[i].substr(8));
+    EXPECT_LE(last_ns, t_ns) << i;
+    last_ns = t_ns;
   }
 }
 
@@ -723,8 +726,9 @@ TEST(PhaseAccounting, HistogramsRegisterOnlyWhenEnabledAndReconcile) {
     Telemetry telemetry;
     (void)metrics::run_cluster(suite, seq, {}, sim::seconds(36000.0),
                                &telemetry);
-    EXPECT_EQ(prometheus_text(telemetry.registry()).find("vs_app_phase_ms"),
-              std::string::npos);
+    std::ostringstream prom;
+    write_prometheus(telemetry.registry(), prom);
+    EXPECT_EQ(prom.str().find("vs_app_phase_ms"), std::string::npos);
   }
 
   Telemetry telemetry;
@@ -761,8 +765,9 @@ TEST(PhaseAccounting, HistogramsRegisterOnlyWhenEnabledAndReconcile) {
   EXPECT_NEAR(phase_sum, response_sum, 1e-6 * std::max(1.0, response_sum));
 
   // The run report renders the reconciled per-phase table.
-  std::string report =
-      run_report_json(telemetry.registry(), telemetry.info(), nullptr);
+  std::ostringstream out;
+  write_run_report(telemetry.registry(), telemetry.info(), nullptr, out);
+  const std::string report = out.str();
   EXPECT_NE(report.find("\"phases\": ["), std::string::npos);
   for (std::size_t p = 0; p < runtime::kAppPhaseCount; ++p) {
     EXPECT_NE(report.find(std::string("{\"phase\": \"") +
@@ -831,12 +836,11 @@ TEST(TraceHub, SingleBoardRunTracesThroughTheHubUnperturbed) {
   EXPECT_EQ(count("\"cat\":\"exec\",\"ph\":\"X\""),
             plain.counters.items_executed);
 
-  int completes = 0;
-  for (const JournalRecord& rec : hub.merged_journal()) {
-    EXPECT_EQ(rec.board, "fpga0");
-    if (rec.event == JournalEvent::kComplete) ++completes;
-  }
-  EXPECT_EQ(completes, plain.completed);
+  const std::vector<std::string> journal = test::journal_lines(hub);
+  EXPECT_EQ(test::count_lines(journal, {"\"board\":\"fpga0\""}),
+            static_cast<int>(journal.size()));
+  EXPECT_EQ(test::count_lines(journal, {"\"event\":\"complete\""}),
+            plain.completed);
   expect_phases_sum_to_response(traced.apps, "single-board traced");
 }
 
