@@ -5,8 +5,9 @@
 # included, all read 0, and every paper system's policy passes allocate
 # under 0.05 times per pass), a smoke
 # run of the telemetry demo + its three exporters, then sanitizer passes:
-# ThreadSanitizer over the parallel sweep runner (the only multi-threaded
-# code in the repo) and AddressSanitizer over the event-kernel and
+# ThreadSanitizer over the multi-threaded code (the parallel sweep runner,
+# its per-job log buffers, and the ordered parallel export writer with the
+# exporters and runs it serves) and AddressSanitizer over the event-kernel and
 # telemetry tests (the slab queue and InlineEvent do placement-new lifetime
 # management by hand; the registry hands out long-lived cell pointers).
 # The e2ebench digest gate holds every benchmark workload's outputs to the
@@ -249,13 +250,13 @@ grep -q 'vs_rack_events_total' build/rack_smoke.prom
 grep -q 'vs_recovery_spare_exhausted_total' build/rack_smoke.prom
 
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
-  echo "== ThreadSanitizer: sweep runner =="
+  echo "== ThreadSanitizer: sweep runner + ordered export writer =="
   cmake -B build-tsan -S . -DVS_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS" --target versaslot_tests
   # halt_on_error so any reported race fails the gate loudly.
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/versaslot_tests \
-    --gtest_filter='ThreadPool.*:SweepDeterminism.*:SweepEdgeCases.*'
+    --gtest_filter='ThreadPool.*:SweepDeterminism.*:SweepEdgeCases.*:OrderedExport.*:CaptureGolden.*:DirtyMapUnit.*'
 fi
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
@@ -265,7 +266,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake -B build-asan -S . -DVS_SANITIZE=address
   cmake --build build-asan -j "$JOBS" --target versaslot_tests
   ./build-asan/tests/versaslot_tests \
-    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:SamplerChangeLog.*:CaptureGolden.*:Capture.*:BlockWriterNumbers.*:Telemetry*:TraceRecorder.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*:Invariants.*:StepwiseAudit.*:AllocationChanges.*:DSwitchGolden.*:Contracts.*:Fcfs.*:RoundRobin.*:Nimblock.*:Dml.*:PolicyCommon.*:BaselineGolden.*:StarvationClock.*:StreamingGolden.*'
+    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:SamplerChangeLog.*:CaptureGolden.*:Capture.*:BlockWriterNumbers.*:WriteFile.*:OrderedExport.*:Telemetry*:TraceRecorder.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*:Invariants.*:StepwiseAudit.*:AllocationChanges.*:DSwitchGolden.*:Contracts.*:Fcfs.*:RoundRobin.*:Nimblock.*:Dml.*:PolicyCommon.*:BaselineGolden.*:StarvationClock.*:StreamingGolden.*'
 fi
 
 if [[ "${SKIP_COV:-0}" != "1" ]]; then

@@ -12,9 +12,11 @@
 #pragma once
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "metrics/experiment.h"
+#include "util/log.h"
 #include "util/thread_pool.h"
 
 namespace vs::metrics {
@@ -48,7 +50,9 @@ class SweepRunner {
   /// Deterministic generic map for grids that do not fit SweepJob (cluster
   /// runs, custom reducers): evaluates fn(0..n-1) across the workers and
   /// returns results keyed by index. Same drain-then-rethrow error path
-  /// as run().
+  /// as run(). Each job logs into its own buffer (util::LogCapture), and
+  /// the buffers reach stderr in job order once every job has finished,
+  /// failed ones included, so the log is the same at any worker count.
   template <typename R>
   [[nodiscard]] std::vector<R> map(
       std::size_t n, const std::function<R(std::size_t)>& fn) const;
@@ -69,13 +73,16 @@ std::vector<R> SweepRunner::map(
     std::size_t n, const std::function<R(std::size_t)>& fn) const {
   std::vector<R> results(n);
   std::vector<std::exception_ptr> errors(n);
+  std::vector<std::string> logs(n);
   util::parallel_for(jobs_, n, [&](std::size_t i) {
+    util::LogCapture capture(logs[i]);
     try {
       results[i] = fn(i);
     } catch (...) {
       errors[i] = std::current_exception();
     }
   });
+  for (const std::string& log : logs) util::Log::emit(log);
   for (std::size_t i = 0; i < n; ++i) {
     if (errors[i]) std::rethrow_exception(errors[i]);
   }

@@ -1,10 +1,17 @@
 #include "obs/block_writer.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
 #include <fstream>
+#include <mutex>
 #include <ostream>
 #include <stdexcept>
+#include <vector>
+
+#include "util/thread_pool.h"
 
 namespace vs::obs {
 
@@ -55,7 +62,9 @@ void append_json_escaped(std::string& out, std::string_view s) {
 }
 
 BlockWriter::BlockWriter(std::ostream& out)
-    : out_(out), buf_(new char[kBlockBytes]) {}
+    : out_(&out), buf_(new char[kBlockBytes]) {}
+
+BlockWriter::BlockWriter() : out_(nullptr), buf_(new char[kBlockBytes]) {}
 
 BlockWriter::~BlockWriter() { flush(); }
 
@@ -71,7 +80,8 @@ BlockWriter& BlockWriter::num(double v) {
       return num_scaled(n, 0);
     }
   }
-  auto [ptr, ec] = std::to_chars(room(kNumBytes), end(), v);
+  char* p = room(kNumBytes);  // may move the buffer: before end()
+  auto [ptr, ec] = std::to_chars(p, end(), v);
   if (ec != std::errc{}) return raw("0");
   len_ = static_cast<std::size_t>(ptr - buf_.get());
   return *this;
@@ -140,17 +150,128 @@ BlockWriter& BlockWriter::num_scaled(std::int64_t n, int scale) {
 }
 
 BlockWriter& BlockWriter::raw_large(std::string_view s) {
+  if (out_ == nullptr) {
+    make_room(s.size());
+    return raw(s);
+  }
   flush();
   if (s.size() > kBlockBytes) {
-    out_.write(s.data(), static_cast<std::streamsize>(s.size()));
+    out_->write(s.data(), static_cast<std::streamsize>(s.size()));
     return *this;
   }
   return raw(s);
 }
 
+void BlockWriter::make_room(std::size_t n) {
+  if (out_ != nullptr) {
+    flush();
+    return;
+  }
+  const std::size_t cap = std::max(2 * cap_, len_ + n);
+  std::unique_ptr<char[]> grown(new char[cap]);
+  std::memcpy(grown.get(), buf_.get(), len_);
+  buf_ = std::move(grown);
+  cap_ = cap;
+}
+
 void BlockWriter::flush() {
-  out_.write(buf_.get(), static_cast<std::streamsize>(len_));
+  if (out_ == nullptr) return;
+  out_->write(buf_.get(), static_cast<std::streamsize>(len_));
   len_ = 0;
+}
+
+void write_ordered(
+    BlockWriter& w, std::size_t count, std::size_t per_chunk,
+    const std::function<void(std::size_t, std::size_t, BlockWriter&)>&
+        format) {
+  assert(w.out_ != nullptr && per_chunk > 0);
+  const std::size_t chunks = (count + per_chunk - 1) / per_chunk;
+  const std::size_t threads =
+      std::min(static_cast<std::size_t>(util::resolve_jobs()), chunks);
+  if (threads <= 1) {
+    format(0, count, w);
+    return;
+  }
+  // The calling thread and threads - 1 pool workers claim chunks in order.
+  // Chunk c is formatted into buffer c % slots and claimed only after
+  // chunk c - slots has been written, so at most `slots` chunks are in
+  // flight; only the calling thread writes, in chunk order.
+  const std::size_t slots = 2 * threads;
+  struct alignas(64) Chunk {  // a cache line each: no two threads write one
+    BlockWriter text;
+    bool ready = false;
+  };
+  std::vector<Chunk> buffers(slots);
+  std::mutex mutex;  // guards `ready` and the three below
+  std::size_t claimed = 0;
+  std::size_t written = 0;
+  bool stop = false;
+  std::condition_variable chunk_ready;  // the writer waits for its chunk
+  std::condition_variable slot_free;    // workers wait for a claim
+  // Claims and formats the next chunk, with `lock` released meanwhile;
+  // false if none may be claimed. A throw stops every thread.
+  const auto format_next = [&](std::unique_lock<std::mutex>& lock) {
+    if (stop || claimed == chunks || claimed == written + slots) return false;
+    const std::size_t c = claimed++;
+    Chunk& chunk = buffers[c % slots];
+    lock.unlock();
+    try {
+      chunk.text.clear();
+      format(c * per_chunk, std::min(count, (c + 1) * per_chunk), chunk.text);
+    } catch (...) {
+      lock.lock();
+      stop = true;
+      chunk_ready.notify_one();
+      slot_free.notify_all();
+      throw;
+    }
+    lock.lock();
+    chunk.ready = true;
+    if (c == written) chunk_ready.notify_one();
+    return true;
+  };
+  util::ThreadPool pool(static_cast<int>(threads - 1));
+  std::exception_ptr error;  // the calling thread's
+  try {
+    for (std::size_t i = 1; i < threads; ++i) {
+      pool.submit([&] {  // a throw comes out of pool.wait()
+        std::unique_lock lock(mutex);
+        while (!stop && claimed < chunks) {
+          if (!format_next(lock)) {
+            slot_free.wait(lock, [&] {
+              return stop || claimed == chunks || claimed < written + slots;
+            });
+          }
+        }
+      });
+    }
+    w.flush();
+    std::ostream& out = *w.out_;
+    std::unique_lock lock(mutex);
+    while (written < chunks && !stop && out) {
+      Chunk& chunk = buffers[written % slots];
+      if (chunk.ready) {
+        lock.unlock();
+        const std::string_view text = chunk.text.text();
+        out.write(text.data(), static_cast<std::streamsize>(text.size()));
+        lock.lock();
+        chunk.ready = false;
+        ++written;
+        slot_free.notify_one();
+      } else if (!format_next(lock)) {
+        chunk_ready.wait(lock, [&] { return stop || chunk.ready; });
+      }
+    }
+  } catch (...) {
+    error = std::current_exception();
+  }
+  {
+    std::lock_guard lock(mutex);
+    stop = true;
+  }
+  slot_free.notify_all();
+  pool.wait();  // every worker has stopped; rethrows the first one's error
+  if (error) std::rethrow_exception(error);
 }
 
 void write_file(const std::string& path, const char* what,

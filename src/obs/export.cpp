@@ -168,19 +168,22 @@ void write_timeseries_jsonl(const Sampler& sampler,
   const std::vector<std::string> counter_keys = keys_of(registry.counters());
 
   BlockWriter w(out);
-  for (std::size_t r = 0; r < sampler.rows(); ++r) {
-    w.raw("{\"t_ms\":").num_scaled(sampler.row_time(r), 6);
-    const auto columns = sampler.changed_columns(r);
-    const auto values = sampler.changed_values(r);
-    for (std::size_t i = 0; i < columns.size(); ++i) {
-      const std::uint32_t c = columns[i];
-      w.raw((c & Sampler::kCounterColumn) != 0
-                ? counter_keys[c & ~Sampler::kCounterColumn]
-                : gauge_keys[c])
-          .num(values[i]);
+  write_ordered(w, sampler.rows(), kSeriesChunkRows,
+                [&](std::size_t begin, std::size_t end, BlockWriter& cw) {
+    for (std::size_t r = begin; r < end; ++r) {
+      cw.raw("{\"t_ms\":").num_scaled(sampler.row_time(r), 6);
+      const auto columns = sampler.changed_columns(r);
+      const auto values = sampler.changed_values(r);
+      for (std::size_t i = 0; i < columns.size(); ++i) {
+        const std::uint32_t c = columns[i];
+        cw.raw((c & Sampler::kCounterColumn) != 0
+                   ? counter_keys[c & ~Sampler::kCounterColumn]
+                   : gauge_keys[c])
+            .num(values[i]);
+      }
+      cw.raw("}\n");
     }
-    w.raw("}\n");
-  }
+  });
 }
 
 void write_run_report(const MetricsRegistry& registry, const RunInfo& info,

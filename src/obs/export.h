@@ -15,9 +15,11 @@
 //  - a dashboard-style ASCII summary (examples/telemetry_demo.cpp).
 //
 // The series and the trace hub's writers format into one BlockWriter
-// (obs/block_writer.h), so their cost follows what the run recorded.
+// (obs/block_writer.h), so their cost follows what the run recorded, and
+// spread that formatting over threads in ordered chunks (write_ordered).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <utility>
@@ -34,6 +36,11 @@ struct RunInfo {
   std::string experiment;
   std::vector<std::pair<std::string, std::string>> config;
 };
+
+/// Series rows per chunk of the parallel series export: about 48 KiB of
+/// text at some 464 bytes a row, so a chunk seldom outgrows its writer's
+/// first 64 KiB block.
+inline constexpr std::size_t kSeriesChunkRows = 64 * 1024 / 640;
 
 void write_prometheus(const MetricsRegistry& registry, std::ostream& out);
 void write_timeseries_jsonl(const Sampler& sampler,

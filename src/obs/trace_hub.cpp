@@ -1,6 +1,8 @@
 #include "obs/trace_hub.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstdint>
 #include <deque>
 #include <unordered_map>
 
@@ -56,7 +58,9 @@ struct Merged {
 };
 
 /// One kind of record from every channel, by pointer, in canonical merged
-/// order: time, then channel creation order, then append order.
+/// order: time, then channel creation order, then append order. The key is
+/// unique per record, so an in-place sort gives that order without a
+/// stable sort's buffer.
 template <typename Rec>
 std::vector<Merged<Rec>> merge_by_time(
     const std::deque<TraceChannel>& channels,
@@ -68,10 +72,14 @@ std::vector<Merged<Rec>> merge_by_time(
   for (const TraceChannel& ch : channels) {
     for (const Rec& r : (ch.*records)()) out.push_back({&r, &ch});
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Merged<Rec>& a, const Merged<Rec>& b) {
-                     return a.rec->time < b.rec->time;
-                   });
+  std::sort(out.begin(), out.end(),
+            [](const Merged<Rec>& a, const Merged<Rec>& b) {
+              if (a.rec->time != b.rec->time) return a.rec->time < b.rec->time;
+              if (a.channel != b.channel) {
+                return a.channel->index() < b.channel->index();
+              }
+              return a.rec < b.rec;  // one channel's records share a vector
+            });
   return out;
 }
 
@@ -152,59 +160,76 @@ void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
     return it->second;
   };
 
-  // Spans are placed by pointer into their recorders. Each recorder's lane
-  // ids map to tids once, at the lane's first span, so tids follow the
-  // order in which lanes first appear in the spans.
-  struct PlacedSpan {
-    sim::SimTime start;
-    const sim::TraceRecorder::Record* rec;
+  // Spans are placed by their index in placement order: recorders in pid
+  // order, then each recorder's records. Each recorder's lane ids map to
+  // tids once, at the lane's first span, so tids follow the order in which
+  // lanes first appear in the spans.
+  struct Source {
     const sim::TraceRecorder* recorder;
     int pid;
-    int tid;
+    std::uint32_t first;  ///< placement index of the recorder's first span
+    std::vector<int> lane_tid;
   };
+  struct PlacedSpan {
+    sim::SimTime start;
+    std::uint32_t index;   ///< placement order
+    std::uint32_t source;  ///< its recorder, in `sources`
+  };
+  std::vector<Source> sources;
   std::size_t span_count = 0;
-  for (const auto& [board, spans] : spans_) {
-    for (const sim::TraceRecorder& rec : spans.sealed) span_count += rec.size();
-    for (const sim::TraceRecorder* rec : spans.attached) {
-      span_count += rec->size();
-    }
-  }
-  std::vector<PlacedSpan> placed;
-  placed.reserve(span_count);
-  std::vector<int> lane_tid;
-  auto place = [&](const sim::TraceRecorder& rec, int pid) {
-    lane_tid.assign(rec.lanes().size(), 0);
-    for (const sim::TraceRecorder::Record& r : rec.records()) {
-      int& tid = lane_tid[r.lane];
-      if (tid == 0) tid = tid_for(pid, rec.lanes()[r.lane]);
-      placed.push_back(PlacedSpan{r.start, &r, &rec, pid, tid});
-    }
-  };
   for (const std::string& b : board_order_) {
     const int pid = pid_for(b);
     const BoardSpans& spans = spans_.at(b);
-    for (const sim::TraceRecorder& rec : spans.sealed) place(rec, pid);
-    for (const sim::TraceRecorder* rec : spans.attached) place(*rec, pid);
+    auto add = [&](const sim::TraceRecorder& rec) {
+      sources.push_back(
+          Source{&rec, pid, static_cast<std::uint32_t>(span_count), {}});
+      span_count += rec.size();
+    };
+    for (const sim::TraceRecorder& rec : spans.sealed) add(rec);
+    for (const sim::TraceRecorder* rec : spans.attached) add(*rec);
   }
-  std::stable_sort(placed.begin(), placed.end(),
-                   [](const PlacedSpan& a, const PlacedSpan& b) {
-                     if (a.start != b.start) return a.start < b.start;
-                     return a.pid < b.pid;
-                   });
+  assert(span_count <= UINT32_MAX && "span indices are 32-bit");
+  std::vector<PlacedSpan> placed;
+  placed.reserve(span_count);
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    Source& src = sources[s];
+    const sim::TraceRecorder& rec = *src.recorder;
+    src.lane_tid.assign(rec.lanes().size(), 0);
+    for (const sim::TraceRecorder::Record& r : rec.records()) {
+      int& tid = src.lane_tid[r.lane];
+      if (tid == 0) tid = tid_for(src.pid, rec.lanes()[r.lane]);
+      placed.push_back(PlacedSpan{r.start,
+                                  static_cast<std::uint32_t>(placed.size()),
+                                  static_cast<std::uint32_t>(s)});
+    }
+  }
+  // Placement order ascends in pid, so this is the order of a stable sort
+  // by (start, pid), without its buffer.
+  std::sort(placed.begin(), placed.end(),
+            [](const PlacedSpan& a, const PlacedSpan& b) {
+              if (a.start != b.start) return a.start < b.start;
+              return a.index < b.index;
+            });
 
-  // Flows take their pid and tid from this one interning pass.
-  struct PlacedFlow {
-    const TraceChannel::Flow* flow;
-    const TraceChannel* channel;
+  // Flows take their pid and tid from this one interning pass, in merged
+  // order. A flow names its board and lane by NameId, so each distinct
+  // (board, lane) pair is interned once.
+  struct FlowPlace {
     int pid;
     int tid;
   };
-  std::vector<PlacedFlow> flows;
-  const auto merged = merge_by_time(channels_, &TraceChannel::flows);
-  flows.reserve(merged.size());
-  for (const auto& [f, ch] : merged) {
-    const int pid = pid_for(name(f->board));
-    flows.push_back(PlacedFlow{f, ch, pid, tid_for(pid, name(f->lane))});
+  const auto flows = merge_by_time(channels_, &TraceChannel::flows);
+  std::vector<FlowPlace> flow_place;
+  flow_place.reserve(flows.size());
+  std::unordered_map<std::uint64_t, FlowPlace> place_of;
+  for (const auto& [f, ch] : flows) {
+    const std::uint64_t key = std::uint64_t{f->board} << 32 | f->lane;
+    auto [it, fresh] = place_of.try_emplace(key);
+    if (fresh) {
+      const int pid = pid_for(name(f->board));
+      it->second = FlowPlace{pid, tid_for(pid, name(f->lane))};
+    }
+    flow_place.push_back(it->second);
   }
 
   BlockWriter w(out);
@@ -236,41 +261,49 @@ void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
     }
   }
 
-  for (const PlacedSpan& p : placed) {
-    sep();
-    w.raw("{\"name\":\"")
-        .escaped(p.recorder->label(*p.rec))
-        .raw("\",\"cat\":\"")
-        .raw(span_category(p.rec->kind))
-        .raw("\",\"ph\":\"X\",\"pid\":")
-        .num(p.pid)
-        .raw(",\"tid\":")
-        .num(p.tid)
-        .raw(",\"ts\":")
-        .num_scaled(p.start, 3)
-        .raw(",\"dur\":")
-        .num_scaled(p.rec->end - p.start, 3)
-        .raw("}");
-  }
-
-  for (const PlacedFlow& p : flows) {
-    const TraceChannel::Flow& f = *p.flow;
-    sep();
-    w.raw("{\"name\":\"")
-        .escaped(p.channel->name(f))
-        .raw("\",\"cat\":\"flow\",\"ph\":\"")
-        .raw(flow_ph(f.phase))
-        .raw("\",\"id\":")
-        .num(f.id)
-        .raw(",\"pid\":")
-        .num(p.pid)
-        .raw(",\"tid\":")
-        .num(p.tid)
-        .raw(",\"ts\":")
-        .num_scaled(f.time, 3);
-    if (f.phase == FlowPhase::kEnd) w.raw(",\"bp\":\"e\"");
-    w.raw("}");
-  }
+  // The X spans, then the flows. Each span or flow has a process, whose
+  // metadata came first, so every one of them follows a record.
+  auto format = [&](std::size_t begin, std::size_t end, BlockWriter& cw) {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (i < placed.size()) {
+        const PlacedSpan& p = placed[i];
+        const Source& src = sources[p.source];
+        const sim::TraceRecorder::Record& r =
+            src.recorder->records()[p.index - src.first];
+        cw.raw(",\n{\"name\":\"")
+            .escaped(src.recorder->label(r))
+            .raw("\",\"cat\":\"")
+            .raw(span_category(r.kind))
+            .raw("\",\"ph\":\"X\",\"pid\":")
+            .num(src.pid)
+            .raw(",\"tid\":")
+            .num(src.lane_tid[r.lane])
+            .raw(",\"ts\":")
+            .num_scaled(r.start, 3)
+            .raw(",\"dur\":")
+            .num_scaled(r.end - r.start, 3)
+            .raw("}");
+        continue;
+      }
+      const auto& [f, ch] = flows[i - placed.size()];
+      const FlowPlace& at = flow_place[i - placed.size()];
+      cw.raw(",\n{\"name\":\"")
+          .escaped(ch->name(*f))
+          .raw("\",\"cat\":\"flow\",\"ph\":\"")
+          .raw(flow_ph(f->phase))
+          .raw("\",\"id\":")
+          .num(f->id)
+          .raw(",\"pid\":")
+          .num(at.pid)
+          .raw(",\"tid\":")
+          .num(at.tid)
+          .raw(",\"ts\":")
+          .num_scaled(f->time, 3);
+      if (f->phase == FlowPhase::kEnd) cw.raw(",\"bp\":\"e\"");
+      cw.raw("}");
+    }
+  };
+  write_ordered(w, placed.size() + flows.size(), kTraceChunk, format);
 
   w.raw("\n]\n");
 }
@@ -281,26 +314,33 @@ void ClusterTraceHub::write_chrome_trace_file(const std::string& path) const {
 }
 
 void ClusterTraceHub::write_journal(std::ostream& out) const {
+  const auto records =
+      merge_by_time(channels_, &TraceChannel::journal_records);
   BlockWriter w(out);
-  for (const auto& [j, ch] :
-       merge_by_time(channels_, &TraceChannel::journal_records)) {
-    w.raw("{\"t_ns\":")
-        .num(j->time)
-        .raw(",\"t_ms\":")
-        .num_scaled(j->time, 6)
-        .raw(",\"event\":\"")
-        .raw(to_string(j->event))
-        .raw("\",\"board\":\"")
-        .escaped(name(j->board))
-        .raw("\"");
-    if (j->app >= 0) w.raw(",\"app\":").num(j->app);
-    if (j->spec != 0) w.raw(",\"spec\":\"").escaped(name(j->spec)).raw("\"");
-    if (j->flow != 0) w.raw(",\"flow\":").num(j->flow);
-    if (j->detail_len != 0) {
-      w.raw(",\"detail\":\"").escaped(ch->detail(*j)).raw("\"");
+  write_ordered(w, records.size(), kJournalChunk,
+                [&](std::size_t begin, std::size_t end, BlockWriter& cw) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto& [j, ch] = records[i];
+      cw.raw("{\"t_ns\":")
+          .num(j->time)
+          .raw(",\"t_ms\":")
+          .num_scaled(j->time, 6)
+          .raw(",\"event\":\"")
+          .raw(to_string(j->event))
+          .raw("\",\"board\":\"")
+          .escaped(name(j->board))
+          .raw("\"");
+      if (j->app >= 0) cw.raw(",\"app\":").num(j->app);
+      if (j->spec != 0) {
+        cw.raw(",\"spec\":\"").escaped(name(j->spec)).raw("\"");
+      }
+      if (j->flow != 0) cw.raw(",\"flow\":").num(j->flow);
+      if (j->detail_len != 0) {
+        cw.raw(",\"detail\":\"").escaped(ch->detail(*j)).raw("\"");
+      }
+      cw.raw("}\n");
     }
-    w.raw("}\n");
-  }
+  });
 }
 
 void ClusterTraceHub::write_journal_file(const std::string& path) const {

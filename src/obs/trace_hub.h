@@ -23,6 +23,7 @@
 // are a pure function of its inputs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
@@ -99,6 +100,8 @@ class TraceChannel {
 
   [[nodiscard]] bool trace_on() const noexcept;
   [[nodiscard]] bool journal_on() const noexcept;
+  /// Position in the hub's channel creation order.
+  [[nodiscard]] std::size_t index() const noexcept { return index_; }
 
   /// Fresh cluster-unique flow id (namespaced by channel, so sources never
   /// collide).
@@ -169,6 +172,13 @@ static_assert(sizeof(TraceChannel::Journal) == 40);
 /// components skip all record building.
 class ClusterTraceHub {
  public:
+  /// Records per chunk when an export's formatting is spread over threads
+  /// (obs/block_writer.h, write_ordered): about 48 KiB of text at some 96
+  /// bytes per trace span or flow and 144 per journal record, so a chunk
+  /// seldom outgrows its writer's first 64 KiB block.
+  static constexpr std::size_t kTraceChunk = 64 * 1024 / 128;
+  static constexpr std::size_t kJournalChunk = 64 * 1024 / 192;
+
   ClusterTraceHub();
   ClusterTraceHub(const ClusterTraceHub&) = delete;
   ClusterTraceHub& operator=(const ClusterTraceHub&) = delete;

@@ -76,6 +76,7 @@ BoardRuntime::BoardRuntime(fpga::Board& board, SchedulerPolicy& policy)
   }
   for (const fpga::Slot& s : board_.slots()) {
     if (s.state() == fpga::SlotState::kIdle) mark_idle(s);
+    ++slot_counts_[static_cast<std::size_t>(s.state())];
   }
   policy_.attach(*this);
 }
@@ -173,12 +174,8 @@ void BoardRuntime::touch_phase(AppRun& a) {
 
 void BoardRuntime::refresh_slot_gauges() {
   if (!metrics_bound_) return;
-  std::array<int, 4> counts{};
-  for (const fpga::Slot& s : board_.slots()) {
-    ++counts[static_cast<std::size_t>(s.state())];
-  }
-  for (std::size_t s = 0; s < counts.size(); ++s) {
-    m_slot_state_[s].set(counts[s]);
+  for (std::size_t s = 0; s < slot_counts_.size(); ++s) {
+    m_slot_state_[s].set(slot_counts_[s]);
   }
 }
 
@@ -351,7 +348,7 @@ void BoardRuntime::checkpoint_pass() {
   std::int64_t pass_full_bytes = 0;
   std::int64_t pass_delta_bytes = 0;
   const bool delta_mode = ckpt_.delta_active() && dirty_granularity_ > 0;
-  std::vector<int> snap;
+  std::vector<int>& snap = ckpt_snap_;
   for (int id : live_) {
     AppRun& a = app(id);
     if (!a.started) continue;
@@ -573,7 +570,7 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
         AppRun& a2 = app(app_id);
         UnitRun& u2 = a2.units[static_cast<std::size_t>(unit_index)];
         touch_utilization();
-        board_.slot(u2.slot).finish_reconfig();
+        change_slot(board_.slot(u2.slot), &fpga::Slot::finish_reconfig);
         if (u2.seu_poisoned) {
           // An SEU hit the region mid-load: the configured logic is dead on
           // arrival. Release the slot and retry the unit from Pending.
@@ -873,7 +870,7 @@ BoardRuntime::CrashReport BoardRuntime::crash() {
   crashed_ = true;
   pass_queued_ = false;
   for (fpga::Slot& s : board_.slots()) {
-    s.scrub();
+    change_slot(s, &fpga::Slot::scrub);
     mark_idle(s);
   }
   occupied_ = {};
@@ -1020,7 +1017,9 @@ void BoardRuntime::launch_item(AppRun& app_ref, UnitRun& unit_ref) {
         AppRun& a = app(app_id);
         UnitRun& u = a.units[static_cast<std::size_t>(unit_index)];
         touch_utilization();
-        if (u.slot >= 0) board_.slot(u.slot).begin_exec();
+        if (u.slot >= 0) {
+          change_slot(board_.slot(u.slot), &fpga::Slot::begin_exec);
+        }
         refresh_slot_gauges();
         const sim::SimTime started =
             sim().now() + board_.params().dma_time(u.spec.item_bytes_in);
@@ -1048,7 +1047,7 @@ void BoardRuntime::finish_item(int app_id, int unit_index) {
   AppRun& a = app(app_id);
   UnitRun& u = a.units[static_cast<std::size_t>(unit_index)];
   touch_utilization();
-  if (u.slot >= 0) board_.slot(u.slot).finish_exec();
+  if (u.slot >= 0) change_slot(board_.slot(u.slot), &fpga::Slot::finish_exec);
   set_in_flight(a, u, false);
   if (u.seu_poisoned) {
     // An SEU killed the slot logic mid-item: the item's result is garbage
@@ -1174,14 +1173,14 @@ void BoardRuntime::begin_slot_reconfig(fpga::Slot& slot, int app_id,
   if (slot.state() == fpga::SlotState::kIdle) occupied_ += slot.capacity();
   idle_masks_[static_cast<std::size_t>(slot.kind())] &=
       ~(std::uint64_t{1} << slot.id());
-  slot.begin_reconfig(app_id, key);
+  change_slot(slot, &fpga::Slot::begin_reconfig, app_id, key);
 }
 
 void BoardRuntime::release_slot(fpga::Slot& slot) {
   ++allocation_changes_;
   if (slot.state() != fpga::SlotState::kIdle) occupied_ -= slot.capacity();
   mark_idle(slot);
-  slot.release();
+  change_slot(slot, &fpga::Slot::release);
 }
 
 void BoardRuntime::touch_utilization() {

@@ -311,6 +311,10 @@ class BoardRuntime {
   [[nodiscard]] std::uint64_t idle_mask(fpga::SlotKind kind) const noexcept {
     return idle_masks_[static_cast<std::size_t>(kind)];
   }
+  /// Slots in `state` (kept, never recounted).
+  [[nodiscard]] int slot_count(fpga::SlotState state) const noexcept {
+    return slot_counts_[static_cast<std::size_t>(state)];
+  }
 
   /// Placement hint: among idle `candidates`, returns the one whose
   /// placement-specific bitstream for (app, unit) is already staged in DDR
@@ -589,6 +593,14 @@ class BoardRuntime {
   void begin_slot_reconfig(fpga::Slot& slot, int app_id,
                            fpga::ConfiguredKey key);
   void release_slot(fpga::Slot& slot);
+  /// Every slot state change goes through here: applies `change` to
+  /// `slot` and keeps the per-state slot counts exact.
+  template <typename Change, typename... Args>
+  void change_slot(fpga::Slot& slot, Change change, Args... args) {
+    --slot_counts_[static_cast<std::size_t>(slot.state())];
+    (slot.*change)(args...);
+    ++slot_counts_[static_cast<std::size_t>(slot.state())];
+  }
   void mark_idle(const fpga::Slot& slot) noexcept {
     idle_masks_[static_cast<std::size_t>(slot.kind())] |= std::uint64_t{1}
                                                           << slot.id();
@@ -596,7 +608,8 @@ class BoardRuntime {
   /// Integrates the utilisation since the last touch at the current sums.
   /// Call before every change to used_ or occupied_resources().
   void touch_utilization();
-  /// Recounts the per-state slot occupancy gauges; no-op until bound.
+  /// Sets the per-state slot occupancy gauges from the kept counts; no-op
+  /// until bound.
   void refresh_slot_gauges();
   /// Trace lane of `slot`, or of the whole fabric for a negative slot. The
   /// slot lane names are built once, on the first traced span.
@@ -633,6 +646,7 @@ class BoardRuntime {
   fpga::ResourceVector used_;       ///< see used_resources()
   fpga::ResourceVector occupied_;   ///< non-idle slots' capacity
   std::array<std::uint64_t, 2> idle_masks_{};  ///< see idle_mask()
+  std::array<int, 4> slot_counts_{};           ///< see slot_count()
   RuntimeCounters counters_;
   UtilizationIntegral util_;
   std::vector<CompletedApp> completed_;
@@ -644,6 +658,7 @@ class BoardRuntime {
   bool crashed_ = false;
   CheckpointPolicy ckpt_;
   CheckpointStats ckpt_stats_;
+  std::vector<int> ckpt_snap_;  ///< checkpoint_pass's per-task progress
   bool ckpt_armed_ = false;
   bool phase_acct_ = false;
   obs::TraceChannel* obs_ = nullptr;

@@ -59,12 +59,15 @@ class DirtyMap {
     std::int64_t end = std::min(offset + len, state_bytes_);
     offset = std::max<std::int64_t>(offset, 0);
     if (offset >= end) return;
-    int first = static_cast<int>(offset / granularity_);
-    int last = static_cast<int>((end - 1) / granularity_);
-    for (int r = first; r <= last; ++r) {
-      std::size_t w = static_cast<std::size_t>(r) / 64;
-      bits_[kCheckpoint][w] |= 1ULL << (r % 64);
-      bits_[kMigration][w] |= 1ULL << (r % 64);
+    const auto first = static_cast<std::size_t>(offset / granularity_);
+    const auto last = static_cast<std::size_t>((end - 1) / granularity_);
+    // Regions first..last, one mask per word of 64 regions.
+    for (std::size_t w = first / 64; w <= last / 64; ++w) {
+      std::uint64_t mask = ~std::uint64_t{0};
+      if (w == first / 64) mask <<= first % 64;
+      if (w == last / 64) mask &= ~std::uint64_t{0} >> (63 - last % 64);
+      bits_[kCheckpoint][w] |= mask;
+      bits_[kMigration][w] |= mask;
     }
   }
 

@@ -182,8 +182,9 @@ InvariantReport audit(const BoardRuntime& rt) {
   VS_CHECK(report, rt.active_apps() == static_cast<int>(live.size()),
            "active_apps disagrees with the live index");
 
-  // I10: the running-resource sums, the idle-slot masks, the per-spec live
-  // counts and the load cell equal a recount. A full-fabric app owns the
+  // I10: the running-resource sums, the idle-slot masks, the per-state
+  // slot counts, the per-spec live counts and the load cell equal a
+  // recount. A full-fabric app owns the
   // whole fabric, so its capacity stands in for the occupied slots.
   fpga::ResourceVector used;
   LoadCell cell{static_cast<int>(live.size())};
@@ -203,7 +204,9 @@ InvariantReport audit(const BoardRuntime& rt) {
   }
   fpga::ResourceVector occupied;
   std::array<std::uint64_t, 2> idle{};
+  std::array<int, 4> in_state{};
   for (const fpga::Slot& s : board.slots()) {
+    ++in_state[static_cast<std::size_t>(s.state())];
     if (s.state() != fpga::SlotState::kIdle) {
       occupied += s.capacity();
     } else {
@@ -216,6 +219,13 @@ InvariantReport audit(const BoardRuntime& rt) {
              std::string("idle ") + fpga::to_string(kind) + " slot mask " +
                  std::to_string(rt.idle_mask(kind)) + ", slot recount " +
                  std::to_string(recount));
+  }
+  for (std::size_t st = 0; st < in_state.size(); ++st) {
+    const auto state = static_cast<fpga::SlotState>(st);
+    VS_CHECK(report, rt.slot_count(state) == in_state[st],
+             std::string(fpga::to_string(state)) + " slot count " +
+                 std::to_string(rt.slot_count(state)) + ", slot recount " +
+                 std::to_string(in_state[st]));
   }
   if (rt.full_fabric_app() >= 0) occupied = board.fabric_capacity();
   VS_CHECK(report, rt.used_resources() == used,

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <utility>
 
 namespace vs::util {
 
@@ -15,6 +16,8 @@ namespace {
 // configuration.
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
 std::mutex g_mutex;
+/// The calling thread's LogCapture buffer, or null for stderr.
+thread_local std::string* t_capture = nullptr;
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -63,8 +66,28 @@ LogLevel Log::level() noexcept {
 }
 
 void Log::write(LogLevel level, const std::string& msg) {
+  if (t_capture != nullptr) {
+    t_capture->append("[").append(level_name(level)).append("] ");
+    t_capture->append(msg).push_back('\n');
+    return;
+  }
   std::lock_guard lock(g_mutex);
   std::fprintf(stderr, "[%s] %s\n", level_name(level), msg.c_str());
 }
+
+void Log::emit(std::string_view lines) {
+  if (lines.empty()) return;
+  if (t_capture != nullptr) {
+    t_capture->append(lines);
+    return;
+  }
+  std::lock_guard lock(g_mutex);
+  std::fwrite(lines.data(), 1, lines.size(), stderr);
+}
+
+LogCapture::LogCapture(std::string& buffer) noexcept
+    : previous_(std::exchange(t_capture, &buffer)) {}
+
+LogCapture::~LogCapture() { t_capture = previous_; }
 
 }  // namespace vs::util

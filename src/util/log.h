@@ -1,9 +1,11 @@
 // Lightweight leveled logger: one stderr line per message, prefixed with
-// its level.
+// its level. A thread can collect its lines in a buffer instead
+// (LogCapture), which parallel sweeps use to keep stderr in job order.
 #pragma once
 
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace vs::util {
 
@@ -27,7 +29,27 @@ class Log {
   /// untouched. Runs automatically at static-init time; exposed for tests.
   static void init_from_env();
 
+  /// Writes "[LEVEL] msg" and a newline to this thread's log target:
+  /// its LogCapture buffer if it has one, else stderr.
   static void write(LogLevel level, const std::string& msg);
+  /// Passes already formatted lines (a LogCapture buffer) on to this
+  /// thread's log target.
+  static void emit(std::string_view lines);
+};
+
+/// While alive, appends the calling thread's log lines to `buffer` instead
+/// of writing them; the thread's previous target returns on destruction.
+/// metrics::SweepRunner gives each job one, then emits the buffers in job
+/// order, so a sweep's stderr does not depend on its worker count.
+class LogCapture {
+ public:
+  explicit LogCapture(std::string& buffer) noexcept;
+  ~LogCapture();
+  LogCapture(const LogCapture&) = delete;
+  LogCapture& operator=(const LogCapture&) = delete;
+
+ private:
+  std::string* previous_;
 };
 
 namespace detail {

@@ -1,13 +1,19 @@
 // BlockWriter's number formatting against std::to_chars, the format every
 // exporter promises: num_scaled(n, scale) must write exactly
 // to_chars(double(n) / 10^scale), and num(double) exactly to_chars(v),
-// whichever path (integer digits or to_chars) each value takes.
+// whichever path (integer digits or to_chars) each value takes. Also
+// write_file's contract: the file holds exactly what was written, whether
+// it existed before or not.
 #include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -191,6 +197,47 @@ TEST(BlockWriterNumbers, LongPiecesCrossBlockBoundaries) {
     }
   }
   EXPECT_EQ(out.str(), expected);
+}
+
+// ---------------------------------------------------------- write_file
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(WriteFile, LeavesExactlyTheNewBytesWhateverWasThere) {
+  // A fresh file, then rewrites of an existing one that shrink, grow and
+  // empty it: each leaves what the last write wrote, no stale tail.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "vs_write_file";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "capture.jsonl").string();
+  for (const std::string& text :
+       {std::string(300'000, 'a'), std::string("short\n"),
+        std::string(150'000, 'b') + "\n", std::string()}) {
+    write_file(path, "test file", [&](std::ostream& out) {
+      BlockWriter w(out);
+      w.raw(text);
+    });
+    EXPECT_EQ(slurp(path), text) << text.size() << " bytes";
+  }
+  // A write that fails after a short prefix leaves none of the long file
+  // it replaced.
+  write_file(path, "test file", [](std::ostream& out) {
+    BlockWriter w(out);
+    w.raw(std::string(300'000, 'x'));
+  });
+  EXPECT_THROW(write_file(path, "test file",
+                          [](std::ostream& out) {
+                            BlockWriter w(out);
+                            w.raw("new\n");
+                            throw std::runtime_error("format failed");
+                          }),
+               std::runtime_error);
+  EXPECT_EQ(slurp(path).find('x'), std::string::npos);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 // checkpointed-recovery cluster run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -439,6 +442,96 @@ TEST(DirtyMapUnit, ClampsOutOfRangeMarks) {
   EXPECT_EQ(map.peek(runtime::DirtyMap::kCheckpoint).regions, 0);
   map.mark(15 * 1024, 1 << 20);  // straddles the end: clamped to the tail
   EXPECT_EQ(map.peek(runtime::DirtyMap::kCheckpoint).regions, 1);
+}
+
+/// The dirty regions of `plane`, read through the public interface: a
+/// region is dirty when marking one byte of it adds no region.
+std::vector<bool> dirty_regions(const runtime::DirtyMap& map,
+                                runtime::DirtyMap::Plane plane) {
+  std::vector<bool> dirty(static_cast<std::size_t>(map.regions()));
+  const int base = map.peek(plane).regions;
+  for (int r = 0; r < map.regions(); ++r) {
+    runtime::DirtyMap probe = map;
+    probe.mark(static_cast<std::int64_t>(r) * map.granularity(), 1);
+    dirty[static_cast<std::size_t>(r)] = probe.peek(plane).regions == base;
+  }
+  return dirty;
+}
+
+TEST(DirtyMapUnit, WordMasksMatchAPerRegionReference) {
+  // 300 regions of 64 bytes, the last one 17 bytes: five words of bits.
+  // Each mark, of every shape (inside one word, across words, whole words,
+  // clamped at either end, ending in the tail region), must set in both
+  // planes exactly the regions a per-region loop sets, and each drain must
+  // account the partial tail at its true size.
+  constexpr std::int64_t kGran = 64;
+  constexpr int kRegions = 300;
+  constexpr std::int64_t kState = (kRegions - 1) * kGran + 17;
+  runtime::DirtyMap map;
+  map.reset(kState, kGran);
+  ASSERT_EQ(map.regions(), kRegions);
+  std::vector<bool> ref[2] = {std::vector<bool>(kRegions),
+                              std::vector<bool>(kRegions)};
+  auto reference_mark = [&](std::int64_t offset, std::int64_t len) {
+    if (len <= 0) return;
+    const std::int64_t end = std::min(offset + len, kState);
+    for (std::int64_t r = 0; r < kRegions; ++r) {
+      if (r * kGran < end && (r + 1) * kGran > offset) {
+        ref[0][static_cast<std::size_t>(r)] = true;
+        ref[1][static_cast<std::size_t>(r)] = true;
+      }
+    }
+  };
+  auto reference_take = [&](int plane) {
+    runtime::DirtyMap::Drain d;
+    for (int r = 0; r < kRegions; ++r) {
+      if (!ref[plane][static_cast<std::size_t>(r)]) continue;
+      ++d.regions;
+      d.bytes += std::min<std::int64_t>(kGran, kState - r * kGran);
+    }
+    ref[plane].assign(kRegions, false);
+    return d;
+  };
+  std::vector<std::pair<std::int64_t, std::int64_t>> marks = {
+      {3 * kGran + 5, 10},             // inside one region
+      {70 * kGran, 20 * kGran},        // inside one word
+      {60 * kGran + 1, 10 * kGran},    // across a word boundary
+      {64 * kGran, 128 * kGran},       // exactly two whole words
+      {10 * kGran, 250 * kGran},       // across four words
+      {-5 * kGran, 7 * kGran},         // clamped at the start
+      {290 * kGran, 50 * kGran},       // clamped at the end, in the tail
+      {kState - 1, 1},                 // the tail's last byte
+      {kState, 10},                    // past the image
+      {-10, 5},                        // before the image
+      {0, kState},                     // the whole image
+  };
+  std::mt19937_64 rng(2025);
+  for (int i = 0; i < 300; ++i) {
+    const auto offset = static_cast<std::int64_t>(rng() % (kState + 400)) -
+                        200;
+    const std::int64_t lens[] = {1, kGran, 64 * kGran, 3 * 64 * kGran};
+    const std::int64_t len =
+        static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(
+                                              lens[rng() % 4])) +
+        (i % 5 == 0 ? 0 : 1);
+    marks.emplace_back(offset, len);
+  }
+  for (std::size_t i = 0; i < marks.size(); ++i) {
+    const auto [offset, len] = marks[i];
+    map.mark(offset, len);
+    reference_mark(offset, len);
+    ASSERT_EQ(dirty_regions(map, runtime::DirtyMap::kCheckpoint), ref[0])
+        << "mark " << i << " (" << offset << ", " << len << ")";
+    ASSERT_EQ(dirty_regions(map, runtime::DirtyMap::kMigration), ref[1])
+        << "mark " << i;
+    if (i % 3 == 2) {
+      const int plane = static_cast<int>(i / 3 % 2);
+      const auto d = map.take(static_cast<runtime::DirtyMap::Plane>(plane));
+      const auto want = reference_take(plane);
+      EXPECT_EQ(d.regions, want.regions) << "drain after mark " << i;
+      EXPECT_EQ(d.bytes, want.bytes) << "drain after mark " << i;
+    }
+  }
 }
 
 // -------------------------------------------------------- CheckpointDelta

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "apps/benchmarks.h"
 #include "metrics/sweep.h"
 #include "util/cli.h"
+#include "util/log.h"
 #include "util/thread_pool.h"
 #include "workload/generator.h"
 
@@ -263,6 +266,37 @@ TEST(SweepEdgeCases, JobExceptionPropagatesAfterPoolDrains) {
   auto ok = runner.map<int>(
       4, [](std::size_t i) { return static_cast<int>(i) * 2; });
   EXPECT_EQ(ok, (std::vector<int>{0, 2, 4, 6}));
+}
+
+TEST(SweepEdgeCases, JobLogsReachStderrInJobOrderAtAnyWorkerCount) {
+  // Jobs log two lines each and finish out of order (later jobs do less
+  // work); one throws after logging. Whatever the worker count, stderr is
+  // every job's lines in job order, the failed job's included, and the
+  // lowest-index error is rethrown after.
+  auto sweep = [](int workers) {
+    testing::internal::CaptureStderr();
+    try {
+      (void)SweepRunner(workers).map<int>(12, [](std::size_t i) -> int {
+        VS_WARN << "job " << i << " starts";
+        volatile std::uint64_t spin = 0;
+        for (std::uint64_t k = 0; k < (12 - i) * 20000; ++k) spin = spin + k;
+        if (i == 7) throw std::runtime_error("job 7");
+        VS_WARN << "job " << i << " done";
+        return static_cast<int>(i);
+      });
+      ADD_FAILURE() << "expected the sweep to rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "job 7");
+    }
+    return testing::internal::GetCapturedStderr();
+  };
+  std::string expected;
+  for (int i = 0; i < 12; ++i) {
+    expected += "[WARN ] job " + std::to_string(i) + " starts\n";
+    if (i != 7) expected += "[WARN ] job " + std::to_string(i) + " done\n";
+  }
+  EXPECT_EQ(sweep(1), expected);
+  EXPECT_EQ(sweep(4), expected);
 }
 
 TEST(SweepEdgeCases, InvalidSystemKindRethrownFromReplica) {
