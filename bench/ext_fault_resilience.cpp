@@ -48,9 +48,112 @@
 #include "util/thread_pool.h"
 #include "workload/generator.h"
 
-int run(int argc, char** argv) {
-  using namespace vs;
+namespace {
 
+using namespace vs;
+
+struct Mode {
+  const char* name;
+  bool enable_recovery;
+  bool kill_restart;
+  bool checkpoint;
+  bool delta;
+};
+
+/// One (rate, mode) cell reduced over its sequences: counts and stats are
+/// sums, availability is a mean.
+struct Cell {
+  int done = 0;
+  int submitted = 0;
+  int switches = 0;
+  double censored_mean_ms = 0.0;
+  double baseline_ms = 0.0;  ///< the mode's rate-0 censored mean (0 = none)
+  double avail = 0.0;
+  cluster::RecoveryStats stats;
+  runtime::CheckpointStats ckpt;
+  int precopy_rounds = 0;
+  std::int64_t precopy_bytes = 0;
+  std::int64_t stopcopy_bytes = 0;
+  double downtime_ms = 0.0;
+
+  [[nodiscard]] double inflation() const {
+    return baseline_ms > 0 ? censored_mean_ms / baseline_ms : 0;
+  }
+};
+
+/// Runs the (rate x mode x sequence) grid on the sweep runner — run i
+/// takes rate i / (modes x seqs), mode (i / seqs) % modes and sequence
+/// i % seqs, with the options `options_for(rate, mode, seq)` builds — and
+/// reduces it to one Cell per (rate, mode), rates outermost. The rate-0
+/// pass comes first, so it sets each mode's inflation baseline.
+template <typename OptionsFor>
+std::vector<Cell> sweep(metrics::SweepRunner& runner,
+                        const std::vector<apps::AppSpec>& suite,
+                        const std::vector<workload::Sequence>& sequences,
+                        const std::vector<double>& rates,
+                        const std::vector<Mode>& modes, sim::SimTime t_eval,
+                        OptionsFor options_for) {
+  const std::size_t n_seqs = sequences.size();
+  auto runs = runner.map<metrics::ClusterRunResult>(
+      rates.size() * modes.size() * n_seqs, [&](std::size_t i) {
+        return metrics::run_cluster(
+            suite, sequences[i % n_seqs],
+            options_for(rates[i / (modes.size() * n_seqs)],
+                        modes[(i / n_seqs) % modes.size()], i % n_seqs));
+      });
+  std::vector<Cell> cells(rates.size() * modes.size());
+  std::vector<double> baseline(modes.size(), 0.0);
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    Cell& cell = cells[c];
+    double censored_sum_ms = 0;
+    for (std::size_t si = 0; si < n_seqs; ++si) {
+      const metrics::ClusterRunResult& r = runs[c * n_seqs + si];
+      cell.ckpt += r.checkpoint;
+      cell.switches += static_cast<int>(r.switches.size());
+      for (const cluster::SwitchEvent& e : r.switches) {
+        cell.precopy_rounds += e.precopy_rounds;
+        cell.precopy_bytes += e.precopy_bytes;
+        cell.stopcopy_bytes += e.stopcopy_bytes;
+        cell.downtime_ms += sim::to_ms(e.downtime);
+      }
+      cell.done += r.completed;
+      cell.submitted += r.submitted;
+      for (double ms : r.response_ms) censored_sum_ms += ms;
+      // Charge every app the run did not complete with (T_eval - arrival):
+      // match completions against the sequence's arrival multiset.
+      std::multiset<sim::SimTime> open;
+      for (const apps::AppArrival& a : sequences[si]) open.insert(a.arrival);
+      for (const runtime::CompletedApp& done : r.apps) {
+        auto it = open.find(done.arrival);
+        if (it != open.end()) open.erase(it);
+      }
+      for (sim::SimTime arrival : open) {
+        censored_sum_ms += sim::to_ms(t_eval - arrival);
+      }
+      cell.stats += r.recovery;
+      cell.avail += r.availability;
+    }
+    cell.avail /= static_cast<double>(n_seqs);
+    cell.censored_mean_ms =
+        censored_sum_ms / static_cast<double>(cell.submitted);
+    const std::size_t mi = c % modes.size();
+    if (rates[c / modes.size()] == 0.0) baseline[mi] = cell.censored_mean_ms;
+    cell.baseline_ms = baseline[mi];
+  }
+  return cells;
+}
+
+/// Writes one CSV row of mixed string and number cells.
+template <typename... Fields>
+void csv_row(util::CsvWriter& csv, const Fields&... fields) {
+  csv.begin_row();
+  (csv.field(fields), ...);
+  csv.end_row();
+}
+
+}  // namespace
+
+int run(int argc, char** argv) {
   util::CliArgs args(argc, argv);
   metrics::SweepRunner runner(util::resolve_jobs(&args));
   const int apps_per_seq = static_cast<int>(args.get_int("apps", 40));
@@ -75,14 +178,7 @@ int run(int argc, char** argv) {
   // response, so the metric never rewards dropping work.
   const sim::SimTime t_eval = sim::seconds(120.0);
 
-  const double crash_rates[] = {0.0, 0.02, 0.05, 0.1};  // per board-second
-  struct Mode {
-    const char* name;
-    bool enable_recovery;
-    bool kill_restart;
-    bool checkpoint;
-    bool delta;
-  };
+  const std::vector<double> crash_rates = {0.0, 0.02, 0.05, 0.1};  // per s
   const std::vector<Mode> all_modes = {
       {"no-recovery", false, false, false, false},
       {"kill-restart", true, true, false, false},
@@ -114,6 +210,21 @@ int run(int argc, char** argv) {
     std::cerr << "unknown --throttle mode: " << throttle_name << "\n";
     return 1;
   }
+
+  // What every cell of either sweep shares: its mode's recovery and
+  // checkpoint settings. Checkpointing stays on at rate 0 too: the mode's
+  // fault-free baseline carries the snapshot overhead, so the inflation
+  // column never hides the checkpoint cost.
+  auto mode_options = [&](const Mode& mode) {
+    cluster::ClusterOptions options;
+    options.recovery.enable_recovery = mode.enable_recovery;
+    options.recovery.kill_restart = mode.kill_restart;
+    options.checkpoint.enabled = mode.checkpoint;
+    options.checkpoint.delta = mode.delta;
+    options.checkpoint.interval = sim::ms(ckpt_interval_ms);
+    options.checkpoint.granularity = ckpt_granularity;
+    return options;
+  };
 
   // Correlated failure-domain sweep (--racks N, optional --rack-rate R):
   // N racks of one OL + one BL board each — every rack spans both pools
@@ -164,28 +275,19 @@ int run(int argc, char** argv) {
               << " racks x 2 boards, " << apps_per_seq << " stress apps, "
               << n_seqs << " sequences pooled; censored at t="
               << sim::to_seconds(t_eval) << "s) ===\n\n";
-    auto rack_cells = runner.map<metrics::ClusterRunResult>(
-        rack_rates.size() * modes.size() * n_seqs,
-        [&](std::size_t i) {
-          const double rate = rack_rates[i / (modes.size() * n_seqs)];
-          const Mode& mode = modes[(i / n_seqs) % modes.size()];
-          const std::size_t seq = i % n_seqs;
-          cluster::ClusterOptions options;
+    auto rack_cells = sweep(
+        runner, suite, sequences, rack_rates, modes, t_eval,
+        [&](double rate, const Mode& mode, std::size_t seq) {
+          cluster::ClusterOptions options = mode_options(mode);
           options.boards_per_config = racks;
           options.faults = rack_scenario(rate, seq);
-          options.recovery.enable_recovery = mode.enable_recovery;
-          options.recovery.kill_restart = mode.kill_restart;
-          options.checkpoint.enabled = mode.checkpoint;
-          options.checkpoint.delta = mode.delta;
-          options.checkpoint.interval = sim::ms(ckpt_interval_ms);
-          options.checkpoint.granularity = ckpt_granularity;
           // Only recovering modes throttle: no-recovery/kill-restart keep
           // their baseline admission, matching the mode definitions above.
           options.recovery.throttle =
               mode.enable_recovery && !mode.kill_restart
                   ? throttle
                   : cluster::RecoveryOptions::Throttle::kOff;
-          return metrics::run_cluster(suite, sequences[seq], options);
+          return options;
         });
     util::Table rtable({"rack/s", "mode", "done", "censored ms", "inflation",
                         "racks hit", "spare exh", "evac", "restart", "lost",
@@ -196,89 +298,34 @@ int run(int argc, char** argv) {
                  "spare_exhausted", "evacuated", "ckpt_restored", "restarted",
                  "lost", "shed", "deferred", "arrivals_shed", "readmissions",
                  "mttr_ms", "availability", "switches"});
-    std::size_t rcursor = 0;
-    std::vector<double> rbaseline(modes.size(), 0.0);
-    for (std::size_t ri = 0; ri < rack_rates.size(); ++ri) {
-      for (std::size_t mi = 0; mi < modes.size(); ++mi) {
-        double censored_sum_ms = 0;
-        int done = 0, submitted = 0, switches = 0;
-        cluster::RecoveryStats stats;
-        double avail = 0;
-        for (std::size_t si = 0; si < n_seqs; ++si) {
-          const auto& r = rack_cells[rcursor++];
-          done += r.completed;
-          submitted += r.submitted;
-          switches += static_cast<int>(r.switches.size());
-          for (double ms : r.response_ms) censored_sum_ms += ms;
-          std::multiset<sim::SimTime> open;
-          for (const apps::AppArrival& a : sequences[si]) {
-            open.insert(a.arrival);
-          }
-          for (const runtime::CompletedApp& c : r.apps) {
-            auto it = open.find(c.arrival);
-            if (it != open.end()) open.erase(it);
-          }
-          for (sim::SimTime arrival : open) {
-            censored_sum_ms += sim::to_ms(t_eval - arrival);
-          }
-          stats.rack_events += r.recovery.rack_events;
-          stats.spare_exhausted += r.recovery.spare_exhausted;
-          stats.apps_evacuated += r.recovery.apps_evacuated;
-          stats.apps_checkpoint_restored +=
-              r.recovery.apps_checkpoint_restored;
-          stats.apps_restarted += r.recovery.apps_restarted;
-          stats.apps_lost += r.recovery.apps_lost;
-          stats.apps_shed += r.recovery.apps_shed;
-          stats.arrivals_deferred += r.recovery.arrivals_deferred;
-          stats.arrivals_shed += r.recovery.arrivals_shed;
-          stats.readmissions += r.recovery.readmissions;
-          stats.mttr_total += r.recovery.mttr_total;
-          stats.mttr_count += r.recovery.mttr_count;
-          avail += r.availability;
-        }
-        avail /= static_cast<double>(n_seqs);
-        double censored_mean =
-            censored_sum_ms / static_cast<double>(submitted);
-        if (rack_rates[ri] == 0.0) rbaseline[mi] = censored_mean;
-        double inflation =
-            rbaseline[mi] > 0 ? censored_mean / rbaseline[mi] : 0;
-        rtable.add_row();
-        rtable.cell(rack_rates[ri], 2);
-        rtable.cell(modes[mi].name);
-        rtable.cell(std::to_string(done) + "/" + std::to_string(submitted));
-        rtable.cell(censored_mean, 1);
-        rtable.cell(inflation, 3);
-        rtable.cell(static_cast<std::int64_t>(stats.rack_events));
-        rtable.cell(static_cast<std::int64_t>(stats.spare_exhausted));
-        rtable.cell(static_cast<std::int64_t>(stats.apps_evacuated));
-        rtable.cell(static_cast<std::int64_t>(stats.apps_restarted));
-        rtable.cell(static_cast<std::int64_t>(stats.apps_lost));
-        rtable.cell(static_cast<std::int64_t>(stats.apps_shed +
-                                              stats.arrivals_shed));
-        rtable.cell(stats.mttr_ms_mean(), 1);
-        rtable.cell(avail, 4);
-        rcsv.begin_row();
-        rcsv.field(rack_rates[ri]);
-        rcsv.field(std::string(modes[mi].name));
-        rcsv.field(done);
-        rcsv.field(submitted);
-        rcsv.field(censored_mean);
-        rcsv.field(inflation);
-        rcsv.field(stats.rack_events);
-        rcsv.field(stats.spare_exhausted);
-        rcsv.field(stats.apps_evacuated);
-        rcsv.field(stats.apps_checkpoint_restored);
-        rcsv.field(stats.apps_restarted);
-        rcsv.field(stats.apps_lost);
-        rcsv.field(stats.apps_shed);
-        rcsv.field(stats.arrivals_deferred);
-        rcsv.field(stats.arrivals_shed);
-        rcsv.field(stats.readmissions);
-        rcsv.field(stats.mttr_ms_mean());
-        rcsv.field(avail);
-        rcsv.field(switches);
-        rcsv.end_row();
-      }
+    for (std::size_t c = 0; c < rack_cells.size(); ++c) {
+      const Cell& cell = rack_cells[c];
+      const cluster::RecoveryStats& stats = cell.stats;
+      const double rate = rack_rates[c / modes.size()];
+      const char* mode = modes[c % modes.size()].name;
+      rtable.add_row();
+      rtable.cell(rate, 2);
+      rtable.cell(mode);
+      rtable.cell(std::to_string(cell.done) + "/" +
+                  std::to_string(cell.submitted));
+      rtable.cell(cell.censored_mean_ms, 1);
+      rtable.cell(cell.inflation(), 3);
+      rtable.cell(static_cast<std::int64_t>(stats.rack_events));
+      rtable.cell(static_cast<std::int64_t>(stats.spare_exhausted));
+      rtable.cell(static_cast<std::int64_t>(stats.apps_evacuated));
+      rtable.cell(static_cast<std::int64_t>(stats.apps_restarted));
+      rtable.cell(static_cast<std::int64_t>(stats.apps_lost));
+      rtable.cell(
+          static_cast<std::int64_t>(stats.apps_shed + stats.arrivals_shed));
+      rtable.cell(stats.mttr_ms_mean(), 1);
+      rtable.cell(cell.avail, 4);
+      csv_row(rcsv, rate, std::string(mode), cell.done, cell.submitted,
+              cell.censored_mean_ms, cell.inflation(), stats.rack_events,
+              stats.spare_exhausted, stats.apps_evacuated,
+              stats.apps_checkpoint_restored, stats.apps_restarted,
+              stats.apps_lost, stats.apps_shed, stats.arrivals_deferred,
+              stats.arrivals_shed, stats.readmissions, stats.mttr_ms_mean(),
+              cell.avail, cell.switches);
     }
     rtable.print(std::cout);
     std::cout << "\n(every rack feeds one board of each pool, so a rack "
@@ -331,26 +378,13 @@ int run(int argc, char** argv) {
             << " sequences pooled; censored at t="
             << sim::to_seconds(t_eval) << "s) ===\n\n";
 
-  auto cells = runner.map<metrics::ClusterRunResult>(
-      std::size(crash_rates) * modes.size() * n_seqs,
-      [&](std::size_t i) {
-        const double rate = crash_rates[i / (modes.size() * n_seqs)];
-        const Mode& mode = modes[(i / n_seqs) % modes.size()];
-        const std::size_t seq = i % n_seqs;
-        cluster::ClusterOptions options;
-        options.faults = scenario_for(rate, seq);
-        options.recovery.enable_recovery = mode.enable_recovery;
-        options.recovery.kill_restart = mode.kill_restart;
-        // Checkpointing stays on at rate 0 too: the mode's fault-free
-        // baseline carries the snapshot overhead, so the inflation column
-        // never hides the checkpoint cost.
-        options.checkpoint.enabled = mode.checkpoint;
-        options.checkpoint.delta = mode.delta;
-        options.checkpoint.interval = sim::ms(ckpt_interval_ms);
-        options.checkpoint.granularity = ckpt_granularity;
-        options.recovery.throttle = throttle;
-        return metrics::run_cluster(suite, sequences[seq], options);
-      });
+  auto cells = sweep(runner, suite, sequences, crash_rates, modes, t_eval,
+                     [&](double rate, const Mode& mode, std::size_t seq) {
+                       cluster::ClusterOptions options = mode_options(mode);
+                       options.faults = scenario_for(rate, seq);
+                       options.recovery.throttle = throttle;
+                       return options;
+                     });
 
   util::Table table({"crash/s", "mode", "done", "censored ms", "inflation",
                      "evac", "ckpt", "restart", "lost", "MTTR ms", "avail",
@@ -364,110 +398,39 @@ int run(int argc, char** argv) {
               "ckpt_skipped_clean", "ckpt_skipped_empty", "switches",
               "migration_precopy_rounds", "migration_precopy_bytes",
               "migration_stopcopy_bytes", "migration_downtime_ms"});
-  std::size_t cursor = 0;
-  // Per-mode fault-free baseline for the inflation column (filled by the
-  // rate 0 pass, which the grid orders first).
-  std::vector<double> baseline_ms(modes.size(), 0.0);
   bool ordering_ok = true;
   std::int64_t total_deferred = 0, total_arrivals_shed = 0;
-  for (std::size_t ri = 0; ri < std::size(crash_rates); ++ri) {
-    for (std::size_t mi = 0; mi < modes.size(); ++mi) {
-      double censored_sum_ms = 0;
-      int done = 0, submitted = 0;
-      cluster::RecoveryStats stats;
-      runtime::CheckpointStats ckpt;
-      int switches = 0, precopy_rounds = 0;
-      std::int64_t precopy_bytes = 0, stopcopy_bytes = 0;
-      double downtime_ms = 0;
-      double avail = 0;
-      for (std::size_t si = 0; si < n_seqs; ++si) {
-        const auto& r = cells[cursor++];
-        ckpt += r.checkpoint;
-        switches += static_cast<int>(r.switches.size());
-        for (const cluster::SwitchEvent& e : r.switches) {
-          precopy_rounds += e.precopy_rounds;
-          precopy_bytes += e.precopy_bytes;
-          stopcopy_bytes += e.stopcopy_bytes;
-          downtime_ms += sim::to_ms(e.downtime);
-        }
-        done += r.completed;
-        submitted += r.submitted;
-        for (double ms : r.response_ms) censored_sum_ms += ms;
-        // Charge every app the run did not complete with (T_eval - arrival):
-        // match completions against the sequence's arrival multiset.
-        std::multiset<sim::SimTime> open;
-        for (const apps::AppArrival& a : sequences[si]) {
-          open.insert(a.arrival);
-        }
-        for (const runtime::CompletedApp& c : r.apps) {
-          auto it = open.find(c.arrival);
-          if (it != open.end()) open.erase(it);
-        }
-        for (sim::SimTime arrival : open) {
-          censored_sum_ms += sim::to_ms(t_eval - arrival);
-        }
-        stats.apps_evacuated += r.recovery.apps_evacuated;
-        stats.apps_checkpoint_restored += r.recovery.apps_checkpoint_restored;
-        stats.apps_restarted += r.recovery.apps_restarted;
-        stats.apps_lost += r.recovery.apps_lost;
-        stats.apps_shed += r.recovery.apps_shed;
-        stats.boards_crashed += r.recovery.boards_crashed;
-        stats.mttr_total += r.recovery.mttr_total;
-        stats.mttr_count += r.recovery.mttr_count;
-        stats.arrivals_deferred += r.recovery.arrivals_deferred;
-        stats.arrivals_shed += r.recovery.arrivals_shed;
-        avail += r.availability;
-      }
-      avail /= static_cast<double>(n_seqs);
-      total_deferred += stats.arrivals_deferred;
-      total_arrivals_shed += stats.arrivals_shed;
-      double censored_mean = censored_sum_ms / static_cast<double>(submitted);
-      if (crash_rates[ri] == 0.0) baseline_ms[mi] = censored_mean;
-      if (baseline_ms[mi] <= 0) ordering_ok = false;
-      double inflation =
-          baseline_ms[mi] > 0 ? censored_mean / baseline_ms[mi] : 0;
-      table.add_row();
-      table.cell(crash_rates[ri], 2);
-      table.cell(modes[mi].name);
-      table.cell(std::to_string(done) + "/" + std::to_string(submitted));
-      table.cell(censored_mean, 1);
-      table.cell(inflation, 3);
-      table.cell(static_cast<std::int64_t>(stats.apps_evacuated));
-      table.cell(static_cast<std::int64_t>(stats.apps_checkpoint_restored));
-      table.cell(static_cast<std::int64_t>(stats.apps_restarted));
-      table.cell(static_cast<std::int64_t>(stats.apps_lost));
-      table.cell(stats.mttr_ms_mean(), 1);
-      table.cell(avail, 4);
-      table.cell(static_cast<double>(ckpt.total_bytes()) / 1e6, 2);
-      csv.begin_row();
-      csv.field(crash_rates[ri]);
-      csv.field(std::string(modes[mi].name));
-      csv.field(done);
-      csv.field(submitted);
-      csv.field(censored_mean);
-      csv.field(inflation);
-      csv.field(stats.apps_evacuated);
-      csv.field(stats.apps_checkpoint_restored);
-      csv.field(stats.apps_restarted);
-      csv.field(stats.apps_lost);
-      csv.field(stats.mttr_ms_mean());
-      csv.field(avail);
-      csv.field(ckpt.bases);
-      csv.field(ckpt.deltas);
-      csv.field(ckpt.compactions);
-      csv.field(ckpt.base_bytes);
-      csv.field(ckpt.delta_bytes);
-      csv.field(ckpt.total_bytes());
-      csv.field(ckpt.dirty_regions);
-      csv.field(ckpt.skipped_clean);
-      csv.field(ckpt.skipped_empty);
-      csv.field(switches);
-      csv.field(precopy_rounds);
-      csv.field(precopy_bytes);
-      csv.field(stopcopy_bytes);
-      csv.field(downtime_ms);
-      csv.end_row();
-    }
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const Cell& cell = cells[c];
+    const cluster::RecoveryStats& stats = cell.stats;
+    const runtime::CheckpointStats& ckpt = cell.ckpt;
+    const double rate = crash_rates[c / modes.size()];
+    const char* mode = modes[c % modes.size()].name;
+    total_deferred += stats.arrivals_deferred;
+    total_arrivals_shed += stats.arrivals_shed;
+    if (cell.baseline_ms <= 0) ordering_ok = false;
+    table.add_row();
+    table.cell(rate, 2);
+    table.cell(mode);
+    table.cell(std::to_string(cell.done) + "/" +
+               std::to_string(cell.submitted));
+    table.cell(cell.censored_mean_ms, 1);
+    table.cell(cell.inflation(), 3);
+    table.cell(static_cast<std::int64_t>(stats.apps_evacuated));
+    table.cell(static_cast<std::int64_t>(stats.apps_checkpoint_restored));
+    table.cell(static_cast<std::int64_t>(stats.apps_restarted));
+    table.cell(static_cast<std::int64_t>(stats.apps_lost));
+    table.cell(stats.mttr_ms_mean(), 1);
+    table.cell(cell.avail, 4);
+    table.cell(static_cast<double>(ckpt.total_bytes()) / 1e6, 2);
+    csv_row(csv, rate, std::string(mode), cell.done, cell.submitted,
+            cell.censored_mean_ms, cell.inflation(), stats.apps_evacuated,
+            stats.apps_checkpoint_restored, stats.apps_restarted,
+            stats.apps_lost, stats.mttr_ms_mean(), cell.avail, ckpt.bases,
+            ckpt.deltas, ckpt.compactions, ckpt.base_bytes, ckpt.delta_bytes,
+            ckpt.total_bytes(), ckpt.dirty_regions, ckpt.skipped_clean,
+            ckpt.skipped_empty, cell.switches, cell.precopy_rounds,
+            cell.precopy_bytes, cell.stopcopy_bytes, cell.downtime_ms);
   }
   table.print(std::cout);
   if (throttle != cluster::RecoveryOptions::Throttle::kOff) {
@@ -500,14 +463,9 @@ int run(int argc, char** argv) {
   // per-board availability, and the trace/journal the crash -> evacuation
   // -> readmission causality.
   if (capture.requested()) {
-    cluster::ClusterOptions options;
-    options.faults =
-        scenario_for(crash_rates[std::size(crash_rates) - 1], 0);
-    options.recovery.enable_recovery = true;
-    options.checkpoint.enabled = true;
-    options.checkpoint.delta = true;
-    options.checkpoint.interval = sim::ms(ckpt_interval_ms);
-    options.checkpoint.granularity = ckpt_granularity;
+    // ckpt-delta at the highest rate, with pre-copy switches.
+    cluster::ClusterOptions options = mode_options(all_modes.back());
+    options.faults = scenario_for(crash_rates.back(), 0);
     options.migration.precopy = true;
     capture.attach(options);
     (void)metrics::run_cluster(suite, sequences[0], options,

@@ -22,7 +22,7 @@ void DmlPolicy::on_pass(runtime::BoardRuntime& rt) {
       while (app.units_placed() < cap && !idle_.empty()) {
         int unit = app.next_pending_unit();
         if (unit < 0) break;
-        rt.request_pr(id, unit, take_slot(rt, id, unit, idle_));
+        rt.request_pr(id, unit, rt.take_slot(id, unit, idle_));
       }
       continue;
     }
@@ -32,7 +32,7 @@ void DmlPolicy::on_pass(runtime::BoardRuntime& rt) {
     for (int i = 0; i < want; ++i) {
       int unit = app.next_pending_unit();
       if (unit < 0) break;
-      rt.request_pr(id, unit, take_slot(rt, id, unit, idle_));
+      rt.request_pr(id, unit, rt.take_slot(id, unit, idle_));
     }
   }
 }

@@ -92,7 +92,7 @@ void NimblockPolicy::maybe_preempt(runtime::BoardRuntime& rt) {
     int pending = rt.app(starving).next_pending_unit();
     if (!idle_.empty() && pending >= 0) {
       rt.request_pr(starving, pending,
-                    rt.choose_slot(starving, pending, idle_));
+                    rt.take_slot(starving, pending, idle_));
     }
     return;  // at most one preemption per pass
   }

@@ -1,6 +1,5 @@
 #include "baselines/policy_common.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "apps/bundling.h"
@@ -12,13 +11,6 @@ int optimal_little(const runtime::BoardRuntime& rt,
   return apps::optimal_little_slots(
       *app.spec, app.batch, rt.board().params(),
       rt.board().count_slots(fpga::SlotKind::kLittle));
-}
-
-int take_slot(runtime::BoardRuntime& rt, int app_id, int unit,
-              std::vector<int>& idle) {
-  int slot = rt.choose_slot(app_id, unit, idle);
-  idle.erase(std::find(idle.begin(), idle.end(), slot));
-  return slot;
 }
 
 void grant_little_slots(runtime::BoardRuntime& rt,
@@ -37,7 +29,7 @@ void grant_little_slots(runtime::BoardRuntime& rt,
       if (app.units_placed() >= caps[i]) continue;
       int unit = app.next_pending_unit();
       if (unit < 0) continue;
-      rt.request_pr(app_id, unit, take_slot(rt, app_id, unit, idle));
+      rt.request_pr(app_id, unit, rt.take_slot(app_id, unit, idle));
       placed_any = true;
     }
   }

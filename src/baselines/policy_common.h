@@ -22,9 +22,4 @@ void grant_little_slots(runtime::BoardRuntime& rt,
                         const std::vector<int>& app_order,
                         const std::vector<int>& caps, std::vector<int>& idle);
 
-/// Picks the best slot for (app, unit) out of `idle` — preferring one whose
-/// bitstream is already staged — and removes it from the list.
-int take_slot(runtime::BoardRuntime& rt, int app_id, int unit,
-              std::vector<int>& idle);
-
 }  // namespace vs::baselines

@@ -22,7 +22,7 @@ void RoundRobinPolicy::on_pass(runtime::BoardRuntime& rt) {
     if (app.units_placed() >= 1) continue;
     int unit = app.next_pending_unit();
     if (unit < 0) continue;
-    rt.request_pr(id, unit, take_slot(rt, id, unit, idle_));
+    rt.request_pr(id, unit, rt.take_slot(id, unit, idle_));
     ++granted;
   }
   cursor_ += static_cast<std::size_t>(granted) + 1;

@@ -37,8 +37,6 @@ Cluster::Cluster(sim::Simulator& sim, const std::vector<apps::AppSpec>& suite,
         std::to_string(runtime::LoadCell::kSpecBits) + " app specs, got " +
         std::to_string(suite_.size()));
   }
-  options_.bl_policy.mode = core::VersaSlotOptions::Mode::kBigLittle;
-  options_.ol_policy.mode = core::VersaSlotOptions::Mode::kOnlyLittle;
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *options_.metrics;
     link_.bind_metrics(reg);
@@ -113,7 +111,7 @@ Cluster::Cluster(sim::Simulator& sim, const std::vector<apps::AppSpec>& suite,
       }
       if (options_.checkpoint.active()) {
         // Registered only when checkpointing is on, so recovery-without-
-        // checkpoint exports stay byte-identical to PR 4.
+        // checkpoint exports carry no checkpoint instruments.
         m_ckpt_restored_ = obs::CounterHandle{&reg.counter(
             "vs_recovery_checkpoint_restored_apps_total")};
         m_restored_items_ = obs::HistogramHandle{&reg.histogram(
@@ -152,9 +150,10 @@ int Cluster::new_epoch(core::SwitchLoop::Config config, fpga::Board& board) {
   auto epoch = std::make_unique<Epoch>();
   epoch->board = &board;
   epoch->config = config;
-  const core::VersaSlotOptions& popts =
-      config == core::SwitchLoop::Config::kBigLittle ? options_.bl_policy
-                                                     : options_.ol_policy;
+  core::VersaSlotOptions popts;
+  popts.mode = config == core::SwitchLoop::Config::kBigLittle
+                   ? core::VersaSlotOptions::Mode::kBigLittle
+                   : core::VersaSlotOptions::Mode::kOnlyLittle;
   epoch->policy = std::make_unique<core::VersaSlotPolicy>(popts);
   epoch->runtime =
       std::make_unique<runtime::BoardRuntime>(*epoch->board, *epoch->policy);
@@ -243,11 +242,17 @@ void Cluster::submit_sequence(const workload::Sequence& sequence) {
 void Cluster::dispatch_arrival(const apps::AppArrival& a, int warm_spec) {
   ++submitted_;
   const RecoveryOptions::Throttle throttle = options_.recovery.throttle;
-  if (throttle != RecoveryOptions::Throttle::kOff &&
-      !readmit_queue_.empty()) {
-    // Recovery in progress: displaced apps are still waiting for a board.
-    // Admitting fresh arrivals now would queue them in front of that
-    // backlog and stretch the recovery-mode tail.
+  // Recovery in progress: displaced apps are still waiting for a board, and
+  // admitting fresh arrivals now would queue them in front of that backlog
+  // and stretch the recovery-mode tail.
+  const bool backlog =
+      throttle != RecoveryOptions::Throttle::kOff && !readmit_queue_.empty();
+  runtime::BoardRuntime* rt =
+      backlog ? nullptr : least_loaded_or_null(warm_spec);
+  if (rt == nullptr) {
+    // Behind the backlog, or every board is down (fault plane only — the
+    // fault-free cluster always has an active pool; a full outage is the
+    // deepest recovery backlog there is).
     if (throttle == RecoveryOptions::Throttle::kShed) {
       // Dropped at the door. Still counted as submitted — like apps_lost,
       // the bench-level censored accounting must see the refused work.
@@ -255,28 +260,9 @@ void Cluster::dispatch_arrival(const apps::AppArrival& a, int warm_spec) {
       m_throttle_shed_.add();
       return;
     }
-    ++recovery_stats_.arrivals_deferred;
-    m_throttle_deferred_.add();
-    MigratedApp m;
-    m.spec_index = a.spec_index;
-    m.batch = a.batch;
-    m.arrival = a.arrival;
-    m.item_interval = a.item_interval;
-    m.state_bytes = 0;
-    m.tenant = a.tenant;
-    readmit_queue_.push_back(ReadmitEntry{std::move(m), nullptr});
-    return;
-  }
-  runtime::BoardRuntime* rt = least_loaded_or_null(warm_spec);
-  if (rt == nullptr) {
-    // Every board is down (fault plane only — the fault-free cluster
-    // always has an active pool). Under kShed the arrival is refused at
-    // the door like any recovery-backlog arrival — a full outage is the
-    // deepest recovery backlog there is; otherwise hold for re-admission.
-    if (throttle == RecoveryOptions::Throttle::kShed) {
-      ++recovery_stats_.arrivals_shed;
-      m_throttle_shed_.add();
-      return;
+    if (backlog) {
+      ++recovery_stats_.arrivals_deferred;
+      m_throttle_deferred_.add();
     }
     MigratedApp m;
     m.spec_index = a.spec_index;
@@ -431,6 +417,7 @@ bool Cluster::pool_free(core::SwitchLoop::Config config) const {
 void Cluster::prewarm(core::SwitchLoop::Config config) {
   // Background-load every suite bitstream variant into the spare boards'
   // SD/DDR stores so PRs after the switch skip the SD fetch.
+  const core::VersaSlotOptions bl;  // the Big.Little pool's policy options
   for (fpga::Board* board : boards_for(config)) {
     for (std::size_t i = 0; i < suite_.size(); ++i) {
       const apps::AppSpec& spec = suite_[i];
@@ -448,8 +435,7 @@ void Cluster::prewarm(core::SwitchLoop::Config config) {
           std::vector<apps::UnitSpec> bundles;
           for (int batch : {1, 30}) {
             apps::make_big_units(bundles, spec, batch, options_.board_params,
-                                 options_.bl_policy.synthesis,
-                                 options_.bl_policy.bundle_size);
+                                 bl.synthesis, bl.bundle_size);
             for (const apps::UnitSpec& u : bundles) {
               board->sdcard().prewarm(runtime::unit_bitstream_key(
                   static_cast<int>(i), u, slot.id()));
@@ -462,41 +448,27 @@ void Cluster::prewarm(core::SwitchLoop::Config config) {
 }
 
 void Cluster::do_switch(core::SwitchLoop::Config target, double d) {
+  // A switch that cannot start now is deferred: the loop state reverts so a
+  // later sample can retrigger it.
+  const char* deferred = nullptr;
   if (precopy_active_) {
     // The previous migration is still streaming; its origins cannot start
-    // a second extraction. Revert the loop state so a later sample can
-    // retrigger (same treatment as a draining spare pool).
+    // a second extraction.
+    deferred = "pre-copy migration in flight";
+  } else if (std::ranges::any_of(boards_for(target), [this](auto* board) {
+               return !board_usable(board);
+             })) {
+    deferred = "target board down";
+  } else if (!pool_free(target)) {
+    deferred = "spare pool still draining";  // a previous epoch is draining
+  }
+  if (deferred != nullptr) {
     loop_ = core::SwitchLoop(options_.t1, options_.t2,
                              target == core::SwitchLoop::Config::kBigLittle
                                  ? core::SwitchLoop::Config::kOnlyLittle
                                  : core::SwitchLoop::Config::kBigLittle);
-    VS_WARN << "switch to " << config_name(target)
-            << " deferred: pre-copy migration in flight";
-    return;
-  }
-  if (fault_plane_ != nullptr) {
-    for (fpga::Board* board : boards_for(target)) {
-      if (board_usable(board)) continue;
-      // A target board is down: revert the loop state (same as the
-      // pool-draining deferral) so a later sample can retrigger.
-      loop_ = core::SwitchLoop(options_.t1, options_.t2,
-                               target == core::SwitchLoop::Config::kBigLittle
-                                   ? core::SwitchLoop::Config::kOnlyLittle
-                                   : core::SwitchLoop::Config::kBigLittle);
-      VS_WARN << "switch to " << config_name(target)
-              << " deferred: target board down";
-      return;
-    }
-  }
-  if (!pool_free(target)) {
-    // The spare pool is still draining a previous epoch: cannot switch yet.
-    // Revert the loop state so a later sample can retrigger.
-    loop_ = core::SwitchLoop(options_.t1, options_.t2,
-                             target == core::SwitchLoop::Config::kBigLittle
-                                 ? core::SwitchLoop::Config::kOnlyLittle
-                                 : core::SwitchLoop::Config::kBigLittle);
-    VS_WARN << "switch to " << config_name(target)
-            << " deferred: spare pool still draining";
+    VS_WARN << "switch to " << config_name(target) << " deferred: "
+            << deferred;
     return;
   }
 
@@ -697,22 +669,21 @@ void Cluster::on_health_event(const faults::HealthEvent& e) {
       ++recovery_stats_.boards_crashed;
       fpga::Board* board = plane_boards_.at(static_cast<std::size_t>(e.board));
       // Crash every live epoch on this board (the active one, plus a
-      // draining origin epoch still finishing ongoing apps after a switch).
-      std::vector<MigratedApp> evacuable;
-      std::vector<MigratedApp> killed;
+      // draining origin epoch still finishing ongoing apps after a switch)
+      // straight into the detection window's batch. Checkpoint-restored
+      // apps ride the same evacuation transfer as live-migrated ones (their
+      // snapshot bytes are in state_bytes); the from_checkpoint flag keeps
+      // the accounting separate.
+      const std::size_t held = batch_.evacuable.size() + batch_.killed.size();
       for (auto& ep : epochs_) {
         if (ep->board != board) continue;
         if (ep->runtime->crashed() || ep->runtime->drained()) continue;
         runtime::BoardRuntime::CrashReport report = ep->runtime->crash();
-        std::move(report.evacuable.begin(), report.evacuable.end(),
-                  std::back_inserter(evacuable));
-        // Checkpoint-restored apps ride the same evacuation transfer as
-        // live-migrated ones (their snapshot bytes are in state_bytes);
-        // the from_checkpoint flag keeps the accounting separate.
-        std::move(report.checkpointed.begin(), report.checkpointed.end(),
-                  std::back_inserter(evacuable));
-        std::move(report.killed.begin(), report.killed.end(),
-                  std::back_inserter(killed));
+        std::ranges::move(report.evacuable,
+                          std::back_inserter(batch_.evacuable));
+        std::ranges::move(report.checkpointed,
+                          std::back_inserter(batch_.evacuable));
+        std::ranges::move(report.killed, std::back_inserter(batch_.killed));
       }
       std::vector<int> pool = active_epochs_;
       std::erase_if(pool, [&](int index) {
@@ -727,44 +698,20 @@ void Cluster::on_health_event(const faults::HealthEvent& e) {
       }
       if (obs_ != nullptr && obs_->journal_on()) {
         obs_->journal(e.time, obs::JournalEvent::kCrash, board->name(), -1,
-                      {}, flow, evacuable.size() + killed.size(),
+                      {}, flow,
+                      batch_.evacuable.size() + batch_.killed.size() - held,
                       " displaced");
       }
-      if (!options_.faults.domains.empty()) {
-        // Rack mode: crashes landing inside one detection window — a rack
-        // event's member losses, jittered or not — coalesce into one
-        // batched recovery action measured from the first crash. Gated on
-        // failure domains so independent-hazard scenarios keep the
-        // per-crash path (and its outputs) bit-for-bit.
-        if (batch_open_) {
-          std::move(evacuable.begin(), evacuable.end(),
-                    std::back_inserter(batch_.evacuable));
-          std::move(killed.begin(), killed.end(),
-                    std::back_inserter(batch_.killed));
-          break;
-        }
-        batch_open_ = true;
-        batch_.evacuable = std::move(evacuable);
-        batch_.killed = std::move(killed);
-        batch_.crash_time = e.time;
-        batch_.flow = flow;
-        sim_.schedule(kDetectionLatency, [this] {
-          batch_open_ = false;
-          PendingBatch batch = std::move(batch_);
-          batch_ = PendingBatch{};
-          handle_crash(std::move(batch.evacuable), std::move(batch.killed),
-                       batch.crash_time, batch.flow);
-        });
-        break;
-      }
-      // Recovery acts after the detection latency (heartbeat + decision).
-      sim_.schedule(kDetectionLatency,
-                    [this, evacuable = std::move(evacuable),
-                     killed = std::move(killed), crash_time = e.time,
-                     flow]() mutable {
-                      handle_crash(std::move(evacuable), std::move(killed),
-                                   crash_time, flow);
-                    });
+      // Recovery acts one detection latency (heartbeat + decision) after
+      // the first crash; crashes inside that window join its batch.
+      if (batch_open_) break;
+      batch_open_ = true;
+      batch_.crash_time = e.time;
+      batch_.flow = flow;
+      sim_.schedule(kDetectionLatency, [this] {
+        batch_open_ = false;
+        handle_crash(std::exchange(batch_, PendingBatch{}));
+      });
       break;
     }
     case faults::FaultKind::kRackEvent: {
@@ -817,22 +764,16 @@ void Cluster::on_health_event(const faults::HealthEvent& e) {
   }
 }
 
-void Cluster::handle_crash(std::vector<MigratedApp> evacuable,
-                           std::vector<MigratedApp> killed,
-                           sim::SimTime crash_time, std::uint64_t flow) {
-  if (flow != 0) {
-    obs_->flow(flow, obs::FlowPhase::kStep, sim_.now(), "cluster",
+void Cluster::handle_crash(PendingBatch batch) {
+  if (batch.flow != 0) {
+    obs_->flow(batch.flow, obs::FlowPhase::kStep, sim_.now(), "cluster",
                "recovery", "detected");
   }
   const RecoveryOptions& ro = options_.recovery;
-  const int displaced =
-      static_cast<int>(evacuable.size()) + static_cast<int>(killed.size());
+  const int displaced = static_cast<int>(batch.evacuable.size()) +
+                        static_cast<int>(batch.killed.size());
   if (displaced == 0) {
-    // Empty board: the repair window is detection alone.
-    sim::SimDuration mttr = sim_.now() - crash_time;
-    recovery_stats_.mttr_total += mttr;
-    ++recovery_stats_.mttr_count;
-    m_mttr_.observe(sim::to_ms(mttr));
+    close_mttr(batch.crash_time);  // empty boards: detection alone
     return;
   }
   if (!ro.enable_recovery) {
@@ -845,7 +786,7 @@ void Cluster::handle_crash(std::vector<MigratedApp> evacuable,
   if (ro.kill_restart) {
     // Baseline: progress is not checkpointed anywhere — every displaced
     // app restarts from scratch, and only a control message transfers.
-    for (MigratedApp& m : evacuable) {
+    for (MigratedApp& m : batch.evacuable) {
       m.progress.clear();
       m.state_bytes = 0;
     }
@@ -857,11 +798,10 @@ void Cluster::handle_crash(std::vector<MigratedApp> evacuable,
   std::vector<MigratedApp> keep;
   std::vector<MigratedApp> fresh;
   keep.reserve(static_cast<std::size_t>(displaced));
-  for (MigratedApp& m : evacuable) {
-    (m.progress.empty() ? fresh : keep).push_back(std::move(m));
-  }
-  for (MigratedApp& m : killed) {
-    (m.progress.empty() ? fresh : keep).push_back(std::move(m));
+  for (auto* part : {&batch.evacuable, &batch.killed}) {
+    for (MigratedApp& m : *part) {
+      (m.progress.empty() ? fresh : keep).push_back(std::move(m));
+    }
   }
   std::stable_sort(fresh.begin(), fresh.end(),
                    [](const MigratedApp& a, const MigratedApp& b) {
@@ -875,16 +815,13 @@ void Cluster::handle_crash(std::vector<MigratedApp> evacuable,
     m_shed_.add(shed);
     if (obs_ != nullptr && obs_->journal_on()) {
       obs_->journal(sim_.now(), obs::JournalEvent::kShed, "cluster", -1, {},
-                    flow, shed, " apps");
+                    batch.flow, shed, " apps");
     }
     fresh.resize(static_cast<std::size_t>(room));
   }
   for (MigratedApp& m : fresh) keep.push_back(std::move(m));
   if (keep.empty()) {
-    sim::SimDuration mttr = sim_.now() - crash_time;
-    recovery_stats_.mttr_total += mttr;
-    ++recovery_stats_.mttr_count;
-    m_mttr_.observe(sim::to_ms(mttr));
+    close_mttr(batch.crash_time);
     return;
   }
   for (const MigratedApp& m : keep) {
@@ -899,7 +836,7 @@ void Cluster::handle_crash(std::vector<MigratedApp> evacuable,
       m_restored_items_.observe(static_cast<double>(restored_items));
       // Work since the snapshot re-runs on the target board; the window is
       // bounded by one checkpoint interval.
-      m_rerun_window_ms_.observe(sim::to_ms(crash_time - m.ckpt_time));
+      m_rerun_window_ms_.observe(sim::to_ms(batch.crash_time - m.ckpt_time));
     } else {
       ++recovery_stats_.apps_evacuated;
       m_evacuated_.add();
@@ -947,9 +884,9 @@ void Cluster::handle_crash(std::vector<MigratedApp> evacuable,
   std::int64_t bytes = 4096;
   for (const MigratedApp& m : keep) bytes += m.state_bytes;
   auto ticket = std::make_shared<CrashTicket>();
-  ticket->crash_time = crash_time;
+  ticket->crash_time = batch.crash_time;
   ticket->remaining = static_cast<int>(keep.size());
-  ticket->flow = flow;
+  ticket->flow = batch.flow;
   link_.transfer(bytes, [this, keep = std::move(keep), ticket,
                          bytes]() mutable {
     if (ticket->flow != 0) {
@@ -960,6 +897,13 @@ void Cluster::handle_crash(std::vector<MigratedApp> evacuable,
   });
 }
 
+void Cluster::close_mttr(sim::SimTime crash_time) {
+  const sim::SimDuration mttr = sim_.now() - crash_time;
+  recovery_stats_.mttr_total += mttr;
+  ++recovery_stats_.mttr_count;
+  m_mttr_.observe(sim::to_ms(mttr));
+}
+
 void Cluster::place_displaced(MigratedApp app,
                               const std::shared_ptr<CrashTicket>& ticket) {
   runtime::BoardRuntime* rt = least_loaded_or_null();
@@ -967,26 +911,7 @@ void Cluster::place_displaced(MigratedApp app,
     readmit_queue_.push_back(ReadmitEntry{std::move(app), ticket});
     return;
   }
-  const apps::AppSpec& spec =
-      suite_.at(static_cast<std::size_t>(app.spec_index));
-  if (ticket != nullptr && ticket->flow != 0 && !ticket->flow_done) {
-    obs_->flow(ticket->flow, obs::FlowPhase::kEnd, sim_.now(),
-               rt->board().name(), "recovery", "readmit");
-    ticket->flow_done = true;
-  }
-  rt->submit_migrated(spec, app, runtime::AppPhase::kRecovery);
-  m_evac_latency_.observe(sim::to_ms(sim_.now() - ticket->crash_time));
-  finish_ticket(ticket);
-  on_queue_update();
-}
-
-void Cluster::finish_ticket(const std::shared_ptr<CrashTicket>& ticket) {
-  if (--ticket->remaining == 0) {
-    sim::SimDuration mttr = sim_.now() - ticket->crash_time;
-    recovery_stats_.mttr_total += mttr;
-    ++recovery_stats_.mttr_count;
-    m_mttr_.observe(sim::to_ms(mttr));
-  }
+  readmit(*rt, app, ticket);
 }
 
 void Cluster::drain_readmit_queue() {
@@ -997,26 +922,30 @@ void Cluster::drain_readmit_queue() {
     readmit_queue_.pop_front();
     ++recovery_stats_.readmissions;
     m_readmitted_.add();
-    const apps::AppSpec& spec =
-        suite_.at(static_cast<std::size_t>(entry.app.spec_index));
     if (obs_ != nullptr && obs_->journal_on()) {
-      obs_->journal(sim_.now(), obs::JournalEvent::kReadmit,
-                    rt->board().name(), -1, spec.name,
-                    entry.ticket != nullptr ? entry.ticket->flow : 0);
+      obs_->journal(
+          sim_.now(), obs::JournalEvent::kReadmit, rt->board().name(), -1,
+          suite_.at(static_cast<std::size_t>(entry.app.spec_index)).name,
+          entry.ticket != nullptr ? entry.ticket->flow : 0);
     }
-    if (entry.ticket != nullptr && entry.ticket->flow != 0 &&
-        !entry.ticket->flow_done) {
-      obs_->flow(entry.ticket->flow, obs::FlowPhase::kEnd, sim_.now(),
-                 rt->board().name(), "recovery", "readmit");
-      entry.ticket->flow_done = true;
-    }
-    rt->submit_migrated(spec, entry.app, runtime::AppPhase::kRecovery);
-    if (entry.ticket != nullptr) {
-      m_evac_latency_.observe(sim::to_ms(sim_.now() - entry.ticket->crash_time));
-      finish_ticket(entry.ticket);
-    }
-    on_queue_update();
+    readmit(*rt, entry.app, entry.ticket);
   }
+}
+
+void Cluster::readmit(runtime::BoardRuntime& rt, const MigratedApp& app,
+                      const std::shared_ptr<CrashTicket>& ticket) {
+  if (ticket != nullptr && ticket->flow != 0 && !ticket->flow_done) {
+    obs_->flow(ticket->flow, obs::FlowPhase::kEnd, sim_.now(),
+               rt.board().name(), "recovery", "readmit");
+    ticket->flow_done = true;
+  }
+  rt.submit_migrated(suite_.at(static_cast<std::size_t>(app.spec_index)), app,
+                     runtime::AppPhase::kRecovery);
+  if (ticket != nullptr) {
+    m_evac_latency_.observe(sim::to_ms(sim_.now() - ticket->crash_time));
+    if (--ticket->remaining == 0) close_mttr(ticket->crash_time);
+  }
+  on_queue_update();
 }
 
 }  // namespace vs::cluster

@@ -103,6 +103,25 @@ struct RecoveryStats {
                ? sim::to_ms(mttr_total) / static_cast<double>(mttr_count)
                : 0.0;
   }
+  RecoveryStats& operator+=(const RecoveryStats& o) noexcept {
+    boards_crashed += o.boards_crashed;
+    boards_rebooted += o.boards_rebooted;
+    link_flaps += o.link_flaps;
+    slot_seus += o.slot_seus;
+    apps_evacuated += o.apps_evacuated;
+    apps_checkpoint_restored += o.apps_checkpoint_restored;
+    apps_restarted += o.apps_restarted;
+    apps_lost += o.apps_lost;
+    apps_shed += o.apps_shed;
+    readmissions += o.readmissions;
+    rack_events += o.rack_events;
+    spare_exhausted += o.spare_exhausted;
+    arrivals_deferred += o.arrivals_deferred;
+    arrivals_shed += o.arrivals_shed;
+    mttr_total += o.mttr_total;
+    mttr_count += o.mttr_count;
+    return *this;
+  }
 };
 
 struct ClusterOptions {
@@ -124,8 +143,6 @@ struct ClusterOptions {
   int boards_per_config = 1;        ///< pool size per fabric configuration
   fpga::BoardParams board_params;
   fpga::LinkParams link_params;
-  core::VersaSlotOptions bl_policy;  ///< mode forced to kBigLittle
-  core::VersaSlotOptions ol_policy;  ///< mode forced to kOnlyLittle
   /// Telemetry registry; null (the default) disables instrumentation. When
   /// set, every board epoch, policy, the Aurora link, and the D_switch loop
   /// bind their instruments here. The registry must outlive the cluster.
@@ -329,12 +346,11 @@ class Cluster {
     MigratedApp app;
     std::shared_ptr<CrashTicket> ticket;  ///< null for deferred arrivals
   };
-  /// Rack-mode batched detection: board losses landing inside one
-  /// detection window (the signature of a common-mode rack event) coalesce
-  /// into one recovery action — one shed decision, one failover, one
-  /// evacuation transfer, one MTTR ticket measured from the *first* crash.
-  /// Only built when the scenario carries failure domains; independent-
-  /// hazard scenarios keep the per-crash path bit-for-bit.
+  /// Batched detection, the one crash path: board losses landing inside one
+  /// detection window (a rack event's member losses, or independent crashes
+  /// that coincide) coalesce into one recovery action — one shed decision,
+  /// one failover, one evacuation transfer, one MTTR ticket measured from
+  /// the *first* crash.
   struct PendingBatch {
     std::vector<MigratedApp> evacuable;
     std::vector<MigratedApp> killed;
@@ -342,13 +358,18 @@ class Cluster {
     std::uint64_t flow = 0;       ///< first crash's causal flow
   };
   void on_health_event(const faults::HealthEvent& e);
-  void handle_crash(std::vector<MigratedApp> evacuable,
-                    std::vector<MigratedApp> killed, sim::SimTime crash_time,
-                    std::uint64_t flow);
+  void handle_crash(PendingBatch batch);
+  /// Records one MTTR sample: from `crash_time` to now.
+  void close_mttr(sim::SimTime crash_time);
   void place_displaced(MigratedApp app,
                        const std::shared_ptr<CrashTicket>& ticket);
-  void finish_ticket(const std::shared_ptr<CrashTicket>& ticket);
   void drain_readmit_queue();
+  /// The one re-admission body: closes the crash flow, submits `app` on
+  /// `rt` in recovery transit, records its evacuation latency and finishes
+  /// its ticket (null for held arrivals and landed migrations), then feeds
+  /// the D_switch queue count.
+  void readmit(runtime::BoardRuntime& rt, const MigratedApp& app,
+               const std::shared_ptr<CrashTicket>& ticket);
   [[nodiscard]] bool board_usable(const fpga::Board* board) const;
 
   sim::Simulator& sim_;
@@ -382,7 +403,7 @@ class Cluster {
   std::vector<core::SwitchLoop::Config> plane_configs_;
   std::deque<ReadmitEntry> readmit_queue_;
   RecoveryStats recovery_stats_;
-  PendingBatch batch_;       ///< rack-mode crash batch being coalesced
+  PendingBatch batch_;       ///< crash batch of the open detection window
   bool batch_open_ = false;  ///< batch_ has a handler scheduled
 
   // Telemetry: switch-loop instruments (no-ops when options.metrics null).

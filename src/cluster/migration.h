@@ -11,8 +11,8 @@
 // do the origins pause, and the stop-and-copy transfer carries just the
 // final delta — downtime shrinks from full-state to last-delta.
 //
-// Off by default: with `precopy` false the cluster keeps the PR 4
-// whole-state switch path bit-for-bit.
+// Off by default: with `precopy` false every switch takes the whole-state
+// stop-and-copy path.
 #pragma once
 
 #include <cstdint>

@@ -196,12 +196,6 @@ void VersaSlotPolicy::schedule(runtime::BoardRuntime& rt) {
   rt.idle_slots(fpga::SlotKind::kBig, idle_big_);
   rt.idle_slots(fpga::SlotKind::kLittle, idle_little_);
 
-  auto take = [&rt](int app_id, int unit, std::vector<int>& idle) {
-    int slot = rt.choose_slot(app_id, unit, idle);
-    idle.erase(std::find(idle.begin(), idle.end(), slot));
-    return slot;
-  };
-
   // A sweep with no idle slot of either kind places nothing, so none runs.
   bool placed = true;
   while (placed && (!idle_big_.empty() || !idle_little_.empty())) {
@@ -213,11 +207,11 @@ void VersaSlotPolicy::schedule(runtime::BoardRuntime& rt) {
       if (unit < 0) continue;
       if (s.binding == Binding::kBig && !idle_big_.empty() &&
           a.units_placed() < s.alloc_big) {
-        rt.request_pr(id, unit, take(id, unit, idle_big_));
+        rt.request_pr(id, unit, rt.take_slot(id, unit, idle_big_));
         placed = true;
       } else if (s.binding == Binding::kLittle && !idle_little_.empty() &&
                  a.units_placed() < s.alloc_little) {
-        rt.request_pr(id, unit, take(id, unit, idle_little_));
+        rt.request_pr(id, unit, rt.take_slot(id, unit, idle_little_));
         placed = true;
       }
     }
@@ -281,7 +275,7 @@ void VersaSlotPolicy::preempt_little(runtime::BoardRuntime& rt) {
   int pending = rt.app(starving).next_pending_unit();
   if (!idle_little_.empty() && pending >= 0) {
     rt.request_pr(starving, pending,
-                  rt.choose_slot(starving, pending, idle_little_));
+                  rt.take_slot(starving, pending, idle_little_));
   }
 }
 

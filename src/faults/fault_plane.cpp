@@ -73,11 +73,13 @@ void FaultPlane::start() {
     sim_.schedule_at(e.time, [this, e] { apply_scripted(e); });
   }
   for (int b = 0; b < board_count(); ++b) {
-    arm_crash(b);
-    arm_seu(b);
+    arm(FaultKind::kBoardCrash, b);
+    arm(FaultKind::kSlotSeu, b);
   }
-  arm_flap();
-  for (int d = 0; d < static_cast<int>(domains_.size()); ++d) arm_rack(d);
+  arm(FaultKind::kLinkDown, -1);
+  for (int d = 0; d < static_cast<int>(domains_.size()); ++d) {
+    arm(FaultKind::kRackEvent, d);
+  }
 }
 
 bool FaultPlane::validate_scripted(const FaultEvent& e) {
@@ -126,59 +128,40 @@ sim::SimDuration FaultPlane::exp_delay(util::Rng& rng, double rate_per_s) {
 // instrumented and plain runs. Faulty runs therefore extend to the
 // scenario horizon; that costs a handful of no-op events on a drained
 // cluster and buys a schedule that is a pure function of the seed.
-void FaultPlane::arm_crash(int board) {
-  double rate = scenario_.hazards.board_crash_per_s;
+void FaultPlane::arm(FaultKind kind, int index) {
+  const HazardRates& rates = scenario_.hazards;
+  double rate = 0.0;
+  util::Rng* rng = nullptr;
+  switch (kind) {
+    case FaultKind::kBoardCrash:
+      rate = rates.board_crash_per_s;
+      rng = &boards_[static_cast<std::size_t>(index)].crash_rng;
+      break;
+    case FaultKind::kSlotSeu:
+      rate = rates.slot_seu_per_s;
+      rng = &boards_[static_cast<std::size_t>(index)].seu_rng;
+      break;
+    case FaultKind::kLinkDown:
+      rate = rates.link_flap_per_s;
+      rng = &flap_rng_;
+      break;
+    case FaultKind::kRackEvent:
+      rate = rates.rack_event_per_s;
+      rng = &domains_[static_cast<std::size_t>(index)].rng;
+      break;
+    case FaultKind::kBoardReboot:
+    case FaultKind::kLinkUp:
+      return;  // repairs follow their faults; no hazard draws them
+  }
   if (rate <= 0) return;
-  BoardRec& rec = boards_[static_cast<std::size_t>(board)];
-  sim::SimTime next = sim_.now() + exp_delay(rec.crash_rng, rate);
+  sim::SimTime next = sim_.now() + exp_delay(*rng, rate);
   if (next > scenario_.horizon) return;
-  sim_.schedule_at(next, [this, board] { fire_crash(board); });
-}
-
-void FaultPlane::arm_seu(int board) {
-  double rate = scenario_.hazards.slot_seu_per_s;
-  if (rate <= 0) return;
-  BoardRec& rec = boards_[static_cast<std::size_t>(board)];
-  sim::SimTime next = sim_.now() + exp_delay(rec.seu_rng, rate);
-  if (next > scenario_.horizon) return;
-  sim_.schedule_at(next, [this, board] { fire_seu(board); });
-}
-
-void FaultPlane::arm_flap() {
-  double rate = scenario_.hazards.link_flap_per_s;
-  if (rate <= 0) return;
-  sim::SimTime next = sim_.now() + exp_delay(flap_rng_, rate);
-  if (next > scenario_.horizon) return;
-  sim_.schedule_at(next, [this] { fire_flap(); });
-}
-
-void FaultPlane::arm_rack(int domain) {
-  double rate = scenario_.hazards.rack_event_per_s;
-  if (rate <= 0) return;
-  DomainRec& rec = domains_[static_cast<std::size_t>(domain)];
-  sim::SimTime next = sim_.now() + exp_delay(rec.rng, rate);
-  if (next > scenario_.horizon) return;
-  sim_.schedule_at(next, [this, domain] { fire_rack(domain); });
-}
-
-void FaultPlane::fire_crash(int board) {
-  if (boards_[static_cast<std::size_t>(board)].up) inject_crash(board);
-  arm_crash(board);
-}
-
-void FaultPlane::fire_seu(int board) {
-  if (boards_[static_cast<std::size_t>(board)].up) inject_seu(board, -1);
-  arm_seu(board);
-}
-
-void FaultPlane::fire_flap() {
-  if (link_up_) inject_link_down();
-  arm_flap();
-}
-
-void FaultPlane::fire_rack(int domain) {
-  inject_rack_event(domain);
-  arm_rack(domain);
+  sim_.schedule_at(next, [this, kind, index] {
+    // A firing injects what a scripted entry of its kind would; slot -1
+    // makes an SEU draw its slot. Inject first, then draw the next delay.
+    apply_scripted(FaultEvent{sim_.now(), kind, index, -1});
+    arm(kind, index);
+  });
 }
 
 void FaultPlane::apply_scripted(const FaultEvent& e) {
@@ -247,7 +230,7 @@ void FaultPlane::inject_link_down() {
   link_up_ = false;
   VS_WARN << "aurora link flap injected";
   emit(FaultKind::kLinkDown, -1, -1);
-  sim_.schedule(scenario_.repair.link_outage, [this] {
+  sim_.schedule(kLinkOutage, [this] {
     if (!link_up_) restore_link();
   });
 }

@@ -132,14 +132,11 @@ class FaultPlane {
   /// Next exponential inter-arrival for `rate` events per simulated second.
   [[nodiscard]] static sim::SimDuration exp_delay(util::Rng& rng,
                                                   double rate_per_s);
-  void arm_crash(int board);
-  void arm_seu(int board);
-  void arm_flap();
-  void arm_rack(int domain);
-  void fire_crash(int board);
-  void fire_seu(int board);
-  void fire_flap();
-  void fire_rack(int domain);
+  /// The one hazard chain: draws the next delay of `kind`'s stream
+  /// ("crash/<b>", "seu/<b>", "link/flap" or "rack/<d>"; `index` is the
+  /// board or domain, -1 for the link) and schedules a firing that injects
+  /// what a scripted entry of that kind would, then re-arms.
+  void arm(FaultKind kind, int index);
 
   sim::Simulator& sim_;
   FaultScenario scenario_;

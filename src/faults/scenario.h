@@ -92,8 +92,10 @@ struct HazardRates {
 /// MTTR also contains detection, evacuation transfer, and re-placement).
 struct RepairTimes {
   sim::SimDuration board_reboot = sim::seconds(2.0);  ///< crash -> back up
-  sim::SimDuration link_outage = sim::ms(200.0);      ///< flap -> link up
 };
+
+/// Aurora link outage per flap: flap -> link up.
+inline constexpr sim::SimDuration kLinkOutage = sim::ms(200.0);
 
 /// The one struct holding every fault knob. Disabled by default: a
 /// default-constructed scenario schedules nothing and leaves every code

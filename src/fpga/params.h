@@ -16,7 +16,6 @@ struct BoardParams {
   // ---- Fabric capacity (XCZU49DR-class, after carving the static region).
   ResourceVector little_slot{38'000, 76'000, 96, 360};
   ResourceVector big_slot{76'000, 152'000, 192, 720};
-  ResourceVector static_region{120'000, 240'000, 300, 1200};
 
   // ---- PCAP (Processor Configuration Access Port).
   // Effective sustained bandwidth; the theoretical peak is ~400 MB/s but
@@ -86,7 +85,6 @@ struct BoardParams {
   // ---- Hypervisor core operation costs (bare-metal ARM Cortex-A53).
   sim::SimDuration sched_pass_cost = sim::us(20.0);   ///< one scheduling pass
   sim::SimDuration launch_op_cost = sim::us(50.0);    ///< buffer alloc + DMA kick
-  sim::SimDuration alloc_op_cost = sim::us(30.0);     ///< slot (re)allocation
 
   [[nodiscard]] sim::SimDuration pcap_load_time(std::int64_t bytes) const {
     return pcap_fixed_overhead +

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "obs/block_writer.h"
 
@@ -64,33 +65,6 @@ void emit_type(std::ostream& out, std::set<std::string>& seen,
   if (seen.insert(name).second) {
     out << "# TYPE " << name << ' ' << type << '\n';
   }
-}
-
-/// Quantile over merged histogram buckets, same estimator as
-/// Histogram::quantile (linear interpolation inside the containing bucket,
-/// overflow resolves to the observed maximum).
-double merged_quantile(const std::vector<double>& bounds,
-                       const std::vector<std::uint64_t>& counts,
-                       std::uint64_t count, double max, double q) {
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  auto rank = static_cast<std::uint64_t>(q * static_cast<double>(count));
-  if (rank >= count) rank = count - 1;
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    cumulative += counts[i];
-    if (rank < cumulative) {
-      if (i >= bounds.size()) return max;  // overflow bucket
-      double lo = i == 0 ? 0.0 : bounds[i - 1];
-      double hi = bounds[i];
-      std::uint64_t into = rank - (cumulative - counts[i]);
-      double frac = counts[i] > 1 ? static_cast<double>(into) /
-                                        static_cast<double>(counts[i] - 1)
-                                  : 1.0;
-      return lo + (hi - lo) * frac;
-    }
-  }
-  return max;
 }
 
 void append_json_labels(std::string& out, const Labels& labels) {
@@ -243,68 +217,39 @@ void write_run_report(const MetricsRegistry& registry, const RunInfo& info,
   }
   out << "\n  ],\n";
 
-  // Per-phase response-time breakdown (PR 8): vs_app_phase_ms rows merged
+  // Per-phase response-time breakdown: vs_app_phase_ms rows merged
   // across boards, one table row per phase label in first-appearance order.
   // Emitted only when phase accounting registered its histograms, so every
   // phase-free report stays byte-identical.
-  struct PhaseAgg {
-    std::string phase;
-    const std::vector<double>* bounds = nullptr;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double max = 0.0;
-  };
-  std::vector<PhaseAgg> phases;
+  std::vector<std::pair<std::string, Histogram>> phases;
   for (const auto& row : registry.histograms()) {
     if (row.name != "vs_app_phase_ms") continue;
     std::string phase;
     for (const auto& [k, v] : row.labels) {
       if (k == "phase") phase = v;
     }
-    PhaseAgg* agg = nullptr;
-    for (PhaseAgg& p : phases) {
-      if (p.phase == phase) agg = &p;
+    auto it = std::ranges::find_if(
+        phases, [&](const auto& p) { return p.first == phase; });
+    if (it == phases.end()) {
+      phases.emplace_back(phase, row.cell);
+    } else {
+      it->second.merge(row.cell);  // boards register equal bounds
     }
-    if (agg == nullptr) {
-      phases.push_back(PhaseAgg{phase,
-                                &row.cell.bounds(),
-                                std::vector<std::uint64_t>(
-                                    row.cell.bucket_counts().size(), 0),
-                                0, 0.0, 0.0});
-      agg = &phases.back();
-    }
-    const Histogram& h = row.cell;
-    // Boards register vs_app_phase_ms with identical bounds; merging is a
-    // per-bucket sum.
-    for (std::size_t i = 0;
-         i < h.bucket_counts().size() && i < agg->counts.size(); ++i) {
-      agg->counts[i] += h.bucket_counts()[i];
-    }
-    agg->count += h.count();
-    agg->sum += h.sum();
-    agg->max = std::max(agg->max, h.max());
   }
   if (!phases.empty()) {
     out << "  \"phases\": [\n";
     first = true;
-    for (const PhaseAgg& p : phases) {
+    for (const auto& [phase, h] : phases) {
       if (!first) out << ",\n";
       first = false;
-      double mean = p.count ? p.sum / static_cast<double>(p.count) : 0.0;
-      out << "    {\"phase\": \"" << json_escape(p.phase)
-          << "\", \"count\": " << p.count
-          << ", \"sum\": " << fmt_double(p.sum)
-          << ", \"mean\": " << fmt_double(mean) << ", \"p50\": "
-          << fmt_double(
-                 merged_quantile(*p.bounds, p.counts, p.count, p.max, 0.50))
-          << ", \"p95\": "
-          << fmt_double(
-                 merged_quantile(*p.bounds, p.counts, p.count, p.max, 0.95))
-          << ", \"p99\": "
-          << fmt_double(
-                 merged_quantile(*p.bounds, p.counts, p.count, p.max, 0.99))
-          << ", \"max\": " << fmt_double(p.max) << "}";
+      out << "    {\"phase\": \"" << json_escape(phase)
+          << "\", \"count\": " << h.count()
+          << ", \"sum\": " << fmt_double(h.sum())
+          << ", \"mean\": " << fmt_double(h.mean())
+          << ", \"p50\": " << fmt_double(h.quantile(0.50))
+          << ", \"p95\": " << fmt_double(h.quantile(0.95))
+          << ", \"p99\": " << fmt_double(h.quantile(0.99))
+          << ", \"max\": " << fmt_double(h.max()) << "}";
     }
     out << "\n  ],\n";
   }

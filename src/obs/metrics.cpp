@@ -21,6 +21,18 @@ void Histogram::observe(double v) noexcept {
   ++count_;
 }
 
+void Histogram::merge(const Histogram& other) noexcept {
+  assert(other.bounds_ == bounds_ && "merged histograms need equal bounds");
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    counts_[i] += other.counts_[i];
+  }
+  sum_ += other.sum_;
+  if (other.count_ > 0 && (count_ == 0 || other.max_ > max_)) {
+    max_ = other.max_;
+  }
+  count_ += other.count_;
+}
+
 double Histogram::quantile(double q) const noexcept {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

@@ -57,6 +57,9 @@ class Histogram {
   explicit Histogram(std::vector<double> bounds);
 
   void observe(double v) noexcept;
+  /// Adds `other`'s observations, as if each had been observed here too.
+  /// The bounds must be equal.
+  void merge(const Histogram& other) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] double sum() const noexcept { return sum_; }

@@ -6,8 +6,7 @@
 
 namespace vs::obs {
 
-Telemetry::Telemetry(sim::SimDuration sample_interval)
-    : sampler_(registry_, sample_interval) {}
+Telemetry::Telemetry() : sampler_(registry_, sim::ms(50)) {}
 
 void Telemetry::write_outputs(const std::string& prefix) const {
   const char* what = "metrics output file";

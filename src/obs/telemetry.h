@@ -32,8 +32,8 @@ namespace vs::obs {
 
 class Telemetry {
  public:
-  /// `sample_interval` is simulated time between sampler snapshots.
-  explicit Telemetry(sim::SimDuration sample_interval = sim::ms(50));
+  /// The sampler snapshots every 50 ms of simulated time.
+  Telemetry();
 
   [[nodiscard]] MetricsRegistry& registry() noexcept { return registry_; }
   [[nodiscard]] const MetricsRegistry& registry() const noexcept {

@@ -57,6 +57,44 @@ void assign_pending_units(AppRun& a, std::span<const apps::UnitSpec> specs) {
   a.in_flight_mask = 0;
 }
 
+// An app's DDR image, the one layout every byte count here walks: a
+// 4096-byte descriptor, a 16 KiB staging header per batch item, then one
+// input area per pipeline stage holding batch slots of the stage's
+// item_bytes_in. Item k's header lives at 4096 + k * 16384, stage u's
+// input slot k at input_area(a, u) + k * item_bytes_in.
+constexpr std::int64_t kDescriptorBytes = 4096;
+constexpr std::int64_t kStagingHeaderBytes = 16384;
+
+/// Descriptor plus staging headers: what every migration ships. Bulk input
+/// data stays host-fetchable and is re-DMAed on the target board.
+std::int64_t header_bytes(const AppRun& a) {
+  return kDescriptorBytes +
+         static_cast<std::int64_t>(a.batch) * kStagingHeaderBytes;
+}
+
+/// Offset of stage `unit`'s input area; the whole image for units.size().
+std::int64_t input_area(const AppRun& a, std::size_t unit) {
+  std::int64_t off = header_bytes(a);
+  for (std::size_t j = 0; j < unit; ++j) {
+    off += static_cast<std::int64_t>(a.batch) * a.units[j].spec.item_bytes_in;
+  }
+  return off;
+}
+
+/// What a migration or a base snapshot copies right now: the headers plus,
+/// once the app has started, the items queued between its pipeline stages.
+std::int64_t live_image_bytes(const AppRun& a) {
+  std::int64_t bytes = header_bytes(a);
+  if (!a.started) return bytes;
+  int upstream_done = a.batch;
+  for (const UnitRun& u : a.units) {
+    bytes += static_cast<std::int64_t>(upstream_done - u.items_done) *
+             u.spec.item_bytes_in;
+    upstream_done = u.items_done;
+  }
+  return bytes;
+}
+
 /// Every item_in_flight change goes through here, keeping in_flight_mask.
 void set_in_flight(AppRun& a, UnitRun& u, bool in_flight) noexcept {
   const std::uint32_t bit = std::uint32_t{1} << (&u - a.units.data());
@@ -234,21 +272,9 @@ void BoardRuntime::enable_dirty_tracking(std::int64_t granularity) {
                            : granularity;
 }
 
-std::int64_t BoardRuntime::state_image_bytes(const AppRun& a) const {
-  // Descriptor + per-item staging headers + one input-buffer area per
-  // pipeline stage (batch slots of item_bytes_in each). This is the layout
-  // the snapshot/migration byte formulas walk: item k's header lives at
-  // 4096 + k*16384, stage u's input slot k at area(u) + k*item_bytes_in.
-  std::int64_t bytes = 4096 + static_cast<std::int64_t>(a.batch) * 16384;
-  for (const UnitRun& u : a.units) {
-    bytes += static_cast<std::int64_t>(a.batch) * u.spec.item_bytes_in;
-  }
-  return bytes;
-}
-
 void BoardRuntime::init_dirty(AppRun& a) {
   if (dirty_granularity_ <= 0) return;
-  a.dirty.reset(state_image_bytes(a), dirty_granularity_);
+  a.dirty.reset(input_area(a, a.units.size()), dirty_granularity_);
   // A fresh image (admission, re-unitise, restored progress) is all-new to
   // both consumers.
   a.dirty.mark_all();
@@ -257,36 +283,17 @@ void BoardRuntime::init_dirty(AppRun& a) {
 void BoardRuntime::mark_item_write(AppRun& a, int unit_index, int item) {
   if (dirty_granularity_ <= 0) return;
   // The committed item rewrites its staging header ...
-  a.dirty.mark(4096 + static_cast<std::int64_t>(item) * 16384, 16384);
+  a.dirty.mark(kDescriptorBytes + item * kStagingHeaderBytes,
+               kStagingHeaderBytes);
   // ... and lands its output in the next stage's input-buffer slot. The
   // final stage's output DMAs back to the host instead, leaving DDR clean.
   std::size_t next = static_cast<std::size_t>(unit_index) + 1;
   if (next >= a.units.size()) return;
-  std::int64_t off = 4096 + static_cast<std::int64_t>(a.batch) * 16384;
-  for (std::size_t j = 0; j < next; ++j) {
-    off += static_cast<std::int64_t>(a.batch) * a.units[j].spec.item_bytes_in;
-  }
-  off += static_cast<std::int64_t>(item) * a.units[next].spec.item_bytes_in;
-  a.dirty.mark(off, a.units[next].spec.item_bytes_in);
+  const std::int64_t slot_bytes = a.units[next].spec.item_bytes_in;
+  a.dirty.mark(input_area(a, next) + item * slot_bytes, slot_bytes);
 }
 
 namespace {
-
-/// The byte volume migrating this app ships right now: its descriptor and
-/// staging headers, plus — once started — the inter-stage buffers queued
-/// between pipeline units (the same formula migrated_with_progress and
-/// base snapshots use).
-std::int64_t migratable_app_bytes(const AppRun& a) {
-  std::int64_t bytes = 4096 + static_cast<std::int64_t>(a.batch) * 16384;
-  if (!a.started) return bytes;
-  int upstream_done = a.batch;
-  for (const UnitRun& u : a.units) {
-    bytes += static_cast<std::int64_t>(upstream_done - u.items_done) *
-             u.spec.item_bytes_in;
-    upstream_done = u.items_done;
-  }
-  return bytes;
-}
 
 /// On the per-task decomposition (bundled apps drain on the Big slots they
 /// are bound to, §III-C).
@@ -321,7 +328,7 @@ std::int64_t BoardRuntime::take_migration_stream_bytes() {
       // whole migratable footprint and start tracking dirt from here.
       a.precopy_streamed = true;
       (void)a.dirty.take(DirtyMap::kMigration);
-      bytes += migratable_app_bytes(a);
+      bytes += live_image_bytes(a);
     } else {
       // Already streamed: only what it wrote since (it ran in between).
       bytes += a.dirty.take(DirtyMap::kMigration).bytes;
@@ -382,19 +389,12 @@ void BoardRuntime::checkpoint_pass() {
       m_ckpt_skipped_clean_.add();
       continue;
     }
-    // Full-image footprint at this progress: descriptor + per-item staging
-    // headers + the inter-stage buffers queued between pipeline units (the
-    // same DDR footprint migrated_with_progress ships over the Aurora
-    // link). A base snapshot copies exactly this; a crash evacuation ships
-    // it too, even mid-chain — the rescuer reads each surviving region
-    // once, and the union of base + delta regions is the current image.
-    std::int64_t image = 4096 + static_cast<std::int64_t>(a.batch) * 16384;
-    int upstream_done = a.batch;
-    for (const UnitRun& u : a.units) {
-      std::int64_t queued_items = upstream_done - u.items_done;
-      image += queued_items * u.spec.item_bytes_in;
-      upstream_done = u.items_done;
-    }
+    // Full-image footprint at this progress, the same one a live migration
+    // ships over the Aurora link. A base snapshot copies exactly this; a
+    // crash evacuation ships it too, even mid-chain — the rescuer reads
+    // each surviving region once, and the union of base + delta regions is
+    // the current image.
+    const std::int64_t image = live_image_bytes(a);
     std::int64_t bytes;
     bool is_delta = false;
     if (delta_mode && a.ckpt_time >= 0 && a.ckpt_chain < ckpt_.compact_every) {
@@ -494,17 +494,19 @@ void BoardRuntime::idle_slots(fpga::SlotKind kind,
   }
 }
 
-int BoardRuntime::choose_slot(int app_id, int unit_index,
-                              const std::vector<int>& candidates) const {
-  assert(!candidates.empty());
+int BoardRuntime::take_slot(int app_id, int unit_index,
+                            std::vector<int>& idle) const {
+  assert(!idle.empty());
   const AppRun& a = app(app_id);
   const UnitRun& u = a.units[static_cast<std::size_t>(unit_index)];
-  for (int slot_id : candidates) {
-    fpga::BitstreamKey key =
-        unit_bitstream_key(a.spec_index, u.spec, slot_id);
-    if (board_.sdcard().cached(key)) return slot_id;
-  }
-  return candidates.front();
+  auto it = std::ranges::find_if(idle, [&](int slot_id) {
+    return board_.sdcard().cached(
+        unit_bitstream_key(a.spec_index, u.spec, slot_id));
+  });
+  if (it == idle.end()) it = idle.begin();
+  const int slot = *it;
+  idle.erase(it);
+  return slot;
 }
 
 bool BoardRuntime::item_ready(const AppRun& app, int unit_index) const {
@@ -575,11 +577,7 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
           // An SEU hit the region mid-load: the configured logic is dead on
           // arrival. Release the slot and retry the unit from Pending.
           u2.seu_poisoned = false;
-          release_slot(board_.slot(u2.slot));
-          set_unit_state(a2, u2, UnitState::kPending);
-          u2.slot = -1;
-          touch_phase(a2);
-          refresh_slot_gauges();
+          evict_unit(a2, u2);
           board_.ocm().post([this] { kick(); });
           return;
         }
@@ -666,18 +664,22 @@ void BoardRuntime::preempt_unit(int app_id, int unit_index) {
   assert(u.state == UnitState::kRunning && !u.item_in_flight &&
          "preemption only at item boundaries");
   assert(u.slot >= 0);
-  touch_utilization();
-  release_slot(board_.slot(u.slot));
-  set_unit_state(a, u, UnitState::kPending);
-  u.slot = -1;
-  touch_phase(a);
+  evict_unit(a, u);
   ++counters_.preemptions;
   m_preemptions_.add();
-  refresh_slot_gauges();
   if (obs_ && obs_->journal_on()) {
     obs_->journal(sim().now(), obs::JournalEvent::kPreempt, board_.name(),
                   app_id, a.spec->name, 0, "unit ", unit_index);
   }
+}
+
+void BoardRuntime::evict_unit(AppRun& a, UnitRun& u) {
+  touch_utilization();
+  if (u.slot >= 0) release_slot(board_.slot(u.slot));
+  set_unit_state(a, u, UnitState::kPending);
+  u.slot = -1;
+  touch_phase(a);
+  refresh_slot_gauges();
 }
 
 void BoardRuntime::apply_progress(AppRun& a,
@@ -733,38 +735,24 @@ int BoardRuntime::submit_migrated(const apps::AppSpec& spec,
   return id;
 }
 
-namespace {
-
-BoardRuntime::MigratedApp migrated_descriptor(const AppRun& a) {
-  BoardRuntime::MigratedApp m;
+BoardRuntime::MigratedApp BoardRuntime::extract_app(AppRun& a,
+                                                     bool progress) {
+  touch_phase(a);
+  MigratedApp m;
   m.spec_index = a.spec_index;
   m.batch = a.batch;
   m.arrival = a.arrival;
   m.item_interval = a.item_interval;
   m.tenant = a.tenant;
-  // App descriptor plus per-item staging headers; bulk input data stays
-  // host-fetchable and is re-DMAed on the target board at launch time.
-  m.state_bytes = 4096 + static_cast<std::int64_t>(a.batch) * 16384;
-  return m;
-}
-
-// Descriptor plus per-task progress and the inter-stage buffers queued
-// between pipeline stages — everything that lives in DDR rather than in
-// the fabric. Only valid for apps still on the per-task decomposition.
-BoardRuntime::MigratedApp migrated_with_progress(const AppRun& a) {
-  BoardRuntime::MigratedApp m = migrated_descriptor(a);
-  int upstream_done = a.batch;
-  for (const UnitRun& u : a.units) {
-    m.progress.push_back(u.items_done);
-    // Intermediate buffers waiting between stage i-1 and i travel too.
-    std::int64_t queued_items = upstream_done - u.items_done;
-    m.state_bytes += queued_items * u.spec.item_bytes_in;
-    upstream_done = u.items_done;
+  m.state_bytes = progress ? live_image_bytes(a) : header_bytes(a);
+  if (progress) {
+    for (const UnitRun& u : a.units) m.progress.push_back(u.items_done);
   }
+  m.phase_ns = a.phase_ns;
+  m.extracted = sim().now();
+  m.ckpt_flow = a.ckpt_flow;
   return m;
 }
-
-}  // namespace
 
 template <typename Extract>
 void BoardRuntime::extract_live_if(Extract extract) {
@@ -790,12 +778,7 @@ std::vector<BoardRuntime::MigratedApp> BoardRuntime::extract_unstarted() {
   std::vector<MigratedApp> out;
   extract_live_if([&](AppRun& a) {
     if (a.started) return false;
-    touch_phase(a);
-    MigratedApp m = migrated_descriptor(a);
-    m.phase_ns = a.phase_ns;
-    m.extracted = sim().now();
-    m.ckpt_flow = a.ckpt_flow;
-    out.push_back(std::move(m));
+    out.push_back(extract_app(a, /*progress=*/false));
     return true;
   });
   return out;
@@ -808,12 +791,7 @@ std::vector<BoardRuntime::MigratedApp> BoardRuntime::extract_migratable() {
     // unit per task — bundled apps complete on the Big slots they are
     // bound to, per §III-C).
     if (!migratable_now(a)) return false;
-    touch_phase(a);
-    MigratedApp m = migrated_with_progress(a);
-    m.phase_ns = a.phase_ns;
-    m.extracted = sim().now();
-    m.ckpt_flow = a.ckpt_flow;
-    out.push_back(std::move(m));
+    out.push_back(extract_app(a, /*progress=*/true));
     return true;
   });
   return out;
@@ -839,29 +817,19 @@ BoardRuntime::CrashReport BoardRuntime::crash() {
   // checkpoint interval. Only apps with neither live progress nor a
   // snapshot are truly lost: killed descriptors restart from scratch.
   extract_live_if([&](AppRun& a) {
-    touch_phase(a);
-    const bool per_task = per_task_units(a);
-    bool has_progress = false;
-    for (const UnitRun& u : a.units) has_progress |= u.items_done > 0;
-    MigratedApp m;
-    if (per_task && has_progress) {
-      m = migrated_with_progress(a);
+    const bool live_progress =
+        per_task_units(a) && std::ranges::any_of(a.units, [](const UnitRun& u) {
+          return u.items_done > 0;
+        });
+    MigratedApp m = extract_app(a, live_progress);
+    if (live_progress) {
+      report.evacuable.push_back(std::move(m));
     } else if (a.ckpt_time >= 0) {
-      m = migrated_descriptor(a);
       m.progress = a.ckpt_progress;
       m.state_bytes = a.ckpt_bytes;
       m.from_checkpoint = true;
       m.ckpt_time = a.ckpt_time;
-    } else {
-      m = migrated_descriptor(a);
-    }
-    m.phase_ns = a.phase_ns;
-    m.extracted = sim().now();
-    m.ckpt_flow = a.ckpt_flow;
-    if (m.from_checkpoint) {
       report.checkpointed.push_back(std::move(m));
-    } else if (per_task && has_progress) {
-      report.evacuable.push_back(std::move(m));
     } else {
       report.killed.push_back(std::move(m));
     }
@@ -914,13 +882,7 @@ void BoardRuntime::inject_slot_seu(int slot_id) {
     return;
   }
   assert(unit->state == UnitState::kRunning);
-  // Configured and between items: evict on the spot.
-  touch_utilization();
-  release_slot(slot);
-  set_unit_state(a, *unit, UnitState::kPending);
-  unit->slot = -1;
-  touch_phase(a);
-  refresh_slot_gauges();
+  evict_unit(a, *unit);  // configured and between items: on the spot
   kick();
 }
 
@@ -1054,11 +1016,7 @@ void BoardRuntime::finish_item(int app_id, int unit_index) {
     // and is discarded (not counted), the instance is evicted, and the
     // unit retries from Pending with its earlier items intact in DDR.
     u.seu_poisoned = false;
-    if (u.slot >= 0) release_slot(board_.slot(u.slot));
-    set_unit_state(a, u, UnitState::kPending);
-    u.slot = -1;
-    touch_phase(a);
-    refresh_slot_gauges();
+    evict_unit(a, u);
     kick();
     return;
   }

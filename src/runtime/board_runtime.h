@@ -316,13 +316,11 @@ class BoardRuntime {
     return slot_counts_[static_cast<std::size_t>(state)];
   }
 
-  /// Placement hint: among idle `candidates`, returns the one whose
-  /// placement-specific bitstream for (app, unit) is already staged in DDR
-  /// (skipping the SD fetch), or the first candidate when none is. All
-  /// policies route slot choices through this — the PR server knows its
-  /// cache either way.
-  [[nodiscard]] int choose_slot(int app_id, int unit_index,
-                                const std::vector<int>& candidates) const;
+  /// Placement: removes and returns the slot of `idle` whose placement-
+  /// specific bitstream for (app, unit) is already staged in DDR (skipping
+  /// the SD fetch), or the first one when none is. All policies pick slots
+  /// through this — the PR server knows its cache either way.
+  int take_slot(int app_id, int unit_index, std::vector<int>& idle) const;
 
   /// True when the next item of `unit` has its upstream dependency
   /// satisfied (unit 0 is always ready until the batch is exhausted).
@@ -518,7 +516,7 @@ class BoardRuntime {
   /// checkpoint and restore through submit_migrated's progress packing;
   /// `killed` apps had neither and can only restart from scratch (empty
   /// progress). Without an active CheckpointPolicy, `checkpointed` is
-  /// always empty and the partition matches the two-way PR 4 behaviour.
+  /// always empty.
   struct CrashReport {
     std::vector<MigratedApp> evacuable;
     std::vector<MigratedApp> checkpointed;
@@ -561,6 +559,15 @@ class BoardRuntime {
   /// Closes the open phase interval at sim now and reclassifies. Call after
   /// every unit-state change; no-op unless phase accounting is on.
   void touch_phase(AppRun& a);
+  /// The one MigratedApp builder: closes the app's open phase interval and
+  /// describes it for another board — its descriptor and staging headers,
+  /// plus with `progress` its per-task item counts and the items queued
+  /// between its stages. The caller tombstones it (extract_live_if).
+  [[nodiscard]] MigratedApp extract_app(AppRun& a, bool progress);
+  /// The one eviction: releases the unit's slot and returns it to Pending
+  /// with its completed items kept in DDR, then touches the phase and the
+  /// slot gauges. The caller kicks as its event requires.
+  void evict_unit(AppRun& a, UnitRun& u);
   /// Advances a fresh app's units to `items_done` (migration restore).
   void apply_progress(AppRun& a, const std::vector<int>& items_done);
   void run_pass();
@@ -628,8 +635,6 @@ class BoardRuntime {
   /// Marks the DDR writes of one committed item: its staging header and
   /// its output in the next stage's input-buffer slot.
   void mark_item_write(AppRun& a, int unit_index, int item);
-  /// Total DDR image size of an app under the current unit layout.
-  [[nodiscard]] std::int64_t state_image_bytes(const AppRun& a) const;
 
   fpga::Board& board_;
   SchedulerPolicy& policy_;

@@ -1,6 +1,6 @@
 // Periodic DDR checkpointing of slot state.
 //
-// PR 4's crash model is a PL wedge: DDR survives, the fabric does not.
+// The crash model is a PL wedge: DDR survives, the fabric does not.
 // Live migration (§III-D) can therefore evacuate any app whose progress is
 // DDR-resident — but bundled apps bound to Big slots carry no portable
 // progress, and a per-task app caught before its first committed item has
@@ -11,12 +11,15 @@
 // apps that are not live-evacuable to their last snapshot instead of
 // killing them. The re-run window per app is bounded by one interval.
 //
-// Delta mode (PR 7) stops re-copying the whole image every interval: a
+// Delta mode stops re-copying the whole image every interval: a
 // DirtyMap (runtime/dirty_map.h) records which fixed-granularity regions
 // each committed item wrote, and the pass copies only those — a
 // base-plus-delta chain, compacted back into a full base every
 // `compact_every` deltas so the restore chain (shipped on crash
-// evacuation) stays bounded at one base plus a handful of deltas.
+// evacuation) stays bounded at one base plus a handful of deltas. Both
+// modes price the app's one DDR image layout (board_runtime.cpp:
+// header_bytes, input_area, live_image_bytes), the same one a live
+// migration ships.
 //
 // Disabled by default: a default-constructed policy schedules nothing and
 // leaves every code path untouched, so checkpoint-free runs stay
@@ -40,8 +43,7 @@ struct CheckpointPolicy {
   sim::SimDuration interval = sim::ms(25.0);
   /// Dirty-delta mode: passes copy only regions written since the last
   /// snapshot (charged via BoardParams::ckpt_delta_time) instead of the
-  /// whole image. Off by default — whole-state mode stays byte-identical
-  /// to the PR 5 behaviour.
+  /// whole image. Off by default: every pass copies the whole image.
   bool delta = false;
   /// Region size of the per-app DDR dirty map. Shared with the pre-copy
   /// migration loop (cluster/migration.h), which tracks its own plane of

@@ -4,6 +4,16 @@
 
 namespace vs::serve {
 
+namespace {
+
+/// ServeConfig::rebalance cadence: completions between checks, and the
+/// load spread (in apps) between the busiest and idlest board that moves
+/// work.
+constexpr int kRebalancePeriod = 8;
+constexpr int kRebalanceSpread = 4;
+
+}  // namespace
+
 ResourceManager::ResourceManager(sim::Simulator& sim,
                                  cluster::Cluster& cluster,
                                  const ServeConfig& config,
@@ -74,11 +84,11 @@ void ResourceManager::dispatch(const ServeArrival& a) {
   // must agree with AdmissionController's per-tenant `admitted` stat.
   m_admitted_[static_cast<std::size_t>(a.tenant)].add();
   // Butler-style routing: the cluster's least-loaded pick with an affinity
-  // bonus for boards already running the same spec. Loads are integers, so
-  // a warm board never beats a less loaded one; the bonus only breaks ties
-  // at the minimum load, and pool order breaks the rest.
-  cluster_.dispatch_arrival(a.app,
-                            config_.affinity_routing ? a.app.spec_index : -1);
+  // bonus for boards already running the same spec (its placement-specific
+  // bitstreams are warm). Loads are integers, so a warm board never beats a
+  // less loaded one; the bonus only breaks ties at the minimum load, and
+  // pool order breaks the rest.
+  cluster_.dispatch_arrival(a.app, a.app.spec_index);
 }
 
 void ResourceManager::on_complete(const runtime::CompletedApp& c) {
@@ -103,9 +113,9 @@ void ResourceManager::on_complete(const runtime::CompletedApp& c) {
   // this completion event.
   admission_.on_complete(c.tenant);
   if (config_.rebalance &&
-      ++completions_since_rebalance_ >= config_.rebalance_period) {
+      ++completions_since_rebalance_ >= kRebalancePeriod) {
     completions_since_rebalance_ = 0;
-    cluster_.rebalance_active(config_.rebalance_spread);
+    cluster_.rebalance_active(kRebalanceSpread);
   }
 }
 

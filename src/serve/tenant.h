@@ -63,16 +63,11 @@ struct ServeConfig {
   /// scheduler shares out under saturation. Default: effectively unbounded
   /// (admission limited only by per-tenant quotas).
   int max_inflight = 1 << 30;
-  /// Butler-style routing: prefer a board already running the same app
-  /// spec (its placement-specific bitstreams are warm) among the least
-  /// loaded. Off routes purely by load.
-  bool affinity_routing = true;
-  /// Load rebalancing: every `rebalance_period` completions, if the spread
-  /// between the most- and least-loaded active boards reaches
-  /// `rebalance_spread`, unstarted apps live-migrate over the Aurora link.
+  /// Load rebalancing: every few completions, if the spread between the
+  /// most- and least-loaded active boards is wide enough, unstarted apps
+  /// live-migrate over the Aurora link (cadence and spread are constants
+  /// in resource_manager.cpp).
   bool rebalance = false;
-  int rebalance_period = 8;
-  int rebalance_spread = 4;
 
   /// The serving plane is enabled iff someone is submitting.
   [[nodiscard]] bool enabled() const noexcept { return !tenants.empty(); }

@@ -31,7 +31,6 @@ sim::SimDuration draw_interval(Congestion c, util::Rng& rng) {
 
 Sequence generate_sequence(const WorkloadConfig& config, util::Rng& rng) {
   assert(config.apps_per_sequence >= 1);
-  assert(config.min_batch >= 1 && config.min_batch <= config.max_batch);
   assert(config.suite_size >= 1);
   Sequence seq;
   seq.reserve(static_cast<std::size_t>(config.apps_per_sequence));
@@ -40,8 +39,7 @@ Sequence generate_sequence(const WorkloadConfig& config, util::Rng& rng) {
     apps::AppArrival a;
     a.spec_index =
         static_cast<int>(rng.uniform_int(0, config.suite_size - 1));
-    a.batch = static_cast<int>(
-        rng.uniform_int(config.min_batch, config.max_batch));
+    a.batch = static_cast<int>(rng.uniform_int(kMinBatch, kMaxBatch));
     a.arrival = t;
     seq.push_back(a);
     t += draw_interval(config.congestion, rng);

@@ -22,11 +22,14 @@ constexpr int kCongestionCount = 4;
 
 [[nodiscard]] const char* congestion_name(Congestion c) noexcept;
 
+/// Per-app batch sizes are drawn from U[kMinBatch, kMaxBatch], the paper's
+/// U[5, 30].
+inline constexpr int kMinBatch = 5;
+inline constexpr int kMaxBatch = 30;
+
 struct WorkloadConfig {
   Congestion congestion = Congestion::kStandard;
   int apps_per_sequence = 20;
-  int min_batch = 5;
-  int max_batch = 30;
   int suite_size = 5;  ///< number of distinct application specs to draw from
 };
 

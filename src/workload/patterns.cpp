@@ -15,8 +15,7 @@ Sequence phased_sequence(const std::vector<Phase>& phases, util::Rng& rng,
       apps::AppArrival a;
       a.spec_index =
           static_cast<int>(rng.uniform_int(0, config.suite_size - 1));
-      a.batch = static_cast<int>(
-          rng.uniform_int(config.min_batch, config.max_batch));
+      a.batch = static_cast<int>(rng.uniform_int(kMinBatch, kMaxBatch));
       a.arrival = t;
       seq.push_back(a);
       t += draw_interval(phase.congestion, rng);

@@ -128,7 +128,7 @@ TEST(FaultPlane, HazardDrawsStopAtHorizon) {
   for (const faults::HealthEvent& e : plane.injected()) {
     // Injections stay inside the horizon; the closing repair may land just
     // past it.
-    EXPECT_LE(e.time, s.horizon + s.repair.link_outage);
+    EXPECT_LE(e.time, s.horizon + faults::kLinkOutage);
   }
   EXPECT_GT(plane.injected().size(), 0u);
 }
@@ -425,6 +425,75 @@ TEST(RackGolden, Seed2025RackScheduleIsFrozenAcrossSweepParallelism) {
   for (const auto& cell : cells) {
     EXPECT_TRUE(cell == serial);
   }
+}
+
+// ----------------------------------------------- frozen hazard goldens
+
+/// FNV-1a over every injected record's time, kind, board and slot.
+std::uint64_t injected_hash(const std::vector<faults::HealthEvent>& events) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto add = [&h](std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const faults::HealthEvent& e : events) {
+    add(e.time);
+    add(static_cast<std::int64_t>(e.kind));
+    add(e.board);
+    add(e.slot);
+  }
+  return h;
+}
+
+// Seed-2025 schedule of the independent hazard chains (per-board crash and
+// SEU, link flap) on four boards without failure domains, interleaved with
+// a scripted timeline of every per-board and link kind, including entries
+// that find their board or the link already in the target state. Pins each
+// "crash/<b>", "seu/<b>" and "link/flap" stream's draw order (inject, then
+// draw the next delay) and what a scripted entry injects. Update ONLY for
+// an intentional, documented change to the stream rule.
+TEST(HazardGolden, Seed2025ScheduleIsFrozen) {
+  sim::Simulator sim;
+  faults::FaultScenario s;
+  s.seed = 2025;
+  s.hazards.board_crash_per_s = 0.5;
+  s.hazards.slot_seu_per_s = 2.0;
+  s.hazards.link_flap_per_s = 1.0;
+  s.horizon = sim::seconds(6.0);
+  s.timeline = {
+      {sim::ms(300.0), faults::FaultKind::kBoardCrash, 2, -1},
+      {sim::ms(400.0), faults::FaultKind::kBoardCrash, 2, -1},  // down
+      {sim::ms(500.0), faults::FaultKind::kSlotSeu, 1, 3},
+      {sim::ms(600.0), faults::FaultKind::kSlotSeu, 3, -1},  // drawn slot
+      {sim::ms(700.0), faults::FaultKind::kLinkDown, -1, -1},
+      {sim::ms(750.0), faults::FaultKind::kLinkUp, -1, -1},
+      {sim::ms(900.0), faults::FaultKind::kBoardReboot, 2, -1},
+      {sim::ms(1000.0), faults::FaultKind::kBoardReboot, 0, -1},  // up
+  };
+  faults::FaultPlane plane(sim, s);
+  fpga::Board b0(sim, "b0", fpga::FabricConfig::only_little());
+  fpga::Board b1(sim, "b1", fpga::FabricConfig::big_little());
+  fpga::Board b2(sim, "b2", fpga::FabricConfig::only_little());
+  fpga::Board b3(sim, "b3", fpga::FabricConfig::big_little());
+  for (fpga::Board* b : {&b0, &b1, &b2, &b3}) plane.add_board(*b);
+  plane.set_handler([](const faults::HealthEvent&) {});
+  plane.start();
+  sim.schedule_at(s.horizon, [] {});
+  sim.run();
+  int kinds[6] = {};
+  for (const faults::HealthEvent& e : plane.injected()) {
+    ++kinds[static_cast<int>(e.kind)];
+  }
+  for (faults::FaultKind k :
+       {faults::FaultKind::kBoardCrash, faults::FaultKind::kBoardReboot,
+        faults::FaultKind::kLinkDown, faults::FaultKind::kLinkUp,
+        faults::FaultKind::kSlotSeu}) {
+    EXPECT_GT(kinds[static_cast<int>(k)], 0) << faults::to_string(k);
+  }
+  EXPECT_EQ(plane.injected().size(), 55u);
+  EXPECT_EQ(injected_hash(plane.injected()), 0xf05f98290df7e674ULL);
 }
 
 TEST(RackEvents, MetricRegistersOnlyWithDomains) {
@@ -787,6 +856,58 @@ TEST(FaultRecovery, FaultFreeScenarioLeavesClusterOutputsUntouched) {
   }
   EXPECT_EQ(defaulted.recovery.boards_crashed, 0);
   EXPECT_EQ(defaulted.availability, 1.0);
+}
+
+// --------------------------------------------------------- DetectionWindow
+
+// Independent crashes inside one detection window share one recovery
+// action, as a rack event's member losses do: the whole active pool is
+// down by the time the first crash is detected, so one failover, one
+// evacuation and one MTTR sample, measured from the first crash, cover
+// both boards.
+TEST(DetectionWindow, IndependentCrashesShareOneRecovery) {
+  fpga::BoardParams params;
+  auto suite = apps::make_suite(params);
+  workload::WorkloadConfig config;
+  config.congestion = workload::Congestion::kStress;
+  config.apps_per_sequence = 24;
+  util::Rng rng(41);
+  auto seq = workload::generate_sequence(config, rng);
+
+  cluster::ClusterOptions options;
+  options.boards_per_config = 2;
+  options.enable_switching = false;
+  options.faults.seed = 404;
+  const sim::SimTime t_crash = sim::seconds(2.0);
+  options.faults.timeline.push_back(
+      {t_crash, faults::FaultKind::kBoardCrash, 0, -1});
+  options.faults.timeline.push_back(
+      {t_crash + sim::ms(2.0), faults::FaultKind::kBoardCrash, 1, -1});
+
+  sim::Simulator sim;
+  cluster::Cluster cluster(sim, suite, options);
+  cluster.submit_sequence(seq);
+  int loaded_boards = 0;
+  sim.schedule_at(t_crash - 1, [&] {
+    for (int pos = 0; pos < cluster.active_board_count(); ++pos) {
+      if (cluster.active_runtime(pos).active_apps() > 0) ++loaded_boards;
+    }
+  });
+  sim.run();
+
+  EXPECT_EQ(loaded_boards, 2);  // both crashes displace apps
+  const cluster::RecoveryStats& stats = cluster.recovery_stats();
+  EXPECT_EQ(stats.boards_crashed, 2);
+  EXPECT_EQ(stats.mttr_count, 1);
+  ASSERT_EQ(cluster.switches().size(), 1u);
+  EXPECT_EQ(cluster.switches()[0].dswitch, -1.0);  // failover sentinel
+  struct {
+    int completed;
+    int submitted;
+    cluster::RecoveryStats recovery;
+  } result{static_cast<int>(cluster.completed().size()), cluster.submitted(),
+           stats};
+  test::expect_app_conservation(result);
 }
 
 // -------------------------------------------------------- FaultDeterminism

@@ -117,8 +117,9 @@ TEST(ChooseSlot, PrefersCachedPlacement) {
   // Warm the bitstream for slot 5 only.
   board.sdcard().prewarm(
       runtime::unit_bitstream_key(0, rt.app(id).units[0].spec, 5));
-  std::vector<int> candidates{0, 1, 2, 3, 4, 5, 6, 7};
-  EXPECT_EQ(rt.choose_slot(id, 0, candidates), 5);
+  std::vector<int> idle{0, 1, 2, 3, 4, 5, 6, 7};
+  EXPECT_EQ(rt.take_slot(id, 0, idle), 5);
+  EXPECT_EQ(idle, (std::vector<int>{0, 1, 2, 3, 4, 6, 7}));
 }
 
 TEST(ChooseSlot, FallsBackToFirstCandidate) {
@@ -128,8 +129,9 @@ TEST(ChooseSlot, FallsBackToFirstCandidate) {
   runtime::BoardRuntime rt(board, policy);
   auto app = test::make_uniform_app("a", 1, sim::ms(1));
   int id = rt.submit(app, 0, 1, 0);
-  std::vector<int> candidates{3, 6};
-  EXPECT_EQ(rt.choose_slot(id, 0, candidates), 3);
+  std::vector<int> idle{3, 6};
+  EXPECT_EQ(rt.take_slot(id, 0, idle), 3);
+  EXPECT_EQ(idle, (std::vector<int>{6}));
 }
 
 TEST(ChooseSlot, SecondInstanceReusesWarmSlot) {
