@@ -18,11 +18,10 @@
 #include "util/table.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+int run(const vs::util::CliArgs& args) {
   using namespace vs;
 
-  util::CliArgs args(argc, argv);
-  metrics::SweepRunner runner(util::resolve_jobs(&args));
+  metrics::SweepRunner runner(args);
 
   fpga::BoardParams params;
   apps::SynthesisModel model;
@@ -149,4 +148,9 @@ int main(int argc, char** argv) {
                "nearly every bundle, so auto tracks always-parallel; forced "
                "serial pays Sum(Ti) per item and loses)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli(argc, argv, {vs::metrics::SweepRunner::kFlags},
+                           run);
 }

@@ -28,11 +28,10 @@ struct Variant {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const vs::util::CliArgs& args) {
   using namespace vs;
 
-  util::CliArgs args(argc, argv);
-  metrics::SweepRunner runner(util::resolve_jobs(&args));
+  metrics::SweepRunner runner(args);
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
@@ -106,4 +105,9 @@ int main(int argc, char** argv) {
   std::cout << "(dual-core decoupling is the paper's task-execution-"
                "blocking fix; disabling it re-introduces launch blocking)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli(argc, argv, {vs::metrics::SweepRunner::kFlags},
+                           run);
 }

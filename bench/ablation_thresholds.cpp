@@ -35,11 +35,10 @@ vs::workload::Sequence make_long_workload(std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const vs::util::CliArgs& args) {
   using namespace vs;
 
-  util::CliArgs args(argc, argv);
-  metrics::SweepRunner runner(util::resolve_jobs(&args));
+  metrics::SweepRunner runner(args);
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
@@ -106,4 +105,9 @@ int main(int argc, char** argv) {
                "the buffer zone's remaining role is pre-warming lead "
                "time)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli(argc, argv, {vs::metrics::SweepRunner::kFlags},
+                           run);
 }

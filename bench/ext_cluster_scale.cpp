@@ -15,16 +15,15 @@
 #include "metrics/sweep.h"
 #include "util/cli.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+int run(const vs::util::CliArgs& args) {
   using namespace vs;
 
-  util::CliArgs args(argc, argv);
-  metrics::SweepRunner runner(util::resolve_jobs(&args));
-  const int apps_per_seq = static_cast<int>(args.get_int("apps", 60));
-  const int n_seqs_arg = static_cast<int>(args.get_int("seqs", 3));
+  metrics::SweepRunner runner(args);
+  const int apps_per_seq =
+      static_cast<int>(args.get_int("apps", 60, 1, 100'000));
+  const int n_seqs_arg = static_cast<int>(args.get_int("seqs", 3, 1, 1000));
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
@@ -83,4 +82,9 @@ int main(int argc, char** argv) {
                "backlog in parallel on top of the Big.Little efficiency "
                "gain)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli(
+      argc, argv, {{"apps", "seqs"}, vs::metrics::SweepRunner::kFlags}, run);
 }

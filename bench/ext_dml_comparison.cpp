@@ -7,10 +7,11 @@
 
 #include "apps/benchmarks.h"
 #include "metrics/experiment.h"
+#include "util/cli.h"
 #include "util/table.h"
 #include "workload/generator.h"
 
-int main() {
+int run(const vs::util::CliArgs&) {
   using namespace vs;
 
   fpga::BoardParams params;
@@ -44,4 +45,8 @@ int main() {
   std::cout << "(expected ordering: DML between the naive single-slot "
                "systems and Nimblock)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli(argc, argv, {}, run);
 }

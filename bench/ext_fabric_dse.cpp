@@ -17,11 +17,10 @@
 #include "util/table.h"
 #include "workload/generator.h"
 
-int main(int argc, char** argv) {
+int run(const vs::util::CliArgs& args) {
   using namespace vs;
 
-  util::CliArgs args(argc, argv);
-  metrics::SweepRunner runner(util::resolve_jobs(&args));
+  metrics::SweepRunner runner(args);
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
@@ -119,4 +118,9 @@ int main(int argc, char** argv) {
                "PCAP queue. The paper's 2B+4L sits on the frontier for the "
                "mixed workload)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli(argc, argv, {vs::metrics::SweepRunner::kFlags},
+                           run);
 }

@@ -45,7 +45,6 @@
 #include "util/cli.h"
 #include "util/csv.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace {
@@ -143,6 +142,15 @@ std::vector<Cell> sweep(metrics::SweepRunner& runner,
   return cells;
 }
 
+/// The failure-handling modes, in sweep order (--recovery NAME picks one).
+const std::vector<Mode> kModes = {
+    {"no-recovery", false, false, false, false},
+    {"kill-restart", true, true, false, false},
+    {"recovery", true, false, false, false},
+    {"checkpoint", true, false, true, false},
+    {"ckpt-delta", true, false, true, true},
+};
+
 /// Writes one CSV row of mixed string and number cells.
 template <typename... Fields>
 void csv_row(util::CsvWriter& csv, const Fields&... fields) {
@@ -153,16 +161,34 @@ void csv_row(util::CsvWriter& csv, const Fields&... fields) {
 
 }  // namespace
 
-int run(int argc, char** argv) {
-  util::CliArgs args(argc, argv);
-  metrics::SweepRunner runner(util::resolve_jobs(&args));
-  const int apps_per_seq = static_cast<int>(args.get_int("apps", 40));
-  const int n_seqs_arg = static_cast<int>(args.get_int("seqs", 2));
+int run(const util::CliArgs& args) {
+  metrics::SweepRunner runner(args);
+  const int apps_per_seq =
+      static_cast<int>(args.get_int("apps", 40, 1, 100'000));
+  const int n_seqs_arg = static_cast<int>(args.get_int("seqs", 2, 1, 1000));
   // Capture (metrics/capture.h) attaches to one replay after the sweep.
   metrics::Capture capture(args);
-  const double ckpt_interval_ms = args.get_double("ckpt-interval", 25.0);
+  const double ckpt_interval_ms =
+      args.get_double("ckpt-interval", 25.0, 0.1, 60'000.0);
   const std::int64_t ckpt_granularity =
-      args.get_int("ckpt-granularity", 64 * 1024);
+      args.get_int("ckpt-granularity", 64 * 1024, 64, std::int64_t{1} << 30);
+  // --racks N: the rack sweep below; --rack-rate R pins its one nonzero
+  // rate (-1: sweep the default rates).
+  const int racks = static_cast<int>(args.get_int("racks", 0, 0, 256));
+  const double rack_rate = args.get_double("rack-rate", -1.0, 0.0, 100.0);
+  std::vector<std::string_view> mode_names;
+  for (const Mode& m : kModes) mode_names.push_back(m.name);
+  const std::size_t mode_pick = args.get_choice("recovery", mode_names, "");
+  // Load-aware admission throttle during recovery (--throttle
+  // off|defer|shed, indexed by Throttle): while displaced apps wait for
+  // readmission, new arrivals are deferred behind them or shed. Off by
+  // default (the committed CSV is byte-identical to a throttle-free
+  // build); defer in the rack sweep.
+  const std::vector<std::string_view> throttles = {"off", "defer", "shed"};
+  const std::size_t throttle_pick =
+      args.get_choice("throttle", throttles, racks > 0 ? "defer" : "off");
+  const auto throttle =
+      static_cast<cluster::RecoveryOptions::Throttle>(throttle_pick);
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
@@ -179,37 +205,8 @@ int run(int argc, char** argv) {
   const sim::SimTime t_eval = sim::seconds(120.0);
 
   const std::vector<double> crash_rates = {0.0, 0.02, 0.05, 0.1};  // per s
-  const std::vector<Mode> all_modes = {
-      {"no-recovery", false, false, false, false},
-      {"kill-restart", true, true, false, false},
-      {"recovery", true, false, false, false},
-      {"checkpoint", true, false, true, false},
-      {"ckpt-delta", true, false, true, true},
-  };
-  const std::string mode_filter = args.get("recovery");
-  std::vector<Mode> modes;
-  for (const Mode& m : all_modes) {
-    if (mode_filter.empty() || mode_filter == m.name) modes.push_back(m);
-  }
-  if (modes.empty()) {
-    std::cerr << "unknown --recovery mode: " << mode_filter << "\n";
-    return 1;
-  }
-  // Load-aware admission throttle during recovery (--throttle defer|shed):
-  // while displaced apps wait in the readmission queue, new arrivals are
-  // deferred behind them or shed. Off by default — the committed CSV and
-  // all tables are byte-identical to a throttle-free build.
-  const std::string throttle_name = args.get("throttle");
-  cluster::RecoveryOptions::Throttle throttle =
-      cluster::RecoveryOptions::Throttle::kOff;
-  if (throttle_name == "defer") {
-    throttle = cluster::RecoveryOptions::Throttle::kDefer;
-  } else if (throttle_name == "shed") {
-    throttle = cluster::RecoveryOptions::Throttle::kShed;
-  } else if (!throttle_name.empty() && throttle_name != "off") {
-    std::cerr << "unknown --throttle mode: " << throttle_name << "\n";
-    return 1;
-  }
+  std::vector<Mode> modes = kModes;
+  if (mode_pick < kModes.size()) modes = {kModes[mode_pick]};
 
   // What every cell of either sweep shares: its mode's recovery and
   // checkpoint settings. Checkpointing stays on at rate 0 too: the mode's
@@ -237,15 +234,9 @@ int run(int argc, char** argv) {
   // runs with the requested throttle (default defer). Results go to
   // ext_fault_resilience_rack.csv; the default independent-hazard sweep
   // above (and its committed CSV) is untouched by this path.
-  const int racks = static_cast<int>(args.get_int("racks", 0));
   if (racks > 0) {
     std::vector<double> rack_rates = {0.0, 0.02, 0.05, 0.1};  // per rack-s
-    const double rate_arg = args.get_double("rack-rate", -1.0);
-    if (rate_arg >= 0.0) rack_rates = {0.0, rate_arg};
-    if (throttle == cluster::RecoveryOptions::Throttle::kOff &&
-        throttle_name.empty()) {
-      throttle = cluster::RecoveryOptions::Throttle::kDefer;
-    }
+    if (rack_rate >= 0.0) rack_rates = {0.0, rack_rate};
     auto rack_scenario = [&](double rate, std::size_t seq) {
       faults::FaultScenario s;
       s.seed = 9000 + static_cast<std::uint64_t>(seq);
@@ -327,6 +318,7 @@ int run(int argc, char** argv) {
               stats.arrivals_shed, stats.readmissions, stats.mttr_ms_mean(),
               cell.avail, cell.switches);
     }
+    rcsv.close();
     rtable.print(std::cout);
     std::cout << "\n(every rack feeds one board of each pool, so a rack "
                  "event kills the active board and its failover target "
@@ -432,9 +424,10 @@ int run(int argc, char** argv) {
             ckpt.skipped_empty, cell.switches, cell.precopy_rounds,
             cell.precopy_bytes, cell.stopcopy_bytes, cell.downtime_ms);
   }
+  csv.close();
   table.print(std::cout);
   if (throttle != cluster::RecoveryOptions::Throttle::kOff) {
-    std::cout << "\nAdmission throttle (" << throttle_name
+    std::cout << "\nAdmission throttle (" << throttles[throttle_pick]
               << "): " << total_deferred << " arrivals deferred behind the "
               << "readmission queue, " << total_arrivals_shed << " shed\n";
   }
@@ -464,7 +457,7 @@ int run(int argc, char** argv) {
   // -> readmission causality.
   if (capture.requested()) {
     // ckpt-delta at the highest rate, with pre-copy switches.
-    cluster::ClusterOptions options = mode_options(all_modes.back());
+    cluster::ClusterOptions options = mode_options(kModes.back());
     options.faults = scenario_for(crash_rates.back(), 0);
     options.migration.precopy = true;
     capture.attach(options);
@@ -477,5 +470,10 @@ int run(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return vs::util::run_cli([&] { return run(argc, argv); });
+  return vs::util::run_cli(argc, argv,
+                           {{"apps", "seqs", "recovery", "throttle", "racks",
+                             "rack-rate", "ckpt-interval", "ckpt-granularity"},
+                            metrics::SweepRunner::kFlags,
+                            metrics::Capture::kFlags},
+                           run);
 }

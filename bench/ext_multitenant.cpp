@@ -103,12 +103,11 @@ vs::serve::ServeConfig make_config(int boards_per_config, double rate_mult,
 
 }  // namespace
 
-int run(int argc, char** argv) {
+int run(const vs::util::CliArgs& args) {
   using namespace vs;
 
-  util::CliArgs args(argc, argv);
-  metrics::SweepRunner runner(util::resolve_jobs(&args));
-  const double horizon_s = args.get_double("horizon", 20.0);
+  metrics::SweepRunner runner(args);
+  const double horizon_s = args.get_double("horizon", 20.0, 1.0, 3600.0);
   metrics::Capture capture(args);
 
   fpga::BoardParams params;
@@ -120,10 +119,10 @@ int run(int argc, char** argv) {
   std::vector<int> board_counts = {8, 64, 256};  // 16, 128, 512 total
   std::vector<double> rate_mults = {0.5, 1.0, 2.0};
   if (args.has("boards")) {
-    board_counts = {static_cast<int>(args.get_int("boards", 8))};
+    board_counts = {static_cast<int>(args.get_int("boards", 8, 1, 1024))};
   }
   if (args.has("rate")) {
-    rate_mults = {args.get_double("rate", 1.0)};
+    rate_mults = {args.get_double("rate", 1.0, 0.01, 100.0)};
   }
 
   std::cout << "=== Extension: multi-tenant serving plane ("
@@ -200,6 +199,7 @@ int run(int argc, char** argv) {
       }
     }
   }
+  csv.close();
   table.print(std::cout);
   std::cout << "\n(the weighted-deficit admission controller holds the "
                "interactive class's attainment as the rate multiplier "
@@ -226,5 +226,9 @@ int run(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return vs::util::run_cli([&] { return run(argc, argv); });
+  return vs::util::run_cli(argc, argv,
+                           {{"boards", "rate", "horizon"},
+                            vs::metrics::SweepRunner::kFlags,
+                            vs::metrics::Capture::kFlags},
+                           run);
 }

@@ -10,10 +10,11 @@
 #include "apps/benchmarks.h"
 #include "metrics/experiment.h"
 #include "metrics/quality.h"
+#include "util/cli.h"
 #include "util/table.h"
 #include "workload/generator.h"
 
-int main() {
+int run(const vs::util::CliArgs&) {
   using namespace vs;
 
   fpga::BoardParams params;
@@ -59,4 +60,8 @@ int main() {
   std::cout << "(slowdown = response / estimated unshared run time; Jain "
                "index near 1 means every app suffered equally)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli(argc, argv, {}, run);
 }

@@ -32,11 +32,11 @@ constexpr int kAppsPerSequence = 20;
 
 }  // namespace
 
-int run(int argc, char** argv) {
+int run(const vs::util::CliArgs& args) {
   using namespace vs;
 
-  util::CliArgs args(argc, argv);
-  metrics::SweepRunner runner(util::resolve_jobs(&args));
+  metrics::SweepRunner runner(args);
+  metrics::Capture capture(args);
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
@@ -122,6 +122,7 @@ int run(int argc, char** argv) {
         std::max(bl_vs_nimblock_best, nimblock_mean / bl_mean);
     bl_vs_ol_best = std::max(bl_vs_ol_best, ol_mean / bl_mean);
   }
+  csv.close();
 
   std::cout << "Headline anchors (paper -> measured):\n"
             << "  Big.Little vs Baseline (up to): paper 13.66x -> "
@@ -134,7 +135,6 @@ int run(int argc, char** argv) {
 
   // Optional capture (metrics/capture.h): replay the grid's stress /
   // VersaSlot-BL / first-sequence cell single-board with it attached.
-  metrics::Capture capture(args);
   if (capture.requested()) {
     workload::WorkloadConfig config;
     config.congestion = workload::Congestion::kStress;
@@ -150,5 +150,7 @@ int run(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return vs::util::run_cli([&] { return run(argc, argv); });
+  return vs::util::run_cli(
+      argc, argv,
+      {vs::metrics::SweepRunner::kFlags, vs::metrics::Capture::kFlags}, run);
 }

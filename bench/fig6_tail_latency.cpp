@@ -27,11 +27,11 @@ constexpr int kAppsPerSequence = 20;
 
 }  // namespace
 
-int run(int argc, char** argv) {
+int run(const vs::util::CliArgs& args) {
   using namespace vs;
 
-  util::CliArgs args(argc, argv);
-  metrics::SweepRunner runner(util::resolve_jobs(&args));
+  metrics::SweepRunner runner(args);
+  metrics::Capture capture(args);
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
@@ -101,11 +101,11 @@ int run(int argc, char** argv) {
               << util::fmt((nim.p99_ms / bl.p99_ms - 1) * 100, 0)
               << "% better (paper: stress 83%/46%, real-time 56%/48%)\n\n";
   }
+  csv.close();
   std::cout << "Series written to fig6_tail_latency.csv\n";
 
   // Optional capture (metrics/capture.h): replay the grid's stress /
   // VersaSlot-BL / first-sequence cell single-board with it attached.
-  metrics::Capture capture(args);
   if (capture.requested()) {
     workload::WorkloadConfig config;
     config.congestion = workload::Congestion::kStress;
@@ -121,5 +121,7 @@ int run(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return vs::util::run_cli([&] { return run(argc, argv); });
+  return vs::util::run_cli(
+      argc, argv,
+      {vs::metrics::SweepRunner::kFlags, vs::metrics::Capture::kFlags}, run);
 }

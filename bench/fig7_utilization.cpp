@@ -22,11 +22,11 @@
 #include "util/table.h"
 #include "workload/generator.h"
 
-int run(int argc, char** argv) {
+int run(const vs::util::CliArgs& args) {
   using namespace vs;
 
-  util::CliArgs args(argc, argv);
-  metrics::SweepRunner runner(util::resolve_jobs(&args));
+  metrics::SweepRunner runner(args);
+  metrics::Capture capture(args);
 
   fpga::BoardParams params;
   apps::SynthesisModel model;
@@ -110,6 +110,7 @@ int run(int argc, char** argv) {
              util::fmt(lut_imp, 2), util::fmt(ff_l, 4), util::fmt(ff_b, 4),
              util::fmt(ff_imp, 2), std::to_string(dyn_completed[app_index])});
   }
+  csv.close();
   table.print(std::cout);
   std::cout << "\n  average improvement: LUT +"
             << util::fmt(lut_sum / 5, 1) << "% (paper +35%), FF +"
@@ -177,7 +178,6 @@ int run(int argc, char** argv) {
 
   // Optional capture (metrics/capture.h): replay the dynamic check's first
   // Big.Little cell with it attached.
-  metrics::Capture capture(args);
   if (capture.requested()) {
     metrics::RunOptions opts;
     capture.attach(opts);
@@ -189,5 +189,7 @@ int run(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return vs::util::run_cli([&] { return run(argc, argv); });
+  return vs::util::run_cli(
+      argc, argv,
+      {vs::metrics::SweepRunner::kFlags, vs::metrics::Capture::kFlags}, run);
 }

@@ -28,10 +28,9 @@
 
 #include "workload/patterns.h"
 
-int run(int argc, char** argv) {
+int run(const vs::util::CliArgs& args) {
   using namespace vs;
 
-  util::CliArgs args(argc, argv);
   // Capture (metrics/capture.h) attaches to the first workload's
   // with-switching run: the run whose D_switch loop and Aurora migrations
   // the figure is about. The committed figure series never read it.
@@ -39,7 +38,7 @@ int run(int argc, char** argv) {
   // Round cap for the pre-copy comparison runs; the committed figure
   // series never read it.
   const int precopy_rounds =
-      static_cast<int>(args.get_int("precopy-rounds", 4));
+      static_cast<int>(args.get_int("precopy-rounds", 4, 1, 64));
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
@@ -202,6 +201,9 @@ int run(int argc, char** argv) {
               << " pre-copy switches, mean response "
               << util::fmt(r.response.mean, 1) << " ms\n";
   }
+  trace_csv.close();
+  summary_csv.close();
+  downtime_csv.close();
   std::cout << "  avg stop-and-copy downtime: whole-state "
             << util::fmt(whole_n ? whole_down_ms / whole_n : 0, 3)
             << " ms -> pre-copy "
@@ -218,5 +220,6 @@ int run(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return vs::util::run_cli([&] { return run(argc, argv); });
+  return vs::util::run_cli(
+      argc, argv, {{"precopy-rounds"}, vs::metrics::Capture::kFlags}, run);
 }

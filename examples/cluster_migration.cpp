@@ -4,17 +4,18 @@
 // When it crosses T1 the cluster live-migrates waiting applications over the
 // Aurora link from the Only.Little board to the pre-warmed Big.Little board.
 //
-// Usage: cluster_migration [n_apps] [seed]
-#include <cstdlib>
+// Usage: cluster_migration [--apps N] [--seed S]
 #include <iostream>
 
 #include "core/versaslot.h"
+#include "util/cli.h"
 
-int main(int argc, char** argv) {
+int run(const vs::util::CliArgs& args) {
   using namespace vs;
 
-  int n_apps = argc > 1 ? std::atoi(argv[1]) : 80;
-  std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 11;
+  const auto n_apps = static_cast<int>(args.get_int("apps", 80, 1, 100'000));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int("seed", 11, 0, INT64_MAX));
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
@@ -76,4 +77,8 @@ int main(int argc, char** argv) {
                          2)
             << "x\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli(argc, argv, {{"apps", "seed"}}, run);
 }

@@ -1,16 +1,19 @@
 // Offline preparation flow demo: partition a user-defined streaming kernel
 // graph into Little-slot-sized tasks (what the paper's Vivado TCL scripts
-// do), inspect the bitstream manifest the SD card must hold, run the
-// partitioned application under VersaSlot Big.Little, and export a Chrome
-// trace of the execution (open chrome://tracing or ui.perfetto.dev and load
-// offline_flow_trace.json).
+// do), inspect the bitstream manifest the SD card must hold, and run the
+// partitioned application under VersaSlot Big.Little. The run takes the
+// shared capture outputs (metrics/capture.h): `offline_flow --trace-out
+// offline_flow_trace.json` writes a Chrome trace of the execution (open
+// chrome://tracing or ui.perfetto.dev and load it).
 #include <iostream>
 
 #include "core/versaslot.h"
+#include "metrics/capture.h"
 #include "util/cli.h"
 
-int run() {
+int run(const vs::util::CliArgs& args) {
   using namespace vs;
+  metrics::Capture capture(args);
 
   // A 10-stage video-analytics pipeline: decode -> preprocess -> detect ->
   // track -> encode, with raw resource estimates per stage.
@@ -87,32 +90,21 @@ int run() {
             << util::fmt(static_cast<double>(manifest.total_bytes) / 1e6, 1)
             << " MB\n\n";
 
-  // 3. Run it.
-  sim::Simulator sim;
-  fpga::Board board(sim, "fpga0", fpga::FabricConfig::big_little(),
-                    config.board);
-  core::VersaSlotPolicy policy{core::VersaSlotOptions{}};
-  runtime::BoardRuntime rt(board, policy);
-  obs::ClusterTraceHub hub;
-  hub.enable_trace();
-  hub.attach_spans(board.name(), &rt.trace());
-  rt.trace().enable();
-  rt.submit(report.app, 0, /*batch=*/8, 0);
-  rt.submit(report.app, 0, /*batch=*/12, 0);
-  sim.run();
-
-  for (const auto& c : rt.completed()) {
+  // 3. Run it: two arrivals at t = 0, batches 8 and 12.
+  metrics::RunOptions options;
+  options.board_params = config.board;
+  capture.attach(options);
+  const metrics::RunResult r = metrics::run_single_board(
+      metrics::SystemKind::kVersaBigLittle, {report.app},
+      {{0, 0, 8}, {0, 0, 12}}, options);
+  for (const auto& c : r.apps) {
     std::cout << c.name << "#" << c.app_id << " completed in "
               << util::fmt(c.response_ms(), 1) << " ms\n";
   }
-  auto audit = runtime::audit(rt);
-  std::cout << "invariant audit: " << audit.to_string();
-
-  // 4. Export the execution trace.
-  hub.write_chrome_trace_file("offline_flow_trace.json");
-  std::cout << "\ntrace written to offline_flow_trace.json (load in "
-               "chrome://tracing or ui.perfetto.dev)\n";
+  capture.write({{"example", "offline_flow"}});
   return 0;
 }
 
-int main() { return vs::util::run_cli(run); }
+int main(int argc, char** argv) {
+  return vs::util::run_cli(argc, argv, {vs::metrics::Capture::kFlags}, run);
+}

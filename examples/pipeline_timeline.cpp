@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "core/versaslot.h"
+#include "util/cli.h"
 
 namespace {
 
@@ -65,7 +66,7 @@ void run_scenario(metrics::SystemKind kind) {
 
 }  // namespace
 
-int main() {
+int run(const vs::util::CliArgs&) {
   std::cout << "Fig 2 scenario: App1 (3 tasks, batch 3) and App2 (3 tasks, "
                "batch 2) sharing one FPGA\n\n";
   run_scenario(vs::metrics::SystemKind::kNimblock);
@@ -75,4 +76,8 @@ int main() {
                "serialise with executions (=),\nwhile Big.Little loads one "
                "bundle per app and pipelines internally.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli(argc, argv, {}, run);
 }

@@ -7,8 +7,9 @@
 #include <iostream>
 
 #include "core/versaslot.h"
+#include "util/cli.h"
 
-int main() {
+int run(const vs::util::CliArgs&) {
   using namespace vs;
 
   // 1. Describe the board (ZCU216-like defaults) and build the benchmark
@@ -56,4 +57,8 @@ int main() {
             << " queued behind another);  items executed "
             << result.counters.items_executed << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli(argc, argv, {}, run);
 }

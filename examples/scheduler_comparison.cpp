@@ -3,30 +3,24 @@
 // prints mean/P95/P99 response times side by side — a miniature of the
 // paper's Fig 5/6 experiment on a single sequence.
 //
-// Usage: scheduler_comparison [loose|standard|stress|realtime] [n_apps] [seed]
-#include <cstdlib>
+// Usage: scheduler_comparison [--congestion loose|standard|stress|realtime]
+//                             [--apps N] [--seed S]
 #include <iostream>
 #include <string>
 
 #include "core/versaslot.h"
+#include "util/cli.h"
 
-int main(int argc, char** argv) {
+int run(const vs::util::CliArgs& args) {
   using namespace vs;
 
-  workload::Congestion congestion = workload::Congestion::kStandard;
-  if (argc > 1) {
-    std::string arg = argv[1];
-    if (arg == "loose") congestion = workload::Congestion::kLoose;
-    else if (arg == "standard") congestion = workload::Congestion::kStandard;
-    else if (arg == "stress") congestion = workload::Congestion::kStress;
-    else if (arg == "realtime") congestion = workload::Congestion::kRealtime;
-    else {
-      std::cerr << "unknown congestion '" << arg << "'\n";
-      return 1;
-    }
-  }
-  int n_apps = argc > 2 ? std::atoi(argv[2]) : 20;
-  std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 7;
+  const auto congestion =
+      static_cast<workload::Congestion>(args.get_choice(
+          "congestion", {"loose", "standard", "stress", "realtime"},
+          "standard"));
+  const auto n_apps = static_cast<int>(args.get_int("apps", 20, 1, 100'000));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int("seed", 7, 0, INT64_MAX));
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
@@ -64,4 +58,8 @@ int main(int argc, char** argv) {
   std::cout << "\n(baseline mean " << util::fmt(baseline_mean, 1)
             << " ms; lower is better)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli(argc, argv, {{"congestion", "apps", "seed"}}, run);
 }

@@ -4,19 +4,19 @@
 // jobs, under VersaSlot Big.Little — showing how source-bound and
 // compute-bound applications share the fabric.
 //
-// Usage: streaming_feed [fps1 fps2 fps3]
-#include <cstdlib>
+// Usage: streaming_feed [--fps1 F] [--fps2 F] [--fps3 F]
 #include <iostream>
 
 #include "core/versaslot.h"
+#include "util/cli.h"
 
-int main(int argc, char** argv) {
+int run(const vs::util::CliArgs& args) {
   using namespace vs;
 
-  double fps[3] = {25.0, 10.0, 5.0};
-  for (int i = 0; i < 3 && i + 1 < argc; ++i) {
-    fps[i] = std::atof(argv[i + 1]);
-  }
+  // Frame rates of the three live feeds, in items per second.
+  const double fps[3] = {args.get_double("fps1", 25.0, 0.1, 1000.0),
+                         args.get_double("fps2", 10.0, 0.1, 1000.0),
+                         args.get_double("fps3", 5.0, 0.1, 1000.0)};
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
@@ -68,4 +68,8 @@ int main(int argc, char** argv) {
             << "; live feeds track their source rate while staged jobs run "
                "compute-bound in between\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return vs::util::run_cli(argc, argv, {{"fps1", "fps2", "fps3"}}, run);
 }

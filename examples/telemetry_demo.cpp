@@ -23,10 +23,9 @@
 #include "util/table.h"
 #include "workload/generator.h"
 
-int run(int argc, char** argv) {
+int run(const vs::util::CliArgs& args) {
   using namespace vs;
 
-  util::CliArgs args(argc, argv);
   metrics::Capture capture(args);
 
   fpga::BoardParams params;
@@ -63,5 +62,5 @@ int run(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return vs::util::run_cli([&] { return run(argc, argv); });
+  return vs::util::run_cli(argc, argv, {vs::metrics::Capture::kFlags}, run);
 }

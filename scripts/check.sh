@@ -139,20 +139,21 @@ grep -q '"event":"crash"' build/rack_capture.journal.jsonl
 grep -q '"event":"admit"' build/mt_capture.journal.jsonl
 
 echo "== example trace smoke (hub writer, full-precision timestamps) =="
-# The examples write Chrome traces through the trace hub, like the benches.
+# The examples capture through metrics::Capture, like the benches.
 # Timestamps must print as shortest round-trip decimals: ostream's default
 # six significant digits turned every span past 10 s into e-notation.
 (cd build && ./examples/simulate --system versaslot-bl --congestion stress \
-  --apps 20 --trace simulate_smoke.json >/dev/null)
+  --apps 20 --trace-out simulate_smoke.json >/dev/null)
 grep -q '"process_name"' build/simulate_smoke.json
 if grep -qE '"ts":[-0-9.]*[eE]' build/simulate_smoke.json; then
   echo "simulate trace has e-notation timestamps" >&2
   exit 1
 fi
-(cd build && ./examples/offline_flow >/dev/null)
+(cd build && ./examples/offline_flow --trace-out offline_flow_trace.json \
+  >/dev/null)
 test -s build/offline_flow_trace.json
 
-echo "== write-failure smoke (an unwritable capture file exits 1) =="
+echo "== write-failure smoke (an unwritable output file exits 1) =="
 # /dev/full opens but rejects every write, and /dev/full/x cannot be
 # opened at all. Either way the run must exit 1 with the path on stderr:
 # not 0 with no file, and not an abort on an uncaught exception.
@@ -166,11 +167,78 @@ expect_write_failure() {
   fi
 }
 expect_write_failure /dev/full ./examples/simulate --system versaslot-bl \
-  --congestion stress --apps 20 --trace /dev/full
+  --congestion stress --apps 20 --trace-out /dev/full
+expect_write_failure /dev/full ./examples/simulate --apps 20 --csv /dev/full
+expect_write_failure /dev/full ./examples/simulate --apps 20 \
+  --save-workload /dev/full
 expect_write_failure /dev/full/x ./bench/ext_multitenant --boards 8 \
   --rate 1.0 --horizon 10 --jobs 1 --metrics-out /dev/full/x
 expect_write_failure /dev/full ./bench/fig7_utilization --jobs 1 \
   --journal-out /dev/full
+
+echo "== bad-invocation smoke (bad input exits 2 before any work) =="
+# Every bench and example but micro_substrate (google-benchmark's own
+# flags) reads argv through util::run_cli. An unknown flag, a positional
+# argument or a bad value must exit 2 with the flag or argument on stderr,
+# and --help must exit 0 with the usage line; neither may write a file.
+# Each case runs in its own empty directory. None starts a sweep, so none
+# starts more than a few threads.
+expect_exit() {
+  local want=$1 needle=$2 bin=$PWD/build/$3 rc=0 out dir
+  shift 3
+  dir="$(mktemp -d)"
+  out="$(cd "$dir" && "$bin" "$@" 2>&1)" || rc=$?
+  if (( rc != want )) || [[ "$out" != *"$needle"* ]] ||
+     [[ -n "$(ls -A "$dir")" ]]; then
+    echo "$bin $*: exit $rc (want $want), output: $out," \
+      "files: $(ls -A "$dir")" >&2
+    exit 1
+  fi
+  rm -rf "$dir"
+}
+for bin in bench/ablation_bundling bench/ablation_scheduling \
+           bench/ablation_thresholds bench/ext_cluster_scale \
+           bench/ext_dml_comparison bench/ext_fabric_dse \
+           bench/ext_fault_resilience bench/ext_multitenant bench/ext_quality \
+           bench/fig5_response_time bench/fig6_tail_latency \
+           bench/fig7_utilization bench/fig8_switching \
+           examples/cluster_migration examples/offline_flow \
+           examples/pipeline_timeline examples/quickstart \
+           examples/scheduler_comparison examples/simulate \
+           examples/streaming_feed examples/telemetry_demo; do
+  expect_exit 2 --no-such-flag "$bin" --no-such-flag
+  expect_exit 0 usage: "$bin" --help
+done
+while read -r needle bin args; do
+  # shellcheck disable=SC2086  # split the argument list on purpose
+  expect_exit 2 "$needle" "$bin" $args
+done <<'CASES'
+--boards bench/ext_multitenant --boards 0
+--boards bench/ext_multitenant --boards eight
+--bords bench/ext_multitenant --bords 8
+--rate bench/ext_multitenant --rate -1
+--horizon bench/ext_multitenant --horizon -5
+--apps bench/ext_fault_resilience --apps 0
+--apps bench/ext_fault_resilience --apps -4
+--racks bench/ext_fault_resilience --racks -1
+--precopy-rounds bench/ext_fault_resilience --precopy-rounds -3
+--ckpt-interval bench/ext_fault_resilience --ckpt-interval 0
+--throttle bench/ext_fault_resilience --throttle bogus
+--precopy-rounds bench/fig8_switching --precopy-rounds -3
+--apps bench/fig5_response_time --apps 0
+--jobs bench/fig5_response_time --jobs 0
+--apps bench/ext_cluster_scale --apps 0
+--apps examples/simulate --apps 0
+--apps examples/simulate --apps 2x0
+--sytem examples/simulate --sytem nimblock
+--system examples/simulate --system=foo
+--trace examples/simulate --trace x.json
+'stress' examples/scheduler_comparison stress abc
+'abc' examples/cluster_migration abc
+'0' examples/streaming_feed 0 0 0
+--fps1 examples/streaming_feed --fps1 0
+--apps examples/quickstart --apps 50
+CASES
 
 echo "== run-length scaling smoke (per-event cost independent of history) =="
 # Ten times the apps should cost about ten times the host time. Per-event
@@ -206,9 +274,10 @@ repo="$PWD"
 csv_dir="$(mktemp -d)"
 (cd "$csv_dir" &&
   for b in fig5_response_time fig6_tail_latency fig7_utilization \
-           fig8_switching ext_fault_resilience ext_multitenant; do
+           ext_fault_resilience ext_multitenant; do
     "$repo/build/bench/$b" --jobs 4 >/dev/null 2>&1
   done &&
+  "$repo/build/bench/fig8_switching" >/dev/null 2>&1 &&
   "$repo/build/bench/ext_fault_resilience" --racks 2 --jobs 4 >/dev/null 2>&1)
 for csv in fig5_response_time fig6_tail_latency fig7_utilization \
            fig8_downtime fig8_dswitch_trace fig8_summary ext_fault_resilience \
@@ -264,10 +333,11 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # The baseline policies index per-app vectors by app id: an id out of
   # range is undefined behaviour that only a sanitizer reports. The
   # crash-detection batch moves MigratedApp vectors from event to event.
+  # The CLI parser reads argv through string views and flag-name lists.
   cmake -B build-asan -S . -DVS_SANITIZE=address
   cmake --build build-asan -j "$JOBS" --target versaslot_tests
   ./build-asan/tests/versaslot_tests \
-    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:SamplerChangeLog.*:CaptureGolden.*:Capture.*:BlockWriterNumbers.*:WriteFile.*:OrderedExport.*:Telemetry*:TraceRecorder.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:HazardGolden.*:DetectionWindow.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*:Invariants.*:StepwiseAudit.*:AllocationChanges.*:DSwitchGolden.*:Contracts.*:Fcfs.*:RoundRobin.*:Nimblock.*:Dml.*:PolicyCommon.*:BaselineGolden.*:StarvationClock.*:StreamingGolden.*'
+    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:SamplerChangeLog.*:CaptureGolden.*:Capture.*:BlockWriterNumbers.*:WriteFile.*:OrderedExport.*:Telemetry*:TraceRecorder.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:HazardGolden.*:DetectionWindow.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*:Invariants.*:StepwiseAudit.*:AllocationChanges.*:DSwitchGolden.*:Contracts.*:Fcfs.*:RoundRobin.*:Nimblock.*:Dml.*:PolicyCommon.*:BaselineGolden.*:StarvationClock.*:StreamingGolden.*:Cli.*:CrashFlow.*'
 fi
 
 if [[ "${SKIP_COV:-0}" != "1" ]]; then

@@ -690,15 +690,18 @@ void Cluster::on_health_event(const faults::HealthEvent& e) {
         return epochs_[static_cast<std::size_t>(index)]->board == board;
       });
       set_active_pool(std::move(pool));
-      std::uint64_t flow = 0;
+      // One flow per batch: the window's first crash starts it, and each
+      // later crash inside the window is a step on it.
       if (obs_ != nullptr && obs_->trace_on()) {
-        flow = obs_->new_flow_id();
-        obs_->flow(flow, obs::FlowPhase::kStart, e.time, board->name(),
-                   "fault", "crash ", board->name());
+        if (!batch_open_) batch_.flow = obs_->new_flow_id();
+        const obs::FlowPhase phase =
+            batch_open_ ? obs::FlowPhase::kStep : obs::FlowPhase::kStart;
+        obs_->flow(batch_.flow, phase, e.time, board->name(), "fault",
+                   "crash ", board->name());
       }
       if (obs_ != nullptr && obs_->journal_on()) {
         obs_->journal(e.time, obs::JournalEvent::kCrash, board->name(), -1,
-                      {}, flow,
+                      {}, batch_.flow,
                       batch_.evacuable.size() + batch_.killed.size() - held,
                       " displaced");
       }
@@ -707,7 +710,6 @@ void Cluster::on_health_event(const faults::HealthEvent& e) {
       if (batch_open_) break;
       batch_open_ = true;
       batch_.crash_time = e.time;
-      batch_.flow = flow;
       sim_.schedule(kDetectionLatency, [this] {
         batch_open_ = false;
         handle_crash(std::exchange(batch_, PendingBatch{}));
@@ -769,10 +771,18 @@ void Cluster::handle_crash(PendingBatch batch) {
     obs_->flow(batch.flow, obs::FlowPhase::kStep, sim_.now(), "cluster",
                "recovery", "detected");
   }
+  // Ends the batch's flow where recovery stops without a readmission.
+  auto end_flow = [&](std::string_view outcome) {
+    if (batch.flow != 0) {
+      obs_->flow(batch.flow, obs::FlowPhase::kEnd, sim_.now(), "cluster",
+                 "recovery", outcome);
+    }
+  };
   const RecoveryOptions& ro = options_.recovery;
   const int displaced = static_cast<int>(batch.evacuable.size()) +
                         static_cast<int>(batch.killed.size());
   if (displaced == 0) {
+    end_flow("nothing displaced");
     close_mttr(batch.crash_time);  // empty boards: detection alone
     return;
   }
@@ -781,6 +791,7 @@ void Cluster::handle_crash(PendingBatch batch) {
     // completed_, so fault benches evaluate at a fixed horizon.
     recovery_stats_.apps_lost += displaced;
     m_lost_.add(displaced);
+    end_flow("lost");
     return;
   }
   if (ro.kill_restart) {
@@ -821,6 +832,7 @@ void Cluster::handle_crash(PendingBatch batch) {
   }
   for (MigratedApp& m : fresh) keep.push_back(std::move(m));
   if (keep.empty()) {
+    end_flow("shed");
     close_mttr(batch.crash_time);
     return;
   }

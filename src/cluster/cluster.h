@@ -355,7 +355,7 @@ class Cluster {
     std::vector<MigratedApp> evacuable;
     std::vector<MigratedApp> killed;
     sim::SimTime crash_time = 0;  ///< first crash of the batch
-    std::uint64_t flow = 0;       ///< first crash's causal flow
+    std::uint64_t flow = 0;       ///< the batch's causal flow
   };
   void on_health_event(const faults::HealthEvent& e);
   void handle_crash(PendingBatch batch);

@@ -20,6 +20,10 @@ namespace vs::metrics {
 
 class Capture {
  public:
+  /// The flags the constructor reads; a capturing CLI names them.
+  static inline const util::FlagNames kFlags = {"metrics-out", "trace-out",
+                                                "journal-out"};
+
   explicit Capture(const util::CliArgs& args);
 
   /// Resolved output paths (PREFIX for metrics); empty means off.

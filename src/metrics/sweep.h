@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "metrics/experiment.h"
+#include "util/cli.h"
 #include "util/log.h"
 #include "util/thread_pool.h"
 
@@ -31,10 +32,14 @@ struct SweepJob {
 class SweepRunner {
  public:
   /// `jobs` is the worker count; 0 resolves via util::resolve_jobs()
-  /// (--jobs is the caller's to parse; VS_JOBS and hardware concurrency
-  /// resolve here).
+  /// (VS_JOBS, then hardware concurrency).
   explicit SweepRunner(int jobs = 0)
       : jobs_(jobs > 0 ? jobs : util::resolve_jobs()) {}
+  /// Reads --jobs N in [1, 1024] (a sweeping CLI names kFlags); without
+  /// it, as SweepRunner(0).
+  static inline const util::FlagNames kFlags = {"jobs"};
+  explicit SweepRunner(const util::CliArgs& args)
+      : SweepRunner(static_cast<int>(args.get_int("jobs", 0, 1, 1024))) {}
 
   [[nodiscard]] int jobs() const noexcept { return jobs_; }
 

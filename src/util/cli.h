@@ -1,49 +1,71 @@
-// Minimal command-line flag parser for the example drivers: supports
-// --name value and --name=value forms, typed lookups with defaults, and
-// a generated usage string. No external dependencies.
+// Command-line parsing for the bench and example CLIs: each names its flags
+// once, CliArgs rejects every other argument, and each flag is read through
+// a getter that checks it. --name value or --name=value; a switch is bare.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vs::util {
 
+/// A bad command line: run_cli prints it with the usage line and exits 2.
+struct UsageError : std::runtime_error { using runtime_error::runtime_error; };
+
+/// Flag names without their leading "--".
+using FlagNames = std::initializer_list<std::string_view>;
+
 class CliArgs {
  public:
-  /// Parses argv; unknown flags are collected (the caller decides whether
-  /// they are errors). Positional arguments are kept in order.
-  CliArgs(int argc, const char* const* argv);
+  /// Parses argv against the flags `names` lists ("help" is always known);
+  /// throws UsageError on any other flag and on a positional argument.
+  CliArgs(int argc, const char* const* argv,
+          std::initializer_list<FlagNames> names);
 
-  [[nodiscard]] bool has(const std::string& name) const;
-  [[nodiscard]] std::string get(const std::string& name,
-                                const std::string& fallback = {}) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name,
-                                     std::int64_t fallback) const;
-  [[nodiscard]] double get_double(const std::string& name,
-                                  double fallback) const;
-  [[nodiscard]] bool get_bool(const std::string& name,
-                              bool fallback = false) const;
-
-  [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
-    return positional_;
+  /// Getters return `fallback` for an absent flag. They throw UsageError
+  /// naming the flag on a valued flag given bare, a switch given a value, a
+  /// number std::from_chars does not parse in full or outside [min, max].
+  [[nodiscard]] bool has(std::string_view name) const {
+    return flags_.contains(name);
   }
-  [[nodiscard]] const std::string& program() const noexcept {
-    return program_;
+  [[nodiscard]] std::string get(std::string_view name,
+                                std::string_view fallback = {}) const {
+    const std::string* text = value(name);
+    return text != nullptr ? *text : std::string(fallback);
   }
+  [[nodiscard]] std::int64_t get_int(std::string_view name,
+                                     std::int64_t fallback, std::int64_t min,
+                                     std::int64_t max) const;
+  [[nodiscard]] double get_double(std::string_view name, double fallback,
+                                  double min, double max) const;
+  /// Index in `choices` of the value (UsageError if not there), or of
+  /// `fallback` when the flag is absent (choices.size() if not there).
+  [[nodiscard]] std::size_t get_choice(
+      std::string_view name, const std::vector<std::string_view>& choices,
+      std::string_view fallback) const;
+  /// True when the switch is given.
+  [[nodiscard]] bool get_bool(std::string_view name) const;
 
  private:
-  std::string program_;
-  std::map<std::string, std::string> flags_;
-  std::vector<std::string> positional_;
+  /// The flag's text, or null when absent; throws if given bare (nullopt).
+  [[nodiscard]] const std::string* value(std::string_view name) const;
+
+  std::map<std::string, std::optional<std::string>, std::less<>> flags_;
 };
 
-/// Runs a CLI's `body` and returns its exit code. A std::runtime_error that
-/// escapes it — an output file that cannot be opened or written in full —
-/// prints "error: <message>" on stderr and returns 1, where the uncaught
-/// exception would end the process in std::terminate.
-int run_cli(const std::function<int()>& body);
+/// The entry point of every bench and example: parses argv against `names`
+/// and returns `body`'s exit code; --help prints the usage line and returns
+/// 0. On stderr, a UsageError prints "error: <message>" and the usage line
+/// and returns 2; any other std::runtime_error (an unwritable output file)
+/// prints "error: <message>" and returns 1, not std::terminate.
+int run_cli(int argc, const char* const* argv,
+            std::initializer_list<FlagNames> names,
+            const std::function<int(const CliArgs&)>& body);
 
 }  // namespace vs::util

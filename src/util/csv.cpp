@@ -6,8 +6,13 @@
 
 namespace vs::util {
 
-CsvWriter::CsvWriter(const std::string& path) : out_(path) {
+CsvWriter::CsvWriter(const std::string& path) : path_(path), out_(path) {
   if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
+}
+
+void CsvWriter::close() {
+  out_.close();
+  if (!out_) throw std::runtime_error("CsvWriter: cannot write " + path_);
 }
 
 void CsvWriter::header(const std::vector<std::string>& names) { row(names); }
@@ -23,7 +28,6 @@ void CsvWriter::begin_row() { first_in_row_ = true; }
 void CsvWriter::field(const std::string& value) { write_cell(value); }
 
 void CsvWriter::field(double value) { write_cell(fmt(value, 6)); }
-
 
 void CsvWriter::end_row() { out_ << '\n'; }
 

@@ -10,8 +10,8 @@
 namespace vs::util {
 
 /// Writes rows of string/number cells to a CSV file. Quotes cells that
-/// contain separators. Throws std::runtime_error if the file cannot be
-/// opened.
+/// contain separators. Throws std::runtime_error naming the path if the
+/// file cannot be opened, and from close() if a write failed.
 class CsvWriter {
  public:
   explicit CsvWriter(const std::string& path);
@@ -29,9 +29,13 @@ class CsvWriter {
   }
   void end_row();
 
+  /// Flushes and closes the file; throws if any write to it failed.
+  void close();
+
  private:
   void write_cell(const std::string& value);
 
+  std::string path_;
   std::ofstream out_;
   bool first_in_row_ = true;
 };

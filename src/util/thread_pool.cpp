@@ -1,31 +1,15 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <cstdlib>
-
-#include "util/cli.h"
 
 namespace vs::util {
 
-namespace {
-
-int clamp_workers(long n) {
-  if (n < 1) return 0;  // caller treats 0 as "not specified"
-  return static_cast<int>(n > 1024 ? 1024 : n);
-}
-
-}  // namespace
-
-int resolve_jobs(const CliArgs* cli) {
-  if (cli != nullptr && cli->has("jobs")) {
-    int n = clamp_workers(cli->get_int("jobs", 0));
-    if (n > 0) return n;
-  }
-  if (const char* env = std::getenv("VS_JOBS")) {
-    int n = clamp_workers(std::strtol(env, nullptr, 10));
-    if (n > 0) return n;
-  }
-  int hw = clamp_workers(static_cast<long>(std::thread::hardware_concurrency()));
-  return hw > 0 ? hw : 1;
+int resolve_jobs() {
+  const char* env = std::getenv("VS_JOBS");
+  long n = env != nullptr ? std::strtol(env, nullptr, 10) : 0;
+  if (n < 1) n = static_cast<long>(std::thread::hardware_concurrency());
+  return static_cast<int>(std::clamp(n, 1L, 1024L));
 }
 
 ThreadPool::ThreadPool(int workers) {

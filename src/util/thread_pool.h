@@ -19,14 +19,10 @@
 
 namespace vs::util {
 
-class CliArgs;
-
-/// Resolves the worker count for a sweep, in precedence order:
-///   1. `--jobs N` on the command line (when `cli` is given),
-///   2. the VS_JOBS environment variable,
-///   3. std::thread::hardware_concurrency().
-/// Values are clamped to >= 1; 0 or garbage falls through to the next rule.
-[[nodiscard]] int resolve_jobs(const CliArgs* cli = nullptr);
+/// Resolves the default worker count: the VS_JOBS environment variable,
+/// else std::thread::hardware_concurrency(). Values are clamped to
+/// [1, 1024]; 0 or garbage falls through to the hardware count.
+[[nodiscard]] int resolve_jobs();
 
 class ThreadPool {
  public:

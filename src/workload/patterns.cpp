@@ -38,9 +38,11 @@ void save_sequence(const Sequence& sequence, const std::string& path) {
   for (const apps::AppArrival& a : sequence) {
     out << a.spec_index << ',' << a.arrival << ',' << a.batch << '\n';
   }
+  out.close();
+  if (!out) throw std::runtime_error("cannot write " + path);
 }
 
-Sequence load_sequence(const std::string& path) {
+Sequence load_sequence(const std::string& path, std::size_t suite_size) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open " + path);
   Sequence seq;
@@ -50,17 +52,22 @@ Sequence load_sequence(const std::string& path) {
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
+    const std::string at = path + ":" + std::to_string(lineno) + ": ";
     std::istringstream row(line);
     apps::AppArrival a;
     char c1 = 0, c2 = 0;
     if (!(row >> a.spec_index >> c1 >> a.arrival >> c2 >> a.batch) ||
         c1 != ',' || c2 != ',') {
-      throw std::runtime_error(path + ":" + std::to_string(lineno) +
-                               ": malformed row '" + line + "'");
+      throw std::runtime_error(at + "malformed row '" + line + "'");
     }
-    if (a.spec_index < 0 || a.batch < 1 || a.arrival < 0) {
-      throw std::runtime_error(path + ":" + std::to_string(lineno) +
-                               ": out-of-range values");
+    if (a.spec_index < 0 ||
+        static_cast<std::size_t>(a.spec_index) >= suite_size) {
+      throw std::runtime_error(at + "spec_index " +
+                               std::to_string(a.spec_index) + " outside [0, " +
+                               std::to_string(suite_size) + ")");
+    }
+    if (a.batch < 1 || a.arrival < 0) {
+      throw std::runtime_error(at + "out-of-range values");
     }
     seq.push_back(a);
   }

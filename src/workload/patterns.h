@@ -34,10 +34,13 @@ struct Phase {
                                           int burst = 30, int total = 80);
 
 /// CSV persistence: "spec_index,arrival_ns,batch" per row with a header.
+/// Throws std::runtime_error naming the path if a write fails.
 void save_sequence(const Sequence& sequence, const std::string& path);
 
-/// Loads a saved sequence; throws std::runtime_error on unreadable files
-/// or malformed rows.
-[[nodiscard]] Sequence load_sequence(const std::string& path);
+/// Loads a saved sequence for a suite of `suite_size` apps; throws
+/// std::runtime_error on unreadable files, malformed rows and spec indices
+/// outside the suite.
+[[nodiscard]] Sequence load_sequence(const std::string& path,
+                                     std::size_t suite_size);
 
 }  // namespace vs::workload

@@ -122,7 +122,7 @@ TEST(Patterns, SaveLoadRoundTrip) {
   auto seq = workload::generate_sequence(config, rng);
   std::string path = testing::TempDir() + "/vs_workload.csv";
   workload::save_sequence(seq, path);
-  auto loaded = workload::load_sequence(path);
+  auto loaded = workload::load_sequence(path, 5);
   ASSERT_EQ(loaded.size(), seq.size());
   for (std::size_t i = 0; i < seq.size(); ++i) {
     EXPECT_EQ(loaded[i].spec_index, seq[i].spec_index);
@@ -138,12 +138,28 @@ TEST(Patterns, LoadRejectsMalformedRows) {
     std::ofstream out(path);
     out << "spec_index,arrival_ns,batch\n1,notanumber,5\n";
   }
-  EXPECT_THROW(workload::load_sequence(path), std::runtime_error);
+  EXPECT_THROW((void)workload::load_sequence(path, 5), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Patterns, LoadRejectsSpecIndexPastTheSuite) {
+  std::string path = testing::TempDir() + "/vs_spec_workload.csv";
+  {
+    std::ofstream out(path);
+    out << "spec_index,arrival_ns,batch\n4,0,5\n99,10,5\n";
+  }
+  try {
+    (void)workload::load_sequence(path, 5);
+    FAIL() << "spec_index 99 loaded into a 5-app suite";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              path + ":3: spec_index 99 outside [0, 5)");
+  }
   std::remove(path.c_str());
 }
 
 TEST(Patterns, LoadRejectsMissingFile) {
-  EXPECT_THROW(workload::load_sequence("/nonexistent_dir_xyz/w.csv"),
+  EXPECT_THROW((void)workload::load_sequence("/nonexistent_dir_xyz/w.csv", 5),
                std::runtime_error);
 }
 

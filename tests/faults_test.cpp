@@ -17,6 +17,7 @@
 #include "metrics/experiment.h"
 #include "metrics/sweep.h"
 #include "obs/metrics.h"
+#include "obs/trace_hub.h"
 #include "runtime/board_runtime.h"
 #include "runtime/invariants.h"
 #include "sim/simulator.h"
@@ -908,6 +909,76 @@ TEST(DetectionWindow, IndependentCrashesShareOneRecovery) {
   } result{static_cast<int>(cluster.completed().size()), cluster.submitted(),
            stats};
   test::expect_app_conservation(result);
+}
+
+// ---------------------------------------------------------------- CrashFlow
+
+TEST(CrashFlow, OneFlowPerBatchAndItEnds) {
+  // Every detection batch draws one causal flow: its first crash starts
+  // it, a later crash in the window steps it, and it ends exactly once:
+  // at the first readmission, or where recovery stops early (nothing
+  // displaced, recovery off).
+  fpga::BoardParams params;
+  auto suite = apps::make_suite(params);
+  workload::WorkloadConfig config;
+  config.congestion = workload::Congestion::kStress;
+  config.apps_per_sequence = 24;
+  util::Rng rng(41);
+  const auto seq = workload::generate_sequence(config, rng);
+  const sim::SimTime t_crash = sim::seconds(2.0);
+
+  struct Case {
+    const char* name;
+    std::vector<int> boards;  ///< plane boards crashed 2 ms apart
+    bool recovery;
+  };
+  // Plane boards 0 and 1 are the Only.Little pool, active and loaded at
+  // t_crash; board 2 is the idle Big.Little spare.
+  const Case cases[] = {
+      {"two crashes in one window", {0, 1}, true},
+      {"empty board", {2}, true},
+      {"recovery off", {0}, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    cluster::ClusterOptions options;
+    options.boards_per_config = 2;
+    options.enable_switching = false;
+    options.recovery.enable_recovery = c.recovery;
+    options.faults.seed = 404;
+    for (std::size_t i = 0; i < c.boards.size(); ++i) {
+      options.faults.timeline.push_back(
+          {t_crash + sim::ms(2.0 * static_cast<double>(i)),
+           faults::FaultKind::kBoardCrash, c.boards[i], -1});
+    }
+    obs::ClusterTraceHub hub;
+    hub.enable_trace();
+    options.hub = &hub;
+    sim::Simulator sim;
+    cluster::Cluster cluster(sim, suite, options);
+    cluster.submit_sequence(seq);
+    sim.run();
+    ASSERT_EQ(cluster.recovery_stats().boards_crashed,
+              static_cast<int>(c.boards.size()));
+
+    // Switching is off, so every flow on the cluster channel is a crash
+    // batch's.
+    const auto& flows = hub.channel("cluster").flows();
+    ASSERT_FALSE(flows.empty());
+    int starts = 0, steps = 0, ends = 0;
+    for (const obs::TraceChannel::Flow& f : flows) {
+      EXPECT_EQ(f.id, flows.front().id);
+      starts += f.phase == obs::FlowPhase::kStart;
+      steps += f.phase == obs::FlowPhase::kStep;
+      ends += f.phase == obs::FlowPhase::kEnd;
+    }
+    EXPECT_EQ(starts, 1);
+    EXPECT_EQ(ends, 1);
+    EXPECT_EQ(flows.front().phase, obs::FlowPhase::kStart);
+    EXPECT_EQ(flows.back().phase, obs::FlowPhase::kEnd);
+    // The second crash and the detection are steps.
+    EXPECT_GE(steps, static_cast<int>(c.boards.size()));
+  }
 }
 
 // -------------------------------------------------------- FaultDeterminism

@@ -626,8 +626,11 @@ TEST(CaptureGolden, FaultedCheckpointedClusterFilesKeepTheirBytes) {
   // was re-pinned once since, when a slot began executing at its item's
   // DMA kick rather than when the input landed: 8 of its 1159 rows sample
   // inside a DMA-in window, and each moves one fpga-OL0 slot from
-  // "configured" to "executing" in vs_slot_state_count. The same run is
-  // captured twice: wired by hand to the exporters, and through the CLIs'
+  // "configured" to "executing" in vs_slot_state_count. The trace digest
+  // was re-pinned once, when every crash-detection batch's flow began to
+  // end: three crashes of empty boards each gained one "f" record named
+  // "nothing displaced"; no other record moved. The same run is captured
+  // twice: wired by hand to the exporters, and through the CLIs'
   // metrics::Capture writing real files.
   FaultedCluster run;
   cluster::ClusterOptions options = run.options;
@@ -638,7 +641,7 @@ TEST(CaptureGolden, FaultedCheckpointedClusterFilesKeepTheirBytes) {
   auto expect_golden = [](const std::vector<std::string>& files) {
     const std::uint64_t golden[] = {
         0x17d1b4ac69936b7full, 0xdfd774d5fc41563cull, 0x863dcf6349d9397bull,
-        0xdfc65dc5a09b6a0bull, 0x4c42e79491d0e25eull};
+        0x72fa281f095b8122ull, 0x4c42e79491d0e25eull};
     ASSERT_EQ(files.size(), std::size(golden));
     for (std::size_t i = 0; i < files.size(); ++i) {
       EXPECT_EQ(fnv1a(files[i]), golden[i]) << "file " << i;
@@ -684,7 +687,8 @@ TEST(CaptureGolden, FaultedCheckpointedClusterFilesKeepTheirBytes) {
     const char* argv[] = {"prog",         "--metrics-out", prefix.c_str(),
                           "--trace-out",  trace.c_str(),   "--journal-out",
                           journal.c_str()};
-    metrics::Capture capture(util::CliArgs(7, argv));
+    metrics::Capture capture(
+        util::CliArgs(7, argv, {metrics::Capture::kFlags}));
     cluster::ClusterOptions wired = options;
     capture.attach(wired);
     metrics::ClusterRunResult r = metrics::run_cluster(
@@ -721,7 +725,7 @@ TEST(Capture, EachOutputAttachesOnlyItself) {
   // Nothing requested: no telemetry bound, no hub attached, and the
   // options keep their instrument-free defaults.
   const char* bare[] = {"prog"};
-  const util::CliArgs no_flags(1, bare);
+  const util::CliArgs no_flags(1, bare, {metrics::Capture::kFlags});
   {
     metrics::Capture capture(no_flags);
     EXPECT_FALSE(capture.requested());
@@ -740,7 +744,7 @@ TEST(Capture, EachOutputAttachesOnlyItself) {
   for (const Output& o : outputs) {
     SCOPED_TRACE(o.flag);
     const char* flagged[] = {"prog", o.flag, "fromflag"};
-    const util::CliArgs with_flag(3, flagged);
+    const util::CliArgs with_flag(3, flagged, {metrics::Capture::kFlags});
 
     // Requested alone, each output attaches its own instrument only.
     metrics::Capture capture(with_flag);
@@ -948,13 +952,13 @@ TEST(Telemetry, WriteOutputsThrowsWhenAWriteFails) {
 
 TEST(Telemetry, ResolveMetricsOutPrefersFlagThenEnv) {
   const char* argv[] = {"prog", "--metrics-out", "fromflag"};
-  util::CliArgs args(3, argv);
+  util::CliArgs args(3, argv, {metrics::Capture::kFlags});
   ::setenv("VS_METRICS", "fromenv", 1);
   EXPECT_EQ(metrics::Capture(args).metrics_out(), "fromflag");
-  util::CliArgs no_flag(1, argv);
+  util::CliArgs no_flag(1, argv, {metrics::Capture::kFlags});
   EXPECT_EQ(metrics::Capture(no_flag).metrics_out(), "fromenv");
   const char* emptied[] = {"prog", "--metrics-out="};
-  util::CliArgs empty_flag(2, emptied);
+  util::CliArgs empty_flag(2, emptied, {metrics::Capture::kFlags});
   EXPECT_EQ(metrics::Capture(empty_flag).metrics_out(), "");
   ::setenv("VS_METRICS", "", 1);
   EXPECT_FALSE(metrics::Capture(no_flag).requested());

@@ -105,19 +105,26 @@ TEST(ThreadPool, ParallelForHandlesDegenerateShapes) {
 TEST(ThreadPool, ResolveJobsPrecedence) {
   // --jobs beats VS_JOBS beats hardware concurrency.
   ASSERT_EQ(setenv("VS_JOBS", "5", 1), 0);
-  const char* argv[] = {"prog", "--jobs", "3"};
-  util::CliArgs with_flag(3, argv);
-  EXPECT_EQ(util::resolve_jobs(&with_flag), 3);
-  util::CliArgs no_flag(1, argv);
-  EXPECT_EQ(util::resolve_jobs(&no_flag), 5);
-  EXPECT_EQ(util::resolve_jobs(nullptr), 5);
-  // Garbage and non-positive values fall through to the next rule.
+  auto runner = [](std::initializer_list<const char*> flags) {
+    std::vector<const char*> argv{"prog"};
+    argv.insert(argv.end(), flags.begin(), flags.end());
+    return metrics::SweepRunner(util::CliArgs(
+        static_cast<int>(argv.size()), argv.data(),
+        {metrics::SweepRunner::kFlags}));
+  };
+  EXPECT_EQ(runner({"--jobs", "3"}).jobs(), 3);
+  EXPECT_EQ(runner({}).jobs(), 5);
+  EXPECT_EQ(util::resolve_jobs(), 5);
+  // A bad --jobs is a usage error, not a fall-through to the next rule.
+  EXPECT_THROW((void)runner({"--jobs", "0"}), util::UsageError);
+  EXPECT_THROW((void)runner({"--jobs", "banana"}), util::UsageError);
+  // Garbage and non-positive VS_JOBS values fall through to the next rule.
   ASSERT_EQ(setenv("VS_JOBS", "0", 1), 0);
-  EXPECT_GE(util::resolve_jobs(nullptr), 1);
+  EXPECT_GE(runner({}).jobs(), 1);
   ASSERT_EQ(setenv("VS_JOBS", "banana", 1), 0);
-  EXPECT_GE(util::resolve_jobs(nullptr), 1);
+  EXPECT_GE(util::resolve_jobs(), 1);
   ASSERT_EQ(unsetenv("VS_JOBS"), 0);
-  EXPECT_GE(util::resolve_jobs(nullptr), 1);
+  EXPECT_GE(util::resolve_jobs(), 1);
 }
 
 // -------------------------------------------------- determinism goldens

@@ -544,18 +544,18 @@ TEST(TraceHub, NamesInternOncePerHub) {
 TEST(Resolvers, TraceAndJournalOutPreferFlagThenEnv) {
   const char* argv[] = {"prog", "--trace-out", "t.json", "--journal-out",
                         "j.jsonl"};
-  util::CliArgs args(5, argv);
+  util::CliArgs args(5, argv, {metrics::Capture::kFlags});
   ::setenv("VS_TRACE", "env-t.json", 1);
   ::setenv("VS_JOURNAL", "env-j.jsonl", 1);
   const metrics::Capture flagged(args);
   EXPECT_EQ(flagged.trace_out(), "t.json");
   EXPECT_EQ(flagged.journal_out(), "j.jsonl");
-  util::CliArgs no_flag(1, argv);
+  util::CliArgs no_flag(1, argv, {metrics::Capture::kFlags});
   const metrics::Capture from_env(no_flag);
   EXPECT_EQ(from_env.trace_out(), "env-t.json");
   EXPECT_EQ(from_env.journal_out(), "env-j.jsonl");
   const char* emptied[] = {"prog", "--trace-out=", "--journal-out="};
-  util::CliArgs empty_flags(3, emptied);
+  util::CliArgs empty_flags(3, emptied, {metrics::Capture::kFlags});
   const metrics::Capture switched_off(empty_flags);
   EXPECT_EQ(switched_off.trace_out(), "");
   EXPECT_EQ(switched_off.journal_out(), "");

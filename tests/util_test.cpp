@@ -232,5 +232,19 @@ TEST(Csv, ThrowsOnBadPath) {
                std::runtime_error);
 }
 
+TEST(Csv, CloseThrowsNamingThePathWhenAWriteFails) {
+  // /dev/full opens but rejects every write: the buffered rows fail when
+  // close() flushes them.
+  CsvWriter w("/dev/full");
+  w.header({"a", "b"});
+  w.row({"1", "2"});
+  try {
+    w.close();
+    FAIL() << "close() did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "CsvWriter: cannot write /dev/full");
+  }
+}
+
 }  // namespace
 }  // namespace vs::util
