@@ -1,7 +1,9 @@
 // General-purpose simulation driver: run any system on any workload from
 // the command line, with quality metrics, CSV export, workload persistence
 // and the shared capture outputs (metrics/capture.h).
-// Each flag's default and range sit at its read at the top of run().
+// Each flag's default and range sit at its read at the top of run(); a flag
+// the chosen mode ignores (--csv with --cluster, --apps with --workload)
+// exits 2 before any work.
 //
 // Examples:
 //   simulate --system versaslot-bl --congestion stress --apps 20 --seed 7
@@ -39,6 +41,15 @@ int run(const vs::util::CliArgs& args) {
   const auto boards = static_cast<int>(args.get_int("boards", 1, 1, 1024));
   const bool with_quality = args.get_bool("quality");
   const std::string csv_path = args.get("csv");
+  if (on_cluster) {
+    args.reject({"system", "csv", "quality"}, "has no effect with --cluster");
+  } else {
+    args.reject({"boards"}, "has no effect without --cluster");
+  }
+  if (!workload_in.empty()) {
+    args.reject({"apps", "seed", "congestion"},
+                "has no effect with --workload");
+  }
   metrics::Capture capture(args);
 
   fpga::BoardParams params;

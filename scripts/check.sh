@@ -9,7 +9,8 @@
 # its per-job log buffers, and the ordered parallel export writer with the
 # exporters and runs it serves) and AddressSanitizer over the event-kernel and
 # telemetry tests (the slab queue and InlineEvent do placement-new lifetime
-# management by hand; the registry hands out long-lived cell pointers).
+# management by hand; the registry hands out long-lived cell pointers) and
+# the runtime's (an app's storage is freed when it leaves the live set).
 # The e2ebench digest gate holds every benchmark workload's outputs to the
 # committed reference digests at both reference seeds.
 # Run from the repository root:
@@ -179,16 +180,17 @@ expect_write_failure /dev/full ./bench/fig7_utilization --jobs 1 \
 echo "== bad-invocation smoke (bad input exits 2 before any work) =="
 # Every bench and example but micro_substrate (google-benchmark's own
 # flags) reads argv through util::run_cli. An unknown flag, a positional
-# argument or a bad value must exit 2 with the flag or argument on stderr,
-# and --help must exit 0 with the usage line; neither may write a file.
-# Each case runs in its own empty directory. None starts a sweep, so none
-# starts more than a few threads.
+# argument or a bad value must exit 2 with the flag or argument in the
+# first line of output, the error (the usage line after it names every
+# flag), and --help must exit 0 with the usage line; neither may write a
+# file. Each case runs in its own empty directory. None starts a sweep,
+# so none starts more than a few threads.
 expect_exit() {
   local want=$1 needle=$2 bin=$PWD/build/$3 rc=0 out dir
   shift 3
   dir="$(mktemp -d)"
   out="$(cd "$dir" && "$bin" "$@" 2>&1)" || rc=$?
-  if (( rc != want )) || [[ "$out" != *"$needle"* ]] ||
+  if (( rc != want )) || [[ "${out%%$'\n'*}" != *"$needle"* ]] ||
      [[ -n "$(ls -A "$dir")" ]]; then
     echo "$bin $*: exit $rc (want $want), output: $out," \
       "files: $(ls -A "$dir")" >&2
@@ -233,6 +235,13 @@ done <<'CASES'
 --sytem examples/simulate --sytem nimblock
 --system examples/simulate --system=foo
 --trace examples/simulate --trace x.json
+--system examples/simulate --cluster --system nimblock
+--csv examples/simulate --cluster --csv x.csv
+--quality examples/simulate --cluster --quality
+--boards examples/simulate --boards 2
+--apps examples/simulate --workload w.csv --apps 40
+--seed examples/simulate --workload w.csv --seed 3
+--congestion examples/simulate --workload w.csv --congestion stress
 'stress' examples/scheduler_comparison stress abc
 'abc' examples/cluster_migration abc
 '0' examples/streaming_feed 0 0 0
@@ -329,15 +338,19 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
 fi
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
-  echo "== AddressSanitizer: event kernel + telemetry + policies =="
+  echo "== AddressSanitizer: event kernel + telemetry + policies + runtime =="
   # The baseline policies index per-app vectors by app id: an id out of
   # range is undefined behaviour that only a sanitizer reports. The
   # crash-detection batch moves MigratedApp vectors from event to event.
   # The CLI parser reads argv through string views and flag-name lists.
+  # An app's units, checkpoint progress and dirty map are freed when it
+  # leaves the live set and its slot is reused, so a late reader in the
+  # runtime, streaming, checkpoint, migration and D_switch paths shows
+  # here as a heap-use-after-free, not as a stale value.
   cmake -B build-asan -S . -DVS_SANITIZE=address
   cmake --build build-asan -j "$JOBS" --target versaslot_tests
   ./build-asan/tests/versaslot_tests \
-    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:SamplerChangeLog.*:CaptureGolden.*:Capture.*:BlockWriterNumbers.*:WriteFile.*:OrderedExport.*:Telemetry*:TraceRecorder.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:HazardGolden.*:DetectionWindow.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*:Invariants.*:StepwiseAudit.*:AllocationChanges.*:DSwitchGolden.*:Contracts.*:Fcfs.*:RoundRobin.*:Nimblock.*:Dml.*:PolicyCommon.*:BaselineGolden.*:StarvationClock.*:StreamingGolden.*:Cli.*:CrashFlow.*'
+    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:SamplerChangeLog.*:CaptureGolden.*:Capture.*:BlockWriterNumbers.*:WriteFile.*:OrderedExport.*:Telemetry*:TraceRecorder.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:HazardGolden.*:DetectionWindow.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*:Invariants.*:StepwiseAudit.*:AllocationChanges.*:DSwitchGolden.*:Contracts.*:Fcfs.*:RoundRobin.*:Nimblock.*:Dml.*:PolicyCommon.*:BaselineGolden.*:StarvationClock.*:StreamingGolden.*:Cli.*:CrashFlow.*:BoardRuntime.*:ItemPath.*:Streaming.*:Migration.*:RunLength.*:InvariantSweep.*:VersaSlot.*'
 fi
 
 if [[ "${SKIP_COV:-0}" != "1" ]]; then

@@ -36,18 +36,18 @@ enum class BundleMode { kSingle, kSerial, kParallel };
 }
 
 /// A unit of scheduling: a task or a bundle, with the derived execution and
-/// resource model used by the runtime.
+/// resource model used by the runtime. What every batch item reads leads.
 struct UnitSpec {
+  sim::SimDuration item_latency = 0;  ///< steady-state period per item
+  sim::SimDuration fill_latency = 0;  ///< extra latency before first item
+  std::int64_t item_bytes_in = 0;     ///< per-item DMA into the unit
   int first_task = 0;  ///< inclusive range into AppSpec::tasks
   int last_task = 0;
   fpga::SlotKind slot_kind = fpga::SlotKind::kLittle;
   BundleMode mode = BundleMode::kSingle;
-  sim::SimDuration item_latency = 0;  ///< steady-state period per item
-  sim::SimDuration fill_latency = 0;  ///< extra latency before first item
   fpga::ResourceVector synth_usage;
   fpga::ResourceVector impl_usage;
   std::int64_t bitstream_bytes = 0;
-  std::int64_t item_bytes_in = 0;   ///< per-item DMA into the unit
   std::int64_t item_bytes_out = 0;
 
   [[nodiscard]] int task_count() const noexcept {

@@ -24,8 +24,8 @@ void grant_little_slots(runtime::BoardRuntime& rt,
     for (std::size_t i = 0; i < app_order.size(); ++i) {
       if (idle.empty()) break;
       int app_id = app_order[i];
+      if (!rt.live(app_id)) continue;
       runtime::AppRun& app = rt.app(app_id);
-      if (app.spec == nullptr || app.done()) continue;
       if (app.units_placed() >= caps[i]) continue;
       int unit = app.next_pending_unit();
       if (unit < 0) continue;

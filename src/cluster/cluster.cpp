@@ -308,7 +308,6 @@ int Cluster::rebalance_active(int min_spread) {
 
 void Cluster::land_migrated(std::vector<MigratedApp> migrated,
                             std::uint64_t flow) {
-  bool flow_open = flow != 0;
   for (MigratedApp& m : migrated) {
     // The destination is re-picked per app at landing time; a target board
     // that crashed while the state was on the link leaves the app queued
@@ -318,14 +317,21 @@ void Cluster::land_migrated(std::vector<MigratedApp> migrated,
       readmit_queue_.push_back(ReadmitEntry{std::move(m), nullptr});
       continue;
     }
-    if (flow_open) {
+    if (flow != 0) {
       // Close the causal arrow at the first resume on the destination.
       obs_->flow(flow, obs::FlowPhase::kEnd, sim_.now(), rt->board().name(),
                  "migration", "resume");
-      flow_open = false;
+      flow = 0;
     }
     rt->submit_migrated(suite_.at(static_cast<std::size_t>(m.spec_index)), m,
                         runtime::AppPhase::kMigration);
+  }
+  if (flow != 0) {
+    // Nothing resumed: the switch moved no app, or every app it moved
+    // queued for re-admission. The arrow ends at the landing all the same,
+    // on the coordinator's lane.
+    obs_->flow(flow, obs::FlowPhase::kEnd, sim_.now(), "cluster", "migration",
+               "landed, nothing resumed");
   }
 }
 

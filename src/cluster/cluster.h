@@ -322,7 +322,8 @@ class Cluster {
                       std::int64_t final_dirty);
   /// Places transferred apps on the least-loaded active boards, or queues
   /// them for re-admission when none is up. Shared by both switch paths
-  /// and rebalancing; `flow` (0 = tracing off) ends at the first resume.
+  /// and rebalancing; `flow` (0 = tracing off) ends at the first resume,
+  /// or on the coordinator's lane when no app resumes.
   void land_migrated(std::vector<MigratedApp> migrated, std::uint64_t flow);
   /// Flow/journal origin of a switch: the first origin board's name, or
   /// "cluster" when the active pool is empty.

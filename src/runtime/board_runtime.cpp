@@ -50,7 +50,7 @@ void assign_pending_units(AppRun& a, std::span<const apps::UnitSpec> specs) {
   }
   a.units.clear();
   a.units.reserve(specs.size());
-  for (const apps::UnitSpec& u : specs) a.units.push_back(UnitRun{u});
+  for (const apps::UnitSpec& u : specs) a.units.emplace_back().spec = u;
   a.unit_masks = {};
   a.unit_masks[static_cast<std::size_t>(UnitState::kPending)] =
       static_cast<std::uint32_t>((std::uint64_t{1} << a.units.size()) - 1);
@@ -106,7 +106,10 @@ void set_in_flight(AppRun& a, UnitRun& u, bool in_flight) noexcept {
 }  // namespace
 
 BoardRuntime::BoardRuntime(fpga::Board& board, SchedulerPolicy& policy)
-    : board_(board), policy_(policy), dual_core_(policy.dual_core()) {
+    : sim_(board.sim()),
+      board_(board),
+      policy_(policy),
+      dual_core_(policy.dual_core()) {
   if (board_.slots().size() > 64) {
     throw std::invalid_argument(board_.name() + " has " +
                                 std::to_string(board_.slots().size()) +
@@ -203,8 +206,8 @@ AppPhase BoardRuntime::classify(const AppRun& a) const noexcept {
 }
 
 void BoardRuntime::touch_phase(AppRun& a) {
-  if (!phase_acct_ || a.done()) return;
-  sim::SimTime now = sim().now();
+  if (!phase_acct_) return;
+  sim::SimTime now = sim_.now();
   a.phase_ns[static_cast<std::size_t>(a.phase)] += now - a.phase_since;
   a.phase_since = now;
   a.phase = classify(a);
@@ -223,29 +226,40 @@ int BoardRuntime::submit(const apps::AppSpec& spec, int spec_index, int batch,
   assert(admission_open_ && "board is draining; submit to the active board");
   assert(batch >= 1);
   assert(spec_index >= 0);
-  AppRun app;
-  app.id = static_cast<int>(apps_.size());
-  app.spec = &spec;
-  app.spec_index = spec_index;
-  app.tenant = tenant;
-  app.arrival = arrival;
-  app.admitted = sim().now();
-  app.batch = batch;
-  app.item_interval = item_interval;
-  assign_pending_units(app, apps::make_little_units(spec));
+  const int id = admitted();
+  AppRun fresh;
+  fresh.id = id;
+  fresh.spec = &spec;
+  fresh.spec_index = spec_index;
+  fresh.tenant = tenant;
+  fresh.arrival = arrival;
+  fresh.admitted = sim_.now();
+  fresh.batch = batch;
+  fresh.item_interval = item_interval;
+  assign_pending_units(fresh, apps::make_little_units(spec));
   // The phase chain starts at *arrival*, not admission: any gap between the
   // two (a resubmission, a held arrival) is re-attributed by
   // submit_migrated, and for fresh arrivals the two coincide, so phases
   // always sum to completed - arrival.
-  app.phase = AppPhase::kQueueWait;
-  app.phase_since = app.arrival;
-  app.wait_since = app.admitted;
-  apps_.push_back(std::move(app));
-  int id = apps_.back().id;
+  fresh.phase = AppPhase::kQueueWait;
+  fresh.phase_since = fresh.arrival;
+  fresh.wait_since = fresh.admitted;
+  // A free slot if there is one, so the pool grows only to the most apps
+  // live at once. Growing it may move every AppRun: no reference into the
+  // pool held across a submit survives it.
+  if (free_slots_.empty()) {
+    slot_of_.push_back(static_cast<int>(apps_.size()));
+    apps_.push_back(std::move(fresh));
+  } else {
+    slot_of_.push_back(free_slots_.back());
+    free_slots_.pop_back();
+    apps_[static_cast<std::size_t>(slot_of_.back())] = std::move(fresh);
+  }
   live_.push_back(id);  // ids only grow, so the index stays ascending
   ++allocation_changes_;
-  count_live(apps_.back(), +1);
-  init_dirty(apps_.back());
+  AppRun& a = app(id);
+  count_live(a, +1);
+  init_dirty(a);
   if (obs_ && obs_->journal_on()) {
     obs_->journal(sim().now(), obs::JournalEvent::kAdmit, board_.name(), id,
                   spec.name, 0, "batch ", batch);
@@ -257,14 +271,14 @@ int BoardRuntime::submit(const apps::AppSpec& spec, int spec_index, int batch,
 }
 
 void BoardRuntime::enable_checkpoints(const CheckpointPolicy& policy) {
-  assert(apps_.empty() &&
+  assert(slot_of_.empty() &&
          "enable checkpointing before the first admission");
   ckpt_ = policy;
   if (ckpt_.delta_active()) enable_dirty_tracking(ckpt_.granularity);
 }
 
 void BoardRuntime::enable_dirty_tracking(std::int64_t granularity) {
-  assert(apps_.empty() &&
+  assert(slot_of_.empty() &&
          "enable dirty tracking before the first admission");
   if (granularity <= 0) return;
   dirty_granularity_ = dirty_granularity_ > 0
@@ -302,8 +316,9 @@ bool per_task_units(const AppRun& a) {
 }
 
 /// Migratable right now: unstarted, or paused between tasks — the same
-/// test extract_migratable applies before tombstoning. Paused means no unit
-/// placed in a slot; an item is only ever in flight in a placed unit (I3).
+/// test extract_migratable applies before releasing the app. Paused means
+/// no unit placed in a slot; an item is only ever in flight in a placed
+/// unit (I3).
 bool migratable_now(const AppRun& a) {
   return !a.started || (per_task_units(a) && a.units_placed() == 0);
 }
@@ -765,7 +780,7 @@ void BoardRuntime::extract_live_if(Extract extract) {
         if (u.state == UnitState::kRunning) used_ -= u.spec.impl_usage;
       }
       count_live(a, -1);
-      a.spec = nullptr;  // tombstone: extracted
+      release_app(a);
     } else {
       live_[kept++] = id;  // kept <= the read position: order is preserved
     }
@@ -825,7 +840,7 @@ BoardRuntime::CrashReport BoardRuntime::crash() {
     if (live_progress) {
       report.evacuable.push_back(std::move(m));
     } else if (a.ckpt_time >= 0) {
-      m.progress = a.ckpt_progress;
+      m.progress = std::move(a.ckpt_progress);
       m.state_bytes = a.ckpt_bytes;
       m.from_checkpoint = true;
       m.ckpt_time = a.ckpt_time;
@@ -861,10 +876,9 @@ void BoardRuntime::inject_slot_seu(int slot_id) {
   if (full_fabric_app_ >= 0) return;  // exclusive baseline: out of scope
   fpga::Slot& slot = board_.slot(slot_id);
   if (slot.state() == fpga::SlotState::kIdle) return;  // empty region
-  int app_id = slot.occupant_app();
-  if (app_id < 0) return;
+  const int app_id = slot.occupant_app();
+  if (!live(app_id)) return;
   AppRun& a = app(app_id);
-  if (a.spec == nullptr || a.done()) return;
   UnitRun* unit = nullptr;
   for (UnitRun& u : a.units) {
     if (u.slot == slot_id && u.state != UnitState::kFinished) {
@@ -926,9 +940,11 @@ void BoardRuntime::try_launches() {
   // and a streamed first stage that was not ready has its kick armed.
   std::sort(launch_marks_.begin(), launch_marks_.end());
   for (int id : launch_marks_) {
+    // An app that left the live set since its mark is skipped; its slot
+    // may hold another app by now, whose own flag is not this mark's.
+    if (!live(id)) continue;
     AppRun& a = app(id);
     a.launch_marked = false;
-    if (a.spec == nullptr || a.done()) continue;  // left the live set since
     // A launch changes only its own unit's bit, so this walks exactly the
     // units a unit-by-unit scan would, in the same order.
     for (std::uint32_t idle = a.idle_units(); idle != 0; idle &= idle - 1) {
@@ -947,9 +963,13 @@ void BoardRuntime::try_launches() {
             a.stream_kick = next;
             int app_id = a.id;
             sim().schedule_at(next, [this, app_id] {
-              AppRun& woken = app(app_id);
-              woken.stream_kick = -1;
-              mark_launch(woken);
+              // The app may have left the live set since (a migration or a
+              // crash took it); the pass is a core op either way.
+              if (live(app_id)) {
+                AppRun& woken = app(app_id);
+                woken.stream_kick = -1;
+                mark_launch(woken);
+              }
               kick();
             });
           }
@@ -1042,18 +1062,17 @@ void BoardRuntime::finish_unit(AppRun& a, UnitRun& unit) {
 }
 
 void BoardRuntime::check_app_complete(AppRun& a) {
-  if (a.done() || a.units_unfinished() > 0) return;
+  if (a.units_unfinished() > 0) return;
+  const sim::SimTime now = sim_.now();
   if (phase_acct_) {
     // Close the open interval against the current phase; after this the
     // account sums exactly (in integer nanoseconds) to completed - arrival.
-    a.phase_ns[static_cast<std::size_t>(a.phase)] +=
-        sim().now() - a.phase_since;
-    a.phase_since = sim().now();
+    a.phase_ns[static_cast<std::size_t>(a.phase)] += now - a.phase_since;
+    a.phase_since = now;
     for (std::size_t p = 0; p < kAppPhaseCount; ++p) {
       m_phase_ms_[p].observe(sim::to_ms(a.phase_ns[p]));
     }
   }
-  a.completed = sim().now();
   auto live = std::lower_bound(live_.begin(), live_.end(), a.id);
   assert(live != live_.end() && *live == a.id && "completing a non-live app");
   live_.erase(live);
@@ -1061,23 +1080,37 @@ void BoardRuntime::check_app_complete(AppRun& a) {
   count_live(a, -1);
   ++counters_.apps_completed;
   m_apps_completed_.add();
-  m_response_ms_.observe(sim::to_ms(a.completed - a.arrival));
+  m_response_ms_.observe(sim::to_ms(now - a.arrival));
   if (full_fabric_app_ == a.id) {
     touch_utilization();
     full_fabric_app_ = -1;
   }
-  CompletedApp c{a.id, a.spec_index, a.spec->name, a.arrival, a.completed};
+  CompletedApp c{a.id, a.spec_index, a.spec->name, a.arrival, now};
   c.phase_ns = a.phase_ns;
   c.tenant = a.tenant;
   completed_.push_back(c);
   VS_DEBUG << board_.name() << ": " << c.name << "#" << a.id
            << " complete, response " << c.response_ms() << " ms";
   if (obs_ && obs_->journal_on()) {
-    obs_->journal(sim().now(), obs::JournalEvent::kComplete, board_.name(),
-                  a.id, a.spec->name, 0, "response_ms ",
+    obs_->journal(now, obs::JournalEvent::kComplete, board_.name(), a.id,
+                  a.spec->name, 0, "response_ms ",
                   util::Fixed{c.response_ms()});
   }
+  // Released before the hook, which may admit apps here into its slot.
+  release_app(a);
   if (on_app_complete_) on_app_complete_(c);
+}
+
+void BoardRuntime::release_app(AppRun& a) {
+  const auto id = static_cast<std::size_t>(a.id);
+  free_slots_.push_back(slot_of_[id]);
+  slot_of_[id] = -1;
+  // Swapped with empty containers rather than cleared, so their capacity
+  // goes too: a late reader then shows under AddressSanitizer as a
+  // heap-use-after-free, not as a stale value.
+  std::vector<UnitRun>().swap(a.units);
+  std::vector<int>().swap(a.ckpt_progress);
+  a.dirty = DirtyMap{};
 }
 
 void BoardRuntime::bind_load_cell(LoadCell* cell) noexcept {

@@ -51,14 +51,16 @@ enum class UnitState : std::uint8_t {
 };
 inline constexpr std::size_t kUnitStateCount = 4;
 
+/// Hot-first: what every item reads (state, flags, slot, progress) leads,
+/// and the spec follows with its per-item fields first (apps::UnitSpec).
 struct UnitRun {
-  apps::UnitSpec spec;
   UnitState state = UnitState::kPending;
-  int slot = -1;               ///< slot id; -2 = full-fabric (baseline)
-  int items_done = 0;
   bool item_in_flight = false;
   bool pr_was_blocked = false; ///< this unit's last PR waited in the PCAP FIFO
   bool seu_poisoned = false;   ///< SEU hit mid-PR/mid-item: discard on finish
+  int slot = -1;               ///< slot id; -2 = full-fabric (baseline)
+  int items_done = 0;
+  apps::UnitSpec spec;
 };
 
 /// Response-time phases. Every nanosecond between an app's arrival and its
@@ -77,14 +79,15 @@ inline constexpr std::size_t kAppPhaseCount = 6;
 
 [[nodiscard]] const char* to_string(AppPhase p) noexcept;
 
+/// One live app's runtime state, in a slot of its board's app pool (see
+/// BoardRuntime::app_slots()). What the item, launch and pass paths read
+/// leads; the checkpoint and dirty-tracking state goes last.
 struct AppRun {
   int id = -1;
   const apps::AppSpec* spec = nullptr;
   int spec_index = -1;
-  int tenant = -1;  ///< serving plane: owning tenant (-1 = closed workload)
-  sim::SimTime arrival = 0;   ///< cluster arrival (response time base)
-  sim::SimTime admitted = 0;  ///< when this board received the app
   int batch = 1;
+  sim::SimTime arrival = 0;   ///< cluster arrival (response time base)
   sim::SimDuration item_interval = 0;  ///< streaming source period (0 = staged)
   std::vector<UnitRun> units;
   /// Bit i of unit_masks[s] is set while units[i] is in UnitState s, and of
@@ -96,12 +99,19 @@ struct AppRun {
   bool started = false;       ///< any PR ever issued for it
   /// Queued for the next pass's launch scan (see BoardRuntime::launch_marks).
   bool launch_marked = false;
-  sim::SimTime completed = -1;
   sim::SimTime stream_kick = -1;  ///< pending wake-up for streamed items
   /// Starvation clock, read by the preempting policies while the app is
   /// slot-less(): its admission, then, each time it becomes slot-less, the
   /// runtime's last pass time. Only BoardRuntime writes it.
   sim::SimTime wait_since = 0;
+  sim::SimTime admitted = 0;  ///< when this board received the app
+  int tenant = -1;  ///< serving plane: owning tenant (-1 = closed workload)
+  /// Phase accounting (zero-cost unless enable_phase_accounting()):
+  /// nanoseconds attributed per phase, the phase the app is currently in,
+  /// and when it entered it. Carried across boards through MigratedApp.
+  std::array<sim::SimDuration, kAppPhaseCount> phase_ns{};
+  AppPhase phase = AppPhase::kQueueWait;
+  sim::SimTime phase_since = 0;
   /// Last DDR checkpoint (CheckpointPolicy): expanded per-task progress,
   /// when it was taken (-1 = never), and the byte volume a crash
   /// evacuation ships to restore it — the reconstructed image in both
@@ -115,20 +125,12 @@ struct AppRun {
   /// Pre-copy: this app's migratable footprint has been streamed to the
   /// target at least once this migration (later rounds ship only dirt).
   bool precopy_streamed = false;
-  /// DDR dirty-region map; empty unless the board tracks dirty state
-  /// (delta checkpointing and/or pre-copy migration).
-  DirtyMap dirty;
-  /// Phase accounting (zero-cost unless enable_phase_accounting()):
-  /// nanoseconds attributed per phase, the phase the app is currently in,
-  /// and when it entered it. Carried across boards through MigratedApp.
-  std::array<sim::SimDuration, kAppPhaseCount> phase_ns{};
-  AppPhase phase = AppPhase::kQueueWait;
-  sim::SimTime phase_since = 0;
   /// Causal flow id of this app's checkpoint base→delta→restore chain
   /// (0 = none yet); only assigned when cluster tracing is on.
   std::uint64_t ckpt_flow = 0;
-
-  [[nodiscard]] bool done() const noexcept { return completed >= 0; }
+  /// DDR dirty-region map; empty unless the board tracks dirty state
+  /// (delta checkpointing and/or pre-copy migration).
+  DirtyMap dirty;
 
   /// Items of the first pipeline stage available from the source by `now`.
   [[nodiscard]] int items_available(sim::SimTime now) const noexcept {
@@ -289,19 +291,35 @@ class BoardRuntime {
   // ---------------------------------------------------------------- queries
   [[nodiscard]] fpga::Board& board() noexcept { return board_; }
   [[nodiscard]] const fpga::Board& board() const noexcept { return board_; }
-  [[nodiscard]] sim::SimTime sim_now() const noexcept {
-    return board_.sim().now();
+  [[nodiscard]] sim::SimTime sim_now() const noexcept { return sim_.now(); }
+  [[nodiscard]] sim::Simulator& sim() noexcept { return sim_; }
+
+  /// Apps admitted so far: ids run from 0 to admitted() - 1, one per
+  /// submit, and are never reused.
+  [[nodiscard]] int admitted() const noexcept {
+    return static_cast<int>(slot_of_.size());
   }
-  [[nodiscard]] sim::Simulator& sim() noexcept { return board_.sim(); }
-  [[nodiscard]] const std::vector<AppRun>& apps() const noexcept {
-    return apps_;
+  /// True while app `id` is live (admitted, not completed, not extracted).
+  /// Whoever holds an id past the event that handed it out asks this
+  /// before app(id): a departed app's slot may hold another app by then.
+  [[nodiscard]] bool live(int id) const noexcept {
+    return static_cast<std::size_t>(id) < slot_of_.size() &&
+           slot_of_[static_cast<std::size_t>(id)] >= 0;
   }
+  /// A live app's state. Throws std::out_of_range for an id that is not
+  /// live: a departed app's state is gone (completed() keeps its record).
   [[nodiscard]] AppRun& app(int id) {
-    return apps_.at(static_cast<std::size_t>(id));
+    return apps_.at(static_cast<std::size_t>(
+        slot_of_.at(static_cast<std::size_t>(id))));
   }
   [[nodiscard]] const AppRun& app(int id) const {
-    return apps_.at(static_cast<std::size_t>(id));
+    return apps_.at(static_cast<std::size_t>(
+        slot_of_.at(static_cast<std::size_t>(id))));
   }
+  /// App slots the board holds. A slot is reused once its app leaves the
+  /// live set, and the pool grows only when every slot is busy, so this is
+  /// the most apps the board has held live at once.
+  [[nodiscard]] std::size_t app_slots() const noexcept { return apps_.size(); }
 
   /// Clears `out` and fills it with the ids of the idle slots of `kind`, in
   /// ascending order. Policies pass a buffer they keep, so a pass does not
@@ -327,11 +345,10 @@ class BoardRuntime {
   [[nodiscard]] bool item_ready(const AppRun& app, int unit_index) const;
 
   /// Ids of the live apps — admitted, not completed, not extracted — in
-  /// ascending order, which is exactly the order of their apps() entries.
-  /// Policies and drivers walk this, never apps(), so a pass costs O(load)
-  /// rather than O(run history); apps() stays for lookup by id. Only
-  /// admission, completion and extraction change it — none of which a
-  /// policy pass triggers synchronously — so a pass may iterate it in place.
+  /// ascending order. Policies and drivers walk this, so a pass costs
+  /// O(load) rather than O(run history). Only admission, completion and
+  /// extraction change it — none of which a policy pass triggers
+  /// synchronously — so a pass may iterate it in place.
   [[nodiscard]] const std::vector<int>& live_ids() const noexcept {
     return live_;
   }
@@ -562,7 +579,7 @@ class BoardRuntime {
   /// The one MigratedApp builder: closes the app's open phase interval and
   /// describes it for another board — its descriptor and staging headers,
   /// plus with `progress` its per-task item counts and the items queued
-  /// between its stages. The caller tombstones it (extract_live_if).
+  /// between its stages. The caller releases it (extract_live_if).
   [[nodiscard]] MigratedApp extract_app(AppRun& a, bool progress);
   /// The one eviction: releases the unit's slot and returns it to Pending
   /// with its completed items kept in DDR, then touches the phase and the
@@ -584,10 +601,15 @@ class BoardRuntime {
   void finish_item(int app_id, int unit_index);
   void finish_unit(AppRun& a, UnitRun& unit);
   void check_app_complete(AppRun& app);
-  /// Walks the live index in ascending order and tombstones every app
+  /// Walks the live index in ascending order and releases every app
   /// `extract` accepts, compacting the index in place around the rest.
   template <typename Extract>
   void extract_live_if(Extract extract);
+  /// The live set's one exit after its bookkeeping: frees the app's unit,
+  /// checkpoint and dirty-map storage (capacity included) and returns its
+  /// slot to the free list. `a` must not be read afterwards; the next
+  /// admission may reuse its slot.
+  void release_app(AppRun& a);
   /// Counts `a` into (+1) or out of (-1) the live set's sums: its spec's
   /// live count, the slot-less count, and the load, spec bit and batch sum
   /// of the load cell.
@@ -636,43 +658,41 @@ class BoardRuntime {
   /// its output in the next stage's input-buffer slot.
   void mark_item_write(AppRun& a, int unit_index, int item);
 
+  // What the item, pass and launch paths read leads; the checkpoint, trace,
+  // completion-log and lane state trails.
+  sim::Simulator& sim_;
   fpga::Board& board_;
   SchedulerPolicy& policy_;
-  bool dual_core_;
-  std::vector<AppRun> apps_;
-  std::vector<int> live_;  ///< live app ids, ascending (see live_ids())
-  std::uint64_t allocation_changes_ = 0;  ///< see allocation_changes()
-  int slotless_apps_ = 0;                 ///< see slotless_apps()
+  std::vector<AppRun> apps_;  ///< the app slots (see app_slots())
+  std::vector<int> slot_of_;  ///< per id: its slot in apps_, -1 once left
+  LoadCell* cell_ = &own_cell_;           ///< see bind_load_cell()
   std::vector<int> launch_marks_;         ///< see launch_marks()
+  std::uint64_t allocation_changes_ = 0;  ///< see allocation_changes()
   sim::SimTime last_pass_ = 0;  ///< when the last pass ran (wait_since)
-  std::vector<int> live_per_spec_;  ///< live apps by spec index
-  LoadCell own_cell_;                ///< the load state while unbound
-  LoadCell* cell_ = &own_cell_;      ///< see bind_load_cell()
-  fpga::ResourceVector used_;       ///< see used_resources()
-  fpga::ResourceVector occupied_;   ///< non-idle slots' capacity
+  sim::SimTime last_util_touch_ = 0;
+  int slotless_apps_ = 0;     ///< see slotless_apps()
+  int full_fabric_app_ = -1;  ///< baseline: app owning the whole fabric
+  std::int64_t dirty_granularity_ = 0;  ///< 0 = no dirty tracking
+  bool dual_core_;
+  bool pass_queued_ = false;
+  bool crashed_ = false;
+  bool phase_acct_ = false;
+  bool metrics_bound_ = false;
+  bool admission_open_ = true;
+  obs::TraceChannel* obs_ = nullptr;
   std::array<std::uint64_t, 2> idle_masks_{};  ///< see idle_mask()
   std::array<int, 4> slot_counts_{};           ///< see slot_count()
-  RuntimeCounters counters_;
+  fpga::ResourceVector used_;       ///< see used_resources()
+  fpga::ResourceVector occupied_;   ///< non-idle slots' capacity
   UtilizationIntegral util_;
-  std::vector<CompletedApp> completed_;
-  sim::TraceRecorder trace_;
-  std::vector<std::string> slot_lanes_;  ///< see trace_lane()
+  RuntimeCounters counters_;
+  std::vector<int> live_;        ///< live app ids, ascending (see live_ids())
+  std::vector<int> free_slots_;  ///< apps_ slots free for the next admission
+  std::vector<int> live_per_spec_;  ///< live apps by spec index
+  LoadCell own_cell_;               ///< the load state while unbound
   std::function<void(const CompletedApp&)> on_app_complete_;
-  bool pass_queued_ = false;
-  bool admission_open_ = true;
-  bool crashed_ = false;
-  CheckpointPolicy ckpt_;
-  CheckpointStats ckpt_stats_;
-  std::vector<int> ckpt_snap_;  ///< checkpoint_pass's per-task progress
-  bool ckpt_armed_ = false;
-  bool phase_acct_ = false;
-  obs::TraceChannel* obs_ = nullptr;
-  std::int64_t dirty_granularity_ = 0;  ///< 0 = no dirty tracking
-  int full_fabric_app_ = -1;  ///< baseline: app owning the whole fabric
-  sim::SimTime last_util_touch_ = 0;
 
   // Telemetry handles (null until bind_metrics; updates are then no-ops).
-  bool metrics_bound_ = false;
   obs::CounterHandle m_pr_requests_;     ///< vs_runtime_pr_requests_total
   obs::CounterHandle m_pr_blocked_;      ///< vs_runtime_pr_blocked_total
   obs::CounterHandle m_launch_blocked_;  ///< vs_runtime_launch_blocked_total
@@ -697,6 +717,14 @@ class BoardRuntime {
   obs::CounterHandle m_ckpt_compactions_;    ///< vs_ckpt_compactions_total
   /// vs_slot_state_count{state=...}, indexed by fpga::SlotState.
   std::array<obs::GaugeHandle, 4> m_slot_state_{};
+
+  CheckpointPolicy ckpt_;
+  CheckpointStats ckpt_stats_;
+  std::vector<int> ckpt_snap_;  ///< checkpoint_pass's per-task progress
+  bool ckpt_armed_ = false;
+  sim::TraceRecorder trace_;
+  std::vector<std::string> slot_lanes_;  ///< see trace_lane()
+  std::vector<CompletedApp> completed_;
 };
 
 }  // namespace vs::runtime

@@ -22,8 +22,8 @@ constexpr std::array<const char*, kUnitStateCount> kUnitStateNames = {
     "pending", "reconfiguring", "running", "finished"};
 
 std::string unit_name(const AppRun& a, int unit_index) {
-  return (a.spec ? a.spec->name : std::string("<extracted>")) + "#" +
-         std::to_string(a.id) + ".u" + std::to_string(unit_index);
+  return a.spec->name + "#" + std::to_string(a.id) + ".u" +
+         std::to_string(unit_index);
 }
 
 }  // namespace
@@ -43,8 +43,16 @@ InvariantReport audit(const BoardRuntime& rt) {
   // Map slot id -> (app, unit) holding it, built from unit state.
   std::map<int, std::pair<int, int>> holders;
 
-  for (const AppRun& a : rt.apps()) {
-    if (a.spec == nullptr) continue;  // extracted tombstone: no state to hold
+  // The live apps' slots: a departed app holds no state. An id the live
+  // index names without a slot is I9's to report.
+  const std::vector<int>& live = rt.live_ids();
+  std::vector<const AppRun*> live_apps;
+  for (int id : live) {
+    if (rt.live(id)) live_apps.push_back(&rt.app(id));
+  }
+
+  for (const AppRun* app : live_apps) {
+    const AppRun& a = *app;
     int prev_items = -1;
     for (std::size_t ui = 0; ui < a.units.size(); ++ui) {
       const UnitRun& u = a.units[ui];
@@ -100,15 +108,15 @@ InvariantReport audit(const BoardRuntime& rt) {
       }
     }
 
-    // I4: app completion implies all units finished, and vice versa.
-    bool all_finished = true;
-    for (const UnitRun& u : a.units) {
-      all_finished &= (u.state == UnitState::kFinished);
-    }
-    if (a.done()) {
-      VS_CHECK(report, all_finished,
-               "app " + std::to_string(a.id) + ": done with unfinished units");
-    }
+    // I4: a live app has an unfinished unit: the event that finishes its
+    // last unit completes it and takes it out of the live set.
+    VS_CHECK(report,
+             std::ranges::any_of(a.units,
+                                 [](const UnitRun& u) {
+                                   return u.state != UnitState::kFinished;
+                                 }),
+             "app " + std::to_string(a.id) +
+                 ": live with every unit finished");
 
     // I5: the per-state unit masks and the in-flight mask (which
     // units_placed, next_pending_unit, try_launches and friends answer
@@ -164,21 +172,23 @@ InvariantReport audit(const BoardRuntime& rt) {
                  ": completed before arrival");
   }
 
-  // I9: the live index is strictly ascending and holds exactly the apps
-  // that are admitted, not completed and not extracted.
-  const std::vector<int>& live = rt.live_ids();
+  // I9: the live index is strictly ascending and names exactly the ids
+  // that hold an app slot — admitted, not completed, not extracted — and
+  // each of those slots holds its own id's app.
   VS_CHECK(report,
            std::adjacent_find(live.begin(), live.end(),
                               std::greater_equal<>()) == live.end(),
            "live index not strictly ascending");
-  std::vector<int> expected;
-  for (const AppRun& a : rt.apps()) {
-    if (a.spec != nullptr && !a.done()) expected.push_back(a.id);
+  int holding = 0;
+  for (int id = 0; id < rt.admitted(); ++id) holding += rt.live(id) ? 1 : 0;
+  VS_CHECK(report, holding == static_cast<int>(live.size()),
+           "live index holds " + std::to_string(live.size()) + " ids, " +
+               std::to_string(holding) + " ids hold an app slot");
+  for (int id : live) {
+    VS_CHECK(report, rt.live(id) && rt.app(id).id == id,
+             "live app " + std::to_string(id) +
+                 " holds no app slot of its own");
   }
-  VS_CHECK(report, live == expected,
-           "live index holds " + std::to_string(live.size()) +
-               " ids, app states say " + std::to_string(expected.size()) +
-               " apps are live");
   VS_CHECK(report, rt.active_apps() == static_cast<int>(live.size()),
            "active_apps disagrees with the live index");
 
@@ -189,10 +199,12 @@ InvariantReport audit(const BoardRuntime& rt) {
   fpga::ResourceVector used;
   LoadCell cell{static_cast<int>(live.size())};
   int max_spec = -1;
-  for (const AppRun& a : rt.apps()) max_spec = std::max(max_spec, a.spec_index);
+  for (const AppRun* a : live_apps) {
+    max_spec = std::max(max_spec, a->spec_index);
+  }
   std::vector<int> per_spec(static_cast<std::size_t>(max_spec + 1), 0);
-  for (int id : live) {
-    const AppRun& a = rt.app(id);
+  for (const AppRun* app : live_apps) {
+    const AppRun& a = *app;
     for (const UnitRun& u : a.units) {
       if (u.state == UnitState::kRunning) used += u.spec.impl_usage;
     }
@@ -263,8 +275,8 @@ InvariantReport audit(const BoardRuntime& rt) {
   // unit is a streamed first stage whose stream kick is pending (the kick
   // marks the app when it fires).
   int slotless = 0;
-  for (int id : live) {
-    const AppRun& a = rt.app(id);
+  for (const AppRun* app : live_apps) {
+    const AppRun& a = *app;
     slotless += a.slotless() ? 1 : 0;
     for (std::uint32_t idle = a.idle_units(); idle != 0; idle &= idle - 1) {
       const int ui = std::countr_zero(idle);
@@ -285,13 +297,19 @@ InvariantReport audit(const BoardRuntime& rt) {
   VS_CHECK(report,
            std::adjacent_find(marks.begin(), marks.end()) == marks.end(),
            "an app is marked twice for the launch scan");
+  // A departed app's mark stays until the next scan skips it.
   std::size_t flagged = 0;
-  for (const AppRun& a : rt.apps()) flagged += a.launch_marked ? 1 : 0;
+  for (const AppRun* a : live_apps) flagged += a->launch_marked ? 1 : 0;
+  const auto live_marks = static_cast<std::size_t>(
+      std::count_if(marks.begin(), marks.end(),
+                    [&rt](int id) { return rt.live(id); }));
   VS_CHECK(report,
-           flagged == marks.size() &&
+           flagged == live_marks &&
                std::all_of(marks.begin(), marks.end(),
-                           [&rt](int id) { return rt.app(id).launch_marked; }),
-           std::to_string(marks.size()) + " launch marks, " +
+                           [&rt](int id) {
+                             return !rt.live(id) || rt.app(id).launch_marked;
+                           }),
+           std::to_string(live_marks) + " launch marks of live apps, " +
                std::to_string(flagged) + " apps flagged as marked");
 
   return report;

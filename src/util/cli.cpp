@@ -88,6 +88,14 @@ bool CliArgs::get_bool(std::string_view name) const {
   return true;
 }
 
+void CliArgs::reject(FlagNames names, std::string_view why) const {
+  for (std::string_view name : names) {
+    if (has(name)) {
+      throw UsageError("--" + std::string(name) + " " + std::string(why));
+    }
+  }
+}
+
 int run_cli(int argc, const char* const* argv,
             std::initializer_list<FlagNames> names,
             const std::function<int(const CliArgs&)>& body) {

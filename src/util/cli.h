@@ -51,6 +51,10 @@ class CliArgs {
       std::string_view fallback) const;
   /// True when the switch is given.
   [[nodiscard]] bool get_bool(std::string_view name) const;
+  /// For flags the chosen mode ignores: throws UsageError naming the first
+  /// of `names` that is given, followed by `why` ("has no effect with
+  /// --cluster"), so the run does not silently skip what was asked.
+  void reject(FlagNames names, std::string_view why) const;
 
  private:
   /// The flag's text, or null when absent; throws if given bare (nullopt).

@@ -43,12 +43,9 @@ TEST(BaselineExclusive, RunsAppsOneAtATime) {
   bool overlap = false;
   bool observed = false;
   for (int i = 0; i < 200000 && f.sim.step(); ++i) {
-    const auto& apps = rt.apps();
-    if (apps.size() == 2) {
-      bool first_live = apps[0].started && !apps[0].done();
-      if (first_live && apps[1].started) overlap = true;
-      if (first_live) observed = true;
-    }
+    const bool first_live = rt.live(0) && rt.app(0).started;
+    if (first_live && rt.live(1) && rt.app(1).started) overlap = true;
+    if (first_live) observed = true;
   }
   EXPECT_TRUE(observed);
   EXPECT_FALSE(overlap);
@@ -81,10 +78,10 @@ TEST(Fcfs, OneSlotPerApp) {
   // At no point may the app hold more than one slot.
   int max_placed = 0;
   while (f.sim.step()) {
-    max_placed = std::max(max_placed, rt.app(id).units_placed());
+    max_placed = std::max(max_placed, test::units_placed(rt, id));
   }
   EXPECT_EQ(max_placed, 1);
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
   EXPECT_EQ(rt.counters().pr_requests, 4);  // each task swapped in once
 }
 
@@ -97,7 +94,7 @@ TEST(Fcfs, ServesArrivalOrder) {
   for (int i = 0; i < 10; ++i) rt.submit(app, 0, 2, 0);
   f.sim.run(sim::ms(50));
   int started = 0;
-  for (const auto& a : rt.apps()) started += a.started;
+  for (int id : rt.live_ids()) started += rt.app(id).started;
   EXPECT_EQ(started, 8);
   EXPECT_FALSE(rt.app(8).started);
   EXPECT_FALSE(rt.app(9).started);
@@ -137,7 +134,7 @@ TEST(RoundRobin, OneSlotPerApp) {
   int id = rt.submit(app, 0, 2, 0);
   int max_placed = 0;
   while (f.sim.step()) {
-    max_placed = std::max(max_placed, rt.app(id).units_placed());
+    max_placed = std::max(max_placed, test::units_placed(rt, id));
   }
   EXPECT_EQ(max_placed, 1);
 }
@@ -158,10 +155,10 @@ TEST(Nimblock, UsesMultipleSlotsPerApp) {
   int id = rt.submit(app, 0, 10, 0);
   int max_placed = 0;
   while (f.sim.step()) {
-    max_placed = std::max(max_placed, rt.app(id).units_placed());
+    max_placed = std::max(max_placed, test::units_placed(rt, id));
   }
   EXPECT_GT(max_placed, 1);  // pipelined execution
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
 }
 
 TEST(Nimblock, PreemptsForStarvingApp) {
@@ -197,7 +194,9 @@ TEST(Nimblock, AdaptiveAllocationShrinksUnderLoad) {
   for (int i = 0; i < 8; ++i) ids.push_back(rt.submit(app, 0, 5, 0));
   f.sim.run(sim::ms(500));
   int max_placed = 0;
-  for (int id : ids) max_placed = std::max(max_placed, rt.app(id).units_placed());
+  for (int id : ids) {
+    max_placed = std::max(max_placed, test::units_placed(rt, id));
+  }
   EXPECT_LE(max_placed, 2);
   f.sim.run();
   EXPECT_EQ(rt.completed().size(), 8u);

@@ -109,8 +109,8 @@ TEST(CheckpointProperty, RestoredProgressBoundedByTruthAndInterval) {
       // ambiguous keys are skipped rather than guessed.)
       std::map<std::pair<int, sim::SimTime>, std::vector<std::vector<int>>>
           truth;
-      for (const runtime::AppRun& a : rt.apps()) {
-        if (a.spec == nullptr || a.done()) continue;
+      for (int id : rt.live_ids()) {
+        const runtime::AppRun& a = rt.app(id);
         truth[{a.spec_index, a.arrival}].push_back(expand_progress(a));
       }
       auto lookup =
@@ -613,8 +613,8 @@ TEST(CheckpointDelta, RestoredProgressStaysBoundedUnderDeltaMode) {
   while (sim.step() && sim.now() < sim::seconds(2.0)) {
   }
   std::map<std::pair<int, sim::SimTime>, std::vector<std::vector<int>>> truth;
-  for (const runtime::AppRun& a : rt.apps()) {
-    if (a.spec == nullptr || a.done()) continue;
+  for (int id : rt.live_ids()) {
+    const runtime::AppRun& a = rt.app(id);
     truth[{a.spec_index, a.arrival}].push_back(expand_progress(a));
   }
   auto report = rt.crash();

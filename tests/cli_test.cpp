@@ -179,6 +179,48 @@ TEST(Cli, UnknownChoice) {
             "--system: 'foo' is not one of rr|nimblock");
 }
 
+TEST(Cli, RejectNamesTheFirstFlagTheModeIgnores) {
+  // examples/simulate's mode rules: the cluster run ignores --system, --csv
+  // and --quality, the single-board run --boards, and a loaded workload
+  // the generator's --apps, --seed and --congestion.
+  const FlagNames names = {"system", "congestion", "apps", "seed", "workload",
+                           "cluster", "boards", "quality", "csv"};
+  auto check = [&](std::initializer_list<const char*> given) {
+    const std::vector<const char*> argv = argv_of(given);
+    const CliArgs args(static_cast<int>(argv.size()), argv.data(), {names});
+    return usage_error([&] {
+      if (args.get_bool("cluster")) {
+        args.reject({"system", "csv", "quality"},
+                    "has no effect with --cluster");
+      } else {
+        args.reject({"boards"}, "has no effect without --cluster");
+      }
+      if (args.has("workload")) {
+        args.reject({"apps", "seed", "congestion"},
+                    "has no effect with --workload");
+      }
+    });
+  };
+  EXPECT_EQ(check({"--cluster", "--system", "nimblock"}),
+            "--system has no effect with --cluster");
+  EXPECT_EQ(check({"--cluster", "--csv", "x.csv"}),
+            "--csv has no effect with --cluster");
+  EXPECT_EQ(check({"--cluster", "--quality"}),
+            "--quality has no effect with --cluster");
+  EXPECT_EQ(check({"--boards", "2"}),
+            "--boards has no effect without --cluster");
+  EXPECT_EQ(check({"--workload", "w.csv", "--apps", "40"}),
+            "--apps has no effect with --workload");
+  EXPECT_EQ(check({"--workload", "w.csv", "--seed", "3"}),
+            "--seed has no effect with --workload");
+  EXPECT_EQ(check({"--workload", "w.csv", "--congestion", "stress"}),
+            "--congestion has no effect with --workload");
+  // Each mode keeps the flags it reads.
+  EXPECT_EQ(check({"--cluster", "--boards", "2", "--apps", "40"}), "");
+  EXPECT_EQ(check({"--system", "fcfs", "--csv", "x.csv", "--quality"}), "");
+  EXPECT_EQ(check({"--workload", "w.csv", "--system", "fcfs"}), "");
+}
+
 TEST(Cli, RunCliExitsTwoWithTheMessageAndUsage) {
   const auto argv = argv_of({"--apps", "0"});
   bool ran = false;

@@ -3,8 +3,11 @@
 // golden, and D_switch transfers that land while target boards are down.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/benchmarks.h"
@@ -291,6 +294,41 @@ TEST(DSwitchDown, TargetCrashDuringWholeStateTransferRequeuesApps) {
   EXPECT_GE(r.recovery.readmissions, sw.apps_migrated);
   EXPECT_EQ(r.completed, r.submitted);
   test::expect_app_conservation(r);
+}
+
+// The same switch, traced: its apps all queue for re-admission, so none
+// resumes on a destination, yet its migration flow ends at the landing like
+// every other. Every flow on the coordinator's channel (switches and crash
+// batches) that starts also ends, once.
+TEST(DSwitchDown, MigrationFlowEndsWhenNoAppResumes) {
+  ClusterFixture f;
+  workload::Sequence seq = workload::fig8_long_workload(2025);
+  const SwitchEvent sw =
+      metrics::run_cluster(f.suite, seq, ClusterOptions{}).switches.front();
+
+  obs::ClusterTraceHub hub;
+  hub.enable_trace();
+  ClusterOptions options;
+  options.hub = &hub;
+  options.faults.timeline.push_back(
+      {sw.time + sim::us(1.0), faults::FaultKind::kBoardCrash, 1, -1});
+  metrics::ClusterRunResult r = metrics::run_cluster(f.suite, seq, options);
+  ASSERT_GT(r.switches.front().apps_migrated, 0);
+  ASSERT_GE(r.recovery.readmissions, r.switches.front().apps_migrated);
+
+  std::map<std::uint64_t, std::pair<int, int>> starts_ends;
+  int landed_empty = 0;
+  const obs::TraceChannel& cluster = hub.channel("cluster");
+  for (const obs::TraceChannel::Flow& flow : cluster.flows()) {
+    auto& [starts, ends] = starts_ends[flow.id];
+    starts += flow.phase == obs::FlowPhase::kStart;
+    ends += flow.phase == obs::FlowPhase::kEnd;
+    landed_empty += cluster.name(flow) == "landed, nothing resumed";
+  }
+  EXPECT_EQ(landed_empty, 1);
+  for (const auto& [id, counts] : starts_ends) {
+    EXPECT_EQ(counts, std::make_pair(1, 1)) << "flow " << id;
+  }
 }
 
 }  // namespace

@@ -142,7 +142,8 @@ TEST(Contracts, AppsPastTheUnitMaskWidthAreRejected) {
   EXPECT_THROW((void)rt.submit(wider, 1, 1, 0), std::invalid_argument);
   std::vector<apps::UnitSpec> units(33, rt.app(id).units[0].spec);
   EXPECT_THROW(rt.set_units(id, units), std::invalid_argument);
-  EXPECT_EQ(rt.apps().size(), 1U);
+  EXPECT_EQ(rt.admitted(), 1);  // the rejected submit took no id ...
+  EXPECT_EQ(rt.app_slots(), 1U);  // ... and no app slot
   EXPECT_EQ(rt.app(id).units.size(), 32U);
   auto report = audit(rt);
   EXPECT_TRUE(report.ok()) << report.to_string();

@@ -47,8 +47,9 @@ class ChaosPolicy final : public runtime::SchedulerPolicy {
     // to place the bundles into).
     if (rng_.bernoulli(0.1) &&
         rt.board().count_slots(fpga::SlotKind::kBig) > 0) {
-      for (const runtime::AppRun& a : rt.apps()) {
-        if (a.spec == nullptr || a.done() || a.started) continue;
+      for (int id : rt.live_ids()) {
+        const runtime::AppRun& a = rt.app(id);
+        if (a.started) continue;
         if (apps::can_bundle(*a.spec, rt.board().params())) {
           std::vector<apps::UnitSpec> bundles;
           apps::make_big_units(bundles, *a.spec, a.batch, rt.board().params());
@@ -64,8 +65,8 @@ class ChaosPolicy final : public runtime::SchedulerPolicy {
     std::vector<int> idle;
     for (int attempt = 0; attempt < 4; ++attempt) {
       std::vector<std::pair<int, int>> placeable;  // (app, lowest pending)
-      for (const runtime::AppRun& a : rt.apps()) {
-        if (a.spec == nullptr || a.done()) continue;
+      for (int id : rt.live_ids()) {
+        const runtime::AppRun& a = rt.app(id);
         for (const runtime::UnitRun& u : a.units) {
           if (u.state == runtime::UnitState::kPending) {
             placeable.emplace_back(a.id,
@@ -92,8 +93,8 @@ class ChaosPolicy final : public runtime::SchedulerPolicy {
     // re-place it into a random idle slot (exercises release/re-PR paths
     // without risking a stall).
     if (rng_.bernoulli(0.2)) {
-      for (const runtime::AppRun& a : rt.apps()) {
-        if (a.spec == nullptr || a.done()) continue;
+      for (int id : rt.live_ids()) {
+        const runtime::AppRun& a = rt.app(id);
         for (const runtime::UnitRun& u : a.units) {
           if (u.state == runtime::UnitState::kRunning && !u.item_in_flight &&
               u.items_done < a.batch && rng_.bernoulli(0.3)) {

@@ -109,8 +109,9 @@ TEST(PrecopyConvergence, RoundsShipOnlyDirtWrittenBetweenPauses) {
 
   // The subject: the first started app still on one-unit-per-task.
   auto subject = [&rt]() -> const runtime::AppRun* {
-    for (const runtime::AppRun& a : rt.apps()) {
-      if (a.spec != nullptr && !a.done() && a.started &&
+    for (int id : rt.live_ids()) {
+      const runtime::AppRun& a = rt.app(id);
+      if (a.started &&
           a.units.size() == static_cast<std::size_t>(a.spec->task_count())) {
         return &a;
       }

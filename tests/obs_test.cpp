@@ -629,9 +629,13 @@ TEST(CaptureGolden, FaultedCheckpointedClusterFilesKeepTheirBytes) {
   // "configured" to "executing" in vs_slot_state_count. The trace digest
   // was re-pinned once, when every crash-detection batch's flow began to
   // end: three crashes of empty boards each gained one "f" record named
-  // "nothing displaced"; no other record moved. The same run is captured
-  // twice: wired by hand to the exporters, and through the CLIs'
-  // metrics::Capture writing real files.
+  // "nothing displaced"; no other record moved. It was re-pinned again
+  // when every migration flow began to end at its landing: the pre-copy
+  // switch that landed at t = 22.06 s with no app to resume gained an "f"
+  // record named "landed, nothing resumed" on the coordinator's
+  // "migration" lane, plus that lane's thread_name record; no other record
+  // moved. The same run is captured twice: wired by hand to the exporters,
+  // and through the CLIs' metrics::Capture writing real files.
   FaultedCluster run;
   cluster::ClusterOptions options = run.options;
   options.checkpoint.enabled = true;
@@ -641,7 +645,7 @@ TEST(CaptureGolden, FaultedCheckpointedClusterFilesKeepTheirBytes) {
   auto expect_golden = [](const std::vector<std::string>& files) {
     const std::uint64_t golden[] = {
         0x17d1b4ac69936b7full, 0xdfd774d5fc41563cull, 0x863dcf6349d9397bull,
-        0x72fa281f095b8122ull, 0x4c42e79491d0e25eull};
+        0xc2957312edbcc1d2ull, 0x4c42e79491d0e25eull};
     ASSERT_EQ(files.size(), std::size(golden));
     for (std::size_t i = 0; i < files.size(); ++i) {
       EXPECT_EQ(fnv1a(files[i]), golden[i]) << "file " << i;

@@ -139,14 +139,14 @@ TEST(Invariants, LiveIndexTracksEveryExit) {
   int done = rt.submit(app, 0, 2, 0);
   expect_live({done});
   sim.run();
-  ASSERT_TRUE(rt.app(done).done());
+  ASSERT_NE(test::completion(rt, done), nullptr);
   expect_live({});
 
   // An all-done progress vector completes inside submit_migrated.
   int arrived_done = rt.submit_migrated(
       app, test::resumed_app(0, 2, sim.now(), {2, 2}),
       runtime::AppPhase::kMigration);
-  ASSERT_TRUE(rt.app(arrived_done).done());
+  ASSERT_NE(test::completion(rt, arrived_done), nullptr);
   expect_live({});
 
   // From here on nothing is placed by the policy.
@@ -177,9 +177,10 @@ TEST(Invariants, LiveIndexTracksEveryExit) {
   expect_live({});
 }
 
-// Per-pass and per-event work walks the live index, so it must be bounded
-// by the board's load, not by how many apps the board has ever admitted: a
-// 2000-app Standard run keeps as few apps live as a short one.
+// Per-pass and per-event work walks the live index, and app state lives in
+// recycled slots, so both must be bounded by the board's load, not by how
+// many apps the board has ever admitted: a 2000-app Standard run keeps as
+// few apps live, and holds as few app slots, as a short one.
 class RunLength : public ::testing::TestWithParam<metrics::SystemKind> {};
 
 TEST_P(RunLength, LiveIndexBoundedByLoadNotHistory) {
@@ -208,9 +209,12 @@ TEST_P(RunLength, LiveIndexBoundedByLoadNotHistory) {
   }
   auto report = runtime::audit(rt);
   ASSERT_TRUE(report.ok()) << report.to_string();
-  EXPECT_EQ(rt.apps().size(), 2000u);
+  EXPECT_EQ(rt.admitted(), 2000);
   EXPECT_EQ(rt.completed().size(), 2000u);
   EXPECT_LE(peak_live, 8u);
+  // Departed apps' slots are reused: the board holds no more app state
+  // than the most apps it ever held live at once.
+  EXPECT_LE(rt.app_slots(), peak_live);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -350,7 +354,8 @@ TEST(AuditI10, SumsAndCellMatchRecountAcrossEveryTransition) {
   // live app.
   rt.request_pr(a, 0, 4);
   rt.request_pr(a, 1, 5);
-  ASSERT_TRUE(step_audited(sim, rt, [&] { return rt.app(a).done(); }));
+  ASSERT_TRUE(step_audited(
+      sim, rt, [&] { return test::completion(rt, a) != nullptr; }));
   EXPECT_EQ(cell, expected(1, 2, 0b1000));
   EXPECT_GT(cell.prs, 0);
   EXPECT_EQ(rt.used_resources(), fpga::ResourceVector{});
@@ -364,7 +369,8 @@ TEST(AuditI10, SumsAndCellMatchRecountAcrossEveryTransition) {
     return unit(b, 0).state == runtime::UnitState::kRunning;
   }));
   EXPECT_EQ(rt.used_resources(), one.tasks[0].impl_usage);
-  ASSERT_TRUE(step_audited(sim, rt, [&] { return rt.app(b).done(); }));
+  ASSERT_TRUE(step_audited(
+      sim, rt, [&] { return test::completion(rt, b) != nullptr; }));
   EXPECT_EQ(rt.full_fabric_app(), -1);
   EXPECT_EQ(rt.occupied_resources(), fpga::ResourceVector{});
   EXPECT_EQ(cell, expected(0, 0, 0));
@@ -500,10 +506,10 @@ TEST(Dml, CompletesAndPipelinesMultiSlot) {
   int id = rt.submit(app, 0, 10, 0);
   int max_placed = 0;
   while (sim.step()) {
-    max_placed = std::max(max_placed, rt.app(id).units_placed());
+    max_placed = std::max(max_placed, test::units_placed(rt, id));
   }
   EXPECT_GT(max_placed, 1);  // pipelined, unlike naive FCFS
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
   EXPECT_STREQ(policy.name(), "DML");
   EXPECT_FALSE(policy.dual_core());
 }
@@ -524,7 +530,8 @@ TEST(Dml, BackfillsPastBlockedHead) {
   int tiny_id = rt.submit(tiny, 2, 1, sim.now());
   sim.run(sim::ms(2000));
   // tiny got a slot even while mid waits for its full allocation.
-  EXPECT_TRUE(rt.app(tiny_id).done() || rt.app(tiny_id).started);
+  EXPECT_TRUE(test::completion(rt, tiny_id) != nullptr ||
+              rt.app(tiny_id).started);
   (void)mid_id;
   sim.run();
   EXPECT_EQ(rt.completed().size(), 3u);

@@ -37,7 +37,7 @@ TEST(BoardRuntime, SubmitCreatesLittleUnitsByDefault) {
   EXPECT_EQ(run.units.size(), 4u);
   EXPECT_EQ(run.batch, 7);
   EXPECT_FALSE(run.started);
-  EXPECT_FALSE(run.done());
+  EXPECT_TRUE(rt.live(id));
   EXPECT_EQ(run.units_unfinished(), 4);
   EXPECT_EQ(run.units_placed(), 0);
 }
@@ -68,7 +68,8 @@ TEST(BoardRuntime, RequestPrDrivesSlotLifecycle) {
   EXPECT_EQ(rt.counters().pr_requests, 1);
   f.sim.run();
   // The single unit ran its single item and completed the app.
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
+  EXPECT_FALSE(rt.live(id));
   EXPECT_EQ(f.board.slot(0).state(), fpga::SlotState::kIdle);
   EXPECT_EQ(rt.counters().items_executed, 1);
   EXPECT_EQ(rt.counters().apps_completed, 1);
@@ -81,15 +82,14 @@ TEST(BoardRuntime, PipelineRespectsItemDependencies) {
   apps::AppSpec app = make_uniform_app("a", 2, sim::ms(10));
   int id = rt.submit(app, 0, 3, 0);
   f.sim.run();
-  const AppRun& run = rt.app(id);
-  EXPECT_TRUE(run.done());
-  EXPECT_EQ(run.units[0].items_done, 3);
-  EXPECT_EQ(run.units[1].items_done, 3);
+  const CompletedApp* run = test::completion(rt, id);
+  ASSERT_NE(run, nullptr);
+  EXPECT_EQ(rt.counters().items_executed, 6);  // both units ran all 3 items
   // Downstream cannot finish before upstream produced its items: the app
   // completes no earlier than PR + 4 pipeline steps of 10 ms.
   sim::SimDuration pr =
       f.board.params().pcap_load_time(f.board.params().little_bitstream_bytes);
-  EXPECT_GE(run.completed, pr + sim::ms(40));
+  EXPECT_GE(run->completed, pr + sim::ms(40));
 }
 
 TEST(BoardRuntime, ItemReadySemantics) {
@@ -168,7 +168,7 @@ TEST(BoardRuntime, BlockedAccountingCountsPcapQueueing) {
   EXPECT_EQ(rt.load_state().blocked, 0);
   EXPECT_EQ(rt.counters().pr_blocked, 2);  // cumulative survives reset
   f.sim.run();
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
 }
 
 TEST(BoardRuntime, PreemptionPreservesProgress) {
@@ -193,8 +193,8 @@ TEST(BoardRuntime, PreemptionPreservesProgress) {
     EXPECT_EQ(rt.counters().preemptions, 1);
   }
   f.sim.run();
-  EXPECT_TRUE(rt.app(id).done());  // greedy policy re-places it
-  EXPECT_EQ(rt.app(id).units[0].items_done, 5);
+  EXPECT_NE(test::completion(rt, id), nullptr);  // greedy policy re-places it
+  EXPECT_EQ(rt.counters().items_executed, 5);
 }
 
 TEST(BoardRuntime, FullReconfigRunsWholeAppWithoutSlots) {
@@ -205,8 +205,8 @@ TEST(BoardRuntime, FullReconfigRunsWholeAppWithoutSlots) {
   int id = rt.submit(app, 0, 4, 0);
   rt.request_full_reconfig(id);
   f.sim.run();
-  const AppRun& run = rt.app(id);
-  EXPECT_TRUE(run.done());
+  const CompletedApp* run = test::completion(rt, id);
+  ASSERT_NE(run, nullptr);
   EXPECT_EQ(rt.counters().pr_requests, 1);  // one monolithic load
   // All slots stayed untouched.
   for (const fpga::Slot& s : f.board.slots()) {
@@ -214,8 +214,8 @@ TEST(BoardRuntime, FullReconfigRunsWholeAppWithoutSlots) {
   }
   // Completion not before full load + restart + pipeline.
   const fpga::BoardParams& p = f.board.params();
-  EXPECT_GT(run.completed, p.pcap_load_time(p.full_bitstream_bytes) +
-                               p.full_reconfig_restart);
+  EXPECT_GT(run->completed, p.pcap_load_time(p.full_bitstream_bytes) +
+                                p.full_reconfig_restart);
 }
 
 TEST(BoardRuntime, ExtractUnstartedRemovesOnlyUnstarted) {
@@ -232,10 +232,10 @@ TEST(BoardRuntime, ExtractUnstartedRemovesOnlyUnstarted) {
   EXPECT_EQ(migrated[0].batch, 5);
   EXPECT_EQ(migrated[0].spec_index, 0);
   EXPECT_GT(migrated[0].state_bytes, 4096);
-  EXPECT_EQ(rt.app(waiting_id).spec, nullptr);  // tombstoned
+  EXPECT_FALSE(rt.live(waiting_id));  // its slot is free
   EXPECT_EQ(rt.active_apps(), 1);
   f.sim.run();
-  EXPECT_TRUE(rt.app(started_id).done());
+  EXPECT_NE(test::completion(rt, started_id), nullptr);
   EXPECT_TRUE(rt.drained());
 }
 
@@ -306,16 +306,16 @@ TEST(BoardRuntime, ParallelBundleFillChargedOnFirstItemOnly) {
   rt.set_units(id, units);
   rt.request_pr(id, 0, 0);  // slot 0 is Big
   f.sim.run();
-  const AppRun& run = rt.app(id);
-  EXPECT_TRUE(run.done());
+  const CompletedApp* run = test::completion(rt, id);
+  ASSERT_NE(run, nullptr);
   // Execution time = fill (2*10) + 4 items * 10 = 60 ms plus the PR path
   // (SD fetch + PCAP load) and small DMA/core overheads; it must exceed
   // 60 ms but stay well under the serial-execution 120 ms alternative.
   const fpga::BoardParams& p = f.board.params();
   sim::SimDuration pr_path = p.sd_read_time(units[0].bitstream_bytes) +
                              p.pcap_load_time(units[0].bitstream_bytes);
-  EXPECT_GT(run.completed, sim::ms(60));
-  EXPECT_LT(run.completed, sim::ms(120) + pr_path);
+  EXPECT_GT(run->completed, sim::ms(60));
+  EXPECT_LT(run->completed, sim::ms(120) + pr_path);
 }
 
 TEST(BoardRuntime, LaunchBlockedCounterSingleCore) {
@@ -382,7 +382,7 @@ TEST(ItemPath, ThreeKernelEventsPerItem) {
       events_at_item.push_back(f.sim.events_executed());
     }
   }
-  ASSERT_TRUE(rt.app(id).done());
+  ASSERT_NE(test::completion(rt, id), nullptr);
   ASSERT_EQ(events_at_item.size(), 6u);
   for (std::size_t i = 1; i < events_at_item.size(); ++i) {
     EXPECT_EQ(events_at_item[i] - events_at_item[i - 1], 3u) << "item " << i;
@@ -442,7 +442,7 @@ TEST(ItemPath, SeuInDmaWindowDiscardsTheItem) {
   EXPECT_EQ(rt.counters().items_executed, 1);
   EXPECT_EQ(f.board.slot(slot).state(), fpga::SlotState::kIdle);
   f.sim.run();
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
   EXPECT_EQ(rt.counters().items_executed, 3);
 }
 

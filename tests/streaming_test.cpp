@@ -49,9 +49,10 @@ TEST(Streaming, ExecutionPacedBySource) {
   int id = rt.submit(app, 0, /*batch=*/5, /*arrival=*/0,
                      /*item_interval=*/sim::ms(100));
   sim.run();
-  ASSERT_TRUE(rt.app(id).done());
-  EXPECT_GE(rt.app(id).completed, sim::ms(400));  // 5th item at t=400ms
-  EXPECT_LT(rt.app(id).completed, sim::ms(700));
+  const CompletedApp* done = test::completion(rt, id);
+  ASSERT_NE(done, nullptr);
+  EXPECT_GE(done->completed, sim::ms(400));  // 5th item at t=400ms
+  EXPECT_LT(done->completed, sim::ms(700));
   EXPECT_TRUE(audit(rt).ok());
 }
 
@@ -64,7 +65,7 @@ TEST(Streaming, FastSourceDoesNotSlowExecution) {
     apps::AppSpec app = make_uniform_app("a", 2, sim::ms(20));
     int id = rt.submit(app, 0, 10, 0, interval);
     sim.run();
-    return rt.app(id).completed;
+    return test::completion(rt, id)->completed;
   };
   // Source faster than the kernel: negligible effect vs staged.
   sim::SimTime staged = completion(0);
@@ -80,10 +81,8 @@ TEST(Streaming, DownstreamStagesUnaffectedBySourceGating) {
   apps::AppSpec app = make_uniform_app("a", 3, sim::ms(2));
   int id = rt.submit(app, 0, 4, 0, sim::ms(30));
   sim.run();
-  const AppRun& run = rt.app(id);
-  ASSERT_TRUE(run.done());
-  for (const UnitRun& u : run.units) EXPECT_EQ(u.items_done, 4);
-  EXPECT_EQ(rt.counters().items_executed, 12);
+  ASSERT_NE(test::completion(rt, id), nullptr);
+  EXPECT_EQ(rt.counters().items_executed, 12);  // all 4 items on 3 units
 }
 
 TEST(Streaming, WorksThroughExperimentHarness) {
@@ -114,6 +113,49 @@ TEST(Streaming, StreamedBatchSurvivesMigrationExtraction) {
   ASSERT_EQ(migrated.size(), 1u);
   // Descriptor is staged-size based (items stream on the target too).
   EXPECT_GT(migrated[0].state_bytes, 4096);
+}
+
+// A stream kick outlives its app when a migration takes the app first, and
+// by then the app's slot may hold the next admission. The stale kick still
+// runs its pass (a core op, so it moves the timing) but leaves the new
+// occupant's kick and launch mark alone.
+TEST(Streaming, StaleKickSparesTheNextAppInItsSlot) {
+  sim::Simulator sim;
+  fpga::Board board(sim, "b0", fpga::FabricConfig::only_little());
+  GreedyPolicy policy;
+  BoardRuntime rt(board, policy);
+  const apps::AppSpec app = make_uniform_app("a", 1, sim::ms(1));
+  const int a = rt.submit(app, 0, /*batch=*/5, /*arrival=*/0,
+                          /*item_interval=*/sim::ms(200));
+  // A runs its first item, then waits for its source's second.
+  while (rt.app(a).stream_kick < 0 && sim.step()) {
+  }
+  const sim::SimTime stale_at = rt.app(a).stream_kick;
+  ASSERT_GT(stale_at, sim.now());
+  rt.preempt_unit(a, 0);
+  ASSERT_EQ(rt.extract_migratable().size(), 1u);
+  ASSERT_FALSE(rt.live(a));
+
+  // B reuses A's slot and waits for its own, slower source.
+  const int b = rt.submit(app, 0, 5, sim.now(), sim::ms(400));
+  EXPECT_EQ(rt.app_slots(), 1u);
+  while (rt.app(b).stream_kick < 0 && sim.step()) {
+  }
+  const sim::SimTime b_kick = rt.app(b).stream_kick;
+  ASSERT_GT(b_kick, stale_at);
+  sim.run(stale_at - 1);
+  ASSERT_FALSE(rt.app(b).launch_marked);
+  const std::int64_t passes = rt.counters().passes;
+
+  sim.run(stale_at);  // the stale kick fires
+  EXPECT_EQ(rt.app(b).stream_kick, b_kick);
+  EXPECT_FALSE(rt.app(b).launch_marked);
+  EXPECT_TRUE(rt.launch_marks().empty());
+  sim.run(stale_at + board.params().sched_pass_cost);
+  EXPECT_EQ(rt.counters().passes, passes + 1);
+  sim.run();
+  EXPECT_NE(test::completion(rt, b), nullptr);
+  EXPECT_TRUE(audit(rt).ok());
 }
 
 // ------------------------------------------------------------------ golden

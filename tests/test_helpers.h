@@ -62,6 +62,23 @@ inline apps::AppSpec make_uniform_app(const std::string& name, int n_tasks,
   return app;
 }
 
+/// App `id`'s completion record on `rt`, or null while it has none (still
+/// live, or extracted). A departed app's runtime state goes with its slot,
+/// so tests read a finished app's outcome here.
+inline const runtime::CompletedApp* completion(const runtime::BoardRuntime& rt,
+                                               int id) {
+  for (const runtime::CompletedApp& c : rt.completed()) {
+    if (c.app_id == id) return &c;
+  }
+  return nullptr;
+}
+
+/// Units app `id` holds a slot for right now: none once it left the live
+/// set.
+inline int units_placed(const runtime::BoardRuntime& rt, int id) {
+  return rt.live(id) ? rt.app(id).units_placed() : 0;
+}
+
 /// The run journal's JSONL lines, as ClusterTraceHub::write_journal writes
 /// them.
 inline std::vector<std::string> journal_lines(const obs::ClusterTraceHub& hub) {

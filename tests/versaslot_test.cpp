@@ -58,7 +58,7 @@ TEST(VersaSlot, BundleableAppBindsToBigSlots) {
   EXPECT_EQ(rt.app(id).units.size(), 2u);  // re-unitised into bundles
   EXPECT_EQ(rt.app(id).units[0].spec.slot_kind, fpga::SlotKind::kBig);
   f.sim.run();
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
   EXPECT_EQ(rt.counters().pr_requests, 2);  // two big PRs, no task swaps
 }
 
@@ -125,12 +125,12 @@ TEST(VersaSlot, RedistributionGrantsExtraLittleSlots) {
   int id = rt.submit(app, 0, 20, 0);
   int max_placed = 0;
   while (f.sim.step()) {
-    max_placed = std::max(max_placed, rt.app(id).units_placed());
+    max_placed = std::max(max_placed, test::units_placed(rt, id));
   }
   // With redistribution the lone app eventually holds more slots than any
   // reasonable primary allocation for a 6-task pipeline.
   EXPECT_EQ(max_placed, 6);
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
 }
 
 TEST(VersaSlot, RedistributionDisabledCapsAtOptimal) {
@@ -144,10 +144,10 @@ TEST(VersaSlot, RedistributionDisabledCapsAtOptimal) {
   int optimal = apps::optimal_little_slots(app, 20, f.board.params(), 8);
   int max_placed = 0;
   while (f.sim.step()) {
-    max_placed = std::max(max_placed, rt.app(id).units_placed());
+    max_placed = std::max(max_placed, test::units_placed(rt, id));
   }
   EXPECT_LE(max_placed, optimal);
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
 }
 
 TEST(VersaSlot, OnlyLittleModeNeverUsesBigSlots) {
@@ -181,7 +181,7 @@ TEST(VersaSlot, BigBoundAppNeverTouchesLittleSlots) {
     }
   }
   EXPECT_FALSE(little_used_by_a);
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
   // 3 bundles through 2 big slots: exactly 3 PRs.
   EXPECT_EQ(rt.counters().pr_requests, 3);
 }
@@ -219,7 +219,7 @@ TEST(VersaSlot, BundleSizeOptionChangesUnitCount) {
     EXPECT_EQ(rt.app(id).units.size(), 3u);
   }
   f.sim.run();
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
 }
 
 TEST(VersaSlot, ManyAppsAllComplete) {
