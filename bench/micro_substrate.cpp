@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
@@ -67,13 +68,22 @@ namespace {
 
 using namespace vs;
 
+/// Takes and fires every event of `q`, the way Simulator::run() does.
+void drain(sim::EventQueue& q) {
+  while (const sim::EventQueue::Due due =
+             q.take_due(std::numeric_limits<sim::SimTime>::max())) {
+    q.fire(due);
+    benchmark::DoNotOptimize(due.time);
+  }
+}
+
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   sim::EventQueue q;
   // Warm the slab and node heap to their high-water mark so the timed loop
   // measures the steady state (capacity growth happens once per process).
   for (int i = 0; i < n; ++i) q.schedule((i * 2654435761u) % 1000000, [] {});
-  while (!q.empty()) benchmark::DoNotOptimize(q.pop().time);
+  drain(q);
 
   // Steady-state allocation probe, sampled outside the harness loop so the
   // count attributes to the kernel alone (google-benchmark's bookkeeping
@@ -83,7 +93,7 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
     for (int i = 0; i < n; ++i) {
       q.schedule((i * 2654435761u) % 1000000, [] {});
     }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop().time);
+    drain(q);
   }
   double steady_allocs = static_cast<double>(alloc_calls() - probe_before);
 
@@ -91,7 +101,7 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
     for (int i = 0; i < n; ++i) {
       q.schedule((i * 2654435761u) % 1000000, [] {});
     }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop().time);
+    drain(q);
   }
   state.SetItemsProcessed(state.iterations() * n);
   state.counters["allocs_per_event"] = steady_allocs / (10.0 * n);
@@ -222,7 +232,21 @@ BENCHMARK(BM_SimulatorHoldModel);
 /// Ops on a sim::Core, the way BoardRuntime drives the scheduler core: a
 /// chain whose every completion submits the next op, to a core that is
 /// idle with an empty FIFO (the op starts at once), and a burst submitted
-/// together, where all but the first queue behind a busy core.
+/// together, where all but the first queue behind a busy core. The default
+/// arm submits lambdas, so the chain's callbacks are built into their
+/// completion events; the /parked arm wraps every callback in an EventFn,
+/// which never fits inline once wrapped and parks in the core's in-flight
+/// slot instead.
+template <bool kParked>
+auto core_callback(auto fn) {
+  if constexpr (kParked) {
+    return sim::EventFn(std::move(fn));
+  } else {
+    return fn;
+  }
+}
+
+template <bool kParked>
 struct CoreChain {
   sim::Core* core;
   int remaining = 0;
@@ -230,22 +254,26 @@ struct CoreChain {
   void next() {
     ++done;
     if (--remaining > 0) {
-      core->submit(100, [this] { next(); }, sim::OpKind::kLaunch);
+      core->submit(100, core_callback<kParked>([this] { next(); }),
+                   sim::OpKind::kLaunch);
     }
   }
 };
 
+template <bool kParked>
 void BM_CoreOpChain(benchmark::State& state) {
   constexpr int kOps = 1000;  // per path
   sim::Simulator sim;
   sim::Core core(sim, "PS0");
-  CoreChain chain{&core};
+  CoreChain<kParked> chain{&core};
   auto run_round = [&] {
     chain.remaining = kOps;
-    core.submit(100, [&chain] { chain.next(); }, sim::OpKind::kLaunch);
+    core.submit(100, core_callback<kParked>([&chain] { chain.next(); }),
+                sim::OpKind::kLaunch);
     sim.run();
     for (int i = 0; i < kOps; ++i) {
-      core.submit(100, [&chain] { ++chain.done; }, sim::OpKind::kPass);
+      core.submit(100, core_callback<kParked>([&chain] { ++chain.done; }),
+                  sim::OpKind::kPass);
     }
     sim.run();
   };
@@ -263,7 +291,8 @@ void BM_CoreOpChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * kOps);
   state.counters["allocs_per_event"] = steady_allocs / (10.0 * 2 * kOps);
 }
-BENCHMARK(BM_CoreOpChain);
+BENCHMARK(BM_CoreOpChain<false>)->Name("BM_CoreOpChain");
+BENCHMARK(BM_CoreOpChain<true>)->Name("BM_CoreOpChain/parked");
 
 /// The tick chain with telemetry handles on the hot path: one counter add
 /// and one gauge store per event. Mirrors how real components are

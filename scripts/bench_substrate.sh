@@ -23,7 +23,8 @@
 # below, isolates the guards' cost; it is reported, not gated, because
 # this host's run-to-run spread is wider than the few percent it reads.
 # BM_CoreOpChain runs sim::Core op chains (ops started on an idle core and
-# ops queued behind a busy one) and must keep allocs_per_event at 0.
+# ops queued behind a busy one; /parked with EventFn callbacks) and must
+# keep allocs_per_event at 0.
 # BM_PolicyPassAllocs/0..5 report `allocs_per_pass`, the heap allocations
 # inside each paper system's scheduling passes over a 20-app stress
 # sequence; every system must stay below 0.05.

@@ -33,7 +33,8 @@ echo "== substrate micro-bench gate (zero-alloc probes) =="
 # Every event-kernel bench carries a steady-state allocation probe; the
 # kernel's contract is that each one reads exactly 0 (BM_CoreOpChain
 # covers sim::Core ops started on an idle core and queued behind a busy
-# one). BM_PolicyPassAllocs counts allocations inside each paper system's
+# one; its /parked arm submits EventFn callbacks, which park in the
+# in-flight slot instead of firing in their completion event). BM_PolicyPassAllocs counts allocations inside each paper system's
 # scheduling passes: every policy keeps per-app state from admission and
 # reuses its buffers (VersaSlot-BL builds Big units into a kept buffer and
 # checks bundling once per spec), so each must stay below 0.05 per pass.

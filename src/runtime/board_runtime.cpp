@@ -913,9 +913,12 @@ void BoardRuntime::kick() {
     ++cell_->blocked;
     m_launch_blocked_.add();
   }
-  core.submit(
-      board_.params().sched_pass_cost, [this] { run_pass(); },
-      sim::OpKind::kPass);
+  auto pass = [this] { run_pass(); };
+  // Wrapped for the core, the pass still stores inline: it fires in its
+  // completion event, and a heap fallback would allocate once per pass.
+  static_assert(sim::Core::fires_in_place<decltype(pass)>());
+  core.submit(board_.params().sched_pass_cost, std::move(pass),
+              sim::OpKind::kPass);
 }
 
 void BoardRuntime::run_pass() {
@@ -993,35 +996,36 @@ void BoardRuntime::launch_item(AppRun& app_ref, UnitRun& unit_ref) {
   // lands, so one event at the execution's end covers both, and the slot
   // is executing from the kick. An SEU or a crash in the DMA window
   // reaches that event through seu_poisoned and the crashed_ guard.
-  board_.scheduler_core().submit(
-      board_.params().launch_op_cost,
-      [this, app_id, unit_index, item] {
-        AppRun& a = app(app_id);
-        UnitRun& u = a.units[static_cast<std::size_t>(unit_index)];
-        touch_utilization();
-        if (u.slot >= 0) {
-          change_slot(board_.slot(u.slot), &fpga::Slot::begin_exec);
-        }
-        refresh_slot_gauges();
-        const sim::SimTime started =
-            sim().now() + board_.params().dma_time(u.spec.item_bytes_in);
-        const sim::SimDuration d =
-            u.spec.item_latency + (item == 0 ? u.spec.fill_latency : 0);
-        sim().schedule_at(started + d, [this, app_id, unit_index, started,
-                                        item] {
-          if (crashed_) return;
-          if (trace_.enabled()) {
-            AppRun& a2 = app(app_id);
-            UnitRun& u2 = a2.units[static_cast<std::size_t>(unit_index)];
-            trace_.add(started, sim().now(), trace_lane(u2.slot),
-                       sim::SpanKind::kExec, a2.spec->name, '#', app_id,
-                       ".u", unit_index, " B", item + 1);
-          }
-          m_item_ms_.observe(sim::to_ms(sim().now() - started));
-          finish_item(app_id, unit_index);
-        });
-      },
-      sim::OpKind::kLaunch);
+  auto launched = [this, app_id, unit_index, item] {
+    AppRun& a = app(app_id);
+    UnitRun& u = a.units[static_cast<std::size_t>(unit_index)];
+    touch_utilization();
+    if (u.slot >= 0) {
+      change_slot(board_.slot(u.slot), &fpga::Slot::begin_exec);
+    }
+    refresh_slot_gauges();
+    const sim::SimTime started =
+        sim().now() + board_.params().dma_time(u.spec.item_bytes_in);
+    const sim::SimDuration d =
+        u.spec.item_latency + (item == 0 ? u.spec.fill_latency : 0);
+    sim().schedule_at(started + d, [this, app_id, unit_index, started, item] {
+      if (crashed_) return;
+      if (trace_.enabled()) {
+        AppRun& a2 = app(app_id);
+        UnitRun& u2 = a2.units[static_cast<std::size_t>(unit_index)];
+        trace_.add(started, sim().now(), trace_lane(u2.slot),
+                   sim::SpanKind::kExec, a2.spec->name, '#', app_id, ".u",
+                   unit_index, " B", item + 1);
+      }
+      m_item_ms_.observe(sim::to_ms(sim().now() - started));
+      finish_item(app_id, unit_index);
+    });
+  };
+  // As for the pass in kick(): the launch fires in its completion event,
+  // and a heap fallback would allocate once per item.
+  static_assert(sim::Core::fires_in_place<decltype(launched)>());
+  board_.scheduler_core().submit(board_.params().launch_op_cost,
+                                 std::move(launched), sim::OpKind::kLaunch);
 }
 
 void BoardRuntime::finish_item(int app_id, int unit_index) {

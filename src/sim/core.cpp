@@ -30,12 +30,16 @@ void Core::bind_metrics(obs::MetricsRegistry& registry) {
       obs::GaugeHandle{&registry.gauge("vs_core_queue_depth", labels)};
 }
 
-void Core::start(SimDuration duration, OpKind kind) {
+void Core::begin(SimDuration duration, OpKind kind) {
   busy_ = true;
   current_kind_ = kind;
   current_end_ = sim_.now() + duration;
   busy_time_ += duration;
   busy_ns_total_.add(duration);
+}
+
+void Core::start(SimDuration duration, OpKind kind) {
+  begin(duration, kind);
   finish_event_ = sim_.schedule(duration, [this] { finish_current(); });
 }
 
@@ -54,9 +58,11 @@ void Core::start_next() {
 
 void Core::reset() {
   if (busy_) {
+    // Destroys the completion event's closure, and with it a callback built
+    // there, unrun.
     sim_.cancel(finish_event_);
-    // start_next() charged the full duration up front; give back the part
-    // that will never execute.
+    // begin() charged the full duration up front; give back the part that
+    // will never execute.
     if (current_end_ > sim_.now()) {
       sim::SimDuration remaining = current_end_ - sim_.now();
       busy_time_ -= remaining;
@@ -72,16 +78,12 @@ void Core::reset() {
 }
 
 void Core::finish_current() {
-  busy_ = false;
-  current_kind_ = OpKind::kOther;
-  queue_depth_.add(-1.0);
-  // Move out first: the callback may submit more work and restart the core,
-  // which would overwrite current_done_.
+  complete();
+  // Move out first: the callback may submit more work and restart the core
+  // from the FIFO, which would overwrite current_done_.
   EventFn done = std::move(current_done_);
-  if (done) done();
-  // The completion callback may have submitted more work and restarted the
-  // core already; only pull the next op if still idle.
-  if (!busy_ && head_ < queue_.size()) start_next();
+  if (done) done.fire();
+  resume();
 }
 
 }  // namespace vs::sim

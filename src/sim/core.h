@@ -12,6 +12,7 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -31,10 +32,12 @@ class Core {
 
   /// Enqueues an operation taking `duration` core time; `on_done` (any
   /// void() callable) fires when it completes. Returns immediately.
-  /// Operations run in submission order. The callback is built once: in
-  /// the in-flight slot when the core is idle with nothing waiting (the op
-  /// starts at once, without a trip through the FIFO), else in its FIFO
-  /// entry.
+  /// Operations run in submission order. The callback is built once. On a
+  /// core that is idle with nothing waiting, the op starts at once, and the
+  /// callback is built inside the op's completion event, wrapped with the
+  /// core's completion steps, when the wrapper fits inline
+  /// (fires_in_place<F>()); otherwise in the in-flight slot. Behind a busy
+  /// core it is built in its FIFO entry.
   template <typename F>
   void submit(SimDuration duration, F&& on_done,
               OpKind kind = OpKind::kOther) {
@@ -42,12 +45,29 @@ class Core {
     ops_total_.add();
     queue_depth_.add(1.0);
     if (!busy_ && head_ == queue_.size()) {
-      current_done_.emplace(std::forward<F>(on_done));
-      start(duration, kind);
+      if constexpr (fires_in_place<F>()) {
+        begin(duration, kind);
+        finish_event_ = sim_.schedule(duration, BuildInPlace{[&] {
+          return Completion<std::remove_cvref_t<F>>{this,
+                                                    std::forward<F>(on_done)};
+        }});
+      } else {
+        current_done_.emplace(std::forward<F>(on_done));
+        start(duration, kind);
+      }
       return;
     }
     push_op(duration, kind).on_done.emplace(std::forward<F>(on_done));
     if (!busy_) start_next();
+  }
+
+  /// True when an op callback of type F, wrapped with the core's completion
+  /// steps, fits inline in its completion event, so an op submitted to an
+  /// idle core completes with one event and no parked callback. An EventFn
+  /// never fits: it parks in the in-flight slot.
+  template <typename F>
+  static constexpr bool fires_in_place() noexcept {
+    return InlineEvent::stores_inline<Completion<std::remove_cvref_t<F>>>();
   }
 
   /// True if an operation is executing right now.
@@ -82,12 +102,38 @@ class Core {
     OpKind kind;
   };
 
+  /// An idle core's op completion, built in its event: the callback between
+  /// the steps finish_current() takes around a parked one.
+  template <typename Fn>
+  struct Completion {
+    Core* core;
+    Fn done;
+    void operator()() {
+      core->complete();
+      done();
+      core->resume();
+    }
+  };
+
   /// Appends an op with an empty callback to the FIFO and returns it.
   Op& push_op(SimDuration duration, OpKind kind);
+  /// Marks the core busy with an op ending `duration` from now.
+  void begin(SimDuration duration, OpKind kind);
   /// Starts the op whose callback is already in current_done_.
   void start(SimDuration duration, OpKind kind);
   void start_next();  ///< moves the FIFO head in-flight and starts it
   void finish_current();
+  /// The in-flight op has ended: the core is idle until resume().
+  void complete() noexcept {
+    busy_ = false;
+    current_kind_ = OpKind::kOther;
+    queue_depth_.add(-1.0);
+  }
+  /// After a completion callback: starts the next waiting op unless the
+  /// callback restarted the core already.
+  void resume() {
+    if (!busy_ && head_ < queue_.size()) start_next();
+  }
 
   Simulator& sim_;
   std::string name_;
@@ -99,10 +145,11 @@ class Core {
   bool busy_ = false;
   SimTime current_end_ = 0;
   OpKind current_kind_ = OpKind::kOther;
-  // The in-flight op's completion callback (the in-flight slot). The core
-  // is serially busy, so parking it here lets the scheduled completion
-  // event capture only `this` and stay within the event queue's inline
-  // closure buffer.
+  // The in-flight op's completion callback (the in-flight slot) when it is
+  // not built into the completion event: ops started from the FIFO, and
+  // callbacks too large to wrap inline. The core is serially busy, so
+  // parking it here lets the scheduled completion event capture only
+  // `this` and stay within the event queue's inline closure buffer.
   EventFn current_done_;
   EventId finish_event_ = 0;  ///< valid only while busy_ (reset() cancels it)
   SimDuration busy_time_ = 0;

@@ -6,7 +6,7 @@
 namespace vs::sim {
 
 EventId EventQueue::enqueue(SimTime when, std::uint32_t index) {
-  Slot& s = slab_[index];
+  Slot& s = slot(index);
   assert(s.fn && "scheduling an empty event");
   s.seq = next_seq_++;
   EventId id = (static_cast<EventId>(s.gen) << 32) | index;
@@ -23,7 +23,7 @@ EventId EventQueue::enqueue(SimTime when, std::uint32_t index) {
     }
     run_.push_back(Node{when, id});
   } else if (hole_) {
-    // One sift_down instead of the pop's sift_down plus a sift_up.
+    // One sift_down instead of the take's sift_down plus a sift_up.
     hole_ = false;
     heap_.front() = Node{when, id};
     sift_down(0);
@@ -37,36 +37,30 @@ EventId EventQueue::enqueue(SimTime when, std::uint32_t index) {
 
 void EventQueue::cancel(EventId id) {
   std::uint32_t index = slot_of(id);
-  if (index >= slab_.size()) return;
-  Slot& s = slab_[index];
-  // Generation mismatch: the event already fired (slot freed, possibly
-  // reused). Empty fn with matching generation: already cancelled. Either
-  // way the cancel is stale and must not touch live_.
-  if (s.gen != gen_of(id) || !s.fn) return;
+  if (index >= slots_) return;
+  Slot& s = slot(index);
+  // Generation mismatch: the event was already taken to fire or cancelled
+  // (the slot possibly reused since). Either way the cancel is stale and
+  // must not touch live_.
+  if (s.gen != gen_of(id)) return;
   s.fn.reset();  // release captures now; the node becomes a tombstone
+  ++s.gen;
   --live_;
 }
 
-SimTime EventQueue::next_time() const {
-  // Tombstone removal does not change the observable state of the queue;
-  // confine the const_cast here as the previous implementation did.
-  const bool from_run = const_cast<EventQueue*>(this)->drop_tombstones();
-  return from_run ? run_[run_head_].time : heap_.front().time;
-}
-
-EventQueue::Popped EventQueue::pop() {
+EventQueue::Due EventQueue::take_due(SimTime until) {
+  if (live_ == 0) return {};
   const bool from_run = drop_tombstones();
   const Node head = from_run ? run_[run_head_] : heap_.front();
-  std::uint32_t index = slot_of(head.id);
-  Popped out{head.time, std::move(slab_[index].fn)};
-  free_slot(index);
+  if (head.time > until) return {};
   if (from_run) {
     pop_run();
   } else {
     hole_ = true;  // refilled by the next heap-bound schedule, or settled
   }
+  ++slot(slot_of(head.id)).gen;  // cancelling the taken id is now a no-op
   --live_;
-  return out;
+  return {head.time, slot_of(head.id)};
 }
 
 bool EventQueue::drop_tombstones() {
@@ -81,8 +75,10 @@ bool EventQueue::drop_tombstones() {
     assert((from_run || !heap_.empty()) && "queue is empty");
     const std::uint32_t index =
         slot_of(from_run ? run_[run_head_].id : heap_.front().id);
-    if (slab_[index].fn) return from_run;
-    free_slot(index);
+    Slot& s = slot(index);
+    if (s.fn) return from_run;
+    s.next_free = free_head_;
+    free_head_ = index;
     if (from_run) {
       pop_run();
     } else {
@@ -130,20 +126,14 @@ void EventQueue::sift_down(std::size_t i) noexcept {
 std::uint32_t EventQueue::alloc_slot() {
   if (free_head_ != kNoSlot) {
     std::uint32_t index = free_head_;
-    free_head_ = slab_[index].next_free;
+    free_head_ = slot(index).next_free;
     return index;
   }
-  assert(slab_.size() < kNoSlot && "slab exhausted");
-  slab_.emplace_back();
-  return static_cast<std::uint32_t>(slab_.size() - 1);
-}
-
-void EventQueue::free_slot(std::uint32_t index) noexcept {
-  Slot& s = slab_[index];
-  s.fn.reset();
-  ++s.gen;  // invalidates every outstanding id for this slot
-  s.next_free = free_head_;
-  free_head_ = index;
+  assert(slots_ < kNoSlot && "slab exhausted");
+  if ((slots_ & kChunkMask) == 0) {
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkMask + 1));
+  }
+  return slots_++;
 }
 
 }  // namespace vs::sim

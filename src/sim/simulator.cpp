@@ -6,10 +6,9 @@ namespace vs::sim {
 
 std::uint64_t Simulator::run(SimTime until) {
   std::uint64_t n = 0;
-  while (!queue_.empty() && queue_.next_time() <= until) {
-    auto popped = queue_.pop();
-    now_ = popped.time;
-    popped.fn();
+  while (const EventQueue::Due due = queue_.take_due(until)) {
+    now_ = due.time;
+    queue_.fire(due);
     ++n;
     ++executed_;
   }
@@ -22,10 +21,11 @@ std::uint64_t Simulator::run(SimTime until) {
 }
 
 bool Simulator::step() {
-  if (queue_.empty()) return false;
-  auto popped = queue_.pop();
-  now_ = popped.time;
-  popped.fn();
+  const EventQueue::Due due =
+      queue_.take_due(std::numeric_limits<SimTime>::max());
+  if (!due) return false;
+  now_ = due.time;
+  queue_.fire(due);
   ++executed_;
   return true;
 }

@@ -13,6 +13,7 @@
 #include "metrics/sweep.h"
 #include "sim/event_queue.h"
 #include "sim/trace.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -56,17 +57,14 @@ TEST_P(Seeded, EventQueueMatchesReferenceModel) {
     } else if (!queue.empty()) {
       ASSERT_FALSE(model.empty());
       auto expected = model.begin();
-      sim::SimTime t = queue.next_time();
-      EXPECT_EQ(t, expected->first.first);
-      queue.pop().fn();
+      EXPECT_EQ(test::fire_next(queue), expected->first.first);
       model.erase(expected);
     }
   }
   // Drain: remaining pops must follow model order exactly.
   while (!queue.empty()) {
     ASSERT_FALSE(model.empty());
-    EXPECT_EQ(queue.next_time(), model.begin()->first.first);
-    queue.pop();
+    EXPECT_EQ(test::fire_next(queue), model.begin()->first.first);
     model.erase(model.begin());
   }
   EXPECT_TRUE(model.empty());

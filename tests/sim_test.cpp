@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-
+#include <utility>
 #include <vector>
 
 #include "sim/core.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "test_helpers.h"
 
 namespace vs::sim {
 namespace {
@@ -19,7 +20,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.schedule(30, [&] { fired.push_back(3); });
   q.schedule(10, [&] { fired.push_back(1); });
   q.schedule(20, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  test::drain(q);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
@@ -29,7 +30,7 @@ TEST(EventQueue, EqualTimesFireInSchedulingOrder) {
   for (int i = 0; i < 10; ++i) {
     q.schedule(100, [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) q.pop().fn();
+  test::drain(q);
   ASSERT_EQ(fired.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
@@ -41,7 +42,7 @@ TEST(EventQueue, CancelSkipsEvent) {
   q.schedule(20, [&] { ++fired; });
   q.cancel(a);
   EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop().fn();
+  test::drain(q);
   EXPECT_EQ(fired, 1);
 }
 
@@ -150,6 +151,88 @@ TEST(Core, CompletionCallbackCanResubmit) {
   });
   sim.run();
   EXPECT_EQ(ends, (std::vector<SimTime>{10, 20}));
+}
+
+/// An op callback that resubmits itself to its core until `left` runs out,
+/// recording what it sees at each completion.
+struct Resubmit {
+  Core* core;
+  Simulator* sim;
+  std::vector<SimTime>* ends;
+  int left;
+  void operator()() const {
+    EXPECT_FALSE(core->busy());  // the core went idle before the callback
+    ends->push_back(sim->now());
+    if (left == 0) return;
+    core->submit(10, Resubmit{core, sim, ends, left - 1}, OpKind::kLaunch);
+    // The idle core started the op at once, built into a new completion
+    // event while this one still runs; this callback's captures are intact.
+    EXPECT_TRUE(core->busy());
+    EXPECT_EQ(core->backlog(), 0u);
+    EXPECT_EQ(core->current_kind(), OpKind::kLaunch);
+    ends->push_back(-left);
+  }
+};
+
+TEST(Core, CallbackResubmitsToItsIdleCore) {
+  static_assert(Core::fires_in_place<Resubmit>());
+  Simulator sim;
+  Core core(sim, "c0");
+  std::vector<SimTime> ends;
+  core.submit(10, Resubmit{&core, &sim, &ends, 2}, OpKind::kLaunch);
+  sim.run();
+  EXPECT_EQ(ends, (std::vector<SimTime>{10, -2, 20, -1, 30}));
+  EXPECT_EQ(sim.events_executed(), 3u);  // one event per op
+  EXPECT_FALSE(core.busy());
+  EXPECT_EQ(core.busy_time(), 30);
+}
+
+TEST(Core, ParkedCallbackCompletesWithOneEvent) {
+  // An EventFn callback does not fit its completion event once wrapped: it
+  // parks in the in-flight slot, and the op still costs one event.
+  static_assert(!Core::fires_in_place<EventFn>());
+  Simulator sim;
+  Core core(sim, "c0");
+  std::vector<SimTime> ends;
+  core.submit(10, EventFn([&] {
+    ends.push_back(sim.now());
+    core.submit(10, EventFn([&] { ends.push_back(sim.now()); }));
+  }));
+  sim.run();
+  EXPECT_EQ(ends, (std::vector<SimTime>{10, 20}));
+  EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+TEST(Core, ResetDestroysAnInPlaceCallbackOnceUnrun) {
+  // Counts the destructions of the one live copy of a capture: moved-from
+  // husks are disarmed.
+  struct Probe {
+    explicit Probe(int* d) : destroyed(d) {}
+    Probe(Probe&& o) noexcept
+        : destroyed(o.destroyed), armed(std::exchange(o.armed, false)) {}
+    ~Probe() {
+      if (armed) ++*destroyed;
+    }
+    int* destroyed;
+    bool armed = true;
+  };
+  Simulator sim;
+  Core core(sim, "c0");
+  int destroyed = 0;
+  int ran = 0;
+  auto on_done = [p = Probe(&destroyed), &ran] { ++ran; };
+  static_assert(Core::fires_in_place<decltype(on_done)>());
+  core.submit(100, std::move(on_done), OpKind::kPass);
+  sim.run(50);  // mid-flight: the callback lives in its completion event
+  EXPECT_EQ(destroyed, 0);
+  core.reset();
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_FALSE(core.busy());
+  EXPECT_EQ(core.busy_time(), 50);
+  sim.run();
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_TRUE(sim.idle());
 }
 
 TEST(Core, TracksBusyTime) {

@@ -1,7 +1,7 @@
 // Shared helpers for tests: compact synthetic application builders, a
 // trivial manually-driven policy for exercising the BoardRuntime directly,
-// and the app conservation-law assertion shared by every fault/recovery
-// suite.
+// the app conservation-law assertion shared by every fault/recovery suite,
+// and a bare EventQueue driver.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <functional>
 #include <initializer_list>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -19,9 +20,30 @@
 #include "obs/trace_hub.h"
 #include "runtime/board_runtime.h"
 #include "runtime/policy.h"
+#include "sim/event_queue.h"
 #include "workload/generator.h"
 
 namespace vs::test {
+
+/// Takes the earliest pending event off `q` and fires it, as
+/// sim::Simulator::step() does; returns its time. Fails the test (and fires
+/// nothing) when `q` is empty.
+inline sim::SimTime fire_next(sim::EventQueue& q) {
+  const sim::EventQueue::Due due =
+      q.take_due(std::numeric_limits<sim::SimTime>::max());
+  if (!due) {
+    ADD_FAILURE() << "fire_next on an empty queue";
+    return -1;
+  }
+  q.fire(due);
+  return due.time;
+}
+
+/// Fires every event of `q`, including those its closures schedule, in
+/// (time, seq) order.
+inline void drain(sim::EventQueue& q) {
+  while (!q.empty()) fire_next(q);
+}
 
 /// The app conservation law for a drained fault run: every submitted app
 /// ends in exactly one bucket — completed, lost with its board (recovery
