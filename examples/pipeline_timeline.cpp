@@ -43,7 +43,10 @@ void run_scenario(metrics::SystemKind kind) {
   fpga::Board board(sim, "fpga0", metrics::fabric_for(kind));
   auto policy = metrics::make_policy(kind);
   runtime::BoardRuntime rt(board, *policy);
-  rt.trace().enable();
+  obs::ClusterTraceHub hub;
+  hub.enable_trace();
+  obs::TraceChannel& spans = hub.channel(board.name());
+  rt.bind_observability(spans);
 
   apps::AppSpec app1 = make_demo_app("App1", board.params());
   apps::AppSpec app2 = make_demo_app("App2", board.params());
@@ -53,7 +56,7 @@ void run_scenario(metrics::SystemKind kind) {
 
   std::cout << "--- " << policy->name() << " ("
             << metrics::fabric_for(kind).name() << " fabric) ---\n";
-  std::cout << sim::render_gantt(rt.trace().spans(), 110);
+  std::cout << obs::render_gantt(spans, 110);
   for (const auto& c : rt.completed()) {
     std::cout << "  " << c.name << " response: "
               << util::fmt(c.response_ms(), 1) << " ms\n";

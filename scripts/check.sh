@@ -154,6 +154,13 @@ fi
 (cd build && ./examples/offline_flow --trace-out offline_flow_trace.json \
   >/dev/null)
 test -s build/offline_flow_trace.json
+# pipeline_timeline is the only caller of the ASCII Gantt: one chart per
+# scheduler, each headed by its time axis.
+gantts="$(cd build && ./examples/pipeline_timeline | grep -c '^time: ')"
+if [[ "$gantts" != 3 ]]; then
+  echo "pipeline_timeline printed $gantts Gantt charts, want 3" >&2
+  exit 1
+fi
 
 echo "== write-failure smoke (an unwritable output file exits 1) =="
 # /dev/full opens but rejects every write, and /dev/full/x cannot be
@@ -347,11 +354,12 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # An app's units, checkpoint progress and dirty map are freed when it
   # leaves the live set and its slot is reused, so a late reader in the
   # runtime, streaming, checkpoint, migration and D_switch paths shows
-  # here as a heap-use-after-free, not as a stale value.
+  # here as a heap-use-after-free, not as a stale value. A hub exports the
+  # spans of runtimes that are gone, so it must own every record.
   cmake -B build-asan -S . -DVS_SANITIZE=address
   cmake --build build-asan -j "$JOBS" --target versaslot_tests
   ./build-asan/tests/versaslot_tests \
-    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:SamplerChangeLog.*:CaptureGolden.*:Capture.*:BlockWriterNumbers.*:WriteFile.*:OrderedExport.*:Telemetry*:TraceRecorder.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:HazardGolden.*:DetectionWindow.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*:Invariants.*:StepwiseAudit.*:AllocationChanges.*:DSwitchGolden.*:Contracts.*:Fcfs.*:RoundRobin.*:Nimblock.*:Dml.*:PolicyCommon.*:BaselineGolden.*:StarvationClock.*:StreamingGolden.*:Cli.*:CrashFlow.*:BoardRuntime.*:ItemPath.*:Streaming.*:Migration.*:RunLength.*:InvariantSweep.*:VersaSlot.*'
+    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:SamplerChangeLog.*:CaptureGolden.*:Capture.*:BlockWriterNumbers.*:WriteFile.*:OrderedExport.*:Telemetry*:ChannelSpans.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:HazardGolden.*:DetectionWindow.*:*ChaosCampaign*:SparePoolExhausted.*:DSwitchDown.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:ServeRouting.*:AuditI10.*:Invariants.*:StepwiseAudit.*:AllocationChanges.*:DSwitchGolden.*:Contracts.*:Fcfs.*:RoundRobin.*:Nimblock.*:Dml.*:PolicyCommon.*:BaselineGolden.*:StarvationClock.*:StreamingGolden.*:Cli.*:CrashFlow.*:BoardRuntime.*:ItemPath.*:Streaming.*:Migration.*:RunLength.*:InvariantSweep.*:VersaSlot.*'
 fi
 
 if [[ "${SKIP_COV:-0}" != "1" ]]; then

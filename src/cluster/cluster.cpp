@@ -177,11 +177,8 @@ int Cluster::new_epoch(core::SwitchLoop::Config config, fpga::Board& board) {
     epoch->runtime->bind_metrics(*options_.metrics);
   }
   if (options_.hub != nullptr) {
-    // Every epoch's recorder merges into the board's process timeline; the
-    // board writes journal/flow records through its own channel.
-    options_.hub->attach_spans(board.name(), &epoch->runtime->trace());
-    if (options_.hub->trace_enabled()) epoch->runtime->trace().enable();
-    epoch->runtime->bind_observability(&options_.hub->channel(board.name()));
+    // Every epoch of a board records into the board's one channel.
+    epoch->runtime->bind_observability(options_.hub->channel(board.name()));
   }
   epochs_.push_back(std::move(epoch));
   return static_cast<int>(epochs_.size()) - 1;

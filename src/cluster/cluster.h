@@ -166,10 +166,9 @@ struct ClusterOptions {
   MigrationPolicy migration;
   /// Cluster-wide causal observability (obs/trace_hub.h). Null (the
   /// default) keeps tracing/journalling off and every output byte-identical.
-  /// When set, each board epoch's span recorder is attached (and enabled
-  /// when the hub's trace stream is), and boards plus the coordinator emit
-  /// journal records and cross-board flow events through their channels.
-  /// The hub must outlive the cluster.
+  /// When set, every epoch of a board records spans, journal records and
+  /// cross-board flow events through the board's channel, and the
+  /// coordinator through its own. The hub must outlive the cluster.
   obs::ClusterTraceHub* hub = nullptr;
   /// Response-time phase accounting on every board epoch (see
   /// runtime::AppPhase). Off (the default) keeps vs_app_phase_ms

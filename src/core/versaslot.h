@@ -40,7 +40,6 @@
 #include "runtime/board_runtime.h"  // IWYU pragma: export
 #include "runtime/invariants.h"   // IWYU pragma: export
 #include "sim/simulator.h"        // IWYU pragma: export
-#include "sim/trace.h"            // IWYU pragma: export
 #include "util/stats.h"           // IWYU pragma: export
 #include "util/table.h"           // IWYU pragma: export
 #include "workload/generator.h"   // IWYU pragma: export

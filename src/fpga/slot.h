@@ -38,10 +38,6 @@ enum class SlotState : std::uint8_t {
   return "?";
 }
 
-/// Opaque handle identifying the logic configured into a slot: a (task,
-/// variant) pair packed by the caller. 0 means "none".
-using ConfiguredKey = std::uint64_t;
-
 class Slot {
  public:
   Slot(int id, SlotKind kind, ResourceVector capacity)
@@ -53,7 +49,6 @@ class Slot {
     return capacity_;
   }
   [[nodiscard]] SlotState state() const noexcept { return state_; }
-  [[nodiscard]] ConfiguredKey configured() const noexcept { return configured_; }
   [[nodiscard]] int occupant_app() const noexcept { return occupant_app_; }
 
   [[nodiscard]] std::string name() const {
@@ -62,12 +57,11 @@ class Slot {
   }
 
   /// DFX decoupler engages; previous logic is discarded.
-  void begin_reconfig(int app, ConfiguredKey key) {
+  void begin_reconfig(int app) {
     assert(state_ != SlotState::kExecuting &&
            "cannot reconfigure a slot mid-execution");
     state_ = SlotState::kReconfiguring;
     occupant_app_ = app;
-    configured_ = key;
   }
 
   /// PCAP load finished; logic is live.
@@ -90,7 +84,6 @@ class Slot {
   void release() {
     assert(state_ == SlotState::kConfigured || state_ == SlotState::kIdle);
     state_ = SlotState::kIdle;
-    configured_ = 0;
     occupant_app_ = -1;
   }
 
@@ -99,7 +92,6 @@ class Slot {
   /// or mid-execution — states release() legally cannot leave.
   void scrub() {
     state_ = SlotState::kIdle;
-    configured_ = 0;
     occupant_app_ = -1;
   }
 
@@ -108,7 +100,6 @@ class Slot {
   SlotKind kind_;
   ResourceVector capacity_;
   SlotState state_ = SlotState::kIdle;
-  ConfiguredKey configured_ = 0;
   int occupant_app_ = -1;
 };
 

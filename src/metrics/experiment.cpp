@@ -71,9 +71,7 @@ RunResult run_single_board(SystemKind kind,
   runtime::BoardRuntime rt(board, *policy);
   if (options.phase_accounting) rt.enable_phase_accounting();
   if (options.hub != nullptr) {
-    options.hub->attach_spans(board.name(), &rt.trace());
-    if (options.hub->trace_enabled()) rt.trace().enable();
-    rt.bind_observability(&options.hub->channel(board.name()));
+    rt.bind_observability(options.hub->channel(board.name()));
   }
   if (options.telemetry != nullptr) {
     rt.bind_metrics(options.telemetry->registry());
@@ -93,9 +91,6 @@ RunResult run_single_board(SystemKind kind,
     });
   }
   sim.run(options.time_limit);
-  // Move the span log into the hub before the runtime is torn down so the
-  // caller can export after this function returns.
-  if (options.hub != nullptr) options.hub->seal();
 
   RunResult result;
   result.system = system_name(kind);
@@ -112,14 +107,11 @@ RunResult run_single_board(SystemKind kind,
   return result;
 }
 
-AggregateResult aggregate(SystemKind kind,
-                          const std::vector<apps::AppSpec>& suite,
-                          const std::vector<workload::Sequence>& sequences,
-                          const RunOptions& options) {
+AggregateResult reduce_aggregate(SystemKind kind,
+                                 const std::vector<RunResult>& per_sequence) {
   AggregateResult agg;
   agg.system = system_name(kind);
-  for (const workload::Sequence& seq : sequences) {
-    RunResult r = run_single_board(kind, suite, seq, options);
+  for (const RunResult& r : per_sequence) {
     agg.all_responses_ms.insert(agg.all_responses_ms.end(),
                                 r.response_ms.begin(), r.response_ms.end());
   }
@@ -128,6 +120,18 @@ AggregateResult aggregate(SystemKind kind,
   agg.p95_ms = s.p95;
   agg.p99_ms = s.p99;
   return agg;
+}
+
+AggregateResult aggregate(SystemKind kind,
+                          const std::vector<apps::AppSpec>& suite,
+                          const std::vector<workload::Sequence>& sequences,
+                          const RunOptions& options) {
+  std::vector<RunResult> per_sequence;
+  per_sequence.reserve(sequences.size());
+  for (const workload::Sequence& seq : sequences) {
+    per_sequence.push_back(run_single_board(kind, suite, seq, options));
+  }
+  return reduce_aggregate(kind, per_sequence);
 }
 
 ClusterRunResult run_cluster(const std::vector<apps::AppSpec>& suite,
@@ -151,7 +155,6 @@ ClusterRunResult run_cluster(const std::vector<apps::AppSpec>& suite,
   if (telemetry != nullptr) telemetry->start_sampling(sim);
   cluster.submit_sequence(sequence);
   sim.run(time_limit);
-  if (cluster_options.hub != nullptr) cluster_options.hub->seal();
 
   ClusterRunResult result;
   result.submitted = cluster.submitted();

@@ -79,8 +79,8 @@ struct RunOptions {
   obs::Telemetry* telemetry = nullptr;
   /// Causal trace / journal hub (obs/trace_hub.h); null (the default)
   /// disables span, flow and journal emission entirely. When set, the
-  /// harness attaches the board's span recorder and binds the runtime to
-  /// the board's channel. Same single-run restriction as `telemetry`.
+  /// harness binds the runtime to the board's channel, where its records
+  /// stay after the run. Same single-run restriction as `telemetry`.
   obs::ClusterTraceHub* hub = nullptr;
   /// Decomposes every app's response time into queue-wait / reconfig /
   /// exec / paused / migration / recovery phases (board_runtime.h) and
@@ -106,6 +106,13 @@ struct AggregateResult {
   std::vector<double> all_responses_ms;  ///< pooled across sequences
 };
 
+/// Pools per-sequence results (in sequence order) into one
+/// AggregateResult.
+[[nodiscard]] AggregateResult reduce_aggregate(
+    SystemKind kind, const std::vector<RunResult>& per_sequence);
+
+/// Runs every sequence on one board, in order, and pools the results
+/// through reduce_aggregate.
 [[nodiscard]] AggregateResult aggregate(
     SystemKind kind, const std::vector<apps::AppSpec>& suite,
     const std::vector<workload::Sequence>& sequences,

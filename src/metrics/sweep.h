@@ -66,11 +66,6 @@ class SweepRunner {
   int jobs_;
 };
 
-/// Reduces per-sequence results (in sequence order) into the pooled
-/// AggregateResult exactly as metrics::aggregate() does.
-[[nodiscard]] AggregateResult reduce_aggregate(
-    SystemKind kind, const std::vector<RunResult>& per_sequence);
-
 // ---------------------------------------------------------------- inline
 
 template <typename R>

@@ -4,23 +4,36 @@
 #include <cassert>
 #include <cstdint>
 #include <deque>
+#include <sstream>
 #include <unordered_map>
 
 #include "obs/block_writer.h"
+#include "util/table.h"
 
 namespace vs::obs {
 
 namespace {
 
-const char* span_category(sim::SpanKind kind) {
+const char* span_category(SpanKind kind) {
   switch (kind) {
-    case sim::SpanKind::kReconfig: return "reconfig";
-    case sim::SpanKind::kExec: return "exec";
-    case sim::SpanKind::kBlocked: return "blocked";
-    case sim::SpanKind::kTransfer: return "transfer";
-    case sim::SpanKind::kMarker: return "marker";
+    case SpanKind::kReconfig: return "reconfig";
+    case SpanKind::kExec: return "exec";
+    case SpanKind::kBlocked: return "blocked";
+    case SpanKind::kTransfer: return "transfer";
+    case SpanKind::kMarker: return "marker";
   }
   return "other";
+}
+
+char span_glyph(SpanKind kind) {
+  switch (kind) {
+    case SpanKind::kReconfig: return '#';
+    case SpanKind::kExec: return '=';
+    case SpanKind::kBlocked: return '.';
+    case SpanKind::kTransfer: return '>';
+    case SpanKind::kMarker: return '|';
+  }
+  return '?';
 }
 
 const char* flow_ph(FlowPhase phase) {
@@ -111,34 +124,17 @@ NameId ClusterTraceHub::intern(std::string_view name) {
 TraceChannel& ClusterTraceHub::channel(const std::string& name) {
   auto it = channel_index_.find(name);
   if (it != channel_index_.end()) return *it->second;
-  channels_.emplace_back(TraceChannel{this, channels_.size()});
+  channels_.emplace_back(TraceChannel{this, channels_.size(), intern(name)});
   TraceChannel* ch = &channels_.back();
   channel_index_.emplace(name, ch);
   return *ch;
 }
 
-void ClusterTraceHub::attach_spans(const std::string& board,
-                                   sim::TraceRecorder* rec) {
-  auto [it, fresh] = spans_.try_emplace(board);
-  if (fresh) board_order_.push_back(board);
-  it->second.attached.push_back(rec);
-}
-
-void ClusterTraceHub::seal() {
-  for (auto& [board, spans] : spans_) {
-    for (sim::TraceRecorder* rec : spans.attached) {
-      spans.sealed.push_back(std::move(*rec));
-      rec->clear();
-    }
-    spans.attached.clear();
-  }
-}
-
 void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
-  // Processes in pid order: attached boards in attach order, then any
-  // board that only appears as a flow endpoint (e.g. the cluster
-  // coordinator). Threads per process: lanes in first-appearance order —
-  // span lanes first (recorder attach order), then flow lanes.
+  // Processes in pid order: board channels in the order they first
+  // resolved a lane, then any board that only appears as a flow endpoint
+  // (e.g. the cluster coordinator). Threads per process: lanes in
+  // first-appearance order — span lanes first, then flow lanes.
   struct Process {
     std::string_view board;
     std::unordered_map<std::string_view, int> tid;
@@ -160,44 +156,41 @@ void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
     return it->second;
   };
 
-  // Spans are placed by their index in placement order: recorders in pid
-  // order, then each recorder's records. Each recorder's lane ids map to
-  // tids once, at the lane's first span, so tids follow the order in which
-  // lanes first appear in the spans.
+  // Spans are placed by their index in placement order: board channels in
+  // pid order, then each channel's spans in append order. A lane's tid is
+  // set at its first span, so tids follow the order in which lanes first
+  // appear in the spans.
   struct Source {
-    const sim::TraceRecorder* recorder;
-    int pid;
-    std::uint32_t first;  ///< placement index of the recorder's first span
-    std::vector<int> lane_tid;
+    const TraceChannel* channel = nullptr;
+    std::uint32_t first = 0;  ///< placement index of the channel's first span
+    std::vector<int> lane_tid;  ///< by lane NameId
   };
   struct PlacedSpan {
     sim::SimTime start;
     std::uint32_t index;   ///< placement order
-    std::uint32_t source;  ///< its recorder, in `sources`
+    std::uint32_t source;  ///< its channel, in `sources`; pid = source + 1
   };
-  std::vector<Source> sources;
+  std::vector<Source> sources(static_cast<std::size_t>(processes_));
+  for (const TraceChannel& ch : channels_) {
+    if (ch.pid_ != 0) {
+      sources[static_cast<std::size_t>(ch.pid_ - 1)].channel = &ch;
+    }
+  }
   std::size_t span_count = 0;
-  for (const std::string& b : board_order_) {
-    const int pid = pid_for(b);
-    const BoardSpans& spans = spans_.at(b);
-    auto add = [&](const sim::TraceRecorder& rec) {
-      sources.push_back(
-          Source{&rec, pid, static_cast<std::uint32_t>(span_count), {}});
-      span_count += rec.size();
-    };
-    for (const sim::TraceRecorder& rec : spans.sealed) add(rec);
-    for (const sim::TraceRecorder* rec : spans.attached) add(*rec);
+  for (Source& src : sources) {
+    pid_for(name(src.channel->source_));
+    src.first = static_cast<std::uint32_t>(span_count);
+    span_count += src.channel->spans().size();
   }
   assert(span_count <= UINT32_MAX && "span indices are 32-bit");
   std::vector<PlacedSpan> placed;
   placed.reserve(span_count);
   for (std::size_t s = 0; s < sources.size(); ++s) {
     Source& src = sources[s];
-    const sim::TraceRecorder& rec = *src.recorder;
-    src.lane_tid.assign(rec.lanes().size(), 0);
-    for (const sim::TraceRecorder::Record& r : rec.records()) {
+    src.lane_tid.assign(names_.size(), 0);
+    for (const TraceChannel::Span& r : src.channel->spans()) {
       int& tid = src.lane_tid[r.lane];
-      if (tid == 0) tid = tid_for(src.pid, rec.lanes()[r.lane]);
+      if (tid == 0) tid = tid_for(static_cast<int>(s) + 1, name(r.lane));
       placed.push_back(PlacedSpan{r.start,
                                   static_cast<std::uint32_t>(placed.size()),
                                   static_cast<std::uint32_t>(s)});
@@ -268,14 +261,14 @@ void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
       if (i < placed.size()) {
         const PlacedSpan& p = placed[i];
         const Source& src = sources[p.source];
-        const sim::TraceRecorder::Record& r =
-            src.recorder->records()[p.index - src.first];
+        const TraceChannel::Span& r =
+            src.channel->spans()[p.index - src.first];
         cw.raw(",\n{\"name\":\"")
-            .escaped(src.recorder->label(r))
+            .escaped(src.channel->label(r))
             .raw("\",\"cat\":\"")
             .raw(span_category(r.kind))
             .raw("\",\"ph\":\"X\",\"pid\":")
-            .num(src.pid)
+            .num(p.source + 1)
             .raw(",\"tid\":")
             .num(src.lane_tid[r.lane])
             .raw(",\"ts\":")
@@ -346,6 +339,61 @@ void ClusterTraceHub::write_journal(std::ostream& out) const {
 void ClusterTraceHub::write_journal_file(const std::string& path) const {
   write_file(path, "journal file",
              [this](std::ostream& out) { write_journal(out); });
+}
+
+std::string render_gantt(const TraceChannel& channel, int width) {
+  const std::vector<TraceChannel::Span>& spans = channel.spans();
+  if (spans.empty()) return "(empty trace)\n";
+  sim::SimTime t0 = spans.front().start;
+  sim::SimTime t1 = spans.front().end;
+  for (const TraceChannel::Span& s : spans) {
+    t0 = std::min(t0, s.start);
+    t1 = std::max(t1, s.end);
+  }
+  if (t1 <= t0) t1 = t0 + 1;
+  double scale = static_cast<double>(width) / static_cast<double>(t1 - t0);
+
+  // One row per lane, in order of the lane's first span.
+  struct Row {
+    NameId lane;
+    std::string_view name;
+    std::string cells;
+  };
+  std::vector<Row> rows;
+  std::size_t lane_width = 0;
+  for (const TraceChannel::Span& s : spans) {
+    auto row = std::find_if(rows.begin(), rows.end(),
+                            [&](const Row& r) { return r.lane == s.lane; });
+    if (row == rows.end()) {
+      row = rows.insert(rows.end(),
+                        Row{s.lane, channel.lane_name(s),
+                            std::string(static_cast<std::size_t>(width), ' ')});
+      lane_width = std::max(lane_width, row->name.size());
+    }
+    auto c0 = static_cast<int>(static_cast<double>(s.start - t0) * scale);
+    auto c1 = static_cast<int>(static_cast<double>(s.end - t0) * scale);
+    c0 = std::clamp(c0, 0, width - 1);
+    c1 = std::clamp(c1, c0, width - 1);
+    for (int c = c0; c <= c1; ++c) {
+      row->cells[static_cast<std::size_t>(c)] = span_glyph(s.kind);
+    }
+    // Overlay a short label at the start of the span when room permits.
+    std::string_view tag = channel.label(s).substr(
+        0, static_cast<std::size_t>(std::max(0, c1 - c0 - 1)));
+    for (std::size_t i = 0; i < tag.size(); ++i) {
+      row->cells[static_cast<std::size_t>(c0) + 1 + i] = tag[i];
+    }
+  }
+
+  std::ostringstream out;
+  out << "time: " << util::fmt_duration_ns(t0) << " .. "
+      << util::fmt_duration_ns(t1)
+      << "   (#=reconfig  ==exec  .=blocked  >=transfer)\n";
+  for (const Row& row : rows) {
+    out << "  " << row.name << std::string(lane_width - row.name.size(), ' ')
+        << " |" << row.cells << "|\n";
+  }
+  return out.str();
 }
 
 }  // namespace vs::obs

@@ -1,8 +1,10 @@
 // Cluster-wide causal observability: one canonical timeline across boards.
 //
 // A ClusterTraceHub owns one TraceChannel per event source (each board plus
-// the cluster coordinator). Channels collect two kinds of records:
+// the cluster coordinator). Channels collect three kinds of records:
 //
+//  - spans — a board's slot reconfigurations and batch-item executions,
+//    one Chrome-trace "X" event per span, one thread per lane,
 //  - flow points — "s"/"t"/"f" Chrome-trace flow events stitching causal
 //    chains that cross boards (pre-copy round N → stop-and-copy → resume on
 //    the destination; crash → detection → evacuation → readmission;
@@ -11,16 +13,17 @@
 //    preempt, checkpoint, migrate, crash, restore, shed, complete) written
 //    as JSONL for postmortem replay of any fig5–8 / fault-resilience run.
 //
-// The hub also aggregates every board's sim::TraceRecorder span log and
-// renders the whole cluster as a single Chrome trace: one process per board
-// (pid = attach order), one thread per lane, plus the flow events above.
+// The hub renders the whole cluster as a single Chrome trace: one process
+// per board channel (pid = the order in which channels first resolved a
+// span lane), one thread per lane, plus the flow events above.
 //
 // Each channel is written only by its owning source; storage is a deque so
 // creating a channel never moves existing ones. Board, lane and spec names
 // are interned in one hub-wide table, so a hub and its channels belong to
-// one simulation thread. Merging for export happens after the run and uses
-// a canonical (time, channel index, append order) sort, so a run's files
-// are a pure function of its inputs.
+// one simulation thread. The hub owns every record, so it can export after
+// the sources that wrote them are gone. Merging for export happens after
+// the run and uses a canonical (time, channel index, append order) sort, so
+// a run's files are a pure function of its inputs.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +37,6 @@
 #include <vector>
 
 #include "sim/time.h"
-#include "sim/trace.h"
 #include "util/text_arena.h"
 
 namespace vs::obs {
@@ -55,6 +57,15 @@ enum class JournalEvent {
 
 [[nodiscard]] const char* to_string(JournalEvent e) noexcept;
 
+/// What a span's time went to: its Chrome-trace category and Gantt glyph.
+enum class SpanKind {
+  kReconfig,   ///< partial reconfiguration of a slot
+  kExec,       ///< batch-item execution in a slot
+  kBlocked,    ///< time a ready action spent blocked (PR queue / core busy)
+  kTransfer,   ///< DMA / Aurora data movement
+  kMarker,     ///< instantaneous annotation
+};
+
 /// Position of a point within a causal flow arrow chain.
 enum class FlowPhase {
   kStart,  ///< Chrome "s" — origin of the flow
@@ -70,12 +81,21 @@ using NameId = std::uint32_t;
 
 /// Per-source append log. Obtained from ClusterTraceHub::channel(); written
 /// only by the owning source. Records are fixed-size: names are interned
-/// in the hub's table, and flow names and journal details are written
-/// straight into the channel's text arena from their pieces (strings,
-/// characters, integers, util::Fixed), so a record costs 40 bytes plus its
-/// text.
+/// in the hub's table, and span labels, flow names and journal details are
+/// written straight into the channel's text arena from their pieces
+/// (strings, characters, integers, util::Fixed), so a record costs 32 or
+/// 40 bytes plus its text.
 class TraceChannel {
  public:
+  /// A span on one of the channel's lanes: 32 bytes.
+  struct Span {
+    sim::SimTime start = 0;
+    sim::SimTime end = 0;
+    NameId lane = 0;
+    std::uint32_t label_at = 0;  ///< label offset in the text arena
+    std::uint32_t label_len = 0;
+    SpanKind kind = SpanKind::kMarker;
+  };
   /// A flow point: 40 bytes.
   struct Flow {
     std::uint64_t id = 0;
@@ -109,6 +129,22 @@ class TraceChannel {
     return (static_cast<std::uint64_t>(index_ + 1) << 32) | ++flow_seq_;
   }
 
+  /// Id of span lane `name` in the hub's name table. The channel's first
+  /// call makes it a process of the merged Chrome trace, numbered in the
+  /// order channels first resolve a lane: a board runtime resolves its
+  /// lanes when it binds the channel, so a board keeps one pid across
+  /// epochs whether or not it records a span.
+  [[nodiscard]] NameId lane(std::string_view name);
+
+  /// Records a span on `lane` (from lane()) whose label is the
+  /// concatenation of `label`'s pieces.
+  template <typename... Piece>
+  void span(sim::SimTime start, sim::SimTime end, NameId lane, SpanKind kind,
+            const Piece&... label) {
+    const auto [at, len] = text_.append(label...);
+    spans_.push_back(Span{start, end, lane, at, len, kind});
+  }
+
   /// Records a flow point named by the concatenation of `name`'s pieces.
   template <typename... Piece>
   void flow(std::uint64_t id, FlowPhase phase, sim::SimTime time,
@@ -132,12 +168,19 @@ class TraceChannel {
     journal_.push_back(Journal{time, flow, app, b, s, at, len, event});
   }
 
+  [[nodiscard]] const std::vector<Span>& spans() const noexcept {
+    return spans_;
+  }
   [[nodiscard]] const std::vector<Flow>& flows() const noexcept {
     return flows_;
   }
   [[nodiscard]] const std::vector<Journal>& journal_records() const noexcept {
     return journal_;
   }
+  [[nodiscard]] std::string_view label(const Span& s) const noexcept {
+    return text_.view(s.label_at, s.label_len);
+  }
+  [[nodiscard]] std::string_view lane_name(const Span& s) const noexcept;
   [[nodiscard]] std::string_view name(const Flow& f) const noexcept {
     return text_.view(f.name_at, f.name_len);
   }
@@ -147,8 +190,8 @@ class TraceChannel {
 
  private:
   friend class ClusterTraceHub;
-  TraceChannel(ClusterTraceHub* hub, std::size_t index)
-      : hub_(hub), index_(index) {}
+  TraceChannel(ClusterTraceHub* hub, std::size_t index, NameId source)
+      : hub_(hub), index_(index), source_(source) {}
   /// Id of `name`: `hint` when it names the same string (a source mostly
   /// repeats its board, lane and spec), else the hub's lookup, which
   /// becomes the new hint.
@@ -156,14 +199,18 @@ class TraceChannel {
 
   ClusterTraceHub* hub_;
   std::size_t index_;
+  NameId source_;  ///< the channel's name: its process in the Chrome trace
+  int pid_ = 0;    ///< 0 until the first lane()
   std::uint64_t flow_seq_ = 0;
   NameId board_hint_ = 0;
   NameId lane_hint_ = 0;
   NameId spec_hint_ = 0;
+  std::vector<Span> spans_;
   std::vector<Flow> flows_;
   std::vector<Journal> journal_;
   util::TextArena text_;
 };
+static_assert(sizeof(TraceChannel::Span) == 32);
 static_assert(sizeof(TraceChannel::Flow) == 40);
 static_assert(sizeof(TraceChannel::Journal) == 40);
 
@@ -198,18 +245,10 @@ class ClusterTraceHub {
     return names_[id];
   }
 
-  /// Registers a board's span recorder for the merged Chrome trace. Boards
-  /// get process ids in first-attach order; a board re-attached across
-  /// epochs (fresh recorder per epoch) keeps its pid, and every attached
-  /// recorder's spans merge into that process's timeline.
-  void attach_spans(const std::string& board, sim::TraceRecorder* rec);
-
-  /// Moves every attached recorder's spans into hub-owned storage, leaving
-  /// the recorders empty, and forgets the recorder pointers. The run
-  /// harness calls this before tearing the board runtimes down, so exports
-  /// remain valid after the run returns. Recorders attached later append
-  /// as usual.
-  void seal();
+  /// Does nothing: the hub owns every record, so exporting after the run
+  /// needs no step before the sources die. Kept only because
+  /// e2ebench/traced.cpp calls it; nothing else should.
+  void seal() noexcept {}
 
   /// Chrome trace-event JSON: span "X" events per board process, metadata
   /// ("process_name", per-lane "thread_name"), and "s"/"t"/"f" flow
@@ -226,26 +265,35 @@ class ClusterTraceHub {
   void write_journal_file(const std::string& path) const;
 
  private:
-  /// One board's span sources: recorders sealed into the hub, then
-  /// recorders still attached.
-  struct BoardSpans {
-    std::vector<sim::TraceRecorder> sealed;
-    std::vector<sim::TraceRecorder*> attached;
-  };
+  friend class TraceChannel;
 
   bool trace_ = false;
   bool journal_ = false;
+  int processes_ = 0;  ///< channels that have resolved a span lane
   std::deque<TraceChannel> channels_;
   std::map<std::string, TraceChannel*> channel_index_;
   std::deque<std::string> names_;  ///< by NameId; a deque keeps views valid
   std::unordered_map<std::string_view, NameId> name_ids_;
-  std::vector<std::string> board_order_;  ///< pid = index + 1
-  std::map<std::string, BoardSpans> spans_;
 };
 
 inline NameId TraceChannel::intern(std::string_view name, NameId& hint) {
   if (hub_->name(hint) != name) hint = hub_->intern(name);
   return hint;
 }
+
+inline NameId TraceChannel::lane(std::string_view name) {
+  if (pid_ == 0) pid_ = ++hub_->processes_;
+  return hub_->intern(name);
+}
+
+inline std::string_view TraceChannel::lane_name(const Span& s) const noexcept {
+  return hub_->name(s.lane);
+}
+
+/// Renders `channel`'s spans grouped by lane as an ASCII Gantt chart, lanes
+/// in first-appearance order. `width` is the number of character cells for
+/// the full time range.
+[[nodiscard]] std::string render_gantt(const TraceChannel& channel,
+                                       int width = 100);
 
 }  // namespace vs::obs

@@ -185,13 +185,12 @@ void BoardRuntime::bind_metrics(obs::MetricsRegistry& registry) {
         "state", fpga::to_string(static_cast<fpga::SlotState>(s)));
     m_slot_state_[s] = obs::GaugeHandle{
         &registry.gauge("vs_slot_state_count", std::move(state_labels))};
+    m_slot_state_[s].set(slot_counts_[s]);
   }
   board_.scheduler_core().bind_metrics(registry);
   board_.pr_core().bind_metrics(registry);
   board_.pcap().bind_metrics(registry, board_.name());
   policy_.bind_metrics(registry, board_.name());
-  metrics_bound_ = true;
-  refresh_slot_gauges();
 }
 
 AppPhase BoardRuntime::classify(const AppRun& a) const noexcept {
@@ -213,11 +212,13 @@ void BoardRuntime::touch_phase(AppRun& a) {
   a.phase = classify(a);
 }
 
-void BoardRuntime::refresh_slot_gauges() {
-  if (!metrics_bound_) return;
-  for (std::size_t s = 0; s < slot_counts_.size(); ++s) {
-    m_slot_state_[s].set(slot_counts_[s]);
+void BoardRuntime::bind_observability(obs::TraceChannel& channel) {
+  obs_ = &channel;
+  lanes_.clear();
+  for (const fpga::Slot& s : board_.slots()) {
+    lanes_.push_back(channel.lane(s.name()));
   }
+  lanes_.push_back(channel.lane("fabric"));
 }
 
 int BoardRuntime::submit(const apps::AppSpec& spec, int spec_index, int batch,
@@ -546,8 +547,7 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
          "unit does not fit the slot at implementation");
 
   touch_utilization();
-  fpga::BitstreamKey key = unit_bitstream_key(a.spec_index, u.spec, slot_id);
-  begin_slot_reconfig(slot, app_id, key);
+  begin_slot_reconfig(slot, app_id);
   set_unit_state(a, u, UnitState::kReconfiguring);
   u.slot = slot_id;
   u.pr_was_blocked = false;
@@ -556,7 +556,6 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
   ++counters_.pr_requests;
   ++cell_->prs;
   m_pr_requests_.add();
-  refresh_slot_gauges();
   if (obs_ && obs_->journal_on()) {
     obs_->journal(sim().now(), obs::JournalEvent::kBind, board_.name(),
                   app_id, a.spec->name, 0, "unit ", unit_index, " slot ",
@@ -570,6 +569,7 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
   // it through the PCAP. Both halves hold the core — this is precisely why
   // the single-core designs block launches for the whole duration, and why
   // VersaSlot moves the flow to a dedicated PR-server core.
+  fpga::BitstreamKey key = unit_bitstream_key(a.spec_index, u.spec, slot_id);
   // Content key: the same task/bundle logic independent of the target slot
   // (slot byte canonicalised), enabling in-DDR bitstream relocation.
   fpga::BitstreamKey content_key =
@@ -598,11 +598,10 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
         }
         set_unit_state(a2, u2, UnitState::kRunning);
         touch_phase(a2);
-        refresh_slot_gauges();
         mark_launch(a2);
-        if (trace_.enabled()) {
-          trace_.add(requested, sim().now(), trace_lane(u2.slot),
-                     sim::SpanKind::kReconfig, a2.spec->name, '#', app_id,
+        if (obs_ && obs_->trace_on()) {
+          obs_->span(requested, sim().now(), trace_lane(u2.slot),
+                     obs::SpanKind::kReconfig, a2.spec->name, '#', app_id,
                      ".u", unit_index, " PR");
         }
         // The PR server notifies the scheduler through the OCM mailbox.
@@ -655,22 +654,14 @@ void BoardRuntime::request_full_reconfig(int app_id) {
         }
         touch_phase(a2);
         mark_launch(a2);
-        if (trace_.enabled()) {
-          trace_.add(requested, sim().now(), trace_lane(-1),
-                     sim::SpanKind::kReconfig, a2.spec->name, '#', app_id,
+        if (obs_ && obs_->trace_on()) {
+          obs_->span(requested, sim().now(), trace_lane(-1),
+                     obs::SpanKind::kReconfig, a2.spec->name, '#', app_id,
                      " full");
         }
         kick();
       },
       nullptr, p.full_bitstream_bytes);
-}
-
-sim::LaneId BoardRuntime::trace_lane(int slot) {
-  if (slot < 0) return trace_.lane("fabric");
-  if (slot_lanes_.empty()) {
-    for (const fpga::Slot& s : board_.slots()) slot_lanes_.push_back(s.name());
-  }
-  return trace_.lane(slot_lanes_[static_cast<std::size_t>(slot)]);
 }
 
 void BoardRuntime::preempt_unit(int app_id, int unit_index) {
@@ -694,7 +685,6 @@ void BoardRuntime::evict_unit(AppRun& a, UnitRun& u) {
   set_unit_state(a, u, UnitState::kPending);
   u.slot = -1;
   touch_phase(a);
-  refresh_slot_gauges();
 }
 
 void BoardRuntime::apply_progress(AppRun& a,
@@ -864,7 +854,6 @@ BoardRuntime::CrashReport BoardRuntime::crash() {
   board_.scheduler_core().reset();
   board_.pr_core().reset();
   board_.pcap().reset();
-  refresh_slot_gauges();
   VS_WARN << board_.name() << ": crashed (" << report.evacuable.size()
           << " evacuable, " << report.checkpointed.size()
           << " checkpoint-restored, " << report.killed.size() << " killed)";
@@ -1003,18 +992,17 @@ void BoardRuntime::launch_item(AppRun& app_ref, UnitRun& unit_ref) {
     if (u.slot >= 0) {
       change_slot(board_.slot(u.slot), &fpga::Slot::begin_exec);
     }
-    refresh_slot_gauges();
     const sim::SimTime started =
         sim().now() + board_.params().dma_time(u.spec.item_bytes_in);
     const sim::SimDuration d =
         u.spec.item_latency + (item == 0 ? u.spec.fill_latency : 0);
     sim().schedule_at(started + d, [this, app_id, unit_index, started, item] {
       if (crashed_) return;
-      if (trace_.enabled()) {
+      if (obs_ && obs_->trace_on()) {
         AppRun& a2 = app(app_id);
         UnitRun& u2 = a2.units[static_cast<std::size_t>(unit_index)];
-        trace_.add(started, sim().now(), trace_lane(u2.slot),
-                   sim::SpanKind::kExec, a2.spec->name, '#', app_id, ".u",
+        obs_->span(started, sim().now(), trace_lane(u2.slot),
+                   obs::SpanKind::kExec, a2.spec->name, '#', app_id, ".u",
                    unit_index, " B", item + 1);
       }
       m_item_ms_.observe(sim::to_ms(sim().now() - started));
@@ -1050,7 +1038,6 @@ void BoardRuntime::finish_item(int app_id, int unit_index) {
   m_items_.add();
   if (u.items_done >= a.batch) finish_unit(a, u);
   touch_phase(a);
-  refresh_slot_gauges();
   // Marked before completion: the completion hook may admit apps here,
   // which can move `a`.
   mark_launch(a);
@@ -1162,13 +1149,12 @@ void BoardRuntime::set_unit_state(AppRun& a, UnitRun& u,
   a.wait_since = last_pass_;
 }
 
-void BoardRuntime::begin_slot_reconfig(fpga::Slot& slot, int app_id,
-                                       fpga::ConfiguredKey key) {
+void BoardRuntime::begin_slot_reconfig(fpga::Slot& slot, int app_id) {
   ++allocation_changes_;
   if (slot.state() == fpga::SlotState::kIdle) occupied_ += slot.capacity();
   idle_masks_[static_cast<std::size_t>(slot.kind())] &=
       ~(std::uint64_t{1} << slot.id());
-  change_slot(slot, &fpga::Slot::begin_reconfig, app_id, key);
+  change_slot(slot, &fpga::Slot::begin_reconfig, app_id);
 }
 
 void BoardRuntime::release_slot(fpga::Slot& slot) {

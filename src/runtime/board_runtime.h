@@ -26,10 +26,10 @@
 #include "runtime/checkpoint.h"
 #include "runtime/dirty_map.h"
 #include "runtime/policy.h"
-#include "sim/trace.h"
 
 namespace vs::obs {
 class TraceChannel;
+using NameId = std::uint32_t;
 }  // namespace vs::obs
 
 namespace vs::runtime {
@@ -416,7 +416,6 @@ class BoardRuntime {
   [[nodiscard]] const std::vector<CompletedApp>& completed() const noexcept {
     return completed_;
   }
-  [[nodiscard]] sim::TraceRecorder& trace() noexcept { return trace_; }
 
   /// Hook invoked on every app completion (cluster layer: D_switch
   /// recalculation cadence).
@@ -433,12 +432,12 @@ class BoardRuntime {
   [[nodiscard]] bool phase_accounting() const noexcept { return phase_acct_; }
 
   // ---------------------------------------------------------- observability
-  /// Binds this board's channel of a ClusterTraceHub. Journal records and
-  /// causal flow events are emitted only while the hub has the matching
+  /// Binds this board's channel of a ClusterTraceHub and resolves the
+  /// board's span lanes (one per slot, plus "fabric") in it, which makes the
+  /// board a process of the hub's Chrome trace. Spans, causal flow events
+  /// and journal records are emitted only while the hub has the matching
   /// stream enabled; unbound (the default) costs one branch per site.
-  void bind_observability(obs::TraceChannel* channel) noexcept {
-    obs_ = channel;
-  }
+  void bind_observability(obs::TraceChannel& channel);
 
   // -------------------------------------------------------------- telemetry
   /// Binds the whole board stack — runtime counters/histograms, per-state
@@ -619,16 +618,18 @@ class BoardRuntime {
   void set_unit_state(AppRun& a, UnitRun& u, UnitState state) noexcept;
   /// Occupies an idle slot with a PR load, or frees an occupied one;
   /// either keeps occupied_ and the idle masks exact.
-  void begin_slot_reconfig(fpga::Slot& slot, int app_id,
-                           fpga::ConfiguredKey key);
+  void begin_slot_reconfig(fpga::Slot& slot, int app_id);
   void release_slot(fpga::Slot& slot);
   /// Every slot state change goes through here: applies `change` to
-  /// `slot` and keeps the per-state slot counts exact.
+  /// `slot` and keeps the per-state slot counts, and the gauges of the two
+  /// counts it moved, exact.
   template <typename Change, typename... Args>
   void change_slot(fpga::Slot& slot, Change change, Args... args) {
-    --slot_counts_[static_cast<std::size_t>(slot.state())];
+    const auto from = static_cast<std::size_t>(slot.state());
     (slot.*change)(args...);
-    ++slot_counts_[static_cast<std::size_t>(slot.state())];
+    const auto to = static_cast<std::size_t>(slot.state());
+    m_slot_state_[from].set(--slot_counts_[from]);
+    m_slot_state_[to].set(++slot_counts_[to]);
   }
   void mark_idle(const fpga::Slot& slot) noexcept {
     idle_masks_[static_cast<std::size_t>(slot.kind())] |= std::uint64_t{1}
@@ -637,12 +638,11 @@ class BoardRuntime {
   /// Integrates the utilisation since the last touch at the current sums.
   /// Call before every change to used_ or occupied_resources().
   void touch_utilization();
-  /// Sets the per-state slot occupancy gauges from the kept counts; no-op
-  /// until bound.
-  void refresh_slot_gauges();
-  /// Trace lane of `slot`, or of the whole fabric for a negative slot. The
-  /// slot lane names are built once, on the first traced span.
-  sim::LaneId trace_lane(int slot);
+  /// Span lane of `slot`, or of the whole fabric for a negative slot.
+  [[nodiscard]] obs::NameId trace_lane(int slot) const noexcept {
+    return lanes_[slot < 0 ? lanes_.size() - 1
+                           : static_cast<std::size_t>(slot)];
+  }
   /// Schedules the next checkpoint tick (no-op when the policy is inactive,
   /// a tick is already pending, or the board crashed).
   void arm_checkpoint();
@@ -677,7 +677,6 @@ class BoardRuntime {
   bool pass_queued_ = false;
   bool crashed_ = false;
   bool phase_acct_ = false;
-  bool metrics_bound_ = false;
   bool admission_open_ = true;
   obs::TraceChannel* obs_ = nullptr;
   std::array<std::uint64_t, 2> idle_masks_{};  ///< see idle_mask()
@@ -722,8 +721,7 @@ class BoardRuntime {
   CheckpointStats ckpt_stats_;
   std::vector<int> ckpt_snap_;  ///< checkpoint_pass's per-task progress
   bool ckpt_armed_ = false;
-  sim::TraceRecorder trace_;
-  std::vector<std::string> slot_lanes_;  ///< see trace_lane()
+  std::vector<obs::NameId> lanes_;  ///< see trace_lane()
   std::vector<CompletedApp> completed_;
 };
 

@@ -90,7 +90,6 @@ ServeResult run_serve(const std::vector<apps::AppSpec>& suite,
   if (telemetry != nullptr) telemetry->start_sampling(sim);
   manager.start(static_cast<int>(suite.size()));
   sim.run(time_limit);
-  if (cluster_options.hub != nullptr) cluster_options.hub->seal();
   return collect_serve_result(cluster, manager, config,
                               sim.events_executed());
 }

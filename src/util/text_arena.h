@@ -86,11 +86,6 @@ class TextArena {
     return {bytes_.get() + at, len};
   }
 
-  /// Bytes held, including spare capacity.
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  /// Drops the text and releases its memory.
-  void clear() noexcept { *this = TextArena(); }
-
  private:
   /// Reallocates to at least double the capacity, with room for `n` more
   /// bytes. Offsets are 32-bit, so the text of one arena stays below 4 GiB.

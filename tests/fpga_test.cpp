@@ -48,10 +48,9 @@ TEST(ResourceVector, Scaled) {
 TEST(Slot, LifecycleTransitions) {
   Slot s(0, SlotKind::kLittle, {100, 100, 10, 10});
   EXPECT_EQ(s.state(), SlotState::kIdle);
-  s.begin_reconfig(/*app=*/3, /*key=*/0xabc);
+  s.begin_reconfig(/*app=*/3);
   EXPECT_EQ(s.state(), SlotState::kReconfiguring);
   EXPECT_EQ(s.occupant_app(), 3);
-  EXPECT_EQ(s.configured(), 0xabcu);
   s.finish_reconfig();
   EXPECT_EQ(s.state(), SlotState::kConfigured);
   s.begin_exec();
@@ -61,15 +60,14 @@ TEST(Slot, LifecycleTransitions) {
   s.release();
   EXPECT_EQ(s.state(), SlotState::kIdle);
   EXPECT_EQ(s.occupant_app(), -1);
-  EXPECT_EQ(s.configured(), 0u);
 }
 
 TEST(Slot, ReconfigDirectlyFromConfigured) {
   Slot s(1, SlotKind::kBig, {200, 200, 20, 20});
-  s.begin_reconfig(1, 1);
+  s.begin_reconfig(1);
   s.finish_reconfig();
   // A new PR may replace configured logic without an explicit release.
-  s.begin_reconfig(2, 2);
+  s.begin_reconfig(2);
   EXPECT_EQ(s.occupant_app(), 2);
 }
 

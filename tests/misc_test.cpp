@@ -8,6 +8,7 @@
 #include "apps/bundling.h"
 #include "metrics/experiment.h"
 #include "metrics/quality.h"
+#include "obs/trace_hub.h"
 #include "runtime/board_runtime.h"
 #include "util/log.h"
 #include "workload/generator.h"
@@ -131,7 +132,10 @@ TEST(Trace, SpansAreWithinRunBounds) {
   fpga::Board board(sim, "b0", fpga::FabricConfig::big_little(), params);
   auto policy = metrics::make_policy(metrics::SystemKind::kVersaBigLittle);
   runtime::BoardRuntime rt(board, *policy);
-  rt.trace().enable();
+  obs::ClusterTraceHub hub;
+  hub.enable_trace();
+  obs::TraceChannel& spans = hub.channel(board.name());
+  rt.bind_observability(spans);
   for (const auto& a : seq) {
     sim.schedule_at(a.arrival, [&rt, &suite, a] {
       rt.submit(suite[static_cast<std::size_t>(a.spec_index)], a.spec_index,
@@ -139,12 +143,12 @@ TEST(Trace, SpansAreWithinRunBounds) {
     });
   }
   sim.run();
-  ASSERT_FALSE(rt.trace().spans().empty());
-  for (const sim::Span& s : rt.trace().spans()) {
+  ASSERT_FALSE(spans.spans().empty());
+  for (const obs::TraceChannel::Span& s : spans.spans()) {
     EXPECT_GE(s.start, 0);
     EXPECT_LE(s.start, s.end);
     EXPECT_LE(s.end, sim.now());
-    EXPECT_FALSE(s.lane.empty());
+    EXPECT_FALSE(spans.lane_name(s).empty());
   }
 }
 

@@ -21,7 +21,6 @@
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/trace_hub.h"
-#include "sim/trace.h"
 
 namespace vs::obs {
 namespace {
@@ -167,22 +166,19 @@ TEST(OrderedExport, FormatErrorReachesTheCallerAfterEveryWorkerStopped) {
 /// A hub holding `spans` spans on one board and `flows` flow points on two
 /// channels, spans first in start order. `hostile_at` (an index into the
 /// trace's spans-then-flows order) gets a label that needs escapes.
-void fill_trace(ClusterTraceHub& hub, sim::TraceRecorder& rec,
-                std::size_t spans, std::size_t flows,
+void fill_trace(ClusterTraceHub& hub, std::size_t spans, std::size_t flows,
                 std::size_t hostile_at) {
   hub.enable_trace();
-  rec.enable();
-  const sim::LaneId lanes[] = {rec.lane("slot L0"), rec.lane("slot B1"),
-                               rec.lane("core")};
-  for (std::size_t i = 0; i < spans; ++i) {
-    const auto start = static_cast<sim::SimTime>(1000 * i + 7);
-    rec.add(start, start + 1500 + static_cast<sim::SimTime>(i % 4) * 333,
-            lanes[i % 3], static_cast<sim::SpanKind>(i % 5),
-            i == hostile_at ? kHostile : "App", '#', i);
-  }
-  hub.attach_spans("fpga-0", &rec);
   TraceChannel& board = hub.channel("fpga-0");
   TraceChannel& cluster = hub.channel("cluster");
+  const NameId lanes[] = {board.lane("slot L0"), board.lane("slot B1"),
+                          board.lane("core")};
+  for (std::size_t i = 0; i < spans; ++i) {
+    const auto start = static_cast<sim::SimTime>(1000 * i + 7);
+    board.span(start, start + 1500 + static_cast<sim::SimTime>(i % 4) * 333,
+               lanes[i % 3], static_cast<SpanKind>(i % 5),
+               i == hostile_at ? kHostile : "App", '#', i);
+  }
   for (std::size_t i = 0; i < flows; ++i) {
     TraceChannel& ch = i % 2 == 0 ? board : cluster;
     const auto t = static_cast<sim::SimTime>(500 * i);
@@ -197,9 +193,8 @@ TEST(OrderedExport, TraceBytesMatchAtEveryWorkerCountAroundAChunk) {
   for (std::size_t records : {std::size_t{0}, std::size_t{1}, kChunk,
                               kChunk + 1}) {
     ClusterTraceHub hub;
-    sim::TraceRecorder rec;
     const std::size_t flows = records / 3;
-    fill_trace(hub, rec, records - flows, flows, records);
+    fill_trace(hub, records - flows, flows, records);
     const std::string bytes = same_bytes_at_1_2_4_workers(
         [&](std::ostream& out) { hub.write_chrome_trace(out); });
     EXPECT_EQ(bytes.substr(bytes.size() - 3), "\n]\n") << records;
@@ -212,8 +207,7 @@ TEST(OrderedExport, EscapedLabelOnAChunkBoundaryKeepsItsBytes) {
   constexpr std::size_t kChunk = ClusterTraceHub::kTraceChunk;
   for (std::size_t hostile : {kChunk - 1, kChunk}) {
     ClusterTraceHub hub;
-    sim::TraceRecorder rec;
-    fill_trace(hub, rec, kChunk + 1, 4, hostile);
+    fill_trace(hub, kChunk + 1, 4, hostile);
     const std::string bytes = same_bytes_at_1_2_4_workers(
         [&](std::ostream& out) { hub.write_chrome_trace(out); });
     EXPECT_NE(bytes.find(std::string("{\"name\":\"") + kHostileJson + "#" +
@@ -222,8 +216,7 @@ TEST(OrderedExport, EscapedLabelOnAChunkBoundaryKeepsItsBytes) {
         << hostile;
   }
   ClusterTraceHub hub;
-  sim::TraceRecorder rec;
-  fill_trace(hub, rec, kChunk - 2, 8, kChunk + 1);
+  fill_trace(hub, kChunk - 2, 8, kChunk + 1);
   const std::string bytes = same_bytes_at_1_2_4_workers(
       [&](std::ostream& out) { hub.write_chrome_trace(out); });
   EXPECT_NE(bytes.find(std::string("{\"name\":\"") + kHostileJson + "3\""),
@@ -289,8 +282,7 @@ TEST(OrderedExport, UnwritableFilesThrowTheSameMessageWithNoWorkerLeft) {
   const std::size_t before = thread_count();
   ScopedJobs scoped(4);
   ClusterTraceHub hub;
-  sim::TraceRecorder rec;
-  fill_trace(hub, rec, 20 * ClusterTraceHub::kTraceChunk, 50, 0);
+  fill_trace(hub, 20 * ClusterTraceHub::kTraceChunk, 50, 0);
   hub.enable_journal();
   for (int i = 0; i < 5000; ++i) {
     hub.channel("fpga-0").journal(i, JournalEvent::kAdmit, "fpga-0", i);

@@ -11,8 +11,8 @@
 #include "apps/offline_flow.h"
 #include "core/dswitch.h"
 #include "metrics/sweep.h"
+#include "obs/trace_hub.h"
 #include "sim/event_queue.h"
-#include "sim/trace.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -269,18 +269,18 @@ TEST_P(Seeded, DSwitchMonotoneAndBounded) {
 
 TEST_P(Seeded, GanttRenderNeverCrashes) {
   util::Rng rng(GetParam() ^ 0x4242);
-  std::vector<sim::Span> spans;
+  obs::ClusterTraceHub hub;
+  obs::TraceChannel& spans = hub.channel("b0");
   int n = static_cast<int>(rng.uniform_int(0, 40));
   for (int i = 0; i < n; ++i) {
-    sim::Span s;
-    s.start = rng.uniform_int(0, 1'000'000);
-    s.end = s.start + rng.uniform_int(0, 100'000);
-    s.lane = "lane" + std::to_string(rng.uniform_int(0, 4));
-    s.label = "ev" + std::to_string(i);
-    s.kind = static_cast<sim::SpanKind>(rng.uniform_int(0, 5));
-    spans.push_back(s);
+    const sim::SimTime start = rng.uniform_int(0, 1'000'000);
+    const sim::SimTime end = start + rng.uniform_int(0, 100'000);
+    const obs::NameId lane =
+        spans.lane("lane" + std::to_string(rng.uniform_int(0, 4)));
+    const auto kind = static_cast<obs::SpanKind>(rng.uniform_int(0, 5));
+    spans.span(start, end, lane, kind, "ev", i);
   }
-  std::string out = sim::render_gantt(spans, 80);
+  std::string out = obs::render_gantt(spans, 80);
   EXPECT_FALSE(out.empty());
   if (n > 0) {
     EXPECT_NE(out.find("lane"), std::string::npos);

@@ -233,7 +233,7 @@ TEST(Invariants, DetectInconsistentState) {
   runtime::BoardRuntime rt(board, policy);
   auto app = test::make_uniform_app("a", 1, sim::ms(1));
   rt.submit(app, 0, 1, 0);
-  board.slot(3).begin_reconfig(/*app=*/0, /*key=*/1);  // no unit owns this
+  board.slot(3).begin_reconfig(/*app=*/0);  // no unit owns this
   auto report = runtime::audit(rt);
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.to_string().find("slot L3"), std::string::npos);

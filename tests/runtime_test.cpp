@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "fpga/board.h"
+#include "obs/trace_hub.h"
 #include "runtime/board_runtime.h"
 #include "sim/simulator.h"
 #include "test_helpers.h"
@@ -395,7 +396,10 @@ TEST(ItemPath, ExecSpanStartsAfterLaunchOpAndDmaIn) {
   Fixture f;
   GreedyPolicy policy;
   BoardRuntime rt(f.board, policy);
-  rt.trace().enable();
+  obs::ClusterTraceHub hub;
+  hub.enable_trace();
+  obs::TraceChannel& spans = hub.channel(f.board.name());
+  rt.bind_observability(spans);
   apps::AppSpec app = make_uniform_app("a", 1, sim::ms(1));
   (void)rt.submit(app, 0, /*batch=*/1, 0);
   const sim::SimTime kick = step_to_launch(f);
@@ -406,9 +410,9 @@ TEST(ItemPath, ExecSpanStartsAfterLaunchOpAndDmaIn) {
                     [&] { in_dma_window = f.board.slot(0).state(); });
   f.sim.run();
   EXPECT_EQ(in_dma_window, fpga::SlotState::kExecuting);
-  std::vector<sim::Span> exec;
-  for (const sim::Span& s : rt.trace().spans()) {
-    if (s.kind == sim::SpanKind::kExec) exec.push_back(s);
+  std::vector<obs::TraceChannel::Span> exec;
+  for (const obs::TraceChannel::Span& s : spans.spans()) {
+    if (s.kind == obs::SpanKind::kExec) exec.push_back(s);
   }
   ASSERT_EQ(exec.size(), 1u);
   EXPECT_EQ(exec[0].start, started);
