@@ -47,7 +47,7 @@ int run(const vs::util::CliArgs& args) {
   std::cout << "=== Fig 8: D_switch and response time with cross-board "
                "switching ===\nthresholds T1=" << options.t1
             << " T2=" << options.t2 << ", recalc every "
-            << options.dswitch_period << " app updates\n\n";
+            << core::SwitchLoop::kPeriod << " app updates\n\n";
 
   util::CsvWriter trace_csv("fig8_dswitch_trace.csv");
   trace_csv.header({"workload", "t_s", "dswitch", "blocked", "prs", "apps",

@@ -37,7 +37,7 @@ int run(const vs::util::CliArgs& args) {
   std::cout << "Cluster live-migration demo — " << n_apps
             << " apps, Stress arrivals, T1=" << options.t1
             << " T2=" << options.t2 << "\n\nD_switch trace (every "
-            << options.dswitch_period << " queue updates):\n";
+            << core::SwitchLoop::kPeriod << " queue updates):\n";
   util::Table trace({"t (s)", "D_switch", "blocked", "PRs", "apps",
                      "batch"});
   for (const core::DSwitchSample& s : with_switching.dswitch_trace) {

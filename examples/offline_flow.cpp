@@ -98,7 +98,7 @@ int run(const vs::util::CliArgs& args) {
       metrics::SystemKind::kVersaBigLittle, {report.app},
       {{0, 0, 8}, {0, 0, 12}}, options);
   for (const auto& c : r.apps) {
-    std::cout << c.name << "#" << c.app_id << " completed in "
+    std::cout << report.app.name << "#" << c.app_id << " completed in "
               << util::fmt(c.response_ms(), 1) << " ms\n";
   }
   capture.write({{"example", "offline_flow"}});

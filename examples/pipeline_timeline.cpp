@@ -48,17 +48,19 @@ void run_scenario(metrics::SystemKind kind) {
   obs::TraceChannel& spans = hub.channel(board.name());
   rt.bind_observability(spans);
 
-  apps::AppSpec app1 = make_demo_app("App1", board.params());
-  apps::AppSpec app2 = make_demo_app("App2", board.params());
-  rt.submit(app1, 0, /*batch=*/3, 0);
-  sim.schedule(sim::ms(20.0), [&] { rt.submit(app2, 1, /*batch=*/2, sim::ms(20.0)); });
+  const std::vector<apps::AppSpec> suite = {
+      make_demo_app("App1", board.params()),
+      make_demo_app("App2", board.params())};
+  rt.submit(suite[0], 0, /*batch=*/3, 0);
+  sim.schedule(sim::ms(20.0), [&] { rt.submit(suite[1], 1, /*batch=*/2, sim::ms(20.0)); });
   sim.run();
 
   std::cout << "--- " << policy->name() << " ("
             << metrics::fabric_for(kind).name() << " fabric) ---\n";
   std::cout << obs::render_gantt(spans, 110);
   for (const auto& c : rt.completed()) {
-    std::cout << "  " << c.name << " response: "
+    std::cout << "  " << suite[static_cast<std::size_t>(c.spec_index)].name
+              << " response: "
               << util::fmt(c.response_ms(), 1) << " ms\n";
   }
   std::cout << "  PRs: " << rt.counters().pr_requests << " ("

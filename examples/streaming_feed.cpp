@@ -49,7 +49,8 @@ int run(const vs::util::CliArgs& args) {
   for (const auto& c : r.apps) {
     const apps::AppArrival& a = seq[static_cast<std::size_t>(c.app_id)];
     table.add_row();
-    table.cell(c.name + "#" + std::to_string(c.app_id));
+    table.cell(suite[static_cast<std::size_t>(c.spec_index)].name + "#" +
+               std::to_string(c.app_id));
     table.cell(a.item_interval > 0 ? "live feed" : "staged");
     table.cell(a.item_interval > 0
                    ? util::fmt(1e9 / static_cast<double>(a.item_interval), 1) +

@@ -27,8 +27,7 @@ Cluster::Cluster(sim::Simulator& sim, const std::vector<apps::AppSpec>& suite,
       suite_(suite),
       options_(options),
       link_(sim, options.link_params),
-      monitor_(options.dswitch_period),
-      loop_(options.t1, options.t2) {
+      loop_(options.t1, options.t2, options.enable_switching) {
   assert(options_.boards_per_config >= 1);
   if (suite_.size() > static_cast<std::size_t>(runtime::LoadCell::kSpecBits)) {
     // Affinity routing reads one load-cell bit per spec.
@@ -62,16 +61,18 @@ Cluster::Cluster(sim::Simulator& sim, const std::vector<apps::AppSpec>& suite,
     }
   }
   if (options_.hub != nullptr) obs_ = &options_.hub->channel("cluster");
-  for (int i = 0; i < options_.boards_per_config; ++i) {
-    boards_ol_.push_back(std::make_unique<fpga::Board>(
-        sim_, "fpga-OL" + std::to_string(i), fpga::FabricConfig::only_little(),
-        options_.board_params));
-    boards_bl_.push_back(std::make_unique<fpga::Board>(
-        sim_, "fpga-BL" + std::to_string(i), fpga::FabricConfig::big_little(),
-        options_.board_params));
+  const int n = options_.boards_per_config;
+  for (int i = 0; i < 2 * n; ++i) {
+    const bool big_little = i >= n;
+    boards_.push_back({std::make_unique<fpga::Board>(
+        sim_,
+        (big_little ? "fpga-BL" : "fpga-OL") + std::to_string(i % n),
+        big_little ? fpga::FabricConfig::big_little()
+                   : fpga::FabricConfig::only_little(),
+        options_.board_params)});
   }
   // The cluster always starts in Only.Little, as the switch loop does.
-  activate_pool(core::SwitchLoop::Config::kOnlyLittle);
+  activate_pool(Config::kOnlyLittle);
 
   // Fault plane: constructed only when the scenario is enabled so the
   // fault-free path stays byte-for-byte identical (no extra registry
@@ -120,45 +121,29 @@ Cluster::Cluster(sim::Simulator& sim, const std::vector<apps::AppSpec>& suite,
             "vs_ckpt_rerun_window_ms", obs::default_ms_bounds())};
       }
     }
-    for (auto& b : boards_ol_) {
-      fault_plane_->add_board(*b);
-      plane_boards_.push_back(b.get());
-      plane_configs_.push_back(core::SwitchLoop::Config::kOnlyLittle);
-    }
-    for (auto& b : boards_bl_) {
-      fault_plane_->add_board(*b);
-      plane_boards_.push_back(b.get());
-      plane_configs_.push_back(core::SwitchLoop::Config::kBigLittle);
-    }
+    for (BoardEntry& entry : boards_) fault_plane_->add_board(*entry.board);
     fault_plane_->set_handler(
         [this](const faults::HealthEvent& e) { on_health_event(e); });
     fault_plane_->start();
   }
 }
 
-std::vector<fpga::Board*> Cluster::boards_for(
-    core::SwitchLoop::Config config) {
-  std::vector<fpga::Board*> out;
-  auto& pool = config == core::SwitchLoop::Config::kBigLittle ? boards_bl_
-                                                              : boards_ol_;
-  out.reserve(pool.size());
-  for (auto& b : pool) out.push_back(b.get());
-  return out;
-}
-
-int Cluster::new_epoch(core::SwitchLoop::Config config, fpga::Board& board) {
+int Cluster::new_epoch(int board) {
+  BoardEntry& entry = boards_[static_cast<std::size_t>(board)];
+  // The previous epoch has drained or crashed: a switch or failover
+  // reaches a pool only once it is free, and a reboot follows a crash. So
+  // a board's older epochs hold no app.
+  assert(live_runtime(board) == nullptr);
   auto epoch = std::make_unique<Epoch>();
-  epoch->board = &board;
-  epoch->config = config;
   core::VersaSlotOptions popts;
-  popts.mode = config == core::SwitchLoop::Config::kBigLittle
+  popts.mode = config_of(board) == Config::kBigLittle
                    ? core::VersaSlotOptions::Mode::kBigLittle
                    : core::VersaSlotOptions::Mode::kOnlyLittle;
   epoch->policy = std::make_unique<core::VersaSlotPolicy>(popts);
   epoch->runtime =
-      std::make_unique<runtime::BoardRuntime>(*epoch->board, *epoch->policy);
+      std::make_unique<runtime::BoardRuntime>(*entry.board, *epoch->policy);
+  epoch->runtime->bind_completion_log(completed_);
   epoch->runtime->set_on_app_complete([this](const runtime::CompletedApp& c) {
-    completed_.push_back(c);
     on_queue_update();
     // Serving-plane hook last: admission pumps and rebalance checks run
     // after the D_switch sampling for this completion.
@@ -178,27 +163,31 @@ int Cluster::new_epoch(core::SwitchLoop::Config config, fpga::Board& board) {
   }
   if (options_.hub != nullptr) {
     // Every epoch of a board records into the board's one channel.
-    epoch->runtime->bind_observability(options_.hub->channel(board.name()));
+    epoch->runtime->bind_observability(
+        options_.hub->channel(entry.board->name()));
   }
   epochs_.push_back(std::move(epoch));
-  return static_cast<int>(epochs_.size()) - 1;
+  entry.epoch = static_cast<int>(epochs_.size()) - 1;
+  return entry.epoch;
 }
 
-bool Cluster::board_usable(const fpga::Board* board) const {
-  if (fault_plane_ == nullptr) return true;
-  for (std::size_t i = 0; i < plane_boards_.size(); ++i) {
-    if (plane_boards_[i] == board) {
-      return fault_plane_->board_up(static_cast<int>(i));
-    }
-  }
-  return true;
+runtime::BoardRuntime* Cluster::live_runtime(int board) {
+  const int epoch = boards_.at(static_cast<std::size_t>(board)).epoch;
+  if (epoch < 0) return nullptr;
+  runtime::BoardRuntime& rt = runtime_of(epoch);
+  return rt.crashed() || rt.drained() ? nullptr : &rt;
 }
 
-void Cluster::activate_pool(core::SwitchLoop::Config config) {
+bool Cluster::pool_up(Config config) const {
+  return std::ranges::all_of(pool_ids(config),
+                             [this](int board) { return board_up(board); });
+}
+
+void Cluster::activate_pool(Config config) {
   std::vector<int> pool;
-  for (fpga::Board* board : boards_for(config)) {
-    if (!board_usable(board)) continue;  // down boards rejoin on reboot
-    pool.push_back(new_epoch(config, *board));
+  for (int board : pool_ids(config)) {
+    // Down boards rejoin on reboot.
+    if (board_up(board)) pool.push_back(new_epoch(board));
   }
   set_active_pool(std::move(pool));
 }
@@ -293,7 +282,7 @@ int Cluster::rebalance_active(int min_spread) {
       runtime_of(active_epochs_[busiest]).extract_unstarted();
   if (moved.empty()) return 0;
   const int moved_count = static_cast<int>(moved.size());
-  std::int64_t bytes = 4096;  // rebalance-control message
+  std::int64_t bytes = kControlMessageBytes;
   for (const MigratedApp& m : moved) bytes += m.state_bytes;
   m_migrated_apps_.add(moved_count);
   link_.transfer(bytes, [this, moved = std::move(moved)]() mutable {
@@ -336,11 +325,12 @@ std::string Cluster::origin_name(const std::vector<int>& origins) const {
   // Every active board can be down when a switch fires (the failover left
   // nothing to drain); the coordinator then stands in as the origin.
   if (origins.empty()) return "cluster";
-  return epochs_[static_cast<std::size_t>(origins.front())]->board->name();
+  const Epoch& first = *epochs_[static_cast<std::size_t>(origins.front())];
+  return first.runtime->board().name();
 }
 
 void Cluster::on_queue_update() {
-  if (monitor_.on_queue_update()) sample_and_act();
+  if (loop_.on_queue_update()) sample_and_act();
 }
 
 void Cluster::sample_and_act() {
@@ -355,73 +345,41 @@ void Cluster::sample_and_act() {
     cell.blocked = 0;
     cell.prs = 0;
   }
-  if (sample.prs == 0 && sample.apps > 0) {
-    // No PR activity this window (slots are mid-batch): the sample carries
-    // no new contention information, so hold the previous level instead of
-    // reporting a spurious zero.
-    sample.value = monitor_.last();
-  } else {
-    sample.value = core::dswitch_value(sample.blocked, sample.prs,
-                                       sample.apps, sample.batch);
-  }
-  monitor_.record(sample);
+  const core::SwitchLoop::Action action = loop_.feed(sample);
+  const double d = loop_.last();  // the value the loop gave the sample
   m_dswitch_evals_.add();
-  m_dswitch_value_.set(sample.value);
+  m_dswitch_value_.set(d);
   m_active_apps_.set(sample.apps);
-
-  if (!options_.enable_switching) return;
-  if (static_cast<int>(monitor_.trace().size()) <= options_.warmup_samples) {
-    return;
-  }
-  if (loop_.config() == core::SwitchLoop::Config::kOnlyLittle &&
-      sample.apps < options_.min_queue_for_switch) {
-    return;  // no sustained backlog: an upward switch would thrash
-  }
-  if (loop_.config() == core::SwitchLoop::Config::kBigLittle &&
-      sample.apps > options_.min_queue_for_switch) {
-    return;  // backlog persists: keep the contention-friendly fabric
-  }
-
-  core::SwitchLoop::Action action = loop_.feed(sample.value);
   switch (action) {
     case core::SwitchLoop::Action::kNone:
       break;
     case core::SwitchLoop::Action::kPrewarmBigLittle:
-      if (options_.enable_prewarm) {
-        prewarm(core::SwitchLoop::Config::kBigLittle);
-      }
+      prewarm(Config::kBigLittle);
       break;
     case core::SwitchLoop::Action::kPrewarmOnlyLittle:
-      if (options_.enable_prewarm) {
-        prewarm(core::SwitchLoop::Config::kOnlyLittle);
-      }
+      prewarm(Config::kOnlyLittle);
       break;
     case core::SwitchLoop::Action::kSwitchToBigLittle:
-      do_switch(core::SwitchLoop::Config::kBigLittle, sample.value);
+      do_switch(Config::kBigLittle, d);
       break;
     case core::SwitchLoop::Action::kSwitchToOnlyLittle:
-      do_switch(core::SwitchLoop::Config::kOnlyLittle, sample.value);
+      do_switch(Config::kOnlyLittle, d);
       break;
   }
 }
 
-bool Cluster::pool_free(core::SwitchLoop::Config config) const {
-  const auto& pool = config == core::SwitchLoop::Config::kBigLittle
-                         ? boards_bl_
-                         : boards_ol_;
-  for (const auto& e : epochs_) {
-    for (const auto& board : pool) {
-      if (e->board == board.get() && !e->runtime->drained()) return false;
-    }
-  }
-  return true;
+bool Cluster::pool_free(Config config) {
+  return std::ranges::none_of(pool_ids(config), [this](int board) {
+    return live_runtime(board) != nullptr;
+  });
 }
 
-void Cluster::prewarm(core::SwitchLoop::Config config) {
+void Cluster::prewarm(Config config) {
   // Background-load every suite bitstream variant into the spare boards'
   // SD/DDR stores so PRs after the switch skip the SD fetch.
   const core::VersaSlotOptions bl;  // the Big.Little pool's policy options
-  for (fpga::Board* board : boards_for(config)) {
+  for (int id : pool_ids(config)) {
+    fpga::Board* board = boards_[static_cast<std::size_t>(id)].board.get();
     for (std::size_t i = 0; i < suite_.size(); ++i) {
       const apps::AppSpec& spec = suite_[i];
       // Partial bitstreams are placement-specific: warm every slot's
@@ -438,7 +396,7 @@ void Cluster::prewarm(core::SwitchLoop::Config config) {
           std::vector<apps::UnitSpec> bundles;
           for (int batch : {1, 30}) {
             apps::make_big_units(bundles, spec, batch, options_.board_params,
-                                 bl.synthesis, bl.bundle_size);
+                                 apps::SynthesisModel{}, bl.bundle_size);
             for (const apps::UnitSpec& u : bundles) {
               board->sdcard().prewarm(runtime::unit_bitstream_key(
                   static_cast<int>(i), u, slot.id()));
@@ -450,7 +408,7 @@ void Cluster::prewarm(core::SwitchLoop::Config config) {
   }
 }
 
-void Cluster::do_switch(core::SwitchLoop::Config target, double d) {
+void Cluster::do_switch(Config target, double d) {
   // A switch that cannot start now is deferred: the loop state reverts so a
   // later sample can retrigger it.
   const char* deferred = nullptr;
@@ -458,18 +416,13 @@ void Cluster::do_switch(core::SwitchLoop::Config target, double d) {
     // The previous migration is still streaming; its origins cannot start
     // a second extraction.
     deferred = "pre-copy migration in flight";
-  } else if (std::ranges::any_of(boards_for(target), [this](auto* board) {
-               return !board_usable(board);
-             })) {
+  } else if (!pool_up(target)) {
     deferred = "target board down";
   } else if (!pool_free(target)) {
     deferred = "spare pool still draining";  // a previous epoch is draining
   }
   if (deferred != nullptr) {
-    loop_ = core::SwitchLoop(options_.t1, options_.t2,
-                             target == core::SwitchLoop::Config::kBigLittle
-                                 ? core::SwitchLoop::Config::kOnlyLittle
-                                 : core::SwitchLoop::Config::kBigLittle);
+    loop_.force(other(target));
     VS_WARN << "switch to " << config_name(target) << " deferred: "
             << deferred;
     return;
@@ -510,7 +463,7 @@ void Cluster::do_switch(core::SwitchLoop::Config target, double d) {
   event.to = target;
   event.dswitch = d;
   event.apps_migrated = static_cast<int>(migrated.size());
-  event.bytes = 4096;  // switch-control message
+  event.bytes = kControlMessageBytes;
   for (const auto& m : migrated) event.bytes += m.state_bytes;
   // Whole-state: the origins are already paused, so the entire transfer is
   // stop-and-copy downtime.
@@ -540,7 +493,7 @@ void Cluster::do_switch(core::SwitchLoop::Config target, double d) {
 
 // --- Pre-copy migration -------------------------------------------------
 
-void Cluster::begin_precopy(core::SwitchLoop::Config target, double d) {
+void Cluster::begin_precopy(Config target, double d) {
   auto st = std::make_shared<PrecopyState>();
   st->target = target;
   st->origins = active_epochs_;
@@ -565,7 +518,7 @@ void Cluster::begin_precopy(core::SwitchLoop::Config target, double d) {
   // First round: every app that is pause-visible right now ships its full
   // migratable footprint; running apps join the stream when they pause
   // (their dirt keeps accumulating in the migration plane until then).
-  std::int64_t first = 4096;  // switch-control message
+  std::int64_t first = kControlMessageBytes;
   for (int index : st->origins) {
     runtime::BoardRuntime& rt =
         *epochs_[static_cast<std::size_t>(index)]->runtime;
@@ -640,7 +593,7 @@ void Cluster::finish_precopy(std::shared_ptr<PrecopyState> st,
   event.apps_migrated = static_cast<int>(migrated.size());
   event.precopy_rounds = st->rounds;
   event.precopy_bytes = st->streamed;
-  event.stopcopy_bytes = 4096 + final_dirty;  // control message + residue
+  event.stopcopy_bytes = kControlMessageBytes + final_dirty;  // + residue
   event.bytes = st->streamed + event.stopcopy_bytes;
   m_migrated_apps_.add(event.apps_migrated);
   if (st->flow != 0) {
@@ -670,28 +623,26 @@ void Cluster::on_health_event(const faults::HealthEvent& e) {
   switch (e.kind) {
     case faults::FaultKind::kBoardCrash: {
       ++recovery_stats_.boards_crashed;
-      fpga::Board* board = plane_boards_.at(static_cast<std::size_t>(e.board));
-      // Crash every live epoch on this board (the active one, plus a
-      // draining origin epoch still finishing ongoing apps after a switch)
-      // straight into the detection window's batch. Checkpoint-restored
-      // apps ride the same evacuation transfer as live-migrated ones (their
-      // snapshot bytes are in state_bytes); the from_checkpoint flag keeps
-      // the accounting separate.
+      const BoardEntry& entry = boards_.at(static_cast<std::size_t>(e.board));
+      const fpga::Board* board = entry.board.get();
+      // Crash the board's newest epoch (the active one, or a draining
+      // origin still finishing ongoing apps after a switch) straight into
+      // the detection window's batch. Checkpoint-restored apps ride the
+      // same evacuation transfer as live-migrated ones (their snapshot
+      // bytes are in state_bytes); the from_checkpoint flag keeps the
+      // accounting separate.
       const std::size_t held = batch_.evacuable.size() + batch_.killed.size();
-      for (auto& ep : epochs_) {
-        if (ep->board != board) continue;
-        if (ep->runtime->crashed() || ep->runtime->drained()) continue;
-        runtime::BoardRuntime::CrashReport report = ep->runtime->crash();
+      if (runtime::BoardRuntime* rt = live_runtime(e.board)) {
+        runtime::BoardRuntime::CrashReport report = rt->crash();
         std::ranges::move(report.evacuable,
                           std::back_inserter(batch_.evacuable));
         std::ranges::move(report.checkpointed,
                           std::back_inserter(batch_.evacuable));
         std::ranges::move(report.killed, std::back_inserter(batch_.killed));
       }
+      // Only a board's newest epoch can be an active-pool member.
       std::vector<int> pool = active_epochs_;
-      std::erase_if(pool, [&](int index) {
-        return epochs_[static_cast<std::size_t>(index)]->board == board;
-      });
+      std::erase(pool, entry.epoch);
       set_active_pool(std::move(pool));
       // One flow per batch: the window's first crash starts it, and each
       // later crash inside the window is a step on it.
@@ -731,18 +682,16 @@ void Cluster::on_health_event(const faults::HealthEvent& e) {
     }
     case faults::FaultKind::kBoardReboot: {
       ++recovery_stats_.boards_rebooted;
-      fpga::Board* board = plane_boards_.at(static_cast<std::size_t>(e.board));
+      fpga::Board& board = *boards_.at(static_cast<std::size_t>(e.board)).board;
       // The reboot reloads the full bitstream: fresh slots, empty fabric.
-      board->reconfigure_fabric(board->fabric());
-      core::SwitchLoop::Config config =
-          plane_configs_.at(static_cast<std::size_t>(e.board));
+      board.reconfigure_fabric(board.fabric());
+      const Config config = config_of(e.board);
       if (config == loop_.config() || active_epochs_.empty()) {
-        if (config != loop_.config()) {
-          // The whole active pool is down: fail over to the rebooted board.
-          loop_ = core::SwitchLoop(options_.t1, options_.t2, config);
-        }
+        // With the whole active pool down, this fails over to the rebooted
+        // board's pool.
+        loop_.force(config);
         std::vector<int> pool = active_epochs_;
-        pool.push_back(new_epoch(config, *board));
+        pool.push_back(new_epoch(e.board));
         set_active_pool(std::move(pool));
       }
       drain_readmit_queue();
@@ -757,12 +706,8 @@ void Cluster::on_health_event(const faults::HealthEvent& e) {
       break;
     case faults::FaultKind::kSlotSeu: {
       ++recovery_stats_.slot_seus;
-      fpga::Board* board = plane_boards_.at(static_cast<std::size_t>(e.board));
-      for (auto& ep : epochs_) {
-        if (ep->board != board) continue;
-        if (ep->runtime->crashed() || ep->runtime->drained()) continue;
-        ep->runtime->inject_slot_seu(e.slot);
-        break;
+      if (runtime::BoardRuntime* rt = live_runtime(e.board)) {
+        rt->inject_slot_seu(e.slot);
       }
       break;
     }
@@ -862,16 +807,9 @@ void Cluster::handle_crash(PendingBatch batch) {
     // The whole active pool is down. Failure-triggered switch: bring up
     // the spare pool if it is free and healthy; otherwise the displaced
     // apps queue for re-admission at the next reboot.
-    core::SwitchLoop::Config spare =
-        loop_.config() == core::SwitchLoop::Config::kBigLittle
-            ? core::SwitchLoop::Config::kOnlyLittle
-            : core::SwitchLoop::Config::kBigLittle;
-    bool healthy = pool_free(spare);
-    for (fpga::Board* b : boards_for(spare)) {
-      healthy = healthy && board_usable(b);
-    }
-    if (healthy) {
-      loop_ = core::SwitchLoop(options_.t1, options_.t2, spare);
+    const Config spare = other(loop_.config());
+    if (pool_free(spare) && pool_up(spare)) {
+      loop_.force(spare);
       activate_pool(spare);
       SwitchEvent event;
       event.time = sim_.now();
@@ -896,7 +834,7 @@ void Cluster::handle_crash(PendingBatch batch) {
 
   // Evacuate over the Aurora link: DDR state of apps with progress plus a
   // control message; the same path as a D_switch live migration.
-  std::int64_t bytes = 4096;
+  std::int64_t bytes = kControlMessageBytes;
   for (const MigratedApp& m : keep) bytes += m.state_bytes;
   auto ticket = std::make_shared<CrashTicket>();
   ticket->crash_time = batch.crash_time;

@@ -2,25 +2,28 @@
 //
 // Owns two pools of boards — Only.Little-configured and Big.Little-
 // configured (one board each by default, matching the paper's two-ZCU216
-// cluster; `boards_per_config` scales the pools). The pool matching the
-// current configuration is *active*: arrivals are dispatched to its least-
-// loaded board, read from one load cell per pool position that each
-// board's runtime keeps current (runtime::LoadCell). The D_switch metric is
-// recomputed from the same cells every `dswitch_period` candidate-queue
-// updates and fed into the Schmitt-trigger switch loop. On a switch: every
-// origin board stops admitting, applications that have not started — plus
-// started apps paused between tasks, which carry their per-task progress
-// and intermediate buffers — are extracted and transferred over the Aurora
-// link to the spare pool (live migration), new arrivals flow to the new
-// active pool, and origin boards drain their ongoing applications to
-// completion before being freed (so one available FPGA suffices to switch
-// the whole system).
+// cluster; `boards_per_config` scales the pools) — in one board table in
+// FaultPlane order, each board beside the index of its newest epoch. The
+// pool matching the current configuration is *active*: arrivals are
+// dispatched to its least-loaded board, read from one load cell per pool
+// position that each board's runtime keeps current (runtime::LoadCell).
+// core::SwitchLoop owns the D_switch decision: the cluster sums the same
+// cells into a sample every SwitchLoop::kPeriod candidate-queue updates and
+// acts on the action the loop returns. Every epoch appends its completions
+// to the cluster's one log. On a switch: every origin board stops
+// admitting, applications that have not started — plus started apps paused
+// between tasks, which carry their per-task progress and intermediate
+// buffers — are extracted and transferred over the Aurora link to the spare
+// pool (live migration), new arrivals flow to the new active pool, and
+// origin boards drain their ongoing applications to completion before being
+// freed (so one available FPGA suffices to switch the whole system).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -46,6 +49,9 @@ namespace vs::cluster {
 
 /// Health-event to recovery-action latency (heartbeat + decision).
 inline constexpr sim::SimDuration kDetectionLatency = sim::ms(5.0);
+
+/// The control message each switch, evacuation and rebalance transfer has.
+inline constexpr std::int64_t kControlMessageBytes = 4096;
 
 /// Failure-recovery policy knobs (the RecoveryPolicy layer over the
 /// FaultPlane's health events).
@@ -131,15 +137,7 @@ struct ClusterOptions {
   // below the metric's theoretical (0,1) bound.
   double t1 = 0.030;  ///< upper threshold (Only.Little -> Big.Little)
   double t2 = 0.008;  ///< lower threshold (Big.Little -> Only.Little)
-  /// Stabilisation: samples to observe before the loop may act, and the
-  /// minimum candidate-queue depth for an upward switch (early samples are
-  /// noisy — a couple of blocked PRs against a near-empty queue can spike
-  /// the ratio without any sustained contention).
-  int warmup_samples = 4;
-  int min_queue_for_switch = 4;
-  int dswitch_period = 4;           ///< queue updates between recalcs
-  bool enable_switching = true;
-  bool enable_prewarm = true;
+  bool enable_switching = true;  ///< off, D_switch is sampled, never acted on
   int boards_per_config = 1;        ///< pool size per fabric configuration
   fpga::BoardParams board_params;
   fpga::LinkParams link_params;
@@ -232,13 +230,15 @@ class Cluster {
   /// migratable).
   int rebalance_active(int min_spread);
 
-  /// All apps completed across boards and epochs.
+  /// All apps completed across boards and epochs: the one log every
+  /// epoch's runtime appends to.
   [[nodiscard]] const std::vector<runtime::CompletedApp>& completed()
       const noexcept {
     return completed_;
   }
-  [[nodiscard]] const core::DSwitchMonitor& dswitch() const noexcept {
-    return monitor_;
+  /// The D_switch loop: its trace() is every sample taken.
+  [[nodiscard]] const core::SwitchLoop& dswitch() const noexcept {
+    return loop_;
   }
   [[nodiscard]] const std::vector<SwitchEvent>& switches() const noexcept {
     return switch_events_;
@@ -282,31 +282,62 @@ class Cluster {
 
  private:
   using MigratedApp = runtime::BoardRuntime::MigratedApp;
+  using Config = core::SwitchLoop::Config;
+  /// One runtime lifetime of a board, until it drains or crashes.
   struct Epoch {
-    fpga::Board* board = nullptr;
-    core::SwitchLoop::Config config = core::SwitchLoop::Config::kOnlyLittle;
     std::unique_ptr<core::VersaSlotPolicy> policy;
     std::unique_ptr<runtime::BoardRuntime> runtime;
   };
+  /// One row of the board table.
+  struct BoardEntry {
+    std::unique_ptr<fpga::Board> board;
+    int epoch = -1;  ///< the board's newest epoch (-1 before its first)
+  };
 
-  int new_epoch(core::SwitchLoop::Config config, fpga::Board& board);
+  /// Starts a fresh epoch on board `board` (a FaultPlane id) and makes it
+  /// the board's newest; the previous one must have drained or crashed.
+  int new_epoch(int board);
   [[nodiscard]] runtime::BoardRuntime& runtime_of(int epoch) {
     return *epochs_[static_cast<std::size_t>(epoch)]->runtime;
   }
-  void activate_pool(core::SwitchLoop::Config config);
+  /// Board `board`'s newest epoch while it holds apps, else null. Its
+  /// older epochs never do (see new_epoch), so faults act on this one.
+  [[nodiscard]] runtime::BoardRuntime* live_runtime(int board);
+  /// The pool of board `board` (a FaultPlane id).
+  [[nodiscard]] Config config_of(int board) const noexcept {
+    return board < options_.boards_per_config ? Config::kOnlyLittle
+                                              : Config::kBigLittle;
+  }
+  /// The other pool's configuration.
+  [[nodiscard]] static Config other(Config config) noexcept {
+    return config == Config::kBigLittle ? Config::kOnlyLittle
+                                        : Config::kBigLittle;
+  }
+  /// The FaultPlane ids of `config`'s pool, in pool order.
+  [[nodiscard]] auto pool_ids(Config config) const {
+    const int n = options_.boards_per_config;
+    const int first = config == Config::kBigLittle ? n : 0;
+    return std::views::iota(first, first + n);
+  }
+  [[nodiscard]] bool board_up(int board) const {
+    return fault_plane_ == nullptr || fault_plane_->board_up(board);
+  }
+  /// Every board of `config`'s pool is up.
+  [[nodiscard]] bool pool_up(Config config) const;
+  void activate_pool(Config config);
   /// Replaces the active pool and rebinds the load cells: boards leaving
   /// the pool stop writing, and each member writes the cell at its
   /// position.
   void set_active_pool(std::vector<int> epochs);
   void on_queue_update();
   void sample_and_act();
-  void prewarm(core::SwitchLoop::Config config);
-  void do_switch(core::SwitchLoop::Config target, double d);
+  void prewarm(Config config);
+  void do_switch(Config target, double d);
   // --- Pre-copy migration (MigrationPolicy) ---------------------------
   /// One in-flight pre-copy migration: origin epochs keep executing while
   /// rounds stream; shared across the round-completion closures.
   struct PrecopyState {
-    core::SwitchLoop::Config target = core::SwitchLoop::Config::kBigLittle;
+    Config target = Config::kBigLittle;
     std::vector<int> origins;          ///< epoch indices streaming out
     std::size_t event_index = 0;       ///< into switch_events_
     sim::SimTime t0 = 0;               ///< switch decision time
@@ -315,7 +346,7 @@ class Cluster {
     std::int64_t streamed = 0;         ///< bytes streamed so far
     std::uint64_t flow = 0;            ///< causal flow id (0 = tracing off)
   };
-  void begin_precopy(core::SwitchLoop::Config target, double d);
+  void begin_precopy(Config target, double d);
   void precopy_round(std::shared_ptr<PrecopyState> st, std::int64_t bytes);
   void finish_precopy(std::shared_ptr<PrecopyState> st,
                       std::int64_t final_dirty);
@@ -327,10 +358,9 @@ class Cluster {
   /// Flow/journal origin of a switch: the first origin board's name, or
   /// "cluster" when the active pool is empty.
   [[nodiscard]] std::string origin_name(const std::vector<int>& origins) const;
-  [[nodiscard]] std::vector<fpga::Board*> boards_for(
-      core::SwitchLoop::Config config);
-  /// The pool for `config` is free when no undrained epoch uses its boards.
-  [[nodiscard]] bool pool_free(core::SwitchLoop::Config config) const;
+  /// The pool for `config` is free when no board's newest epoch holds apps
+  /// (a crashed one holds none).
+  [[nodiscard]] bool pool_free(Config config);
 
   // --- Fault plane and recovery ---------------------------------------
   /// Progress accounting for one crash: MTTR is measured from the crash to
@@ -370,22 +400,23 @@ class Cluster {
   /// the D_switch queue count.
   void readmit(runtime::BoardRuntime& rt, const MigratedApp& app,
                const std::shared_ptr<CrashTicket>& ticket);
-  [[nodiscard]] bool board_usable(const fpga::Board* board) const;
 
   sim::Simulator& sim_;
   const std::vector<apps::AppSpec>& suite_;
   ClusterOptions options_;
-  std::vector<std::unique_ptr<fpga::Board>> boards_ol_;
-  std::vector<std::unique_ptr<fpga::Board>> boards_bl_;
+  /// Every board, in FaultPlane order: the Only.Little pool, then the
+  /// Big.Little pool. An entry's index is the plane's board id, and
+  /// index < boards_per_config tells its pool.
+  std::vector<BoardEntry> boards_;
   AuroraLink link_;
-  core::DSwitchMonitor monitor_;
   core::SwitchLoop loop_;
+  /// The one completion log; it outlives the epochs that append to it.
+  std::vector<runtime::CompletedApp> completed_;
   std::vector<std::unique_ptr<Epoch>> epochs_;
   std::vector<int> active_epochs_;  ///< indices into epochs_
   /// One load cell per active_epochs_ position (see set_active_pool):
   /// routing and D_switch sampling read these, not the runtimes.
   std::vector<runtime::LoadCell> pool_cells_;
-  std::vector<runtime::CompletedApp> completed_;
   std::vector<SwitchEvent> switch_events_;
   std::function<void(const runtime::CompletedApp&)> on_app_complete_;
   int submitted_ = 0;
@@ -397,10 +428,6 @@ class Cluster {
 
   // Fault plane (null when options.faults is disabled) and recovery state.
   std::unique_ptr<faults::FaultPlane> fault_plane_;
-  /// Board and its fabric configuration by FaultPlane board index
-  /// (registration order: OL pool then BL pool).
-  std::vector<fpga::Board*> plane_boards_;
-  std::vector<core::SwitchLoop::Config> plane_configs_;
   std::deque<ReadmitEntry> readmit_queue_;
   RecoveryStats recovery_stats_;
   PendingBatch batch_;       ///< crash batch of the open detection window

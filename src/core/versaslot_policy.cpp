@@ -4,6 +4,7 @@
 #include <bit>
 #include <vector>
 
+#include "apps/synthesis.h"
 #include "runtime/board_runtime.h"
 
 namespace vs::core {
@@ -29,7 +30,7 @@ bool VersaSlotPolicy::bundles(const runtime::BoardRuntime& rt,
   std::int8_t& verdict = bundleable_[static_cast<std::size_t>(a.spec_index)];
   if (verdict == kUnchecked) {
     verdict = apps::can_bundle(*a.spec, rt.board().params(),
-                               options_.synthesis, options_.bundle_size)
+                               apps::SynthesisModel{}, options_.bundle_size)
                   ? 1
                   : 0;
   }
@@ -45,7 +46,7 @@ bool VersaSlotPolicy::big_eligible(const runtime::BoardRuntime& rt,
   // when their units fit (bitstreams are generated "adaptive to each
   // slot").
   apps::make_big_units(big_units_, *a.spec, a.batch, rt.board().params(),
-                       options_.synthesis, options_.bundle_size);
+                       apps::SynthesisModel{}, options_.bundle_size);
   bool fits = true;
   for (const apps::UnitSpec& u : big_units_) {
     fits &= rt.board().params().big_slot.fits(u.impl_usage);
@@ -145,7 +146,7 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
       // Online 3-in-1 bundling: re-unitise for Big-slot execution now that
       // the binding is decided (Algorithm 2 lines 4-7).
       apps::make_big_units(big_units_, *a.spec, a.batch, rt.board().params(),
-                           options_.synthesis, options_.bundle_size,
+                           apps::SynthesisModel{}, options_.bundle_size,
                            options_.forced_bundle_mode);
       rt.set_units(id, big_units_);
       continue;

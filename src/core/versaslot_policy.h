@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "apps/bundling.h"
-#include "apps/synthesis.h"
 #include "obs/metrics.h"
 #include "runtime/policy.h"
 #include "sim/time.h"
@@ -49,8 +48,6 @@ struct VersaSlotOptions {
   /// Little-slot preemption (Big-bound apps are never preempted).
   sim::SimDuration starvation_threshold = sim::ms(200.0);
   sim::SimDuration preempt_cooldown = sim::ms(100.0);
-
-  apps::SynthesisModel synthesis;   ///< for bundle fit checks
 };
 
 class VersaSlotPolicy : public runtime::SchedulerPolicy {

@@ -68,7 +68,10 @@ RunResult run_single_board(SystemKind kind,
                     options.board_params);
   std::unique_ptr<runtime::SchedulerPolicy> policy =
       make_policy(kind, options.vs_options);
+  RunResult result;
   runtime::BoardRuntime rt(board, *policy);
+  // The runtime collects its completions straight into the result.
+  rt.bind_completion_log(result.apps);
   if (options.phase_accounting) rt.enable_phase_accounting();
   if (options.hub != nullptr) {
     rt.bind_observability(options.hub->channel(board.name()));
@@ -92,10 +95,8 @@ RunResult run_single_board(SystemKind kind,
   }
   sim.run(options.time_limit);
 
-  RunResult result;
   result.system = system_name(kind);
   result.submitted = static_cast<int>(sequence.size());
-  result.apps = rt.completed();
   for (const runtime::CompletedApp& c : result.apps) {
     result.response_ms.push_back(c.response_ms());
     result.makespan = std::max(result.makespan, c.completed);
@@ -159,8 +160,8 @@ ClusterRunResult run_cluster(const std::vector<apps::AppSpec>& suite,
   ClusterRunResult result;
   result.submitted = cluster.submitted();
   result.completed = static_cast<int>(cluster.completed().size());
-  for (const runtime::CompletedApp& c : cluster.completed()) {
-    result.apps.push_back(c);
+  result.apps = cluster.completed();
+  for (const runtime::CompletedApp& c : result.apps) {
     result.response_ms.push_back(c.response_ms());
   }
   result.response = util::summarize(result.response_ms);

@@ -769,6 +769,7 @@ void BoardRuntime::extract_live_if(Extract extract) {
       for (const UnitRun& u : a.units) {
         if (u.state == UnitState::kRunning) used_ -= u.spec.impl_usage;
       }
+      ++counters_.apps_extracted;
       count_live(a, -1);
       release_app(a);
     } else {
@@ -1076,11 +1077,11 @@ void BoardRuntime::check_app_complete(AppRun& a) {
     touch_utilization();
     full_fabric_app_ = -1;
   }
-  CompletedApp c{a.id, a.spec_index, a.spec->name, a.arrival, now};
+  CompletedApp c{a.id, a.spec_index, a.arrival, now};
   c.phase_ns = a.phase_ns;
   c.tenant = a.tenant;
-  completed_.push_back(c);
-  VS_DEBUG << board_.name() << ": " << c.name << "#" << a.id
+  log_->push_back(c);
+  VS_DEBUG << board_.name() << ": " << a.spec->name << "#" << a.id
            << " complete, response " << c.response_ms() << " ms";
   if (obs_ && obs_->journal_on()) {
     obs_->journal(now, obs::JournalEvent::kComplete, board_.name(), a.id,

@@ -183,6 +183,7 @@ struct RuntimeCounters {
   std::int64_t launch_blocked = 0;   ///< passes delayed by a PR on the core
   std::int64_t items_executed = 0;
   std::int64_t apps_completed = 0;
+  std::int64_t apps_extracted = 0;  ///< left for another board or a crash
   std::int64_t preemptions = 0;
   std::int64_t passes = 0;
   std::int64_t ckpt_snapshots = 0;  ///< per-app snapshots committed
@@ -223,10 +224,10 @@ struct LoadCell {
   bool operator==(const LoadCell&) const noexcept = default;
 };
 
+/// One completion. The spec's name is the suite's at `spec_index`.
 struct CompletedApp {
   int app_id;
   int spec_index;
-  std::string name;
   sim::SimTime arrival;
   sim::SimTime completed;
   /// Serving plane: owning tenant (-1 = closed workload). Survives
@@ -413,12 +414,19 @@ class BoardRuntime {
   [[nodiscard]] const UtilizationIntegral& utilization() const noexcept {
     return util_;
   }
+  /// The log this runtime appends completions to: its own, or the bound one.
   [[nodiscard]] const std::vector<CompletedApp>& completed() const noexcept {
-    return completed_;
+    return *log_;
+  }
+  /// Appends completions to `log` (one the cluster shares across its
+  /// epochs, or a run's result) instead; bind before the first completion.
+  void bind_completion_log(std::vector<CompletedApp>& log) noexcept {
+    log_ = &log;
   }
 
   /// Hook invoked on every app completion (cluster layer: D_switch
-  /// recalculation cadence).
+  /// recalculation cadence) with a local copy of the record, never a
+  /// reference into the log, which the hook's own admissions may grow.
   void set_on_app_complete(std::function<void(const CompletedApp&)> fn) {
     on_app_complete_ = std::move(fn);
   }
@@ -722,7 +730,8 @@ class BoardRuntime {
   std::vector<int> ckpt_snap_;  ///< checkpoint_pass's per-task progress
   bool ckpt_armed_ = false;
   std::vector<obs::NameId> lanes_;  ///< see trace_lane()
-  std::vector<CompletedApp> completed_;
+  std::vector<CompletedApp> own_log_;
+  std::vector<CompletedApp>* log_ = &own_log_;  ///< see completed()
 };
 
 }  // namespace vs::runtime

@@ -157,18 +157,23 @@ InvariantReport audit(const BoardRuntime& rt) {
     }
   }
 
-  // I7: counter consistency.
+  // I7: counter consistency, and conservation: every app admitted here has
+  // completed, been extracted or is live (the log may be shared).
   const RuntimeCounters& c = rt.counters();
   VS_CHECK(report, c.pr_blocked <= c.pr_requests,
            "more blocked PRs than PR requests");
-  VS_CHECK(report, c.apps_completed ==
-                       static_cast<std::int64_t>(rt.completed().size()),
-           "apps_completed counter disagrees with completion log");
+  VS_CHECK(report,
+           rt.admitted() == c.apps_completed + c.apps_extracted +
+                                rt.active_apps(),
+           std::to_string(rt.admitted()) + " apps admitted, " +
+               std::to_string(c.apps_completed) + " completed + " +
+               std::to_string(c.apps_extracted) + " extracted + " +
+               std::to_string(rt.active_apps()) + " live");
 
   // I8: completion log sanity.
   for (const CompletedApp& done : rt.completed()) {
     VS_CHECK(report, done.completed >= done.arrival,
-             done.name + "#" + std::to_string(done.app_id) +
+             "app " + std::to_string(done.app_id) +
                  ": completed before arrival");
   }
 

@@ -179,7 +179,7 @@ TEST(Nimblock, PreemptsForStarvingApp) {
   // The small app finished long before the big one's natural end.
   bool small_done = false;
   for (const auto& c : rt.completed()) {
-    if (c.name == "small") small_done = true;
+    if (c.spec_index == 1) small_done = true;
   }
   EXPECT_TRUE(small_done);
 }
@@ -220,8 +220,8 @@ TEST(Nimblock, ShortJobFirstOrdering) {
   ASSERT_EQ(rt.completed().size(), 3u);
   sim::SimTime short_done = 0, long_done = 0;
   for (const auto& c : rt.completed()) {
-    if (c.name == "short") short_done = c.completed;
-    if (c.name == "long") long_done = c.completed;
+    if (c.spec_index == 2) short_done = c.completed;
+    if (c.spec_index == 1) long_done = c.completed;
   }
   EXPECT_LT(short_done, long_done);
 }
@@ -284,9 +284,10 @@ TEST(PolicyCommon, GrantRespectsCaps) {
 
 // ------------------------------------------------------------------ golden
 
-/// FNV-1a over every CompletedApp field, in completion order, then the
-/// counters a policy's decisions move.
-std::uint64_t decision_hash(const metrics::RunResult& r) {
+/// FNV-1a over every CompletedApp field and its spec's name, in completion
+/// order, then the counters a policy's decisions move.
+std::uint64_t decision_hash(const metrics::RunResult& r,
+                            const std::vector<apps::AppSpec>& suite) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   auto add = [&h](std::int64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -297,7 +298,9 @@ std::uint64_t decision_hash(const metrics::RunResult& r) {
   for (const runtime::CompletedApp& c : r.apps) {
     add(c.app_id);
     add(c.spec_index);
-    for (char ch : c.name) add(ch);
+    for (char ch : suite[static_cast<std::size_t>(c.spec_index)].name) {
+      add(ch);
+    }
     add(c.arrival);
     add(c.completed);
     add(c.tenant);
@@ -352,7 +355,7 @@ TEST(BaselineGolden, EachPolicyKeepsItsDecisions) {
         auto result = metrics::run_single_board(c.kind, suite, sequence,
                                                 options);
         EXPECT_EQ(result.completed, 20);
-        EXPECT_EQ(decision_hash(result), c.hash[i])
+        EXPECT_EQ(decision_hash(result, suite), c.hash[i])
             << metrics::system_name(c.kind) << " "
             << workload::congestion_name(congestion) << " seed " << seed;
         ++i;

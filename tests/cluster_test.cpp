@@ -117,11 +117,11 @@ TEST(Cluster, DSwitchTraceIsSampledEveryPeriod) {
   ClusterFixture f;
   ClusterOptions options;
   options.enable_switching = false;
-  options.dswitch_period = 4;
   Cluster cluster(f.sim, f.suite, options);
   cluster.submit_sequence(f.stress_sequence(40, 5));
   f.sim.run();
   // 40 arrivals + 40 completions = 80 updates -> 20 samples.
+  ASSERT_EQ(core::SwitchLoop::kPeriod, 4);
   EXPECT_EQ(cluster.dswitch().trace().size(), 20u);
   for (const core::DSwitchSample& s : cluster.dswitch().trace()) {
     EXPECT_GE(s.value, 0.0);
@@ -176,20 +176,118 @@ TEST(Cluster, SwitchingImprovesCongestedResponse) {
 }
 
 TEST(Cluster, PrewarmPopulatesSpareSdCache) {
-  // Run with prewarm enabled and check that post-switch PRs on the
-  // Big.Little board hit the warmed cache (few SD misses).
+  // At the moment of the switch, before the Big.Little board has run a
+  // single PR, its SD cache already holds every placement-specific
+  // bitstream the suite can ask of it: each slot's variant of every Little
+  // task, and of every bundle at the batch extremes 1 and 30.
   ClusterFixture f;
-  ClusterOptions warm;
-  metrics::ClusterRunResult with_warm =
-      metrics::run_cluster(f.suite, f.stress_sequence(60, 5), warm);
-  ClusterOptions cold = warm;
-  cold.enable_prewarm = false;
-  metrics::ClusterRunResult without_warm =
-      metrics::run_cluster(f.suite, f.stress_sequence(60, 5), cold);
-  ASSERT_FALSE(with_warm.switches.empty());
-  ASSERT_FALSE(without_warm.switches.empty());
-  // Pre-warming must never hurt.
-  EXPECT_LE(with_warm.response.mean, without_warm.response.mean * 1.001);
+  Cluster cluster(f.sim, f.suite, ClusterOptions{});
+  cluster.submit_sequence(f.stress_sequence(60, 5));
+  while (cluster.switches().empty() && f.sim.step()) {
+  }
+  ASSERT_FALSE(cluster.switches().empty());
+  ASSERT_EQ(cluster.active_config(), core::SwitchLoop::Config::kBigLittle);
+  fpga::Board& spare = cluster.active_runtime().board();
+  EXPECT_EQ(spare.sdcard().misses(), 0);
+  const core::VersaSlotOptions bl;
+  std::size_t keys = 0;
+  for (std::size_t i = 0; i < f.suite.size(); ++i) {
+    const int spec = static_cast<int>(i);
+    for (const fpga::Slot& slot : spare.slots()) {
+      std::vector<apps::UnitSpec> units = apps::make_little_units(f.suite[i]);
+      if (slot.kind() == fpga::SlotKind::kBig) {
+        units.clear();
+        for (int batch : {1, 30}) {
+          std::vector<apps::UnitSpec> bundles;
+          apps::make_big_units(bundles, f.suite[i], batch, f.params,
+                               apps::SynthesisModel{}, bl.bundle_size);
+          units.insert(units.end(), bundles.begin(), bundles.end());
+        }
+      }
+      for (const apps::UnitSpec& u : units) {
+        ++keys;
+        EXPECT_TRUE(spare.sdcard().cached(
+            runtime::unit_bitstream_key(spec, u, slot.id())))
+            << f.suite[i].name << " slot " << slot.id();
+      }
+    }
+  }
+  EXPECT_GT(keys, 0u);
+}
+
+TEST(Cluster, CrashAndSeuOnADrainingOriginReachItsEpoch) {
+  // After a switch the Only.Little origin (plane board 0) drains its
+  // running apps while the Big.Little pool is active. An SEU and then a
+  // crash on that board must each act on the draining epoch, the board's
+  // newest.
+  ClusterFixture f;
+  const workload::Sequence seq = f.stress_sequence(60, 5);
+  auto scripted = [](sim::SimTime seu_at, int slot, sim::SimTime crash_at) {
+    ClusterOptions options;
+    options.faults.timeline = {
+        {seu_at, faults::FaultKind::kSlotSeu, 0, slot},
+        {crash_at, faults::FaultKind::kBoardCrash, 0, -1}};
+    return options;
+  };
+  // A dry run whose faults lie past its end finds a slot the draining
+  // origin holds configured (not executing) up to the next event. The
+  // timelines have the same length, so both runs agree up to the SEU.
+  sim::SimTime seu_at = -1;
+  int slot = -1;
+  {
+    sim::Simulator sim;
+    Cluster dry(sim, f.suite,
+                scripted(sim::seconds(1e4), 0, sim::seconds(2e4)));
+    dry.submit_sequence(seq);
+    const fpga::Board& origin = dry.active_runtime().board();
+    sim::SimTime seen_at = -1;
+    int seen = -1;
+    while (sim.step()) {
+      if (seen >= 0 && sim.now() > seen_at + 1) {
+        seu_at = seen_at + 1;
+        slot = seen;
+        break;
+      }
+      seen = -1;
+      if (dry.switches().empty()) continue;
+      for (const fpga::Slot& s : origin.slots()) {
+        if (s.state() == fpga::SlotState::kConfigured) {
+          seen = s.id();
+          seen_at = sim.now();
+          break;
+        }
+      }
+    }
+  }
+  ASSERT_GE(slot, 0) << "no configured slot on the draining origin";
+
+  Cluster cluster(f.sim, f.suite, scripted(seu_at, slot, seu_at + sim::ms(1)));
+  cluster.submit_sequence(seq);
+  const fpga::Board& origin = cluster.active_runtime().board();
+  const std::vector<faults::HealthEvent>& injected =
+      cluster.fault_plane()->injected();
+  fpga::SlotState before = fpga::SlotState::kIdle;
+  while (injected.empty()) {
+    before = origin.slots()[static_cast<std::size_t>(slot)].state();
+    ASSERT_TRUE(f.sim.step());
+  }
+  ASSERT_EQ(injected.back().kind, faults::FaultKind::kSlotSeu);
+  ASSERT_EQ(cluster.active_config(), core::SwitchLoop::Config::kBigLittle);
+  EXPECT_EQ(before, fpga::SlotState::kConfigured);
+  // Configured and between items: the SEU evicts the unit on the spot.
+  EXPECT_EQ(origin.slots()[static_cast<std::size_t>(slot)].state(),
+            fpga::SlotState::kIdle);
+  EXPECT_EQ(cluster.recovery_stats().slot_seus, 1);
+
+  while (injected.size() < 2) ASSERT_TRUE(f.sim.step());
+  ASSERT_EQ(injected.back().kind, faults::FaultKind::kBoardCrash);
+  f.sim.run();
+  // The crash displaced the origin's apps, and recovery placed them all.
+  const RecoveryStats& r = cluster.recovery_stats();
+  EXPECT_EQ(r.boards_crashed, 1);
+  EXPECT_GT(r.apps_evacuated + r.apps_restarted + r.apps_checkpoint_restored,
+            0);
+  EXPECT_TRUE(cluster.all_done());
 }
 
 TEST(Cluster, DeterministicAcrossRuns) {

@@ -261,7 +261,7 @@ TEST(BoardRuntime, CompletedAppsRecordResponseTimes) {
   const CompletedApp& c = rt.completed()[0];
   EXPECT_EQ(c.arrival, 0);
   EXPECT_GT(c.response_ms(), 100.0);
-  EXPECT_EQ(c.name, "a");
+  EXPECT_EQ(c.spec_index, 0);
 }
 
 TEST(BoardRuntime, OnAppCompleteHookFires) {

@@ -400,14 +400,12 @@ TEST(ServeRouting, CellPickMatchesRuntimeScan) {
     const int boards = static_cast<int>(rng.uniform_int(1, 64));
     cluster::ClusterOptions options;
     options.boards_per_config = boards;
-    // The first D_switch sample switches to Big.Little and nothing switches
-    // back: the Only.Little boards leave the pool and keep completing the
-    // apps they drain, which must no longer touch any pool cell.
+    // The first D_switch sample past the loop's warm-up with a backlog
+    // switches to Big.Little and nothing switches back: the Only.Little
+    // boards leave the pool and keep completing the apps they drain, which
+    // must no longer touch any pool cell.
     options.t1 = 0.0;
     options.t2 = -1.0;
-    options.warmup_samples = 0;
-    options.min_queue_for_switch = 0;
-    options.dswitch_period = static_cast<int>(rng.uniform_int(10, 40));
     // One scripted crash per pool at the same instant: whichever pool is
     // active loses a member, and the reboot appends it back.
     const int victim = static_cast<int>(rng.uniform_int(0, boards - 1));

@@ -212,6 +212,54 @@ TEST(StepwiseAudit, StreamedSingleBoardRunsHoldEveryInvariantAfterEveryEvent) {
   }
 }
 
+TEST(StepwiseAudit, ExtractingBoardConservesEveryAdmittedApp) {
+  // I7: every app a board admitted has completed, been extracted or is
+  // live. The cluster runs above audit only active boards, and a board that
+  // extracts (a switch origin, a crashed board) leaves the pool, so here
+  // one board gives up its unstarted and paused apps every 97 events and
+  // takes them back as migrations, audited after each event and each
+  // extraction.
+  const fpga::BoardParams params;
+  const auto suite = apps::make_suite(params);
+  for (auto kind : {metrics::SystemKind::kVersaOnlyLittle,
+                    metrics::SystemKind::kVersaBigLittle}) {
+    SCOPED_TRACE(metrics::system_name(kind));
+    const workload::Sequence seq = test::mixed_stream_sequence(2025);
+    sim::Simulator sim;
+    fpga::Board board(sim, "fpga0", metrics::fabric_for(kind), params);
+    auto policy = metrics::make_policy(kind);
+    runtime::BoardRuntime rt(board, *policy);
+    for (const apps::AppArrival& a : seq) {
+      sim.schedule_at(a.arrival, [&rt, &suite, a] {
+        rt.submit(suite.at(static_cast<std::size_t>(a.spec_index)),
+                  a.spec_index, a.batch, a.arrival, a.item_interval);
+      });
+    }
+    auto audited = [&](std::int64_t event) {
+      const runtime::InvariantReport report = runtime::audit(rt);
+      if (!report.ok()) {
+        ADD_FAILURE() << "event " << event << " t=" << sim.now() << ": "
+                      << report.to_string();
+      }
+      return report.ok();
+    };
+    for (std::int64_t event = 1; sim.step() && audited(event); ++event) {
+      if (event % 97 != 0) continue;
+      const std::vector<runtime::BoardRuntime::MigratedApp> moved =
+          event % 2 != 0 ? rt.extract_migratable() : rt.extract_unstarted();
+      if (!audited(event)) break;
+      for (const auto& m : moved) {
+        rt.submit_migrated(suite.at(static_cast<std::size_t>(m.spec_index)),
+                           m, runtime::AppPhase::kMigration);
+      }
+    }
+    const runtime::RuntimeCounters& c = rt.counters();
+    EXPECT_GT(c.apps_extracted, 0);
+    EXPECT_EQ(c.apps_completed, static_cast<std::int64_t>(seq.size()));
+    EXPECT_EQ(rt.admitted(), c.apps_completed + c.apps_extracted);
+  }
+}
+
 /// What VersaSlot's Algorithm 1 and placement sweep read of a runtime, and
 /// memoize against BoardRuntime::allocation_changes(): the live set, each
 /// live app's pending, placed and finished units and its started flag, and

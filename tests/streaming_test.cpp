@@ -160,9 +160,11 @@ TEST(Streaming, StaleKickSparesTheNextAppInItsSlot) {
 
 // ------------------------------------------------------------------ golden
 
-/// FNV-1a over every CompletedApp field, in completion order, then the
-/// counters the item pipeline and the policy's decisions move.
-std::uint64_t completion_hash(const metrics::RunResult& r) {
+/// FNV-1a over every CompletedApp field and its spec's name, in completion
+/// order, then the counters the item pipeline and the policy's decisions
+/// move.
+std::uint64_t completion_hash(const metrics::RunResult& r,
+                              const std::vector<apps::AppSpec>& suite) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   auto add = [&h](std::int64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -173,7 +175,9 @@ std::uint64_t completion_hash(const metrics::RunResult& r) {
   for (const CompletedApp& c : r.apps) {
     add(c.app_id);
     add(c.spec_index);
-    for (char ch : c.name) add(ch);
+    for (char ch : suite[static_cast<std::size_t>(c.spec_index)].name) {
+      add(ch);
+    }
     add(c.arrival);
     add(c.completed);
     add(c.tenant);
@@ -213,7 +217,7 @@ TEST(StreamingGolden, EachSystemKeepsItsStreamedCompletions) {
       const auto kind = static_cast<metrics::SystemKind>(k);
       auto result = metrics::run_single_board(kind, suite, sequence, options);
       EXPECT_EQ(result.completed, 20) << metrics::system_name(kind);
-      EXPECT_EQ(completion_hash(result), kGolden[k][s])
+      EXPECT_EQ(completion_hash(result, suite), kGolden[k][s])
           << metrics::system_name(kind) << " seed " << seed;
     }
     ++s;

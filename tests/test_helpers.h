@@ -84,9 +84,10 @@ inline apps::AppSpec make_uniform_app(const std::string& name, int n_tasks,
   return app;
 }
 
-/// App `id`'s completion record on `rt`, or null while it has none (still
-/// live, or extracted). A departed app's runtime state goes with its slot,
-/// so tests read a finished app's outcome here.
+/// App `id`'s completion record on a standalone `rt` (a bound log is shared
+/// across boards, whose ids repeat), or null while it has none (still live,
+/// or extracted). A departed app's runtime state goes with its slot, so
+/// tests read a finished app's outcome here.
 inline const runtime::CompletedApp* completion(const runtime::BoardRuntime& rt,
                                                int id) {
   for (const runtime::CompletedApp& c : rt.completed()) {
